@@ -122,12 +122,29 @@ benchcompress:
 	@tail -n 3 BENCH_compress.json
 
 # servesmoke proves the online serving tier end to end across a real
-# process boundary: llmserve starts with -serve, mixed-tenant
-# concurrent queries hit POST /v1/query, the coalescing metrics must be
-# nonzero and the SLO verdict 200, and SIGTERM must drain cleanly.
+# process boundary: llmserve starts with -serve on the smoke scenario's
+# dataset, scale and seed (so node IDs line up), mqoload drives the
+# smoke scenario against it over HTTP with the SLO gate armed and zero
+# decode errors allowed, the printed coalesce rate must be nonzero
+# (cross-tenant coalescing happened), and SIGTERM must drain cleanly:
+# exit 0 and the "drained" line.
+SERVESMOKE_ADDR ?= 127.0.0.1:18089
 servesmoke:
 	$(GO) build -o servesmoke-llmserve.bin ./cmd/llmserve
-	$(GO) run ./cmd/servesmoke -llmserve ./servesmoke-llmserve.bin; \
-		status=$$?; rm -f servesmoke-llmserve.bin; exit $$status
+	$(GO) build -o servesmoke-mqoload.bin ./cmd/mqoload
+	./servesmoke-llmserve.bin -addr $(SERVESMOKE_ADDR) -serve -dataset cora -scale 0.12 -seed 1 \
+		-workers 4 -slo-latency-p99 30s -access-log=false > servesmoke-llmserve.log 2>&1 & pid=$$!; \
+	status=0; \
+	for i in $$(seq 100); do curl -sf http://$(SERVESMOKE_ADDR)/healthz > /dev/null && break; sleep 0.1; done; \
+	./servesmoke-mqoload.bin -preset smoke -target http://$(SERVESMOKE_ADDR) \
+		-require-slo -max-decode-errors 0 > servesmoke-mqoload.log 2>&1 || status=1; \
+	cat servesmoke-mqoload.log; \
+	grep -Eq 'report: .*coalesce [1-9][0-9]*%' servesmoke-mqoload.log || \
+		{ echo "servesmoke: FAIL - coalesce rate is 0 (no cross-tenant coalescing)"; status=1; }; \
+	kill -TERM $$pid; wait $$pid || { echo "servesmoke: FAIL - llmserve exited nonzero after SIGTERM"; status=1; }; \
+	cat servesmoke-llmserve.log; \
+	grep -q 'drained' servesmoke-llmserve.log || { echo "servesmoke: FAIL - no clean drain"; status=1; }; \
+	rm -f servesmoke-*.bin servesmoke-*.log; \
+	if [ $$status -eq 0 ]; then echo "servesmoke: PASS"; fi; exit $$status
 
 check: build vet test race

@@ -43,6 +43,7 @@ import (
 
 	"repro/internal/batch"
 	"repro/internal/cliflags"
+	"repro/internal/core"
 	"repro/internal/llm"
 	"repro/internal/obs"
 	"repro/internal/pool"
@@ -65,24 +66,37 @@ func main() {
 		drain     = flag.Duration("drain", 10*time.Second, "graceful-shutdown deadline for in-flight requests on SIGINT/SIGTERM")
 		traceCap  = flag.Int("trace-capacity", obs.DefaultTraceCapacity, "request spans retained by /debug/traces")
 		accessLog = flag.Bool("access-log", true, "log one JSON line per request to stderr")
-		traceRate = flag.Float64("trace-sample", 1, "fraction of requests traced with span trees and ledgers (0 = none, 1 = all)")
-		sloP99    = flag.Duration("slo-latency-p99", 0, "p99 request-latency objective for /debug/slo (0 = disabled)")
 		slowQuery = flag.Duration("slow-query", 0, "log requests slower than this with their full stage breakdown (0 = disabled)")
-		cacheDir  = flag.String("cache-dir", "", "persistent prompt-cache directory; repeated prompts are served from disk across restarts (empty = no cache)")
-		cacheMax  = flag.Int64("cache-max-bytes", 0, "prompt-cache byte budget across shards (0 = unbounded)")
-		cacheTTL  = flag.Duration("cache-ttl", 0, "prompt-cache entry lifetime (0 = never expires)")
 
-		upstreams     = flag.String("upstreams", "", "comma-separated base URLs of upstream OpenAI-compatible endpoints; when set, llmserve proxies through the health-aware replica pool instead of serving the local simulator")
+		upstreams     = flag.String("upstreams", "", "comma-separated base URLs of upstream OpenAI-compatible endpoints; when set, llmserve proxies through the health-aware replica pool instead of serving the local simulator, and -breaker/-hedge/-affinity shape that pool")
 		upstreamModel = flag.String("upstream-model", "sim", "model identifier sent to the -upstreams endpoints")
-		hedge         = flag.Bool("hedge", false, "race a second upstream when the first outlives -hedge-after (needs >= 2 -upstreams)")
-		hedgeAfter    = flag.Duration("hedge-after", 0, "hedge trigger delay (0 = 50ms default)")
-		affinity      = flag.Bool("affinity", false, "route each prompt to its cache-affine upstream (rendezvous over prompt-cache keys), so N llmserve nodes each keep their own cache shard warm")
-		breakerN      = flag.Int("breaker", 0, "consecutive transient failures that eject an upstream from rotation (0 = disabled)")
-		breakerCool   = flag.Duration("breaker-cooldown", 0, "how long an ejected upstream stays out before probing (0 = 30s default)")
 	)
+	// The serving tier's windows run four concurrent LLM queries unless
+	// -workers says otherwise, not the batch CLIs' serial default.
+	ex := cliflags.Exec{Knobs: core.Knobs{Workers: 4}}
+	ex.Register(flag.CommandLine)
 	var sv cliflags.Serve
 	sv.Register(flag.CommandLine)
 	flag.Parse()
+
+	var urls []string
+	for _, u := range strings.Split(*upstreams, ",") {
+		if u = strings.TrimSpace(u); u != "" {
+			urls = append(urls, u)
+		}
+	}
+	knobs := ex.Knobs
+	if len(urls) > 0 {
+		// The upstream list is the replica set of the proxy pool.
+		if knobs.Replicas > 1 {
+			log.Fatalf("llmserve: -replicas and -upstreams are exclusive (the upstreams are the replicas)")
+		}
+		knobs.Replicas = len(urls)
+	}
+	if err := knobs.Validate(); err != nil {
+		log.Fatalf("llmserve: %v", err)
+	}
+	ecfg := knobs.ExecConfig()
 
 	spec, err := tag.SpecByName(*dataset)
 	if err != nil {
@@ -102,10 +116,7 @@ func main() {
 
 	reg := obs.NewRegistry()
 	reg.SetTraceCapacity(*traceCap)
-	reg.SetTraceSample(*traceRate)
-	if *sloP99 > 0 {
-		reg.SetSLO(obs.SLO{Name: "request_latency_p99", Objective: *sloP99, Percentile: 0.99})
-	}
+	ex.ApplyObs(reg)
 	if *slowQuery > 0 {
 		reg.SetSlowQueryLog(*slowQuery, obs.NewLogger(os.Stderr))
 	}
@@ -114,47 +125,36 @@ func main() {
 	sim := llm.NewSim(p, g.Vocab, g.Classes, *seed)
 	sim.SetObserver(reg)
 	var served llm.Predictor = sim
-	if *upstreams != "" {
+	if len(urls) > 0 {
 		// Multi-upstream mode: fan requests across N OpenAI-compatible
 		// backends through the replica pool (power-of-two-choices
-		// routing, per-upstream breakers, optional hedging). The local
-		// simulator is not used.
-		var backends []llm.Predictor
-		for _, u := range strings.Split(*upstreams, ",") {
-			u = strings.TrimSpace(u)
-			if u == "" {
-				continue
-			}
+		// routing, per-upstream breakers, optional hedging and cache-
+		// affine routing, so N llmserve nodes each keep their own cache
+		// shard warm). The local simulator is not used.
+		backends := make([]llm.Predictor, len(urls))
+		for i, u := range urls {
 			hp, err := llm.NewHTTPPredictor(llm.HTTPConfig{BaseURL: u, Model: *upstreamModel})
 			if err != nil {
 				log.Fatalf("llmserve: upstream %q: %v", u, err)
 			}
-			backends = append(backends, hp)
+			backends[i] = hp
 		}
-		pcfg := pool.Config{
-			Hedge:      *hedge,
-			HedgeAfter: *hedgeAfter,
-			Breaker:    batch.BreakerConfig{Threshold: *breakerN, Cooldown: *breakerCool},
-			Obs:        reg,
-		}
-		if *affinity {
-			// Each upstream owns the rendezvous shard of the prompt-key
-			// space its own server-side cache has been accumulating, so
-			// a warm prompt is never re-bought from a cold upstream.
-			pcfg.Scorer = &pool.Affinity{}
-		}
-		pl, err := pool.New(backends, pcfg)
+		pl, err := pool.New(backends, ecfg.PoolConfig(reg))
 		if err != nil {
 			log.Fatalf("llmserve: building upstream pool: %v", err)
 		}
 		served = pl
-		fmt.Printf("llmserve: pooling %d upstreams (hedge=%v affinity=%v)\n", pl.Size(), *hedge, *affinity)
+		fmt.Printf("llmserve: pooling %d upstreams (hedge=%v affinity=%v)\n", pl.Size(), knobs.Hedge, knobs.Affinity)
+		// The pool knobs configured the proxy pool; the tier's executor
+		// runs unpooled over it, with no global breaker.
+		ecfg.ReplicaCount, ecfg.Hedge, ecfg.Affinity = 0, false, false
+		ecfg.Breaker = batch.BreakerConfig{}
 	}
-	if *cacheDir != "" {
+	if ex.CacheDir != "" {
 		// Server-side persistent cache: repeated prompts answer from disk
 		// without touching the simulator, across restarts.
-		pcache, err := promptcache.Open(*cacheDir, promptcache.Config{
-			MaxBytes: *cacheMax, TTL: *cacheTTL, Obs: reg,
+		pcache, err := promptcache.Open(ex.CacheDir, promptcache.Config{
+			MaxBytes: ex.CacheMaxBytes, TTL: ex.CacheTTL, Obs: reg,
 		})
 		if err != nil {
 			log.Fatalf("llmserve: opening prompt cache: %v", err)
@@ -183,6 +183,8 @@ func main() {
 			Obs:   reg,
 		}
 		scfg := sv.Config()
+		scfg.Exec = ecfg
+		scfg.Exec.Cache = true
 		scfg.Obs = reg
 		tier, err = serve.New(pctx, method, served, scfg)
 		if err != nil {

@@ -2,31 +2,8 @@ package main
 
 import (
 	"bytes"
-	"errors"
-	"flag"
-	"strings"
 	"testing"
-
-	"repro/internal/cliflags"
 )
-
-// TestUsageCoversSharedExecFlags is mqobench's half of the CLI-parity
-// contract (see cmd/mqorun/flags_test.go): the shared execution flag
-// group must be registered wholesale, not cherry-picked — mqobench
-// historically lacked -breaker and -breaker-cooldown entirely.
-func TestUsageCoversSharedExecFlags(t *testing.T) {
-	var stdout, stderr bytes.Buffer
-	err := run([]string{"-h"}, &stdout, &stderr)
-	if !errors.Is(err, flag.ErrHelp) {
-		t.Fatalf("run(-h) = %v, want flag.ErrHelp", err)
-	}
-	usage := stderr.String()
-	for _, name := range cliflags.Names() {
-		if !strings.Contains(usage, "-"+name) {
-			t.Errorf("usage text is missing shared flag -%s", name)
-		}
-	}
-}
 
 // TestSharedExecFlagsParse drives one tiny experiment through the full
 // shared flag set, and pins the error paths: unknown experiment ids and

@@ -51,6 +51,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if err := ex.Validate(); err != nil {
+		return err
+	}
 
 	// Installed as the process default so the experiment internals
 	// (plan execution, boosting, the simulator) record token and query
@@ -107,16 +110,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	for _, e := range toRun {
 		for rep := 0; rep < *seeds; rep++ {
 			s := *seed + uint64(rep)
-			cfg := experiments.Config{
-				Seed: s, Fast: *fast,
-				Workers: ex.Workers, QPS: ex.QPS, QueryTimeout: ex.QueryTimeout,
-				Disk:     pcache,
-				Breaker:  ex.BreakerConfig(),
-				Replicas: ex.Replicas,
-				Hedge:    ex.Hedge, HedgeAfter: ex.HedgeAfter,
-				Affinity: ex.Affinity,
-				Compress: ex.Compress, TargetTokens: ex.TargetTokens,
-			}
+			cfg := experiments.Config{Knobs: ex.Knobs, Seed: s, Fast: *fast, Disk: pcache}
 			start := time.Now()
 			out, err := e.Run(cfg)
 			if err != nil {

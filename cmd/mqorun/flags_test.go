@@ -2,31 +2,8 @@ package main
 
 import (
 	"bytes"
-	"errors"
-	"flag"
-	"strings"
 	"testing"
-
-	"repro/internal/cliflags"
 )
-
-// TestUsageCoversSharedExecFlags pins the CLI-parity contract: every
-// flag in the shared execution group (internal/cliflags) is registered
-// here, so mqorun and mqobench never drift apart again the way the
-// missing -breaker/-breaker-cooldown flags did.
-func TestUsageCoversSharedExecFlags(t *testing.T) {
-	var stdout, stderr bytes.Buffer
-	err := run([]string{"-h"}, &stdout, &stderr)
-	if !errors.Is(err, flag.ErrHelp) {
-		t.Fatalf("run(-h) = %v, want flag.ErrHelp", err)
-	}
-	usage := stderr.String()
-	for _, name := range cliflags.Names() {
-		if !strings.Contains(usage, "-"+name) {
-			t.Errorf("usage text is missing shared flag -%s", name)
-		}
-	}
-}
 
 // TestSharedExecFlagsParse asserts the shared flags are not just
 // printed but actually accepted (a bad value must fail, a good one must
@@ -43,5 +20,11 @@ func TestSharedExecFlagsParse(t *testing.T) {
 	}
 	if err := run([]string{"-breaker", "not-a-number"}, &stdout, &stderr); err == nil {
 		t.Fatal("bad -breaker value parsed anyway")
+	}
+	// Out-of-range knobs are errors, not silent clamps or warnings.
+	for _, args := range [][]string{{"-compress", "7"}, {"-hedge"}, {"-affinity"}, {"-qps", "-1"}} {
+		if err := run(args, &stdout, &stderr); err == nil {
+			t.Errorf("run(%v) accepted an invalid knob", args)
+		}
 	}
 }

@@ -73,6 +73,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if err := ex.Validate(); err != nil {
+		return err
+	}
 
 	// The registry is installed as the process default, so every layer
 	// (core execution, sim, facade) records without explicit wiring.
@@ -179,23 +182,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		}
 		pred = injector
 	}
-	if ex.Hedge && ex.Replicas < 2 {
-		fmt.Fprintln(stderr, "mqorun: -hedge has no effect with fewer than 2 replicas")
-	}
-	if ex.Affinity && ex.Replicas < 2 {
-		fmt.Fprintln(stderr, "mqorun: -affinity has no effect with fewer than 2 replicas")
-	}
-	ecfg := core.ExecConfig{
-		Workers:      ex.Workers,
-		QPS:          ex.QPS,
-		QueryTimeout: ex.QueryTimeout,
-		Breaker:      ex.BreakerConfig(),
-		ReplicaCount: ex.Replicas,
-		Hedge:        ex.Hedge,
-		HedgeAfter:   ex.HedgeAfter,
-		Affinity:     ex.Affinity,
-		Compress:     ex.Compressor(),
-	}
+	ecfg := ex.ExecConfig()
 	// Persistent prompt cache: every stage below — baseline, inadequacy
 	// fitting, optimized run, boosting — shares the disk tier, and a
 	// repeated invocation with the same flags answers entirely from it.

@@ -170,6 +170,9 @@ type Executor struct {
 	cache  map[string]llm.Response
 	flight map[string]*flightCall
 	logErr error
+	// logMu serializes audit-log writes: workers log concurrently and
+	// Config.Log (often a bytes.Buffer) need not be safe for that.
+	logMu sync.Mutex
 
 	inflight atomic.Int64
 }
@@ -242,7 +245,9 @@ func (e *Executor) log(l logLine) {
 	data, err := json.Marshal(l)
 	if err == nil {
 		data = append(data, '\n')
+		e.logMu.Lock()
 		_, err = e.cfg.Log.Write(data)
+		e.logMu.Unlock()
 	}
 	if err != nil {
 		e.mu.Lock()

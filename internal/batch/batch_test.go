@@ -253,6 +253,30 @@ func TestExecuteJSONLLog(t *testing.T) {
 	}
 }
 
+// TestExecuteLogConcurrentWorkers is the regression for interleaved
+// audit-log writes: many workers logging into one bytes.Buffer (not
+// safe for concurrent use) must still leave one whole line per request,
+// so a replay recovers every request. Run under -race it also pins the
+// absence of the data race.
+func TestExecuteLogConcurrentWorkers(t *testing.T) {
+	var buf bytes.Buffer
+	e, err := New(newScripted(), Config{Workers: 16, Log: &buf, Cache: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs := reqs(400)
+	if _, err := e.Execute(context.Background(), rs); err != nil {
+		t.Fatal(err)
+	}
+	done, err := ReplayLog(&buf)
+	if err != nil {
+		t.Fatalf("ReplayLog: %v", err)
+	}
+	if len(done) != len(rs) {
+		t.Errorf("replay recovered %d of %d requests", len(done), len(rs))
+	}
+}
+
 func TestExecuteContextCancel(t *testing.T) {
 	p := newScripted()
 	p.failFirst = 1000

@@ -343,20 +343,6 @@ func (rs *resultStream) onOutcome(r batch.Request, o batch.Outcome) {
 	rs.hook(out)
 }
 
-// IsZero reports whether cfg is the zero configuration. ExecConfig
-// stopped being comparable when Replicas (a slice) was added, so the
-// idiomatic cfg == ExecConfig{} no longer compiles; keep this method in
-// sync with the field list.
-func (cfg ExecConfig) IsZero() bool {
-	return cfg.Workers == 0 && cfg.QPS == 0 && cfg.MaxRetries == 0 &&
-		cfg.RetryDelay == 0 && cfg.MaxRetryDelay == 0 && cfg.BudgetTokens == 0 &&
-		!cfg.Cache && cfg.Disk == nil && cfg.CacheNamespace == "" &&
-		cfg.QueryTimeout == 0 && cfg.Breaker == (batch.BreakerConfig{}) &&
-		cfg.Fallback == nil && len(cfg.Replicas) == 0 && cfg.ReplicaCount == 0 &&
-		!cfg.Hedge && cfg.HedgeAfter == 0 && !cfg.Affinity && cfg.OnResult == nil &&
-		cfg.Compress == (prompt.Compressor{})
-}
-
 // replicaSet resolves the pool's backend list: the explicit Replicas
 // when given, ReplicaCount copies of the primary otherwise, nil when
 // pooling is off.
@@ -531,16 +517,7 @@ func buildQueries(ctx *predictors.Context, m predictors.Method, queries []tag.No
 // executor.
 func newPlanExecutor(p llm.Predictor, cfg ExecConfig, rec obs.Recorder, mode string) (*batch.Executor, error) {
 	if reps := cfg.replicaSet(p); reps != nil {
-		pcfg := pool.Config{
-			Hedge:      cfg.Hedge,
-			HedgeAfter: cfg.HedgeAfter,
-			Breaker:    cfg.Breaker,
-			Obs:        rec,
-		}
-		if cfg.Affinity {
-			pcfg.Scorer = &pool.Affinity{}
-		}
-		pl, err := pool.New(reps, pcfg)
+		pl, err := pool.New(reps, cfg.PoolConfig(rec))
 		if err != nil {
 			return nil, fmt.Errorf("core: building replica pool: %w", err)
 		}

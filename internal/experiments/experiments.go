@@ -9,12 +9,9 @@ package experiments
 import (
 	"fmt"
 	"sort"
-	"time"
 
-	"repro/internal/batch"
 	"repro/internal/llm"
 	"repro/internal/predictors"
-	"repro/internal/prompt"
 	"repro/internal/promptcache"
 	"repro/internal/tag"
 	"repro/internal/xrand"
@@ -22,65 +19,32 @@ import (
 	"repro/internal/core"
 )
 
-// Config tunes an experiment run.
+// Config tunes an experiment run. The embedded knobs shape every
+// experiment's plan execution (the compress experiment sweeps its own
+// compression settings regardless); experiment outputs are identical
+// for any worker or replica count, since the simulator answers by
+// prompt, not by schedule or replica.
 type Config struct {
+	core.Knobs
 	// Seed makes the whole experiment deterministic.
 	Seed uint64
 	// Fast shrinks datasets and query counts so the experiment finishes
 	// in benchmark/test time; the full setting mirrors the paper.
 	Fast bool
-	// Workers bounds concurrent LLM queries during plan execution; 0 or
-	// 1 is serial. Experiment outputs are identical for any value.
-	Workers int
-	// QPS rate-limits query dispatch; 0 disables rate limiting.
-	QPS float64
-	// QueryTimeout bounds each LLM call; hung calls are abandoned. 0
-	// means no deadline (the faults experiment applies its own default).
-	QueryTimeout time.Duration
 	// Disk, when non-nil, backs every experiment's plan execution with
 	// the persistent prompt cache. The cache namespace is derived per
 	// predictor (model identity + seed + template version), so distinct
 	// experiments sharing one directory cannot cross-contaminate, and a
 	// repeated run answers its repeated prompts from disk.
 	Disk *promptcache.Cache
-	// Breaker configures a circuit breaker around plan execution; the
-	// zero value disables it. With Replicas > 1 it configures the
-	// per-replica breakers instead of a global one.
-	Breaker batch.BreakerConfig
-	// Replicas, when > 1, fans queries across that many replica slots of
-	// the predictor through the health-aware pool. Experiment outputs
-	// are identical for any value (the simulator answers by prompt, not
-	// by replica).
-	Replicas int
-	// Hedge races a second replica when the first outlives HedgeAfter;
-	// effective only with Replicas > 1.
-	Hedge bool
-	// HedgeAfter is the hedge trigger delay; 0 means the pool default.
-	HedgeAfter time.Duration
-	// Affinity routes each prompt to its cache-affine replica
-	// (rendezvous over prompt-cache keys) instead of pure P2C;
-	// effective only with Replicas > 1.
-	Affinity bool
-	// Compress (level 1..3) and TargetTokens configure the prompt-
-	// compression stage for every experiment's plan execution; zero
-	// disables it. The compress experiment sweeps its own settings
-	// regardless.
-	Compress     int
-	TargetTokens int
 }
 
-// exec lowers the config's concurrency knobs for core.ExecuteWith and
-// core.BoostWith.
+// exec lowers the config for core.ExecuteWith and core.BoostWith: the
+// knobs plus the shared disk cache.
 func (cfg Config) exec() core.ExecConfig {
-	return core.ExecConfig{
-		Workers: cfg.Workers, QPS: cfg.QPS, QueryTimeout: cfg.QueryTimeout, Disk: cfg.Disk,
-		Breaker:      cfg.Breaker,
-		ReplicaCount: cfg.Replicas,
-		Hedge:        cfg.Hedge,
-		HedgeAfter:   cfg.HedgeAfter,
-		Affinity:     cfg.Affinity,
-		Compress:     prompt.Compressor{Level: cfg.Compress, TargetTokens: cfg.TargetTokens},
-	}
+	ecfg := cfg.ExecConfig()
+	ecfg.Disk = cfg.Disk
+	return ecfg
 }
 
 // Experiment is one regenerable paper artifact.

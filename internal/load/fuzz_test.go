@@ -10,7 +10,8 @@ import (
 //  1. ParseScenario never panics, whatever the input.
 //  2. Any input it accepts is already normalized: encoding the result
 //     and parsing it again yields the identical Scenario value (the
-//     struct is all scalars precisely so == is exact here). This is
+//     struct, including the embedded core.Knobs spec in its topology,
+//     is all scalars precisely so == is exact here). This is
 //     what makes a scenario file a stable run identity — if
 //     parse(encode(parse(x))) could drift from parse(x), two "replays"
 //     of the same document could drive different runs.

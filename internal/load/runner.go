@@ -12,11 +12,9 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/llm"
 	"repro/internal/obs"
 	"repro/internal/predictors"
-	"repro/internal/prompt"
 	"repro/internal/serve"
 	"repro/internal/tag"
 	"repro/internal/xrand"
@@ -198,21 +196,13 @@ func startInProcess(sc Scenario, g *tag.Graph) (*httptest.Server, *serve.Server,
 		}
 	}
 	scfg := serve.Config{
-		Window:       time.Duration(sc.Topology.WindowMS * float64(time.Millisecond)),
+		Window:       sc.Topology.Window,
 		MaxQueue:     sc.Topology.MaxQueue,
 		TenantBudget: sc.Tenants.TokenBudget,
 		Obs:          reg,
-		Exec: core.ExecConfig{
-			Workers:      sc.Topology.Workers,
-			Cache:        !sc.Topology.NoCache,
-			QueryTimeout: time.Duration(sc.Topology.QueryTimeoutMS * float64(time.Millisecond)),
-			ReplicaCount: sc.Topology.Replicas,
-			Hedge:        sc.Topology.Hedge,
-			HedgeAfter:   time.Duration(sc.Topology.HedgeAfterMS * float64(time.Millisecond)),
-			Affinity:     sc.Topology.Affinity,
-			Compress:     prompt.Compressor{Level: sc.Topology.Compress, TargetTokens: sc.Topology.TargetTokens},
-		},
+		Exec:         sc.Topology.ExecConfig(),
 	}
+	scfg.Exec.Cache = !sc.Topology.NoCache
 	tier, err := serve.New(pctx, method, pred, scfg)
 	if err != nil {
 		return nil, nil, fmt.Errorf("load: scenario %q: %w", sc.Name, err)

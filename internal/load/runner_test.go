@@ -4,6 +4,9 @@ import (
 	"encoding/json"
 	"path/filepath"
 	"testing"
+	"time"
+
+	"repro/internal/core"
 )
 
 // TestRunSmokePreset drives the CI smoke scenario end to end against
@@ -70,7 +73,7 @@ func TestRunQuotaBackpressure(t *testing.T) {
 		Name: "quota", Seed: 3, Scale: 0.12, Requests: 80, NodePool: 60,
 		Arrival:  Arrival{Process: ProcessPoisson, RatePerSec: 2000},
 		Tenants:  Tenants{Count: 2, TokenBudget: 200},
-		Topology: Topology{Workers: 8, WindowMS: 1},
+		Topology: Topology{Knobs: core.Knobs{Workers: 8}, Window: time.Millisecond},
 	}
 	rep, err := Run(sc, Options{})
 	if err != nil {

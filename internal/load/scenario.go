@@ -22,8 +22,9 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"time"
 
-	"repro/internal/prompt"
+	"repro/internal/core"
 )
 
 // Arrival processes.
@@ -118,26 +119,18 @@ func (f Faults) enabled() bool {
 
 // Topology declares the serving-tier shape: the knobs llmserve exposes
 // as flags, here pinned by the scenario so a run is reproducible from
-// its JSON alone.
+// its JSON alone. The embedded core.Knobs are the shared execution
+// spec (workers, qps, query_timeout, breaker, breaker_cooldown,
+// replicas, hedge, hedge_after, affinity, compress, target_tokens),
+// spelled exactly like the -workers/-qps/... flags; Workers defaults to
+// 4 and Replicas to 1. Durations are JSON integers in nanoseconds.
 type Topology struct {
-	// Replicas pools the predictor as N replica slots (default 1);
-	// Hedge/HedgeAfterMS and Affinity configure hedged requests and
-	// cache-affine routing exactly like the -hedge/-affinity flags.
-	Replicas     int     `json:"replicas,omitempty"`
-	Hedge        bool    `json:"hedge,omitempty"`
-	HedgeAfterMS float64 `json:"hedge_after_ms,omitempty"`
-	Affinity     bool    `json:"affinity,omitempty"`
-	// Workers bounds concurrent LLM calls inside each coalesced window
-	// (default 4).
-	Workers int `json:"workers,omitempty"`
-	// WindowMS is the micro-batching window (default serve.DefaultWindow).
-	WindowMS float64 `json:"window_ms,omitempty"`
+	core.Knobs
+	// Window is the micro-batching window (default serve.DefaultWindow).
+	Window time.Duration `json:"window,omitempty"`
 	// MaxQueue is the admission queue's high-water mark (default
 	// serve.DefaultMaxQueue).
 	MaxQueue int `json:"max_queue,omitempty"`
-	// QueryTimeoutMS bounds each predictor call; required when
-	// HangRate > 0 (a hung call would otherwise pin its window forever).
-	QueryTimeoutMS float64 `json:"query_timeout_ms,omitempty"`
 	// NoCache disables the in-memory answer cache inside plan execution
 	// (the serve tier's own answer memory is always on).
 	NoCache bool `json:"no_cache,omitempty"`
@@ -147,12 +140,6 @@ type Topology struct {
 	Method  string `json:"method,omitempty"`
 	M       int    `json:"m,omitempty"`
 	Labeled int    `json:"labeled,omitempty"`
-	// Compress (level 1..3) enables the prompt-compression stage inside
-	// each coalesced window, and TargetTokens additionally caps each
-	// compressed prompt's token count — the -compress/-target-tokens
-	// flags, scenario-pinned.
-	Compress     int `json:"compress,omitempty"`
-	TargetTokens int `json:"target_tokens,omitempty"`
 }
 
 // ParseScenario strictly decodes and validates one scenario document:
@@ -260,22 +247,15 @@ func (sc Scenario) Validate() error {
 	if sc.Faults.MaxLatencyMS < 0 {
 		return fmt.Errorf("load: scenario %q: negative max_latency_ms", sc.Name)
 	}
-	if sc.Faults.HangRate > 0 && sc.Topology.QueryTimeoutMS <= 0 {
-		return fmt.Errorf("load: scenario %q: hang_rate > 0 needs topology.query_timeout_ms > 0 (a hung call would pin its window forever)", sc.Name)
+	if sc.Faults.HangRate > 0 && sc.Topology.QueryTimeout <= 0 {
+		return fmt.Errorf("load: scenario %q: hang_rate > 0 needs topology.query_timeout > 0 (a hung call would pin its window forever)", sc.Name)
 	}
 	t := sc.Topology
-	if t.Replicas < 1 {
-		return fmt.Errorf("load: scenario %q: replicas must be >= 1", sc.Name)
+	if err := t.Knobs.Validate(); err != nil {
+		return fmt.Errorf("load: scenario %q: topology: %w", sc.Name, err)
 	}
-	if (t.Hedge || t.Affinity) && t.Replicas < 2 {
-		return fmt.Errorf("load: scenario %q: hedge/affinity need replicas >= 2", sc.Name)
-	}
-	if t.HedgeAfterMS < 0 || t.WindowMS < 0 || t.MaxQueue < 0 || t.QueryTimeoutMS < 0 ||
-		t.Workers < 1 || t.M < 1 || t.Labeled < 1 {
+	if t.Window < 0 || t.MaxQueue < 0 || t.M < 1 || t.Labeled < 1 {
 		return fmt.Errorf("load: scenario %q: topology knob out of range: %+v", sc.Name, t)
-	}
-	if t.Compress < 0 || t.Compress > prompt.MaxCompressLevel || t.TargetTokens < 0 {
-		return fmt.Errorf("load: scenario %q: compress must be 0..%d and target_tokens >= 0", sc.Name, prompt.MaxCompressLevel)
 	}
 	if sc.SLOP99MS < 0 {
 		return fmt.Errorf("load: scenario %q: negative slo_p99_ms", sc.Name)
@@ -302,7 +282,7 @@ func Presets() []Scenario {
 			Name: "smoke", Seed: 1, Scale: 0.12, Requests: 240, NodePool: 32,
 			Arrival:  Arrival{Process: ProcessPoisson, RatePerSec: 600},
 			Tenants:  Tenants{Count: 4},
-			Topology: Topology{Workers: 8, WindowMS: 2},
+			Topology: Topology{Knobs: core.Knobs{Workers: 8}, Window: 2 * time.Millisecond},
 			SLOP99MS: 30000,
 		},
 		{
@@ -310,7 +290,7 @@ func Presets() []Scenario {
 			Arrival:  Arrival{Process: ProcessPoisson, RatePerSec: 300},
 			Tenants:  Tenants{Count: 8, Skew: 0.5},
 			Faults:   Faults{MaxLatencyMS: 4},
-			Topology: Topology{Workers: 8, WindowMS: 3},
+			Topology: Topology{Knobs: core.Knobs{Workers: 8}, Window: 3 * time.Millisecond},
 			SLOP99MS: 30000,
 		},
 		{
@@ -318,7 +298,7 @@ func Presets() []Scenario {
 			Arrival:  Arrival{Process: ProcessBursty, RatePerSec: 1200, OnMS: 40, OffMS: 120},
 			Tenants:  Tenants{Count: 8},
 			Faults:   Faults{MaxLatencyMS: 4},
-			Topology: Topology{Workers: 8, WindowMS: 3},
+			Topology: Topology{Knobs: core.Knobs{Workers: 8}, Window: 3 * time.Millisecond},
 			SLOP99MS: 30000,
 		},
 		{
@@ -326,7 +306,7 @@ func Presets() []Scenario {
 			Arrival:  Arrival{Process: ProcessPoisson, RatePerSec: 4000},
 			Tenants:  Tenants{Count: 8},
 			Faults:   Faults{MaxLatencyMS: 25},
-			Topology: Topology{Workers: 2, WindowMS: 2, MaxQueue: 32},
+			Topology: Topology{Knobs: core.Knobs{Workers: 2}, Window: 2 * time.Millisecond, MaxQueue: 32},
 			SLOP99MS: 30000,
 		},
 		{
@@ -335,8 +315,11 @@ func Presets() []Scenario {
 			Tenants: Tenants{Count: 6},
 			Faults:  Faults{ErrorRate: 0.05, HangRate: 0.02, GarbageRate: 0.03, MaxLatencyMS: 8},
 			Topology: Topology{
-				Replicas: 3, Hedge: true, HedgeAfterMS: 20, Workers: 8,
-				WindowMS: 3, QueryTimeoutMS: 250,
+				Knobs: core.Knobs{
+					Workers: 8, QueryTimeout: 250 * time.Millisecond,
+					Replicas: 3, Hedge: true, HedgeAfter: 20 * time.Millisecond,
+				},
+				Window: 3 * time.Millisecond,
 			},
 			SLOP99MS: 30000,
 		},

@@ -57,6 +57,8 @@ func TestValidateRejections(t *testing.T) {
 		{"hang without timeout", func(s *Scenario) { s.Faults.HangRate = 0.1 }},
 		{"hedge without replicas", func(s *Scenario) { s.Topology.Hedge = true }},
 		{"affinity without replicas", func(s *Scenario) { s.Topology.Affinity = true }},
+		{"compress out of range", func(s *Scenario) { s.Topology.Compress = 7 }},
+		{"negative window", func(s *Scenario) { s.Topology.Window = -1 }},
 		{"negative slo", func(s *Scenario) { s.SLOP99MS = -1 }},
 	}
 	for _, tc := range cases {

@@ -100,6 +100,12 @@ type RoundTrace = core.RoundTrace
 // serially with no retries — the historical Execute/Boost behavior.
 type ExecConfig = core.ExecConfig
 
+// Knobs is the one declaration of the execution knobs (workers, QPS,
+// query timeout, breaker, replicas, hedging, affinity, compression)
+// shared by Options, the CLIs' flags and load scenarios. Its
+// ExecConfig method lowers it; Validate range-checks it.
+type Knobs = core.Knobs
+
 // QueryErrors aggregates per-query failures from a concurrent
 // execution; the partial results for the queries that succeeded are
 // returned alongside it.

@@ -35,7 +35,7 @@ var ErrBudgetExhausted = batch.ErrBudgetExhausted
 var ErrQueryTimeout = batch.ErrQueryTimeout
 
 // ErrCircuitOpen marks queries rejected fast because the circuit
-// breaker judged the backend down (Options.BreakerThreshold).
+// breaker judged the backend down (Options.Breaker).
 var ErrCircuitOpen = batch.ErrCircuitOpen
 
 // BreakerConfig configures the circuit breaker guarding the predictor;

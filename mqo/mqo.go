@@ -38,14 +38,13 @@ package mqo
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"time"
 
-	"repro/internal/batch"
 	"repro/internal/core"
 	"repro/internal/llm"
 	"repro/internal/obs"
 	"repro/internal/predictors"
-	"repro/internal/prompt"
 	"repro/internal/promptcache"
 	"repro/internal/tag"
 	"repro/internal/xrand"
@@ -137,14 +136,19 @@ type Options struct {
 	// BoostConfig overrides γ1/γ2; nil uses the paper's γ1=3, γ2=2.
 	BoostConfig *BoostConfig
 
-	// Workers bounds how many LLM queries run concurrently; 0 or 1
-	// means serial. With the simulator (order-independent by
-	// construction) any worker count yields bit-identical predictions,
-	// accuracy and token totals.
-	Workers int
-	// QPS rate-limits query dispatch across all workers; 0 disables
-	// rate limiting.
-	QPS float64
+	// Knobs shapes how the batch is dispatched: Workers, QPS,
+	// QueryTimeout, the circuit Breaker and its cooldown, Replicas with
+	// Hedge/HedgeAfter/Affinity routing, and prompt Compress/
+	// TargetTokens (see core.Knobs). With the simulator — whose answers
+	// are keyed on hash(seed, prompt) — predictions, accuracy and token
+	// totals are bit-identical for any worker or replica count. With
+	// pooling, Breaker configures one breaker per replica and no global
+	// breaker runs.
+	Knobs
+	// ReplicaSet pools these explicit backends (e.g. several HTTP
+	// endpoints) instead of replicating the primary predictor; it takes
+	// precedence over Knobs.Replicas.
+	ReplicaSet []Predictor
 	// BudgetTokens, when > 0, hard-stops dispatch once the combined
 	// input+output token total reaches it; remaining queries fail with
 	// a budget error. Note that with Workers > 1 the exact cut-off
@@ -158,8 +162,9 @@ type Options struct {
 	// this directory: answers survive the process, so repeating a run
 	// pays only for prompts never asked before. Entries are keyed by
 	// the predictor's identity (model + its seed), the prompt-template
-	// version and the prompt text, so a model/seed/template change can
-	// never serve stale answers. Implies Cache.
+	// version (versioned by Compress) and the prompt text, so a
+	// model/seed/template change can never serve stale answers.
+	// Implies Cache.
 	CacheDir string
 	// CacheMaxBytes bounds the persistent cache's live bytes (LRU
 	// eviction); 0 means unbounded.
@@ -167,59 +172,6 @@ type Options struct {
 	// CacheTTL expires persistent entries this long after they were
 	// written; 0 means they never expire.
 	CacheTTL time.Duration
-	// Compress, when 1..3, enables the deterministic prompt-compression
-	// stage (token-pruning v2): abstract spans are ranked by signal
-	// density and each abstract keeps at most 4/2/1 spans at level
-	// 1/2/3. Compression rewrites prompt bytes, so it versions the
-	// prompt-cache namespace (the template version becomes "v2+c<level>")
-	// — compressed and uncompressed runs never share cached answers.
-	Compress int
-	// TargetTokens, when > 0, additionally caps each compressed prompt
-	// at this token count: the globally sparsest spans keep dropping
-	// until the prompt fits or only the structural floor remains.
-	// Implies compression (level 1) when Compress is 0.
-	TargetTokens int
-
-	// QueryTimeout bounds each LLM call (per attempt); 0 means no
-	// deadline. A call past the deadline is abandoned with
-	// ErrQueryTimeout, so one hung request cannot stall the batch.
-	QueryTimeout time.Duration
-	// BreakerThreshold is the number of consecutive transient failures
-	// (timeouts, 5xx, transport errors) that opens a circuit breaker in
-	// front of the predictor; 0 disables the breaker. While open,
-	// queries fail fast with ErrCircuitOpen instead of queuing behind a
-	// dead backend.
-	BreakerThreshold int
-	// BreakerCooldown is how long the breaker stays open before probing
-	// the backend again; 0 means the 30s default.
-	BreakerCooldown time.Duration
-	// Replicas, when > 1, fans queries across that many replica slots
-	// of the predictor through the health-aware pool: power-of-two-
-	// choices routing by EWMA latency and in-flight count, with one
-	// circuit breaker per replica (BreakerThreshold then configures the
-	// per-replica breakers; no global breaker runs). With the simulator
-	// — whose answers are keyed on hash(seed, prompt) — predictions are
-	// bit-identical for any replica count. To pool *distinct* backends
-	// (e.g. several HTTP endpoints), set ReplicaSet instead.
-	Replicas int
-	// ReplicaSet pools these explicit backends instead of replicating
-	// the primary predictor. Takes precedence over Replicas.
-	ReplicaSet []Predictor
-	// Hedge enables hedged requests on the replica pool: when the first
-	// replica has not answered within HedgeAfter, a second replica races
-	// it and the first answer wins (the loser is canceled). Effective
-	// only with Replicas > 1 or a ReplicaSet.
-	Hedge bool
-	// Affinity routes each prompt to its cache-affine replica:
-	// rendezvous hashing places the prompt-cache key on one owner in
-	// the replica set, so warm per-replica caches keep answering their
-	// shard for free; routing degrades to power-of-two-choices when
-	// the owner is ejected or overloaded. Effective only with pooling
-	// (Replicas > 1 or a ReplicaSet).
-	Affinity bool
-	// HedgeAfter is the hedge trigger delay; 0 means the pool default
-	// (50ms).
-	HedgeAfter time.Duration
 	// Fallback degrades instead of failing: queries whose LLM path
 	// failed permanently (timeout, open breaker, exhausted budget or
 	// retries) are answered by the paper's surrogate classifier f_θ1,
@@ -234,26 +186,22 @@ type Options struct {
 	Obs Recorder
 }
 
-// execConfig lowers the concurrency knobs into the core executor
+// execConfig validates the knobs and lowers them, with the facade's
+// own cache, budget and replica-set fields, into the core executor
 // configuration shared by calibration, plain execution and boosting.
-func (o Options) execConfig() core.ExecConfig {
-	return core.ExecConfig{
-		Workers:      o.Workers,
-		QPS:          o.QPS,
-		BudgetTokens: o.BudgetTokens,
-		Cache:        o.Cache,
-		QueryTimeout: o.QueryTimeout,
-		Breaker: batch.BreakerConfig{
-			Threshold: o.BreakerThreshold,
-			Cooldown:  o.BreakerCooldown,
-		},
-		Replicas:     o.ReplicaSet,
-		ReplicaCount: o.Replicas,
-		Hedge:        o.Hedge,
-		HedgeAfter:   o.HedgeAfter,
-		Affinity:     o.Affinity,
-		Compress:     prompt.Compressor{Level: o.Compress, TargetTokens: o.TargetTokens},
+func (o Options) execConfig() (core.ExecConfig, error) {
+	k := o.Knobs
+	if len(o.ReplicaSet) > 0 {
+		k.Replicas = len(o.ReplicaSet)
 	}
+	if err := k.Validate(); err != nil {
+		return core.ExecConfig{}, fmt.Errorf("mqo: %w", err)
+	}
+	cfg := o.Knobs.ExecConfig()
+	cfg.BudgetTokens = o.BudgetTokens
+	cfg.Cache = o.Cache
+	cfg.Replicas = o.ReplicaSet
+	return cfg, nil
 }
 
 // Report is the outcome of one optimized multi-query execution.
@@ -294,8 +242,8 @@ type Report struct {
 // (Algorithm 2). It is the programmatic equivalent of the paper's
 // "w/ prune & boost" configuration when both flags are set.
 //
-// Options.Workers/QPS/BudgetTokens/Cache bound how the batch is
-// dispatched; see Options. When individual queries fail permanently,
+// Options.Knobs/BudgetTokens/Cache bound how the batch is dispatched;
+// see Options. Out-of-range knobs (see Knobs.Validate) are an error. When individual queries fail permanently,
 // Optimize returns the partial Report together with an error wrapping
 // a *QueryErrors describing every failed query.
 func Optimize(w *Workload, m Method, p Predictor, opt Options) (*Report, error) {
@@ -314,9 +262,12 @@ func Optimize(w *Workload, m Method, p Predictor, opt Options) (*Report, error) 
 	defer span.End()
 	rec.Add("mqo_optimize_runs_total", 1, "method", m.Name())
 
+	ecfg, err := opt.execConfig()
+	if err != nil {
+		return nil, err
+	}
 	rep := &Report{}
 	plan := Plan{Queries: w.Queries}
-	ecfg := opt.execConfig()
 	var execErr error
 
 	var pcache *promptcache.Cache
@@ -365,7 +316,7 @@ func Optimize(w *Workload, m Method, p Predictor, opt Options) (*Report, error) 
 			if opt.Inadequacy != nil {
 				cfg = *opt.Inadequacy
 			}
-			if cfg.Exec.IsZero() {
+			if reflect.ValueOf(cfg.Exec).IsZero() {
 				cfg.Exec = ecfg
 			}
 			fitSpan := rec.StartSpan("mqo.fit_inadequacy")

@@ -245,7 +245,7 @@ func TestOptimizeWorkersDeterministic(t *testing.T) {
 		t.Helper()
 		w, p := smallWorkload(t, 4)
 		rep, err := Optimize(w, KHopRandom{K: 1}, p, Options{
-			Prune: true, Tau: 0.2, Boost: true, Workers: workers,
+			Prune: true, Tau: 0.2, Boost: true, Knobs: Knobs{Workers: workers},
 		})
 		if err != nil {
 			t.Fatalf("Optimize(workers=%d): %v", workers, err)
@@ -287,7 +287,7 @@ func TestOptimizeWorkersDeterministic(t *testing.T) {
 
 func TestOptimizeCacheCoalescesDuplicates(t *testing.T) {
 	w, p := smallWorkload(t, 6)
-	rep, err := Optimize(w, KHopRandom{K: 1}, p, Options{Workers: 4, Cache: true})
+	rep, err := Optimize(w, KHopRandom{K: 1}, p, Options{Knobs: Knobs{Workers: 4}, Cache: true})
 	if err != nil {
 		t.Fatalf("Optimize: %v", err)
 	}

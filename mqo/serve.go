@@ -1,8 +1,11 @@
 package mqo
 
 import (
+	"errors"
+	"fmt"
 	"net/http"
 
+	"repro/internal/core"
 	"repro/internal/serve"
 )
 
@@ -42,16 +45,31 @@ const DefaultServeWindow = serve.DefaultWindow
 
 // NewServer builds the online query tier over one workload: requests
 // are answered with method m and predictor p under the execution
-// options opt (workers, caches, pools, fallback — exactly what
-// Optimize would use), coalesced according to cfg. Options fields that
-// only make sense batch-shaped (Prune, Boost, Budget) are ignored.
-// The caller owns Close.
+// options opt (knobs, caches, pools, fallback — exactly what Optimize
+// would use), coalesced according to cfg. Options fields that only
+// make sense batch-shaped (Prune, Boost, Budget) are ignored. With
+// Fallback the surrogate is fitted on w.Labeled, as Optimize does when
+// pruning is off. CacheDir is rejected: the Server cannot own the
+// cache's Close, so wrap p with CachingPredictor instead. The caller
+// owns Close.
 func NewServer(w *Workload, m Method, p Predictor, opt Options, cfg ServeConfig) (*Server, error) {
+	if opt.CacheDir != "" {
+		return nil, errors.New("mqo: NewServer cannot own Options.CacheDir; open a PromptCache and wrap the predictor with CachingPredictor")
+	}
+	ecfg, err := opt.execConfig()
+	if err != nil {
+		return nil, err
+	}
+	if opt.Fallback {
+		if ecfg.Fallback, err = core.FitSurrogate(w.Graph, w.Labeled, core.SurrogateConfig{Seed: w.Seed}); err != nil {
+			return nil, fmt.Errorf("mqo: fitting fallback surrogate: %w", err)
+		}
+	}
 	ctx := w.Context()
 	if opt.Obs != nil {
 		ctx.Obs = opt.Obs
 	}
-	cfg.Exec = opt.execConfig()
+	cfg.Exec = ecfg
 	if cfg.Obs == nil {
 		cfg.Obs = opt.Obs
 	}

@@ -21,7 +21,7 @@ func TestServeFacade(t *testing.T) {
 	}
 	w := NewWorkload(g, 15, 50, 4, 21)
 	m := SNS{}
-	opt := Options{Workers: 4, Cache: true}
+	opt := Options{Knobs: Knobs{Workers: 4}, Cache: true}
 
 	s, err := NewServer(w, m, NewSim(GPT35(), g, 21), opt, ServeConfig{
 		Window: 2 * time.Millisecond,
@@ -80,4 +80,41 @@ func TestServeFacade(t *testing.T) {
 func jsonInt(v int) string {
 	b, _ := json.Marshal(v)
 	return string(b)
+}
+
+// TestNewServerHonoursFallbackAndRejectsCacheDir pins NewServer to
+// what Optimize does with the same Options: Fallback fits the
+// surrogate on the labeled set so a dead backend still gets answers,
+// and a CacheDir the Server could never Close is an error instead of
+// being silently ignored.
+func TestNewServerHonoursFallbackAndRejectsCacheDir(t *testing.T) {
+	g, err := GenerateDatasetScaled("cora", 22, 0.15)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := NewWorkload(g, 10, 20, 4, 22)
+	dead, err := NewFaultInjector(NewSim(GPT35(), g, 22), FaultConfig{ErrorRate: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewServer(w, KHopRandom{K: 1}, dead, Options{Fallback: true}, ServeConfig{Window: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	res, err := s.Submit(context.Background(), "team-a", w.Queries[0])
+	if err != nil {
+		t.Fatalf("Submit over a dead backend with Fallback: %v", err)
+	}
+	if !res.Fallback || res.Category == "" {
+		t.Fatalf("result = %+v, want a surrogate answer marked Fallback", res)
+	}
+
+	if _, err := NewServer(w, KHopRandom{K: 1}, dead, Options{CacheDir: t.TempDir()}, ServeConfig{}); err == nil ||
+		!strings.Contains(err.Error(), "CachingPredictor") {
+		t.Fatalf("NewServer with CacheDir = %v, want an error pointing at CachingPredictor", err)
+	}
+	if _, err := NewServer(w, KHopRandom{K: 1}, dead, Options{Knobs: Knobs{Hedge: true}}, ServeConfig{}); err == nil {
+		t.Fatal("NewServer accepted hedge without replicas")
+	}
 }

@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race bench benchpool benchcompress fuzz soak chaos warmcache traceguard servesmoke loadsmoke benchload check
+.PHONY: all build vet test race bench benchcheck benchpool benchcompress fuzz soak chaos warmcache traceguard servesmoke loadsmoke benchload check
 
 all: check
 
@@ -18,6 +18,13 @@ race:
 
 bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' .
+
+# benchcheck vets and tests the repository benchmark (bench/, a Go
+# module of its own that root ./... never reaches): the metric catalog
+# check plus a short smoke of every workload, so a change that breaks
+# an API the benchmark calls fails here.
+benchcheck:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # benchpool measures the replica pool's hedged-tail win (p99 with one
 # occasionally-stalling backend vs a 3-replica hedged pool) and the

@@ -184,7 +184,6 @@ func main() {
 		}
 		scfg := sv.Config()
 		scfg.Exec = ecfg
-		scfg.Exec.Cache = true
 		scfg.Obs = reg
 		tier, err = serve.New(pctx, method, served, scfg)
 		if err != nil {

@@ -1,9 +1,10 @@
 // Package batch executes large sets of LLM queries against real-world
 // API constraints: bounded concurrency, rate limits, transient
-// failures, a hard token budget, response caching and a JSONL audit
-// log. It is the operational layer under the paper's multi-query
-// optimization: Algorithm 1/2 decide *what* to ask; this package gets
-// the batch asked reliably and within budget.
+// failures, a hard token budget, prompt deduplication, a persistent
+// answer cache and a JSONL audit log. It is the operational layer
+// under the paper's multi-query optimization: Algorithm 1/2 decide
+// *what* to ask; this package gets the batch asked reliably and within
+// budget.
 //
 // The executor preserves the black-box Predictor contract — it only
 // sees prompt strings — so it works identically over the simulator and
@@ -72,9 +73,10 @@ type Config struct {
 	// hour-long sleeps.
 	MaxRetryDelay time.Duration
 	// BudgetTokens, when > 0, is a hard cap on total tokens
-	// (input + output) across the batch. Queries that would start after
-	// the cap is reached fail with ErrBudgetExhausted instead of
-	// spending money.
+	// (input + output) spent by this executor, across every Execute
+	// call — all rounds of a boosted run, not each round. Queries that
+	// would start after the cap is reached fail with ErrBudgetExhausted
+	// instead of spending money.
 	BudgetTokens int
 	// QueryTimeout, when > 0, bounds each predictor attempt. A call
 	// that outlives the deadline fails with ErrQueryTimeout (retryable)
@@ -88,15 +90,17 @@ type Config struct {
 	// requests fail fast with ErrCircuitOpen rather than queue behind a
 	// backend that is presumed down.
 	Breaker BreakerConfig
-	// Cache serves repeated prompts from memory instead of re-querying.
+	// Cache asks identical prompts once per Execute call (one plan, or
+	// one boosting round): the first request with a prompt is its
+	// leader and the only one dispatched; every later one follows it,
+	// settling with the leader's outcome the moment the leader settles
+	// (Cached when the leader succeeded, zero Attempts). No answer is
+	// kept between calls — Disk is the store that outlives one.
 	Cache bool
-	// Disk, when non-nil, adds a persistent tier behind the memory
-	// cache: misses consult the disk cache before paying for a
+	// Disk, when non-nil, adds a persistent answer store: every
+	// dispatched prompt is looked up there before paying for a
 	// predictor call, and fresh answers are written through to it.
-	// Setting Disk implies Cache — the memory tier fronts the disk tier
-	// so a hot prompt is served without touching shard locks. Lookups
-	// run inside the single-flight critical section, so concurrent
-	// identical prompts cost at most one disk read.
+	// Setting Disk implies Cache.
 	Disk *promptcache.Cache
 	// CacheNamespace partitions the disk cache by answer function;
 	// empty derives it from the predictor (promptcache.Namespace), which
@@ -134,7 +138,8 @@ var ErrQueryTimeout = errors.New("batch: query timed out")
 type Outcome struct {
 	Response llm.Response
 	Err      error
-	// Cached reports that the response was served from the cache.
+	// Cached reports that no predictor call was paid for this request:
+	// the answer came from Disk, or from its leader (see Config.Cache).
 	Cached bool
 	// Attempts counts predictor calls made for this request (0 when
 	// cached or skipped).
@@ -150,9 +155,10 @@ type Outcome struct {
 type Result struct {
 	// Outcomes maps request IDs to their outcomes.
 	Outcomes map[string]Outcome
-	// TokensUsed is the total input+output tokens actually spent.
+	// TokensUsed is the total input+output tokens this call's fresh
+	// predictor calls spent.
 	TokensUsed int
-	// CacheHits counts requests served from the cache.
+	// CacheHits counts Cached outcomes.
 	CacheHits int
 	// Failed counts requests whose final outcome is an error.
 	Failed int
@@ -166,23 +172,16 @@ type Executor struct {
 	cfg Config
 	brk *Breaker // nil when the breaker is disabled
 
-	mu     sync.Mutex
-	cache  map[string]llm.Response
-	flight map[string]*flightCall
+	// logMu serializes audit-log writes — workers log concurrently and
+	// Config.Log (often a bytes.Buffer) need not be safe for that — and
+	// guards logErr, the first write error.
+	logMu  sync.Mutex
 	logErr error
-	// logMu serializes audit-log writes: workers log concurrently and
-	// Config.Log (often a bytes.Buffer) need not be safe for that.
-	logMu sync.Mutex
 
 	inflight atomic.Int64
-}
-
-// flightCall is an in-progress predictor call that concurrent requests
-// for the same prompt wait on instead of re-querying (single-flight).
-type flightCall struct {
-	done chan struct{} // closed once resp/err are set
-	resp llm.Response
-	err  error
+	// spent is the tokens fresh predictor calls cost so far, across
+	// every Execute call; BudgetTokens caps it.
+	spent atomic.Int64
 }
 
 // New builds an executor. The predictor may be used concurrently from
@@ -214,12 +213,7 @@ func New(p llm.Predictor, cfg Config) (*Executor, error) {
 	if cfg.Disk != nil && cfg.CacheNamespace == "" {
 		cfg.CacheNamespace = promptcache.Namespace(p)
 	}
-	e := &Executor{p: p, cfg: cfg, brk: NewBreaker(cfg.Breaker, cfg.Obs)}
-	if cfg.Cache || cfg.Disk != nil {
-		e.cache = make(map[string]llm.Response)
-		e.flight = make(map[string]*flightCall)
-	}
-	return e, nil
+	return &Executor{p: p, cfg: cfg, brk: NewBreaker(cfg.Breaker, cfg.Obs)}, nil
 }
 
 // logLine is the JSONL audit record for one query.
@@ -243,18 +237,13 @@ func (e *Executor) log(l logLine) {
 	}
 	l.Time = time.Now().UTC().Format(time.RFC3339Nano)
 	data, err := json.Marshal(l)
+	e.logMu.Lock()
+	defer e.logMu.Unlock()
 	if err == nil {
-		data = append(data, '\n')
-		e.logMu.Lock()
-		_, err = e.cfg.Log.Write(data)
-		e.logMu.Unlock()
+		_, err = e.cfg.Log.Write(append(data, '\n'))
 	}
-	if err != nil {
-		e.mu.Lock()
-		if e.logErr == nil {
-			e.logErr = err
-		}
-		e.mu.Unlock()
+	if err != nil && e.logErr == nil {
+		e.logErr = err
 	}
 }
 
@@ -264,36 +253,35 @@ func promptDigest(p string) string {
 	return hex.EncodeToString(sum[:8])
 }
 
-// budget tracks remaining tokens across workers.
-type budget struct {
-	mu        sync.Mutex
-	remaining int
-	unlimited bool
-	spent     int
+// underBudget reports whether the executor may start another query:
+// BudgetTokens is unset or not yet spent. Token costs are only known
+// after the response, so the guard admits a query while any budget
+// remains and charges the actual usage afterwards (the overshoot is at
+// most one query per worker, matching how per-request billing behaves).
+func (e *Executor) underBudget() bool {
+	return e.cfg.BudgetTokens == 0 || e.spent.Load() < int64(e.cfg.BudgetTokens)
 }
 
-// tryReserve reports whether the batch may start another query, i.e.
-// the budget is not yet exhausted. Token costs are only known after the
-// response, so the guard admits a query while any budget remains and
-// charges the actual usage afterwards (the overshoot is at most one
-// query per worker, matching how per-request billing behaves).
-func (b *budget) tryReserve() bool {
-	if b.unlimited {
-		return true
+// groupByPrompt splits one call's requests into the ones to dispatch
+// and, keyed by prompt, the ones that follow them. Without Cache or
+// Disk every request is dispatched; with either, only the first
+// request carrying each prompt is (a prompt's presence as a key marks
+// its leader as taken).
+func (e *Executor) groupByPrompt(reqs []Request) ([]Request, map[string][]Request) {
+	if !e.cfg.Cache && e.cfg.Disk == nil {
+		return reqs, nil
 	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.remaining > 0
-}
-
-// charge records actual usage.
-func (b *budget) charge(tokens int) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.spent += tokens
-	if !b.unlimited {
-		b.remaining -= tokens
+	leaders := make([]Request, 0, len(reqs))
+	followers := make(map[string][]Request, len(reqs))
+	for _, r := range reqs {
+		if fs, ok := followers[r.Prompt]; ok {
+			followers[r.Prompt] = append(fs, r)
+			continue
+		}
+		followers[r.Prompt] = nil
+		leaders = append(leaders, r)
 	}
+	return leaders, followers
 }
 
 // Execute runs all requests and returns per-request outcomes. It only
@@ -312,8 +300,7 @@ func (e *Executor) Execute(ctx context.Context, reqs []Request) (*Result, error)
 		}
 		seen[r.ID] = true
 	}
-
-	bud := &budget{remaining: e.cfg.BudgetTokens, unlimited: e.cfg.BudgetTokens == 0}
+	leaders, followers := e.groupByPrompt(reqs)
 
 	// Rate limiter: a shared ticker paces dispatches across workers.
 	// The interval is clamped to ≥1ns: above ~1e9 QPS the division
@@ -332,7 +319,7 @@ func (e *Executor) Execute(ctx context.Context, reqs []Request) (*Result, error)
 	work := make(chan Request)
 	var wg sync.WaitGroup
 	var outMu sync.Mutex
-	record := func(r Request, o Outcome) {
+	settle := func(r Request, o Outcome) {
 		outMu.Lock()
 		res.Outcomes[r.ID] = o
 		switch {
@@ -342,30 +329,44 @@ func (e *Executor) Execute(ctx context.Context, reqs []Request) (*Result, error)
 			res.Failed++
 		case o.Cached:
 			res.CacheHits++
+		default:
+			res.TokensUsed += o.Response.InputTokens + o.Response.OutputTokens
 		}
 		outMu.Unlock()
 		if e.cfg.OnOutcome != nil {
 			e.cfg.OnOutcome(r, o)
 		}
 	}
-
 	rec := obs.Active(e.cfg.Obs)
+	// record settles a dispatched request, then each of its followers
+	// with a copy of its outcome.
+	record := func(r Request, o Outcome, label string) {
+		settle(r, o)
+		fo := Outcome{Response: o.Response, Err: o.Err, Cached: o.Err == nil, Finished: o.Finished}
+		if o.Err == nil {
+			label = "coalesced"
+		}
+		for _, f := range followers[r.Prompt] {
+			e.follow(f, fo, label, rec)
+			settle(f, fo)
+		}
+	}
+
 	for i := 0; i < e.cfg.Workers; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for r := range work {
 				rec.Set(metricBatchInflight, float64(e.inflight.Add(1)))
-				o := e.one(ctx, r, bud, tick, rec)
-				o.Finished = time.Now()
+				o, label := e.one(ctx, r, tick, rec)
 				rec.Set(metricBatchInflight, float64(e.inflight.Add(-1)))
-				record(r, o)
+				record(r, o, label)
 			}
 		}()
 	}
 
 feed:
-	for _, r := range reqs {
+	for _, r := range leaders {
 		select {
 		case work <- r:
 		case <-ctx.Done():
@@ -377,22 +378,44 @@ feed:
 	// Workers race their gauge updates; settle it now that none run.
 	rec.Set(metricBatchInflight, 0)
 
-	// Requests never dispatched because the context ended.
-	for _, r := range reqs {
+	// Requests never dispatched because the context ended; their
+	// followers settle with them.
+	for _, r := range leaders {
 		if _, ok := res.Outcomes[r.ID]; !ok {
-			record(r, Outcome{Err: ctx.Err()})
 			rec.Add(metricBatchRequests, 1, "outcome", "undispatched")
+			record(r, Outcome{Err: ctx.Err()}, "undispatched")
 		}
 	}
-	res.TokensUsed = bud.spent
 
-	e.mu.Lock()
+	e.logMu.Lock()
 	logErr := e.logErr
-	e.mu.Unlock()
+	e.logMu.Unlock()
 	if logErr != nil {
 		return res, fmt.Errorf("batch: audit log failed: %w", logErr)
 	}
 	return res, nil
+}
+
+// follow books one follower's share of its leader's outcome o: an
+// audit line, the request counter under label and, when the request is
+// traced, a batch.cache span and a billed cache charge covering its
+// whole wait, from its root span's start to o.Finished. The charge
+// carries the response's tokens: the caller meters every answered
+// request, so the ledger must bill each one.
+func (e *Executor) follow(r Request, o Outcome, label string, rec obs.Recorder) {
+	l := logLine{ID: r.ID, PromptSHA256: promptDigest(r.Prompt), Category: o.Response.Category, Cached: o.Cached}
+	if o.Err != nil {
+		l.Error = o.Err.Error()
+	}
+	e.log(l)
+	rec.Add(metricBatchRequests, 1, "outcome", label)
+	root := obs.SpanFromContext(r.Ctx)
+	if root == nil || o.Finished.IsZero() || !obs.Enabled(rec) {
+		return
+	}
+	_, csp := obs.StartSpanCtxAt(r.Ctx, rec, "batch.cache", root.StartTime(), "tier", "coalesced")
+	csp.EndAt(o.Finished)
+	obs.Charge(r.Ctx, obs.StageCache, o.Finished.Sub(root.StartTime()), o.Response.InputTokens+o.Response.OutputTokens, true)
 }
 
 // abortReason labels context-ended outcomes for the abort counter.
@@ -422,9 +445,10 @@ func (c *charger) charge(stage string, wall time.Duration, tokens int, billed bo
 	obs.Charge(c.ctx, stage, wall, tokens, billed)
 }
 
-// one executes a single request: cache check, single-flight
-// deduplication, budget guard, rate-paced predictor calls with retry.
-func (e *Executor) one(ctx context.Context, r Request, bud *budget, tick <-chan time.Time, rec obs.Recorder) Outcome {
+// one executes a single dispatched request — disk lookup, budget
+// guard, rate-paced predictor calls with retry — and returns its
+// outcome and metric label.
+func (e *Executor) one(ctx context.Context, r Request, tick <-chan time.Time, rec obs.Recorder) (Outcome, string) {
 	digest := promptDigest(r.Prompt)
 	live := obs.Enabled(rec)
 	var span *obs.Span
@@ -454,93 +478,36 @@ func (e *Executor) one(ctx context.Context, r Request, bud *budget, tick <-chan 
 		qctx, span = obs.StartSpanCtx(qctx, rec, "batch.request", "id", r.ID)
 		ch = &charger{ctx: qctx}
 	}
-	done := func(o Outcome, outcome string) Outcome {
+	// done stamps Finished at the instant the residual charge runs up
+	// to, so the request's billed stages tile its span up to Finished
+	// exactly — nothing the worker does afterwards goes unbilled.
+	done := func(o Outcome, outcome string) (Outcome, string) {
 		rec.Add(metricBatchRequests, 1, "outcome", outcome)
+		o.Finished = time.Now()
 		if live {
-			end := time.Now()
-			if resid := end.Sub(pickup) - ch.billed; resid > 0 {
+			if resid := o.Finished.Sub(pickup) - ch.billed; resid > 0 {
 				ch.charge(obs.StageExec, resid, 0, true)
 			}
 			span.SetAttr("outcome", outcome)
 			span.SetAttr("attempts", fmt.Sprint(o.Attempts))
-			span.EndAt(end)
+			span.EndAt(o.Finished)
 		}
-		return o
+		return o, outcome
 	}
-	// cacheResolved notes a request answered without a fresh predictor
-	// call: a child span for the tier that answered, and a billed cache
-	// charge carrying the response's token count — the caller's meter
-	// counts cached answers, so the ledger must bill them to a stage.
-	cacheResolved := func(tier string, resp llm.Response) {
-		if !live {
-			return
+	if resp, ok := e.diskGet(r.Prompt); ok {
+		// An earlier run (or an earlier round of this one) already paid
+		// for this prompt. The cache charge carries the response's token
+		// count: the caller's meter counts cached answers, so the ledger
+		// must bill them to a stage.
+		e.log(logLine{ID: r.ID, PromptSHA256: digest, Category: resp.Category, Cached: true})
+		if live {
+			_, csp := obs.StartSpanCtxAt(qctx, rec, "batch.cache", pickup, "tier", "disk")
+			csp.End()
+			ch.charge(obs.StageCache, time.Since(pickup), resp.InputTokens+resp.OutputTokens, true)
 		}
-		_, csp := obs.StartSpanCtxAt(qctx, rec, "batch.cache", pickup, "tier", tier)
-		csp.End()
-		ch.charge(obs.StageCache, time.Since(pickup), resp.InputTokens+resp.OutputTokens, true)
+		return done(Outcome{Response: resp, Cached: true}, "disk")
 	}
-
-	if e.cache != nil {
-		e.mu.Lock()
-		if cached, ok := e.cache[r.Prompt]; ok {
-			e.mu.Unlock()
-			e.log(logLine{ID: r.ID, PromptSHA256: digest, Category: cached.Category, Cached: true})
-			cacheResolved("memory", cached)
-			return done(Outcome{Response: cached, Cached: true}, "cached")
-		}
-		// Single-flight: if another worker is already querying this
-		// exact prompt, wait for its answer instead of paying for a
-		// duplicate call (the classic cache-stampede fix).
-		if fc, ok := e.flight[r.Prompt]; ok {
-			e.mu.Unlock()
-			select {
-			case <-fc.done:
-			case <-ctx.Done():
-				rec.Add(metricBatchAborts, 1, "reason", abortReason(ctx.Err()))
-				return done(Outcome{Err: ctx.Err()}, "aborted")
-			}
-			if fc.err != nil {
-				e.log(logLine{ID: r.ID, PromptSHA256: digest, Error: fc.err.Error()})
-				cacheResolved("coalesced", llm.Response{})
-				switch {
-				case errors.Is(fc.err, ErrBudgetExhausted):
-					return done(Outcome{Err: fc.err}, "skipped")
-				case errors.Is(fc.err, ErrCircuitOpen):
-					return done(Outcome{Err: fc.err}, "rejected")
-				}
-				return done(Outcome{Err: fc.err}, "error")
-			}
-			e.log(logLine{ID: r.ID, PromptSHA256: digest, Category: fc.resp.Category, Cached: true})
-			cacheResolved("coalesced", fc.resp)
-			return done(Outcome{Response: fc.resp, Cached: true}, "coalesced")
-		}
-		fc := &flightCall{done: make(chan struct{})}
-		e.flight[r.Prompt] = fc
-		e.mu.Unlock()
-		var o Outcome
-		var label string
-		if resp, ok := e.diskGet(r.Prompt); ok {
-			// Persistent tier: an earlier run (or an earlier stage of
-			// this one) already paid for this prompt. Promote it to the
-			// memory tier so repeats skip the shard lock.
-			o, label = Outcome{Response: resp, Cached: true}, "disk"
-			e.mu.Lock()
-			e.cache[r.Prompt] = resp
-			e.mu.Unlock()
-			e.log(logLine{ID: r.ID, PromptSHA256: digest, Category: resp.Category, Cached: true})
-			cacheResolved("disk", resp)
-		} else {
-			o, label = e.attempt(qctx, r, bud, tick, rec, digest, live, ch)
-		}
-		fc.resp, fc.err = o.Response, o.Err
-		e.mu.Lock()
-		delete(e.flight, r.Prompt)
-		e.mu.Unlock()
-		close(fc.done)
-		return done(o, label)
-	}
-	o, label := e.attempt(qctx, r, bud, tick, rec, digest, live, ch)
-	return done(o, label)
+	return done(e.attempt(qctx, r, tick, rec, digest, live, ch))
 }
 
 // attempt runs the budget guard and the rate-paced retry loop for one
@@ -548,8 +515,8 @@ func (e *Executor) one(ctx context.Context, r Request, bud *budget, tick <-chan 
 // query's span/ledger values (one() grafted them), so spans opened
 // here — backoff, breaker verdict, attempt N — nest under the
 // batch.request span and charges land on the query's ledger.
-func (e *Executor) attempt(ctx context.Context, r Request, bud *budget, tick <-chan time.Time, rec obs.Recorder, digest string, live bool, ch *charger) (Outcome, string) {
-	if !bud.tryReserve() {
+func (e *Executor) attempt(ctx context.Context, r Request, tick <-chan time.Time, rec obs.Recorder, digest string, live bool, ch *charger) (Outcome, string) {
+	if !e.underBudget() {
 		e.log(logLine{ID: r.ID, PromptSHA256: digest, Error: ErrBudgetExhausted.Error()})
 		return Outcome{Err: ErrBudgetExhausted}, "skipped"
 	}
@@ -629,13 +596,8 @@ func (e *Executor) attempt(ctx context.Context, r Request, bud *budget, tick <-c
 		}
 		if err == nil {
 			e.reportBreaker(true)
-			bud.charge(resp.InputTokens + resp.OutputTokens)
+			e.spent.Add(int64(resp.InputTokens + resp.OutputTokens))
 			rec.Add(metricBatchTokens, float64(resp.InputTokens+resp.OutputTokens))
-			if e.cache != nil {
-				e.mu.Lock()
-				e.cache[r.Prompt] = resp
-				e.mu.Unlock()
-			}
 			if e.cfg.Disk != nil {
 				// Write-through is best-effort: a full or failing disk
 				// loses persistence, not the (already correct) answer.

@@ -8,6 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -15,6 +16,7 @@ import (
 	"time"
 
 	"repro/internal/llm"
+	"repro/internal/obs"
 	"repro/internal/token"
 )
 
@@ -199,13 +201,17 @@ func TestExecuteCache(t *testing.T) {
 	if got := p.total.Load(); got != 2 {
 		t.Errorf("predictor called %d times, want 2", got)
 	}
-	// Cache persists across Execute calls on the same executor.
+	// Grouping is per Execute call: no answer outlives it, so a second
+	// call on the same executor pays one fresh predictor call.
 	res2, err := e.Execute(context.Background(), []Request{{ID: "e", Prompt: "dup"}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res2.CacheHits != 1 {
-		t.Errorf("second batch cache hits=%d, want 1", res2.CacheHits)
+	if res2.CacheHits != 0 {
+		t.Errorf("second batch cache hits=%d, want 0", res2.CacheHits)
+	}
+	if got := p.total.Load(); got != 3 {
+		t.Errorf("predictor called %d times after the second batch, want 3", got)
 	}
 }
 
@@ -451,6 +457,59 @@ func TestExecuteSingleFlightLeaderErrorPropagates(t *testing.T) {
 	}
 	if got := p.total.Load(); got != 1 {
 		t.Fatalf("predictor called %d times, want 1", got)
+	}
+}
+
+// TestFollowerLedgersBillTheirAnswers pins the books of grouped
+// requests: traced requests share prompts, and every follower's ledger
+// bills exactly its response's tokens and covers at least 90% of its
+// root span, as each leader's does.
+func TestFollowerLedgersBillTheirAnswers(t *testing.T) {
+	reg := obs.NewRegistry()
+	p := &slowScripted{scripted: scripted{calls: map[string]int{}}, delay: 20 * time.Millisecond}
+	e, err := New(p, Config{Workers: 2, Cache: true, Obs: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const leaders = 3
+	rs := make([]Request, 12)
+	roots := make([]*obs.Span, len(rs))
+	leds := make([]*obs.Ledger, len(rs))
+	for i := range rs {
+		ctx, root := obs.StartSpanCtx(context.Background(), reg, "test.query", "i", strconv.Itoa(i))
+		if !root.Sampled() {
+			t.Fatal("root span not sampled")
+		}
+		roots[i], leds[i] = root, obs.NewLedger(reg, root.TraceID(), "q"+strconv.Itoa(i))
+		rs[i] = Request{
+			ID:     "q" + strconv.Itoa(i),
+			Prompt: "prompt " + strconv.Itoa(i%leaders),
+			Ctx:    obs.ContextWithLedger(ctx, leds[i]),
+		}
+	}
+	res, err := e.Execute(context.Background(), rs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := p.total.Load(); got != leaders {
+		t.Fatalf("predictor called %d times for %d distinct prompts", got, leaders)
+	}
+	for i, r := range rs {
+		o := res.Outcomes[r.ID]
+		if o.Err != nil {
+			t.Fatalf("%s: %v", r.ID, o.Err)
+		}
+		if follower := i >= leaders; follower && (!o.Cached || o.Attempts != 0) {
+			t.Errorf("%s: follower outcome %+v, want Cached with 0 attempts", r.ID, o)
+		}
+		roots[i].EndAt(o.Finished)
+		snap := leds[i].Close(o.Finished.Sub(roots[i].StartTime()))
+		if want := o.Response.InputTokens + o.Response.OutputTokens; snap.BilledTokens != want {
+			t.Errorf("%s: ledger bills %d tokens, response carries %d", r.ID, snap.BilledTokens, want)
+		}
+		if a := snap.Attribution(); a < 0.9 {
+			t.Errorf("%s: ledger covers %.2f of its span (billed %v of %v)", r.ID, a, snap.BilledWall, snap.Total)
+		}
 	}
 }
 

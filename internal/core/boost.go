@@ -81,10 +81,12 @@ func BoostWith(ctx *predictors.Context, m predictors.Method, p llm.Predictor, pl
 	}
 
 	rec := obs.Active(ctx.Obs)
-	// One executor serves every round, so its response cache (when
-	// enabled) persists across rounds. The OnResult stream (if any) is
-	// rebound to each round's planned queries before that round
-	// dispatches; rounds are barriers, so the rebind is race-free.
+	// One executor serves every round, so BudgetTokens caps the whole
+	// run. Identical prompts are asked once per round (Cache/Disk); no
+	// answer is kept between rounds, which never repeat a node. The
+	// OnResult stream (if any) is rebound to each round's planned
+	// queries before that round dispatches; rounds are barriers, so the
+	// rebind is race-free.
 	var rs *resultStream
 	if ecfg.OnResult != nil {
 		rs = &resultStream{g: ctx.Graph, fb: ecfg.Fallback, hook: ecfg.OnResult}

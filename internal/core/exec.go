@@ -199,17 +199,19 @@ type ExecConfig struct {
 	RetryDelay time.Duration
 	// MaxRetryDelay caps the exponential backoff (default 30s).
 	MaxRetryDelay time.Duration
-	// BudgetTokens, when > 0, hard-caps total tokens spent by this
-	// execution; queries starting past the cap fail with
+	// BudgetTokens, when > 0, hard-caps total tokens spent by one
+	// ExecuteWith or BoostWith call — every boosting round together,
+	// not each round; queries starting past the cap fail with
 	// batch.ErrBudgetExhausted.
 	BudgetTokens int
-	// Cache serves repeated prompts from memory and single-flights
-	// concurrent duplicates.
+	// Cache asks identical prompts once per dispatch — one plan, or one
+	// boosting round: the first entry with a prompt pays for it and the
+	// others settle with its answer (Cached). Nothing is kept between
+	// dispatches; Disk is the store that outlives one.
 	Cache bool
-	// Disk adds a persistent cache tier behind the memory cache:
-	// answers survive the process, so a repeated plan (or a boosting
-	// round re-asking round-N prompts) pays zero predictor calls for
-	// prompts any earlier run already bought. Implies Cache.
+	// Disk adds a persistent answer store: answers survive the
+	// process, so a repeated plan pays zero predictor calls for prompts
+	// any earlier run already bought. Implies Cache.
 	Disk *promptcache.Cache
 	// CacheNamespace partitions the disk cache by answer function;
 	// empty derives it from the predictor identity and prompt-template
@@ -291,8 +293,8 @@ type QueryOutcome struct {
 	// Pruned/Equipped mirror the plan entry's prompt shape.
 	Pruned   bool
 	Equipped bool
-	// Cached reports the answer came from a cache tier (memory,
-	// single-flight coalescing, or disk) instead of a fresh call.
+	// Cached reports the answer came from Disk or from an identical
+	// prompt earlier in the same dispatch instead of a fresh call.
 	Cached bool
 	// Fallback reports the surrogate answered after the LLM path failed
 	// permanently.
@@ -738,35 +740,25 @@ func TauForBudget(budget float64, numQueries int, tokensPerQuery, tokensNeighbor
 // sampling the prefix instead would bias τ-for-budget whenever the
 // query set arrives ordered (by degree, score, or node ID).
 func EstimateQueryTokens(ctx *predictors.Context, m predictors.Method, queries []tag.NodeID, sample int) (perQuery, perNeighborText float64) {
-	return EstimateQueryTokensCached(ctx, m, queries, sample, nil)
-}
-
-// EstimateQueryTokensCached is EstimateQueryTokens made cache-aware:
-// queries whose full prompt `cached` reports as already answered
-// contribute zero marginal tokens to both averages, because executing
-// them re-pays nothing — the answer is served from the persistent
-// cache. Budgeting with these averages lets TauForBudget admit more
-// un-pruned queries under the same budget on warm runs, which is the
-// planner-level payoff of the disk cache: the budget buys *new*
-// tokens, not tokens already bought.
-//
-// The lookup sees the fully-equipped prompt (the one a cache hit would
-// serve). nil behaves exactly like EstimateQueryTokens.
-func EstimateQueryTokensCached(ctx *predictors.Context, m predictors.Method, queries []tag.NodeID, sample int, cached func(promptText string) bool) (perQuery, perNeighborText float64) {
-	return EstimateQueryTokensCompressed(ctx, m, queries, sample, prompt.Compressor{}, cached)
+	return EstimateQueryTokensCompressed(ctx, m, queries, sample, prompt.Compressor{}, nil)
 }
 
 // EstimateQueryTokensCompressed is the full-fidelity estimator: it
 // sees both the disk cache (cached, may be nil) and the compression
-// stage (comp, zero value disables). With compression enabled every
-// sampled prompt — equipped and vanilla alike — is compressed before
-// counting, so TauForBudget's budget math prices queries at what
-// dispatch will actually pay and the two token-saving axes (τ-pruning
-// and compression) compose instead of double-counting. The cache
-// lookup sees the compressed equipped prompt: those are the bytes a
-// compressed run keys its cache with, so a warm entry contributes zero
-// marginal tokens exactly once — compression never discounts a prompt
-// the cache already discounted.
+// stage (comp, zero value disables). Queries whose full prompt cached
+// reports as already answered contribute zero marginal tokens to both
+// averages, because executing them re-pays nothing; budgeting with
+// these averages lets TauForBudget admit more un-pruned queries on
+// warm runs — the budget buys *new* tokens, not tokens already bought.
+//
+// With compression enabled every sampled prompt — equipped and vanilla
+// alike — is compressed before counting, so TauForBudget's budget math
+// prices queries at what dispatch will actually pay and the two
+// token-saving axes (τ-pruning and compression) compose instead of
+// double-counting. The cache lookup sees the compressed equipped
+// prompt: those are the bytes a compressed run keys its cache with, so
+// a warm entry contributes zero marginal tokens exactly once —
+// compression never discounts a prompt the cache already discounted.
 func EstimateQueryTokensCompressed(ctx *predictors.Context, m predictors.Method, queries []tag.NodeID, sample int, comp prompt.Compressor, cached func(promptText string) bool) (perQuery, perNeighborText float64) {
 	if len(queries) == 0 {
 		return 0, 0

@@ -101,6 +101,41 @@ func TestBoostWithWorkersDeterministic(t *testing.T) {
 	}
 }
 
+// TestBoostWithBudgetCapsWholeRun: BudgetTokens caps a boosted run as
+// a whole, not each round. With a quarter of a full boost's spend as
+// the budget, the metered spend may exceed it only by the one query
+// per worker the executor's guard admits before the cap trips.
+func TestBoostWithBudgetCapsWholeRun(t *testing.T) {
+	f := newFixture(t, 400, 80, 17)
+	m := predictors.KHopRandom{K: 1}
+	plan := Plan{Queries: f.split.Query}
+	meter := f.sim.Meter()
+
+	before := meter.Total()
+	if _, _, err := BoostWith(f.freshCtx(), m, f.sim, plan, DefaultBoostConfig(), ExecConfig{Workers: 1}); err != nil {
+		t.Fatal(err)
+	}
+	budget := (meter.Total() - before) / 4
+
+	const workers = 1
+	maxQuery := 0
+	before = meter.Total()
+	_, _, err := BoostWith(f.freshCtx(), m, f.sim, plan, DefaultBoostConfig(), ExecConfig{
+		Workers:      workers,
+		BudgetTokens: budget,
+		OnResult: func(q QueryOutcome) {
+			maxQuery = max(maxQuery, q.Response.InputTokens+q.Response.OutputTokens)
+		},
+	})
+	var qe *QueryErrors
+	if !errors.As(err, &qe) {
+		t.Fatalf("a quarter budget refused no query: %v", err)
+	}
+	if spent := meter.Total() - before; spent > budget+workers*maxQuery {
+		t.Fatalf("boost spent %d tokens on a %d-token budget (largest query %d)", spent, budget, maxQuery)
+	}
+}
+
 func TestExecuteWithAggregatesPerQueryErrors(t *testing.T) {
 	f := newFixture(t, 400, 60, 23)
 	m := predictors.KHopRandom{K: 1}

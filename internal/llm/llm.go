@@ -332,9 +332,12 @@ func (s *Sim) Query(promptText string) (Response, error) {
 	}
 
 	out := prompt.FormatResponse(best)
+	// best is a substring of promptText (Parse slices the category list
+	// out of it); the answer carries a copy, so whoever keeps the answer
+	// does not pin the whole prompt.
 	resp := Response{
 		Text:         out,
-		Category:     best,
+		Category:     strings.Clone(best),
 		InputTokens:  token.Count(promptText),
 		OutputTokens: token.Count(out),
 	}

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"repro/internal/prompt"
 	"repro/internal/tag"
@@ -66,6 +67,24 @@ func TestQueryReturnsValidCategory(t *testing.T) {
 		if r.InputTokens <= 0 || r.OutputTokens <= 0 {
 			t.Fatalf("token counts not positive: %+v", r)
 		}
+	}
+}
+
+// TestQueryCategoryDoesNotAliasPrompt: the answer's category must not
+// share the prompt's memory, or every kept answer pins its whole
+// prompt (a few KB each) for as long as the answer lives.
+func TestQueryCategoryDoesNotAliasPrompt(t *testing.T) {
+	g, _ := testGraph(t, 300)
+	sim := NewSim(GPT35(), g.Vocab, g.Classes, 7)
+	p := buildVanilla(g, 0)
+	r, err := sim.Query(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lo := uintptr(unsafe.Pointer(unsafe.StringData(p)))
+	hi := lo + uintptr(len(p))
+	if c := uintptr(unsafe.Pointer(unsafe.StringData(r.Category))); c >= lo && c < hi {
+		t.Fatalf("category %q points into the prompt's bytes", r.Category)
 	}
 }
 

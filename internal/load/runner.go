@@ -202,7 +202,6 @@ func startInProcess(sc Scenario, g *tag.Graph) (*httptest.Server, *serve.Server,
 		Obs:          reg,
 		Exec:         sc.Topology.ExecConfig(),
 	}
-	scfg.Exec.Cache = !sc.Topology.NoCache
 	tier, err := serve.New(pctx, method, pred, scfg)
 	if err != nil {
 		return nil, nil, fmt.Errorf("load: scenario %q: %w", sc.Name, err)
@@ -212,21 +211,6 @@ func startInProcess(sc Scenario, g *tag.Graph) (*httptest.Server, *serve.Server,
 	mux.Handle("/metrics", reg.Handler())
 	mux.Handle("/debug/slo", obs.SLOHandler(reg))
 	return httptest.NewServer(mux), tier, nil
-}
-
-// queryResponse is the harness's strict decode of the /v1/query success
-// body. DisallowUnknownFields plus the golden contract tests on the
-// server side mean neither end can drift without a test failing.
-type queryResponse struct {
-	Node         int    `json:"node"`
-	Category     string `json:"category"`
-	Tenant       string `json:"tenant"`
-	Coalesced    bool   `json:"coalesced"`
-	Cached       bool   `json:"cached"`
-	Fallback     bool   `json:"fallback"`
-	InputTokens  int    `json:"input_tokens"`
-	OutputTokens int    `json:"output_tokens"`
-	TraceID      string `json:"trace_id"`
 }
 
 // doQuery drives one request and classifies the outcome.
@@ -255,7 +239,7 @@ func doQuery(client *http.Client, base, tenant string, node int) sample {
 	case http.StatusOK:
 		dec := json.NewDecoder(bytes.NewReader(raw))
 		dec.DisallowUnknownFields()
-		var qr queryResponse
+		var qr serve.QueryResponse
 		if err := dec.Decode(&qr); err != nil || qr.Category == "" || qr.Node != node || qr.Tenant != tenant {
 			s.class = classDecode
 			return s

@@ -131,9 +131,6 @@ type Topology struct {
 	// MaxQueue is the admission queue's high-water mark (default
 	// serve.DefaultMaxQueue).
 	MaxQueue int `json:"max_queue,omitempty"`
-	// NoCache disables the in-memory answer cache inside plan execution
-	// (the serve tier's own answer memory is always on).
-	NoCache bool `json:"no_cache,omitempty"`
 	// Method is the neighbor-selection method (default "1-hop"); M caps
 	// neighbors per prompt (default 4); Labeled seeds the context with
 	// that many labeled nodes per class (default 20).

@@ -16,8 +16,8 @@ import (
 // llmserve uses this to make the *server side* of the stack
 // persistent: repeated prompts from any client cost zero predictor
 // work across restarts. The batch executor does not use Wrap — it
-// integrates the cache directly so lookups stay inside its
-// single-flight critical section.
+// integrates the cache directly, looking up only the one request per
+// distinct prompt that it dispatches and reporting hits as Cached.
 func Wrap(p llm.Predictor, c *Cache) llm.Predictor {
 	w := &cachingPredictor{inner: p, cache: c, ns: Namespace(p)}
 	if cp, ok := p.(llm.ContextPredictor); ok {

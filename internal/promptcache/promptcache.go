@@ -1,10 +1,11 @@
 // Package promptcache is a persistent, content-addressed prompt →
 // response cache. The paper's whole premise is that multi-query
 // workloads share token-level work: common neighbor text, identical
-// prompts across boosting rounds, repeated plans across runs. The
-// in-memory tier of batch.Executor already exploits sharing *within*
-// one process; this package makes the sharing survive the process, so
-// a repeated `mqorun` pays only for tokens it has never bought before.
+// prompts, repeated plans across runs. batch.Executor asks identical
+// prompts once per Execute call — one plan or one boosting round — and
+// keeps nothing after it; this package is the store that outlives the
+// call and the process, so a repeated `mqorun` pays only for tokens it
+// has never bought before.
 //
 // Design:
 //

@@ -184,6 +184,9 @@ type Server struct {
 	mu       sync.Mutex
 	queue    []*pending
 	inflight map[tag.NodeID]*entry
+	// answers is the serve tier's answer memory, keyed by node. It
+	// holds at most Graph.NumNodes() entries, because Submit rejects
+	// unknown nodes, so it needs no eviction.
 	answers  map[tag.NodeID]Result
 	spent    map[string]int
 	peak     int
@@ -466,6 +469,7 @@ func (s *Server) flush() {
 	}
 	s.noteQueueDepthLocked()
 	var ready []*pending // answered while queued: deliver from memory
+	var readyRes []Result
 	var entries []*entry
 	for _, p := range interleave(batch) {
 		if r, ok := s.answers[p.node]; ok {
@@ -473,8 +477,7 @@ func (s *Server) flush() {
 			s.chargeLocked(p.tenant, r)
 			r.Coalesced = true
 			r.TraceID = p.traceID()
-			p.ch <- delivery{res: r}
-			ready = append(ready, p)
+			ready, readyRes = append(ready, p), append(readyRes, r)
 			continue
 		}
 		if e, ok := s.inflight[p.node]; ok {
@@ -490,10 +493,9 @@ func (s *Server) flush() {
 	}
 	s.mu.Unlock()
 
-	for _, p := range ready {
+	for i, p := range ready {
 		s.rec.Add(metricCoalesced, 1, "tier", "memory")
-		s.finishTrace(p, flushStart, "ok")
-		s.rec.Add(metricQueries, 1, "outcome", "ok")
+		s.deliver(p, delivery{res: readyRes[i]}, flushStart)
 	}
 	coalesced := len(batch) - len(ready) - len(entries)
 	for i := 0; i < coalesced; i++ {
@@ -531,9 +533,7 @@ func (s *Server) flush() {
 		s.mu.Unlock()
 		if still {
 			for _, p := range waiters {
-				p.ch <- delivery{err: fmt.Errorf("serve: query for node %d: %w", e.node, err)}
-				s.finishTrace(p, flushStart, "error")
-				s.rec.Add(metricQueries, 1, "outcome", "error")
+				s.deliver(p, delivery{err: fmt.Errorf("serve: query for node %d: %w", e.node, err)}, flushStart)
 			}
 		}
 	}
@@ -570,18 +570,26 @@ func (s *Server) complete(q core.QueryOutcome, flushStart time.Time) {
 	}
 	s.mu.Unlock()
 
-	outcome := "ok"
-	if d.err != nil {
-		outcome = "error"
-	}
 	for _, p := range waiters {
 		r := d.res
 		r.Coalesced = p.tier != ""
 		r.TraceID = p.traceID()
-		p.ch <- delivery{res: r, err: d.err}
-		s.finishTrace(p, flushStart, outcome)
-		s.rec.Add(metricQueries, 1, "outcome", outcome)
+		s.deliver(p, delivery{res: r, err: d.err}, flushStart)
 	}
+}
+
+// deliver settles one admitted request: it closes the request's trace
+// and counts its outcome, then hands the waiting Submit its answer. The
+// send comes last, so a caller returning from Submit already finds its
+// own answer in the metrics.
+func (s *Server) deliver(p *pending, d delivery, flushStart time.Time) {
+	outcome := "ok"
+	if d.err != nil {
+		outcome = "error"
+	}
+	s.finishTrace(p, flushStart, outcome)
+	s.rec.Add(metricQueries, 1, "outcome", outcome)
+	p.ch <- d
 }
 
 // finishTrace closes one request's span and ledger: queue wait until

@@ -416,6 +416,36 @@ func TestUnknownNodeRejected(t *testing.T) {
 	}
 }
 
+// slowCountRecorder sleeps inside every mqo_serve_queries_total
+// increment, widening any gap between counting an answer and
+// delivering it.
+type slowCountRecorder struct{ *obs.Registry }
+
+func (r slowCountRecorder) Add(name string, delta float64, labels ...string) {
+	if name == metricQueries {
+		time.Sleep(20 * time.Millisecond)
+	}
+	r.Registry.Add(name, delta, labels...)
+}
+
+// TestAnswerCountedBeforeDelivery is the regression for a flaky count:
+// the tier used to hand a request its answer before counting it, so a
+// caller returning from Submit could read a count that missed its own
+// answer.
+func TestAnswerCountedBeforeDelivery(t *testing.T) {
+	f := newFixture(t, 300, 40, 31)
+	reg := obs.NewRegistry()
+	s := newServer(t, f, f.freshSim(), Config{Window: time.Millisecond, Obs: slowCountRecorder{reg}})
+	for i, v := range f.split.Query[:3] {
+		if _, err := s.Submit(context.Background(), "alice", v); err != nil {
+			t.Fatal(err)
+		}
+		if got := reg.CounterValue(metricQueries, "outcome", "ok"); got != float64(i+1) {
+			t.Fatalf("after answer %d returned, mqo_serve_queries_total{outcome=ok} = %v", i+1, got)
+		}
+	}
+}
+
 // --- HTTP handler ---
 
 func TestTenantResolution(t *testing.T) {

@@ -151,12 +151,15 @@ type Options struct {
 	ReplicaSet []Predictor
 	// BudgetTokens, when > 0, hard-stops dispatch once the combined
 	// input+output token total reaches it; remaining queries fail with
-	// a budget error. Note that with Workers > 1 the exact cut-off
-	// point depends on completion order.
+	// a budget error. The cap covers the plan's whole execution, every
+	// boosting round together; pruning calibration, when it inherits
+	// these options, is capped separately. Note that with Workers > 1
+	// the exact cut-off point depends on completion order.
 	BudgetTokens int
-	// Cache deduplicates identical prompts within one run: repeated
-	// prompts are served from an in-memory response cache, and
-	// concurrent identical prompts coalesce into a single LLM call.
+	// Cache asks identical prompts once per plan or boosting round: the
+	// first query with a prompt pays for it and the others share its
+	// answer. No answer is kept between rounds or runs; CacheDir adds
+	// the store that is.
 	Cache bool
 	// CacheDir, when non-empty, adds a persistent prompt cache under
 	// this directory: answers survive the process, so repeating a run

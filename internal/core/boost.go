@@ -118,20 +118,28 @@ func BoostWith(ctx *predictors.Context, m predictors.Method, p llm.Predictor, pl
 		}
 
 		// Step 1: candidate selection with refreshed neighbor text,
-		// relaxing thresholds until candidates exist.
+		// relaxing thresholds until candidates exist. Selections depend
+		// on Known, not on (γ1, γ2), so each round selects once and
+		// relaxing only re-filters.
 		type cand struct {
-			v   tag.NodeID
-			sel []predictors.Selected
+			v                  tag.NodeID
+			sel                []predictors.Selected
+			labeled, conflicts int
+		}
+		all := make([]cand, len(pending))
+		for i, v := range pending {
+			all[i].v = v
+			if !plan.Prune[v] {
+				all[i].sel = m.Select(ctx, v)
+			}
+			all[i].labeled = predictors.CountLabeled(all[i].sel)
+			all[i].conflicts = predictors.LabelConflicts(all[i].sel)
 		}
 		var cands []cand
-		for len(cands) == 0 {
-			for _, v := range pending {
-				var sel []predictors.Selected
-				if !plan.Prune[v] {
-					sel = m.Select(ctx, v)
-				}
-				if predictors.CountLabeled(sel) >= g1 && predictors.LabelConflicts(sel) <= g2 {
-					cands = append(cands, cand{v: v, sel: sel})
+		for {
+			for _, c := range all {
+				if c.labeled >= g1 && c.conflicts <= g2 {
+					cands = append(cands, c)
 				}
 			}
 			if len(cands) > 0 {

@@ -220,3 +220,39 @@ func TestSchedulePolicyString(t *testing.T) {
 		t.Fatal("unknown policy name empty")
 	}
 }
+
+// countingMethod counts Select calls.
+type countingMethod struct {
+	predictors.Method
+	calls *int
+}
+
+func (m countingMethod) Select(ctx *predictors.Context, v tag.NodeID) []predictors.Selected {
+	*m.calls++
+	return m.Method.Select(ctx, v)
+}
+
+// Selections depend on Known, which changes only between rounds, so a
+// round selects each pending query once, however many times it relaxes
+// (γ1, γ2) before a query qualifies.
+func TestBoostSelectsOncePerRound(t *testing.T) {
+	f := newFixture(t, 500, 120, 67)
+	calls := 0
+	m := countingMethod{Method: predictors.KHopRandom{K: 2}, calls: &calls}
+	cfg := BoostConfig{Gamma1: 8, Gamma2: 0} // the first round must relax
+	_, trace, err := Boost(f.freshCtx(), m, f.sim, Plan{Queries: f.split.Query}, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if trace[0].Gamma1 == cfg.Gamma1 && trace[0].Gamma2 == cfg.Gamma2 {
+		t.Fatalf("first round did not relax: %+v", trace[0])
+	}
+	want, pending := 0, len(f.split.Query)
+	for _, r := range trace {
+		want += pending
+		pending -= r.Executed
+	}
+	if calls != want {
+		t.Fatalf("Select called %d times over %d rounds, want %d (once per pending query per round)", calls, len(trace), want)
+	}
+}

@@ -11,6 +11,7 @@ package encode
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -103,31 +104,65 @@ func (e *Encoder) Encode(text string) []float64 {
 	return v
 }
 
+// Sparse is a sparse vector: Weights[i] is the value at dimension
+// Dims[i], Dims increase strictly, and Norm is the L2 norm of Weights
+// summed in dimension order. Every sum over a Sparse runs in dimension
+// order, so equal inputs give bit-identical results on every call.
+type Sparse struct {
+	Dims    []int32
+	Weights []float64
+	Norm    float64
+}
+
+// NewSparse returns the vector with the given dimensions (strictly
+// increasing) and weights, storing their norm. It keeps both slices.
+func NewSparse(dims []int32, weights []float64) Sparse {
+	var sq float64
+	for _, x := range weights {
+		sq += x * x
+	}
+	return Sparse{Dims: dims, Weights: weights, Norm: math.Sqrt(sq)}
+}
+
+// CountIDs sorts ids in place and returns each distinct ID once, in
+// increasing order, with the number of times it occurs.
+func CountIDs(ids []int32) (dims []int32, counts []float64) {
+	slices.Sort(ids)
+	n := 0
+	for i, d := range ids {
+		if i == 0 || d != ids[i-1] {
+			n++
+		}
+	}
+	dims, counts = make([]int32, 0, n), make([]float64, 0, n)
+	for i, d := range ids {
+		if i == 0 || d != ids[i-1] {
+			dims = append(dims, d)
+			counts = append(counts, 0)
+		}
+		counts[len(counts)-1]++
+	}
+	return dims, counts
+}
+
 // EncodeSparse embeds text as a sparse L2-normalized vector, suitable
 // for similarity over large vocabularies.
-func (e *Encoder) EncodeSparse(text string) map[int]float64 {
-	v := map[int]float64{}
-	for _, w := range strings.Fields(text) {
+func (e *Encoder) EncodeSparse(text string) Sparse {
+	words := strings.Fields(text)
+	ids := make([]int32, 0, len(words))
+	for _, w := range words {
 		if d, ok := e.index[w]; ok {
-			v[d]++
+			ids = append(ids, int32(d))
 		}
 	}
+	dims, v := CountIDs(ids)
 	if e.idf != nil {
-		for d := range v {
-			v[d] *= e.idf[d]
+		for i, d := range dims {
+			v[i] *= e.idf[d]
 		}
 	}
-	var norm float64
-	for _, x := range v {
-		norm += x * x
-	}
-	if norm > 0 {
-		norm = math.Sqrt(norm)
-		for d := range v {
-			v[d] /= norm
-		}
-	}
-	return v
+	normalize(v)
+	return NewSparse(dims, v)
 }
 
 func normalize(v []float64) {
@@ -168,25 +203,27 @@ func Cosine(a, b []float64) float64 {
 	return dot / (math.Sqrt(na) * math.Sqrt(nb))
 }
 
-// CosineSparse returns the cosine similarity of two sparse vectors.
-func CosineSparse(a, b map[int]float64) float64 {
-	if len(b) < len(a) {
-		a, b = b, a
-	}
-	var dot, na, nb float64
-	for d, x := range a {
-		na += x * x
-		if y, ok := b[d]; ok {
-			dot += x * y
-		}
-	}
-	for _, y := range b {
-		nb += y * y
-	}
-	if na == 0 || nb == 0 {
+// CosineSparse returns the cosine similarity of two sparse vectors:
+// their dot product, merged in dimension order, over the stored norms.
+// Zero vectors score zero. It is symmetric bit for bit.
+func CosineSparse(a, b Sparse) float64 {
+	if a.Norm == 0 || b.Norm == 0 {
 		return 0
 	}
-	return dot / (math.Sqrt(na) * math.Sqrt(nb))
+	var dot float64
+	for i, j := 0, 0; i < len(a.Dims) && j < len(b.Dims); {
+		switch da, db := a.Dims[i], b.Dims[j]; {
+		case da < db:
+			i++
+		case da > db:
+			j++
+		default:
+			dot += a.Weights[i] * b.Weights[j]
+			i++
+			j++
+		}
+	}
+	return dot / (a.Norm * b.Norm)
 }
 
 // Similarity scores two texts with TF-IDF cosine in the encoder's

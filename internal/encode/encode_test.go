@@ -157,19 +157,17 @@ func TestTFIDFDownweightsUbiquitousWords(t *testing.T) {
 	vCommon := e.EncodeSparse("common")
 	vRare := e.EncodeSparse("rareone")
 	var wc, wr float64
-	for _, x := range vCommon {
+	for _, x := range vCommon.Weights {
 		wc = x
 	}
-	for _, x := range vRare {
+	for _, x := range vRare.Weights {
 		wr = x
 	}
 	// Single-word texts normalize to weight 1 regardless; compare via a
 	// mixed document instead.
 	mixed := e.EncodeSparse("common rareone")
 	var raw []float64
-	for _, x := range mixed {
-		raw = append(raw, x)
-	}
+	raw = append(raw, mixed.Weights...)
 	if len(raw) != 2 {
 		t.Fatalf("expected 2 nonzero dims, got %d", len(raw))
 	}

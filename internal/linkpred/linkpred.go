@@ -16,7 +16,6 @@ package linkpred
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"strings"
 
@@ -304,37 +303,27 @@ func NewSimLink(g *tag.Graph, seed uint64) *SimLink {
 // Meter exposes cumulative token usage.
 func (s *SimLink) Meter() *token.Meter { return &s.meter }
 
-// classEvidence returns the normalized class-evidence vector of text.
-func (s *SimLink) classEvidence(text string) map[int]float64 {
-	out := map[int]float64{}
-	var total float64
+// classEvidence returns the normalized class-evidence vector of text:
+// one dimension per class its known words signal, weighted by that
+// class's share of those words.
+func (s *SimLink) classEvidence(text string) encode.Sparse {
+	var ids []int32
 	for _, w := range strings.Fields(text) {
 		if k, ok := s.wordClass[w]; ok {
-			out[k]++
-			total++
+			ids = append(ids, int32(k))
 		}
 	}
-	for k := range out {
-		out[k] /= total
+	dims, weights := encode.CountIDs(ids)
+	total := float64(len(ids))
+	for i := range weights {
+		weights[i] /= total
 	}
-	return out
+	return encode.NewSparse(dims, weights)
 }
 
-func cosineMap(a, b map[int]float64) float64 {
-	var dot, na, nb float64
-	for k, x := range a {
-		na += x * x
-		if y, ok := b[k]; ok {
-			dot += x * y
-		}
-	}
-	for _, y := range b {
-		nb += y * y
-	}
-	if na == 0 || nb == 0 {
-		return 0
-	}
-	return dot / (math.Sqrt(na) * math.Sqrt(nb))
+// affinity is the cosine of two texts' class evidence.
+func (s *SimLink) affinity(textA, textB string) float64 {
+	return encode.CosineSparse(s.classEvidence(textA), s.classEvidence(textB))
 }
 
 // Query implements LinkPredictor.
@@ -343,7 +332,7 @@ func (s *SimLink) Query(promptText string) (LinkResponse, error) {
 	if err != nil {
 		return LinkResponse{}, err
 	}
-	affinity := cosineMap(s.classEvidence(parsed.textA), s.classEvidence(parsed.textB))
+	affinity := s.affinity(parsed.textA, parsed.textB)
 
 	// Shared bigrams capture quoted-phrase affinity between the texts —
 	// the strongest lexical cue for a real citation/co-purchase pair.

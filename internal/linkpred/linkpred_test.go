@@ -1,6 +1,7 @@
 package linkpred
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -288,5 +289,33 @@ func TestVariantsComplete(t *testing.T) {
 		if r.Accuracy <= 0.4 || r.Accuracy > 1 {
 			t.Fatalf("variant %s accuracy %.3f implausible", name, r.Accuracy)
 		}
+	}
+}
+
+// TestAffinityBitIdentical pins the affinity SimLink.Query thresholds
+// to one float64 per prompt: the cosine of two class-evidence vectors
+// sums in class order, so repeated calls agree bit for bit and a link
+// answer cannot flip between runs.
+func TestAffinityBitIdentical(t *testing.T) {
+	d := testDataset(t, 500, 60, 17)
+	s := NewSimLink(d.Graph, 3)
+	multi := 0
+	for _, pair := range d.Test {
+		parsed, err := parseLinkPrompt(d.BuildLinkPrompt(pair, true, 4))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(s.classEvidence(parsed.textA).Dims) > 1 && len(s.classEvidence(parsed.textB).Dims) > 1 {
+			multi++
+		}
+		want := math.Float64bits(s.affinity(parsed.textA, parsed.textB))
+		for i := 0; i < 200; i++ {
+			if got := math.Float64bits(s.affinity(parsed.textA, parsed.textB)); got != want {
+				t.Fatalf("pair %v: affinity bits %x on call %d, %x on the first", pair, got, i+2, want)
+			}
+		}
+	}
+	if multi == 0 {
+		t.Fatal("no pair has evidence for several classes on both sides, so summation order is untested")
 	}
 }

@@ -12,8 +12,9 @@
 package predictors
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"repro/internal/encode"
@@ -166,38 +167,38 @@ func (SNS) Ranked() bool { return true }
 // maxSNSHops is the exploration cap from the SNS paper.
 const maxSNSHops = 5
 
-// Select implements Method.
+// Select implements Method. It walks outward one hop at a time and
+// stops at the first hop that brings the labeled count to M. Candidate
+// order does not matter: the ranking is a total order on (score, ID).
 func (SNS) Select(ctx *Context, v tag.NodeID) []Selected {
-	var labeled []tag.NodeID
-	for k := 1; k <= maxSNSHops; k++ {
-		hood, _ := ctx.Graph.KHop(v, k)
-		labeled = labeled[:0]
-		for _, u := range hood {
-			if ctx.label(u) != "" {
-				labeled = append(labeled, u)
-			}
-		}
-		if len(labeled) >= ctx.M {
-			break
-		}
-	}
-	if len(labeled) == 0 {
-		return nil
-	}
-	sim := ctx.similarity()
 	type scored struct {
 		id tag.NodeID
 		s  float64
 	}
-	ss := make([]scored, len(labeled))
-	for i, u := range labeled {
-		ss[i] = scored{id: u, s: sim.Score(v, u)}
-	}
-	sort.Slice(ss, func(i, j int) bool {
-		if ss[i].s != ss[j].s {
-			return ss[i].s > ss[j].s
+	var ss []scored
+	ctx.Graph.Walk(v, maxSNSHops, func(_ int, level []tag.NodeID) bool {
+		for _, u := range level {
+			if ctx.label(u) != "" {
+				ss = append(ss, scored{id: u})
+			}
 		}
-		return ss[i].id < ss[j].id
+		return len(ss) < ctx.M
+	})
+	if len(ss) == 0 {
+		return nil
+	}
+	sim := ctx.similarity()
+	for i := range ss {
+		ss[i].s = sim.Score(v, ss[i].id)
+	}
+	slices.SortFunc(ss, func(a, b scored) int {
+		switch {
+		case a.s > b.s:
+			return -1
+		case a.s < b.s:
+			return 1
+		}
+		return cmp.Compare(a.id, b.id)
 	})
 	n := ctx.M
 	if n > len(ss) {
@@ -211,9 +212,12 @@ func (SNS) Select(ctx *Context, v tag.NodeID) []Selected {
 }
 
 // Similarity caches TF-IDF sparse embeddings of all node texts and
-// scores node pairs by cosine — the offline SimCSE substitute.
+// scores node pairs by cosine — the offline SimCSE substitute. Scores
+// are sums in dimension order over sorted vectors with stored norms,
+// so a pair scores bit-identically on every call, in either order, and
+// in every index built from the same graph.
 type Similarity struct {
-	vecs []map[int]float64
+	vecs []encode.Sparse
 }
 
 // NewSimilarity precomputes embeddings for every node of g.
@@ -223,7 +227,7 @@ func NewSimilarity(g *tag.Graph) *Similarity {
 		corpus[i] = g.Text(tag.NodeID(i))
 	}
 	enc := encode.NewTFIDF(corpus, 0)
-	s := &Similarity{vecs: make([]map[int]float64, len(corpus))}
+	s := &Similarity{vecs: make([]encode.Sparse, len(corpus))}
 	for i, text := range corpus {
 		s.vecs[i] = enc.EncodeSparse(text)
 	}
@@ -234,15 +238,22 @@ func NewSimilarity(g *tag.Graph) *Similarity {
 // one per node — the hook for alternative text encoders (skip-gram,
 // hashing) to back SNS instead of the TF-IDF default.
 func NewSimilarityDense(vecs [][]float64) *Similarity {
-	s := &Similarity{vecs: make([]map[int]float64, len(vecs))}
+	s := &Similarity{vecs: make([]encode.Sparse, len(vecs))}
 	for i, v := range vecs {
-		sparse := make(map[int]float64)
-		for d, x := range v {
+		n := 0
+		for _, x := range v {
 			if x != 0 {
-				sparse[d] = x
+				n++
 			}
 		}
-		s.vecs[i] = sparse
+		dims, weights := make([]int32, 0, n), make([]float64, 0, n)
+		for d, x := range v {
+			if x != 0 {
+				dims = append(dims, int32(d))
+				weights = append(weights, x)
+			}
+		}
+		s.vecs[i] = encode.NewSparse(dims, weights)
 	}
 	return s
 }

@@ -24,6 +24,7 @@ package prompt
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -194,6 +195,7 @@ func (c Compressor) CompressStats(promptText string) (string, CompressStats) {
 // span is one scored compressible unit of an abstract.
 type span struct {
 	text  string
+	words []string // text's words; text is their single-space join
 	score float64
 }
 
@@ -324,7 +326,7 @@ func splitSpans(text string) []span {
 			if e > end {
 				e = end
 			}
-			out = append(out, span{text: strings.Join(words[s:e], " ")})
+			out = append(out, span{text: strings.Join(words[s:e], " "), words: words[s:e:e]})
 		}
 		start = end
 	}
@@ -348,31 +350,34 @@ func splitSpans(text string) []span {
 // words survives. The background includes the span itself, so the
 // divergence is always finite.
 func scoreSpans(promptText string, abs []abstract) {
-	background := map[string]float64{}
-	var backgroundTotal float64
-	for _, w := range strings.Fields(promptText) {
+	words := strings.Fields(promptText)
+	background := make(map[string]float64, len(words))
+	for _, w := range words {
 		background[w]++
-		backgroundTotal++
 	}
+	backgroundTotal := float64(len(words))
+	// Score over the span's distinct words, in first-appearance order,
+	// plus one catch-all bucket holding the rest of the prompt's mass.
+	// KLDivergence normalizes q over its own sum, so this equals the
+	// full-vocabulary computation exactly, at O(span words) per span
+	// instead of O(vocabulary). A span has at most spanWords words, so
+	// a linear scan finds repeats; the buffers serve every span.
+	var distinct []string
+	var p, q []float64
 	for ai := range abs {
 		for si := range abs[ai].spans {
-			// Score over the span's distinct words plus one catch-all
-			// bucket holding the rest of the prompt's mass. KLDivergence
-			// normalizes q over its own sum, so this equals the
-			// full-vocabulary computation exactly, at O(span words) per
-			// span instead of O(vocabulary).
-			words := strings.Fields(abs[ai].spans[si].text)
-			spanCounts := map[string]float64{}
-			var p, q []float64
+			distinct, p, q = distinct[:0], p[:0], q[:0]
 			rest := backgroundTotal
-			for _, w := range words {
-				if _, seen := spanCounts[w]; !seen {
+			for _, w := range abs[ai].spans[si].words {
+				k := slices.Index(distinct, w)
+				if k < 0 {
+					k = len(distinct)
+					distinct = append(distinct, w)
 					p = append(p, 0)
 					q = append(q, background[w])
 					rest -= background[w]
-					spanCounts[w] = float64(len(p) - 1)
 				}
-				p[int(spanCounts[w])]++
+				p[k]++
 			}
 			p = append(p, 0)
 			q = append(q, rest)

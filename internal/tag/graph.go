@@ -14,7 +14,9 @@ package tag
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"sync"
 
 	"repro/internal/textgen"
 	"repro/internal/xrand"
@@ -93,29 +95,81 @@ func (g *Graph) Text(v NodeID) string {
 // ordered by hop distance and then by ID. HopOf[i] gives the distance
 // of the i-th returned node.
 func (g *Graph) KHop(v NodeID, k int) (nodes []NodeID, hopOf []int) {
-	if k <= 0 {
-		return nil, nil
+	g.Walk(v, k, func(hop int, level []NodeID) bool {
+		slices.Sort(level)
+		nodes = append(nodes, level...)
+		for range level {
+			hopOf = append(hopOf, hop)
+		}
+		return true
+	})
+	return nodes, hopOf
+}
+
+// Walk explores v's neighborhood breadth-first, one hop at a time, for
+// at most maxHops hops. After each hop it calls visit with the hop
+// number and the level: every node first reached at that hop, in no
+// particular order (v itself is never in a level). The walk stops when
+// visit returns false, when maxHops hops are done, or when a level is
+// empty. Visit may reorder level in place but must not keep it: the
+// slice is reused once visit returns.
+//
+// A walk marks visited nodes in a visited-stamp array taken from a
+// pool, so it allocates nothing once warm, and concurrent walks never
+// share an array.
+func (g *Graph) Walk(v NodeID, maxHops int, visit func(hop int, level []NodeID) bool) {
+	if maxHops <= 0 {
+		return
 	}
-	dist := map[NodeID]int{v: 0}
-	frontier := []NodeID{v}
-	for h := 1; h <= k && len(frontier) > 0; h++ {
-		var next []NodeID
-		for _, u := range frontier {
-			for _, w := range g.adj[u] {
-				if _, seen := dist[w]; !seen {
-					dist[w] = h
-					next = append(next, w)
+	w := walkers.Get().(*walker)
+	mark := w.begin(len(g.adj))
+	seen := w.seen
+	seen[v] = mark
+	buf := append(w.buf[:0], v)
+	// buf holds every node reached so far, level after level;
+	// buf[lo:hi] is the frontier.
+	lo, hi := 0, 1
+	for hop := 1; hop <= maxHops; hop++ {
+		for _, u := range buf[lo:hi] {
+			for _, x := range g.adj[u] {
+				if seen[x] != mark {
+					seen[x] = mark
+					buf = append(buf, x)
 				}
 			}
 		}
-		sort.Slice(next, func(i, j int) bool { return next[i] < next[j] })
-		for _, w := range next {
-			nodes = append(nodes, w)
-			hopOf = append(hopOf, h)
+		lo, hi = hi, len(buf)
+		if lo == hi || !visit(hop, buf[lo:hi]) {
+			break
 		}
-		frontier = next
 	}
-	return nodes, hopOf
+	w.buf = buf[:0]
+	walkers.Put(w)
+}
+
+// walker is the reusable state of one Walk: seen[u] == epoch marks u
+// as reached by the current walk, so starting a walk costs one
+// increment instead of clearing an array.
+type walker struct {
+	seen  []uint32
+	epoch uint32
+	buf   []NodeID
+}
+
+var walkers = sync.Pool{New: func() any { return new(walker) }}
+
+// begin starts a walk over a graph of n nodes and returns its mark.
+func (w *walker) begin(n int) uint32 {
+	if len(w.seen) < n {
+		w.seen = make([]uint32, n)
+		w.epoch = 0
+	}
+	w.epoch++
+	if w.epoch == 0 { // wrapped: stamps of old walks could collide
+		clear(w.seen)
+		w.epoch = 1
+	}
+	return w.epoch
 }
 
 // EdgeHomophily returns the fraction of edges whose endpoints share a

@@ -1,6 +1,8 @@
 package tag
 
 import (
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -337,5 +339,78 @@ func TestStatsFields(t *testing.T) {
 	}
 	if st.Name != "Cora" || st.NodeType != "Paper" {
 		t.Fatalf("descriptor fields wrong: %+v", st)
+	}
+}
+
+// refKHop is the map-based breadth-first search KHop replaced, kept as
+// the reference its walk must reproduce: hop, then node ID.
+func refKHop(g *Graph, v NodeID, k int) (nodes []NodeID, hopOf []int) {
+	if k <= 0 {
+		return nil, nil
+	}
+	dist := map[NodeID]int{v: 0}
+	frontier := []NodeID{v}
+	for h := 1; h <= k && len(frontier) > 0; h++ {
+		var next []NodeID
+		for _, u := range frontier {
+			for _, w := range g.adj[u] {
+				if _, seen := dist[w]; !seen {
+					dist[w] = h
+					next = append(next, w)
+				}
+			}
+		}
+		sort.Slice(next, func(i, j int) bool { return next[i] < next[j] })
+		for _, w := range next {
+			nodes = append(nodes, w)
+			hopOf = append(hopOf, h)
+		}
+		frontier = next
+	}
+	return nodes, hopOf
+}
+
+func TestKHopMatchesReference(t *testing.T) {
+	g, _ := smallGraph(t, 400, 29)
+	for v := NodeID(0); int(v) < g.NumNodes(); v++ {
+		for k := 0; k <= 5; k++ {
+			nodes, hops := g.KHop(v, k)
+			wantNodes, wantHops := refKHop(g, v, k)
+			if !slices.Equal(nodes, wantNodes) || !slices.Equal(hops, wantHops) {
+				t.Fatalf("KHop(%d, %d) = %v %v, want %v %v", v, k, nodes, hops, wantNodes, wantHops)
+			}
+		}
+	}
+}
+
+func TestWalkStopsWhenVisitDeclines(t *testing.T) {
+	g, _ := smallGraph(t, 400, 31)
+	var v NodeID
+	for g.Degree(v) == 0 {
+		v++
+	}
+	var hops []int
+	g.Walk(v, 5, func(hop int, level []NodeID) bool {
+		hops = append(hops, hop)
+		return hop < 2
+	})
+	if !slices.Equal(hops, []int{1, 2}) {
+		t.Fatalf("visited hops %v, want [1 2]", hops)
+	}
+	// The walk after an early stop starts clean: no stamp leaks from
+	// the stopped walk into the next one.
+	want, _ := refKHop(g, v, 3)
+	if nodes, _ := g.KHop(v, 3); !slices.Equal(nodes, want) {
+		t.Fatal("KHop after an early-stopped walk differs from the reference")
+	}
+}
+
+func TestWalkerEpochWrapClearsStamps(t *testing.T) {
+	w := &walker{seen: []uint32{0, ^uint32(0), 7}, epoch: ^uint32(0)}
+	if mark := w.begin(3); mark != 1 {
+		t.Fatalf("mark after wrap = %d, want 1", mark)
+	}
+	if !slices.Equal(w.seen, []uint32{0, 0, 0}) {
+		t.Fatalf("stamps after wrap = %v, want cleared", w.seen)
 	}
 }

@@ -15,6 +15,7 @@ import (
 	"strings"
 	"sync/atomic"
 	"unicode"
+	"unicode/utf8"
 )
 
 // maxPiece is the longest run of letters emitted as a single token.
@@ -107,40 +108,57 @@ func Tokenize(text string) []string {
 // Count returns the number of tokens in text. It is the unit used for
 // every budget computation in the repository.
 func Count(text string) int {
-	// Counting without materializing the token slice keeps the hot
-	// path (per-prompt metering) allocation-free.
+	// Counting walks the string in place, without materializing runes,
+	// words or the token slice: the hot path (per-prompt metering)
+	// allocates nothing. An invalid byte decodes as utf8.RuneError of
+	// width 1, a symbol, so it counts one token, as in Tokenize.
 	n := 0
-	i := 0
-	rs := []rune(text)
-	for i < len(rs) {
-		r := rs[i]
+	for i := 0; i < len(text); {
+		r, size := decodeRune(text, i)
 		switch {
 		case unicode.IsSpace(r):
-			i++
+			i += size
 		case unicode.IsLetter(r):
-			j := i
-			for j < len(rs) && unicode.IsLetter(rs[j]) {
-				j++
+			j := i + size
+			for j < len(text) {
+				r, size := decodeRune(text, j)
+				if !unicode.IsLetter(r) {
+					break
+				}
+				j += size
 			}
-			n += wordTokens(string(rs[i:j]))
+			n += wordTokens(text[i:j])
 			i = j
 		case unicode.IsDigit(r):
-			j := i
-			for j < len(rs) && unicode.IsDigit(rs[j]) {
-				j++
+			j := i + size
+			for j < len(text) {
+				r, size := decodeRune(text, j)
+				if !unicode.IsDigit(r) {
+					break
+				}
+				j += size
 			}
-			n += (len(string(rs[i:j])) + 2) / 3
+			n += (j - i + 2) / 3
 			i = j
 		default:
 			n++
-			i++
+			i += size
 		}
 	}
 	return n
 }
 
+// decodeRune returns the rune starting at text[i] and its width in
+// bytes, with a fast path for ASCII.
+func decodeRune(text string, i int) (rune, int) {
+	if c := text[i]; c < utf8.RuneSelf {
+		return rune(c), 1
+	}
+	return utf8.DecodeRuneInString(text[i:])
+}
+
 func wordTokens(w string) int {
-	if len(w) <= maxPiece || common[strings.ToLower(w)] {
+	if len(w) <= maxPiece || isCommon(w) {
 		return 1
 	}
 	n := len(w) / maxPiece
@@ -150,6 +168,33 @@ func wordTokens(w string) int {
 	}
 	// rem == 1 folds into the previous piece; rem == 0 is exact.
 	return n
+}
+
+// maxCommonLen is the byte length of the longest common word.
+const maxCommonLen = len("categories")
+
+// isCommon reports whether w, lowercased, is a common word. ASCII
+// words are lowercased into a stack buffer, so the check allocates
+// nothing; other words go through strings.ToLower, which may change
+// their length (the Kelvin sign U+212A lowercases to ASCII 'k').
+func isCommon(w string) bool {
+	var buf [maxCommonLen]byte
+	for i := 0; i < len(w); i++ {
+		c := w[i]
+		if c >= utf8.RuneSelf {
+			return common[strings.ToLower(w)]
+		}
+		if i == len(buf) {
+			// Its lowercase keeps these len(buf) ASCII bytes and
+			// adds at least one: longer than every common word.
+			return false
+		}
+		if 'A' <= c && c <= 'Z' {
+			c += 'a' - 'A'
+		}
+		buf[i] = c
+	}
+	return common[string(buf[:len(w)])]
 }
 
 // Meter accumulates token usage across many queries. It is the

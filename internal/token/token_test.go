@@ -37,6 +37,18 @@ func TestCommonLongWordsAreSingleTokens(t *testing.T) {
 	}
 }
 
+// Every common word is one token in any ASCII case: Count lowercases
+// ASCII words into a buffer sized for the longest common word.
+func TestCommonWordsAnyCaseAreSingleTokens(t *testing.T) {
+	for w := range common {
+		for _, v := range []string{w, strings.ToUpper(w), strings.ToUpper(w[:1]) + w[1:]} {
+			if got := Count(v); got != 1 {
+				t.Errorf("Count(%q) = %d, want 1 (common word)", v, got)
+			}
+		}
+	}
+}
+
 func TestRareLongWordsSplit(t *testing.T) {
 	// 12 letters, not common: 3 pieces of 4.
 	if got := Count("zxqvbnmkljhg"); got != 3 {
@@ -171,4 +183,33 @@ func TestUnicodeLettersCounted(t *testing.T) {
 	if got := Count("naïve café"); got < 2 {
 		t.Fatalf("Count(unicode) = %d, want >= 2", got)
 	}
+}
+
+func TestCountAllocatesNothing(t *testing.T) {
+	if allocs := testing.AllocsPerRun(100, func() { Count(benchText) }); allocs != 0 {
+		t.Fatalf("Count allocated %.0f times per call, want 0", allocs)
+	}
+}
+
+// FuzzCount checks Count against Tokenize on arbitrary bytes, which
+// the quick checks above never produce: invalid UTF-8 counts one token
+// per byte, and letters whose lowercase changes length (the Kelvin
+// sign lowercases to ASCII 'k') must still match the common words.
+func FuzzCount(f *testing.F) {
+	for _, s := range []string{
+		"",
+		benchText,
+		"\xff\xfe ok \xc3",
+		"caf\xc3\xa9 na\xc3\xafve \xe2\x82\xac 12\xd9\xa3",
+		"li\u212aely Li\u212aely \u212a\u212a\u212a\u212a",
+		"CATEGORIES Categoriesx TITLE\u0130",
+		"\ufffd\xed\xa0\x80",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		if got, want := Count(s), len(Tokenize(s)); got != want {
+			t.Fatalf("Count(%q) = %d, Tokenize length = %d", s, got, want)
+		}
+	})
 }

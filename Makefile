@@ -73,21 +73,24 @@ chaos:
 # warmcache proves the persistent prompt cache end-to-end across two
 # processes: a cold mqobench run populates the cache directory, and the
 # warm re-run must answer every prompt from disk. The warm run's metrics
-# snapshot (BENCH_cache.json) must contain zero predictor calls
-# (mqo_sim_queries_total absent) and zero cache misses; the target fails
-# otherwise.
+# snapshot (a temporary file, removed afterwards) must contain zero
+# predictor calls (mqo_sim_queries_total absent) and zero cache misses,
+# and must record cache hits; the target fails otherwise.
 warmcache:
 	rm -rf warmcache.dir
 	$(GO) run ./cmd/mqobench -exp table4 -fast -seed 1 -cache-dir warmcache.dir > /dev/null
-	$(GO) run ./cmd/mqobench -exp table4 -fast -seed 1 -cache-dir warmcache.dir -metrics-json BENCH_cache.json > /dev/null 2>&1
-	rm -rf warmcache.dir
-	@if grep -q mqo_sim_queries_total BENCH_cache.json; then \
-		echo "warmcache: FAIL - warm run paid predictor calls"; exit 1; fi
-	@if grep -q mqo_cache_misses_total BENCH_cache.json; then \
-		echo "warmcache: FAIL - warm run missed the cache"; exit 1; fi
-	@grep -q mqo_cache_hits_total BENCH_cache.json || \
-		{ echo "warmcache: FAIL - no cache hits recorded"; exit 1; }
-	@echo "warmcache: warm run served entirely from cache (BENCH_cache.json)"
+	@snap=$$(mktemp); status=0; \
+	$(GO) run ./cmd/mqobench -exp table4 -fast -seed 1 -cache-dir warmcache.dir -metrics-json $$snap > /dev/null 2>&1 || \
+		{ echo "warmcache: FAIL - warm run failed"; status=1; }; \
+	if [ $$status -eq 0 ] && grep -q mqo_sim_queries_total $$snap; then \
+		echo "warmcache: FAIL - warm run paid predictor calls"; status=1; fi; \
+	if [ $$status -eq 0 ] && grep -q mqo_cache_misses_total $$snap; then \
+		echo "warmcache: FAIL - warm run missed the cache"; status=1; fi; \
+	if [ $$status -eq 0 ] && ! grep -q mqo_cache_hits_total $$snap; then \
+		echo "warmcache: FAIL - no cache hits recorded"; status=1; fi; \
+	rm -rf warmcache.dir $$snap; \
+	if [ $$status -eq 0 ]; then echo "warmcache: warm run served entirely from cache"; fi; \
+	exit $$status
 
 # traceguard proves end-to-end latency attribution: a fully-traced
 # mqorun must produce, for every query, a ledger whose billed stages

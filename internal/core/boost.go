@@ -61,9 +61,11 @@ func Boost(ctx *predictors.Context, m predictors.Method, p llm.Predictor, plan P
 // BoostWith is Boost with bounded concurrency inside each round. Rounds
 // are already barriers — neighbor selections and prompts are fixed
 // before a round executes and pseudo-labels are applied only after it —
-// so running a round's queries in parallel is semantics-preserving:
-// with an order-independent predictor, any worker count produces
-// bit-identical rounds, predictions and token totals.
+// so planning a round's queries and running them in parallel is
+// semantics-preserving: selections and prompts are built on up to
+// ecfg.Workers goroutines and placed by index, and with an
+// order-independent predictor any worker count produces bit-identical
+// rounds, predictions and token totals.
 //
 // A query whose dispatch fails permanently is dropped from the pending
 // set (its pseudo-label never appears) and reported in the aggregated
@@ -119,22 +121,23 @@ func BoostWith(ctx *predictors.Context, m predictors.Method, p llm.Predictor, pl
 
 		// Step 1: candidate selection with refreshed neighbor text,
 		// relaxing thresholds until candidates exist. Selections depend
-		// on Known, not on (γ1, γ2), so each round selects once and
-		// relaxing only re-filters.
+		// on Known, not on (γ1, γ2), so each round selects once, fanned
+		// out over the workers, and relaxing only re-filters.
 		type cand struct {
 			v                  tag.NodeID
 			sel                []predictors.Selected
 			labeled, conflicts int
 		}
 		all := make([]cand, len(pending))
-		for i, v := range pending {
-			all[i].v = v
-			if !plan.Prune[v] {
-				all[i].sel = m.Select(ctx, v)
+		fanOut(len(pending), ecfg.Workers, func(i int) {
+			c := cand{v: pending[i]}
+			if !plan.Prune[c.v] {
+				c.sel = m.Select(ctx, c.v)
 			}
-			all[i].labeled = predictors.CountLabeled(all[i].sel)
-			all[i].conflicts = predictors.LabelConflicts(all[i].sel)
-		}
+			c.labeled = predictors.CountLabeled(c.sel)
+			c.conflicts = predictors.LabelConflicts(c.sel)
+			all[i] = c
+		})
 		var cands []cand
 		for {
 			for _, c := range all {
@@ -156,29 +159,33 @@ func BoostWith(ctx *predictors.Context, m predictors.Method, p llm.Predictor, pl
 		}
 
 		// Step 2: execute this round's candidates. Their prompts are
-		// fixed here — before any of them runs — so the round can fan
-		// out across workers without changing what is asked.
+		// fixed here — built and compressed across the workers, each
+		// placed by its candidate's index, before any of them runs — so
+		// the round can fan out without changing what is asked.
 		_, roundSpan := obs.StartSpanCtx(obs.ContextWithSpan(context.Background(), planSpan), rec,
 			"core.round", "round", strconv.Itoa(round),
 			"gamma1", strconv.Itoa(g1), "gamma2", strconv.Itoa(g2))
 		roundPseudo := 0
-		planned := make([]plannedQuery, 0, len(cands))
 		for _, c := range cands {
 			for _, s := range c.sel {
 				if s.Label != "" && isPseudo[s.ID] {
 					roundPseudo++
 				}
 			}
-			planned = append(planned, plannedQuery{
+		}
+		planned := make([]plannedQuery, len(cands))
+		fanOut(len(cands), ecfg.Workers, func(i int) {
+			c := cands[i]
+			planned[i] = plannedQuery{
 				v:        c.v,
 				pruned:   plan.Prune[c.v],
 				equipped: len(c.sel) > 0,
 				prompt:   predictors.BuildPrompt(ctx, c.v, c.sel, m.Ranked() && len(c.sel) > 0),
-			})
-			if ecfg.Compress.Enabled() {
-				planned[len(planned)-1].compress(ecfg.Compress, rec, "boost")
 			}
-		}
+			if ecfg.Compress.Enabled() {
+				planned[i].compress(ecfg.Compress, rec, "boost")
+			}
+		})
 		if rs != nil {
 			rs.bind(planned)
 		}
@@ -227,7 +234,9 @@ func BoostWith(ctx *predictors.Context, m predictors.Method, p llm.Predictor, pl
 
 		// Step 3: add pseudo-labels after the whole round, so queries
 		// within one round do not see each other's answers (the rounds
-		// of Algorithm 2 are the units of label propagation).
+		// of Algorithm 2 are the units of label propagation). This is
+		// the only write to Known: Steps 1 and 2 read it from several
+		// goroutines and have all returned by now.
 		for _, o := range outcomes {
 			ctx.Known[o.v] = o.category
 			isPseudo[o.v] = true

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/predictors"
@@ -221,38 +222,40 @@ func TestSchedulePolicyString(t *testing.T) {
 	}
 }
 
-// countingMethod counts Select calls.
+// countingMethod counts Select calls, which may run concurrently.
 type countingMethod struct {
 	predictors.Method
-	calls *int
+	calls *atomic.Int64
 }
 
 func (m countingMethod) Select(ctx *predictors.Context, v tag.NodeID) []predictors.Selected {
-	*m.calls++
+	m.calls.Add(1)
 	return m.Method.Select(ctx, v)
 }
 
 // Selections depend on Known, which changes only between rounds, so a
 // round selects each pending query once, however many times it relaxes
-// (γ1, γ2) before a query qualifies.
+// (γ1, γ2) before a query qualifies — serially or fanned out.
 func TestBoostSelectsOncePerRound(t *testing.T) {
 	f := newFixture(t, 500, 120, 67)
-	calls := 0
-	m := countingMethod{Method: predictors.KHopRandom{K: 2}, calls: &calls}
-	cfg := BoostConfig{Gamma1: 8, Gamma2: 0} // the first round must relax
-	_, trace, err := Boost(f.freshCtx(), m, f.sim, Plan{Queries: f.split.Query}, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if trace[0].Gamma1 == cfg.Gamma1 && trace[0].Gamma2 == cfg.Gamma2 {
-		t.Fatalf("first round did not relax: %+v", trace[0])
-	}
-	want, pending := 0, len(f.split.Query)
-	for _, r := range trace {
-		want += pending
-		pending -= r.Executed
-	}
-	if calls != want {
-		t.Fatalf("Select called %d times over %d rounds, want %d (once per pending query per round)", calls, len(trace), want)
+	for _, workers := range []int{1, 8} {
+		var calls atomic.Int64
+		m := countingMethod{Method: predictors.KHopRandom{K: 2}, calls: &calls}
+		cfg := BoostConfig{Gamma1: 8, Gamma2: 0} // the first round must relax
+		_, trace, err := BoostWith(f.freshCtx(), m, f.sim, Plan{Queries: f.split.Query}, cfg, ExecConfig{Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if trace[0].Gamma1 == cfg.Gamma1 && trace[0].Gamma2 == cfg.Gamma2 {
+			t.Fatalf("first round did not relax: %+v", trace[0])
+		}
+		want, pending := int64(0), len(f.split.Query)
+		for _, r := range trace {
+			want += int64(pending)
+			pending -= r.Executed
+		}
+		if got := calls.Load(); got != want {
+			t.Fatalf("workers %d: Select called %d times over %d rounds, want %d (once per pending query per round)", workers, got, len(trace), want)
+		}
 	}
 }

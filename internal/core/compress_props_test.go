@@ -135,3 +135,29 @@ func TestEstimateCompressedCacheNoDoubleDiscount(t *testing.T) {
 		t.Errorf("one-warm perNeighbor %v, want %v", gotNb, wantNb)
 	}
 }
+
+// TestEstimateCompressedPinned pins the estimator's averages on a
+// seeded 25-query sample, for both selection styles, with and without
+// compression and a token budget. The figures are token sums over 25,
+// so they compare exactly.
+func TestEstimateCompressedPinned(t *testing.T) {
+	fx, m := compressFixture(t)
+	for _, tc := range []struct {
+		m          predictors.Method
+		comp       prompt.Compressor
+		perQuery   float64
+		perNbrText float64
+	}{
+		{m, prompt.Compressor{}, 1353.96, 962.12},
+		{m, prompt.Compressor{Level: 1}, 554.92, 367.36},
+		{m, prompt.Compressor{Level: 2, TargetTokens: 150}, 258.08, 118.52},
+		{predictors.SNS{}, prompt.Compressor{}, 1684.6, 1292.76},
+		{predictors.SNS{}, prompt.Compressor{Level: 1}, 689.12, 501.56},
+		{predictors.SNS{}, prompt.Compressor{Level: 2, TargetTokens: 150}, 313.76, 174.2},
+	} {
+		q, nb := EstimateQueryTokensCompressed(fx.ctx, tc.m, fx.split.Query, 25, tc.comp, nil)
+		if q != tc.perQuery || nb != tc.perNbrText {
+			t.Errorf("%s %+v: estimate (%v, %v), want (%v, %v)", tc.m.Name(), tc.comp, q, nb, tc.perQuery, tc.perNbrText)
+		}
+	}
+}

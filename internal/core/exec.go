@@ -16,6 +16,8 @@ import (
 	"fmt"
 	"sort"
 	"strconv"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/batch"
@@ -179,16 +181,18 @@ func ExecuteQueryVanilla(ctx *predictors.Context, p llm.Predictor, v tag.NodeID)
 //
 // With Workers > 1 the queries of a plan (or of one boosting round,
 // whose prompts are fixed before the round executes) run concurrently
-// through the batch executor. Neighbor selection and prompt
-// construction stay on the calling goroutine and results are applied in
-// stable plan order, so — given an order-independent predictor such as
-// *llm.Sim or an HTTP endpoint at temperature 0 — predictions, token
-// totals and accuracy are bit-identical for any worker count. The one
-// exception is BudgetTokens: which queries are refused once a hard
-// token cap trips depends on completion order.
+// through the batch executor, and planning fans out too: neighbor
+// selection, prompt construction and compression run on up to Workers
+// goroutines, each query's prompt placed by its index in the plan.
+// Planning only reads the Context, and results are applied in stable
+// plan order, so — given an order-independent predictor such as
+// *llm.Sim or an HTTP endpoint at temperature 0 — prompts,
+// predictions, token totals and accuracy are bit-identical for any
+// worker count. The one exception is BudgetTokens: which queries are
+// refused once a hard token cap trips depends on completion order.
 type ExecConfig struct {
-	// Workers is the number of concurrent in-flight queries; values
-	// below 1 mean serial execution.
+	// Workers is the number of concurrent in-flight queries, and of
+	// goroutines planning them; values below 1 mean serial execution.
 	Workers int
 	// QPS caps the dispatch rate across workers; 0 means unlimited.
 	QPS float64
@@ -489,28 +493,61 @@ func (q *plannedQuery) compress(comp prompt.Compressor, rec obs.Recorder, mode s
 	rec.Observe(metricCompressionRatio, st.Ratio(), "mode", mode)
 }
 
-// buildQueries materializes selections and prompts for the given nodes
-// on the calling goroutine, keeping Method and Context single-threaded.
-// With compression enabled each prompt is compressed in place, so
-// everything downstream — dispatch, caching, token metering — sees only
-// the compressed bytes.
-func buildQueries(ctx *predictors.Context, m predictors.Method, queries []tag.NodeID, prune map[tag.NodeID]bool, comp prompt.Compressor, rec obs.Recorder, mode string) []plannedQuery {
-	out := make([]plannedQuery, 0, len(queries))
-	for _, v := range queries {
+// fanOut runs f(i) for every i < n on up to workers goroutines, which
+// take indices from one atomic counter, and returns when every call
+// has. It runs inline, in index order, when workers <= 1 or n <= 1.
+// Callers write f's results into pre-sized slices by index, so the
+// outcome does not depend on which goroutine ran which index.
+func fanOut(n, workers int, f func(i int)) {
+	workers = min(workers, n)
+	if workers <= 1 {
+		for i := 0; i < n; i++ {
+			f(i)
+		}
+		return
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= n {
+					return
+				}
+				f(i)
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// buildQueries materializes selections and prompts for the given nodes,
+// fanned out over workers goroutines with each query placed by index.
+// Planning only reads ctx, so concurrent Select calls are safe (see
+// predictors.Method). With compression enabled each prompt is
+// compressed in place, so everything downstream — dispatch, caching,
+// token metering — sees only the compressed bytes.
+func buildQueries(ctx *predictors.Context, m predictors.Method, queries []tag.NodeID, prune map[tag.NodeID]bool, comp prompt.Compressor, workers int, rec obs.Recorder, mode string) []plannedQuery {
+	out := make([]plannedQuery, len(queries))
+	fanOut(len(queries), workers, func(i int) {
+		v := queries[i]
 		var sel []predictors.Selected
 		if !prune[v] {
 			sel = m.Select(ctx, v)
 		}
-		out = append(out, plannedQuery{
+		out[i] = plannedQuery{
 			v:        v,
 			pruned:   prune[v],
 			equipped: len(sel) > 0,
 			prompt:   predictors.BuildPrompt(ctx, v, sel, m.Ranked() && len(sel) > 0),
-		})
-		if comp.Enabled() {
-			out[len(out)-1].compress(comp, rec, mode)
 		}
-	}
+		if comp.Enabled() {
+			out[i].compress(comp, rec, mode)
+		}
+	})
 	return out
 }
 
@@ -660,7 +697,7 @@ func ExecuteWith(ctx *predictors.Context, m predictors.Method, p llm.Predictor, 
 	if err != nil {
 		return nil, err
 	}
-	planned := buildQueries(ctx, m, plan.Queries, plan.Prune, cfg.Compress, rec, "plain")
+	planned := buildQueries(ctx, m, plan.Queries, plan.Prune, cfg.Compress, cfg.Workers, rec, "plain")
 	if rs != nil {
 		rs.bind(planned)
 	}
@@ -779,13 +816,13 @@ func EstimateQueryTokensCompressed(ctx *predictors.Context, m predictors.Method,
 	var full, bare float64
 	for _, v := range sampled {
 		sel := m.Select(ctx, v)
-		withNb := comp.Compress(predictors.BuildPrompt(ctx, v, sel, m.Ranked() && len(sel) > 0))
+		withNb, st := comp.CompressStats(predictors.BuildPrompt(ctx, v, sel, m.Ranked() && len(sel) > 0))
 		if cached != nil && cached(withNb) {
 			continue // zero marginal tokens: the answer is already on disk
 		}
-		vanilla := comp.Compress(predictors.BuildPrompt(ctx, v, nil, false))
-		full += float64(token.Count(withNb))
-		bare += float64(token.Count(vanilla))
+		_, vanilla := comp.CompressStats(predictors.BuildPrompt(ctx, v, nil, false))
+		full += float64(st.TokensAfter)
+		bare += float64(vanilla.TokensAfter)
 	}
 	n := float64(sample)
 	return full / n, (full - bare) / n

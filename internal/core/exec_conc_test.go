@@ -2,12 +2,18 @@ package core
 
 import (
 	"errors"
+	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/llm"
+	"repro/internal/obs"
 	"repro/internal/predictors"
+	"repro/internal/prompt"
 	"repro/internal/tag"
 	"repro/internal/token"
 )
@@ -50,54 +56,105 @@ func assertSameResults(t *testing.T, label string, a, b *Results) {
 	}
 }
 
-func TestExecuteWithWorkersDeterministic(t *testing.T) {
-	f := newFixture(t, 400, 120, 11)
-	m := predictors.KHopRandom{K: 2}
-	plan := RandomPrunePlan(f.split.Query, 0.3, 11)
+// planShape is what a determinism test plans with: a k-hop baseline
+// without compression, or batch-boost's shape — SNS over a fresh
+// Context (so the fanned-out planning builds the similarity index
+// itself), neighbor abstracts and level-1 compression.
+type planShape struct {
+	name      string
+	m         predictors.Method
+	abstracts bool
+	comp      prompt.Compressor
+}
 
-	serialSim := llm.NewSim(llm.GPT35(), f.g.Vocab, f.g.Classes, 13)
-	serial, err := ExecuteWith(f.freshCtx(), m, serialSim, plan, ExecConfig{Workers: 1})
+func planShapes(k int) []planShape {
+	return []planShape{
+		{name: fmt.Sprintf("%d-hop", k), m: predictors.KHopRandom{K: k}},
+		{name: "sns-compressed", m: predictors.SNS{}, abstracts: true, comp: prompt.Compressor{Level: 1}},
+	}
+}
+
+// shapedRun is one plan run, with everything the worker count must not
+// change.
+type shapedRun struct {
+	res        *Results
+	trace      []RoundTrace
+	streamed   map[tag.NodeID]string // OnResult categories
+	compressed float64               // mqo_prompt_compressed_tokens_total
+}
+
+// runShaped runs plan over a fresh Context with a fresh simulator
+// seeded simSeed: boosted when boost is set, plain otherwise.
+func runShaped(t *testing.T, f *fixture, sh planShape, plan Plan, simSeed uint64, boost bool, workers int) shapedRun {
+	t.Helper()
+	ctx := f.freshCtx()
+	ctx.IncludeAbstracts = sh.abstracts
+	reg := obs.NewRegistry()
+	ctx.Obs = reg
+	sim := llm.NewSim(llm.GPT35(), f.g.Vocab, f.g.Classes, simSeed)
+	out := shapedRun{streamed: map[tag.NodeID]string{}}
+	var mu sync.Mutex
+	cfg := ExecConfig{
+		Workers:  workers,
+		Compress: sh.comp,
+		OnResult: func(q QueryOutcome) {
+			mu.Lock()
+			out.streamed[q.Node] = q.Category
+			mu.Unlock()
+		},
+	}
+	mode := "plain"
+	var err error
+	if boost {
+		mode = "boost"
+		out.res, out.trace, err = BoostWith(ctx, sh.m, sim, plan, DefaultBoostConfig(), cfg)
+	} else {
+		out.res, err = ExecuteWith(ctx, sh.m, sim, plan, cfg)
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
+	out.compressed = reg.CounterValue(metricCompressedTokens, "mode", mode)
+	return out
+}
 
-	for _, workers := range []int{2, 8} {
-		sim := llm.NewSim(llm.GPT35(), f.g.Vocab, f.g.Classes, 13)
-		res, err := ExecuteWith(f.freshCtx(), m, sim, plan, ExecConfig{Workers: workers})
-		if err != nil {
-			t.Fatal(err)
+func assertSameRuns(t *testing.T, label string, sh planShape, a, b shapedRun) {
+	t.Helper()
+	assertSameResults(t, label, a.res, b.res)
+	if a.res.PseudoLabelUses != b.res.PseudoLabelUses {
+		t.Fatalf("%s: pseudo-label uses %d vs %d", label, a.res.PseudoLabelUses, b.res.PseudoLabelUses)
+	}
+	if !slices.Equal(a.trace, b.trace) {
+		t.Fatalf("%s: round traces differ:\n%+v\n%+v", label, a.trace, b.trace)
+	}
+	if !maps.Equal(a.streamed, b.streamed) || len(a.streamed) != len(a.res.Pred) {
+		t.Fatalf("%s: OnResult streamed %d and %d categories for %d predictions, or they differ",
+			label, len(a.streamed), len(b.streamed), len(a.res.Pred))
+	}
+	if a.compressed != b.compressed || sh.comp.Enabled() && a.compressed <= 0 {
+		t.Fatalf("%s: compression saved %v vs %v tokens", label, a.compressed, b.compressed)
+	}
+}
+
+func TestExecuteWithWorkersDeterministic(t *testing.T) {
+	f := newFixture(t, 400, 120, 11)
+	plan := RandomPrunePlan(f.split.Query, 0.3, 11)
+	for _, sh := range planShapes(2) {
+		serial := runShaped(t, f, sh, plan, 13, false, 1)
+		for _, workers := range []int{2, 8} {
+			res := runShaped(t, f, sh, plan, 13, false, workers)
+			assertSameRuns(t, fmt.Sprintf("execute %s, %d workers", sh.name, workers), sh, serial, res)
 		}
-		assertSameResults(t, "execute", serial, res)
 	}
 }
 
 func TestBoostWithWorkersDeterministic(t *testing.T) {
 	f := newFixture(t, 400, 80, 17)
-	m := predictors.KHopRandom{K: 1}
 	plan := Plan{Queries: f.split.Query}
-
-	serialSim := llm.NewSim(llm.GPT35(), f.g.Vocab, f.g.Classes, 19)
-	serial, serialTrace, err := BoostWith(f.freshCtx(), m, serialSim, plan, DefaultBoostConfig(), ExecConfig{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	sim := llm.NewSim(llm.GPT35(), f.g.Vocab, f.g.Classes, 19)
-	res, trace, err := BoostWith(f.freshCtx(), m, sim, plan, DefaultBoostConfig(), ExecConfig{Workers: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSameResults(t, "boost", serial, res)
-	if len(trace) != len(serialTrace) {
-		t.Fatalf("round counts differ: %d vs %d", len(trace), len(serialTrace))
-	}
-	for i := range trace {
-		if trace[i] != serialTrace[i] {
-			t.Fatalf("round %d trace differs: %+v vs %+v", i, trace[i], serialTrace[i])
-		}
-	}
-	if res.PseudoLabelUses != serial.PseudoLabelUses {
-		t.Fatalf("pseudo-label uses %d vs %d", res.PseudoLabelUses, serial.PseudoLabelUses)
+	for _, sh := range planShapes(1) {
+		serial := runShaped(t, f, sh, plan, 19, true, 1)
+		res := runShaped(t, f, sh, plan, 19, true, 8)
+		assertSameRuns(t, "boost "+sh.name, sh, serial, res)
 	}
 }
 

@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"slices"
 	"strings"
+	"sync"
 
 	"repro/internal/encode"
 	"repro/internal/obs"
@@ -80,7 +81,10 @@ type Context struct {
 	// unless obs.SetDefault installed a registry).
 	Obs obs.Recorder
 
-	sim *Similarity // lazily built by SNS
+	// sim is built on the first SNS selection, once under simOnce, and
+	// read without a lock after that.
+	simOnce sync.Once
+	sim     *Similarity
 }
 
 // nodeRNG returns the deterministic stream for sampling around node v.
@@ -89,6 +93,13 @@ func (ctx *Context) nodeRNG(v tag.NodeID) *xrand.RNG {
 }
 
 // Method selects prompt neighbors for a query node.
+//
+// Select may be called from several goroutines at once on one
+// *Context: plan building fans selections out over the execution
+// workers. It must only read the Context; Known changes only between
+// plan rounds, never while selections run. Vanilla, KHopRandom and SNS
+// are safe: the walks take pooled visited stamps, sampling draws from
+// a per-node stream, and SNS builds its similarity index once.
 type Method interface {
 	Name() string
 	// Ranked reports whether the method orders neighbors most-related
@@ -263,16 +274,20 @@ func (s *Similarity) Score(a, b tag.NodeID) float64 {
 	return encode.CosineSparse(s.vecs[a], s.vecs[b])
 }
 
-// similarity lazily builds (and caches) the dataset's similarity index.
+// similarity returns the dataset's similarity index, building it on
+// first use. Concurrent first callers wait for one build and share it.
 func (ctx *Context) similarity() *Similarity {
-	if ctx.sim == nil {
-		ctx.sim = NewSimilarity(ctx.Graph)
-	}
+	ctx.simOnce.Do(func() {
+		if ctx.sim == nil {
+			ctx.sim = NewSimilarity(ctx.Graph)
+		}
+	})
 	return ctx.sim
 }
 
 // SetSimilarity installs a prebuilt similarity index (useful when
-// several contexts share one dataset).
+// several contexts share one dataset). Call it before planning over
+// ctx, not while selections run.
 func (ctx *Context) SetSimilarity(s *Similarity) { ctx.sim = s }
 
 // BuildPrompt renders the query prompt for node v with the selected

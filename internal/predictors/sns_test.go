@@ -159,6 +159,48 @@ func TestWalksConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
+// TestSNSConcurrentFirstUse starts 8 goroutines at once on a fresh
+// Context whose similarity index is not built yet, as a fanned-out
+// plan does. Each must get the serial results, and all must share one
+// index. Run it with -race -count=10.
+func TestSNSConcurrentFirstUse(t *testing.T) {
+	ref := pseudoLabeled(t, 400, 47)
+	n := ref.Graph.NumNodes()
+	want := make([][]Selected, n)
+	for v := range want {
+		want[v] = SNS{}.Select(ref, tag.NodeID(v))
+	}
+	ctx := &Context{Graph: ref.Graph, Known: ref.Known, M: ref.M, Seed: ref.Seed}
+	const workers = 8
+	indexes := make([]*Similarity, workers)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			<-start
+			for i := 0; i < n; i++ {
+				v := tag.NodeID((i + w*n/workers) % n)
+				if got := (SNS{}).Select(ctx, v); !slices.Equal(got, want[v]) {
+					t.Errorf("goroutine %d node %d: %v, serial %v", w, v, got, want[v])
+					return
+				}
+				if i == 0 {
+					indexes[w] = ctx.similarity()
+				}
+			}
+		}(w)
+	}
+	close(start)
+	wg.Wait()
+	for w, idx := range indexes {
+		if idx != indexes[0] {
+			t.Fatalf("goroutine %d got index %p, goroutine 0 got %p: the index was built more than once", w, idx, indexes[0])
+		}
+	}
+}
+
 // BenchmarkSNSSelect measures one SNS selection on full pubmed with
 // the paper's labeled split (20 per class) over a fixed node sample;
 // the similarity index is built before the timer starts.

@@ -139,83 +139,95 @@ func (c Compressor) Compress(promptText string) string {
 
 // CompressStats is Compress with before/after token accounting for the
 // metrics and ledger layers.
+//
+// The prompt is split into lines once, and each abstract's body into
+// words once; validation, span scoring and rendering all read those
+// splits. Both token totals come from one table that counts each
+// distinct word's tokens once. They are exact: token.Count never forms
+// a token across whitespace, and strings.Fields splits on the same
+// whitespace, so a prompt's count is the sum of its words' counts.
 func (c Compressor) CompressStats(promptText string) (string, CompressStats) {
-	before := token.Count(promptText)
-	st := CompressStats{TokensBefore: before, TokensAfter: before}
 	if !c.Enabled() {
-		return promptText, st
+		return promptText, uncompressed(promptText)
 	}
-	if _, err := Parse(promptText); err != nil {
-		return promptText, st
+	lines := strings.Split(promptText, "\n")
+	if _, err := parseLines(lines); err != nil {
+		return promptText, uncompressed(promptText)
 	}
-	abs := findAbstracts(promptText)
+	abs := findAbstracts(lines)
 	if len(abs) == 0 {
-		return promptText, st
+		return promptText, uncompressed(promptText)
 	}
-	scoreSpans(promptText, abs)
+	before := scoreSpans(lines, abs)
 
 	// Phase 1 — level caps: each abstract keeps its cap's worth of
 	// densest spans. The target abstract always keeps at least one span
 	// so Parse still recovers the target node.
 	spanCap := levelSpanCap(c.level())
+	total := before
 	for i := range abs {
-		abs[i].keepTop(spanCap)
+		total -= abs[i].keepTop(spanCap)
 	}
 
 	// Phase 2 — token budget: drop the globally lowest-density spans
-	// (later spans first on ties) until the rendered prompt fits. The
-	// running total is tracked incrementally: token.Count never forms a
-	// token across whitespace, so dropping a space-separated span
-	// shrinks the prompt by exactly that span's count (plus the
-	// "Abstract:" prefix when a neighbor's line empties out and is
-	// removed entirely).
-	if c.TargetTokens > 0 {
-		total := token.Count(render(promptText, abs))
-		if total > c.TargetTokens {
-			prefixTokens := token.Count("Abstract:")
-			for _, d := range droppable(abs) {
-				if total <= c.TargetTokens {
-					break
-				}
-				a := &abs[d.abs]
-				a.kept[d.span] = false
-				total -= token.Count(a.spans[d.span].text)
-				if !a.target && a.keptCount() == 0 {
-					total -= prefixTokens
-				}
+	// (later spans first on ties) until the rendered prompt fits.
+	// Dropping a span shrinks the prompt by exactly that span's count,
+	// plus the "Abstract:" prefix when a neighbor's line empties out and
+	// is removed entirely.
+	if c.TargetTokens > 0 && total > c.TargetTokens {
+		for _, d := range droppable(abs) {
+			if total <= c.TargetTokens {
+				break
+			}
+			a := &abs[d.abs]
+			a.kept[d.span] = false
+			total -= a.spans[d.span].tokens
+			if !a.target && a.keptCount() == 0 {
+				total -= abstractPrefixTokens
 			}
 		}
 	}
-
-	out := render(promptText, abs)
-	st.TokensAfter = token.Count(out)
-	return out, st
+	return render(promptText, lines, abs), CompressStats{TokensBefore: before, TokensAfter: total}
 }
 
-// span is one scored compressible unit of an abstract.
+// uncompressed is the accounting of a prompt left as it is.
+func uncompressed(promptText string) CompressStats {
+	n := token.Count(promptText)
+	return CompressStats{TokensBefore: n, TokensAfter: n}
+}
+
+// abstractPrefixTokens is what removing a neighbor's emptied Abstract
+// line saves beyond its spans.
+var abstractPrefixTokens = token.Count("Abstract:")
+
+// span is one scored compressible unit of an abstract: the words
+// [lo, hi) of its abstract.
 type span struct {
-	text  string
-	words []string // text's words; text is their single-space join
-	score float64
+	lo, hi int
+	tokens int // token.Count of the span's words
+	score  float64
 }
 
 // abstract is one compressible Abstract line of a prompt.
 type abstract struct {
 	line   int // index into the prompt's lines
 	target bool
+	words  []string // the body's words, after "Abstract: "
+	ids    []int32  // each word's entry in the prompt's vocab
 	spans  []span
 	kept   []bool
 }
 
 // keepTop keeps the cap densest spans (earlier spans win ties — the
-// opening of an abstract is its topic statement) and drops the rest.
-// The target abstract keeps at least one span regardless.
-func (a *abstract) keepTop(spanCap int) {
+// opening of an abstract is its topic statement) and drops the rest,
+// returning the tokens dropped. The target abstract keeps at least one
+// span regardless.
+func (a *abstract) keepTop(spanCap int) (dropped int) {
 	if spanCap < 1 {
 		spanCap = 1
 	}
 	if len(a.spans) <= spanCap {
-		return
+		return 0
 	}
 	idx := make([]int, len(a.spans))
 	for i := range idx {
@@ -228,7 +240,9 @@ func (a *abstract) keepTop(spanCap int) {
 	})
 	for _, i := range idx[spanCap:] {
 		a.kept[i] = false
+		dropped += a.spans[i].tokens
 	}
+	return dropped
 }
 
 // keptCount returns how many spans survive so far.
@@ -277,18 +291,17 @@ func droppable(abs []abstract) []dropRef {
 	return out
 }
 
-// findAbstracts locates the compressible Abstract lines: the target's
-// (line 1, guaranteed by Parse) and each neighbor entry's.
-func findAbstracts(promptText string) []abstract {
-	lines := strings.Split(promptText, "\n")
+// findAbstracts locates the compressible Abstract lines, in line order:
+// the target's (line 1, guaranteed by Parse) and each neighbor entry's.
+func findAbstracts(lines []string) []abstract {
 	var out []abstract
 	add := func(i int, target bool) {
-		body := strings.TrimPrefix(lines[i], "Abstract: ")
-		spans := splitSpans(body)
+		words := strings.Fields(strings.TrimPrefix(lines[i], "Abstract: "))
+		spans := splitSpans(words)
 		if len(spans) == 0 {
 			return
 		}
-		a := abstract{line: i, target: target, spans: spans, kept: make([]bool, len(spans))}
+		a := abstract{line: i, target: target, words: words, spans: spans, kept: make([]bool, len(spans))}
 		for j := range a.kept {
 			a.kept[j] = true
 		}
@@ -311,22 +324,18 @@ func findAbstracts(promptText string) []abstract {
 	return out
 }
 
-// splitSpans cuts abstract text into spans: sentence boundaries first
-// (a word ending in ./!/? terminates a sentence), then fixed windows of
-// spanWords within each sentence. Chunking restarts at every sentence
-// boundary, so re-splitting the canonical join of any kept subset never
-// yields more spans than were kept — the invariant behind idempotence.
-func splitSpans(text string) []span {
-	words := strings.Fields(text)
+// splitSpans cuts an abstract's words into spans: sentence boundaries
+// first (a word ending in ./!/? terminates a sentence), then fixed
+// windows of spanWords within each sentence. Chunking restarts at
+// every sentence boundary, so re-splitting the canonical join of any
+// kept subset never yields more spans than were kept — the invariant
+// behind idempotence.
+func splitSpans(words []string) []span {
 	var out []span
 	start := 0
 	flush := func(end int) {
 		for s := start; s < end; s += spanWords {
-			e := s + spanWords
-			if e > end {
-				e = end
-			}
-			out = append(out, span{text: strings.Join(words[s:e], " "), words: words[s:e:e]})
+			out = append(out, span{lo: s, hi: min(s+spanWords, end)})
 		}
 		start = end
 	}
@@ -340,87 +349,167 @@ func splitSpans(text string) []span {
 	return out
 }
 
-// scoreSpans assigns each span its signal density: the cross-entropy
-// (in bits per word) of the span's word distribution under the whole
-// prompt's — H(p_span) + D_KL(p_span ‖ p_prompt), which is the mean
-// self-information of the span's words under the prompt's unigram
-// model. It is the unigram analog of LongLLMLingua's perplexity
-// ranking: a span of words repeated all over the prompt carries little
-// signal and is dropped first; a span concentrating rare, distinctive
-// words survives. The background includes the span itself, so the
-// divergence is always finite.
-func scoreSpans(promptText string, abs []abstract) {
-	words := strings.Fields(promptText)
-	background := make(map[string]float64, len(words))
-	for _, w := range words {
-		background[w]++
+// vocab is a prompt's unigram table: each distinct word's occurrence
+// count and its token count, counted once per distinct word.
+type vocab struct {
+	index map[string]int32
+	stats []wordStat // by word id
+	words int        // occurrences of all words
+	sum   int        // tokens of all occurrences: token.Count of the prompt
+}
+
+type wordStat struct {
+	n      float64 // occurrences
+	tokens int     // token.Count of the word
+}
+
+// add records one occurrence of w and returns its id.
+func (v *vocab) add(w string) int32 {
+	id, ok := v.index[w]
+	if !ok {
+		id = int32(len(v.stats))
+		v.index[w] = id
+		v.stats = append(v.stats, wordStat{tokens: token.Count(w)})
 	}
-	backgroundTotal := float64(len(words))
+	st := &v.stats[id]
+	st.n++
+	v.words++
+	v.sum += st.tokens
+	return id
+}
+
+// scoreSpans counts the prompt's words and assigns each span its
+// token count and its signal density, returning the prompt's token
+// count. The density is the cross-entropy (in bits per word) of the
+// span's word distribution under the whole prompt's — H(p_span) +
+// D_KL(p_span ‖ p_prompt), which is the mean self-information of the
+// span's words under the prompt's unigram model. It is the unigram
+// analog of LongLLMLingua's perplexity ranking: a span of words
+// repeated all over the prompt carries little signal and is dropped
+// first; a span concentrating rare, distinctive words survives. The
+// background includes the span itself, so the divergence is always
+// finite.
+func scoreSpans(lines []string, abs []abstract) int {
+	nwords := 0
+	for ai := range abs {
+		nwords += len(abs[ai].words)
+	}
+	v := vocab{index: make(map[string]int32, nwords), stats: make([]wordStat, 0, nwords)}
+	// The background is every word of the prompt: an abstract line's
+	// "Abstract:" and span words, and every other line's fields.
+	ids := make([]int32, nwords)
+	next := 0
+	for i, line := range lines {
+		if next < len(abs) && abs[next].line == i {
+			a := &abs[next]
+			v.add("Abstract:")
+			a.ids, ids = ids[:len(a.words):len(a.words)], ids[len(a.words):]
+			for k, w := range a.words {
+				a.ids[k] = v.add(w)
+			}
+			next++
+			continue
+		}
+		for _, w := range strings.Fields(line) {
+			v.add(w)
+		}
+	}
 	// Score over the span's distinct words, in first-appearance order,
 	// plus one catch-all bucket holding the rest of the prompt's mass.
 	// KLDivergence normalizes q over its own sum, so this equals the
 	// full-vocabulary computation exactly, at O(span words) per span
 	// instead of O(vocabulary). A span has at most spanWords words, so
 	// a linear scan finds repeats; the buffers serve every span.
-	var distinct []string
+	var distinct []int32
 	var p, q []float64
 	for ai := range abs {
-		for si := range abs[ai].spans {
+		a := &abs[ai]
+		for si := range a.spans {
+			s := &a.spans[si]
 			distinct, p, q = distinct[:0], p[:0], q[:0]
-			rest := backgroundTotal
-			for _, w := range abs[ai].spans[si].words {
-				k := slices.Index(distinct, w)
+			rest := float64(v.words)
+			for _, id := range a.ids[s.lo:s.hi] {
+				st := v.stats[id]
+				s.tokens += st.tokens
+				k := slices.Index(distinct, id)
 				if k < 0 {
 					k = len(distinct)
-					distinct = append(distinct, w)
+					distinct = append(distinct, id)
 					p = append(p, 0)
-					q = append(q, background[w])
-					rest -= background[w]
+					q = append(q, st.n)
+					rest -= st.n
 				}
 				p[k]++
 			}
 			p = append(p, 0)
 			q = append(q, rest)
-			abs[ai].spans[si].score = infotheory.Entropy(p) +
-				infotheory.KLDivergence(p, q)
+			s.score = infotheory.Entropy(p) + infotheory.KLDivergence(p, q)
 		}
 	}
+	return v.sum
 }
 
-// render reconstructs the prompt with the surviving spans. An abstract
-// whose span set is unchanged keeps its original bytes; a changed one
-// is re-rendered canonically in the Build format ("Abstract: <spans
-// joined by single spaces> "), and a neighbor abstract losing every
-// span loses its whole line — exactly what Build emits for an empty
-// neighbor abstract.
-func render(promptText string, abs []abstract) string {
-	lines := strings.Split(promptText, "\n")
-	drop := map[int]bool{}
+// render reconstructs the prompt with the surviving spans, writing
+// into one buffer sized to the output. An abstract whose span set is
+// unchanged keeps its original bytes; a changed one is re-rendered
+// canonically in the Build format ("Abstract: <kept words joined by
+// single spaces> "), and a neighbor abstract losing every span loses
+// its whole line — exactly what Build emits for an empty neighbor
+// abstract. A prompt with nothing dropped is returned as it is.
+func render(promptText string, lines []string, abs []abstract) string {
+	size, changed := len(promptText), false
 	for ai := range abs {
 		a := &abs[ai]
-		if a.keptCount() == len(a.spans) {
+		kept := a.keptCount()
+		if kept == len(a.spans) {
 			continue
 		}
-		var kept []string
-		for si, k := range a.kept {
-			if k {
-				kept = append(kept, a.spans[si].text)
+		changed = true
+		size -= len(lines[a.line])
+		if kept == 0 && !a.target {
+			size-- // the line's newline
+			continue
+		}
+		size += len("Abstract: ")
+		for si, s := range a.spans {
+			if a.kept[si] {
+				for _, w := range a.words[s.lo:s.hi] {
+					size += len(w) + 1
+				}
 			}
 		}
-		if len(kept) == 0 && !a.target {
-			drop[a.line] = true
-			continue
+	}
+	if !changed {
+		return promptText
+	}
+	var b strings.Builder
+	b.Grow(size)
+	next := 0
+	for i, line := range lines {
+		if next < len(abs) && abs[next].line == i {
+			a := &abs[next]
+			next++
+			if kept := a.keptCount(); kept < len(a.spans) {
+				if kept == 0 && !a.target {
+					continue
+				}
+				// An abstract is never the first line.
+				b.WriteString("\nAbstract: ")
+				for si, s := range a.spans {
+					if a.kept[si] {
+						for _, w := range a.words[s.lo:s.hi] {
+							b.WriteString(w)
+							b.WriteByte(' ')
+						}
+					}
+				}
+				continue
+			}
 		}
-		lines[a.line] = "Abstract: " + strings.Join(kept, " ") + " "
-	}
-	if len(drop) == 0 {
-		return strings.Join(lines, "\n")
-	}
-	out := make([]string, 0, len(lines))
-	for i, l := range lines {
-		if !drop[i] {
-			out = append(out, l)
+		if i > 0 {
+			b.WriteByte('\n')
 		}
+		b.WriteString(line)
 	}
-	return strings.Join(out, "\n")
+	return b.String()
 }

@@ -88,6 +88,9 @@ func FuzzParseResponse(f *testing.F) {
 //  4. Parse still recovers the target node: the first line (target
 //     title) is untouched and the compressed prompt parses with the
 //     same category list.
+//
+// On every input, enabled or not, the reported totals are exactly
+// token.Count of the input and of the output.
 func FuzzCompress(f *testing.F) {
 	f.Add(Build(compressSample()), 1, 0)
 	f.Add(Build(compressSample()), 2, 150)
@@ -101,6 +104,14 @@ func FuzzCompress(f *testing.F) {
 	f.Add("Target paper: Title: x \nAbstract:  \nTask: \nCategories: \n[A]\n", 3, 10)
 	f.Add("not a prompt at all", 2, 5)
 	f.Add("", 1, 1)
+	// The budget empties the neighbor's abstract, so its whole line,
+	// "Abstract:" included, leaves the prompt.
+	f.Add(Build(Request{
+		TargetTitle:    "t",
+		TargetAbstract: "kept words.",
+		Neighbors:      []Neighbor{{Title: "n", Abstract: "dropped words"}},
+		Categories:     []string{"A"},
+	}), 1, 1)
 
 	f.Fuzz(func(t *testing.T, s string, level, target int) {
 		if level < 0 {
@@ -110,7 +121,11 @@ func FuzzCompress(f *testing.F) {
 			target = -target
 		}
 		c := Compressor{Level: level % (MaxCompressLevel + 1), TargetTokens: target % 2048}
-		out := c.Compress(s)
+		out, st := c.CompressStats(s)
+		if st.TokensBefore != token.Count(s) || st.TokensAfter != token.Count(out) {
+			t.Fatalf("stats %+v, want {%d %d} under %+v:\n--- in ---\n%s\n--- out ---\n%s",
+				st, token.Count(s), token.Count(out), c, s, out)
+		}
 
 		parsedIn, inErr := Parse(s)
 		if inErr != nil || !c.Enabled() {

@@ -112,8 +112,13 @@ type Parsed struct {
 
 // Parse recovers the structured query from a prompt built by Build.
 func Parse(p string) (Parsed, error) {
+	return parseLines(strings.Split(p, "\n"))
+}
+
+// parseLines is Parse over a prompt already split into lines, so the
+// compressor validates, locates abstracts and renders from one split.
+func parseLines(lines []string) (Parsed, error) {
 	var out Parsed
-	lines := strings.Split(p, "\n")
 	i := 0
 
 	// Target line: "Target <type>: Title: ... "

@@ -400,11 +400,10 @@ func (s *Server) Close() {
 
 // batcher is the tier's single scheduling goroutine: it waits for
 // work, keeps the window open for Config.Window so concurrent requests
-// coalesce, then flushes the queue as one shared plan. Windows run
-// sequentially — plan building walks the shared graph context, which
-// is single-threaded by design — so while one window executes, the
-// next one's requests pile up behind it (that queue *is* the
-// backpressure signal MaxQueue bounds).
+// coalesce, then flushes the queue as one shared plan, whose building
+// fans out over Exec.Workers. Windows run sequentially, so while one
+// window executes, the next one's requests pile up behind it (that
+// queue *is* the backpressure signal MaxQueue bounds).
 func (s *Server) batcher() {
 	defer close(s.done)
 	for {

@@ -30,7 +30,9 @@ type Spec = tag.Spec
 type Context = predictors.Context
 
 // Method selects prompt neighbors for a query node. The paper's
-// benchmark methods differ only here.
+// benchmark methods differ only here. Plan building calls Select from
+// up to Workers goroutines at once on one *Context, so an
+// implementation must only read the Context; the built-in methods do.
 type Method = predictors.Method
 
 // Selected is one neighbor chosen for a prompt, with its visible label

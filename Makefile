@@ -7,11 +7,16 @@ all: check
 build:
 	$(GO) build ./...
 
-# vet also fails when any tracked Go file is not gofmt-formatted.
+# vet also fails when any tracked Go file is not gofmt-formatted, and
+# when non-test code outside internal/llm and bench/ type-asserts
+# llm.ContextPredictor: llm.Ask is the one place that decides whether a
+# predictor call can be canceled.
 vet:
 	$(GO) vet ./...
 	@unformatted=$$(gofmt -l $$(git ls-files '*.go')); \
 		if [ -n "$$unformatted" ]; then echo "gofmt needed:"; echo "$$unformatted"; exit 1; fi
+	@asserts=$$(git grep --untracked -nE '\.\((llm\.)?ContextPredictor\)' -- '*.go' ':!*_test.go' ':!internal/llm/' ':!bench/'); \
+		if [ -n "$$asserts" ]; then echo "call llm.Ask instead of type-asserting llm.ContextPredictor:"; echo "$$asserts"; exit 1; fi
 
 test:
 	$(GO) test ./...

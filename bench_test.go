@@ -141,7 +141,7 @@ func BenchmarkBoostRounds(b *testing.B) {
 }
 
 // BenchmarkBatchExecutor measures concurrent batch throughput over the
-// serialized simulator (workers + cache + budget accounting overhead).
+// bare simulator (workers + cache + budget accounting overhead).
 func BenchmarkBatchExecutor(b *testing.B) {
 	w, _ := benchWorkload(b)
 	ctx := w.Context()
@@ -153,7 +153,7 @@ func BenchmarkBatchExecutor(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		exec, err := mqo.NewBatchExecutor(
-			mqo.SerializePredictor(mqo.NewSim(mqo.GPT35(), w.Graph, 1)),
+			mqo.NewSim(mqo.GPT35(), w.Graph, 1),
 			mqo.BatchConfig{Workers: 8})
 		if err != nil {
 			b.Fatal(err)
@@ -181,7 +181,7 @@ func BenchmarkExecuteColdVsWarm(b *testing.B) {
 	execOnce := func(b *testing.B, cache *mqo.PromptCache, wantHits int) {
 		b.Helper()
 		exec, err := mqo.NewBatchExecutor(
-			mqo.SerializePredictor(mqo.NewSim(mqo.GPT35(), w.Graph, 1)),
+			mqo.NewSim(mqo.GPT35(), w.Graph, 1),
 			mqo.BatchConfig{Workers: 8, Disk: cache})
 		if err != nil {
 			b.Fatal(err)

@@ -230,7 +230,7 @@ func main() {
 		Addr:    *addr,
 		Handler: handler,
 		// Timeouts guarantee a half-sent or stalled request cannot pin
-		// a connection (and the predictor mutex queue) forever.
+		// a connection, or its handler goroutine, forever.
 		ReadHeaderTimeout: 10 * time.Second,
 		ReadTimeout:       60 * time.Second,
 		WriteTimeout:      60 * time.Second,

@@ -187,7 +187,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	// fitting, optimized run, boosting — shares the disk tier, and a
 	// repeated invocation with the same flags answers entirely from it.
 	var pcache *promptcache.Cache
-	var cacheNS string
 	if ex.CacheDir != "" {
 		ccfg := promptcache.Config{MaxBytes: ex.CacheMaxBytes, TTL: ex.CacheTTL}
 		if reg != nil {
@@ -198,9 +197,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 			return fmt.Errorf("opening prompt cache: %w", err)
 		}
 		defer pcache.Close()
-		cacheNS = promptcache.NamespaceVersion(pred, ecfg.Compress.TemplateVersion())
 		ecfg.Disk = pcache
-		ecfg.CacheNamespace = cacheNS
 	}
 	if *fallback {
 		sur, err := core.FitSurrogate(g, split.Labeled, core.SurrogateConfig{Seed: *seed})
@@ -253,8 +250,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 			// under the same budget.
 			var cached func(string) bool
 			if pcache != nil {
+				ns := ecfg.CacheNamespace(pred)
 				cached = func(promptText string) bool {
-					return pcache.Contains(promptcache.KeyOf(cacheNS, promptText))
+					return pcache.Contains(promptcache.KeyOf(ns, promptText))
 				}
 			}
 			perQ, perN := core.EstimateQueryTokensCompressed(newCtx(), method, split.Query, 200, ecfg.Compress, cached)

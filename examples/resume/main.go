@@ -34,7 +34,7 @@ func main() {
 
 	// First attempt: a budget that covers roughly half the batch.
 	var auditLog bytes.Buffer
-	sim := mqo.SerializePredictor(mqo.NewSim(mqo.GPT35(), g, 4))
+	sim := mqo.NewSim(mqo.GPT35(), g, 4)
 	exec1, err := mqo.NewBatchExecutor(sim, mqo.BatchConfig{
 		Workers:      4,
 		BudgetTokens: 55_000,

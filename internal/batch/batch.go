@@ -81,9 +81,8 @@ type Config struct {
 	// QueryTimeout, when > 0, bounds each predictor attempt. A call
 	// that outlives the deadline fails with ErrQueryTimeout (retryable)
 	// instead of stalling its worker: predictors implementing
-	// llm.ContextPredictor are canceled mid-flight, legacy predictors
-	// are abandoned to a watchdog (their goroutine finishes — or parks —
-	// in the background).
+	// llm.ContextPredictor are canceled mid-flight, and a Query-only
+	// call is left to finish — or park — in the background.
 	QueryTimeout time.Duration
 	// Breaker guards the predictor with a circuit breaker; the zero
 	// value (Threshold 0) disables it. While the circuit is open,
@@ -105,8 +104,8 @@ type Config struct {
 	// CacheNamespace partitions the disk cache by answer function;
 	// empty derives it from the predictor (promptcache.Namespace), which
 	// folds in the model identity, its seed and the prompt-template
-	// version. Set it explicitly only to share or isolate cache entries
-	// in a non-standard way.
+	// version. Plan execution sets it to core.ExecConfig.CacheNamespace,
+	// which adds the compression version.
 	CacheNamespace string
 	// Log, when non-nil, receives one JSON line per query outcome.
 	// Prompts are logged as SHA-256 digests, never as raw text.
@@ -184,9 +183,8 @@ type Executor struct {
 	spent atomic.Int64
 }
 
-// New builds an executor. The predictor may be used concurrently from
-// Config.Workers goroutines; wrap non-thread-safe predictors (like
-// *llm.Sim) with Serialize.
+// New builds an executor. Its Config.Workers goroutines call p
+// concurrently, as the llm.Predictor contract allows.
 func New(p llm.Predictor, cfg Config) (*Executor, error) {
 	if p == nil {
 		return nil, errors.New("batch: nil predictor")
@@ -622,10 +620,9 @@ func (e *Executor) attempt(ctx context.Context, r Request, tick <-chan time.Time
 			e.reportBreaker(false)
 			continue
 		}
-		var apiErr *llm.APIError
-		if errors.As(err, &apiErr) && apiErr.StatusCode < 500 && apiErr.StatusCode != 429 {
-			// Client error: the request's fault, not the backend's —
-			// neither retried nor counted toward the breaker.
+		if llm.ClientFault(err) {
+			// The request's fault, not the backend's: neither retried
+			// nor counted toward the breaker.
 			e.cancelBreaker()
 			e.log(logLine{ID: r.ID, PromptSHA256: digest, Attempts: attempt, Error: err.Error()})
 			return Outcome{Err: err, Attempts: attempt}, "error"
@@ -670,90 +667,38 @@ func (e *Executor) BreakerState() BreakerState {
 	return e.brk.State()
 }
 
-// query runs one predictor attempt under the per-query deadline.
-// Context-aware predictors are canceled mid-flight; legacy predictors
-// run under a watchdog that abandons the call at the deadline (a truly
-// hung call parks its goroutine — the price of the context-free
-// Predictor contract, and why ContextPredictor is preferred).
+// query runs one predictor attempt (llm.Ask) under the per-query
+// deadline, the only deadline in the stack. The call runs under a
+// watchdog that gives up on it when QueryTimeout passes: a
+// ContextPredictor is canceled through the deadline's context and
+// returns, while a Query-only call finishes, or parks, in the
+// background.
 func (e *Executor) query(ctx context.Context, promptText string) (llm.Response, error) {
-	cp, hasCtx := e.p.(llm.ContextPredictor)
 	if e.cfg.QueryTimeout <= 0 {
-		if hasCtx {
-			return cp.QueryContext(ctx, promptText)
-		}
-		return e.p.Query(promptText)
+		return llm.Ask(ctx, e.p, promptText)
 	}
 	qctx, cancel := context.WithTimeout(ctx, e.cfg.QueryTimeout)
 	defer cancel()
-	if hasCtx {
-		resp, err := cp.QueryContext(qctx, promptText)
-		if err != nil && qctx.Err() != nil && ctx.Err() == nil {
-			return llm.Response{}, fmt.Errorf("%w after %v: %v", ErrQueryTimeout, e.cfg.QueryTimeout, err)
-		}
-		return resp, err
-	}
 	type qresult struct {
 		resp llm.Response
 		err  error
 	}
 	ch := make(chan qresult, 1)
 	go func() {
-		resp, err := e.p.Query(promptText)
+		resp, err := llm.Ask(qctx, e.p, promptText)
 		ch <- qresult{resp, err}
 	}()
 	select {
 	case r := <-ch:
-		return r.resp, r.err
+		// A call that failed because the deadline passed (a
+		// ContextPredictor canceled through qctx) is a timeout too.
+		if r.err == nil || qctx.Err() == nil || ctx.Err() != nil {
+			return r.resp, r.err
+		}
 	case <-qctx.Done():
 		if ctx.Err() != nil {
 			return llm.Response{}, ctx.Err()
 		}
-		return llm.Response{}, fmt.Errorf("%w after %v", ErrQueryTimeout, e.cfg.QueryTimeout)
 	}
-}
-
-// Serialize wraps a predictor with a mutex so single-threaded
-// implementations (like *llm.Sim) can serve a concurrent Executor.
-// When the inner predictor is context-aware, the wrapper is too, so
-// per-query deadlines keep their cancellation path through the lock.
-func Serialize(p llm.Predictor) llm.Predictor {
-	s := &serialized{p: p}
-	if cp, ok := p.(llm.ContextPredictor); ok {
-		return &serializedCtx{serialized: s, cp: cp}
-	}
-	return s
-}
-
-type serialized struct {
-	mu sync.Mutex
-	p  llm.Predictor
-}
-
-// Name implements llm.Predictor.
-func (s *serialized) Name() string { return s.p.Name() }
-
-// Identity forwards the inner identity: serialization does not change
-// the answer function, so cache namespaces must not change either.
-func (s *serialized) Identity() string { return llm.IdentityOf(s.p) }
-
-// Query implements llm.Predictor under a lock.
-func (s *serialized) Query(prompt string) (llm.Response, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.p.Query(prompt)
-}
-
-// serializedCtx adds the context-aware path for inner predictors that
-// support it. The lock is still held across the call: cancellation
-// unblocks the inner predictor, which releases the lock.
-type serializedCtx struct {
-	*serialized
-	cp llm.ContextPredictor
-}
-
-// QueryContext implements llm.ContextPredictor under the lock.
-func (s *serializedCtx) QueryContext(ctx context.Context, prompt string) (llm.Response, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.cp.QueryContext(ctx, prompt)
+	return llm.Response{}, fmt.Errorf("%w after %v", ErrQueryTimeout, e.cfg.QueryTimeout)
 }

@@ -349,12 +349,14 @@ func TestExecuteInputValidation(t *testing.T) {
 	}
 }
 
-// TestSerializeAllowsConcurrentSim drives a real simulated LLM through
-// a concurrent executor and checks token accounting stays consistent.
-func TestSerializeAllowsConcurrentSim(t *testing.T) {
+// TestConcurrentSim drives a bare simulated LLM from eight workers,
+// with no lock around it, and checks token accounting stays
+// consistent; run under -race it also checks that Sim is safe for
+// concurrent use, as the llm.Predictor contract requires.
+func TestConcurrentSim(t *testing.T) {
 	g, prompts := simPrompts(t, 40)
 	sim := llm.NewSim(llm.GPT35(), g.Vocab, g.Classes, 4)
-	e, err := New(Serialize(sim), Config{Workers: 8})
+	e, err := New(sim, Config{Workers: 8})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -357,24 +357,4 @@ func TestBreakerConcurrentRace(t *testing.T) {
 	}
 }
 
-func TestSerializeForwardsQueryContext(t *testing.T) {
-	// Serializing a context-aware predictor must keep the cancellation
-	// path, or timeouts degrade to goroutine-parking watchdogs.
-	inner := &ctxHang{match: "x", inner: newScripted()}
-	if _, ok := Serialize(inner).(llm.ContextPredictor); !ok {
-		t.Fatal("Serialize dropped the ContextPredictor implementation")
-	}
-	// A plain predictor stays plain: claiming QueryContext without a
-	// real cancellation path would defeat the executor's watchdog.
-	if _, ok := Serialize(newScripted()).(llm.ContextPredictor); ok {
-		t.Fatal("Serialize invented a ContextPredictor implementation")
-	}
-	// The serialized context path still answers.
-	s := Serialize(&ctxHang{match: "never-matches", inner: newScripted()}).(llm.ContextPredictor)
-	resp, err := s.QueryContext(context.Background(), "prompt 1")
-	if err != nil || resp.Category != "A" {
-		t.Fatalf("serialized QueryContext: %v %+v", err, resp)
-	}
-}
-
 var _ = fmt.Sprintf // keep fmt imported for debugging edits

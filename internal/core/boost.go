@@ -23,9 +23,6 @@ type BoostConfig struct {
 	// RelaxGamma2First flips the relaxation order from the default
 	// (γ1 first, then γ2, alternating) — an ablation knob.
 	RelaxGamma2First bool
-	// MaxRounds caps the outer loop as a safety net; 0 means |V_Q|+K
-	// rounds, enough for full relaxation plus one round per node.
-	MaxRounds int
 }
 
 // DefaultBoostConfig returns the paper's setting γ1 = 3, γ2 = 2.
@@ -77,10 +74,9 @@ func BoostWith(ctx *predictors.Context, m predictors.Method, p llm.Predictor, pl
 	if cfg.Gamma1 < 0 || cfg.Gamma2 < 0 {
 		return nil, nil, fmt.Errorf("core: negative boosting thresholds")
 	}
-	maxRounds := cfg.MaxRounds
-	if maxRounds <= 0 {
-		maxRounds = len(plan.Queries) + len(ctx.Graph.Classes) + cfg.Gamma1 + 8
-	}
+	// A safety net on the outer loop: enough rounds for full relaxation
+	// plus one round per node.
+	maxRounds := len(plan.Queries) + len(ctx.Graph.Classes) + cfg.Gamma1 + 8
 
 	rec := obs.Active(ctx.Obs)
 	// One executor serves every round, so BudgetTokens caps the whole
@@ -94,7 +90,7 @@ func BoostWith(ctx *predictors.Context, m predictors.Method, p llm.Predictor, pl
 		rs = &resultStream{g: ctx.Graph, fb: ecfg.Fallback, hook: ecfg.OnResult}
 		ecfg.onOutcome = rs.onOutcome
 	}
-	ex, err := newPlanExecutor(p, ecfg, rec, "boost")
+	ex, err := newPlanExecutor(p, ecfg, rec)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/llm"
 	"repro/internal/predictors"
+	"repro/internal/prompt"
 	"repro/internal/tag"
 	"repro/internal/xrand"
 )
@@ -207,7 +208,12 @@ func TestInadequacySeparatesSaturation(t *testing.T) {
 	var satSum, nonSum float64
 	var satN, nonN int
 	for _, v := range f.split.Query {
-		resp, err := zeroShot(f.sim, f.g, v, "paper")
+		resp, err := f.sim.Query(prompt.Build(prompt.Request{
+			TargetTitle:    f.g.Nodes[v].Title,
+			TargetAbstract: f.g.Nodes[v].Abstract,
+			Categories:     f.g.Classes,
+			NodeType:       "paper",
+		}))
 		if err != nil {
 			t.Fatal(err)
 		}

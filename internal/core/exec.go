@@ -41,7 +41,6 @@ const (
 	metricEquipped         = "mqo_queries_equipped_total"
 	metricInputTokens      = "mqo_input_tokens_total"
 	metricOutputTokens     = "mqo_output_tokens_total"
-	metricQuerySeconds     = "mqo_query_duration_seconds"
 	metricPseudoUses       = "mqo_pseudo_label_uses_total"
 	metricBoostRounds      = "mqo_boost_rounds_total"
 	metricBoostRound       = "mqo_boost_round"
@@ -217,18 +216,14 @@ type ExecConfig struct {
 	// process, so a repeated plan pays zero predictor calls for prompts
 	// any earlier run already bought. Implies Cache.
 	Disk *promptcache.Cache
-	// CacheNamespace partitions the disk cache by answer function;
-	// empty derives it from the predictor identity and prompt-template
-	// version (promptcache.Namespace — versioned by Compress when
-	// compression is enabled).
-	CacheNamespace string
 	// Compress, when enabled, runs every planned prompt through the
 	// deterministic compression stage (prompt.Compressor) after
 	// construction and before dispatch: abstract spans are ranked by
 	// signal density and the sparsest dropped to meet the level caps
 	// and TargetTokens budget. Compression changes prompt bytes, so it
-	// feeds the default cache namespace via its TemplateVersion — a
-	// cached answer never crosses compression configurations.
+	// feeds the cache namespace via its TemplateVersion (see
+	// CacheNamespace) — a cached answer never crosses compression
+	// configurations.
 	Compress prompt.Compressor
 	// QueryTimeout bounds each predictor call (per attempt); 0 means no
 	// deadline. A hung call is abandoned with batch.ErrQueryTimeout, so
@@ -251,8 +246,8 @@ type ExecConfig struct {
 	Replicas []llm.Predictor
 	// ReplicaCount, when > 1 and Replicas is empty, pools the primary
 	// predictor itself as that many replica slots — useful for
-	// concurrency-safe predictors like *llm.Sim, where N slots model N
-	// interchangeable endpoints with independent health state.
+	// predictors like *llm.Sim, where N slots model N interchangeable
+	// endpoints with independent health state.
 	ReplicaCount int
 	// Hedge enables hedged requests on the pool: a second replica is
 	// tried when the first has not answered within HedgeAfter, first
@@ -349,6 +344,20 @@ func (rs *resultStream) onOutcome(r batch.Request, o batch.Outcome) {
 	rs.hook(out)
 }
 
+// CacheNamespace is the disk-cache namespace of a plan executed under
+// cfg on p: the identity of the predictor the executor queries — the
+// replica pool when cfg pools, so answers the replicas bought are never
+// filed under p's identity — plus the template version Compress
+// produces. A caller that reads the cache itself, like a budget
+// estimator's lookup, uses it to see what execution stores.
+func (cfg ExecConfig) CacheNamespace(p llm.Predictor) string {
+	id := llm.IdentityOf(p)
+	if reps := cfg.replicaSet(p); reps != nil {
+		id = pool.IdentityOf(reps)
+	}
+	return promptcache.NamespaceVersion(id, cfg.Compress.TemplateVersion())
+}
+
 // replicaSet resolves the pool's backend list: the explicit Replicas
 // when given, ReplicaCount copies of the primary otherwise, nil when
 // pooling is off.
@@ -377,19 +386,18 @@ func (cfg ExecConfig) batchConfig(rec obs.Recorder) batch.Config {
 		retries = -1 // core's default is no retries; -1 expresses that to batch
 	}
 	return batch.Config{
-		Workers:        workers,
-		QPS:            cfg.QPS,
-		MaxRetries:     retries,
-		RetryDelay:     cfg.RetryDelay,
-		MaxRetryDelay:  cfg.MaxRetryDelay,
-		BudgetTokens:   cfg.BudgetTokens,
-		Cache:          cfg.Cache,
-		Disk:           cfg.Disk,
-		CacheNamespace: cfg.CacheNamespace,
-		QueryTimeout:   cfg.QueryTimeout,
-		Breaker:        cfg.Breaker,
-		OnOutcome:      cfg.onOutcome,
-		Obs:            rec,
+		Workers:       workers,
+		QPS:           cfg.QPS,
+		MaxRetries:    retries,
+		RetryDelay:    cfg.RetryDelay,
+		MaxRetryDelay: cfg.MaxRetryDelay,
+		BudgetTokens:  cfg.BudgetTokens,
+		Cache:         cfg.Cache,
+		Disk:          cfg.Disk,
+		QueryTimeout:  cfg.QueryTimeout,
+		Breaker:       cfg.Breaker,
+		OnOutcome:     cfg.onOutcome,
+		Obs:           rec,
 	}
 }
 
@@ -421,51 +429,6 @@ func (e *QueryErrors) Error() string {
 		return "core: no query errors"
 	}
 	return fmt.Sprintf("core: %d queries failed; first: %v", len(ids), e.Errs[ids[0]])
-}
-
-// timedPredictor decorates predictor calls issued by the batch executor
-// with the per-query latency histogram the serial path used to emit
-// inline, so observability is identical on both paths. (The per-query
-// "core.query" span is no longer opened here: since tracing went
-// hierarchical it is the query's root span, opened by dispatch before
-// the request enters the executor — this layer sits *inside* the
-// executor's attempt span and only times the winning call.)
-type timedPredictor struct {
-	inner llm.Predictor
-	rec   obs.Recorder
-	mode  string
-}
-
-// Name implements llm.Predictor.
-func (t *timedPredictor) Name() string { return t.inner.Name() }
-
-// Identity forwards the inner identity so the batch executor's default
-// disk-cache namespace is unchanged by instrumentation.
-func (t *timedPredictor) Identity() string { return llm.IdentityOf(t.inner) }
-
-// Query implements llm.Predictor with histogram instrumentation.
-func (t *timedPredictor) Query(promptText string) (llm.Response, error) {
-	start := time.Now()
-	resp, err := t.inner.Query(promptText)
-	t.rec.Observe(metricQuerySeconds, time.Since(start).Seconds(), "mode", t.mode)
-	return resp, err
-}
-
-// timedCtxPredictor additionally forwards QueryContext, so wrapping a
-// cancelable predictor does not demote it to the executor's watchdog
-// path. instrument picks between the two.
-type timedCtxPredictor struct {
-	*timedPredictor
-	cp llm.ContextPredictor
-}
-
-// QueryContext implements llm.ContextPredictor with the same
-// instrumentation as Query.
-func (t *timedCtxPredictor) QueryContext(ctx context.Context, promptText string) (llm.Response, error) {
-	start := time.Now()
-	resp, err := t.cp.QueryContext(ctx, promptText)
-	t.rec.Observe(metricQuerySeconds, time.Since(start).Seconds(), "mode", t.mode)
-	return resp, err
 }
 
 // plannedQuery is one query with its prompt fixed ahead of dispatch.
@@ -551,10 +514,12 @@ func buildQueries(ctx *predictors.Context, m predictors.Method, queries []tag.No
 	return out
 }
 
-// newPlanExecutor wraps p for one plan execution: instrumented when a
-// recorder is live, and fronted by a bounded-concurrency batch
-// executor.
-func newPlanExecutor(p llm.Predictor, cfg ExecConfig, rec obs.Recorder, mode string) (*batch.Executor, error) {
+// newPlanExecutor fronts p with a bounded-concurrency batch executor
+// for one plan execution, routed through a replica pool when cfg
+// pools.
+func newPlanExecutor(p llm.Predictor, cfg ExecConfig, rec obs.Recorder) (*batch.Executor, error) {
+	bcfg := cfg.batchConfig(rec)
+	bcfg.CacheNamespace = cfg.CacheNamespace(p)
 	if reps := cfg.replicaSet(p); reps != nil {
 		pl, err := pool.New(reps, cfg.PoolConfig(rec))
 		if err != nil {
@@ -564,26 +529,9 @@ func newPlanExecutor(p llm.Predictor, cfg ExecConfig, rec obs.Recorder, mode str
 		// The per-replica breakers replace the executor's global one: a
 		// single dead replica must be ejected from rotation, not allowed
 		// to trip a breaker spanning the healthy ones.
-		cfg.Breaker = batch.BreakerConfig{}
+		bcfg.Breaker = batch.BreakerConfig{}
 	}
-	// Compression rewrites prompt bytes, so a compressed run must not
-	// share the executor's default disk-cache namespace with the
-	// uncompressed template. Derive the versioned namespace here (after
-	// pool wrapping, so the identity folds replicas exactly like the
-	// executor's own default would).
-	if cfg.Disk != nil && cfg.CacheNamespace == "" && cfg.Compress.Enabled() {
-		cfg.CacheNamespace = promptcache.NamespaceVersion(p, cfg.Compress.TemplateVersion())
-	}
-	qp := p
-	if obs.Enabled(rec) {
-		tp := &timedPredictor{inner: p, rec: rec, mode: mode}
-		if cp, ok := p.(llm.ContextPredictor); ok {
-			qp = &timedCtxPredictor{timedPredictor: tp, cp: cp}
-		} else {
-			qp = tp
-		}
-	}
-	return batch.New(qp, cfg.batchConfig(rec))
+	return batch.New(p, bcfg)
 }
 
 // queryTrace pairs one query's root span with its ledger, both closed
@@ -693,7 +641,7 @@ func ExecuteWith(ctx *predictors.Context, m predictors.Method, p llm.Predictor, 
 		rs = &resultStream{g: ctx.Graph, fb: cfg.Fallback, hook: cfg.OnResult}
 		cfg.onOutcome = rs.onOutcome
 	}
-	ex, err := newPlanExecutor(p, cfg, rec, "plain")
+	ex, err := newPlanExecutor(p, cfg, rec)
 	if err != nil {
 		return nil, err
 	}

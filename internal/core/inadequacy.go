@@ -192,17 +192,6 @@ func FitInadequacy(g *tag.Graph, labeled []tag.NodeID, p llm.Predictor, nodeType
 	return iq, nil
 }
 
-// zeroShot issues a vanilla zero-shot query for node v.
-func zeroShot(p llm.Predictor, g *tag.Graph, v tag.NodeID, nodeType string) (llm.Response, error) {
-	pr := prompt.Build(prompt.Request{
-		TargetTitle:    g.Nodes[v].Title,
-		TargetAbstract: g.Nodes[v].Abstract,
-		Categories:     g.Classes,
-		NodeType:       nodeType,
-	})
-	return p.Query(pr)
-}
-
 // channels computes the two inadequacy channels for a text: the
 // surrogate's predictive entropy H(p_i) (Eq. 8) and the bias channel
 // b_i = p_i · wᵀ (Eq. 9).

@@ -12,7 +12,8 @@ import (
 
 // LatencyPredictor injects a fixed per-query latency in front of an
 // inner predictor, emulating the round-trip of a remote LLM endpoint.
-// It is safe for concurrent use whenever the inner predictor is.
+// It adds no state of its own, so it keeps the inner predictor's
+// concurrency safety.
 type LatencyPredictor struct {
 	Inner llm.Predictor
 	Delay time.Duration

@@ -77,9 +77,9 @@ type FaultStats struct {
 }
 
 // FaultInjector wraps a predictor with a deterministic fault schedule.
-// It is safe for concurrent use whenever the inner predictor is, and
-// implements ContextPredictor so injected hangs respect per-query
-// deadlines.
+// Its state is the fixed config plus atomic counters, so it is safe for
+// concurrent use, and it implements ContextPredictor so injected hangs
+// and latency end with the caller's context.
 type FaultInjector struct {
 	inner Predictor
 	cfg   FaultConfig
@@ -195,8 +195,5 @@ func (f *FaultInjector) QueryContext(ctx context.Context, promptText string) (Re
 		}
 	}
 	f.passed.Add(1)
-	if cp, ok := f.inner.(ContextPredictor); ok {
-		return cp.QueryContext(ctx, promptText)
-	}
-	return f.inner.Query(promptText)
+	return Ask(ctx, f.inner, promptText)
 }

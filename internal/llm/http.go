@@ -158,10 +158,15 @@ func (e *APIError) Error() string {
 	return fmt.Sprintf("llm: API error %d: %s", e.StatusCode, e.Message)
 }
 
-// retryable reports whether a status code warrants another attempt:
-// rate limits and server-side failures.
-func retryable(status int) bool {
-	return status == http.StatusTooManyRequests || status >= 500
+// ClientFault reports whether err is an API error the request itself
+// caused: a 4xx other than 429. Retrying it cannot help, and it says
+// nothing about the backend's health, so no retry loop repeats it and
+// no circuit breaker counts it. Rate limits (429), server failures
+// (5xx) and every non-API error are not client faults.
+func ClientFault(err error) bool {
+	var apiErr *APIError
+	return errors.As(err, &apiErr) && apiErr.StatusCode < 500 &&
+		apiErr.StatusCode != http.StatusTooManyRequests
 }
 
 // DefaultMaxRetryDelay is the default backoff ceiling shared by this
@@ -260,9 +265,8 @@ func (c *HTTPPredictor) QueryContext(ctx context.Context, promptText string) (Re
 			return c.finish(promptText, resp)
 		}
 		lastErr = err
-		var apiErr *APIError
-		if errors.As(err, &apiErr) && !retryable(apiErr.StatusCode) {
-			return Response{}, err // client error: retrying cannot help
+		if ClientFault(err) {
+			return Response{}, err
 		}
 		if ctx.Err() != nil {
 			return Response{}, ctx.Err()

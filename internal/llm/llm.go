@@ -47,7 +47,10 @@ type Response struct {
 }
 
 // Predictor is the black-box query interface (Eq. 1 of the paper).
-// Implementations must derive everything from the prompt text alone.
+// Implementations must derive everything from the prompt text alone,
+// and must be safe for concurrent use: the batch executor's workers,
+// the replica pool's hedges and the HTTP handler each call one
+// Predictor from many goroutines, with no lock around the call.
 type Predictor interface {
 	Name() string
 	Query(promptText string) (Response, error)
@@ -74,13 +77,25 @@ func IdentityOf(p Predictor) string {
 }
 
 // ContextPredictor is implemented by predictors whose queries can be
-// canceled mid-flight. The batch executor prefers this path when
-// enforcing per-query deadlines: a hung call is abandoned the moment
-// its context expires instead of being parked behind a watchdog.
-// HTTPPredictor implements it.
+// canceled mid-flight, and that forward the context's trace span and
+// ledger to the layers under them. HTTPPredictor implements it. Call
+// predictors through Ask, which decides whether a call can be canceled.
 type ContextPredictor interface {
 	Predictor
 	QueryContext(ctx context.Context, promptText string) (Response, error)
+}
+
+// Ask queries p with ctx: a ContextPredictor gets ctx, so the call can
+// be canceled and can carry the trace onward; any other predictor runs
+// Query to completion even after ctx ends. Ask never abandons a call,
+// so a hedge loser still finishes and warms its replica's cache; the
+// one caller with a deadline (the batch executor's QueryTimeout) keeps
+// its own watchdog.
+func Ask(ctx context.Context, p Predictor, promptText string) (Response, error) {
+	if cp, ok := p.(ContextPredictor); ok {
+		return cp.QueryContext(ctx, promptText)
+	}
+	return p.Query(promptText)
 }
 
 // Profile parameterizes a simulated model's skill and failure modes.
@@ -357,57 +372,4 @@ func hash(s string) uint64 {
 		h *= 1099511628211
 	}
 	return h
-}
-
-// MisclassRatios runs the model zero-shot over the given calibration
-// texts with known labels and returns, per class, the fraction of its
-// nodes the model misclassifies — the paper's w vector (Section V-A).
-// It is exposed here because both the core strategy and the harness
-// need it. categories is the full class-name list used in prompts.
-type Calibration struct {
-	// W[k] is the misclassification ratio of class k.
-	W []float64
-	// Accuracy is overall zero-shot accuracy on the calibration set.
-	Accuracy float64
-}
-
-// Calibrate executes |texts| vanilla zero-shot queries. texts[i] is the
-// (title, abstract) of calibration node i with true label labels[i].
-func Calibrate(p Predictor, titles, abstracts []string, labels []int, categories []string, nodeType string) (Calibration, error) {
-	if len(titles) != len(labels) || len(abstracts) != len(labels) {
-		return Calibration{}, fmt.Errorf("llm: calibration size mismatch")
-	}
-	k := len(categories)
-	wrong := make([]float64, k)
-	count := make([]float64, k)
-	correct := 0
-	for i := range titles {
-		pr := prompt.Build(prompt.Request{
-			TargetTitle:    titles[i],
-			TargetAbstract: abstracts[i],
-			Categories:     categories,
-			NodeType:       nodeType,
-		})
-		resp, err := p.Query(pr)
-		if err != nil {
-			return Calibration{}, err
-		}
-		y := labels[i]
-		count[y]++
-		if resp.Category == categories[y] {
-			correct++
-		} else {
-			wrong[y]++
-		}
-	}
-	cal := Calibration{W: make([]float64, k)}
-	for c := 0; c < k; c++ {
-		if count[c] > 0 {
-			cal.W[c] = wrong[c] / count[c]
-		}
-	}
-	if len(titles) > 0 {
-		cal.Accuracy = float64(correct) / float64(len(titles))
-	}
-	return cal, nil
 }

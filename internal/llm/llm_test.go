@@ -287,54 +287,6 @@ func sampleFullCfg() textgen.TextConfig {
 	return textgen.TextConfig{TitleWords: 10, AbstractWords: 30, TitleSignal: 0.55, AbstractSig: 0.4}
 }
 
-func TestCalibrateRatios(t *testing.T) {
-	g, _ := testGraph(t, 600)
-	sim := NewSim(GPT35(), g.Vocab, g.Classes, 23)
-	var titles, abstracts []string
-	var labels []int
-	for v := tag.NodeID(0); v < 200; v++ {
-		titles = append(titles, g.Nodes[v].Title)
-		abstracts = append(abstracts, g.Nodes[v].Abstract)
-		labels = append(labels, g.Nodes[v].Label)
-	}
-	cal, err := Calibrate(sim, titles, abstracts, labels, g.Classes, "paper")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(cal.W) != len(g.Classes) {
-		t.Fatalf("W has %d entries, want %d", len(cal.W), len(g.Classes))
-	}
-	for k, w := range cal.W {
-		if w < 0 || w > 1 {
-			t.Fatalf("W[%d] = %v out of [0,1]", k, w)
-		}
-	}
-	if cal.Accuracy <= 0.3 || cal.Accuracy > 1 {
-		t.Fatalf("calibration accuracy %v implausible", cal.Accuracy)
-	}
-	// Consistency: weighted misclassification ratios must match 1-acc.
-	count := make([]float64, len(g.Classes))
-	for _, y := range labels {
-		count[y]++
-	}
-	var wrong float64
-	for k := range cal.W {
-		wrong += cal.W[k] * count[k]
-	}
-	gotAcc := 1 - wrong/float64(len(labels))
-	if diff := gotAcc - cal.Accuracy; diff > 1e-9 || diff < -1e-9 {
-		t.Fatalf("accuracy %v inconsistent with W-implied %v", cal.Accuracy, gotAcc)
-	}
-}
-
-func TestCalibrateSizeMismatch(t *testing.T) {
-	g, _ := testGraph(t, 50)
-	sim := NewSim(GPT35(), g.Vocab, g.Classes, 29)
-	if _, err := Calibrate(sim, []string{"a"}, []string{"b", "c"}, []int{0}, g.Classes, "paper"); err == nil {
-		t.Fatal("expected size-mismatch error")
-	}
-}
-
 func TestProfilesDiffer(t *testing.T) {
 	g, _ := testGraph(t, 800)
 	s35 := NewSim(GPT35(), g.Vocab, g.Classes, 31)

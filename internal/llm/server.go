@@ -8,7 +8,6 @@ import (
 	"io"
 	"net/http"
 	"strconv"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -23,15 +22,11 @@ const maxRequestBody = 4 << 20
 // Handler serves a Predictor (usually a *Sim) behind the OpenAI-
 // compatible chat-completions endpoint, so the HTTP client — and any
 // other OpenAI-compatible tooling — can drive the simulated model over
-// a real network boundary. One Handler serializes queries; the wrapped
-// Sim need not be safe for concurrent use.
-//
-// Only the predictor invocation itself is serialized: request decoding,
-// metrics, and the Requests counter live outside the critical section,
-// so /metrics and /healthz reads never block behind a slow query.
+// a real network boundary. Requests run concurrently: the handler
+// holds no lock, and the predictor is safe for concurrent use (see
+// Predictor), so one slow query delays neither another query nor a
+// /metrics or /healthz read.
 type Handler struct {
-	// qmu serializes predictor calls and nothing else.
-	qmu       sync.Mutex
 	predictor Predictor
 	// RequireKey, when non-empty, rejects requests whose Bearer token
 	// does not match.
@@ -140,14 +135,7 @@ func (h *Handler) serve(ctx context.Context, w http.ResponseWriter, r *http.Requ
 	}
 
 	qstart := time.Now()
-	var resp Response
-	h.qmu.Lock()
-	if cp, ok := h.predictor.(ContextPredictor); ok {
-		resp, err = cp.QueryContext(ctx, promptText)
-	} else {
-		resp, err = h.predictor.Query(promptText)
-	}
-	h.qmu.Unlock()
+	resp, err := Ask(ctx, h.predictor, promptText)
 	// The predictor call is this request's predict stage: its wall and
 	// the response's tokens are the billed serving cost (cache layers
 	// underneath charge themselves unbilled, see promptcache.Wrap).

@@ -11,17 +11,21 @@ import (
 	"repro/internal/obs"
 )
 
-// blockingPredictor parks Query until released, to prove the handler's
-// bookkeeping does not wait behind an in-flight query.
+// blockingPredictor parks Query for the prompt "slow" until released
+// and answers every other prompt at once, to prove that neither the
+// handler's bookkeeping nor another request waits behind an in-flight
+// query.
 type blockingPredictor struct {
 	entered chan struct{}
 	release chan struct{}
 }
 
 func (b *blockingPredictor) Name() string { return "blocking" }
-func (b *blockingPredictor) Query(string) (Response, error) {
-	close(b.entered)
-	<-b.release
+func (b *blockingPredictor) Query(promptText string) (Response, error) {
+	if promptText == "slow" {
+		close(b.entered)
+		<-b.release
+	}
 	return Response{Text: "Category: ['A']", Category: "A", InputTokens: 10, OutputTokens: 2}, nil
 }
 
@@ -43,9 +47,9 @@ func TestHandlerDoesNotBlockBehindSlowQuery(t *testing.T) {
 	go func() {
 		defer close(done)
 		rw := httptest.NewRecorder()
-		h.ServeHTTP(rw, httptest.NewRequest("POST", ChatCompletionsPath, chatBody("p")))
+		h.ServeHTTP(rw, httptest.NewRequest("POST", ChatCompletionsPath, chatBody("slow")))
 	}()
-	<-bp.entered // predictor call is in flight and holding qmu
+	<-bp.entered // the first predictor call is parked
 
 	// Requests() and the metrics registry must respond immediately.
 	readDone := make(chan struct{})
@@ -78,10 +82,29 @@ func TestHandlerDoesNotBlockBehindSlowQuery(t *testing.T) {
 		t.Fatal("malformed request blocked behind an in-flight query")
 	}
 
+	// A second valid request must reach the predictor and be answered
+	// while the first call is still parked: the handler holds no lock
+	// around the predictor.
+	okDone := make(chan int, 1)
+	go func() {
+		rw := httptest.NewRecorder()
+		h.ServeHTTP(rw, httptest.NewRequest("POST", ChatCompletionsPath, chatBody("fast")))
+		okDone <- rw.Code
+	}()
+	select {
+	case code := <-okDone:
+		if code != http.StatusOK {
+			t.Fatalf("second request code = %d, want 200", code)
+		}
+	case <-time.After(2 * time.Second):
+		close(bp.release)
+		t.Fatal("second valid request blocked behind an in-flight query")
+	}
+
 	close(bp.release)
 	<-done
-	if h.Requests() != 1 {
-		t.Fatalf("Requests = %d, want 1", h.Requests())
+	if h.Requests() != 2 {
+		t.Fatalf("Requests = %d, want 2", h.Requests())
 	}
 }
 

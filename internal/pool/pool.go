@@ -97,8 +97,7 @@ type Config struct {
 // replica is one backend plus its routing health state.
 type replica struct {
 	p     llm.Predictor
-	cp    llm.ContextPredictor // non-nil when p supports cancellation
-	brk   *batch.Breaker       // nil when breakers are disabled
+	brk   *batch.Breaker // nil when breakers are disabled
 	label string
 	// rid is the replica's rendezvous identity: the backend's
 	// answer-function identity, disambiguated with a stable #slot
@@ -157,8 +156,8 @@ type Pool struct {
 }
 
 // New builds a pool over the given replicas. The same predictor value
-// may appear several times (e.g. one concurrency-safe *llm.Sim as N
-// replicas); each slot still gets its own breaker and health state.
+// may appear several times (e.g. one *llm.Sim as N replicas); each
+// slot still gets its own breaker and health state.
 func New(replicas []llm.Predictor, cfg Config) (*Pool, error) {
 	if len(replicas) == 0 {
 		return nil, errors.New("pool: no replicas")
@@ -173,13 +172,10 @@ func New(replicas []llm.Predictor, cfg Config) (*Pool, error) {
 			return nil, fmt.Errorf("pool: replica %d is nil", i)
 		}
 		rep := &replica{p: r, label: fmt.Sprintf("%d", i)}
-		if cp, ok := r.(llm.ContextPredictor); ok {
-			rep.cp = cp
-		}
 		rep.brk = batch.NewBreaker(cfg.Breaker, rec, "replica", rep.label)
 		p.replicas = append(p.replicas, rep)
 	}
-	p.identity = foldIdentity(replicas)
+	p.identity = IdentityOf(replicas)
 	p.scorer = cfg.Scorer
 	p.keyed = cfg.Scorer != nil
 	if p.scorer == nil {
@@ -199,13 +195,13 @@ func New(replicas []llm.Predictor, cfg Config) (*Pool, error) {
 	return p, nil
 }
 
-// foldIdentity derives the pool's answer-function identity from the
-// replica set. Replicas sharing one identity answer identically, so the
+// IdentityOf derives the answer-function identity of a pool over
+// replicas. Replicas sharing one identity answer identically, so the
 // pool is transparent (same identity, same promptcache namespace — a
 // warm cache stays warm across replica counts). Distinct identities
 // mean the answer depends on routing, so the namespace must fold in the
 // whole sorted set.
-func foldIdentity(replicas []llm.Predictor) string {
+func IdentityOf(replicas []llm.Predictor) string {
 	set := make(map[string]bool, len(replicas))
 	ids := make([]string, 0, len(replicas))
 	for _, r := range replicas {
@@ -225,7 +221,7 @@ func foldIdentity(replicas []llm.Predictor) string {
 // Name implements llm.Predictor.
 func (p *Pool) Name() string { return p.name }
 
-// Identity implements llm.Identifier; see foldIdentity.
+// Identity implements llm.Identifier; see IdentityOf.
 func (p *Pool) Identity() string { return p.identity }
 
 // Size reports the replica count.
@@ -315,19 +311,15 @@ func (p *Pool) attempt(promptText string, rng *xrand.RNG) Attempt {
 // do runs one attempt on r, updating health state and feeding the
 // breaker. Cancellations (the caller gave up, or a hedge race was lost)
 // and client-side API errors do not count against the backend. The
-// attempt gets its own child span, and context-aware replicas receive
-// it so a remote hop (llm.HTTPPredictor) can continue the trace.
+// attempt gets its own child span, which llm.Ask hands to
+// context-aware replicas so a remote hop (llm.HTTPPredictor) can
+// continue the trace; a Query-only replica finishes even when its
+// hedge race is lost, so it still warms its cache.
 func (p *Pool) do(ctx context.Context, r *replica, promptText string, hedge bool) (llm.Response, error) {
 	actx, sp := obs.StartSpanCtx(ctx, p.rec, "pool.attempt", "replica", r.label, "hedge", fmt.Sprint(hedge))
 	r.inflight.Add(1)
 	start := time.Now()
-	var resp llm.Response
-	var err error
-	if r.cp != nil {
-		resp, err = r.cp.QueryContext(actx, promptText)
-	} else {
-		resp, err = r.p.Query(promptText)
-	}
+	resp, err := llm.Ask(actx, r.p, promptText)
 	r.inflight.Add(-1)
 	if ctx.Err() == nil {
 		// Only completed attempts teach the EWMA. A canceled attempt —
@@ -359,13 +351,10 @@ func (p *Pool) judge(ctx context.Context, r *replica, err error) {
 	case ctx.Err() != nil:
 		// Canceled or past its deadline: not the backend's fault.
 		r.brk.Cancel()
+	case llm.ClientFault(err):
+		// The request's fault, not the replica's.
+		r.brk.Cancel()
 	default:
-		var apiErr *llm.APIError
-		if errors.As(err, &apiErr) && apiErr.StatusCode < 500 && apiErr.StatusCode != 429 {
-			// Client-side error: the request's fault, not the replica's.
-			r.brk.Cancel()
-			return
-		}
 		before := r.brk.State()
 		r.brk.Report(false)
 		if before != batch.BreakerOpen && r.brk.State() == batch.BreakerOpen {

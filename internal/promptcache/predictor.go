@@ -9,7 +9,8 @@ import (
 )
 
 // Wrap fronts a predictor with the cache: hits answer from disk state,
-// misses query the inner predictor and persist the answer. The
+// misses query the inner predictor (through llm.Ask, so a cancelable
+// inner predictor stays cancelable) and persist the answer. The
 // namespace is derived from the inner predictor (Namespace), so a
 // wrapped simulator reseeded tomorrow reads none of today's entries.
 //
@@ -19,11 +20,7 @@ import (
 // integrates the cache directly, looking up only the one request per
 // distinct prompt that it dispatches and reporting hits as Cached.
 func Wrap(p llm.Predictor, c *Cache) llm.Predictor {
-	w := &cachingPredictor{inner: p, cache: c, ns: Namespace(p)}
-	if cp, ok := p.(llm.ContextPredictor); ok {
-		return &cachingCtxPredictor{cachingPredictor: w, cp: cp}
-	}
-	return w
+	return &cachingPredictor{inner: p, cache: c, ns: Namespace(p)}
 }
 
 type cachingPredictor struct {
@@ -42,36 +39,17 @@ func (w *cachingPredictor) Identity() string { return llm.IdentityOf(w.inner) }
 
 // Query implements llm.Predictor with a read-through cache.
 func (w *cachingPredictor) Query(promptText string) (llm.Response, error) {
-	k := KeyOf(w.ns, promptText)
-	if resp, ok := w.cache.Get(k); ok {
-		return resp, nil
-	}
-	resp, err := w.inner.Query(promptText)
-	if err != nil {
-		return resp, err
-	}
-	if perr := w.cache.Put(k, resp); perr != nil {
-		// A full disk must not fail the query: the answer is correct,
-		// only its persistence is lost.
-		return resp, nil
-	}
-	return resp, nil
+	return w.QueryContext(context.Background(), promptText)
 }
 
-// cachingCtxPredictor keeps the cancelable path of context-aware inner
-// predictors.
-type cachingCtxPredictor struct {
-	*cachingPredictor
-	cp llm.ContextPredictor
-}
-
-// QueryContext implements llm.ContextPredictor with the same
-// read-through behaviour as Query, plus tracing: the lookup gets a
-// child span (result=hit|miss), and hits charge the request's ledger
-// under the cache stage — unbilled, because the enclosing server
-// handler bills the whole serve to the predict stage and the ledger
-// must not count the same request twice.
-func (w *cachingCtxPredictor) QueryContext(ctx context.Context, promptText string) (llm.Response, error) {
+// QueryContext implements llm.ContextPredictor with a read-through
+// cache, plus tracing: the lookup gets a child span (result=hit|miss),
+// and hits charge the request's ledger under the cache stage —
+// unbilled, because the enclosing server handler bills the whole serve
+// to the predict stage and the ledger must not count the same request
+// twice. A failed Put (say, a full disk) loses persistence, not the
+// already correct answer.
+func (w *cachingPredictor) QueryContext(ctx context.Context, promptText string) (llm.Response, error) {
 	k := KeyOf(w.ns, promptText)
 	start := time.Now()
 	_, sp := obs.StartSpanCtx(ctx, w.cache.rec, "cache.lookup")
@@ -83,7 +61,7 @@ func (w *cachingCtxPredictor) QueryContext(ctx context.Context, promptText strin
 	}
 	sp.SetAttr("result", "miss")
 	sp.End()
-	resp, err := w.cp.QueryContext(ctx, promptText)
+	resp, err := llm.Ask(ctx, w.inner, promptText)
 	if err != nil {
 		return resp, err
 	}

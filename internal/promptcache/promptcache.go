@@ -78,22 +78,19 @@ func KeyOf(namespace, promptText string) Key {
 // exactly the invalidation axes — a different model, a reseeded
 // simulator, or a template change each produce a disjoint key space.
 func Namespace(p llm.Predictor) string {
-	return NamespaceVersion(p, prompt.TemplateVersion)
+	return NamespaceVersion(llm.IdentityOf(p), prompt.TemplateVersion)
 }
 
-// NamespaceVersion is Namespace with an explicit template version —
-// the hook for layers that rewrite prompt bytes, like the compression
-// stage, whose prompt.Compressor.TemplateVersion() names the template
-// generation it produces (e.g. "v2+c2"). Every compression
-// configuration owns a disjoint key space, so a cached answer bought
-// with compressed bytes can never be replayed for the uncompressed
-// prompt or for a different compression level.
-func NamespaceVersion(p llm.Predictor, version string) string {
-	id := p.Name()
-	if i, ok := p.(llm.Identifier); ok {
-		id = i.Identity()
-	}
-	return id + "|tmpl=" + version
+// NamespaceVersion is Namespace for a predictor identity (see
+// llm.IdentityOf) with an explicit template version — the hook for
+// layers that rewrite prompt bytes, like the compression stage, whose
+// prompt.Compressor.TemplateVersion() names the template generation it
+// produces (e.g. "v2+c2"). Every compression configuration owns a
+// disjoint key space, so a cached answer bought with compressed bytes
+// can never be replayed for the uncompressed prompt or for a different
+// compression level.
+func NamespaceVersion(identity, version string) string {
+	return identity + "|tmpl=" + version
 }
 
 // Config tunes a Cache.

@@ -103,12 +103,8 @@ type Config struct {
 	// Obs receives serve metrics and spans; nil routes to the
 	// process-default recorder.
 	Obs obs.Recorder
-	// Now and Sleep are the tier's clock seam: Now stamps request
-	// arrival and completion, Sleep holds the micro-batching window
-	// open. They default to time.Now and time.Sleep; the load harness
-	// and tests inject instrumented clocks to observe or compress
-	// window timing without changing scheduling behavior.
-	Now   func() time.Time
+	// Sleep holds the micro-batching window open; it defaults to
+	// time.Sleep. Tests replace it to decide when a window closes.
 	Sleep func(time.Duration)
 }
 
@@ -178,7 +174,6 @@ type Server struct {
 	cfg    Config
 	rec    obs.Recorder
 
-	now   func() time.Time
 	sleep func(time.Duration)
 
 	mu       sync.Mutex
@@ -197,9 +192,9 @@ type Server struct {
 	done chan struct{}
 }
 
-// New validates the configuration and starts the batcher. The
-// predictor must tolerate Exec.Workers concurrent calls (wrap
-// single-threaded predictors with batch.Serialize).
+// New validates the configuration and starts the batcher. Windows
+// call the predictor from Exec.Workers goroutines at once, as the
+// llm.Predictor contract allows.
 func New(pctx *predictors.Context, m predictors.Method, p llm.Predictor, cfg Config) (*Server, error) {
 	if pctx == nil || pctx.Graph == nil {
 		return nil, errors.New("serve: nil context or graph")
@@ -231,7 +226,6 @@ func New(pctx *predictors.Context, m predictors.Method, p llm.Predictor, cfg Con
 		pred:     p,
 		cfg:      cfg,
 		rec:      obs.Active(cfg.Obs),
-		now:      cfg.Now,
 		sleep:    cfg.Sleep,
 		inflight: make(map[tag.NodeID]*entry),
 		answers:  make(map[tag.NodeID]Result),
@@ -239,9 +233,6 @@ func New(pctx *predictors.Context, m predictors.Method, p llm.Predictor, cfg Con
 		wake:     make(chan struct{}, 1),
 		stop:     make(chan struct{}),
 		done:     make(chan struct{}),
-	}
-	if s.now == nil {
-		s.now = time.Now
 	}
 	if s.sleep == nil {
 		s.sleep = time.Sleep
@@ -302,7 +293,7 @@ func (s *Server) Submit(ctx context.Context, tenant string, node tag.NodeID) (Re
 		s.rec.Add(metricRejected, 1, "reason", "unknown_node")
 		return Result{}, fmt.Errorf("%w: %d", ErrUnknownNode, node)
 	}
-	enq := s.now()
+	enq := time.Now()
 	s.mu.Lock()
 	if s.draining {
 		s.mu.Unlock()
@@ -458,7 +449,7 @@ func interleave(batch []*pending) []*pending {
 // flush coalesces the queued requests into one plan and executes it,
 // delivering each request as its own entry settles.
 func (s *Server) flush() {
-	flushStart := s.now()
+	flushStart := time.Now()
 	s.mu.Lock()
 	batch := s.queue
 	s.queue = nil
@@ -600,7 +591,7 @@ func (s *Server) finishTrace(p *pending, flushStart time.Time, outcome string) {
 	if p.span == nil {
 		return
 	}
-	end := s.now()
+	end := time.Now()
 	p.span.SetAttr("outcome", outcome)
 	if p.tier != "" {
 		p.span.SetAttr("coalesced", p.tier)

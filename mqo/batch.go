@@ -64,15 +64,11 @@ func NewFaultInjector(p Predictor, cfg FaultConfig) (*FaultInjector, error) {
 	return llm.NewFaultInjector(p, cfg)
 }
 
-// NewBatchExecutor builds a concurrent executor over p. Wrap
-// single-threaded predictors (like *Sim) with SerializePredictor.
+// NewBatchExecutor builds a concurrent executor over p, which its
+// workers call concurrently (see Predictor).
 func NewBatchExecutor(p Predictor, cfg BatchConfig) (*BatchExecutor, error) {
 	return batch.New(p, cfg)
 }
-
-// SerializePredictor makes a single-threaded predictor safe for a
-// concurrent BatchExecutor.
-func SerializePredictor(p Predictor) Predictor { return batch.Serialize(p) }
 
 // ReplayBatchLog recovers the successful outcomes recorded in a JSONL
 // audit log, keyed by request ID — the checkpoint for resuming a

@@ -98,7 +98,7 @@ func TestBatchFacade(t *testing.T) {
 		})
 	}
 	var logBuf bytes.Buffer
-	exec, err := NewBatchExecutor(SerializePredictor(NewSim(GPT35(), g, 15)),
+	exec, err := NewBatchExecutor(NewSim(GPT35(), g, 15),
 		BatchConfig{Workers: 4, Log: &logBuf, Cache: true})
 	if err != nil {
 		t.Fatal(err)

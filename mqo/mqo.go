@@ -284,7 +284,6 @@ func Optimize(w *Workload, m Method, p Predictor, opt Options) (*Report, error) 
 		defer c.Close()
 		pcache = c
 		ecfg.Disk = c
-		ecfg.CacheNamespace = promptcache.NamespaceVersion(p, ecfg.Compress.TemplateVersion())
 	}
 
 	var iq *core.Inadequacy
@@ -296,7 +295,7 @@ func Optimize(w *Workload, m Method, p Predictor, opt Options) (*Report, error) 
 			// un-pruned queries under the same budget.
 			var cached func(string) bool
 			if pcache != nil {
-				ns := ecfg.CacheNamespace
+				ns := ecfg.CacheNamespace(p)
 				cached = func(promptText string) bool {
 					return pcache.Contains(promptcache.KeyOf(ns, promptText))
 				}

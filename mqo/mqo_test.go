@@ -295,3 +295,41 @@ func TestOptimizeCacheCoalescesDuplicates(t *testing.T) {
 		t.Fatalf("predictions = %d, want %d", got, len(w.Queries))
 	}
 }
+
+// TestReplicaSetAnswersDoNotPoisonPrimaryCache pins the disk-cache
+// namespace to the predictor that answers. With Options.ReplicaSet the
+// replicas answer, so their answers belong under the replica set's
+// identity: a run whose replica answers differently from the primary,
+// then a primary-only run on the same cache directory, must predict
+// exactly what a cold primary-only run does.
+func TestReplicaSetAnswersDoNotPoisonPrimaryCache(t *testing.T) {
+	g, err := GenerateDatasetScaled("cora", 1, 0.25)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := NewWorkload(g, 10, 200, 4, 1)
+	m := KHopRandom{K: 1}
+	cold, err := Optimize(w, m, NewSim(GPT35(), g, 1), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	replicas := Options{CacheDir: dir, ReplicaSet: []Predictor{NewSim(GPT35(), g, 99)}}
+	if _, err := Optimize(w, m, NewSim(GPT35(), g, 1), replicas); err != nil {
+		t.Fatal(err)
+	}
+	warm, err := Optimize(w, m, NewSim(GPT35(), g, 1), Options{CacheDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	differ := 0
+	for v, c := range cold.Results.Pred {
+		if warm.Results.Pred[v] != c {
+			differ++
+		}
+	}
+	if differ > 0 || len(warm.Results.Pred) != len(cold.Results.Pred) {
+		t.Fatalf("%d of %d primary-only predictions differ from a cold run (%d answered): the replica's answers were cached under the primary's identity",
+			differ, len(cold.Results.Pred), len(warm.Results.Pred))
+	}
+}

@@ -38,8 +38,9 @@ func TestOptimizeEmitsMetrics(t *testing.T) {
 	if got := reg.CounterValue("mqo_optimize_runs_total", "method", "1-hop random"); got != 1 {
 		t.Errorf("mqo_optimize_runs_total = %v, want 1", got)
 	}
-	if got := reg.HistogramCount("mqo_query_duration_seconds", "mode", "plain"); got != uint64(len(rep.Results.Pred)) {
-		t.Errorf("latency observations = %d, want %d", got, len(rep.Results.Pred))
+	// One predictor attempt per query: no retries are configured.
+	if got := reg.HistogramCount("mqo_batch_attempt_duration_seconds"); got != uint64(len(rep.Results.Pred)) {
+		t.Errorf("attempt latency observations = %d, want %d", got, len(rep.Results.Pred))
 	}
 
 	// The run must also have left spans in the trace ring: one
@@ -115,7 +116,7 @@ func TestBatchExecutorEmitsRetryMetrics(t *testing.T) {
 	}
 
 	reg := NewRegistry()
-	flaky := &flakyPredictor{seen: map[string]bool{}, inner: SerializePredictor(NewSim(GPT35(), g, 33))}
+	flaky := &flakyPredictor{seen: map[string]bool{}, inner: NewSim(GPT35(), g, 33)}
 	exec, err := NewBatchExecutor(flaky, BatchConfig{Workers: 3, MaxRetries: 2, Obs: reg})
 	if err != nil {
 		t.Fatal(err)
@@ -164,7 +165,7 @@ func TestMetricsHandlerFacade(t *testing.T) {
 	if !strings.Contains(body, `mqo_queries_total{mode="plain"}`) {
 		t.Errorf("exposition missing series:\n%.400s", body)
 	}
-	if !strings.Contains(body, "mqo_query_duration_seconds_bucket") {
+	if !strings.Contains(body, "mqo_batch_attempt_duration_seconds_bucket") {
 		t.Errorf("exposition missing histogram buckets:\n%.400s", body)
 	}
 }

@@ -7,16 +7,20 @@ all: check
 build:
 	$(GO) build ./...
 
-# vet also fails when any tracked Go file is not gofmt-formatted, and
-# when non-test code outside internal/llm and bench/ type-asserts
+# vet also fails when any tracked Go file is not gofmt-formatted; when
+# non-test code outside internal/llm and bench/ type-asserts
 # llm.ContextPredictor: llm.Ask is the one place that decides whether a
-# predictor call can be canceled.
+# predictor call can be canceled; and when Go code in the packages that
+# build serve configs sets Window:, the deprecated serve.Config field
+# the tier ignores.
 vet:
 	$(GO) vet ./...
 	@unformatted=$$(gofmt -l $$(git ls-files '*.go')); \
 		if [ -n "$$unformatted" ]; then echo "gofmt needed:"; echo "$$unformatted"; exit 1; fi
 	@asserts=$$(git grep --untracked -nE '\.\((llm\.)?ContextPredictor\)' -- '*.go' ':!*_test.go' ':!internal/llm/' ':!bench/'); \
 		if [ -n "$$asserts" ]; then echo "call llm.Ask instead of type-asserting llm.ContextPredictor:"; echo "$$asserts"; exit 1; fi
+	@windows=$$(git grep --untracked -nw 'Window:' -- 'internal/serve/*.go' 'internal/load/*.go' 'internal/cliflags/*.go' 'mqo/*.go' 'cmd/*.go' 'examples/*.go'); \
+		if [ -n "$$windows" ]; then echo "serve.Config.Window is deprecated and ignored; do not set it:"; echo "$$windows"; exit 1; fi
 
 test:
 	$(GO) test ./...

@@ -71,8 +71,9 @@ func main() {
 		upstreams     = flag.String("upstreams", "", "comma-separated base URLs of upstream OpenAI-compatible endpoints; when set, llmserve proxies through the health-aware replica pool instead of serving the local simulator, and -breaker/-hedge/-affinity shape that pool")
 		upstreamModel = flag.String("upstream-model", "sim", "model identifier sent to the -upstreams endpoints")
 	)
-	// The serving tier's windows run four concurrent LLM queries unless
-	// -workers says otherwise, not the batch CLIs' serial default.
+	// The serving tier runs four execution slots, so four concurrent LLM
+	// queries, unless -workers says otherwise, not the batch CLIs' serial
+	// default.
 	ex := cliflags.Exec{Knobs: core.Knobs{Workers: 4}}
 	ex.Register(flag.CommandLine)
 	var sv cliflags.Serve
@@ -166,8 +167,8 @@ func main() {
 	h.RequireKey = *apiKey
 	h.Obs = reg
 
-	// The online serving tier fronts the same predictor stack with
-	// micro-batched, coalesced MQO plans; nil unless -serve is set.
+	// The online serving tier fronts the same predictor stack, asking
+	// each node once however many tenants ask; nil unless -serve is set.
 	var tier *serve.Server
 	if sv.Enabled {
 		method, err := predictors.ByName(sv.Method)
@@ -189,8 +190,8 @@ func main() {
 		if err != nil {
 			log.Fatalf("llmserve: serving tier: %v", err)
 		}
-		fmt.Printf("llmserve: online query tier on %s (method=%s window=%v queue=%d)\n",
-			serve.QueryPath, method.Name(), scfg.Window, scfg.MaxQueue)
+		fmt.Printf("llmserve: online query tier on %s (method=%s slots=%d queue=%d)\n",
+			serve.QueryPath, method.Name(), max(1, ecfg.Workers), scfg.MaxQueue)
 	}
 
 	var draining atomic.Bool
@@ -257,8 +258,8 @@ func main() {
 			log.Fatalf("llmserve: shutdown: %v", err)
 		}
 		if tier != nil {
-			// HTTP requests are gone; answer anything still queued in
-			// the serving tier, then stop its batcher.
+			// HTTP requests are gone; answer anything the serving tier
+			// already admitted, then stop its slots.
 			tier.Close()
 		}
 		if err := <-errCh; err != nil && !errors.Is(err, http.ErrServerClosed) {

@@ -56,10 +56,11 @@ type Request struct {
 
 // Config tunes an Executor.
 type Config struct {
-	// Workers is the number of concurrent in-flight queries
+	// Workers bounds one Execute call's concurrent in-flight queries
 	// (default 4).
 	Workers int
-	// QPS caps the dispatch rate across all workers; 0 means unlimited.
+	// QPS caps the dispatch rate across all workers of every Execute
+	// call on this executor; 0 means unlimited.
 	QPS float64
 	// MaxRetries bounds per-query retries on transient failures
 	// (default 2; -1 disables retries entirely). Non-retryable API
@@ -165,7 +166,9 @@ type Result struct {
 	Skipped int
 }
 
-// Executor runs batches against one predictor.
+// Executor runs batches against one predictor. Its breaker, token
+// budget and QPS pacing span every Execute call, so calls may overlap:
+// a long-lived caller sends each query through one Executor.
 type Executor struct {
 	p   llm.Predictor
 	cfg Config
@@ -177,7 +180,19 @@ type Executor struct {
 	logMu  sync.Mutex
 	logErr error
 
-	inflight atomic.Int64
+	// interval is the pacing gap QPS asks for (0 when unpaced), and
+	// nextSlot, under paceMu, the earliest instant the next attempt of
+	// any Execute call may start.
+	interval time.Duration
+	paceMu   sync.Mutex
+	nextSlot time.Time
+
+	// inflight counts requests executing across every Execute call.
+	// Each change publishes the count under inflightMu, so the gauge's
+	// last write is always the true count.
+	inflightMu sync.Mutex
+	inflight   int
+
 	// spent is the tokens fresh predictor calls cost so far, across
 	// every Execute call; BudgetTokens caps it.
 	spent atomic.Int64
@@ -211,7 +226,45 @@ func New(p llm.Predictor, cfg Config) (*Executor, error) {
 	if cfg.Disk != nil && cfg.CacheNamespace == "" {
 		cfg.CacheNamespace = promptcache.Namespace(p)
 	}
-	return &Executor{p: p, cfg: cfg, brk: NewBreaker(cfg.Breaker, cfg.Obs)}, nil
+	e := &Executor{p: p, cfg: cfg, brk: NewBreaker(cfg.Breaker, cfg.Obs)}
+	if cfg.QPS > 0 {
+		e.interval = time.Duration(float64(time.Second) / cfg.QPS)
+	}
+	return e, nil
+}
+
+// pace blocks until the caller's turn under QPS: each attempt reserves
+// the next free slot, interval after the one before it, whichever
+// Execute call it belongs to. It returns ctx's error if ctx ends first.
+func (e *Executor) pace(ctx context.Context) error {
+	e.paceMu.Lock()
+	slot := time.Now()
+	if slot.Before(e.nextSlot) {
+		slot = e.nextSlot
+	}
+	e.nextSlot = slot.Add(e.interval)
+	e.paceMu.Unlock()
+	wait := time.Until(slot)
+	if wait <= 0 {
+		return nil
+	}
+	t := time.NewTimer(wait)
+	defer t.Stop()
+	select {
+	case <-t.C:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	}
+}
+
+// noteInflight moves the executing-request count by delta and
+// publishes it.
+func (e *Executor) noteInflight(rec obs.Recorder, delta int) {
+	e.inflightMu.Lock()
+	e.inflight += delta
+	rec.Set(metricBatchInflight, float64(e.inflight))
+	e.inflightMu.Unlock()
 }
 
 // logLine is the JSONL audit record for one query.
@@ -300,20 +353,6 @@ func (e *Executor) Execute(ctx context.Context, reqs []Request) (*Result, error)
 	}
 	leaders, followers := e.groupByPrompt(reqs)
 
-	// Rate limiter: a shared ticker paces dispatches across workers.
-	// The interval is clamped to ≥1ns: above ~1e9 QPS the division
-	// rounds to zero, which time.NewTicker panics on.
-	var tick <-chan time.Time
-	if e.cfg.QPS > 0 {
-		interval := time.Duration(float64(time.Second) / e.cfg.QPS)
-		if interval < time.Nanosecond {
-			interval = time.Nanosecond
-		}
-		t := time.NewTicker(interval)
-		defer t.Stop()
-		tick = t.C
-	}
-
 	work := make(chan Request)
 	var wg sync.WaitGroup
 	var outMu sync.Mutex
@@ -350,14 +389,14 @@ func (e *Executor) Execute(ctx context.Context, reqs []Request) (*Result, error)
 		}
 	}
 
-	for i := 0; i < e.cfg.Workers; i++ {
+	for i := 0; i < min(e.cfg.Workers, len(leaders)); i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for r := range work {
-				rec.Set(metricBatchInflight, float64(e.inflight.Add(1)))
-				o, label := e.one(ctx, r, tick, rec)
-				rec.Set(metricBatchInflight, float64(e.inflight.Add(-1)))
+				e.noteInflight(rec, 1)
+				o, label := e.one(ctx, r, rec)
+				e.noteInflight(rec, -1)
 				record(r, o, label)
 			}
 		}()
@@ -373,8 +412,6 @@ feed:
 	}
 	close(work)
 	wg.Wait()
-	// Workers race their gauge updates; settle it now that none run.
-	rec.Set(metricBatchInflight, 0)
 
 	// Requests never dispatched because the context ended; their
 	// followers settle with them.
@@ -446,7 +483,7 @@ func (c *charger) charge(stage string, wall time.Duration, tokens int, billed bo
 // one executes a single dispatched request — disk lookup, budget
 // guard, rate-paced predictor calls with retry — and returns its
 // outcome and metric label.
-func (e *Executor) one(ctx context.Context, r Request, tick <-chan time.Time, rec obs.Recorder) (Outcome, string) {
+func (e *Executor) one(ctx context.Context, r Request, rec obs.Recorder) (Outcome, string) {
 	digest := promptDigest(r.Prompt)
 	live := obs.Enabled(rec)
 	var span *obs.Span
@@ -505,7 +542,7 @@ func (e *Executor) one(ctx context.Context, r Request, tick <-chan time.Time, re
 		}
 		return done(Outcome{Response: resp, Cached: true}, "disk")
 	}
-	return done(e.attempt(qctx, r, tick, rec, digest, live, ch))
+	return done(e.attempt(qctx, r, rec, digest, live, ch))
 }
 
 // attempt runs the budget guard and the rate-paced retry loop for one
@@ -513,7 +550,7 @@ func (e *Executor) one(ctx context.Context, r Request, tick <-chan time.Time, re
 // query's span/ledger values (one() grafted them), so spans opened
 // here — backoff, breaker verdict, attempt N — nest under the
 // batch.request span and charges land on the query's ledger.
-func (e *Executor) attempt(ctx context.Context, r Request, tick <-chan time.Time, rec obs.Recorder, digest string, live bool, ch *charger) (Outcome, string) {
+func (e *Executor) attempt(ctx context.Context, r Request, rec obs.Recorder, digest string, live bool, ch *charger) (Outcome, string) {
 	if !e.underBudget() {
 		e.log(logLine{ID: r.ID, PromptSHA256: digest, Error: ErrBudgetExhausted.Error()})
 		return Outcome{Err: ErrBudgetExhausted}, "skipped"
@@ -552,21 +589,19 @@ func (e *Executor) attempt(ctx context.Context, r Request, tick <-chan time.Time
 				return Outcome{Err: err, Attempts: attempt - 1}, "rejected"
 			}
 		}
-		if tick != nil {
+		if e.cfg.QPS > 0 {
 			var tstart time.Time
 			if live {
 				tstart = time.Now()
 			}
-			select {
-			case <-tick:
-				rec.Add(metricBatchThrottled, 1)
-				if live {
-					ch.charge(obs.StageThrottle, time.Since(tstart), 0, true)
-				}
-			case <-ctx.Done():
+			if err := e.pace(ctx); err != nil {
 				e.cancelBreaker() // pacing abort says nothing about the backend
-				rec.Add(metricBatchAborts, 1, "reason", abortReason(ctx.Err()))
-				return Outcome{Err: ctx.Err(), Attempts: attempt - 1}, "aborted"
+				rec.Add(metricBatchAborts, 1, "reason", abortReason(err))
+				return Outcome{Err: err, Attempts: attempt - 1}, "aborted"
+			}
+			rec.Add(metricBatchThrottled, 1)
+			if live {
+				ch.charge(obs.StageThrottle, time.Since(tstart), 0, true)
 			}
 		}
 		var start time.Time

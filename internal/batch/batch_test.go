@@ -330,6 +330,79 @@ func TestExecuteQPSPacing(t *testing.T) {
 	}
 }
 
+// TestQPSPacingSpansExecuteCalls overlaps 20 one-request Execute calls,
+// the way a long-lived caller sends its queries: pacing is the
+// executor's, not each call's, so at 200 QPS they need at least 19
+// intervals.
+func TestQPSPacingSpansExecuteCalls(t *testing.T) {
+	e, err := New(newScripted(), Config{Workers: 4, QPS: 200})
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	var wg sync.WaitGroup
+	for _, r := range reqs(20) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := e.Execute(context.Background(), []Request{r}); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+	if elapsed := time.Since(start); elapsed < 95*time.Millisecond {
+		t.Errorf("20 calls at 200 QPS finished in %v, want at least 95ms", elapsed)
+	}
+}
+
+// parkingPredictor parks the call for prompt "park" until release is
+// closed, closing parked when it arrives; every other prompt answers
+// at once.
+type parkingPredictor struct{ parked, release chan struct{} }
+
+func (parkingPredictor) Name() string { return "parking" }
+
+func (p parkingPredictor) Query(prompt string) (llm.Response, error) {
+	if prompt == "park" {
+		close(p.parked)
+		<-p.release
+	}
+	return llm.Response{Category: "A", InputTokens: 1}, nil
+}
+
+// TestInflightGaugeSpansExecuteCalls overlaps two Execute calls on one
+// executor. The second ends while the first is still parked, and the
+// in-flight gauge must keep counting the parked request rather than
+// drop to zero with the call that ended.
+func TestInflightGaugeSpansExecuteCalls(t *testing.T) {
+	reg := obs.NewRegistry()
+	p := parkingPredictor{parked: make(chan struct{}), release: make(chan struct{})}
+	e, err := New(p, Config{Workers: 4, Obs: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() {
+		_, err := e.Execute(context.Background(), []Request{{ID: "a", Prompt: "park"}})
+		done <- err
+	}()
+	<-p.parked
+	if _, err := e.Execute(context.Background(), []Request{{ID: "b", Prompt: "quick"}}); err != nil {
+		t.Fatal(err)
+	}
+	if got := reg.GaugeValue(metricBatchInflight); got != 1 {
+		t.Fatalf("mqo_batch_inflight = %v while one request is parked, want 1", got)
+	}
+	close(p.release)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if got := reg.GaugeValue(metricBatchInflight); got != 0 {
+		t.Fatalf("mqo_batch_inflight = %v after both calls, want 0", got)
+	}
+}
+
 func TestExecuteInputValidation(t *testing.T) {
 	if _, err := New(nil, Config{}); err == nil {
 		t.Error("nil predictor accepted")
@@ -374,8 +447,8 @@ func TestConcurrentSim(t *testing.T) {
 }
 
 func TestExecuteExtremeQPSDoesNotPanic(t *testing.T) {
-	// Regression: QPS above 1e9 used to compute a 0ns ticker interval,
-	// which panics inside time.NewTicker. The interval is now clamped.
+	// Regression: above 1e9 QPS the pacing interval rounds to 0ns,
+	// which once panicked inside time.NewTicker.
 	p := newScripted()
 	e, err := New(p, Config{Workers: 4, QPS: 5e9})
 	if err != nil {

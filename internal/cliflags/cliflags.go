@@ -33,7 +33,7 @@ type Exec struct {
 // the receiver's fields carry the parsed values afterwards. The
 // receiver's knob values are the flag defaults, except that a zero
 // Workers or Replicas defaults to 1 — so a command whose tier wants a
-// different default (llmserve's four window workers) presets it.
+// different default (llmserve's four serve slots) presets it.
 func (e *Exec) Register(fs *flag.FlagSet) {
 	k := &e.Knobs
 	fs.IntVar(&k.Workers, "workers", atLeastOne(k.Workers), "concurrent LLM queries (results are identical for any value)")

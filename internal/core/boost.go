@@ -90,7 +90,7 @@ func BoostWith(ctx *predictors.Context, m predictors.Method, p llm.Predictor, pl
 		rs = &resultStream{g: ctx.Graph, fb: ecfg.Fallback, hook: ecfg.OnResult}
 		ecfg.onOutcome = rs.onOutcome
 	}
-	ex, err := newPlanExecutor(p, ecfg, rec)
+	e, err := NewExecutor(p, ecfg, rec)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -172,21 +172,13 @@ func BoostWith(ctx *predictors.Context, m predictors.Method, p llm.Predictor, pl
 		planned := make([]plannedQuery, len(cands))
 		fanOut(len(cands), ecfg.Workers, func(i int) {
 			c := cands[i]
-			planned[i] = plannedQuery{
-				v:        c.v,
-				pruned:   plan.Prune[c.v],
-				equipped: len(c.sel) > 0,
-				prompt:   predictors.BuildPrompt(ctx, c.v, c.sel, m.Ranked() && len(c.sel) > 0),
-			}
-			if ecfg.Compress.Enabled() {
-				planned[i].compress(ecfg.Compress, rec, "boost")
-			}
+			planned[i] = planQuery(ctx, m, c.v, c.sel, plan.Prune[c.v], ecfg.Compress, rec, "boost")
 		})
 		if rs != nil {
 			rs.bind(planned)
 		}
 		link := append(planLink(planSpan), "round", strconv.Itoa(round))
-		batchOut, err := dispatch(ex, planned, rec, "boost", link...)
+		batchOut, err := dispatch(e.ex, planned, rec, "boost", link...)
 		if err != nil {
 			roundSpan.End()
 			return nil, nil, err
@@ -201,31 +193,18 @@ func BoostWith(ctx *predictors.Context, m predictors.Method, p llm.Predictor, pl
 		// order across workers.
 		for _, q := range planned {
 			executedSet[q.v] = true
-			o := batchOut[q.v]
-			if o.Err != nil {
-				rec.Add(metricQueryErrors, 1, "mode", "boost")
-				if ecfg.Fallback != nil {
-					// Degrade instead of dropping: the surrogate's answer
-					// stands in for the LLM's, and — like any answer — it
-					// becomes a pseudo-label for later rounds, so one dead
-					// query does not starve its neighbors of label signal.
-					c := ecfg.Fallback.PredictNode(ctx.Graph, q.v)
-					res.Pred[q.v] = c
-					res.markFallback(q.v)
-					rec.Add(metricFallback, 1, "mode", "boost")
-					outcomes = append(outcomes, outcome{v: q.v, category: c})
-					continue
-				}
-				qerrs.add(q.v, fmt.Errorf("core: boosting query for node %d: %w", q.v, o.Err))
+			// With a Fallback, a failed query degrades instead of
+			// dropping: the surrogate's answer stands in for the LLM's
+			// and — like any answer — becomes a pseudo-label for later
+			// rounds, so one dead query does not starve its neighbors of
+			// label signal.
+			out := settle(ctx.Graph, ecfg.Fallback, q, batchOut[q.v])
+			recordOutcome(rec, "boost", out)
+			if !res.add(out) {
+				qerrs.add(q.v, fmt.Errorf("core: boosting query for node %d: %w", q.v, out.Err))
 				continue
 			}
-			recordQuery(rec, "boost", o.Response, q.pruned, q.equipped)
-			if q.equipped {
-				res.Equipped++
-			}
-			res.Meter.AddQuery(o.Response.InputTokens, o.Response.OutputTokens)
-			res.Pred[q.v] = o.Response.Category
-			outcomes = append(outcomes, outcome{v: q.v, category: o.Response.Category})
+			outcomes = append(outcomes, outcome{v: q.v, category: out.Category})
 		}
 
 		// Step 3: add pseudo-labels after the whole round, so queries

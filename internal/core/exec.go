@@ -50,17 +50,25 @@ const (
 	metricCompressionRatio = "mqo_prompt_compression_ratio"
 )
 
-// recordQuery emits the per-query metrics shared by Execute and Boost.
-func recordQuery(rec obs.Recorder, mode string, resp llm.Response, pruned, equipped bool) {
+// recordOutcome emits the per-query metrics of one settled query,
+// shared by ExecuteWith, BoostWith and Executor.Query.
+func recordOutcome(rec obs.Recorder, mode string, out QueryOutcome) {
+	if out.Err != nil || out.Fallback {
+		rec.Add(metricQueryErrors, 1, "mode", mode)
+		if out.Fallback {
+			rec.Add(metricFallback, 1, "mode", mode)
+		}
+		return
+	}
 	rec.Add(metricQueries, 1, "mode", mode)
-	if pruned {
+	if out.Pruned {
 		rec.Add(metricPruned, 1, "mode", mode)
 	}
-	if equipped {
+	if out.Equipped {
 		rec.Add(metricEquipped, 1, "mode", mode)
 	}
-	rec.Add(metricInputTokens, float64(resp.InputTokens), "mode", mode)
-	rec.Add(metricOutputTokens, float64(resp.OutputTokens), "mode", mode)
+	rec.Add(metricInputTokens, float64(out.Response.InputTokens), "mode", mode)
+	rec.Add(metricOutputTokens, float64(out.Response.OutputTokens), "mode", mode)
 }
 
 // Plan is an executable multi-query plan: which queries run, and which
@@ -94,12 +102,26 @@ type Results struct {
 	Fallback map[tag.NodeID]bool
 }
 
-// markFallback records one surrogate-answered query.
-func (r *Results) markFallback(v tag.NodeID) {
-	if r.Fallback == nil {
-		r.Fallback = make(map[tag.NodeID]bool)
+// add books one settled query: its answer and, for an LLM answer, its
+// tokens and prompt shape. It books nothing and reports false for a
+// failed query.
+func (r *Results) add(out QueryOutcome) bool {
+	switch {
+	case out.Fallback:
+		if r.Fallback == nil {
+			r.Fallback = make(map[tag.NodeID]bool)
+		}
+		r.Fallback[out.Node] = true
+	case out.Err != nil:
+		return false
+	default:
+		if out.Equipped {
+			r.Equipped++
+		}
+		r.Meter.AddQuery(out.Response.InputTokens, out.Response.OutputTokens)
 	}
-	r.Fallback[v] = true
+	r.Pred[out.Node] = out.Category
+	return true
 }
 
 // LLMAnswered counts queries answered by the LLM itself.
@@ -264,15 +286,14 @@ type ExecConfig struct {
 	// or ReplicaCount).
 	Affinity bool
 	// OnResult, when non-nil, receives each plan entry's final outcome
-	// the moment the executor settles it — from worker goroutines,
-	// concurrently and in completion order — instead of only after the
-	// whole plan (or boosting round) returns. When Fallback is
-	// configured, a permanently failed entry is streamed with the
-	// surrogate's answer and Fallback set, exactly matching what the
-	// returned Results will record. The hook exists for online callers
-	// (the serve tier) that must answer each query's client without
-	// waiting for the rest of the coalesced batch; it runs on the
-	// worker's critical path and must not block for long.
+	// from ExecuteWith or BoostWith the moment the executor settles it
+	// — from worker goroutines, concurrently and in completion order —
+	// instead of only after the whole plan (or boosting round) returns.
+	// When Fallback is configured, a permanently failed entry is
+	// streamed with the surrogate's answer and Fallback set, exactly
+	// matching what the returned Results will record. The hook runs on
+	// the worker's critical path and must not block for long.
+	// Executor.Query returns its outcome instead and ignores OnResult.
 	OnResult func(QueryOutcome)
 
 	// onOutcome is the batch-level adapter derived from OnResult; set
@@ -280,11 +301,12 @@ type ExecConfig struct {
 	onOutcome func(batch.Request, batch.Outcome)
 }
 
-// QueryOutcome is one settled plan entry as streamed to
-// ExecConfig.OnResult. Category is the answer recorded in
-// Results.Pred: the LLM's parsed category, or the surrogate's
-// prediction when Fallback answered (Err is then nil, mirroring how
-// ExecuteWith keeps fallback-answered queries out of QueryErrors).
+// QueryOutcome is one settled plan entry, as streamed to
+// ExecConfig.OnResult and returned by Executor.Query. Category is the
+// answer recorded in Results.Pred: the LLM's parsed category, or the
+// surrogate's prediction when Fallback answered (Err is then nil,
+// mirroring how ExecuteWith keeps fallback-answered queries out of
+// QueryErrors).
 type QueryOutcome struct {
 	Node     tag.NodeID
 	Category string
@@ -325,10 +347,14 @@ func (rs *resultStream) bind(planned []plannedQuery) {
 
 // onOutcome implements batch.Config.OnOutcome.
 func (rs *resultStream) onOutcome(r batch.Request, o batch.Outcome) {
-	q, ok := rs.byID[r.ID]
-	if !ok {
-		return
+	if q, ok := rs.byID[r.ID]; ok {
+		rs.hook(settle(rs.g, rs.fb, q, o))
 	}
+}
+
+// settle folds one dispatched query's batch outcome into its
+// QueryOutcome. fb, when non-nil, answers a permanent failure.
+func settle(g *tag.Graph, fb *Surrogate, q plannedQuery, o batch.Outcome) QueryOutcome {
 	out := QueryOutcome{
 		Node: q.v, Pruned: q.pruned, Equipped: q.equipped,
 		Response: o.Response, Cached: o.Cached, Err: o.Err,
@@ -336,12 +362,12 @@ func (rs *resultStream) onOutcome(r batch.Request, o batch.Outcome) {
 	switch {
 	case o.Err == nil:
 		out.Category = o.Response.Category
-	case rs.fb != nil:
-		out.Category = rs.fb.PredictNode(rs.g, q.v)
+	case fb != nil:
+		out.Category = fb.PredictNode(g, q.v)
 		out.Fallback = true
 		out.Err = nil
 	}
-	rs.hook(out)
+	return out
 }
 
 // CacheNamespace is the disk-cache namespace of a plan executed under
@@ -501,23 +527,42 @@ func buildQueries(ctx *predictors.Context, m predictors.Method, queries []tag.No
 		if !prune[v] {
 			sel = m.Select(ctx, v)
 		}
-		out[i] = plannedQuery{
-			v:        v,
-			pruned:   prune[v],
-			equipped: len(sel) > 0,
-			prompt:   predictors.BuildPrompt(ctx, v, sel, m.Ranked() && len(sel) > 0),
-		}
-		if comp.Enabled() {
-			out[i].compress(comp, rec, mode)
-		}
+		out[i] = planQuery(ctx, m, v, sel, prune[v], comp, rec, mode)
 	})
 	return out
 }
 
-// newPlanExecutor fronts p with a bounded-concurrency batch executor
-// for one plan execution, routed through a replica pool when cfg
-// pools.
-func newPlanExecutor(p llm.Predictor, cfg ExecConfig, rec obs.Recorder) (*batch.Executor, error) {
+// planQuery fixes one query's prompt from its neighbor selection sel,
+// compressing it when comp is enabled.
+func planQuery(ctx *predictors.Context, m predictors.Method, v tag.NodeID, sel []predictors.Selected, pruned bool, comp prompt.Compressor, rec obs.Recorder, mode string) plannedQuery {
+	q := plannedQuery{
+		v:        v,
+		pruned:   pruned,
+		equipped: len(sel) > 0,
+		prompt:   predictors.BuildPrompt(ctx, v, sel, m.Ranked() && len(sel) > 0),
+	}
+	if comp.Enabled() {
+		q.compress(comp, rec, mode)
+	}
+	return q
+}
+
+// Executor dispatches planned queries to one predictor through a batch
+// executor whose circuit breaker, token budget, QPS pacing and — when
+// the config pools — replica pool last as long as the Executor does.
+// ExecuteWith and BoostWith build one per call; a long-lived caller
+// such as the serve tier builds one and sends every query through
+// Query.
+type Executor struct {
+	ex  *batch.Executor
+	cfg ExecConfig
+	rec obs.Recorder
+}
+
+// NewExecutor fronts p with cfg's batch executor, routed through a
+// replica pool when cfg pools. rec receives the executor's metrics and
+// traces.
+func NewExecutor(p llm.Predictor, cfg ExecConfig, rec obs.Recorder) (*Executor, error) {
 	bcfg := cfg.batchConfig(rec)
 	bcfg.CacheNamespace = cfg.CacheNamespace(p)
 	if reps := cfg.replicaSet(p); reps != nil {
@@ -531,7 +576,27 @@ func newPlanExecutor(p llm.Predictor, cfg ExecConfig, rec obs.Recorder) (*batch.
 		// to trip a breaker spanning the healthy ones.
 		bcfg.Breaker = batch.BreakerConfig{}
 	}
-	return batch.New(p, bcfg)
+	ex, err := batch.New(p, bcfg)
+	if err != nil {
+		return nil, err
+	}
+	return &Executor{ex: ex, cfg: cfg, rec: rec}, nil
+}
+
+// Query answers node v as ExecuteWith answers a one-query plan: it
+// selects v's neighbors with m, builds and compresses the prompt,
+// dispatches it and, when the config has a Fallback, answers a
+// permanent failure with the surrogate. Concurrent calls are safe and
+// share the executor's breaker, budget, pacing and pool.
+func (e *Executor) Query(ctx *predictors.Context, m predictors.Method, v tag.NodeID) QueryOutcome {
+	q := planQuery(ctx, m, v, m.Select(ctx, v), false, e.cfg.Compress, e.rec, "plain")
+	outcomes, err := dispatch(e.ex, []plannedQuery{q}, e.rec, "plain")
+	if err != nil {
+		return QueryOutcome{Node: v, Equipped: q.equipped, Err: err}
+	}
+	out := settle(ctx.Graph, e.cfg.Fallback, q, outcomes[v])
+	recordOutcome(e.rec, "plain", out)
+	return out
 }
 
 // queryTrace pairs one query's root span with its ledger, both closed
@@ -641,7 +706,7 @@ func ExecuteWith(ctx *predictors.Context, m predictors.Method, p llm.Predictor, 
 		rs = &resultStream{g: ctx.Graph, fb: cfg.Fallback, hook: cfg.OnResult}
 		cfg.onOutcome = rs.onOutcome
 	}
-	ex, err := newPlanExecutor(p, cfg, rec)
+	e, err := NewExecutor(p, cfg, rec)
 	if err != nil {
 		return nil, err
 	}
@@ -654,30 +719,17 @@ func ExecuteWith(ctx *predictors.Context, m predictors.Method, p llm.Predictor, 
 	// plan_trace attribute.
 	planSpan := rec.StartSpan("core.plan", "mode", "plain", "queries", strconv.Itoa(len(planned)))
 	defer planSpan.End()
-	outcomes, err := dispatch(ex, planned, rec, "plain", planLink(planSpan)...)
+	outcomes, err := dispatch(e.ex, planned, rec, "plain", planLink(planSpan)...)
 	if err != nil {
 		return nil, err
 	}
 	var qerrs QueryErrors
 	for _, q := range planned {
-		o := outcomes[q.v]
-		if o.Err != nil {
-			rec.Add(metricQueryErrors, 1, "mode", "plain")
-			if cfg.Fallback != nil {
-				res.Pred[q.v] = cfg.Fallback.PredictNode(ctx.Graph, q.v)
-				res.markFallback(q.v)
-				rec.Add(metricFallback, 1, "mode", "plain")
-				continue
-			}
-			qerrs.add(q.v, fmt.Errorf("core: query for node %d: %w", q.v, o.Err))
-			continue
+		out := settle(ctx.Graph, cfg.Fallback, q, outcomes[q.v])
+		recordOutcome(rec, "plain", out)
+		if !res.add(out) {
+			qerrs.add(q.v, fmt.Errorf("core: query for node %d: %w", q.v, out.Err))
 		}
-		if q.equipped {
-			res.Equipped++
-		}
-		recordQuery(rec, "plain", o.Response, q.pruned, q.equipped)
-		res.Pred[q.v] = o.Response.Category
-		res.Meter.AddQuery(o.Response.InputTokens, o.Response.OutputTokens)
 	}
 	if len(qerrs.Errs) > 0 {
 		return res, &qerrs

@@ -17,7 +17,7 @@ import (
 // Report is one scenario run's machine-readable outcome — the row
 // appended to BENCH_load.json. Latency percentiles are nearest-rank
 // over completed (HTTP 200) requests, measured client-side, so they
-// include queueing and the micro-batch window, not just execution.
+// include admission queueing, not just execution.
 type Report struct {
 	Scenario string `json:"scenario"`
 	Target   string `json:"target"`
@@ -47,13 +47,13 @@ type Report struct {
 	// coalescing pushes it below the single-query cost.
 	TokensPerQuery float64 `json:"tokens_per_query"`
 	// CoalesceRate is the share of completed requests answered without
-	// their own predictor plan entry (memory/inflight/window tiers).
+	// dispatching their own node (memory and inflight tiers).
 	CoalesceRate float64 `json:"coalesce_rate"`
 	// AffinityHitRate is pool affinity hits/(hits+misses); -1 when the
 	// scenario ran without affinity routing.
 	AffinityHitRate float64 `json:"affinity_hit_rate"`
-	// QueuePeak is the admission queue's high-water mark as reported by
-	// mqo_serve_queue_depth_peak.
+	// QueuePeak is the high-water mark of admitted nodes awaiting an
+	// answer, as reported by mqo_serve_queue_depth_peak.
 	QueuePeak int `json:"queue_peak"`
 
 	// SLO is the server's own /debug/slo verdict, decoded strictly from

@@ -196,7 +196,6 @@ func startInProcess(sc Scenario, g *tag.Graph) (*httptest.Server, *serve.Server,
 		}
 	}
 	scfg := serve.Config{
-		Window:       sc.Topology.Window,
 		MaxQueue:     sc.Topology.MaxQueue,
 		TenantBudget: sc.Tenants.TokenBudget,
 		Obs:          reg,

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"path/filepath"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 )
@@ -73,7 +72,7 @@ func TestRunQuotaBackpressure(t *testing.T) {
 		Name: "quota", Seed: 3, Scale: 0.12, Requests: 80, NodePool: 60,
 		Arrival:  Arrival{Process: ProcessPoisson, RatePerSec: 2000},
 		Tenants:  Tenants{Count: 2, TokenBudget: 200},
-		Topology: Topology{Knobs: core.Knobs{Workers: 8}, Window: time.Millisecond},
+		Topology: Topology{Knobs: core.Knobs{Workers: 8}},
 	}
 	rep, err := Run(sc, Options{})
 	if err != nil {

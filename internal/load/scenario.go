@@ -102,7 +102,7 @@ type Tenants struct {
 
 // Faults declares the deterministic fault profile (llm.FaultConfig
 // rates; see that package for semantics). MaxLatencyMS doubles as the
-// simulated backend latency — the knob that makes queueing, windows and
+// simulated backend latency — the knob that makes queueing, slots and
 // backpressure behave like a real deployment instead of a microsecond
 // simulator.
 type Faults struct {
@@ -126,10 +126,8 @@ func (f Faults) enabled() bool {
 // 4 and Replicas to 1. Durations are JSON integers in nanoseconds.
 type Topology struct {
 	core.Knobs
-	// Window is the micro-batching window (default serve.DefaultWindow).
-	Window time.Duration `json:"window,omitempty"`
-	// MaxQueue is the admission queue's high-water mark (default
-	// serve.DefaultMaxQueue).
+	// MaxQueue bounds the admitted nodes that have no answer yet
+	// (default serve.DefaultMaxQueue).
 	MaxQueue int `json:"max_queue,omitempty"`
 	// Method is the neighbor-selection method (default "1-hop"); M caps
 	// neighbors per prompt (default 4); Labeled seeds the context with
@@ -245,13 +243,13 @@ func (sc Scenario) Validate() error {
 		return fmt.Errorf("load: scenario %q: negative max_latency_ms", sc.Name)
 	}
 	if sc.Faults.HangRate > 0 && sc.Topology.QueryTimeout <= 0 {
-		return fmt.Errorf("load: scenario %q: hang_rate > 0 needs topology.query_timeout > 0 (a hung call would pin its window forever)", sc.Name)
+		return fmt.Errorf("load: scenario %q: hang_rate > 0 needs topology.query_timeout > 0 (a hung call would pin its slot forever)", sc.Name)
 	}
 	t := sc.Topology
 	if err := t.Knobs.Validate(); err != nil {
 		return fmt.Errorf("load: scenario %q: topology: %w", sc.Name, err)
 	}
-	if t.Window < 0 || t.MaxQueue < 0 || t.M < 1 || t.Labeled < 1 {
+	if t.MaxQueue < 0 || t.M < 1 || t.Labeled < 1 {
 		return fmt.Errorf("load: scenario %q: topology knob out of range: %+v", sc.Name, t)
 	}
 	if sc.SLOP99MS < 0 {
@@ -267,7 +265,7 @@ func (sc Scenario) Validate() error {
 //     verdict is deterministic on any machine.
 //   - steady: Poisson arrivals near capacity with realistic simulated
 //     backend latency — the tokens-per-query and coalescing headline.
-//   - burst: on/off arrivals that slam the window then go silent, the
+//   - burst: on/off arrivals that slam the tier then go silent, the
 //     shape that exposes queue-depth peaks between scrapes.
 //   - flood: offered load far past capacity against a small queue —
 //     the 429/Retry-After backpressure contract under an open loop.
@@ -279,7 +277,7 @@ func Presets() []Scenario {
 			Name: "smoke", Seed: 1, Scale: 0.12, Requests: 240, NodePool: 32,
 			Arrival:  Arrival{Process: ProcessPoisson, RatePerSec: 600},
 			Tenants:  Tenants{Count: 4},
-			Topology: Topology{Knobs: core.Knobs{Workers: 8}, Window: 2 * time.Millisecond},
+			Topology: Topology{Knobs: core.Knobs{Workers: 8}},
 			SLOP99MS: 30000,
 		},
 		{
@@ -287,7 +285,7 @@ func Presets() []Scenario {
 			Arrival:  Arrival{Process: ProcessPoisson, RatePerSec: 300},
 			Tenants:  Tenants{Count: 8, Skew: 0.5},
 			Faults:   Faults{MaxLatencyMS: 4},
-			Topology: Topology{Knobs: core.Knobs{Workers: 8}, Window: 3 * time.Millisecond},
+			Topology: Topology{Knobs: core.Knobs{Workers: 8}},
 			SLOP99MS: 30000,
 		},
 		{
@@ -295,7 +293,7 @@ func Presets() []Scenario {
 			Arrival:  Arrival{Process: ProcessBursty, RatePerSec: 1200, OnMS: 40, OffMS: 120},
 			Tenants:  Tenants{Count: 8},
 			Faults:   Faults{MaxLatencyMS: 4},
-			Topology: Topology{Knobs: core.Knobs{Workers: 8}, Window: 3 * time.Millisecond},
+			Topology: Topology{Knobs: core.Knobs{Workers: 8}},
 			SLOP99MS: 30000,
 		},
 		{
@@ -303,7 +301,7 @@ func Presets() []Scenario {
 			Arrival:  Arrival{Process: ProcessPoisson, RatePerSec: 4000},
 			Tenants:  Tenants{Count: 8},
 			Faults:   Faults{MaxLatencyMS: 25},
-			Topology: Topology{Knobs: core.Knobs{Workers: 2}, Window: 2 * time.Millisecond, MaxQueue: 32},
+			Topology: Topology{Knobs: core.Knobs{Workers: 2}, MaxQueue: 32},
 			SLOP99MS: 30000,
 		},
 		{
@@ -316,7 +314,6 @@ func Presets() []Scenario {
 					Workers: 8, QueryTimeout: 250 * time.Millisecond,
 					Replicas: 3, Hedge: true, HedgeAfter: 20 * time.Millisecond,
 				},
-				Window: 3 * time.Millisecond,
 			},
 			SLOP99MS: 30000,
 		},

@@ -58,7 +58,7 @@ func TestValidateRejections(t *testing.T) {
 		{"hedge without replicas", func(s *Scenario) { s.Topology.Hedge = true }},
 		{"affinity without replicas", func(s *Scenario) { s.Topology.Affinity = true }},
 		{"compress out of range", func(s *Scenario) { s.Topology.Compress = 7 }},
-		{"negative window", func(s *Scenario) { s.Topology.Window = -1 }},
+		{"negative max_queue", func(s *Scenario) { s.Topology.MaxQueue = -1 }},
 		{"negative slo", func(s *Scenario) { s.SLOP99MS = -1 }},
 	}
 	for _, tc := range cases {

@@ -21,7 +21,7 @@ const (
 	StageRetry     = "retry"           // failed attempts that were retried
 	StageBackoff   = "backoff"         // sleep between attempts
 	StageBreaker   = "breaker"         // time lost to circuit-breaker rejections
-	StageThrottle  = "throttle"        // QPS ticker wait
+	StageThrottle  = "throttle"        // QPS pacing wait
 	StageExec      = "exec"            // executor overhead not in any stage above
 	StageHedgeLoss = "hedge_loss"      // losing hedge attempts (never billed)
 	StageCompress  = "prompt.compress" // prompt compression during planning (never billed)

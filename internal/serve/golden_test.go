@@ -10,7 +10,6 @@ import (
 	"path/filepath"
 	"regexp"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -102,9 +101,7 @@ func postQuery(t *testing.T, ts *httptest.Server, tenant, body string) (*http.Re
 // body's trace_id are the same live 32-hex-char ID.
 func TestGoldenQuerySuccess(t *testing.T) {
 	f := newFixture(t, 300, 40, 7)
-	s := newServer(t, f, f.freshSim(), Config{
-		Window: time.Millisecond, Obs: obs.NewRegistry(),
-	})
+	s := newServer(t, f, f.freshSim(), Config{Obs: obs.NewRegistry()})
 	ts := httptest.NewServer(Handler(s))
 	defer ts.Close()
 
@@ -129,7 +126,7 @@ func TestGoldenQuerySuccess(t *testing.T) {
 // not JSON.
 func TestGoldenQueryMalformed(t *testing.T) {
 	f := newFixture(t, 300, 40, 7)
-	s := newServer(t, f, f.freshSim(), Config{Window: time.Millisecond})
+	s := newServer(t, f, f.freshSim(), Config{})
 	ts := httptest.NewServer(Handler(s))
 	defer ts.Close()
 
@@ -141,21 +138,14 @@ func TestGoldenQueryMalformed(t *testing.T) {
 }
 
 // TestGoldenQueryQueueFull pins the 429 queue-full envelope and its
-// Retry-After hint. The batcher is parked on the injected Sleep seam,
-// so the first request provably sits in the admission queue when the
-// second arrives — no timing, no flakes.
+// Retry-After hint. The first request's node is executing, parked on a
+// gated predictor, so it provably occupies the one admission slot when
+// the second arrives — no timing, no flakes.
 func TestGoldenQueryQueueFull(t *testing.T) {
 	f := newFixture(t, 300, 40, 7)
-	release := make(chan struct{})
-	var once sync.Once
-	unblock := func() { once.Do(func() { close(release) }) }
-	s := newServer(t, f, f.freshSim(), Config{
-		Window:     time.Hour, // never reached: Sleep below blocks on release
-		MaxQueue:   1,
-		RetryAfter: 2 * time.Second,
-		Sleep:      func(time.Duration) { <-release },
-	})
-	defer unblock() // let the parked window flush so Close can drain
+	gate := newGated(f.freshSim())
+	s := newServer(t, f, gate, Config{MaxQueue: 1, RetryAfter: 2 * time.Second})
+	defer gate.open() // let the parked node finish so Close can drain
 	ts := httptest.NewServer(Handler(s))
 	defer ts.Close()
 
@@ -170,14 +160,14 @@ func TestGoldenQueryQueueFull(t *testing.T) {
 			resp.Body.Close()
 		}
 	}()
-	waitFor(t, func() bool { return s.QueuePeak() >= 1 })
+	waitFor(t, func() bool { return gate.calls() == 1 })
 
 	resp, body := postQuery(t, ts, "acme", fmt.Sprintf(`{"node": %d}`, f.split.Query[1]))
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("status %d, want 429", resp.StatusCode)
 	}
 	checkGolden(t, "golden_query_queue_full.txt", resp, body)
-	unblock()
+	gate.open()
 	<-first
 }
 
@@ -186,11 +176,7 @@ func TestGoldenQueryQueueFull(t *testing.T) {
 // rejected with the quota error type and a Retry-After hint.
 func TestGoldenQueryQuota(t *testing.T) {
 	f := newFixture(t, 300, 40, 7)
-	s := newServer(t, f, f.freshSim(), Config{
-		Window:       time.Millisecond,
-		TenantBudget: 1,
-		RetryAfter:   2 * time.Second,
-	})
+	s := newServer(t, f, f.freshSim(), Config{TenantBudget: 1, RetryAfter: 2 * time.Second})
 	ts := httptest.NewServer(Handler(s))
 	defer ts.Close()
 

@@ -1,21 +1,21 @@
 // Package serve is the online, multi-tenant query tier in front of the
-// batch-shaped execution pipeline. Every other entry point in this
-// repository optimizes a *batch* it was handed up front; serve turns
-// the same machinery toward interleaved single-node queries from many
-// users, which is exactly where the paper's multi-query optimization
-// pays off at scale: concurrent requests touching the same graph are
-// coalesced inside a short micro-batching window into one shared plan,
-// identical prompts are deduplicated across tenants (single-flight at
-// the serve layer, not just within one plan), and each request's
-// response completes the moment its own plan entry settles rather than
-// when the whole coalesced batch does.
+// execution pipeline. Every other entry point in this repository
+// optimizes a *batch* it was handed up front; serve turns the same
+// machinery toward interleaved single-node queries from many users,
+// which is where the paper's multi-query optimization pays off at
+// scale: a node any tenant already asked about is answered from the
+// tier's answer memory, a request for a node that is still queued or
+// executing attaches to it instead of paying again (single-flight
+// across tenants), and every admitted node is dispatched the moment an
+// execution slot frees, through one core.Executor whose breakers,
+// replica pool, QPS pacing and token budget last as long as the server.
 //
 // The tier also provides the operational contract an online service
-// needs and a batch runner does not: admission control with a bounded
-// queue and 429-style backpressure past the high-water mark, per-tenant
-// token quotas with fair round-robin scheduling between tenants inside
-// a window, and a drain path that answers everything already admitted
-// before shutting down.
+// needs and a batch runner does not: admission control that bounds the
+// nodes admitted but not yet answered and rejects past it with
+// 429-style backpressure, per-tenant token quotas with fair
+// round-robin scheduling between tenants, and a drain path that
+// answers everything already admitted before shutting down.
 package serve
 
 import (
@@ -42,15 +42,14 @@ const (
 	metricRejected       = "mqo_serve_rejected_total"
 	metricQueueDepth     = "mqo_serve_queue_depth"
 	metricQueueDepthPeak = "mqo_serve_queue_depth_peak"
-	metricFlushes        = "mqo_serve_window_flushes_total"
 )
 
 // Admission-control rejections. Handlers map them to HTTP 429/503 with
 // a Retry-After hint; they are never returned once a request has been
 // admitted.
 var (
-	// ErrQueueFull rejects a request arriving past the queue's
-	// high-water mark (Config.MaxQueue).
+	// ErrQueueFull rejects a request for a new node arriving while
+	// Config.MaxQueue admitted nodes still await their answer.
 	ErrQueueFull = errors.New("serve: admission queue full")
 	// ErrQuotaExhausted rejects a tenant whose delivered-token spend
 	// reached Config.TenantBudget.
@@ -63,12 +62,7 @@ var (
 
 // Defaults for the zero Config fields.
 const (
-	// DefaultWindow is the micro-batching window: how long the batcher
-	// lets concurrent requests pile up before coalescing them into one
-	// shared plan. A few milliseconds buys most of the deduplication at
-	// a latency cost no interactive client notices.
-	DefaultWindow = 5 * time.Millisecond
-	// DefaultMaxQueue is the admission queue's high-water mark.
+	// DefaultMaxQueue bounds the admitted nodes awaiting an answer.
 	DefaultMaxQueue = 256
 	// DefaultRetryAfter is the Retry-After hint attached to
 	// backpressure rejections.
@@ -77,13 +71,16 @@ const (
 
 // Config tunes a Server.
 type Config struct {
-	// Window is the micro-batching window (default DefaultWindow).
-	// Requests arriving while a window is open join its plan; a longer
-	// window coalesces more at the cost of first-byte latency.
+	// Window is ignored.
+	//
+	// Deprecated: the tier dispatches each admitted node as soon as an
+	// execution slot frees, so there is no batching window to size.
+	// New still rejects a negative value.
 	Window time.Duration
-	// MaxQueue is the admission queue's high-water mark (default
-	// DefaultMaxQueue): requests arriving while MaxQueue are already
-	// waiting for a window are rejected with ErrQueueFull.
+	// MaxQueue bounds the admitted nodes that have no answer yet,
+	// queued or executing (default DefaultMaxQueue): a request for a
+	// further node is rejected with ErrQueueFull, while a request for
+	// an admitted node attaches to it.
 	MaxQueue int
 	// RetryAfter is the backoff hint handed to rejected clients
 	// (default DefaultRetryAfter). Honoring it is the client's half of
@@ -96,16 +93,16 @@ type Config struct {
 	// every tenant that received it; the provider-side saving shows up
 	// in mqo_serve_coalesced_total instead.
 	TenantBudget int
-	// Exec configures how each coalesced plan executes (workers,
-	// retries, cache tiers, replica pool, fallback…). Exec.OnResult is
-	// owned by the serve tier and must be nil.
+	// Exec configures the one core.Executor every admitted node runs
+	// through: Workers execution slots, and the retries, disk cache,
+	// replica pool, fallback, QPS pacing, breakers and BudgetTokens
+	// shared by every query for the server's lifetime. Exec.Cache has
+	// no effect, since each dispatch asks one prompt, and Exec.OnResult
+	// must be nil: Submit returns each answer.
 	Exec core.ExecConfig
 	// Obs receives serve metrics and spans; nil routes to the
 	// process-default recorder.
 	Obs obs.Recorder
-	// Sleep holds the micro-batching window open; it defaults to
-	// time.Sleep. Tests replace it to decide when a window closes.
-	Sleep func(time.Duration)
 }
 
 // Result is one answered query.
@@ -113,13 +110,12 @@ type Result struct {
 	Node     tag.NodeID
 	Category string
 	Response llm.Response
-	// Coalesced reports the request was answered without a plan entry
-	// of its own: it attached to another tenant's identical in-flight
-	// query, merged with a duplicate inside its window, or was served
-	// from the serve tier's answer memory.
+	// Coalesced reports the request was answered without dispatching
+	// its node itself: it attached to another request's queued or
+	// executing node, or was served from the answer memory.
 	Coalesced bool
-	// Cached reports the underlying plan entry was served by a cache
-	// tier instead of a fresh predictor call.
+	// Cached reports the dispatch was answered by the disk cache
+	// instead of a fresh predictor call.
 	Cached bool
 	// Fallback reports the surrogate answered after the LLM path failed
 	// permanently (Exec.Fallback).
@@ -138,9 +134,9 @@ type pending struct {
 	span   *obs.Span
 	led    *obs.Ledger
 	enq    time.Time
-	// tier is empty for the request that owns its plan entry, otherwise
-	// the coalescing tier that absorbed it (window | inflight | memory).
-	tier string
+	// attached marks a request that found its node already admitted
+	// and waits on it instead of dispatching it (the inflight tier).
+	attached bool
 }
 
 // delivery carries a settled outcome to a waiting Submit.
@@ -158,11 +154,16 @@ func (p *pending) traceID() string {
 	return ""
 }
 
-// entry is one unique node inside the executing window; every request
-// asking for that node waits on it.
+// entry is one admitted node without an answer yet, queued or
+// executing; every request asking for that node meanwhile waits on it.
 type entry struct {
-	node    tag.NodeID
+	node tag.NodeID
+	// tenant is whose request admitted the node; rounds interleave by
+	// it.
+	tenant  string
 	waiters []*pending
+	// start is when a slot began executing the node.
+	start time.Time
 }
 
 // Server is the online query tier. One Server fronts one graph context,
@@ -170,15 +171,20 @@ type entry struct {
 type Server struct {
 	pctx   *predictors.Context
 	method predictors.Method
-	pred   llm.Predictor
+	exec   *core.Executor
 	cfg    Config
 	rec    obs.Recorder
 
-	sleep func(time.Duration)
-
-	mu       sync.Mutex
-	queue    []*pending
+	mu sync.Mutex
+	// wake, on mu, tells waiting slots a node was queued or drain began.
+	wake *sync.Cond
+	// inflight holds every admitted node without an answer, queued or
+	// executing; MaxQueue bounds it.
 	inflight map[tag.NodeID]*entry
+	// queue holds the entries admitted since the current round was cut,
+	// in arrival order; round holds what is left of the current round,
+	// in interleave order.
+	queue, round []*entry
 	// answers is the serve tier's answer memory, keyed by node. It
 	// holds at most Graph.NumNodes() entries, because Submit rejects
 	// unknown nodes, so it needs no eviction.
@@ -187,14 +193,13 @@ type Server struct {
 	peak     int
 	draining bool
 
-	wake chan struct{}
-	stop chan struct{}
-	done chan struct{}
+	slots sync.WaitGroup
 }
 
-// New validates the configuration and starts the batcher. Windows
-// call the predictor from Exec.Workers goroutines at once, as the
-// llm.Predictor contract allows.
+// New validates the configuration, builds the server's one
+// core.Executor and starts Exec.Workers execution slots (at least
+// one), which call the predictor concurrently, as the llm.Predictor
+// contract allows.
 func New(pctx *predictors.Context, m predictors.Method, p llm.Predictor, cfg Config) (*Server, error) {
 	if pctx == nil || pctx.Graph == nil {
 		return nil, errors.New("serve: nil context or graph")
@@ -206,13 +211,10 @@ func New(pctx *predictors.Context, m predictors.Method, p llm.Predictor, cfg Con
 		return nil, errors.New("serve: nil predictor")
 	}
 	if cfg.Exec.OnResult != nil {
-		return nil, errors.New("serve: Exec.OnResult is owned by the serve tier")
+		return nil, errors.New("serve: Exec.OnResult must be nil: Submit returns each answer")
 	}
 	if cfg.Window < 0 || cfg.MaxQueue < 0 || cfg.RetryAfter < 0 || cfg.TenantBudget < 0 {
 		return nil, fmt.Errorf("serve: negative config value: %+v", cfg)
-	}
-	if cfg.Window == 0 {
-		cfg.Window = DefaultWindow
 	}
 	if cfg.MaxQueue == 0 {
 		cfg.MaxQueue = DefaultMaxQueue
@@ -220,55 +222,55 @@ func New(pctx *predictors.Context, m predictors.Method, p llm.Predictor, cfg Con
 	if cfg.RetryAfter == 0 {
 		cfg.RetryAfter = DefaultRetryAfter
 	}
+	exec, err := core.NewExecutor(p, cfg.Exec, obs.Active(pctx.Obs))
+	if err != nil {
+		return nil, err
+	}
 	s := &Server{
 		pctx:     pctx,
 		method:   m,
-		pred:     p,
+		exec:     exec,
 		cfg:      cfg,
 		rec:      obs.Active(cfg.Obs),
-		sleep:    cfg.Sleep,
 		inflight: make(map[tag.NodeID]*entry),
 		answers:  make(map[tag.NodeID]Result),
 		spent:    make(map[string]int),
-		wake:     make(chan struct{}, 1),
-		stop:     make(chan struct{}),
-		done:     make(chan struct{}),
 	}
-	if s.sleep == nil {
-		s.sleep = time.Sleep
+	s.wake = sync.NewCond(&s.mu)
+	slots := max(1, cfg.Exec.Workers)
+	s.slots.Add(slots)
+	for i := 0; i < slots; i++ {
+		go s.slot()
 	}
-	go s.batcher()
 	return s, nil
 }
 
 // RetryAfter returns the backoff hint for rejected requests.
 func (s *Server) RetryAfter() time.Duration { return s.cfg.RetryAfter }
 
-// QueueDepth returns the number of admitted requests waiting for a
-// window. It never exceeds Config.MaxQueue.
+// QueueDepth returns the number of admitted nodes that have no answer
+// yet, queued or executing. It never exceeds Config.MaxQueue.
 func (s *Server) QueueDepth() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.queue)
+	return len(s.inflight)
 }
 
-// QueuePeak returns the admission queue's high-water mark since the
-// server started: the deepest the queue ever got, even if every window
-// since has flushed it back to zero. An open-loop flood that is over
-// before anyone scrapes /metrics still leaves its true peak here.
+// QueuePeak returns QueueDepth's high-water mark since the server
+// started, even if every node since has been answered. An open-loop
+// flood that is over before anyone scrapes /metrics still leaves its
+// true peak here.
 func (s *Server) QueuePeak() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.peak
 }
 
-// noteQueueDepthLocked publishes the queue depth after every enqueue
-// and dequeue, keeping the gauge and the peak gauge truthful between
-// scrapes. The gauge used to be written outside the lock from racing
-// call sites, so a flush's zero could land after a newer enqueue's
-// depth; writing under s.mu serializes the samples in queue order.
+// noteQueueDepthLocked publishes the depth after every admission and
+// answer. Writing under s.mu serializes the samples, so the gauge's
+// last write is the current depth.
 func (s *Server) noteQueueDepthLocked() {
-	d := len(s.queue)
+	d := len(s.inflight)
 	if d > s.peak {
 		s.peak = d
 		s.rec.Set(metricQueueDepthPeak, float64(d))
@@ -286,8 +288,8 @@ func (s *Server) TenantSpend(tenant string) int {
 // Submit asks one node query on behalf of tenant and blocks until its
 // answer is delivered, the request is rejected at admission
 // (ErrQueueFull, ErrQuotaExhausted, ErrDraining, ErrUnknownNode), or
-// ctx ends. Cancellation abandons only the wait: the coalesced plan
-// entry still completes and still warms the answer memory.
+// ctx ends. Cancellation abandons only the wait: the node still
+// executes and still warms the answer memory.
 func (s *Server) Submit(ctx context.Context, tenant string, node tag.NodeID) (Result, error) {
 	if int(node) < 0 || int(node) >= s.pctx.Graph.NumNodes() {
 		s.rec.Add(metricRejected, 1, "reason", "unknown_node")
@@ -305,9 +307,9 @@ func (s *Server) Submit(ctx context.Context, tenant string, node tag.NodeID) (Re
 		s.rec.Add(metricRejected, 1, "reason", "quota")
 		return Result{}, fmt.Errorf("%w: tenant %q", ErrQuotaExhausted, tenant)
 	}
-	// Serve-layer memory: a node any earlier window answered is
-	// delivered immediately — the cross-user single-flight's steady
-	// state, where N tenants asking about one node paid one call.
+	// Serve-layer memory: a node answered earlier is delivered
+	// immediately — the cross-user single-flight's steady state, where
+	// N tenants asking about one node paid one call.
 	if r, ok := s.answers[node]; ok {
 		s.chargeLocked(tenant, r)
 		s.mu.Unlock()
@@ -317,29 +319,28 @@ func (s *Server) Submit(ctx context.Context, tenant string, node tag.NodeID) (Re
 		return r, nil
 	}
 	p := &pending{tenant: tenant, node: node, ch: make(chan delivery, 1), enq: enq}
-	// Attach to the executing window when it already carries this node:
-	// the request pays nothing and completes with that entry.
+	// Attach to the node when it is already admitted: the request pays
+	// nothing and completes with it.
 	if e, ok := s.inflight[node]; ok {
-		p.tier = "inflight"
+		p.attached = true
 		e.waiters = append(e.waiters, p)
 		s.openTrace(p)
 		s.mu.Unlock()
 		s.rec.Add(metricCoalesced, 1, "tier", "inflight")
 		return s.wait(ctx, p)
 	}
-	if len(s.queue) >= s.cfg.MaxQueue {
+	if len(s.inflight) >= s.cfg.MaxQueue {
 		s.mu.Unlock()
 		s.rec.Add(metricRejected, 1, "reason", "queue_full")
 		return Result{}, ErrQueueFull
 	}
-	s.queue = append(s.queue, p)
+	e := &entry{node: node, tenant: tenant, waiters: []*pending{p}}
+	s.inflight[node] = e
+	s.queue = append(s.queue, e)
 	s.noteQueueDepthLocked()
 	s.openTrace(p)
 	s.mu.Unlock()
-	select {
-	case s.wake <- struct{}{}:
-	default:
-	}
+	s.wake.Signal()
 	return s.wait(ctx, p)
 }
 
@@ -367,7 +368,7 @@ func (s *Server) wait(ctx context.Context, p *pending) (Result, error) {
 	case d := <-p.ch:
 		return d.res, d.err
 	case <-ctx.Done():
-		// The plan entry still completes; only this waiter leaves. Its
+		// The node still executes; only this waiter leaves. Its
 		// buffered channel absorbs the late delivery, so nothing leaks.
 		return Result{}, ctx.Err()
 	}
@@ -375,67 +376,70 @@ func (s *Server) wait(ctx context.Context, p *pending) (Result, error) {
 
 // Close drains and stops the tier: new submissions are rejected with
 // ErrDraining, every already-admitted request is answered, and the
-// batcher exits. Safe to call more than once.
+// slots exit. Safe to call more than once.
 func (s *Server) Close() {
 	s.mu.Lock()
-	if s.draining {
-		s.mu.Unlock()
-		<-s.done
-		return
-	}
 	s.draining = true
 	s.mu.Unlock()
-	close(s.stop)
-	<-s.done
+	s.wake.Broadcast()
+	s.slots.Wait()
 }
 
-// batcher is the tier's single scheduling goroutine: it waits for
-// work, keeps the window open for Config.Window so concurrent requests
-// coalesce, then flushes the queue as one shared plan, whose building
-// fans out over Exec.Workers. Windows run sequentially, so while one
-// window executes, the next one's requests pile up behind it (that
-// queue *is* the backpressure signal MaxQueue bounds).
-func (s *Server) batcher() {
-	defer close(s.done)
+// slot is one execution slot: it takes the next admitted node, runs
+// it through the server's executor and delivers the answer to every
+// request waiting on it, until drain leaves nothing to take.
+func (s *Server) slot() {
+	defer s.slots.Done()
 	for {
-		s.mu.Lock()
-		n, draining := len(s.queue), s.draining
-		s.mu.Unlock()
-		if n == 0 {
-			if draining {
-				return
-			}
-			select {
-			case <-s.wake:
-			case <-s.stop:
-			}
-			continue
+		e := s.next()
+		if e == nil {
+			return
 		}
-		if !draining && s.cfg.Window > 0 {
-			s.sleep(s.cfg.Window)
-		}
-		s.flush()
+		s.complete(e, s.exec.Query(s.pctx, s.method, e.node))
 	}
 }
 
-// interleave orders one window's requests by fair round-robin between
-// tenants: tenants are visited in sorted order, one request each per
-// cycle, arrival order preserved within a tenant. A tenant flooding
-// the window still gets its flood executed, but cannot push another
-// tenant's single query to the back of the shared plan — which is what
-// decides who pays first when budgets or breakers trip mid-plan.
-func interleave(batch []*pending) []*pending {
-	byTenant := make(map[string][]*pending)
-	var names []string
-	for _, p := range batch {
-		if _, ok := byTenant[p.tenant]; !ok {
-			names = append(names, p.tenant)
+// next takes the current round's next entry and stamps its start.
+// When the round is used up it cuts everything queued since into a new
+// round, in interleave order, and when nothing is queued it waits. It
+// returns nil once the server is draining with nothing left to take.
+func (s *Server) next() *entry {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for len(s.round) == 0 {
+		switch {
+		case len(s.queue) > 0:
+			s.round, s.queue = interleave(s.queue), nil
+		case s.draining:
+			return nil
+		default:
+			s.wake.Wait()
 		}
-		byTenant[p.tenant] = append(byTenant[p.tenant], p)
+	}
+	e := s.round[0]
+	s.round = s.round[1:]
+	e.start = time.Now()
+	return e
+}
+
+// interleave orders one round's entries by fair round-robin between
+// tenants: tenants are visited in sorted order, one entry each per
+// cycle, arrival order preserved within a tenant. A tenant flooding
+// the tier still gets its flood executed, but cannot push another
+// tenant's single query behind its own — which is what decides who
+// waits longest, and who pays first when budgets or breakers trip.
+func interleave(queued []*entry) []*entry {
+	byTenant := make(map[string][]*entry)
+	var names []string
+	for _, e := range queued {
+		if _, ok := byTenant[e.tenant]; !ok {
+			names = append(names, e.tenant)
+		}
+		byTenant[e.tenant] = append(byTenant[e.tenant], e)
 	}
 	sort.Strings(names)
-	out := make([]*pending, 0, len(batch))
-	for len(out) < len(batch) {
+	out := make([]*entry, 0, len(queued))
+	for len(out) < len(queued) {
 		for _, t := range names {
 			if q := byTenant[t]; len(q) > 0 {
 				out = append(out, q[0])
@@ -446,114 +450,27 @@ func interleave(batch []*pending) []*pending {
 	return out
 }
 
-// flush coalesces the queued requests into one plan and executes it,
-// delivering each request as its own entry settles.
-func (s *Server) flush() {
-	flushStart := time.Now()
-	s.mu.Lock()
-	batch := s.queue
-	s.queue = nil
-	if len(batch) == 0 {
-		s.mu.Unlock()
-		return
-	}
-	s.noteQueueDepthLocked()
-	var ready []*pending // answered while queued: deliver from memory
-	var readyRes []Result
-	var entries []*entry
-	for _, p := range interleave(batch) {
-		if r, ok := s.answers[p.node]; ok {
-			p.tier = "memory"
-			s.chargeLocked(p.tenant, r)
-			r.Coalesced = true
-			r.TraceID = p.traceID()
-			ready, readyRes = append(ready, p), append(readyRes, r)
-			continue
-		}
-		if e, ok := s.inflight[p.node]; ok {
-			// Duplicate inside this window: one plan entry, many
-			// waiters — the cross-tenant deduplication the tier is for.
-			p.tier = "window"
-			e.waiters = append(e.waiters, p)
-			continue
-		}
-		e := &entry{node: p.node, waiters: []*pending{p}}
-		s.inflight[p.node] = e
-		entries = append(entries, e)
-	}
-	s.mu.Unlock()
-
-	for i, p := range ready {
-		s.rec.Add(metricCoalesced, 1, "tier", "memory")
-		s.deliver(p, delivery{res: readyRes[i]}, flushStart)
-	}
-	coalesced := len(batch) - len(ready) - len(entries)
-	for i := 0; i < coalesced; i++ {
-		s.rec.Add(metricCoalesced, 1, "tier", "window")
-	}
-	if len(entries) == 0 {
-		return
-	}
-
-	s.rec.Add(metricFlushes, 1)
-	wspan := s.rec.StartSpan("serve.window",
-		"entries", strconv.Itoa(len(entries)),
-		"requests", strconv.Itoa(len(batch)-len(ready)),
-		"coalesced", strconv.Itoa(coalesced))
-	plan := core.Plan{Queries: make([]tag.NodeID, len(entries))}
-	for i, e := range entries {
-		plan.Queries[i] = e.node
-	}
-	ecfg := s.cfg.Exec
-	ecfg.OnResult = func(q core.QueryOutcome) { s.complete(q, flushStart) }
-	_, execErr := core.ExecuteWith(s.pctx, s.method, s.pred, plan, ecfg)
-	// Every entry normally settles through OnResult; sweep up anything
-	// left (a top-level executor error) so no waiter blocks forever.
-	err := execErr
-	if err == nil {
-		err = errors.New("serve: plan entry never settled")
-	}
-	for _, e := range entries {
-		s.mu.Lock()
-		still := s.inflight[e.node] == e
-		if still {
-			delete(s.inflight, e.node)
-		}
-		waiters := e.waiters
-		s.mu.Unlock()
-		if still {
-			for _, p := range waiters {
-				s.deliver(p, delivery{err: fmt.Errorf("serve: query for node %d: %w", e.node, err)}, flushStart)
-			}
-		}
-	}
-	wspan.End()
-}
-
-// complete settles one plan entry: it publishes the answer to the
-// serve memory, debits every waiter's tenant, and delivers. It runs on
-// executor worker goroutines, concurrently across entries, which is
-// what lets a request finish while the rest of its window is still
-// executing.
-func (s *Server) complete(q core.QueryOutcome, flushStart time.Time) {
-	s.mu.Lock()
-	e := s.inflight[q.Node]
-	if e == nil {
-		s.mu.Unlock()
-		return
-	}
-	delete(s.inflight, q.Node)
-	waiters := e.waiters
-	e.waiters = nil
+// complete settles one executed node: it publishes a successful answer
+// to the serve memory, debits every waiter's tenant, and delivers. It
+// runs on the slot that executed the node, so each request finishes
+// the moment its own node does.
+func (s *Server) complete(e *entry, q core.QueryOutcome) {
 	var d delivery
 	if q.Err != nil {
-		d.err = fmt.Errorf("serve: query for node %d: %w", q.Node, q.Err)
+		d.err = fmt.Errorf("serve: query for node %d: %w", e.node, q.Err)
 	} else {
 		d.res = Result{
-			Node: q.Node, Category: q.Category, Response: q.Response,
+			Node: e.node, Category: q.Category, Response: q.Response,
 			Cached: q.Cached, Fallback: q.Fallback,
 		}
-		s.answers[q.Node] = d.res
+	}
+	s.mu.Lock()
+	delete(s.inflight, e.node)
+	s.noteQueueDepthLocked()
+	waiters := e.waiters
+	e.waiters = nil
+	if d.err == nil {
+		s.answers[e.node] = d.res
 		for _, p := range waiters {
 			s.chargeLocked(p.tenant, d.res)
 		}
@@ -562,9 +479,9 @@ func (s *Server) complete(q core.QueryOutcome, flushStart time.Time) {
 
 	for _, p := range waiters {
 		r := d.res
-		r.Coalesced = p.tier != ""
+		r.Coalesced = p.attached
 		r.TraceID = p.traceID()
-		s.deliver(p, delivery{res: r, err: d.err}, flushStart)
+		s.deliver(p, e.start, delivery{res: r, err: d.err})
 	}
 }
 
@@ -572,34 +489,40 @@ func (s *Server) complete(q core.QueryOutcome, flushStart time.Time) {
 // and counts its outcome, then hands the waiting Submit its answer. The
 // send comes last, so a caller returning from Submit already finds its
 // own answer in the metrics.
-func (s *Server) deliver(p *pending, d delivery, flushStart time.Time) {
+func (s *Server) deliver(p *pending, start time.Time, d delivery) {
 	outcome := "ok"
 	if d.err != nil {
 		outcome = "error"
 	}
-	s.finishTrace(p, flushStart, outcome)
+	s.finishTrace(p, start, outcome)
 	s.rec.Add(metricQueries, 1, "outcome", outcome)
 	p.ch <- d
 }
 
 // finishTrace closes one request's span and ledger: queue wait until
-// its window flushed, execution time after, total feeding the SLO
-// engine. Tokens are not billed here — the core.query ledger under
-// this request already bills the metered spend, and double-billing
-// would break the billed-tokens == meter invariant.
-func (s *Server) finishTrace(p *pending, flushStart time.Time, outcome string) {
+// its node started executing, execution after, total feeding the SLO
+// engine. A request that attached after its node started was never
+// queued, so its execution time runs from its own arrival, and the two
+// stages tile its span exactly. Tokens are not billed here — the
+// core.query ledger under this request already bills the metered
+// spend, and double-billing would break the billed-tokens == meter
+// invariant.
+func (s *Server) finishTrace(p *pending, start time.Time, outcome string) {
 	if p.span == nil {
 		return
 	}
 	end := time.Now()
 	p.span.SetAttr("outcome", outcome)
-	if p.tier != "" {
-		p.span.SetAttr("coalesced", p.tier)
+	if p.attached {
+		p.span.SetAttr("coalesced", "inflight")
 	}
-	if wait := flushStart.Sub(p.enq); wait > 0 {
+	if start.Before(p.enq) {
+		start = p.enq
+	}
+	if wait := start.Sub(p.enq); wait > 0 {
 		p.led.Charge(obs.StageQueue, wait, 0, true)
 	}
-	if run := end.Sub(flushStart); run > 0 {
+	if run := end.Sub(start); run > 0 {
 		p.led.Charge(obs.StageExec, run, 0, true)
 	}
 	p.span.EndAt(end)

@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -12,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/batch"
 	"repro/internal/core"
 	"repro/internal/llm"
 	"repro/internal/obs"
@@ -67,18 +69,53 @@ func (c *countingPredictor) Query(prompt string) (llm.Response, error) {
 	return c.inner.Query(prompt)
 }
 
-// gatedPredictor blocks every call until released, so tests can hold a
-// window in execution while the queue builds behind it.
+// gatedPredictor records every prompt it is asked, in call order, and
+// parks each call until open, so tests can hold nodes in execution
+// while admissions build behind them.
 type gatedPredictor struct {
 	inner llm.Predictor
 	gate  chan struct{}
+	once  sync.Once
+
+	mu    sync.Mutex
+	asked []string
+}
+
+func newGated(inner llm.Predictor) *gatedPredictor {
+	return &gatedPredictor{inner: inner, gate: make(chan struct{})}
 }
 
 func (g *gatedPredictor) Name() string { return g.inner.Name() }
 
 func (g *gatedPredictor) Query(prompt string) (llm.Response, error) {
+	g.mu.Lock()
+	g.asked = append(g.asked, prompt)
+	g.mu.Unlock()
 	<-g.gate
 	return g.inner.Query(prompt)
+}
+
+// open releases every parked and later call; calling it again is a
+// no-op.
+func (g *gatedPredictor) open() { g.once.Do(func() { close(g.gate) }) }
+
+// prompts returns the prompts asked so far, in call order.
+func (g *gatedPredictor) prompts() []string {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return append([]string(nil), g.asked...)
+}
+
+// calls counts the calls made so far, parked or answered.
+func (g *gatedPredictor) calls() int { return len(g.prompts()) }
+
+// unavailablePredictor fails every call with a transient 503.
+type unavailablePredictor struct{}
+
+func (unavailablePredictor) Name() string { return "unavailable" }
+
+func (unavailablePredictor) Query(string) (llm.Response, error) {
+	return llm.Response{}, &llm.APIError{StatusCode: http.StatusServiceUnavailable, Message: "backend down"}
 }
 
 func newServer(t testing.TB, f *fixture, p llm.Predictor, cfg Config) *Server {
@@ -103,7 +140,7 @@ func TestCoalescingSingleFlight(t *testing.T) {
 	node := f.split.Query[0]
 	reg := obs.NewRegistry()
 	counter := &countingPredictor{inner: f.freshSim()}
-	s := newServer(t, f, counter, Config{Window: 25 * time.Millisecond, Obs: reg})
+	s := newServer(t, f, counter, Config{Obs: reg})
 
 	const K = 8
 	results := make([]Result, K)
@@ -147,7 +184,7 @@ func TestCoalescingSingleFlight(t *testing.T) {
 		t.Fatalf("coalesced results = %d, want %d (one owner)", coalesced, K-1)
 	}
 	total := 0.0
-	for _, tier := range []string{"memory", "inflight", "window"} {
+	for _, tier := range []string{"memory", "inflight"} {
 		total += reg.CounterValue(metricCoalesced, "tier", tier)
 	}
 	if total != K-1 {
@@ -155,9 +192,6 @@ func TestCoalescingSingleFlight(t *testing.T) {
 	}
 	if got := reg.CounterValue(metricQueries, "outcome", "ok"); got != K {
 		t.Fatalf("mqo_serve_queries_total{outcome=ok} = %v, want %d", got, K)
-	}
-	if reg.CounterValue(metricFlushes) < 1 {
-		t.Fatal("mqo_serve_window_flushes_total never incremented")
 	}
 }
 
@@ -167,7 +201,7 @@ func TestCoalescingSingleFlight(t *testing.T) {
 func TestAnswersMatchBatchExecution(t *testing.T) {
 	f := newFixture(t, 300, 40, 11)
 	nodes := f.split.Query[:20]
-	s := newServer(t, f, f.freshSim(), Config{Window: 10 * time.Millisecond})
+	s := newServer(t, f, f.freshSim(), Config{})
 
 	got := make([]Result, len(nodes))
 	var wg sync.WaitGroup
@@ -204,7 +238,7 @@ func TestWarmRerunZeroPredictorCalls(t *testing.T) {
 	nodes := f.split.Query[:10]
 	reg := obs.NewRegistry()
 	counter := &countingPredictor{inner: f.freshSim()}
-	s := newServer(t, f, counter, Config{Window: 5 * time.Millisecond, Obs: reg})
+	s := newServer(t, f, counter, Config{Obs: reg})
 
 	for _, v := range nodes {
 		if _, err := s.Submit(context.Background(), "alice", v); err != nil {
@@ -232,16 +266,19 @@ func TestWarmRerunZeroPredictorCalls(t *testing.T) {
 	}
 }
 
-// TestQueueFullRejects holds a window in execution while the queue
-// fills, then asserts the high-water mark rejects with ErrQueueFull and
-// the queue never exceeds its bound.
+// TestQueueFullRejects bounds the admitted nodes that have no answer
+// yet, queued or executing: with the one slot parked on a gated call
+// and the rest queued behind it, a request for a further node is
+// rejected with ErrQueueFull, while requests for admitted nodes still
+// attach and pay nothing.
 func TestQueueFullRejects(t *testing.T) {
 	f := newFixture(t, 300, 40, 17)
 	reg := obs.NewRegistry()
-	gate := &gatedPredictor{inner: f.freshSim(), gate: make(chan struct{})}
+	gate := newGated(f.freshSim())
 	const maxQueue = 4
 	s := newServer(t, f, gate, Config{
-		Window: time.Millisecond, MaxQueue: maxQueue, RetryAfter: 2 * time.Second, Obs: reg,
+		MaxQueue: maxQueue, RetryAfter: 2 * time.Second, Obs: reg,
+		Exec: core.ExecConfig{Workers: 1},
 	})
 
 	var wg sync.WaitGroup
@@ -254,44 +291,49 @@ func TestQueueFullRejects(t *testing.T) {
 			}
 		}()
 	}
-	// First request flushes into execution and blocks on the gate.
+	// The first node executes and parks on the gate; the next
+	// maxQueue-1 distinct nodes queue behind it.
 	submit(f.split.Query[0])
-	waitFor(t, func() bool { return len(s.inflightNodes()) > 0 })
-	// The next maxQueue requests (distinct nodes) fill the queue.
-	for i := 1; i <= maxQueue; i++ {
+	waitFor(t, func() bool { return gate.calls() == 1 })
+	for i := 1; i < maxQueue; i++ {
 		submit(f.split.Query[i])
 	}
 	waitFor(t, func() bool { return s.QueueDepth() == maxQueue })
 
-	if _, err := s.Submit(context.Background(), "flood", f.split.Query[maxQueue+1]); err != ErrQueueFull {
+	if _, err := s.Submit(context.Background(), "flood", f.split.Query[maxQueue]); err != ErrQueueFull {
 		t.Fatalf("past high-water mark: err = %v, want ErrQueueFull", err)
 	}
-	if d := s.QueueDepth(); d > maxQueue {
-		t.Fatalf("queue depth %d exceeds bound %d", d, maxQueue)
+	// Duplicates of the executing node and of a queued one attach.
+	submit(f.split.Query[0])
+	submit(f.split.Query[1])
+	waitFor(t, func() bool { return reg.CounterValue(metricCoalesced, "tier", "inflight") == 2 })
+	if d := s.QueueDepth(); d != maxQueue {
+		t.Fatalf("queue depth %d, want the bound %d", d, maxQueue)
 	}
 	if got := reg.CounterValue(metricRejected, "reason", "queue_full"); got != 1 {
 		t.Fatalf("mqo_serve_rejected_total{reason=queue_full} = %v, want 1", got)
 	}
-	close(gate.gate)
+	gate.open()
 	wg.Wait()
+	if got := gate.calls(); got != maxQueue {
+		t.Fatalf("predictor calls = %d, want one per admitted node (%d)", got, maxQueue)
+	}
 }
 
-// TestQueueDepthPeakGauge floods a gated predictor and asserts the
-// queue-depth gauge's high-water mark equals the observed bound — the
-// regression the load harness depends on: before the fix the gauge was
-// overwritten with 0 at flush (and written outside the lock), so an
-// open-loop flood that drained before a scrape reported peak depth 0.
+// TestQueueDepthPeakGauge holds gated nodes in execution while more are
+// admitted, and asserts the depth gauge tracks admissions live and its
+// high-water mark survives the drain back to zero — the load harness
+// reads the peak after an open-loop flood that may have drained before
+// any scrape.
 func TestQueueDepthPeakGauge(t *testing.T) {
 	f := newFixture(t, 300, 40, 37)
 	reg := obs.NewRegistry()
-	gate := &gatedPredictor{inner: f.freshSim(), gate: make(chan struct{})}
+	gate := newGated(f.freshSim())
 	const maxQueue = 5
-	s := newServer(t, f, gate, Config{
-		Window: time.Millisecond, MaxQueue: maxQueue, Obs: reg,
-	})
+	s := newServer(t, f, gate, Config{MaxQueue: maxQueue, Obs: reg})
 
 	var wg sync.WaitGroup
-	submit := func(v tag.NodeID) {
+	for _, v := range f.split.Query[:maxQueue] {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -300,27 +342,22 @@ func TestQueueDepthPeakGauge(t *testing.T) {
 			}
 		}()
 	}
-	// One request flushes into execution and blocks on the gate; the
-	// next maxQueue distinct nodes fill the admission queue to its bound.
-	submit(f.split.Query[0])
-	waitFor(t, func() bool { return len(s.inflightNodes()) > 0 })
-	for i := 1; i <= maxQueue; i++ {
-		submit(f.split.Query[i])
-	}
 	waitFor(t, func() bool { return s.QueueDepth() == maxQueue })
-	// The current-depth gauge must already show the full queue while the
-	// flood is still live — enqueue-time updates, not flush sampling.
-	if got := reg.GaugeValue("mqo_serve_queue_depth"); got != maxQueue {
+	if got := reg.GaugeValue(metricQueueDepth); got != maxQueue {
 		t.Fatalf("mqo_serve_queue_depth during flood = %v, want %d", got, maxQueue)
 	}
-	close(gate.gate)
+	gate.open()
 	wg.Wait()
-	// Drained: the live gauge returns to 0 but the peak must survive.
-	waitFor(t, func() bool { return s.QueueDepth() == 0 })
+	if d := s.QueueDepth(); d != 0 {
+		t.Fatalf("QueueDepth() = %d after every answer, want 0", d)
+	}
+	if got := reg.GaugeValue(metricQueueDepth); got != 0 {
+		t.Fatalf("mqo_serve_queue_depth after drain = %v, want 0", got)
+	}
 	if got := s.QueuePeak(); got != maxQueue {
 		t.Fatalf("QueuePeak() = %d, want %d", got, maxQueue)
 	}
-	if got := reg.GaugeValue("mqo_serve_queue_depth_peak"); got != maxQueue {
+	if got := reg.GaugeValue(metricQueueDepthPeak); got != maxQueue {
 		t.Fatalf("mqo_serve_queue_depth_peak = %v, want %d (peak lost after drain)", got, maxQueue)
 	}
 }
@@ -330,9 +367,7 @@ func TestQueueDepthPeakGauge(t *testing.T) {
 func TestTenantQuota(t *testing.T) {
 	f := newFixture(t, 300, 40, 19)
 	reg := obs.NewRegistry()
-	s := newServer(t, f, f.freshSim(), Config{
-		Window: time.Millisecond, TenantBudget: 1, Obs: reg,
-	})
+	s := newServer(t, f, f.freshSim(), Config{TenantBudget: 1, Obs: reg})
 
 	if _, err := s.Submit(context.Background(), "alice", f.split.Query[0]); err != nil {
 		t.Fatal(err)
@@ -352,18 +387,18 @@ func TestTenantQuota(t *testing.T) {
 	}
 }
 
-// TestInterleaveFairRoundRobin pins the scheduling order: one request
-// per tenant per cycle, tenants sorted, arrival order kept per tenant.
+// TestInterleaveFairRoundRobin pins the round order: one entry per
+// tenant per cycle, tenants sorted, arrival order kept per tenant.
 func TestInterleaveFairRoundRobin(t *testing.T) {
-	mk := func(tenant string, node int) *pending {
-		return &pending{tenant: tenant, node: tag.NodeID(node)}
+	mk := func(tenant string, node int) *entry {
+		return &entry{tenant: tenant, node: tag.NodeID(node)}
 	}
-	in := []*pending{
+	in := []*entry{
 		mk("b", 1), mk("b", 2), mk("b", 3), mk("a", 4), mk("c", 5), mk("b", 6),
 	}
 	var got []int
-	for _, p := range interleave(in) {
-		got = append(got, int(p.node))
+	for _, e := range interleave(in) {
+		got = append(got, int(e.node))
 	}
 	want := []int{4, 1, 5, 2, 3, 6}
 	for i := range want {
@@ -373,12 +408,60 @@ func TestInterleaveFairRoundRobin(t *testing.T) {
 	}
 }
 
-// TestDrainRejectsNewAnswersAdmitted closes the server while requests
-// are queued: every admitted request must still be answered, and new
-// submissions must be rejected with ErrDraining.
+// TestRoundsInterleaveTenants runs the same case end to end on one
+// slot: b1 executes while b2 b3 a4 c5 b6 queue behind it, and those
+// then run as one round in tenant round-robin order.
+func TestRoundsInterleaveTenants(t *testing.T) {
+	f := newFixture(t, 300, 40, 41)
+	gate := newGated(f.freshSim())
+	s := newServer(t, f, gate, Config{Exec: core.ExecConfig{Workers: 1}})
+	nodes := f.split.Query[:7] // request "b1" asks nodes[1], and so on
+
+	var wg sync.WaitGroup
+	submit := func(tenant string, i int) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := s.Submit(context.Background(), tenant, nodes[i]); err != nil {
+				t.Errorf("%s%d: %v", tenant, i, err)
+			}
+		}()
+	}
+	submit("b", 1)
+	waitFor(t, func() bool { return gate.calls() == 1 })
+	for k, r := range []struct {
+		tenant string
+		i      int
+	}{{"b", 2}, {"b", 3}, {"a", 4}, {"c", 5}, {"b", 6}} {
+		submit(r.tenant, r.i)
+		waitFor(t, func() bool { return s.QueueDepth() == k+2 })
+	}
+	gate.open()
+	wg.Wait()
+
+	ctx, m := f.freshCtx(), predictors.KHopRandom{K: 1}
+	byPrompt := make(map[string]int)
+	for i := 1; i < len(nodes); i++ {
+		sel := m.Select(ctx, nodes[i])
+		byPrompt[predictors.BuildPrompt(ctx, nodes[i], sel, m.Ranked() && len(sel) > 0)] = i
+	}
+	var got []int
+	for _, p := range gate.prompts() {
+		got = append(got, byPrompt[p])
+	}
+	if want := []int{1, 4, 2, 5, 3, 6}; fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("execution order = %v, want %v", got, want)
+	}
+}
+
+// TestDrainRejectsNewAnswersAdmitted starts a drain while admitted
+// requests are parked or queued: new submissions are rejected with
+// ErrDraining at once, and Close returns only after every admitted
+// request has been answered.
 func TestDrainRejectsNewAnswersAdmitted(t *testing.T) {
 	f := newFixture(t, 300, 40, 23)
-	s := newServer(t, f, f.freshSim(), Config{Window: 50 * time.Millisecond})
+	gate := newGated(f.freshSim())
+	s := newServer(t, f, gate, Config{})
 
 	const K = 6
 	errs := make([]error, K)
@@ -391,17 +474,138 @@ func TestDrainRejectsNewAnswersAdmitted(t *testing.T) {
 		}(i)
 	}
 	waitFor(t, func() bool { return s.QueueDepth() == K })
-	s.Close()
+	closed := make(chan struct{})
+	go func() {
+		s.Close()
+		close(closed)
+	}()
+	waitFor(t, s.isDraining)
+	if _, err := s.Submit(context.Background(), "t", f.split.Query[K]); err != ErrDraining {
+		t.Fatalf("submit during drain: err = %v, want ErrDraining", err)
+	}
+	select {
+	case <-closed:
+		t.Fatal("Close returned before the admitted requests were answered")
+	default:
+	}
+	gate.open()
+	<-closed
 	wg.Wait()
 	for i, err := range errs {
 		if err != nil {
 			t.Fatalf("admitted request %d dropped during drain: %v", i, err)
 		}
 	}
-	if _, err := s.Submit(context.Background(), "t", f.split.Query[K]); err != ErrDraining {
-		t.Fatalf("post-drain submit: err = %v, want ErrDraining", err)
-	}
 	s.Close() // idempotent
+}
+
+// TestBreakerSpansQueries sends 20 requests, one after another, to a
+// backend that always fails. The breaker outlives each query, so it
+// opens after Threshold failures and the rest fail fast: 3 predictor
+// calls unpooled, and 3 per replica over three pooled slots, each with
+// its own breaker.
+func TestBreakerSpansQueries(t *testing.T) {
+	for _, c := range []struct {
+		replicas int
+		want     int64
+	}{{0, 3}, {3, 9}} {
+		f := newFixture(t, 300, 40, 43)
+		down := &countingPredictor{inner: unavailablePredictor{}}
+		s := newServer(t, f, down, Config{Exec: core.ExecConfig{
+			Workers:      4,
+			ReplicaCount: c.replicas,
+			Breaker:      batch.BreakerConfig{Threshold: 3, Cooldown: time.Minute},
+		}})
+		for _, v := range f.split.Query[:20] {
+			if _, err := s.Submit(context.Background(), "t", v); err == nil {
+				t.Fatalf("replicas %d: node %d answered by a dead backend", c.replicas, v)
+			}
+		}
+		if got := down.calls.Load(); got != c.want {
+			t.Fatalf("replicas %d: %d predictor calls for 20 requests, want %d", c.replicas, got, c.want)
+		}
+	}
+}
+
+// TestBudgetSpansQueries caps the whole server at one token: the first
+// node's answer spends it, so the second distinct node fails with
+// batch.ErrBudgetExhausted without a predictor call.
+func TestBudgetSpansQueries(t *testing.T) {
+	f := newFixture(t, 300, 40, 47)
+	counter := &countingPredictor{inner: f.freshSim()}
+	s := newServer(t, f, counter, Config{Exec: core.ExecConfig{Workers: 4, BudgetTokens: 1}})
+	if _, err := s.Submit(context.Background(), "t", f.split.Query[0]); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Submit(context.Background(), "t", f.split.Query[1]); !errors.Is(err, batch.ErrBudgetExhausted) {
+		t.Fatalf("second node: err = %v, want batch.ErrBudgetExhausted", err)
+	}
+	if got := counter.calls.Load(); got != 1 {
+		t.Fatalf("predictor calls = %d, want 1", got)
+	}
+}
+
+// TestQPSSpansQueries paces the whole server: 20 concurrent distinct
+// nodes at QPS 100 are dispatched 10 ms apart, so the last one starts
+// no sooner than 19 intervals after the first.
+func TestQPSSpansQueries(t *testing.T) {
+	f := newFixture(t, 300, 40, 53)
+	s := newServer(t, f, f.freshSim(), Config{Exec: core.ExecConfig{Workers: 4, QPS: 100}})
+	start := time.Now()
+	var wg sync.WaitGroup
+	for _, v := range f.split.Query[:20] {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := s.Submit(context.Background(), "t", v); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+	if elapsed := time.Since(start); elapsed < 190*time.Millisecond {
+		t.Fatalf("20 nodes at QPS 100 answered in %v, want at least 190ms", elapsed)
+	}
+}
+
+// TestCoalescedLedgerTilesSpan attaches a request to a node that has
+// been executing for 30 ms. Its serve ledger must bill exactly its own
+// span — execution from its arrival, not from the node's start.
+func TestCoalescedLedgerTilesSpan(t *testing.T) {
+	f := newFixture(t, 300, 40, 59)
+	reg := obs.NewRegistry()
+	gate := newGated(f.freshSim())
+	s := newServer(t, f, gate, Config{Obs: reg})
+	node := f.split.Query[0]
+
+	owner := make(chan error, 1)
+	go func() {
+		_, err := s.Submit(context.Background(), "a", node)
+		owner <- err
+	}()
+	waitFor(t, func() bool { return gate.calls() == 1 })
+	time.Sleep(30 * time.Millisecond)
+	late := make(chan Result, 1)
+	go func() {
+		r, err := s.Submit(context.Background(), "b", node)
+		if err != nil {
+			t.Error(err)
+		}
+		late <- r
+	}()
+	waitFor(t, func() bool { return reg.CounterValue(metricCoalesced, "tier", "inflight") == 1 })
+	gate.open()
+	if err := <-owner; err != nil {
+		t.Fatal(err)
+	}
+	r := <-late
+	led, ok := reg.LedgerByTrace(r.TraceID)
+	if !r.Coalesced || !ok {
+		t.Fatalf("late request: coalesced %v, ledger found %v", r.Coalesced, ok)
+	}
+	if led.BilledWall != led.Total {
+		t.Fatalf("late request billed %v over its %v span", led.BilledWall, led.Total)
+	}
 }
 
 // TestUnknownNodeRejected bounds-checks node IDs at admission.
@@ -435,7 +639,7 @@ func (r slowCountRecorder) Add(name string, delta float64, labels ...string) {
 func TestAnswerCountedBeforeDelivery(t *testing.T) {
 	f := newFixture(t, 300, 40, 31)
 	reg := obs.NewRegistry()
-	s := newServer(t, f, f.freshSim(), Config{Window: time.Millisecond, Obs: slowCountRecorder{reg}})
+	s := newServer(t, f, f.freshSim(), Config{Obs: slowCountRecorder{reg}})
 	for i, v := range f.split.Query[:3] {
 		if _, err := s.Submit(context.Background(), "alice", v); err != nil {
 			t.Fatal(err)
@@ -473,7 +677,7 @@ func TestTenantResolution(t *testing.T) {
 
 func TestHandlerQueryAndErrors(t *testing.T) {
 	f := newFixture(t, 300, 40, 31)
-	s := newServer(t, f, f.freshSim(), Config{Window: time.Millisecond, TenantBudget: 1})
+	s := newServer(t, f, f.freshSim(), Config{TenantBudget: 1})
 	ts := httptest.NewServer(Handler(s))
 	defer ts.Close()
 
@@ -557,13 +761,9 @@ func waitFor(t testing.TB, cond func() bool) {
 	t.Fatal("condition never became true")
 }
 
-// inflightNodes snapshots the executing window's unique nodes (test hook).
-func (s *Server) inflightNodes() []tag.NodeID {
+// isDraining reports whether Close has begun (test hook).
+func (s *Server) isDraining() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([]tag.NodeID, 0, len(s.inflight))
-	for v := range s.inflight {
-		out = append(out, v)
-	}
-	return out
+	return s.draining
 }

@@ -57,8 +57,7 @@ func TestSoakServeMixedTenants(t *testing.T) {
 	nodes := f.split.Query[:60]
 	counter := &countingPredictor{inner: f.freshSim()}
 	s, err := New(f.freshCtx(), predictors.KHopRandom{K: 1}, counter, Config{
-		Window: 3 * time.Millisecond,
-		Exec:   core.ExecConfig{Workers: 8, Cache: true},
+		Exec: core.ExecConfig{Workers: 8, Cache: true},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -144,10 +143,10 @@ func TestSoakServeBackpressure(t *testing.T) {
 	before := runtime.NumGoroutine()
 
 	f := newFixture(t, 600, 120, 47)
-	gate := &gatedPredictor{inner: f.freshSim(), gate: make(chan struct{})}
+	gate := newGated(f.freshSim())
 	const maxQueue = 8
 	s, err := New(f.freshCtx(), predictors.KHopRandom{K: 1}, gate, Config{
-		Window: time.Millisecond, MaxQueue: maxQueue, RetryAfter: 3 * time.Second,
+		MaxQueue: maxQueue, RetryAfter: 3 * time.Second,
 		Exec: core.ExecConfig{Workers: 4},
 	})
 	if err != nil {
@@ -196,10 +195,10 @@ func TestSoakServeBackpressure(t *testing.T) {
 			}
 		}(i)
 	}
-	// Give the flood time to pile up against the gated window, then
+	// Give the flood time to pile up against the gated slots, then
 	// open the gate so admitted requests finish.
 	waitFor(t, func() bool { return rejected.Load() > 0 })
-	close(gate.gate)
+	gate.open()
 	wg.Wait()
 	close(sampler)
 	sampled.Wait()

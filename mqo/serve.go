@@ -10,15 +10,15 @@ import (
 )
 
 // This file is the facade over internal/serve: the online, multi-
-// tenant query tier that coalesces interleaved single-node queries
-// from many users into shared MQO plans. See the serve package
-// documentation for the full model; the README's "Online serving"
-// section documents the HTTP contract.
+// tenant query tier that answers interleaved single-node queries from
+// many users, asking the LLM once per node however many tenants ask.
+// See the serve package documentation for the full model; the README's
+// "Online serving" section documents the HTTP contract.
 
-// ServeConfig tunes an online query Server: the micro-batching window,
-// the admission queue's high-water mark, the Retry-After hint for
-// rejected requests, per-tenant token quotas, and the execution
-// configuration each coalesced window runs with.
+// ServeConfig tunes an online query Server: the bound on admitted
+// nodes awaiting an answer, the Retry-After hint for rejected
+// requests, per-tenant token quotas, and the execution configuration
+// of the one executor every query runs through.
 type ServeConfig = serve.Config
 
 // ServeResult is one answered online query.
@@ -40,13 +40,10 @@ var (
 // ServeQueryPath is the HTTP endpoint the serving tier mounts.
 const ServeQueryPath = serve.QueryPath
 
-// DefaultServeWindow is the default micro-batching window.
-const DefaultServeWindow = serve.DefaultWindow
-
 // NewServer builds the online query tier over one workload: requests
 // are answered with method m and predictor p under the execution
 // options opt (knobs, caches, pools, fallback — exactly what Optimize
-// would use), coalesced according to cfg. Options fields that only
+// would use), admitted according to cfg. Options fields that only
 // make sense batch-shaped (Prune, Boost, Budget) are ignored. With
 // Fallback the surrogate is fitted on w.Labeled, as Optimize does when
 // pruning is off. CacheDir is rejected: the Server cannot own the

@@ -7,7 +7,6 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 )
 
 // TestServeFacade drives the public serving surface end to end: build
@@ -23,9 +22,7 @@ func TestServeFacade(t *testing.T) {
 	m := SNS{}
 	opt := Options{Knobs: Knobs{Workers: 4}, Cache: true}
 
-	s, err := NewServer(w, m, NewSim(GPT35(), g, 21), opt, ServeConfig{
-		Window: 2 * time.Millisecond,
-	})
+	s, err := NewServer(w, m, NewSim(GPT35(), g, 21), opt, ServeConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +94,7 @@ func TestNewServerHonoursFallbackAndRejectsCacheDir(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := NewServer(w, KHopRandom{K: 1}, dead, Options{Fallback: true}, ServeConfig{Window: time.Millisecond})
+	s, err := NewServer(w, KHopRandom{K: 1}, dead, Options{Fallback: true}, ServeConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

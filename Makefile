@@ -10,9 +10,12 @@ build:
 # vet also fails when any tracked Go file is not gofmt-formatted; when
 # non-test code outside internal/llm and bench/ type-asserts
 # llm.ContextPredictor: llm.Ask is the one place that decides whether a
-# predictor call can be canceled; and when Go code in the packages that
+# predictor call can be canceled; when Go code in the packages that
 # build serve configs sets Window:, the deprecated serve.Config field
-# the tier ignores.
+# the tier ignores; and when Go code in the packages that build core
+# execution configs sets Cache:, the deprecated core.ExecConfig field
+# nothing reads (batch.Config.Cache stays live, so internal/batch, mqo
+# and examples are not searched).
 vet:
 	$(GO) vet ./...
 	@unformatted=$$(gofmt -l $$(git ls-files '*.go')); \
@@ -21,6 +24,8 @@ vet:
 		if [ -n "$$asserts" ]; then echo "call llm.Ask instead of type-asserting llm.ContextPredictor:"; echo "$$asserts"; exit 1; fi
 	@windows=$$(git grep --untracked -nw 'Window:' -- 'internal/serve/*.go' 'internal/load/*.go' 'internal/cliflags/*.go' 'mqo/*.go' 'cmd/*.go' 'examples/*.go'); \
 		if [ -n "$$windows" ]; then echo "serve.Config.Window is deprecated and ignored; do not set it:"; echo "$$windows"; exit 1; fi
+	@caches=$$(git grep --untracked -nw 'Cache:' -- 'internal/core/*.go' 'internal/serve/*.go' 'internal/load/*.go' 'internal/cliflags/*.go' 'internal/experiments/*.go' 'cmd/*.go'); \
+		if [ -n "$$caches" ]; then echo "core.ExecConfig.Cache is deprecated and ignored; do not set it:"; echo "$$caches"; exit 1; fi
 
 test:
 	$(GO) test ./...

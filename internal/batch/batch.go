@@ -19,6 +19,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -50,17 +51,18 @@ type Request struct {
 	// (obs.ContextWithSpan / obs.ContextWithLedger), so the executor's
 	// spans nest under the caller's query span and its stage charges
 	// land on the right books. Only values are taken from it —
-	// cancellation always comes from the context passed to Execute.
+	// cancellation always comes from the context passed to Execute or
+	// Do.
 	Ctx context.Context
 }
 
 // Config tunes an Executor.
 type Config struct {
 	// Workers bounds one Execute call's concurrent in-flight queries
-	// (default 4).
+	// (default 4). Do runs on its caller's goroutine and ignores it.
 	Workers int
-	// QPS caps the dispatch rate across all workers of every Execute
-	// call on this executor; 0 means unlimited.
+	// QPS caps the dispatch rate across every Execute and Do call on
+	// this executor; 0 means unlimited.
 	QPS float64
 	// MaxRetries bounds per-query retries on transient failures
 	// (default 2; -1 disables retries entirely). Non-retryable API
@@ -75,9 +77,9 @@ type Config struct {
 	MaxRetryDelay time.Duration
 	// BudgetTokens, when > 0, is a hard cap on total tokens
 	// (input + output) spent by this executor, across every Execute
-	// call — all rounds of a boosted run, not each round. Queries that
-	// would start after the cap is reached fail with ErrBudgetExhausted
-	// instead of spending money.
+	// and Do call — all rounds of a boosted run, not each round.
+	// Queries that would start after the cap is reached fail with
+	// ErrBudgetExhausted instead of spending money.
 	BudgetTokens int
 	// QueryTimeout, when > 0, bounds each predictor attempt. A call
 	// that outlives the deadline fails with ErrQueryTimeout (retryable)
@@ -90,17 +92,18 @@ type Config struct {
 	// requests fail fast with ErrCircuitOpen rather than queue behind a
 	// backend that is presumed down.
 	Breaker BreakerConfig
-	// Cache asks identical prompts once per Execute call (one plan, or
-	// one boosting round): the first request with a prompt is its
-	// leader and the only one dispatched; every later one follows it,
-	// settling with the leader's outcome the moment the leader settles
-	// (Cached when the leader succeeded, zero Attempts). No answer is
-	// kept between calls — Disk is the store that outlives one.
+	// Cache asks identical prompts once per Execute call: the first
+	// request with a prompt is its leader and the only one dispatched;
+	// every later one follows it, settling with the leader's outcome
+	// the moment the leader settles (Cached when the leader succeeded,
+	// zero Attempts). No answer is kept between calls — Disk is the
+	// store that outlives one — and Do, which runs one request, never
+	// groups.
 	Cache bool
 	// Disk, when non-nil, adds a persistent answer store: every
 	// dispatched prompt is looked up there before paying for a
 	// predictor call, and fresh answers are written through to it.
-	// Setting Disk implies Cache.
+	// Setting Disk implies Cache for Execute.
 	Disk *promptcache.Cache
 	// CacheNamespace partitions the disk cache by answer function;
 	// empty derives it from the predictor (promptcache.Namespace), which
@@ -111,14 +114,6 @@ type Config struct {
 	// Log, when non-nil, receives one JSON line per query outcome.
 	// Prompts are logged as SHA-256 digests, never as raw text.
 	Log io.Writer
-	// OnOutcome, when non-nil, is invoked once per request the moment
-	// its outcome settles — from the worker goroutine that finished it
-	// (or from Execute itself, for requests never dispatched because the
-	// context ended) — with no executor locks held. Online callers use
-	// it to answer per-request waiters before the whole batch returns.
-	// The callback runs on the worker's critical path, so it must not
-	// block for long.
-	OnOutcome func(Request, Outcome)
 	// Obs receives executor metrics (request outcomes, retries,
 	// throttle waits, in-flight gauge, per-attempt latency); nil routes
 	// to the process-default recorder.
@@ -166,9 +161,9 @@ type Result struct {
 	Skipped int
 }
 
-// Executor runs batches against one predictor. Its breaker, token
-// budget and QPS pacing span every Execute call, so calls may overlap:
-// a long-lived caller sends each query through one Executor.
+// Executor runs requests against one predictor. Its breaker, token
+// budget and QPS pacing span every Execute and Do call, so calls may
+// overlap: a long-lived caller sends each query through one Executor.
 type Executor struct {
 	p   llm.Predictor
 	cfg Config
@@ -182,24 +177,25 @@ type Executor struct {
 
 	// interval is the pacing gap QPS asks for (0 when unpaced), and
 	// nextSlot, under paceMu, the earliest instant the next attempt of
-	// any Execute call may start.
+	// any call may start.
 	interval time.Duration
 	paceMu   sync.Mutex
 	nextSlot time.Time
 
-	// inflight counts requests executing across every Execute call.
-	// Each change publishes the count under inflightMu, so the gauge's
-	// last write is always the true count.
+	// inflight counts requests executing across every call. Each
+	// change publishes the count under inflightMu, so the gauge's last
+	// write is always the true count.
 	inflightMu sync.Mutex
 	inflight   int
 
 	// spent is the tokens fresh predictor calls cost so far, across
-	// every Execute call; BudgetTokens caps it.
+	// every call; BudgetTokens caps it.
 	spent atomic.Int64
 }
 
-// New builds an executor. Its Config.Workers goroutines call p
-// concurrently, as the llm.Predictor contract allows.
+// New builds an executor. Execute's Config.Workers goroutines, and
+// every concurrent Do caller, call p concurrently, as the
+// llm.Predictor contract allows.
 func New(p llm.Predictor, cfg Config) (*Executor, error) {
 	if p == nil {
 		return nil, errors.New("batch: nil predictor")
@@ -235,7 +231,7 @@ func New(p llm.Predictor, cfg Config) (*Executor, error) {
 
 // pace blocks until the caller's turn under QPS: each attempt reserves
 // the next free slot, interval after the one before it, whichever
-// Execute call it belongs to. It returns ctx's error if ctx ends first.
+// call it belongs to. It returns ctx's error if ctx ends first.
 func (e *Executor) pace(ctx context.Context) error {
 	e.paceMu.Lock()
 	slot := time.Now()
@@ -281,7 +277,7 @@ type logLine struct {
 }
 
 // log writes one audit line; write errors are remembered and surfaced
-// by Execute rather than dropped.
+// by the next Execute call rather than dropped.
 func (e *Executor) log(l logLine) {
 	if e.cfg.Log == nil {
 		return
@@ -335,10 +331,63 @@ func (e *Executor) groupByPrompt(reqs []Request) ([]Request, map[string][]Reques
 	return leaders, followers
 }
 
+// FanOut runs f(i) for every i < n on up to workers goroutines, which
+// take indices from one atomic counter in order, and returns when every
+// call has. It runs inline, in index order, when workers <= 1 or
+// n <= 1. Callers write f's results into pre-sized slices by index, so
+// the outcome does not depend on which goroutine ran which index.
+//
+// Each goroutine yields after every call. f is often CPU-bound with no
+// blocking point (planning plus a simulated predictor), and without a
+// yield a goroutine holds its P for a whole 10 ms preemption quantum:
+// one preempted inside a predictor call stays in flight that long, and
+// the replica pool's affinity guard reads the stalled requests as an
+// overloaded replica and spills its prompts to replicas whose caches
+// lack them.
+func FanOut(n, workers int, f func(i int)) {
+	workers = min(workers, n)
+	if workers <= 1 {
+		for i := 0; i < n; i++ {
+			f(i)
+		}
+		return
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= n {
+					return
+				}
+				f(i)
+				runtime.Gosched()
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// Do runs one request on the caller's goroutine — disk lookup, budget
+// guard, breaker, QPS pacing and retries, counted in the in-flight
+// gauge — and returns its outcome. Concurrent Do and Execute calls
+// share the executor's breaker, budget and pacing. Do never groups
+// prompts: a prompt asked by two calls is paid twice unless Disk
+// already holds the first call's answer.
+func (e *Executor) Do(ctx context.Context, r Request) Outcome {
+	o, _ := e.do(ctx, r, obs.Active(e.cfg.Obs))
+	return o
+}
+
 // Execute runs all requests and returns per-request outcomes. It only
-// returns a top-level error for setup problems (nil context) or a
-// failing audit log; per-query failures are reported in Outcomes so one
-// bad query cannot void a 10,000-query batch.
+// returns a top-level error for setup problems (nil context, duplicate
+// IDs) or a failing audit log; per-query failures are reported in
+// Outcomes so one bad query cannot void a 10,000-query batch. Requests
+// run on up to Workers goroutines through Do's path; with Cache or
+// Disk, identical prompts are grouped first (Config.Cache).
 func (e *Executor) Execute(ctx context.Context, reqs []Request) (*Result, error) {
 	if ctx == nil {
 		return nil, errors.New("batch: nil context")
@@ -353,11 +402,10 @@ func (e *Executor) Execute(ctx context.Context, reqs []Request) (*Result, error)
 	}
 	leaders, followers := e.groupByPrompt(reqs)
 
-	work := make(chan Request)
-	var wg sync.WaitGroup
 	var outMu sync.Mutex
 	settle := func(r Request, o Outcome) {
 		outMu.Lock()
+		defer outMu.Unlock()
 		res.Outcomes[r.ID] = o
 		switch {
 		case errors.Is(o.Err, ErrBudgetExhausted):
@@ -369,15 +417,20 @@ func (e *Executor) Execute(ctx context.Context, reqs []Request) (*Result, error)
 		default:
 			res.TokensUsed += o.Response.InputTokens + o.Response.OutputTokens
 		}
-		outMu.Unlock()
-		if e.cfg.OnOutcome != nil {
-			e.cfg.OnOutcome(r, o)
-		}
 	}
 	rec := obs.Active(e.cfg.Obs)
-	// record settles a dispatched request, then each of its followers
-	// with a copy of its outcome.
-	record := func(r Request, o Outcome, label string) {
+	// Each leader runs, or — once ctx has ended — settles undispatched;
+	// its followers then settle with a copy of its outcome.
+	FanOut(len(leaders), e.cfg.Workers, func(i int) {
+		r := leaders[i]
+		var o Outcome
+		var label string
+		if err := ctx.Err(); err != nil {
+			o, label = Outcome{Err: err}, "undispatched"
+			rec.Add(metricBatchRequests, 1, "outcome", label)
+		} else {
+			o, label = e.do(ctx, r, rec)
+		}
 		settle(r, o)
 		fo := Outcome{Response: o.Response, Err: o.Err, Cached: o.Err == nil, Finished: o.Finished}
 		if o.Err == nil {
@@ -387,40 +440,7 @@ func (e *Executor) Execute(ctx context.Context, reqs []Request) (*Result, error)
 			e.follow(f, fo, label, rec)
 			settle(f, fo)
 		}
-	}
-
-	for i := 0; i < min(e.cfg.Workers, len(leaders)); i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for r := range work {
-				e.noteInflight(rec, 1)
-				o, label := e.one(ctx, r, rec)
-				e.noteInflight(rec, -1)
-				record(r, o, label)
-			}
-		}()
-	}
-
-feed:
-	for _, r := range leaders {
-		select {
-		case work <- r:
-		case <-ctx.Done():
-			break feed
-		}
-	}
-	close(work)
-	wg.Wait()
-
-	// Requests never dispatched because the context ended; their
-	// followers settle with them.
-	for _, r := range leaders {
-		if _, ok := res.Outcomes[r.ID]; !ok {
-			rec.Add(metricBatchRequests, 1, "outcome", "undispatched")
-			record(r, Outcome{Err: ctx.Err()}, "undispatched")
-		}
-	}
+	})
 
 	e.logMu.Lock()
 	logErr := e.logErr
@@ -461,7 +481,7 @@ func abortReason(err error) string {
 	return "canceled"
 }
 
-// charger accumulates a request's billed wall-clock so one() can
+// charger accumulates a request's billed wall-clock so do can
 // charge the residual (executor overhead no stage claims) at the end,
 // making billed stages tile the whole request. A nil charger is a
 // no-op, so uninstrumented runs skip all of it.
@@ -480,10 +500,12 @@ func (c *charger) charge(stage string, wall time.Duration, tokens int, billed bo
 	obs.Charge(c.ctx, stage, wall, tokens, billed)
 }
 
-// one executes a single dispatched request — disk lookup, budget
-// guard, rate-paced predictor calls with retry — and returns its
-// outcome and metric label.
-func (e *Executor) one(ctx context.Context, r Request, rec obs.Recorder) (Outcome, string) {
+// do executes a single dispatched request — disk lookup, budget
+// guard, rate-paced predictor calls with retry — counted in the
+// in-flight gauge, and returns its outcome and metric label.
+func (e *Executor) do(ctx context.Context, r Request, rec obs.Recorder) (Outcome, string) {
+	e.noteInflight(rec, 1)
+	defer e.noteInflight(rec, -1)
 	digest := promptDigest(r.Prompt)
 	live := obs.Enabled(rec)
 	var span *obs.Span
@@ -493,9 +515,9 @@ func (e *Executor) one(ctx context.Context, r Request, rec obs.Recorder) (Outcom
 	if live {
 		pickup = time.Now()
 		if r.Ctx != nil {
-			// Graft the query's trace values onto the batch context:
+			// Graft the query's trace values onto the call's context:
 			// span/ledger from the per-request context, cancellation
-			// from Execute's.
+			// from the call's.
 			if led := obs.LedgerFromContext(r.Ctx); led != nil {
 				qctx = obs.ContextWithLedger(qctx, led)
 			}
@@ -547,7 +569,7 @@ func (e *Executor) one(ctx context.Context, r Request, rec obs.Recorder) (Outcom
 
 // attempt runs the budget guard and the rate-paced retry loop for one
 // request, returning the outcome and its metric label. ctx carries the
-// query's span/ledger values (one() grafted them), so spans opened
+// query's span/ledger values (do grafted them), so spans opened
 // here — backoff, breaker verdict, attempt N — nest under the
 // batch.request span and charges land on the query's ledger.
 func (e *Executor) attempt(ctx context.Context, r Request, rec obs.Recorder, digest string, live bool, ch *charger) (Outcome, string) {

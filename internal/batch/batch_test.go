@@ -179,6 +179,50 @@ func TestExecuteBudgetGuard(t *testing.T) {
 	}
 }
 
+// TestDoSharesGuardsWithExecute: Do runs one request through the same
+// guards Execute calls do, so what an Execute call spent or tripped
+// holds for it — a spent BudgetTokens refuses it with
+// ErrBudgetExhausted, an open breaker fails it fast with ErrCircuitOpen,
+// and neither pays a predictor call.
+func TestDoSharesGuardsWithExecute(t *testing.T) {
+	ctx := context.Background()
+	late := Request{ID: "late", Prompt: "late prompt"}
+
+	p := newScripted()
+	p.tokens = 100
+	e, err := New(p, Config{Workers: 1, BudgetTokens: 300})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Execute(ctx, reqs(3)); err != nil {
+		t.Fatal(err)
+	}
+	calls := p.total.Load()
+	if o := e.Do(ctx, late); !errors.Is(o.Err, ErrBudgetExhausted) {
+		t.Errorf("Do after the budget was spent: err %v, want ErrBudgetExhausted", o.Err)
+	}
+	if got := p.total.Load(); got != calls {
+		t.Errorf("Do past the budget called the predictor (%d calls, want %d)", got, calls)
+	}
+
+	p = newScripted()
+	p.failFirst, p.failErr = 1000, errors.New("backend down")
+	e, err = New(p, Config{Workers: 1, MaxRetries: -1, Breaker: BreakerConfig{Threshold: 3, Cooldown: time.Hour}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Execute(ctx, reqs(3)); err != nil {
+		t.Fatal(err)
+	}
+	calls = p.total.Load()
+	if o := e.Do(ctx, late); !errors.Is(o.Err, ErrCircuitOpen) {
+		t.Errorf("Do after Execute tripped the breaker: err %v, want ErrCircuitOpen", o.Err)
+	}
+	if got := p.total.Load(); got != calls {
+		t.Errorf("Do through an open breaker called the predictor (%d calls, want %d)", got, calls)
+	}
+}
+
 func TestExecuteCache(t *testing.T) {
 	p := newScripted()
 	e, err := New(p, Config{Workers: 1, Cache: true})

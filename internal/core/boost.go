@@ -6,6 +6,7 @@ import (
 	"sort"
 	"strconv"
 
+	"repro/internal/batch"
 	"repro/internal/llm"
 	"repro/internal/obs"
 	"repro/internal/predictors"
@@ -56,13 +57,13 @@ func Boost(ctx *predictors.Context, m predictors.Method, p llm.Predictor, plan P
 }
 
 // BoostWith is Boost with bounded concurrency inside each round. Rounds
-// are already barriers — neighbor selections and prompts are fixed
-// before a round executes and pseudo-labels are applied only after it —
-// so planning a round's queries and running them in parallel is
-// semantics-preserving: selections and prompts are built on up to
-// ecfg.Workers goroutines and placed by index, and with an
-// order-independent predictor any worker count produces bit-identical
-// rounds, predictions and token totals.
+// are already barriers — neighbor selections are fixed before a round
+// executes and pseudo-labels are applied only after it — so planning a
+// round's queries and running them in parallel is semantics-preserving:
+// selections are made on up to ecfg.Workers goroutines, each candidate
+// is then built, compressed and asked by the worker that takes it, and
+// with an order-independent predictor any worker count produces
+// bit-identical rounds, predictions and token totals.
 //
 // A query whose dispatch fails permanently is dropped from the pending
 // set (its pseudo-label never appears) and reported in the aggregated
@@ -79,17 +80,8 @@ func BoostWith(ctx *predictors.Context, m predictors.Method, p llm.Predictor, pl
 	maxRounds := len(plan.Queries) + len(ctx.Graph.Classes) + cfg.Gamma1 + 8
 
 	rec := obs.Active(ctx.Obs)
-	// One executor serves every round, so BudgetTokens caps the whole
-	// run. Identical prompts are asked once per round (Cache/Disk); no
-	// answer is kept between rounds, which never repeat a node. The
-	// OnResult stream (if any) is rebound to each round's planned
-	// queries before that round dispatches; rounds are barriers, so the
-	// rebind is race-free.
-	var rs *resultStream
-	if ecfg.OnResult != nil {
-		rs = &resultStream{g: ctx.Graph, fb: ecfg.Fallback, hook: ecfg.OnResult}
-		ecfg.onOutcome = rs.onOutcome
-	}
+	// One executor serves every round, so BudgetTokens, the breaker and
+	// the pool span the whole run.
 	e, err := NewExecutor(p, ecfg, rec)
 	if err != nil {
 		return nil, nil, err
@@ -125,7 +117,7 @@ func BoostWith(ctx *predictors.Context, m predictors.Method, p llm.Predictor, pl
 			labeled, conflicts int
 		}
 		all := make([]cand, len(pending))
-		fanOut(len(pending), ecfg.Workers, func(i int) {
+		batch.FanOut(len(pending), ecfg.Workers, func(i int) {
 			c := cand{v: pending[i]}
 			if !plan.Prune[c.v] {
 				c.sel = m.Select(ctx, c.v)
@@ -154,10 +146,10 @@ func BoostWith(ctx *predictors.Context, m predictors.Method, p llm.Predictor, pl
 			relaxG1Next = !relaxG1Next
 		}
 
-		// Step 2: execute this round's candidates. Their prompts are
-		// fixed here — built and compressed across the workers, each
-		// placed by its candidate's index, before any of them runs — so
-		// the round can fan out without changing what is asked.
+		// Step 2: execute this round's candidates. Their selections are
+		// fixed, and Known does not change until Step 3, so each worker
+		// builds, compresses and asks the candidate it takes without
+		// changing what is asked.
 		_, roundSpan := obs.StartSpanCtx(obs.ContextWithSpan(context.Background(), planSpan), rec,
 			"core.round", "round", strconv.Itoa(round),
 			"gamma1", strconv.Itoa(g1), "gamma2", strconv.Itoa(g2))
@@ -169,42 +161,28 @@ func BoostWith(ctx *predictors.Context, m predictors.Method, p llm.Predictor, pl
 				}
 			}
 		}
-		planned := make([]plannedQuery, len(cands))
-		fanOut(len(cands), ecfg.Workers, func(i int) {
-			c := cands[i]
-			planned[i] = planQuery(ctx, m, c.v, c.sel, plan.Prune[c.v], ecfg.Compress, rec, "boost")
-		})
-		if rs != nil {
-			rs.bind(planned)
-		}
 		link := append(planLink(planSpan), "round", strconv.Itoa(round))
-		batchOut, err := dispatch(e.ex, planned, rec, "boost", link...)
-		if err != nil {
-			roundSpan.End()
-			return nil, nil, err
-		}
-		executedSet := make(map[tag.NodeID]bool, len(planned))
-		type outcome struct {
-			v        tag.NodeID
-			category string
-		}
-		outcomes := make([]outcome, 0, len(planned))
+		outs := make([]QueryOutcome, len(cands))
+		batch.FanOut(len(cands), ecfg.Workers, func(i int) {
+			c := cands[i]
+			outs[i] = e.ask(ctx.Graph, planQuery(ctx, m, c.v, c.sel, plan.Prune[c.v], ecfg.Compress, rec, "boost"), "boost", link)
+		})
+		executedSet := make(map[tag.NodeID]bool, len(outs))
+		answered := outs[:0]
 		// Apply results in candidate order, regardless of completion
 		// order across workers.
-		for _, q := range planned {
-			executedSet[q.v] = true
+		for _, out := range outs {
+			executedSet[out.Node] = true
 			// With a Fallback, a failed query degrades instead of
 			// dropping: the surrogate's answer stands in for the LLM's
 			// and — like any answer — becomes a pseudo-label for later
 			// rounds, so one dead query does not starve its neighbors of
 			// label signal.
-			out := settle(ctx.Graph, ecfg.Fallback, q, batchOut[q.v])
-			recordOutcome(rec, "boost", out)
 			if !res.add(out) {
-				qerrs.add(q.v, fmt.Errorf("core: boosting query for node %d: %w", q.v, out.Err))
+				qerrs.add(out.Node, fmt.Errorf("core: boosting query for node %d: %w", out.Node, out.Err))
 				continue
 			}
-			outcomes = append(outcomes, outcome{v: q.v, category: out.Category})
+			answered = append(answered, out)
 		}
 
 		// Step 3: add pseudo-labels after the whole round, so queries
@@ -212,9 +190,9 @@ func BoostWith(ctx *predictors.Context, m predictors.Method, p llm.Predictor, pl
 		// of Algorithm 2 are the units of label propagation). This is
 		// the only write to Known: Steps 1 and 2 read it from several
 		// goroutines and have all returned by now.
-		for _, o := range outcomes {
-			ctx.Known[o.v] = o.category
-			isPseudo[o.v] = true
+		for _, o := range answered {
+			ctx.Known[o.Node] = o.Category
+			isPseudo[o.Node] = true
 		}
 		next := pending[:0]
 		for _, v := range pending {
@@ -232,10 +210,10 @@ func BoostWith(ctx *predictors.Context, m predictors.Method, p llm.Predictor, pl
 		rec.Set(metricBoostPending, float64(len(pending)))
 		trace = append(trace, RoundTrace{
 			Round: round, Gamma1: g1, Gamma2: g2,
-			Executed: len(outcomes), PseudoUses: roundPseudo,
+			Executed: len(answered), PseudoUses: roundPseudo,
 			KnownEntries: len(ctx.Known),
 		})
-		roundSpan.SetAttr("executed", strconv.Itoa(len(outcomes)))
+		roundSpan.SetAttr("executed", strconv.Itoa(len(answered)))
 		roundSpan.End()
 	}
 	if len(qerrs.Errs) > 0 {

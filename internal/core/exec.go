@@ -16,8 +16,6 @@ import (
 	"fmt"
 	"sort"
 	"strconv"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/batch"
@@ -171,46 +169,21 @@ func PlanAccuracy(g *tag.Graph, queries []tag.NodeID, pred map[tag.NodeID]string
 	return float64(correct) / n, float64(answered) / n
 }
 
-// ExecuteQuery runs one node query: neighbor selection (skipped when
-// pruned), prompt construction and the LLM call.
-func ExecuteQuery(ctx *predictors.Context, m predictors.Method, p llm.Predictor, v tag.NodeID, pruned bool) (llm.Response, []predictors.Selected, error) {
-	var sel []predictors.Selected
-	if !pruned {
-		sel = m.Select(ctx, v)
-	}
-	promptText := predictors.BuildPrompt(ctx, v, sel, m.Ranked() && len(sel) > 0)
-	resp, err := p.Query(promptText)
-	if err != nil {
-		return llm.Response{}, nil, fmt.Errorf("core: query for node %d: %w", v, err)
-	}
-	return resp, sel, nil
-}
-
-// ExecuteQueryVanilla issues a vanilla zero-shot query (no neighbor
-// text) for node v.
-func ExecuteQueryVanilla(ctx *predictors.Context, p llm.Predictor, v tag.NodeID) (llm.Response, error) {
-	resp, err := p.Query(predictors.BuildPrompt(ctx, v, nil, false))
-	if err != nil {
-		return llm.Response{}, fmt.Errorf("core: vanilla query for node %d: %w", v, err)
-	}
-	return resp, nil
-}
-
 // ExecConfig tunes how a plan's queries are dispatched to the
 // predictor. The zero value reproduces the historical serial behaviour:
 // one in-flight query, no retries, no rate limit, no budget cap.
 //
 // With Workers > 1 the queries of a plan (or of one boosting round,
-// whose prompts are fixed before the round executes) run concurrently
-// through the batch executor, and planning fans out too: neighbor
-// selection, prompt construction and compression run on up to Workers
-// goroutines, each query's prompt placed by its index in the plan.
-// Planning only reads the Context, and results are applied in stable
-// plan order, so — given an order-independent predictor such as
-// *llm.Sim or an HTTP endpoint at temperature 0 — prompts,
-// predictions, token totals and accuracy are bit-identical for any
-// worker count. The one exception is BudgetTokens: which queries are
-// refused once a hard token cap trips depends on completion order.
+// whose selections are fixed before the round executes) run on up to
+// Workers goroutines, each of which plans the query it takes —
+// neighbor selection, prompt construction and compression — and asks
+// it through the batch executor before taking the next. Planning only
+// reads the Context, and results are applied in stable plan order, so
+// — given an order-independent predictor such as *llm.Sim or an HTTP
+// endpoint at temperature 0 — prompts, predictions, token totals and
+// accuracy are bit-identical for any worker count. The one exception
+// is BudgetTokens: which queries are refused once a hard token cap
+// trips depends on completion order.
 type ExecConfig struct {
 	// Workers is the number of concurrent in-flight queries, and of
 	// goroutines planning them; values below 1 mean serial execution.
@@ -229,14 +202,15 @@ type ExecConfig struct {
 	// not each round; queries starting past the cap fail with
 	// batch.ErrBudgetExhausted.
 	BudgetTokens int
-	// Cache asks identical prompts once per dispatch — one plan, or one
-	// boosting round: the first entry with a prompt pays for it and the
-	// others settle with its answer (Cached). Nothing is kept between
-	// dispatches; Disk is the store that outlives one.
+	// Cache is ignored.
+	//
+	// Deprecated: every query is asked on its own, and no plan repeats
+	// a prompt (each carries its target's title), so there is nothing
+	// to group; Disk is the answer store.
 	Cache bool
 	// Disk adds a persistent answer store: answers survive the
 	// process, so a repeated plan pays zero predictor calls for prompts
-	// any earlier run already bought. Implies Cache.
+	// any earlier run already bought.
 	Disk *promptcache.Cache
 	// Compress, when enabled, runs every planned prompt through the
 	// deterministic compression stage (prompt.Compressor) after
@@ -285,20 +259,16 @@ type ExecConfig struct {
 	// then never pays cold-replica tokens. Requires pooling (Replicas
 	// or ReplicaCount).
 	Affinity bool
-	// OnResult, when non-nil, receives each plan entry's final outcome
-	// from ExecuteWith or BoostWith the moment the executor settles it
-	// — from worker goroutines, concurrently and in completion order —
-	// instead of only after the whole plan (or boosting round) returns.
-	// When Fallback is configured, a permanently failed entry is
-	// streamed with the surrogate's answer and Fallback set, exactly
-	// matching what the returned Results will record. The hook runs on
-	// the worker's critical path and must not block for long.
-	// Executor.Query returns its outcome instead and ignores OnResult.
+	// OnResult, when non-nil, receives each query's final outcome —
+	// from ExecuteWith, BoostWith or Executor.Query — the moment it
+	// settles, on the worker goroutine that asked it, concurrently and
+	// in completion order, instead of only after the whole plan (or
+	// boosting round) returns. When Fallback is configured, a
+	// permanently failed entry is streamed with the surrogate's answer
+	// and Fallback set, exactly matching what the returned Results will
+	// record. The hook runs on the worker's critical path and must not
+	// block for long.
 	OnResult func(QueryOutcome)
-
-	// onOutcome is the batch-level adapter derived from OnResult; set
-	// internally by ExecuteWith/BoostWith, never by callers.
-	onOutcome func(batch.Request, batch.Outcome)
 }
 
 // QueryOutcome is one settled plan entry, as streamed to
@@ -314,42 +284,13 @@ type QueryOutcome struct {
 	// Pruned/Equipped mirror the plan entry's prompt shape.
 	Pruned   bool
 	Equipped bool
-	// Cached reports the answer came from Disk or from an identical
-	// prompt earlier in the same dispatch instead of a fresh call.
+	// Cached reports the answer came from Disk instead of a fresh call.
 	Cached bool
 	// Fallback reports the surrogate answered after the LLM path failed
 	// permanently.
 	Fallback bool
 	// Err is the permanent failure when no fallback is configured.
 	Err error
-}
-
-// resultStream adapts batch outcomes into OnResult callbacks. The
-// planned-query index is rebound per dispatch (boosting rounds reuse
-// one executor across rounds); dispatch boundaries are barriers —
-// Execute returns only after every worker finished — so rebinding
-// needs no lock.
-type resultStream struct {
-	g    *tag.Graph
-	fb   *Surrogate
-	hook func(QueryOutcome)
-	byID map[string]plannedQuery
-}
-
-// bind indexes the next dispatch's planned queries by request ID.
-func (rs *resultStream) bind(planned []plannedQuery) {
-	m := make(map[string]plannedQuery, len(planned))
-	for _, q := range planned {
-		m[strconv.Itoa(int(q.v))] = q
-	}
-	rs.byID = m
-}
-
-// onOutcome implements batch.Config.OnOutcome.
-func (rs *resultStream) onOutcome(r batch.Request, o batch.Outcome) {
-	if q, ok := rs.byID[r.ID]; ok {
-		rs.hook(settle(rs.g, rs.fb, q, o))
-	}
 }
 
 // settle folds one dispatched query's batch outcome into its
@@ -418,11 +359,9 @@ func (cfg ExecConfig) batchConfig(rec obs.Recorder) batch.Config {
 		RetryDelay:    cfg.RetryDelay,
 		MaxRetryDelay: cfg.MaxRetryDelay,
 		BudgetTokens:  cfg.BudgetTokens,
-		Cache:         cfg.Cache,
 		Disk:          cfg.Disk,
 		QueryTimeout:  cfg.QueryTimeout,
 		Breaker:       cfg.Breaker,
-		OnOutcome:     cfg.onOutcome,
 		Obs:           rec,
 	}
 }
@@ -465,7 +404,7 @@ type plannedQuery struct {
 	prompt   string
 	// compressWall/compressSaved record the compression stage's cost
 	// and payoff for this prompt; zero when compression is disabled or
-	// saved nothing. dispatch charges them into the query's ledger.
+	// saved nothing. ask charges them into the query's ledger.
 	compressWall  time.Duration
 	compressSaved int
 }
@@ -482,58 +421,10 @@ func (q *plannedQuery) compress(comp prompt.Compressor, rec obs.Recorder, mode s
 	rec.Observe(metricCompressionRatio, st.Ratio(), "mode", mode)
 }
 
-// fanOut runs f(i) for every i < n on up to workers goroutines, which
-// take indices from one atomic counter, and returns when every call
-// has. It runs inline, in index order, when workers <= 1 or n <= 1.
-// Callers write f's results into pre-sized slices by index, so the
-// outcome does not depend on which goroutine ran which index.
-func fanOut(n, workers int, f func(i int)) {
-	workers = min(workers, n)
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			f(i)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				f(i)
-			}
-		}()
-	}
-	wg.Wait()
-}
-
-// buildQueries materializes selections and prompts for the given nodes,
-// fanned out over workers goroutines with each query placed by index.
-// Planning only reads ctx, so concurrent Select calls are safe (see
-// predictors.Method). With compression enabled each prompt is
-// compressed in place, so everything downstream — dispatch, caching,
-// token metering — sees only the compressed bytes.
-func buildQueries(ctx *predictors.Context, m predictors.Method, queries []tag.NodeID, prune map[tag.NodeID]bool, comp prompt.Compressor, workers int, rec obs.Recorder, mode string) []plannedQuery {
-	out := make([]plannedQuery, len(queries))
-	fanOut(len(queries), workers, func(i int) {
-		v := queries[i]
-		var sel []predictors.Selected
-		if !prune[v] {
-			sel = m.Select(ctx, v)
-		}
-		out[i] = planQuery(ctx, m, v, sel, prune[v], comp, rec, mode)
-	})
-	return out
-}
-
 // planQuery fixes one query's prompt from its neighbor selection sel,
-// compressing it when comp is enabled.
+// compressing it when comp is enabled, so everything downstream —
+// dispatch, the disk cache, token metering — sees only the compressed
+// bytes.
 func planQuery(ctx *predictors.Context, m predictors.Method, v tag.NodeID, sel []predictors.Selected, pruned bool, comp prompt.Compressor, rec obs.Recorder, mode string) plannedQuery {
 	q := plannedQuery{
 		v:        v,
@@ -547,12 +438,12 @@ func planQuery(ctx *predictors.Context, m predictors.Method, v tag.NodeID, sel [
 	return q
 }
 
-// Executor dispatches planned queries to one predictor through a batch
+// Executor asks planned queries of one predictor through a batch
 // executor whose circuit breaker, token budget, QPS pacing and — when
 // the config pools — replica pool last as long as the Executor does.
-// ExecuteWith and BoostWith build one per call; a long-lived caller
-// such as the serve tier builds one and sends every query through
-// Query.
+// ExecuteWith, BoostWith and FitInadequacy build one per call; a
+// long-lived caller such as the serve tier builds one and sends every
+// query through Query.
 type Executor struct {
 	ex  *batch.Executor
 	cfg ExecConfig
@@ -584,49 +475,58 @@ func NewExecutor(p llm.Predictor, cfg ExecConfig, rec obs.Recorder) (*Executor, 
 }
 
 // Query answers node v as ExecuteWith answers a one-query plan: it
-// selects v's neighbors with m, builds and compresses the prompt,
-// dispatches it and, when the config has a Fallback, answers a
-// permanent failure with the surrogate. Concurrent calls are safe and
-// share the executor's breaker, budget, pacing and pool.
+// selects v's neighbors with m, builds and compresses the prompt and
+// asks it. Concurrent calls are safe and share the executor's breaker,
+// budget, pacing and pool.
 func (e *Executor) Query(ctx *predictors.Context, m predictors.Method, v tag.NodeID) QueryOutcome {
-	q := planQuery(ctx, m, v, m.Select(ctx, v), false, e.cfg.Compress, e.rec, "plain")
-	outcomes, err := dispatch(e.ex, []plannedQuery{q}, e.rec, "plain")
-	if err != nil {
-		return QueryOutcome{Node: v, Equipped: q.equipped, Err: err}
+	return e.ask(ctx.Graph, planQuery(ctx, m, v, m.Select(ctx, v), false, e.cfg.Compress, e.rec, "plain"), "plain", nil)
+}
+
+// ask asks one planned query through the executor on the calling
+// goroutine and settles it. The query roots its own trace: a
+// "core.query" span carrying link's plan and round labels, and a
+// ledger. Both ride Request.Ctx into the executor, so every layer
+// underneath (cache, pool, predictor, and llmserve across the HTTP
+// hop) nests spans and charges stages into them. When the config has a
+// Fallback, the surrogate answers a permanent failure. ask records the
+// per-query metrics under mode and hands the outcome to OnResult before
+// returning it.
+func (e *Executor) ask(g *tag.Graph, q plannedQuery, mode string, link []string) QueryOutcome {
+	id := strconv.Itoa(int(q.v))
+	qctx, root := obs.StartSpanCtx(context.Background(), e.rec, "core.query",
+		append([]string{"mode", mode, "node", id}, link...)...)
+	var led *obs.Ledger
+	if root.Sampled() {
+		led = obs.NewLedger(e.rec, root.TraceID(), mode+"/node:"+id)
+		if q.compressWall > 0 || q.compressSaved > 0 {
+			// Unbilled: compression ran during planning, before this
+			// query's span opened, so its wall must not count against
+			// the billed tiling and its tokens were never metered.
+			led.Charge(obs.StageCompress, q.compressWall, q.compressSaved, false)
+		}
+		qctx = obs.ContextWithLedger(qctx, led)
 	}
-	out := settle(ctx.Graph, e.cfg.Fallback, q, outcomes[v])
-	recordOutcome(e.rec, "plain", out)
+	o := e.ex.Do(context.Background(), batch.Request{ID: id, Prompt: q.prompt, Ctx: qctx})
+	if led != nil {
+		// The root ends when the executor finished the request, and the
+		// ledger closes with its exact duration. Core charges no billed
+		// stages of its own — the executor tiles the span with
+		// cache/predict/… charges — so billed tokens stay exactly the
+		// metered spend.
+		if o.Err != nil {
+			root.SetAttr("outcome", "error")
+		} else if o.Cached {
+			root.SetAttr("outcome", "cached")
+		}
+		root.EndAt(o.Finished)
+		led.Close(o.Finished.Sub(root.StartTime()))
+	}
+	out := settle(g, e.cfg.Fallback, q, o)
+	recordOutcome(e.rec, mode, out)
+	if e.cfg.OnResult != nil {
+		e.cfg.OnResult(out)
+	}
 	return out
-}
-
-// queryTrace pairs one query's root span with its ledger, both closed
-// by dispatch when the outcome is in.
-type queryTrace struct {
-	root *obs.Span
-	led  *obs.Ledger
-}
-
-// close settles one query's books: the root span ends at the instant
-// the worker finished the request (falling back to now for requests the
-// executor never picked up) and the ledger closes with the span's exact
-// duration. Core charges no stages of its own — the executor tiles the
-// span with queue/cache/predict/… charges — so billed tokens stay
-// exactly the metered spend.
-func (qt queryTrace) close(o batch.Outcome) {
-	if qt.root == nil {
-		return
-	}
-	end := o.Finished
-	if end.IsZero() {
-		end = time.Now()
-	}
-	if o.Err != nil {
-		qt.root.SetAttr("outcome", "error")
-	} else if o.Cached {
-		qt.root.SetAttr("outcome", "cached")
-	}
-	qt.root.EndAt(end)
-	qt.led.Close(end.Sub(qt.root.StartTime()))
 }
 
 // planLink renders a plan-level (or round-level) span's trace identity
@@ -640,52 +540,6 @@ func planLink(sp *obs.Span) []string {
 	return []string{"plan_trace", sp.TraceID()}
 }
 
-// dispatch runs the planned queries through the executor and returns
-// outcomes keyed by node. Prompts are already fixed, so concurrent
-// dispatch cannot change what is asked — only how fast.
-//
-// When tracing is live each query gets its own trace: a "core.query"
-// root span plus a ledger, both carried into the executor via
-// Request.Ctx so every layer underneath (queue, cache, pool, predictor
-// — and llmserve across the HTTP hop) nests spans and charges stages
-// into them. extra labels (plan/round linkage) are attached to each
-// root.
-func dispatch(ex *batch.Executor, planned []plannedQuery, rec obs.Recorder, mode string, extra ...string) (map[tag.NodeID]batch.Outcome, error) {
-	reqs := make([]batch.Request, len(planned))
-	traces := make([]queryTrace, len(planned))
-	for i, q := range planned {
-		reqs[i] = batch.Request{ID: strconv.Itoa(int(q.v)), Prompt: q.prompt}
-		labels := append([]string{"mode", mode, "node", reqs[i].ID}, extra...)
-		qctx, root := obs.StartSpanCtx(context.Background(), rec, "core.query", labels...)
-		if root.Sampled() {
-			led := obs.NewLedger(rec, root.TraceID(), mode+"/node:"+reqs[i].ID)
-			if q.compressWall > 0 || q.compressSaved > 0 {
-				// Unbilled: compression ran during planning, before this
-				// query's span opened, so its wall must not count against
-				// the billed tiling and its tokens were never metered.
-				led.Charge(obs.StageCompress, q.compressWall, q.compressSaved, false)
-			}
-			qctx = obs.ContextWithLedger(qctx, led)
-			traces[i] = queryTrace{root: root, led: led}
-		}
-		reqs[i].Ctx = qctx
-	}
-	res, err := ex.Execute(context.Background(), reqs)
-	if err != nil {
-		for i := range traces {
-			traces[i].close(batch.Outcome{Err: err})
-		}
-		return nil, err
-	}
-	out := make(map[tag.NodeID]batch.Outcome, len(planned))
-	for i, q := range planned {
-		o := res.Outcomes[reqs[i].ID]
-		out[q.v] = o
-		traces[i].close(o)
-	}
-	return out, nil
-}
-
 // Execute runs a plan with no boosting: every query sees only the
 // labels present in ctx.Known at the start (the paper's baseline
 // execution mode). It is ExecuteWith at the zero (serial) ExecConfig.
@@ -693,42 +547,39 @@ func Execute(ctx *predictors.Context, m predictors.Method, p llm.Predictor, plan
 	return ExecuteWith(ctx, m, p, plan, ExecConfig{})
 }
 
-// ExecuteWith is Execute with bounded concurrency: prompts for the
-// whole plan are constructed up front, dispatched through the batch
-// executor under cfg, and the results applied in stable plan order.
-// Per-query failures are aggregated into a *QueryErrors returned
-// alongside the successful queries' Results.
+// ExecuteWith is Execute with bounded concurrency: up to cfg.Workers
+// goroutines each take the plan's next query, plan it (selection,
+// prompt build, compression) and ask it through one executor under
+// cfg, and the results are applied in stable plan order. Per-query
+// failures are aggregated into a *QueryErrors returned alongside the
+// successful queries' Results.
 func ExecuteWith(ctx *predictors.Context, m predictors.Method, p llm.Predictor, plan Plan, cfg ExecConfig) (*Results, error) {
 	rec := obs.Active(ctx.Obs)
-	res := &Results{Pred: make(map[tag.NodeID]string, len(plan.Queries)), Rounds: 1}
-	var rs *resultStream
-	if cfg.OnResult != nil {
-		rs = &resultStream{g: ctx.Graph, fb: cfg.Fallback, hook: cfg.OnResult}
-		cfg.onOutcome = rs.onOutcome
-	}
 	e, err := NewExecutor(p, cfg, rec)
 	if err != nil {
 		return nil, err
 	}
-	planned := buildQueries(ctx, m, plan.Queries, plan.Prune, cfg.Compress, cfg.Workers, rec, "plain")
-	if rs != nil {
-		rs.bind(planned)
-	}
 	// The plan span is its own trace; each query roots a separate trace
 	// (its ledger is keyed by trace ID) and links back via the
 	// plan_trace attribute.
-	planSpan := rec.StartSpan("core.plan", "mode", "plain", "queries", strconv.Itoa(len(planned)))
+	planSpan := rec.StartSpan("core.plan", "mode", "plain", "queries", strconv.Itoa(len(plan.Queries)))
 	defer planSpan.End()
-	outcomes, err := dispatch(e.ex, planned, rec, "plain", planLink(planSpan)...)
-	if err != nil {
-		return nil, err
-	}
+	link := planLink(planSpan)
+	outs := make([]QueryOutcome, len(plan.Queries))
+	batch.FanOut(len(plan.Queries), cfg.Workers, func(i int) {
+		v := plan.Queries[i]
+		pruned := plan.Prune[v]
+		var sel []predictors.Selected
+		if !pruned {
+			sel = m.Select(ctx, v)
+		}
+		outs[i] = e.ask(ctx.Graph, planQuery(ctx, m, v, sel, pruned, cfg.Compress, rec, "plain"), "plain", link)
+	})
+	res := &Results{Pred: make(map[tag.NodeID]string, len(plan.Queries)), Rounds: 1}
 	var qerrs QueryErrors
-	for _, q := range planned {
-		out := settle(ctx.Graph, cfg.Fallback, q, outcomes[q.v])
-		recordOutcome(rec, "plain", out)
+	for _, out := range outs {
 		if !res.add(out) {
-			qerrs.add(q.v, fmt.Errorf("core: query for node %d: %w", q.v, out.Err))
+			qerrs.add(out.Node, fmt.Errorf("core: query for node %d: %w", out.Node, out.Err))
 		}
 	}
 	if len(qerrs.Errs) > 0 {

@@ -8,7 +8,9 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/llm"
 	"repro/internal/obs"
@@ -134,6 +136,59 @@ func assertSameRuns(t *testing.T, label string, sh planShape, a, b shapedRun) {
 	if a.compressed != b.compressed || sh.comp.Enabled() && a.compressed <= 0 {
 		t.Fatalf("%s: compression saved %v vs %v tokens", label, a.compressed, b.compressed)
 	}
+}
+
+// holdingMethod is a Method whose Select for one node first runs
+// hold, so a test can make planning that node wait on something.
+type holdingMethod struct {
+	predictors.Method
+	node tag.NodeID
+	hold func()
+}
+
+func (m holdingMethod) Select(ctx *predictors.Context, v tag.NodeID) []predictors.Selected {
+	if v == m.node {
+		m.hold()
+	}
+	return m.Method.Select(ctx, v)
+}
+
+// TestExecuteWithAsksWhileOthersPlan runs a 2-node plan on 2 workers
+// whose second node's selection waits, for at most 2 s, until OnResult
+// delivers the first node. It passes only when no barrier separates
+// planning a plan from asking it: the worker that takes a node plans
+// and asks it while the other is still planning. The answers still
+// match a serial run.
+func TestExecuteWithAsksWhileOthersPlan(t *testing.T) {
+	f := newFixture(t, 300, 40, 3)
+	first, second := f.split.Query[0], f.split.Query[1]
+	plan := Plan{Queries: []tag.NodeID{first, second}}
+	delivered := make(chan struct{})
+	var once sync.Once
+	var answeredFirst atomic.Bool
+	m := holdingMethod{Method: predictors.KHopRandom{K: 1}, node: second, hold: func() {
+		select {
+		case <-delivered:
+			answeredFirst.Store(true)
+		case <-time.After(2 * time.Second):
+		}
+	}}
+	res, err := ExecuteWith(f.freshCtx(), m, f.sim, plan, ExecConfig{Workers: 2, OnResult: func(o QueryOutcome) {
+		if o.Node == first {
+			once.Do(func() { close(delivered) })
+		}
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !answeredFirst.Load() {
+		t.Error("the second node's selection waited 2 s and the first node was still unanswered: planning is a barrier before asking")
+	}
+	serial, err := ExecuteWith(f.freshCtx(), predictors.KHopRandom{K: 1}, f.sim, plan, ExecConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSameResults(t, "overlapped vs serial", serial, res)
 }
 
 func TestExecuteWithWorkersDeterministic(t *testing.T) {

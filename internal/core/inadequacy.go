@@ -1,15 +1,14 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"sort"
-	"strconv"
 
 	"repro/internal/batch"
 	"repro/internal/encode"
 	"repro/internal/llm"
 	"repro/internal/nn"
+	"repro/internal/obs"
 	"repro/internal/prompt"
 	"repro/internal/tag"
 	"repro/internal/xrand"
@@ -34,9 +33,12 @@ type InadequacyConfig struct {
 	// Seed drives fold assignment and calibration sampling.
 	Seed uint64
 	// Exec tunes how the calibration queries are dispatched (workers,
-	// QPS, retries, budget); the zero value is serial. Calibration
-	// prompts are independent zero-shot queries, so their statistics are
-	// identical for any worker count.
+	// QPS, retries, budget, disk cache, pool); the zero value is serial.
+	// Calibration prompts are independent zero-shot queries, so their
+	// statistics are identical for any worker count. Compress, Fallback
+	// and OnResult do not apply: the calibration measures the LLM on
+	// the uncompressed prompt, and a query it could not ask is dropped,
+	// never guessed.
 	Exec ExecConfig
 }
 
@@ -117,25 +119,24 @@ func FitInadequacy(g *tag.Graph, labeled []tag.NodeID, p llm.Predictor, nodeType
 	// per-class misclassification ratios w (step 2) and the per-node
 	// error indicators that supervise g_θ2 (step 3) — V_L^c is paid for
 	// exactly once, as in the paper. The queries are independent, so
-	// they dispatch through the batch executor under cfg.Exec and the
-	// tallies are applied in calibration order.
-	ex, err := batch.New(p, cfg.Exec.batchConfig(nil))
+	// each of cfg.Exec.Workers goroutines builds and asks the next one,
+	// and the tallies are applied in calibration order.
+	ecfg := cfg.Exec
+	ecfg.Compress, ecfg.Fallback, ecfg.OnResult = prompt.Compressor{}, nil, nil
+	ex, err := NewExecutor(p, ecfg, obs.Active(nil))
 	if err != nil {
 		return nil, fmt.Errorf("core: bias calibration: %w", err)
 	}
-	reqs := make([]batch.Request, len(calib))
-	for i, v := range calib {
-		reqs[i] = batch.Request{ID: strconv.Itoa(int(v)), Prompt: prompt.Build(prompt.Request{
+	outs := make([]QueryOutcome, len(calib))
+	batch.FanOut(len(calib), ecfg.Workers, func(i int) {
+		v := calib[i]
+		outs[i] = ex.ask(g, plannedQuery{v: v, prompt: prompt.Build(prompt.Request{
 			TargetTitle:    g.Nodes[v].Title,
 			TargetAbstract: g.Nodes[v].Abstract,
 			Categories:     g.Classes,
 			NodeType:       nodeType,
-		})}
-	}
-	bres, err := ex.Execute(context.Background(), reqs)
-	if err != nil {
-		return nil, fmt.Errorf("core: bias calibration: %w", err)
-	}
+		})}, "calibration", nil)
+	})
 	// Failed calibration queries are dropped rather than voiding the
 	// whole fit: the bias ratios and the channel regression are sample
 	// estimates either way, and a permanently-failing backend prompt
@@ -147,7 +148,7 @@ func FitInadequacy(g *tag.Graph, labeled []tag.NodeID, p llm.Predictor, nodeType
 	errIndicator := make([]float64, 0, len(calib))
 	var firstErr error
 	for i, v := range calib {
-		o := bres.Outcomes[reqs[i].ID]
+		o := outs[i]
 		if o.Err != nil {
 			if firstErr == nil {
 				firstErr = o.Err
@@ -157,7 +158,7 @@ func FitInadequacy(g *tag.Graph, labeled []tag.NodeID, p llm.Predictor, nodeType
 		y := g.Nodes[v].Label
 		count[y]++
 		indicator := 0.0
-		if o.Response.Category != g.Classes[y] {
+		if o.Category != g.Classes[y] {
 			wrong[y]++
 			indicator = 1
 		}

@@ -21,12 +21,12 @@ func TestOraclePrunePlanPrunesSaturatedFirst(t *testing.T) {
 	}
 	// Every pruned node must be zero-shot-correct (the query set's
 	// saturated share exceeds 20% on this fixture).
+	vanilla, err := Execute(f.ctx, predictors.Vanilla{}, f.sim, Plan{Queries: f.split.Query})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for v := range plan.Prune {
-		resp, err := ExecuteQueryVanilla(f.ctx, f.sim, v)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if resp.Category != f.g.Classes[f.g.Nodes[v].Label] {
+		if vanilla.Pred[v] != f.g.Classes[f.g.Nodes[v].Label] {
 			t.Fatalf("oracle pruned node %d which zero-shot gets wrong", v)
 		}
 	}

@@ -56,8 +56,9 @@ func RandomPrunePlan(queries []tag.NodeID, tau float64, seed uint64) Plan {
 // OraclePrunePlan prunes, with priority, exactly the queries the
 // predictor already answers correctly zero-shot — the information-
 // theoretic upper bound of Algorithm 1. It reads ground-truth labels
-// and spends one vanilla query per node, so it is an analysis tool
-// (the headroom line in Fig. 7 ablations), never a deployable strategy.
+// and spends one vanilla query per node (a serial ExecuteWith of the
+// vanilla method), so it is an analysis tool (the headroom line in
+// Fig. 7 ablations), never a deployable strategy.
 func OraclePrunePlan(ctx *predictors.Context, p llm.Predictor, queries []tag.NodeID, tau float64) (Plan, error) {
 	if tau < 0 {
 		tau = 0
@@ -65,13 +66,13 @@ func OraclePrunePlan(ctx *predictors.Context, p llm.Predictor, queries []tag.Nod
 	if tau > 1 {
 		tau = 1
 	}
+	probe, err := ExecuteWith(ctx, predictors.Vanilla{}, p, Plan{Queries: queries}, ExecConfig{})
+	if err != nil {
+		return Plan{}, fmt.Errorf("core: oracle probe: %w", err)
+	}
 	var saturated, rest []tag.NodeID
 	for _, v := range queries {
-		resp, err := ExecuteQueryVanilla(ctx, p, v)
-		if err != nil {
-			return Plan{}, fmt.Errorf("core: oracle probe for node %d: %w", v, err)
-		}
-		if resp.Category == ctx.Graph.Classes[ctx.Graph.Nodes[v].Label] {
+		if probe.Pred[v] == ctx.Graph.Classes[ctx.Graph.Nodes[v].Label] {
 			saturated = append(saturated, v)
 		} else {
 			rest = append(rest, v)

@@ -78,7 +78,6 @@ func TestSoakChaosPoolCacheFallback(t *testing.T) {
 	cfg := ExecConfig{
 		Workers:      8,
 		QueryTimeout: 50 * time.Millisecond,
-		Cache:        true,
 		Disk:         pcache,
 		ReplicaCount: 3,
 		Hedge:        true,

@@ -18,22 +18,22 @@ func neighborGain(t testing.TB, name string, cfg Config) (zeroShot, oneHop float
 	}
 	ctx := d.ctx(cfg)
 	sim := d.sim(gpt35(), cfg)
-	m := predictors.KHopRandom{K: 1}
+	plan := core.Plan{Queries: d.split.Query}
+	vanilla, err := core.ExecuteWith(ctx, predictors.Vanilla{}, sim, plan, cfg.exec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	khop, err := core.ExecuteWith(ctx, predictors.KHopRandom{K: 1}, sim, plan, cfg.exec())
+	if err != nil {
+		t.Fatal(err)
+	}
 	var vOK, kOK int
 	for _, v := range d.split.Query {
 		truth := d.g.Classes[d.g.Nodes[v].Label]
-		respV, err := core.ExecuteQueryVanilla(ctx, sim, v)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if respV.Category == truth {
+		if vanilla.Pred[v] == truth {
 			vOK++
 		}
-		respK, _, err := core.ExecuteQuery(ctx, m, sim, v, false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if respK.Category == truth {
+		if khop.Pred[v] == truth {
 			kOK++
 		}
 	}

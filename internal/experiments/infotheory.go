@@ -40,13 +40,13 @@ func runFig2(cfg Config) (string, error) {
 		}
 		noNeighbor := len(d.g.Classes) // extra code for "no labeled neighbor"
 
+		vanilla, err := core.ExecuteWith(ctx, predictors.Vanilla{}, sim, core.Plan{Queries: d.split.Query}, cfg.exec())
+		if err != nil {
+			return "", errf("fig2", err)
+		}
 		var ts, ns, ys []int
 		for _, v := range d.split.Query {
-			resp, err := core.ExecuteQueryVanilla(ctx, sim, v)
-			if err != nil {
-				return "", errf("fig2", err)
-			}
-			tcode, ok := classIndex[resp.Category]
+			tcode, ok := classIndex[vanilla.Pred[v]]
 			if !ok {
 				tcode = noNeighbor // unparsable answer: its own code
 			}

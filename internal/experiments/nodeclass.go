@@ -26,31 +26,30 @@ func runFig3(cfg Config) (string, error) {
 		sim := d.sim(gpt35(), cfg)
 		m := predictors.KHopRandom{K: 1}
 		ctx := d.ctx(cfg)
+		plan := core.Plan{Queries: d.split.Query}
+		vanilla, err := core.ExecuteWith(ctx, predictors.Vanilla{}, sim, plan, cfg.exec())
+		if err != nil {
+			return "", errf("fig3", err)
+		}
+		khop, err := core.ExecuteWith(ctx, m, sim, plan, cfg.exec())
+		if err != nil {
+			return "", errf("fig3", err)
+		}
 
 		type group struct{ vanillaOK, khopOK, n int }
 		var withL, withoutL group
 		for _, v := range d.split.Query {
-			sel := m.Select(ctx, v)
 			grp := &withoutL
-			if predictors.CountLabeled(sel) > 0 {
+			if predictors.CountLabeled(m.Select(ctx, v)) > 0 {
 				grp = &withL
 			}
 			grp.n++
-			// Vanilla query.
-			respV, err := core.ExecuteQueryVanilla(ctx, sim, v)
-			if err != nil {
-				return "", errf("fig3", err)
-			}
-			// 1-hop query with the same selection.
-			respK, _, err := core.ExecuteQuery(ctx, m, sim, v, false)
-			if err != nil {
-				return "", errf("fig3", err)
-			}
 			truth := d.g.Classes[d.g.Nodes[v].Label]
-			if respV.Category == truth {
+			if vanilla.Pred[v] == truth {
 				grp.vanillaOK++
 			}
-			if respK.Category == truth {
+			// The 1-hop query asked with this same selection.
+			if khop.Pred[v] == truth {
 				grp.khopOK++
 			}
 		}
@@ -222,16 +221,15 @@ func runTable6(cfg Config) (string, error) {
 		if err != nil {
 			return "", errf("table6", err)
 		}
+		vanilla, err := core.ExecuteWith(d.ctx(cfg), predictors.Vanilla{}, sim, core.Plan{Queries: d.split.Query}, cfg.exec())
+		if err != nil {
+			return "", errf("table6", err)
+		}
 		var satSum, nonSum float64
 		var satN, nonN int
-		ctx := d.ctx(cfg)
 		for _, v := range d.split.Query {
-			resp, err := core.ExecuteQueryVanilla(ctx, sim, v)
-			if err != nil {
-				return "", errf("table6", err)
-			}
 			dScore := iq.ScoreNode(d.g, v)
-			if resp.Category == d.g.Classes[d.g.Nodes[v].Label] {
+			if vanilla.Pred[v] == d.g.Classes[d.g.Nodes[v].Label] {
 				satSum += dScore
 				satN++
 			} else {

@@ -109,7 +109,9 @@ func Run(sc Scenario, opts Options) (*Report, error) {
 
 	// Open loop: every request fires at its scheduled offset whether or
 	// not earlier ones completed. One goroutine per request keeps the
-	// dispatcher itself off the critical path.
+	// dispatcher itself off the critical path, and each request is timed
+	// from the instant it was due, so a stall that delays later sends
+	// shows in their latency.
 	samples := make([]sample, sc.Requests)
 	start := time.Now()
 	var wg sync.WaitGroup
@@ -117,10 +119,11 @@ func Run(sc Scenario, opts Options) (*Report, error) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			if d := time.Until(start.Add(sched[i])); d > 0 {
+			due := start.Add(sched[i])
+			if d := time.Until(due); d > 0 {
 				time.Sleep(d)
 			}
-			samples[i] = doQuery(client, base, tenants[i], nodes[i])
+			samples[i] = doQuery(client, base, tenants[i], nodes[i], due)
 		}(i)
 	}
 	wg.Wait()
@@ -212,8 +215,10 @@ func startInProcess(sc Scenario, g *tag.Graph) (*httptest.Server, *serve.Server,
 	return httptest.NewServer(mux), tier, nil
 }
 
-// doQuery drives one request and classifies the outcome.
-func doQuery(client *http.Client, base, tenant string, node int) sample {
+// doQuery drives one request and classifies the outcome. Its latency
+// runs from due, the instant the schedule offered the request, not
+// from the send: time the driver spent late is time the caller waited.
+func doQuery(client *http.Client, base, tenant string, node int, due time.Time) sample {
 	body := fmt.Sprintf(`{"node": %d}`, node)
 	req, err := http.NewRequest(http.MethodPost, base+serve.QueryPath, strings.NewReader(body))
 	if err != nil {
@@ -221,15 +226,14 @@ func doQuery(client *http.Client, base, tenant string, node int) sample {
 	}
 	req.Header.Set("Content-Type", "application/json")
 	req.Header.Set("X-Tenant", tenant)
-	t0 := time.Now()
 	resp, err := client.Do(req)
-	lat := time.Since(t0)
+	lat := time.Since(due)
 	if err != nil {
 		return sample{class: classError, latency: lat}
 	}
 	defer resp.Body.Close()
 	raw, err := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-	lat = time.Since(t0)
+	lat = time.Since(due)
 	if err != nil {
 		return sample{class: classError, latency: lat, status: resp.StatusCode}
 	}

@@ -2,10 +2,14 @@ package load
 
 import (
 	"encoding/json"
+	"net/http"
+	"net/http/httptest"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"repro/internal/core"
+	"repro/internal/serve"
 )
 
 // TestRunSmokePreset drives the CI smoke scenario end to end against
@@ -86,6 +90,26 @@ func TestRunQuotaBackpressure(t *testing.T) {
 	}
 	if rep.OK == 0 {
 		t.Error("budget rejected everything; expected some completions before exhaustion")
+	}
+}
+
+// TestLatencyRunsFromDueInstant offers a request whose due instant
+// passed 50 ms before it was sent, against a server that answers at
+// once: the driver's lateness is the caller's wait, so the sample's
+// latency must include it.
+func TestLatencyRunsFromDueInstant(t *testing.T) {
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		_ = json.NewEncoder(w).Encode(serve.QueryResponse{Node: 7, Category: "c", Tenant: "t"})
+	}))
+	defer ts.Close()
+	const late = 50 * time.Millisecond
+	s := doQuery(ts.Client(), ts.URL, "t", 7, time.Now().Add(-late))
+	if s.class != classOK {
+		t.Fatalf("class %q, want %q", s.class, classOK)
+	}
+	if s.latency < late {
+		t.Errorf("latency %v excludes the %v the request was already late when sent", s.latency, late)
 	}
 }
 

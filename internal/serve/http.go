@@ -4,6 +4,8 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"strconv"
@@ -16,10 +18,16 @@ import (
 // QueryPath is the online query endpoint the serve tier mounts.
 const QueryPath = "/v1/query"
 
+// maxQueryBody caps a POST /v1/query body. {"node":N} takes under 32
+// bytes, so 4 KiB leaves room for any formatting while a larger body
+// gets a JSON 413 instead of unbounded buffering.
+const maxQueryBody = 4 << 10
+
 // QueryRequest is the POST /v1/query body.
 type QueryRequest struct {
-	// Node is the graph node to classify.
-	Node int `json:"node"`
+	// Node is the graph node to classify; a body without it is
+	// rejected with 400.
+	Node *int `json:"node"`
 }
 
 // QueryResponse is the success body. TraceID echoes the request's
@@ -76,14 +84,31 @@ func Handler(s *Server) http.Handler {
 				"only POST is supported")
 			return
 		}
+		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxQueryBody))
+		if err != nil {
+			var tooBig *http.MaxBytesError
+			if errors.As(err, &tooBig) {
+				writeError(w, http.StatusRequestEntityTooLarge, "invalid_request_error",
+					fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit))
+				return
+			}
+			writeError(w, http.StatusBadRequest, "invalid_request_error",
+				"reading body: "+err.Error())
+			return
+		}
 		var req QueryRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+		if err := json.Unmarshal(body, &req); err != nil {
 			writeError(w, http.StatusBadRequest, "invalid_request_error",
 				"invalid JSON body: "+err.Error())
 			return
 		}
+		if req.Node == nil {
+			writeError(w, http.StatusBadRequest, "invalid_request_error",
+				`missing "node"`)
+			return
+		}
 		tenant := Tenant(r)
-		res, err := s.Submit(r.Context(), tenant, tag.NodeID(req.Node))
+		res, err := s.Submit(r.Context(), tenant, tag.NodeID(*req.Node))
 		if err != nil {
 			writeSubmitError(w, s, err)
 			return

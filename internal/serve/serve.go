@@ -96,8 +96,7 @@ type Config struct {
 	// Exec configures the one core.Executor every admitted node runs
 	// through: Workers execution slots, and the retries, disk cache,
 	// replica pool, fallback, QPS pacing, breakers and BudgetTokens
-	// shared by every query for the server's lifetime. Exec.Cache has
-	// no effect, since each dispatch asks one prompt, and Exec.OnResult
+	// shared by every query for the server's lifetime. Exec.OnResult
 	// must be nil: Submit returns each answer.
 	Exec core.ExecConfig
 	// Obs receives serve metrics and spans; nil routes to the

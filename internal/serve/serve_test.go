@@ -728,6 +728,20 @@ func TestHandlerQueryAndErrors(t *testing.T) {
 	}
 	resp.Body.Close()
 
+	// A body without "node" must not be read as node 0.
+	resp = post("bob", `{}`)
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("missing node status = %d, want 400", resp.StatusCode)
+	}
+	resp.Body.Close()
+
+	// A valid request padded past the body cap is refused unread.
+	resp = post("bob", fmt.Sprintf(`{"node": %d}`, node)+strings.Repeat(" ", 8<<20))
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized body status = %d, want 413", resp.StatusCode)
+	}
+	resp.Body.Close()
+
 	getResp, err := http.Get(ts.URL + QueryPath)
 	if err != nil {
 		t.Fatal(err)

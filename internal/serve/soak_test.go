@@ -57,7 +57,7 @@ func TestSoakServeMixedTenants(t *testing.T) {
 	nodes := f.split.Query[:60]
 	counter := &countingPredictor{inner: f.freshSim()}
 	s, err := New(f.freshCtx(), predictors.KHopRandom{K: 1}, counter, Config{
-		Exec: core.ExecConfig{Workers: 8, Cache: true},
+		Exec: core.ExecConfig{Workers: 8},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -156,18 +156,12 @@ type Options struct {
 	// these options, is capped separately. Note that with Workers > 1
 	// the exact cut-off point depends on completion order.
 	BudgetTokens int
-	// Cache asks identical prompts once per plan or boosting round: the
-	// first query with a prompt pays for it and the others share its
-	// answer. No answer is kept between rounds or runs; CacheDir adds
-	// the store that is.
-	Cache bool
 	// CacheDir, when non-empty, adds a persistent prompt cache under
 	// this directory: answers survive the process, so repeating a run
 	// pays only for prompts never asked before. Entries are keyed by
 	// the predictor's identity (model + its seed), the prompt-template
 	// version (versioned by Compress) and the prompt text, so a
 	// model/seed/template change can never serve stale answers.
-	// Implies Cache.
 	CacheDir string
 	// CacheMaxBytes bounds the persistent cache's live bytes (LRU
 	// eviction); 0 means unbounded.
@@ -190,7 +184,7 @@ type Options struct {
 }
 
 // execConfig validates the knobs and lowers them, with the facade's
-// own cache, budget and replica-set fields, into the core executor
+// own budget and replica-set fields, into the core executor
 // configuration shared by calibration, plain execution and boosting.
 func (o Options) execConfig() (core.ExecConfig, error) {
 	k := o.Knobs
@@ -202,7 +196,6 @@ func (o Options) execConfig() (core.ExecConfig, error) {
 	}
 	cfg := o.Knobs.ExecConfig()
 	cfg.BudgetTokens = o.BudgetTokens
-	cfg.Cache = o.Cache
 	cfg.Replicas = o.ReplicaSet
 	return cfg, nil
 }
@@ -245,7 +238,7 @@ type Report struct {
 // (Algorithm 2). It is the programmatic equivalent of the paper's
 // "w/ prune & boost" configuration when both flags are set.
 //
-// Options.Knobs/BudgetTokens/Cache bound how the batch is dispatched;
+// Options.Knobs/BudgetTokens bound how the batch is dispatched;
 // see Options. Out-of-range knobs (see Knobs.Validate) are an error. When individual queries fail permanently,
 // Optimize returns the partial Report together with an error wrapping
 // a *QueryErrors describing every failed query.

@@ -285,17 +285,6 @@ func TestOptimizeWorkersDeterministic(t *testing.T) {
 	}
 }
 
-func TestOptimizeCacheCoalescesDuplicates(t *testing.T) {
-	w, p := smallWorkload(t, 6)
-	rep, err := Optimize(w, KHopRandom{K: 1}, p, Options{Knobs: Knobs{Workers: 4}, Cache: true})
-	if err != nil {
-		t.Fatalf("Optimize: %v", err)
-	}
-	if got := len(rep.Results.Pred); got != len(w.Queries) {
-		t.Fatalf("predictions = %d, want %d", got, len(w.Queries))
-	}
-}
-
 // TestReplicaSetAnswersDoNotPoisonPrimaryCache pins the disk-cache
 // namespace to the predictor that answers. With Options.ReplicaSet the
 // replicas answer, so their answers belong under the replica set's

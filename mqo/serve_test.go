@@ -20,7 +20,7 @@ func TestServeFacade(t *testing.T) {
 	}
 	w := NewWorkload(g, 15, 50, 4, 21)
 	m := SNS{}
-	opt := Options{Knobs: Knobs{Workers: 4}, Cache: true}
+	opt := Options{Knobs: Knobs{Workers: 4}}
 
 	s, err := NewServer(w, m, NewSim(GPT35(), g, 21), opt, ServeConfig{})
 	if err != nil {

@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race bench benchcheck benchpool benchcompress fuzz soak chaos warmcache traceguard servesmoke loadsmoke benchload check
+.PHONY: all build vet test race bench benchcheck benchpool benchcompress benchplan fuzz soak chaos warmcache traceguard servesmoke loadsmoke benchload check
 
 all: check
 
@@ -148,6 +148,18 @@ benchcompress:
 	MQO_BENCH_JSON=$(CURDIR)/BENCH_compress.json \
 		$(GO) test -bench BenchmarkCompressSweep -benchtime 1x -run '^$$' ./internal/experiments/
 	@tail -n 3 BENCH_compress.json
+
+# benchplan times the plan path's three passes over every node's text
+# on a full-size pubmed graph (generation, the SNS similarity index,
+# and ExecuteWith of 200 SNS queries with neighbor abstracts at
+# compression level 1) and appends one JSON line per benchmark (ns/op,
+# B/op, allocs/op) to the committed BENCH_plan.json trajectory. The
+# benchmarks use only long-standing APIs, so the same file measures an
+# older checkout for a before row.
+benchplan:
+	MQO_BENCH_JSON=$(CURDIR)/BENCH_plan.json \
+		$(GO) test -bench 'BenchmarkPlan' -benchtime 3x -run '^$$' ./internal/core/
+	@tail -n 3 BENCH_plan.json
 
 # servesmoke proves the online serving tier end to end across a real
 # process boundary: llmserve starts with -serve on the smoke scenario's

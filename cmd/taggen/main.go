@@ -101,6 +101,6 @@ func main() {
 	for i := 0; i < *sample && i < g.NumNodes(); i++ {
 		n := g.Nodes[i]
 		fmt.Printf("\nnode %d  class=%s  ambiguity=%.2f  degree=%d\n  title: %s\n  abstract: %.160s...\n",
-			n.ID, g.Classes[n.Label], n.Ambiguity, g.Degree(n.ID), n.Title, n.Abstract)
+			n.ID, g.Classes[n.Label], n.Ambiguity, g.Degree(n.ID), g.Title(n.ID), g.Abstract(n.ID))
 	}
 }

@@ -419,14 +419,16 @@ func (e *Executor) Execute(ctx context.Context, reqs []Request) (*Result, error)
 		}
 	}
 	rec := obs.Active(e.cfg.Obs)
-	// Each leader runs, or — once ctx has ended — settles undispatched;
-	// its followers then settle with a copy of its outcome.
+	// Each leader runs, or — once ctx has ended — settles undispatched
+	// with its own audit line; its followers then settle with a copy of
+	// its outcome.
 	FanOut(len(leaders), e.cfg.Workers, func(i int) {
 		r := leaders[i]
 		var o Outcome
 		var label string
 		if err := ctx.Err(); err != nil {
 			o, label = Outcome{Err: err}, "undispatched"
+			e.log(logLine{ID: r.ID, PromptSHA256: promptDigest(r.Prompt), Error: err.Error()})
 			rec.Add(metricBatchRequests, 1, "outcome", label)
 		} else {
 			o, label = e.do(ctx, r, rec)

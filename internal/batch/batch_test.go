@@ -303,6 +303,46 @@ func TestExecuteJSONLLog(t *testing.T) {
 	}
 }
 
+// TestExecuteLogsUndispatched pins Config.Log's one line per outcome
+// when the context has already ended: the leader settled undispatched
+// gets its own line (ID, prompt digest, error), as its follower does.
+func TestExecuteLogsUndispatched(t *testing.T) {
+	var buf bytes.Buffer
+	p := newScripted()
+	e, err := New(p, Config{Workers: 1, Log: &buf, Cache: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	res, err := e.Execute(ctx, []Request{
+		{ID: "a", Prompt: "p1"}, {ID: "b", Prompt: "p1"}, {ID: "c", Prompt: "p2"},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Outcomes) != 3 || p.total.Load() != 0 {
+		t.Fatalf("%d outcomes after %d predictor calls, want 3 after 0", len(res.Outcomes), p.total.Load())
+	}
+	lines := map[string]map[string]any{}
+	sc := bufio.NewScanner(&buf)
+	for sc.Scan() {
+		var m map[string]any
+		if err := json.Unmarshal(sc.Bytes(), &m); err != nil {
+			t.Fatalf("unparseable log line %q: %v", sc.Text(), err)
+		}
+		lines[m["id"].(string)] = m
+	}
+	if len(lines) != 3 {
+		t.Fatalf("log has lines for %d requests, want 3:\n%s", len(lines), buf.String())
+	}
+	for id, m := range lines {
+		if m["prompt_sha256"] == "" || m["error"] != context.Canceled.Error() {
+			t.Errorf("request %s: log line %v, want its prompt digest and %q", id, m, context.Canceled)
+		}
+	}
+}
+
 // TestExecuteLogConcurrentWorkers is the regression for interleaved
 // audit-log writes: many workers logging into one bytes.Buffer (not
 // safe for concurrent use) must still leave one whole line per request,

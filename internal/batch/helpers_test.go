@@ -22,12 +22,11 @@ func simPrompts(t testing.TB, n int) (*tag.Graph, []Request) {
 	}
 	out := make([]Request, n)
 	for i := 0; i < n; i++ {
-		node := g.Nodes[i]
 		out[i] = Request{
 			ID: fmt.Sprintf("node-%d", i),
 			Prompt: prompt.Build(prompt.Request{
-				TargetTitle:    node.Title,
-				TargetAbstract: node.Abstract,
+				TargetTitle:    g.Title(tag.NodeID(i)),
+				TargetAbstract: g.Abstract(tag.NodeID(i)),
 				Categories:     g.Classes,
 			}),
 		}

@@ -209,8 +209,8 @@ func TestInadequacySeparatesSaturation(t *testing.T) {
 	var satN, nonN int
 	for _, v := range f.split.Query {
 		resp, err := f.sim.Query(prompt.Build(prompt.Request{
-			TargetTitle:    f.g.Nodes[v].Title,
-			TargetAbstract: f.g.Nodes[v].Abstract,
+			TargetTitle:    f.g.Title(v),
+			TargetAbstract: f.g.Abstract(v),
 			Categories:     f.g.Classes,
 			NodeType:       "paper",
 		}))

@@ -409,32 +409,25 @@ type plannedQuery struct {
 	compressSaved int
 }
 
-// compressQuery runs one planned prompt through the compression stage,
+// planQuery fixes one query's prompt from its neighbor selection sel,
+// so everything downstream — dispatch, the disk cache, token metering —
+// sees only the final bytes. When comp is enabled, the compressor reads
+// the selected nodes' word IDs and renders the compressed prompt once,
 // recording wall time, token savings and the per-mode metrics.
-func (q *plannedQuery) compress(comp prompt.Compressor, rec obs.Recorder, mode string) {
+func planQuery(ctx *predictors.Context, m predictors.Method, v tag.NodeID, sel []predictors.Selected, pruned bool, comp prompt.Compressor, rec obs.Recorder, mode string) plannedQuery {
+	q := plannedQuery{v: v, pruned: pruned, equipped: len(sel) > 0}
+	pq := predictors.PromptQuery(ctx, v, sel, m.Ranked() && len(sel) > 0)
+	if !comp.Enabled() {
+		q.prompt = pq.Render()
+		return q
+	}
 	start := time.Now()
-	out, st := comp.CompressStats(q.prompt)
+	out, st := comp.CompressQuery(&pq)
 	q.prompt = out
 	q.compressWall = time.Since(start)
 	q.compressSaved = st.Saved()
 	rec.Add(metricCompressedTokens, float64(st.Saved()), "mode", mode)
 	rec.Observe(metricCompressionRatio, st.Ratio(), "mode", mode)
-}
-
-// planQuery fixes one query's prompt from its neighbor selection sel,
-// compressing it when comp is enabled, so everything downstream —
-// dispatch, the disk cache, token metering — sees only the compressed
-// bytes.
-func planQuery(ctx *predictors.Context, m predictors.Method, v tag.NodeID, sel []predictors.Selected, pruned bool, comp prompt.Compressor, rec obs.Recorder, mode string) plannedQuery {
-	q := plannedQuery{
-		v:        v,
-		pruned:   pruned,
-		equipped: len(sel) > 0,
-		prompt:   predictors.BuildPrompt(ctx, v, sel, m.Ranked() && len(sel) > 0),
-	}
-	if comp.Enabled() {
-		q.compress(comp, rec, mode)
-	}
 	return q
 }
 
@@ -667,11 +660,13 @@ func EstimateQueryTokensCompressed(ctx *predictors.Context, m predictors.Method,
 	var full, bare float64
 	for _, v := range sampled {
 		sel := m.Select(ctx, v)
-		withNb, st := comp.CompressStats(predictors.BuildPrompt(ctx, v, sel, m.Ranked() && len(sel) > 0))
+		q := predictors.PromptQuery(ctx, v, sel, m.Ranked() && len(sel) > 0)
+		withNb, st := comp.CompressQuery(&q)
 		if cached != nil && cached(withNb) {
 			continue // zero marginal tokens: the answer is already on disk
 		}
-		_, vanilla := comp.CompressStats(predictors.BuildPrompt(ctx, v, nil, false))
+		q = predictors.PromptQuery(ctx, v, nil, false)
+		_, vanilla := comp.CompressQuery(&q)
 		full += float64(st.TokensAfter)
 		bare += float64(vanilla.TokensAfter)
 	}

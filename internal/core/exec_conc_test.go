@@ -252,7 +252,7 @@ func TestExecuteWithAggregatesPerQueryErrors(t *testing.T) {
 	f := newFixture(t, 400, 60, 23)
 	m := predictors.KHopRandom{K: 1}
 	bad := f.split.Query[7]
-	p := failing{inner: f.sim, match: f.g.Nodes[bad].Title}
+	p := failing{inner: f.sim, match: f.g.Title(bad)}
 
 	res, err := ExecuteWith(f.freshCtx(), m, p, Plan{Queries: f.split.Query}, ExecConfig{Workers: 4})
 	if err == nil {
@@ -281,7 +281,7 @@ func TestBoostWithDropsFailedQueries(t *testing.T) {
 	f := newFixture(t, 400, 60, 29)
 	m := predictors.KHopRandom{K: 1}
 	bad := f.split.Query[3]
-	p := failing{inner: f.sim, match: f.g.Nodes[bad].Title}
+	p := failing{inner: f.sim, match: f.g.Title(bad)}
 
 	ctx := f.freshCtx()
 	res, _, err := BoostWith(ctx, m, p, Plan{Queries: f.split.Query}, DefaultBoostConfig(), ExecConfig{Workers: 4})

@@ -90,15 +90,11 @@ func FitInadequacy(g *tag.Graph, labeled []tag.NodeID, p llm.Predictor, nodeType
 	k := len(g.Classes)
 
 	// Step 1: surrogate classifier on text features.
-	corpus := make([]string, g.NumNodes())
-	for i := range corpus {
-		corpus[i] = g.Text(tag.NodeID(i))
-	}
-	enc := encode.NewTFIDF(corpus, cfg.MaxFeatures)
+	enc := encode.NewTFIDFIDs(g.Dict(), g.Corpus(), cfg.MaxFeatures)
 	X := make([][]float64, len(labeled))
 	y := make([]int, len(labeled))
 	for i, v := range labeled {
-		X[i] = enc.Encode(corpus[v])
+		X[i] = enc.EncodeIDs(g.Dict(), g.TextIDs(v))
 		y[i] = g.Nodes[v].Label
 	}
 	mlpCfg := cfg.MLP
@@ -130,12 +126,14 @@ func FitInadequacy(g *tag.Graph, labeled []tag.NodeID, p llm.Predictor, nodeType
 	outs := make([]QueryOutcome, len(calib))
 	batch.FanOut(len(calib), ecfg.Workers, func(i int) {
 		v := calib[i]
-		outs[i] = ex.ask(g, plannedQuery{v: v, prompt: prompt.Build(prompt.Request{
-			TargetTitle:    g.Nodes[v].Title,
-			TargetAbstract: g.Nodes[v].Abstract,
+		q := prompt.Query{
+			Dict:           g.Dict(),
+			TargetTitle:    g.TitleIDs(v),
+			TargetAbstract: g.AbstractIDs(v),
 			Categories:     g.Classes,
 			NodeType:       nodeType,
-		})}, "calibration", nil)
+		}
+		outs[i] = ex.ask(g, plannedQuery{v: v, prompt: q.Render()}, "calibration", nil)
 	})
 	// Failed calibration queries are dropped rather than voiding the
 	// whole fit: the bias ratios and the channel regression are sample
@@ -181,7 +179,7 @@ func FitInadequacy(g *tag.Graph, labeled []tag.NodeID, p llm.Predictor, nodeType
 	// nodes that actually got an answer.
 	feats := make([][]float64, len(okCalib))
 	for i, v := range okCalib {
-		h, b := iq.channels(corpus[v])
+		h, b := iq.ChannelsNode(g, v)
 		feats[i] = []float64{h, b}
 	}
 	targets := errIndicator
@@ -193,11 +191,11 @@ func FitInadequacy(g *tag.Graph, labeled []tag.NodeID, p llm.Predictor, nodeType
 	return iq, nil
 }
 
-// channels computes the two inadequacy channels for a text: the
-// surrogate's predictive entropy H(p_i) (Eq. 8) and the bias channel
-// b_i = p_i · wᵀ (Eq. 9).
-func (iq *Inadequacy) channels(text string) (entropy, bias float64) {
-	probs := iq.ensemble.Probs(iq.enc.Encode(text))
+// channels computes the two inadequacy channels for a text's features
+// x: the surrogate's predictive entropy H(p_i) (Eq. 8) and the bias
+// channel b_i = p_i · wᵀ (Eq. 9).
+func (iq *Inadequacy) channels(x []float64) (entropy, bias float64) {
+	probs := iq.ensemble.Probs(x)
 	h := nn.Entropy(probs)
 	var b float64
 	for c, pc := range probs {
@@ -208,19 +206,20 @@ func (iq *Inadequacy) channels(text string) (entropy, bias float64) {
 
 // Score returns D(t) for one text (Eq. 10). Lower means more saturated.
 func (iq *Inadequacy) Score(text string) float64 {
-	h, b := iq.channels(text)
+	h, b := iq.channels(iq.enc.Encode(text))
 	return iq.reg.Predict([]float64{h, b})
 }
 
-// ScoreNode returns D(t_i) for node v of g.
+// ScoreNode returns D(t_i) for node v of g, encoded from its word IDs.
 func (iq *Inadequacy) ScoreNode(g *tag.Graph, v tag.NodeID) float64 {
-	return iq.Score(g.Text(v))
+	h, b := iq.ChannelsNode(g, v)
+	return iq.reg.Predict([]float64{h, b})
 }
 
 // ChannelsNode exposes the raw (entropy, bias) channels of node v, used
 // by the ablation benchmarks.
 func (iq *Inadequacy) ChannelsNode(g *tag.Graph, v tag.NodeID) (entropy, bias float64) {
-	return iq.channels(g.Text(v))
+	return iq.channels(iq.enc.EncodeIDs(g.Dict(), g.TextIDs(v)))
 }
 
 // Weights returns the misclassification-ratio vector w.

@@ -69,15 +69,11 @@ func FitSurrogate(g *tag.Graph, labeled []tag.NodeID, cfg SurrogateConfig) (*Sur
 	if cfg.MLP.Epochs == 0 {
 		cfg.MLP = def.MLP
 	}
-	corpus := make([]string, g.NumNodes())
-	for i := range corpus {
-		corpus[i] = g.Text(tag.NodeID(i))
-	}
-	enc := encode.NewTFIDF(corpus, cfg.MaxFeatures)
+	enc := encode.NewTFIDFIDs(g.Dict(), g.Corpus(), cfg.MaxFeatures)
 	X := make([][]float64, len(labeled))
 	y := make([]int, len(labeled))
 	for i, v := range labeled {
-		X[i] = enc.Encode(corpus[v])
+		X[i] = enc.EncodeIDs(g.Dict(), g.TextIDs(v))
 		y[i] = g.Nodes[v].Label
 	}
 	mlpCfg := cfg.MLP
@@ -97,9 +93,10 @@ func (s *Surrogate) Predict(text string) string {
 	return s.classes[s.ensemble.Predict(s.enc.Encode(text))]
 }
 
-// PredictNode returns the surrogate's class for node v of g.
+// PredictNode returns the surrogate's class for node v of g, encoded
+// from its word IDs.
 func (s *Surrogate) PredictNode(g *tag.Graph, v tag.NodeID) string {
-	return s.Predict(g.Text(v))
+	return s.classes[s.ensemble.Predict(s.enc.EncodeIDs(g.Dict(), g.TextIDs(v)))]
 }
 
 // Classes returns the class names the surrogate predicts over.

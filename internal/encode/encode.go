@@ -10,19 +10,26 @@
 package encode
 
 import (
+	"cmp"
 	"math"
 	"slices"
-	"sort"
 	"strings"
+
+	"repro/internal/token"
 )
 
 // Encoder maps text to fixed-size feature vectors. Construct one with
-// NewBoW or NewTFIDF over a corpus; Encode then embeds any text into
-// the corpus vocabulary space.
+// NewBoW or NewTFIDF over a corpus of strings, or with NewBoWIDs or
+// NewTFIDFIDs over a corpus of word IDs; Encode then embeds any text
+// into the corpus vocabulary space.
 type Encoder struct {
 	index map[string]int // word -> feature dimension
 	words []string       // dimension -> word
 	idf   []float64      // nil for plain BoW
+	// dict is the dictionary the corpus was written in, and dimOf[id]
+	// the feature dimension of its word id, or -1.
+	dict  *token.Dict
+	dimOf []int32
 }
 
 // Dims returns the feature dimensionality.
@@ -31,69 +38,147 @@ func (e *Encoder) Dims() int { return len(e.words) }
 // Word returns the vocabulary word mapped to dimension d.
 func (e *Encoder) Word(d int) string { return e.words[d] }
 
-// vocabOf selects the maxFeatures most document-frequent words of the
-// corpus, breaking ties lexicographically for determinism.
-func vocabOf(corpus []string, maxFeatures int) ([]string, map[string]int, []int) {
-	df := map[string]int{}
-	for _, doc := range corpus {
-		seen := map[string]bool{}
-		for _, w := range strings.Fields(doc) {
-			if !seen[w] {
-				seen[w] = true
-				df[w]++
+// newEncoder selects the maxFeatures most document-frequent words of a
+// corpus of word IDs into dict, breaking ties by the words' strings
+// for determinism, and returns the encoder over them with each
+// dimension's document frequency. Document frequency counts through a
+// per-word stamp of the last document that held the word, so no
+// document needs a set of its own.
+func newEncoder(dict *token.Dict, docs [][]int32, maxFeatures int) (*Encoder, []int) {
+	df := make([]int32, dict.Len())
+	last := make([]int32, dict.Len()) // 1 + the last document holding the word
+	for i, doc := range docs {
+		for _, id := range doc {
+			if last[id] != int32(i+1) {
+				last[id] = int32(i + 1)
+				df[id]++
 			}
 		}
 	}
-	words := make([]string, 0, len(df))
-	for w := range df {
-		words = append(words, w)
-	}
-	sort.Slice(words, func(i, j int) bool {
-		if df[words[i]] != df[words[j]] {
-			return df[words[i]] > df[words[j]]
+	ids := make([]int32, 0, dict.Len())
+	for id, n := range df {
+		if n > 0 {
+			ids = append(ids, int32(id))
 		}
-		return words[i] < words[j]
+	}
+	slices.SortFunc(ids, func(a, b int32) int {
+		if df[a] != df[b] {
+			return cmp.Compare(df[b], df[a])
+		}
+		return strings.Compare(dict.Word(a), dict.Word(b))
 	})
-	if maxFeatures > 0 && len(words) > maxFeatures {
-		words = words[:maxFeatures]
+	if maxFeatures > 0 && len(ids) > maxFeatures {
+		ids = ids[:maxFeatures]
 	}
-	index := make(map[string]int, len(words))
-	freqs := make([]int, len(words))
-	for i, w := range words {
-		index[w] = i
-		freqs[i] = df[w]
+	e := &Encoder{
+		index: make(map[string]int, len(ids)),
+		words: make([]string, len(ids)),
+		dict:  dict,
+		dimOf: make([]int32, dict.Len()),
 	}
-	return words, index, freqs
+	for id := range e.dimOf {
+		e.dimOf[id] = -1
+	}
+	freqs := make([]int, len(ids))
+	for d, id := range ids {
+		w := dict.Word(id)
+		e.index[w] = d
+		e.words[d] = w
+		e.dimOf[id] = int32(d)
+		freqs[d] = int(df[id])
+	}
+	return e, freqs
+}
+
+// internCorpus writes a corpus of strings as word IDs into a new
+// dictionary.
+func internCorpus(corpus []string) (*token.Dict, [][]int32) {
+	dict := token.NewBuilder(0)
+	docs := make([][]int32, len(corpus))
+	for i, doc := range corpus {
+		docs[i] = dict.AppendFields(nil, doc)
+	}
+	return dict.Dict, docs
 }
 
 // NewBoW builds a bag-of-words encoder over the corpus, keeping at most
 // maxFeatures dimensions (0 keeps everything).
 func NewBoW(corpus []string, maxFeatures int) *Encoder {
-	words, index, _ := vocabOf(corpus, maxFeatures)
-	return &Encoder{index: index, words: words}
+	dict, docs := internCorpus(corpus)
+	return NewBoWIDs(dict, docs, maxFeatures)
+}
+
+// NewBoWIDs is NewBoW over a corpus of word IDs into dict.
+func NewBoWIDs(dict *token.Dict, docs [][]int32, maxFeatures int) *Encoder {
+	e, _ := newEncoder(dict, docs, maxFeatures)
+	return e
 }
 
 // NewTFIDF builds a TF-IDF encoder over the corpus, keeping at most
 // maxFeatures dimensions (0 keeps everything). IDF uses the smoothed
 // formulation log((1+N)/(1+df)) + 1.
 func NewTFIDF(corpus []string, maxFeatures int) *Encoder {
-	words, index, freqs := vocabOf(corpus, maxFeatures)
-	n := float64(len(corpus))
-	idf := make([]float64, len(words))
+	dict, docs := internCorpus(corpus)
+	return NewTFIDFIDs(dict, docs, maxFeatures)
+}
+
+// NewTFIDFIDs is NewTFIDF over a corpus of word IDs into dict.
+func NewTFIDFIDs(dict *token.Dict, docs [][]int32, maxFeatures int) *Encoder {
+	e, freqs := newEncoder(dict, docs, maxFeatures)
+	n := float64(len(docs))
+	e.idf = make([]float64, len(freqs))
 	for i, df := range freqs {
-		idf[i] = math.Log((1+n)/(1+float64(df))) + 1
+		e.idf[i] = math.Log((1+n)/(1+float64(df))) + 1
 	}
-	return &Encoder{index: index, words: words, idf: idf}
+	return e
+}
+
+// textDims appends the feature dimension of each word of text that has
+// one, in text order.
+func (e *Encoder) textDims(dst []int32, text string) []int32 {
+	token.ForFields(text, func(w string) {
+		if d, ok := e.index[w]; ok {
+			dst = append(dst, int32(d))
+		}
+	})
+	return dst
+}
+
+// idDims appends the feature dimension of each word of ids (word IDs
+// into dict) that has one, in text order. Words of the encoder's own
+// dictionary map through a table; others through their strings.
+func (e *Encoder) idDims(dst []int32, dict *token.Dict, ids []int32) []int32 {
+	if dict != e.dict {
+		for _, id := range ids {
+			if d, ok := e.index[dict.Word(id)]; ok {
+				dst = append(dst, int32(d))
+			}
+		}
+		return dst
+	}
+	for _, id := range ids {
+		if d := e.dimOf[id]; d >= 0 {
+			dst = append(dst, d)
+		}
+	}
+	return dst
 }
 
 // Encode embeds text into the encoder's feature space as an
 // L2-normalized dense vector. Unknown words are ignored.
-func (e *Encoder) Encode(text string) []float64 {
+func (e *Encoder) Encode(text string) []float64 { return e.dense(e.textDims(nil, text)) }
+
+// EncodeIDs is Encode for a text given as word IDs into dict.
+func (e *Encoder) EncodeIDs(dict *token.Dict, ids []int32) []float64 {
+	return e.dense(e.idDims(make([]int32, 0, len(ids)), dict, ids))
+}
+
+// dense is the L2-normalized dense vector of a text whose words have
+// the feature dimensions dims.
+func (e *Encoder) dense(dims []int32) []float64 {
 	v := make([]float64, len(e.words))
-	for _, w := range strings.Fields(text) {
-		if d, ok := e.index[w]; ok {
-			v[d]++
-		}
+	for _, d := range dims {
+		v[d]++
 	}
 	if e.idf != nil {
 		for d := range v {
@@ -147,15 +232,18 @@ func CountIDs(ids []int32) (dims []int32, counts []float64) {
 
 // EncodeSparse embeds text as a sparse L2-normalized vector, suitable
 // for similarity over large vocabularies.
-func (e *Encoder) EncodeSparse(text string) Sparse {
-	words := strings.Fields(text)
-	ids := make([]int32, 0, len(words))
-	for _, w := range words {
-		if d, ok := e.index[w]; ok {
-			ids = append(ids, int32(d))
-		}
-	}
-	dims, v := CountIDs(ids)
+func (e *Encoder) EncodeSparse(text string) Sparse { return e.sparse(e.textDims(nil, text)) }
+
+// EncodeSparseIDs is EncodeSparse for a text given as word IDs into
+// dict.
+func (e *Encoder) EncodeSparseIDs(dict *token.Dict, ids []int32) Sparse {
+	return e.sparse(e.idDims(make([]int32, 0, len(ids)), dict, ids))
+}
+
+// sparse is the sparse L2-normalized vector of a text whose words have
+// the feature dimensions dims; it sorts dims in place.
+func (e *Encoder) sparse(dims []int32) Sparse {
+	dims, v := CountIDs(dims)
 	if e.idf != nil {
 		for i, d := range dims {
 			v[i] *= e.idf[d]

@@ -25,6 +25,8 @@ func runAblationEncoder(cfg Config) (string, error) {
 		if err != nil {
 			return "", errf("ablation-encoder", err)
 		}
+		// Skip-gram training reads strings; the other backends read
+		// the graph's word IDs.
 		corpus := make([]string, d.g.NumNodes())
 		for i := range corpus {
 			corpus[i] = d.g.Text(tag.NodeID(i))
@@ -40,7 +42,7 @@ func runAblationEncoder(cfg Config) (string, error) {
 		}{
 			{"tfidf", nil}, // nil: SNS builds its TF-IDF default lazily
 			{"sgns", sgnsSimilarity(corpus, sgnsEpochs, cfg.Seed)},
-			{"bow", bowSimilarity(corpus)},
+			{"bow", bowSimilarity(d.g)},
 		}
 
 		row := []string{d.spec.Display}
@@ -78,12 +80,13 @@ func sgnsSimilarity(corpus []string, epochs int, seed uint64) *predictors.Simila
 	return predictors.NewSimilarityDense(vecs)
 }
 
-// bowSimilarity indexes raw bag-of-words vectors.
-func bowSimilarity(corpus []string) *predictors.Similarity {
-	enc := encode.NewBoW(corpus, 0)
+// bowSimilarity indexes raw bag-of-words vectors of g's node text.
+func bowSimilarity(g *tag.Graph) *predictors.Similarity {
+	corpus := g.Corpus()
+	enc := encode.NewBoWIDs(g.Dict(), corpus, 0)
 	vecs := make([][]float64, len(corpus))
 	for i, doc := range corpus {
-		vecs[i] = enc.Encode(doc)
+		vecs[i] = enc.EncodeIDs(g.Dict(), doc)
 	}
 	return predictors.NewSimilarityDense(vecs)
 }

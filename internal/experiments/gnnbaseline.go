@@ -9,7 +9,6 @@ import (
 	"repro/internal/gnn"
 	"repro/internal/predictors"
 	"repro/internal/tablefmt"
-	"repro/internal/tag"
 )
 
 // runGNNBaseline regenerates the paradigm comparison behind Fig. 1 and
@@ -29,18 +28,15 @@ func runGNNBaseline(cfg Config) (string, error) {
 		}
 
 		// GNN side: encode texts, train on the labeled split.
-		corpus := make([]string, d.g.NumNodes())
-		for i := range corpus {
-			corpus[i] = d.g.Text(tag.NodeID(i))
-		}
+		corpus := d.g.Corpus()
 		dim := 256
 		if cfg.Fast {
 			dim = 128
 		}
-		enc := encode.NewTFIDF(corpus, dim)
+		enc := encode.NewTFIDFIDs(d.g.Dict(), corpus, dim)
 		x := make([][]float64, len(corpus))
-		for i := range x {
-			x[i] = enc.Encode(corpus[i])
+		for i, doc := range corpus {
+			x[i] = enc.EncodeIDs(d.g.Dict(), doc)
 		}
 		epochs := 100
 		if cfg.Fast {

@@ -78,12 +78,14 @@ func runTable5(cfg Config) (string, error) {
 		// Zero-shot accuracy over the query set = saturation proxy.
 		correct := 0
 		for _, v := range d.split.Query {
-			resp, err := sim.Query(prompt.Build(prompt.Request{
-				TargetTitle:    d.g.Nodes[v].Title,
-				TargetAbstract: d.g.Nodes[v].Abstract,
+			q := prompt.Query{
+				Dict:           d.g.Dict(),
+				TargetTitle:    d.g.TitleIDs(v),
+				TargetAbstract: d.g.AbstractIDs(v),
 				Categories:     d.g.Classes,
 				NodeType:       nodeTypeOf(d.spec),
-			}))
+			}
+			resp, err := sim.Query(q.Render())
 			if err != nil {
 				return "", errf("table5", err)
 			}

@@ -149,8 +149,8 @@ func (d *Dataset) AddLink(a, b tag.NodeID) {
 func (d *Dataset) BuildLinkPrompt(p Pair, withLinks bool, m int) string {
 	g := d.Graph
 	var b strings.Builder
-	fmt.Fprintf(&b, "Target pair:\nPaper A: Title: %s \nAbstract: %s \n", g.Nodes[p.A].Title, g.Nodes[p.A].Abstract)
-	fmt.Fprintf(&b, "Paper B: Title: %s \nAbstract: %s \n", g.Nodes[p.B].Title, g.Nodes[p.B].Abstract)
+	fmt.Fprintf(&b, "Target pair:\nPaper A: Title: %s \nAbstract: %s \n", g.Title(p.A), g.Abstract(p.A))
+	fmt.Fprintf(&b, "Paper B: Title: %s \nAbstract: %s \n", g.Title(p.B), g.Abstract(p.B))
 	if withLinks {
 		writeSide := func(label string, v tag.NodeID) {
 			ns := append([]tag.NodeID(nil), d.adj[v]...)
@@ -160,7 +160,7 @@ func (d *Dataset) BuildLinkPrompt(p Pair, withLinks bool, m int) string {
 			}
 			fmt.Fprintf(&b, "Known citation links of paper %s:\n", label)
 			for _, u := range ns {
-				fmt.Fprintf(&b, "Link: %s \n", g.Nodes[u].Title)
+				fmt.Fprintf(&b, "Link: %s \n", g.Title(u))
 			}
 		}
 		writeSide("A", p.A)
@@ -441,11 +441,8 @@ type PairInadequacy struct {
 func FitPairInadequacy(d *Dataset, nTrain int, seed uint64, cfg nn.MLPConfig) (*PairInadequacy, error) {
 	g := d.Graph
 	rng := xrand.New(seed).SplitString("linkpred/surrogate")
-	corpus := make([]string, g.NumNodes())
-	for i := range corpus {
-		corpus[i] = g.Text(tag.NodeID(i))
-	}
-	enc := encode.NewTFIDF(corpus, 192)
+	corpus := g.Corpus()
+	enc := encode.NewTFIDFIDs(g.Dict(), corpus, 192)
 
 	var edges [][2]tag.NodeID
 	for u, ns := range d.adj {
@@ -469,7 +466,7 @@ func FitPairInadequacy(d *Dataset, nTrain int, seed uint64, cfg nn.MLPConfig) (*
 	}
 
 	pairFeat := func(a, b tag.NodeID) []float64 {
-		fa, fb := enc.Encode(corpus[a]), enc.Encode(corpus[b])
+		fa, fb := enc.EncodeIDs(g.Dict(), corpus[a]), enc.EncodeIDs(g.Dict(), corpus[b])
 		out := make([]float64, 0, len(fa)+len(fb))
 		out = append(out, fa...)
 		out = append(out, fb...)
@@ -502,8 +499,8 @@ func FitPairInadequacy(d *Dataset, nTrain int, seed uint64, cfg nn.MLPConfig) (*
 // pair's own text already decides the link confidently.
 func (pi *PairInadequacy) Score(d *Dataset, p Pair) float64 {
 	g := d.Graph
-	fa := pi.enc.Encode(g.Text(p.A))
-	fb := pi.enc.Encode(g.Text(p.B))
+	fa := pi.enc.EncodeIDs(g.Dict(), g.TextIDs(p.A))
+	fb := pi.enc.EncodeIDs(g.Dict(), g.TextIDs(p.B))
 	x := append(append(make([]float64, 0, len(fa)+len(fb)), fa...), fb...)
 	probs := pi.mlp.Probs(x)
 	max := probs[0]

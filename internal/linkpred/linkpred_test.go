@@ -96,10 +96,10 @@ func TestLinkPromptRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.HasPrefix(parsed.textA, d.Graph.Nodes[p.A].Title) {
+	if !strings.HasPrefix(parsed.textA, d.Graph.Title(p.A)) {
 		t.Fatalf("text A = %q", parsed.textA)
 	}
-	if !strings.HasPrefix(parsed.textB, d.Graph.Nodes[p.B].Title) {
+	if !strings.HasPrefix(parsed.textB, d.Graph.Title(p.B)) {
 		t.Fatalf("text B = %q", parsed.textB)
 	}
 	if len(parsed.linksA) > 4 || len(parsed.linksB) > 4 {

@@ -27,8 +27,8 @@ func testGraphAndPrompt(t testing.TB) (*tag.Graph, string, string) {
 	g := tag.Generate(spec, 3, tag.Options{Scale: 0.1})
 	v := g.Nodes[0]
 	p := prompt.Build(prompt.Request{
-		TargetTitle:    v.Title,
-		TargetAbstract: v.Abstract,
+		TargetTitle:    g.Title(v.ID),
+		TargetAbstract: g.Abstract(v.ID),
 		Categories:     g.Classes,
 	})
 	return g, p, g.Classes[v.Label]

@@ -23,8 +23,8 @@ func testGraph(t testing.TB, nodes int) (*tag.Graph, tag.Spec) {
 
 func buildVanilla(g *tag.Graph, v tag.NodeID) string {
 	return prompt.Build(prompt.Request{
-		TargetTitle:    g.Nodes[v].Title,
-		TargetAbstract: g.Nodes[v].Abstract,
+		TargetTitle:    g.Title(v),
+		TargetAbstract: g.Abstract(v),
 		Categories:     g.Classes,
 	})
 }
@@ -214,8 +214,8 @@ func TestNeighborLabelsBoostAmbiguousNodes(t *testing.T) {
 				nbs = append(nbs, nb)
 			}
 			p := prompt.Build(prompt.Request{
-				TargetTitle:    g.Nodes[v].Title,
-				TargetAbstract: g.Nodes[v].Abstract,
+				TargetTitle:    g.Title(v),
+				TargetAbstract: g.Abstract(v),
 				Neighbors:      nbs,
 				Categories:     g.Classes,
 			})
@@ -255,8 +255,8 @@ func TestNeighborTextBoostsAmbiguousNodes(t *testing.T) {
 			}
 			n++
 			req := prompt.Request{
-				TargetTitle:    g.Nodes[v].Title,
-				TargetAbstract: g.Nodes[v].Abstract,
+				TargetTitle:    g.Title(v),
+				TargetAbstract: g.Abstract(v),
 				Categories:     g.Classes,
 			}
 			if withNeighbors {

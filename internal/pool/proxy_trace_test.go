@@ -27,8 +27,8 @@ func TestProxyHopTracePropagation(t *testing.T) {
 	}
 	g := tag.Generate(spec, 101, tag.Options{})
 	promptText := prompt.Build(prompt.Request{
-		TargetTitle:    g.Nodes[0].Title,
-		TargetAbstract: g.Nodes[0].Abstract,
+		TargetTitle:    g.Title(0),
+		TargetAbstract: g.Abstract(0),
 		Categories:     g.Classes,
 	})
 

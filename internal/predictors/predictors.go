@@ -231,16 +231,14 @@ type Similarity struct {
 	vecs []encode.Sparse
 }
 
-// NewSimilarity precomputes embeddings for every node of g.
+// NewSimilarity precomputes embeddings for every node of g, straight
+// from the graph's word IDs.
 func NewSimilarity(g *tag.Graph) *Similarity {
-	corpus := make([]string, g.NumNodes())
-	for i := range corpus {
-		corpus[i] = g.Text(tag.NodeID(i))
-	}
-	enc := encode.NewTFIDF(corpus, 0)
-	s := &Similarity{vecs: make([]encode.Sparse, len(corpus))}
-	for i, text := range corpus {
-		s.vecs[i] = enc.EncodeSparse(text)
+	docs := g.Corpus()
+	enc := encode.NewTFIDFIDs(g.Dict(), docs, 0)
+	s := &Similarity{vecs: make([]encode.Sparse, len(docs))}
+	for i, doc := range docs {
+		s.vecs[i] = enc.EncodeSparseIDs(g.Dict(), doc)
 	}
 	return s
 }
@@ -293,23 +291,34 @@ func (ctx *Context) SetSimilarity(s *Similarity) { ctx.sim = s }
 // BuildPrompt renders the query prompt for node v with the selected
 // neighbors, following the method's ranking convention.
 func BuildPrompt(ctx *Context, v tag.NodeID, sel []Selected, ranked bool) string {
+	q := PromptQuery(ctx, v, sel, ranked)
+	return q.Render()
+}
+
+// PromptQuery is BuildPrompt's query before rendering: the node text
+// of v and its selected neighbors as the graph's word IDs, which the
+// compressor reads without splitting a rendered prompt.
+func PromptQuery(ctx *Context, v tag.NodeID, sel []Selected, ranked bool) prompt.Query {
 	g := ctx.Graph
-	req := prompt.Request{
-		TargetTitle:    g.Nodes[v].Title,
-		TargetAbstract: g.Nodes[v].Abstract,
+	q := prompt.Query{
+		Dict:           g.Dict(),
+		TargetTitle:    g.TitleIDs(v),
+		TargetAbstract: g.AbstractIDs(v),
 		Categories:     g.Classes,
 		Ranked:         ranked,
 		NodeType:       ctx.NodeType,
 		EdgeRelation:   ctx.EdgeRelation,
 	}
-	for _, s := range sel {
-		nb := prompt.Neighbor{Title: g.Nodes[s.ID].Title, Label: s.Label}
-		if ctx.IncludeAbstracts {
-			nb.Abstract = g.Nodes[s.ID].Abstract
-		}
-		req.Neighbors = append(req.Neighbors, nb)
+	if len(sel) > 0 {
+		q.Neighbors = make([]prompt.QueryNeighbor, len(sel))
 	}
-	return prompt.Build(req)
+	for i, s := range sel {
+		q.Neighbors[i] = prompt.QueryNeighbor{Title: g.TitleIDs(s.ID), Label: s.Label}
+		if ctx.IncludeAbstracts {
+			q.Neighbors[i].Abstract = g.AbstractIDs(s.ID)
+		}
+	}
+	return q
 }
 
 // KnownFromSplit builds the initial Known map from a split's labeled

@@ -68,10 +68,10 @@ func buildBatch(n int) []string {
 	g := tag.Generate(spec, 31, tag.Options{Scale: 0.1})
 	out := make([]string, n)
 	for i := range out {
-		node := g.Nodes[i%g.NumNodes()]
+		v := tag.NodeID(i % g.NumNodes())
 		out[i] = prompt.Build(prompt.Request{
-			TargetTitle:    node.Title,
-			TargetAbstract: node.Abstract,
+			TargetTitle:    g.Title(v),
+			TargetAbstract: g.Abstract(v),
 			Categories:     g.Classes,
 		})
 	}

@@ -23,10 +23,11 @@
 package prompt
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
+	"sync"
 
 	"repro/internal/infotheory"
 	"repro/internal/token"
@@ -138,14 +139,16 @@ func (c Compressor) Compress(promptText string) string {
 }
 
 // CompressStats is Compress with before/after token accounting for the
-// metrics and ledger layers.
+// metrics and ledger layers, for a prompt given as text.
 //
-// The prompt is split into lines once, and each abstract's body into
-// words once; validation, span scoring and rendering all read those
-// splits. Both token totals come from one table that counts each
-// distinct word's tokens once. They are exact: token.Count never forms
-// a token across whitespace, and strings.Fields splits on the same
-// whitespace, so a prompt's count is the sum of its words' counts.
+// The prompt is split into lines once, and every field of every line is
+// interned once into a dictionary of the call's own; the abstracts'
+// words become word IDs, which the span splitter and scorer of
+// CompressQuery read. Both token totals come from that dictionary,
+// which counts each distinct word's tokens once. They are exact:
+// token.Count never forms a token across whitespace, and fields split
+// on the same whitespace, so a prompt's count is the sum of its
+// fields' counts.
 func (c Compressor) CompressStats(promptText string) (string, CompressStats) {
 	if !c.Enabled() {
 		return promptText, uncompressed(promptText)
@@ -154,40 +157,165 @@ func (c Compressor) CompressStats(promptText string) (string, CompressStats) {
 	if _, err := parseLines(lines); err != nil {
 		return promptText, uncompressed(promptText)
 	}
-	abs := findAbstracts(lines)
-	if len(abs) == 0 {
-		return promptText, uncompressed(promptText)
-	}
-	before := scoreSpans(lines, abs)
-
-	// Phase 1 — level caps: each abstract keeps its cap's worth of
-	// densest spans. The target abstract always keeps at least one span
-	// so Parse still recovers the target node.
-	spanCap := levelSpanCap(c.level())
-	total := before
-	for i := range abs {
-		total -= abs[i].keepTop(spanCap)
-	}
-
-	// Phase 2 — token budget: drop the globally lowest-density spans
-	// (later spans first on ties) until the rendered prompt fits.
-	// Dropping a span shrinks the prompt by exactly that span's count,
-	// plus the "Abstract:" prefix when a neighbor's line empties out and
-	// is removed entirely.
-	if c.TargetTokens > 0 && total > c.TargetTokens {
-		for _, d := range droppable(abs) {
-			if total <= c.TargetTokens {
-				break
+	build := token.NewBuilder(len(promptText) / 16)
+	d := build.Dict
+	bg := backgrounds.Get().(*background)
+	defer backgrounds.Put(bg)
+	bg.begin(0)
+	// The compressible Abstract lines are the target's (line 1,
+	// guaranteed by Parse) and each neighbor entry's.
+	var abs []abstract
+	inNeighbor := false
+	for i, line := range lines {
+		if i >= 2 {
+			switch {
+			case strings.HasPrefix(line, "Neighbor "):
+				inNeighbor = true
+			case line == "}}":
+				inNeighbor = false
 			}
-			a := &abs[d.abs]
-			a.kept[d.span] = false
-			total -= a.spans[d.span].tokens
-			if !a.target && a.keptCount() == 0 {
-				total -= abstractPrefixTokens
+		}
+		if !strings.HasPrefix(line, "Abstract: ") || (i != 1 && !inNeighbor) {
+			token.ForFields(line, func(w string) { bg.add(d, build.Intern(w)) })
+			continue
+		}
+		target := i == 1
+		bg.add(d, build.Intern("Abstract:"))
+		ids := build.AppendFields(nil, strings.TrimPrefix(line, "Abstract: "))
+		for _, id := range ids {
+			bg.add(d, id)
+		}
+		if a, ok := newAbstract(d, i, target, ids); ok {
+			abs = append(abs, a)
+		}
+	}
+	if len(abs) == 0 {
+		return promptText, CompressStats{TokensBefore: bg.sum, TokensAfter: bg.sum}
+	}
+	after := c.compress(d, abs, bg)
+	return render(promptText, lines, d, abs), CompressStats{TokensBefore: bg.sum, TokensAfter: after}
+}
+
+// CompressQuery is CompressStats for a prompt given as a Query: it
+// returns exactly CompressStats(q.Render()), with no prompt to split.
+// The abstracts' spans are cut and scored straight from their word
+// IDs, the background counts the node text's IDs and the fields of
+// the template text around them, and the compressed prompt is rendered
+// once. With compression disabled it renders the prompt and counts its
+// tokens from the dictionary.
+func (c Compressor) CompressQuery(q *Query) (string, CompressStats) {
+	if !q.plain() {
+		// A category list or line that could break the prompt's lines
+		// is left to the text path, which reads what Parse reads.
+		p := q.Render()
+		if !c.Enabled() {
+			return p, uncompressed(p)
+		}
+		return c.CompressStats(p)
+	}
+	bg := backgrounds.Get().(*background)
+	defer backgrounds.Put(bg)
+	bg.begin(q.Dict.Len())
+	sk := skeleton{queryWriter{q: q}}
+	layout(&sk, q.NodeType, q.EdgeRelation, q.Ranked, q.Categories, len(q.Neighbors))
+	bg.addText(q.Dict, sk.b.String())
+	var abs []abstract
+	for f := 0; f < q.fields(); f++ {
+		ids := q.text(f)
+		for _, id := range ids {
+			bg.add(q.Dict, id)
+		}
+		if c.Enabled() && f%2 == 1 {
+			if a, ok := newAbstract(q.Dict, f, f == 1, ids); ok {
+				abs = append(abs, a)
 			}
 		}
 	}
-	return render(promptText, lines, abs), CompressStats{TokensBefore: before, TokensAfter: total}
+	st := CompressStats{TokensBefore: bg.sum, TokensAfter: bg.sum}
+	if len(abs) > 0 {
+		st.TokensAfter = c.compress(q.Dict, abs, bg)
+	}
+	w := compressedWriter{queryWriter: queryWriter{q: q}, abs: abs}
+	w.b.Grow(q.size())
+	layout(&w, q.NodeType, q.EdgeRelation, q.Ranked, q.Categories, len(q.Neighbors))
+	return w.b.String(), st
+}
+
+// plain reports whether the query's template text parses as Parse
+// expects without a second look: no newline in the node type, edge
+// relation, a label or a category, and a category list that is not
+// empty (some category has a non-space character and no comma, so
+// Parse's split on ", " keeps it). Node text is words, so it never
+// breaks a line.
+func (q *Query) plain() bool {
+	if strings.Contains(q.NodeType, "\n") || strings.Contains(q.EdgeRelation, "\n") {
+		return false
+	}
+	for _, nb := range q.Neighbors {
+		if strings.Contains(nb.Label, "\n") {
+			return false
+		}
+	}
+	listed := false
+	for _, c := range q.Categories {
+		if strings.Contains(c, "\n") {
+			return false
+		}
+		if strings.TrimSpace(c) != "" && !strings.Contains(c, ",") {
+			listed = true
+		}
+	}
+	return listed
+}
+
+// skeleton collects a query's template text: the prompt with its node
+// text left out.
+type skeleton struct{ queryWriter }
+
+func (w *skeleton) text(int) {}
+
+// compressedWriter writes a query's prompt with only the surviving
+// spans of its abstracts, in the Build format: a changed abstract is
+// its kept words joined by single spaces, and a neighbor abstract that
+// lost every span loses its line, as Build leaves out an empty one.
+type compressedWriter struct {
+	queryWriter
+	abs []abstract // by field, in field order
+}
+
+// abstract returns the compressible abstract of field f, or nil.
+func (w *compressedWriter) abstract(f int) *abstract {
+	for i := range w.abs {
+		if w.abs[i].at == f {
+			return &w.abs[i]
+		}
+	}
+	return nil
+}
+
+func (w *compressedWriter) text(f int) {
+	a := w.abstract(f)
+	if a == nil {
+		w.queryWriter.text(f)
+		return
+	}
+	first := true
+	for si, s := range a.spans {
+		if a.kept[si] {
+			if !first {
+				w.b.WriteByte(' ')
+			}
+			first = false
+			w.q.Dict.Write(&w.b, a.ids[s.lo:s.hi])
+		}
+	}
+}
+
+func (w *compressedWriter) has(f int) bool {
+	if a := w.abstract(f); a != nil {
+		return a.keptCount() > 0
+	}
+	return w.queryWriter.has(f)
 }
 
 // uncompressed is the accounting of a prompt left as it is.
@@ -208,14 +336,64 @@ type span struct {
 	score  float64
 }
 
-// abstract is one compressible Abstract line of a prompt.
+// abstract is one compressible abstract of a prompt: its words as IDs
+// into the prompt's dictionary, cut into spans.
 type abstract struct {
-	line   int // index into the prompt's lines
+	at     int // the prompt line (CompressStats) or the Query field (CompressQuery)
 	target bool
-	words  []string // the body's words, after "Abstract: "
-	ids    []int32  // each word's entry in the prompt's vocab
+	ids    []int32
 	spans  []span
 	kept   []bool
+}
+
+// newAbstract cuts ids into spans, all kept; ok is false when there
+// are no words to compress.
+func newAbstract(d *token.Dict, at int, target bool, ids []int32) (a abstract, ok bool) {
+	spans := splitSpans(d, ids)
+	if len(spans) == 0 {
+		return abstract{}, false
+	}
+	a = abstract{at: at, target: target, ids: ids, spans: spans, kept: make([]bool, len(spans))}
+	for i := range a.kept {
+		a.kept[i] = true
+	}
+	return a, true
+}
+
+// compress scores the spans of abs against the prompt's background,
+// then applies the level caps and the token budget, returning the
+// prompt's token count after compression.
+func (c Compressor) compress(d *token.Dict, abs []abstract, bg *background) int {
+	scoreSpans(d, abs, bg)
+
+	// Phase 1 — level caps: each abstract keeps its cap's worth of
+	// densest spans. The target abstract always keeps at least one span
+	// so Parse still recovers the target node.
+	spanCap := levelSpanCap(c.level())
+	total := bg.sum
+	for i := range abs {
+		total -= abs[i].keepTop(spanCap)
+	}
+
+	// Phase 2 — token budget: drop the globally lowest-density spans
+	// (later spans first on ties) until the rendered prompt fits.
+	// Dropping a span shrinks the prompt by exactly that span's count,
+	// plus the "Abstract:" prefix when a neighbor's line empties out and
+	// is removed entirely.
+	if c.TargetTokens > 0 && total > c.TargetTokens {
+		for _, dr := range droppable(abs) {
+			if total <= c.TargetTokens {
+				break
+			}
+			a := &abs[dr.abs]
+			a.kept[dr.span] = false
+			total -= a.spans[dr.span].tokens
+			if !a.target && a.keptCount() == 0 {
+				total -= abstractPrefixTokens
+			}
+		}
+	}
+	return total
 }
 
 // keepTop keeps the cap densest spans (earlier spans win ties — the
@@ -235,8 +413,8 @@ func (a *abstract) keepTop(spanCap int) (dropped int) {
 	}
 	// Deterministic selection order: density descending, position
 	// ascending on ties (the stable sort preserves index order).
-	sort.SliceStable(idx, func(i, j int) bool {
-		return a.spans[idx[i]].score > a.spans[idx[j]].score
+	slices.SortStableFunc(idx, func(i, j int) int {
+		return cmp.Compare(a.spans[j].score, a.spans[i].score)
 	})
 	for _, i := range idx[spanCap:] {
 		a.kept[i] = false
@@ -287,40 +465,7 @@ func droppable(abs []abstract) []dropRef {
 	}
 	// Stable sort by score ascending; the construction order above
 	// already encodes later-position-first within equal scores.
-	sort.SliceStable(out, func(i, j int) bool { return out[i].score < out[j].score })
-	return out
-}
-
-// findAbstracts locates the compressible Abstract lines, in line order:
-// the target's (line 1, guaranteed by Parse) and each neighbor entry's.
-func findAbstracts(lines []string) []abstract {
-	var out []abstract
-	add := func(i int, target bool) {
-		words := strings.Fields(strings.TrimPrefix(lines[i], "Abstract: "))
-		spans := splitSpans(words)
-		if len(spans) == 0 {
-			return
-		}
-		a := abstract{line: i, target: target, words: words, spans: spans, kept: make([]bool, len(spans))}
-		for j := range a.kept {
-			a.kept[j] = true
-		}
-		out = append(out, a)
-	}
-	if len(lines) > 1 && strings.HasPrefix(lines[1], "Abstract: ") {
-		add(1, true)
-	}
-	inNeighbor := false
-	for i := 2; i < len(lines); i++ {
-		switch {
-		case strings.HasPrefix(lines[i], "Neighbor "):
-			inNeighbor = true
-		case lines[i] == "}}":
-			inNeighbor = false
-		case inNeighbor && strings.HasPrefix(lines[i], "Abstract: "):
-			add(i, false)
-		}
-	}
+	slices.SortStableFunc(out, func(x, y dropRef) int { return cmp.Compare(x.score, y.score) })
 	return out
 }
 
@@ -330,7 +475,7 @@ func findAbstracts(lines []string) []abstract {
 // every sentence boundary, so re-splitting the canonical join of any
 // kept subset never yields more spans than were kept — the invariant
 // behind idempotence.
-func splitSpans(words []string) []span {
+func splitSpans(d *token.Dict, ids []int32) []span {
 	var out []span
 	start := 0
 	flush := func(end int) {
@@ -339,81 +484,86 @@ func splitSpans(words []string) []span {
 		}
 		start = end
 	}
-	for i, w := range words {
-		switch w[len(w)-1] {
-		case '.', '!', '?':
+	for i, id := range ids {
+		if d.EndsSentence(id) {
 			flush(i + 1)
 		}
 	}
-	flush(len(words))
+	flush(len(ids))
 	return out
 }
 
-// vocab is a prompt's unigram table: each distinct word's occurrence
-// count and its token count, counted once per distinct word.
-type vocab struct {
-	index map[string]int32
-	stats []wordStat // by word id
-	words int        // occurrences of all words
-	sum   int        // tokens of all occurrences: token.Count of the prompt
+// background is a prompt's unigram table: how often each word of the
+// prompt's dictionary occurs in the prompt, in a dense table indexed by
+// word ID. Entries are stamped per prompt, like tag.Walk's visited
+// array, so starting a prompt costs one increment instead of clearing
+// the table; tables are pooled, so concurrent prompts never share one.
+type background struct {
+	n     []float64 // occurrences by word ID; valid where seen == mark
+	seen  []uint32
+	mark  uint32
+	words int // fields of the prompt
+	sum   int // their tokens: token.Count of the prompt
 }
 
-type wordStat struct {
-	n      float64 // occurrences
-	tokens int     // token.Count of the word
-}
+var backgrounds = sync.Pool{New: func() any { return new(background) }}
 
-// add records one occurrence of w and returns its id.
-func (v *vocab) add(w string) int32 {
-	id, ok := v.index[w]
-	if !ok {
-		id = int32(len(v.stats))
-		v.index[w] = id
-		v.stats = append(v.stats, wordStat{tokens: token.Count(w)})
+// begin starts a prompt over a dictionary of size words (add grows the
+// table for a dictionary still being interned).
+func (b *background) begin(size int) {
+	if len(b.n) < size {
+		b.n = make([]float64, size)
+		b.seen = make([]uint32, size)
+		b.mark = 0
 	}
-	st := &v.stats[id]
-	st.n++
-	v.words++
-	v.sum += st.tokens
-	return id
+	b.mark++
+	if b.mark == 0 { // wrapped: stamps of old prompts could collide
+		clear(b.seen)
+		b.mark = 1
+	}
+	b.words, b.sum = 0, 0
 }
 
-// scoreSpans counts the prompt's words and assigns each span its
-// token count and its signal density, returning the prompt's token
-// count. The density is the cross-entropy (in bits per word) of the
-// span's word distribution under the whole prompt's — H(p_span) +
-// D_KL(p_span ‖ p_prompt), which is the mean self-information of the
-// span's words under the prompt's unigram model. It is the unigram
-// analog of LongLLMLingua's perplexity ranking: a span of words
-// repeated all over the prompt carries little signal and is dropped
-// first; a span concentrating rare, distinctive words survives. The
-// background includes the span itself, so the divergence is always
-// finite.
-func scoreSpans(lines []string, abs []abstract) int {
-	nwords := 0
-	for ai := range abs {
-		nwords += len(abs[ai].words)
+// add records one occurrence of word id.
+func (b *background) add(d *token.Dict, id int32) {
+	if int(id) >= len(b.n) {
+		b.n = append(b.n, make([]float64, d.Len()-len(b.n))...)
+		b.seen = append(b.seen, make([]uint32, d.Len()-len(b.seen))...)
 	}
-	v := vocab{index: make(map[string]int32, nwords), stats: make([]wordStat, 0, nwords)}
-	// The background is every word of the prompt: an abstract line's
-	// "Abstract:" and span words, and every other line's fields.
-	ids := make([]int32, nwords)
-	next := 0
-	for i, line := range lines {
-		if next < len(abs) && abs[next].line == i {
-			a := &abs[next]
-			v.add("Abstract:")
-			a.ids, ids = ids[:len(a.words):len(a.words)], ids[len(a.words):]
-			for k, w := range a.words {
-				a.ids[k] = v.add(w)
-			}
-			next++
-			continue
+	if b.seen[id] != b.mark {
+		b.seen[id] = b.mark
+		b.n[id] = 0
+	}
+	b.n[id]++
+	b.words++
+	b.sum += d.Tokens(id)
+}
+
+// addText records every field of template text s: a field that is a
+// dictionary word counts as that word (a generated word such as "the"
+// can equal a template word); any other field only adds to the totals.
+func (b *background) addText(d *token.Dict, s string) {
+	token.ForFields(s, func(w string) {
+		if id, ok := d.Lookup(w); ok {
+			b.add(d, id)
+			return
 		}
-		for _, w := range strings.Fields(line) {
-			v.add(w)
-		}
-	}
+		b.words++
+		b.sum += token.Count(w)
+	})
+}
+
+// scoreSpans assigns each span its token count and its signal density
+// against the prompt's background. The density is the cross-entropy (in
+// bits per word) of the span's word distribution under the whole
+// prompt's — H(p_span) + D_KL(p_span ‖ p_prompt), which is the mean
+// self-information of the span's words under the prompt's unigram
+// model. It is the unigram analog of LongLLMLingua's perplexity
+// ranking: a span of words repeated all over the prompt carries little
+// signal and is dropped first; a span concentrating rare, distinctive
+// words survives. The background includes the span itself, so the
+// divergence is always finite.
+func scoreSpans(d *token.Dict, abs []abstract, bg *background) {
 	// Score over the span's distinct words, in first-appearance order,
 	// plus one catch-all bucket holding the rest of the prompt's mass.
 	// KLDivergence normalizes q over its own sum, so this equals the
@@ -427,17 +577,16 @@ func scoreSpans(lines []string, abs []abstract) int {
 		for si := range a.spans {
 			s := &a.spans[si]
 			distinct, p, q = distinct[:0], p[:0], q[:0]
-			rest := float64(v.words)
+			rest := float64(bg.words)
 			for _, id := range a.ids[s.lo:s.hi] {
-				st := v.stats[id]
-				s.tokens += st.tokens
+				s.tokens += d.Tokens(id)
 				k := slices.Index(distinct, id)
 				if k < 0 {
 					k = len(distinct)
 					distinct = append(distinct, id)
 					p = append(p, 0)
-					q = append(q, st.n)
-					rest -= st.n
+					q = append(q, bg.n[id])
+					rest -= bg.n[id]
 				}
 				p[k]++
 			}
@@ -446,17 +595,17 @@ func scoreSpans(lines []string, abs []abstract) int {
 			s.score = infotheory.Entropy(p) + infotheory.KLDivergence(p, q)
 		}
 	}
-	return v.sum
 }
 
-// render reconstructs the prompt with the surviving spans, writing
-// into one buffer sized to the output. An abstract whose span set is
-// unchanged keeps its original bytes; a changed one is re-rendered
-// canonically in the Build format ("Abstract: <kept words joined by
-// single spaces> "), and a neighbor abstract losing every span loses
-// its whole line — exactly what Build emits for an empty neighbor
-// abstract. A prompt with nothing dropped is returned as it is.
-func render(promptText string, lines []string, abs []abstract) string {
+// render reconstructs a prompt given as text with the surviving spans,
+// writing into one buffer sized to the output. An abstract whose span
+// set is unchanged keeps its original bytes; a changed one is
+// re-rendered canonically in the Build format ("Abstract: <kept words
+// joined by single spaces> "), and a neighbor abstract losing every
+// span loses its whole line — exactly what Build emits for an empty
+// neighbor abstract. A prompt with nothing dropped is returned as it
+// is.
+func render(promptText string, lines []string, d *token.Dict, abs []abstract) string {
 	size, changed := len(promptText), false
 	for ai := range abs {
 		a := &abs[ai]
@@ -465,7 +614,7 @@ func render(promptText string, lines []string, abs []abstract) string {
 			continue
 		}
 		changed = true
-		size -= len(lines[a.line])
+		size -= len(lines[a.at])
 		if kept == 0 && !a.target {
 			size-- // the line's newline
 			continue
@@ -473,9 +622,7 @@ func render(promptText string, lines []string, abs []abstract) string {
 		size += len("Abstract: ")
 		for si, s := range a.spans {
 			if a.kept[si] {
-				for _, w := range a.words[s.lo:s.hi] {
-					size += len(w) + 1
-				}
+				size += d.Size(a.ids[s.lo:s.hi]) + 1
 			}
 		}
 	}
@@ -486,7 +633,7 @@ func render(promptText string, lines []string, abs []abstract) string {
 	b.Grow(size)
 	next := 0
 	for i, line := range lines {
-		if next < len(abs) && abs[next].line == i {
+		if next < len(abs) && abs[next].at == i {
 			a := &abs[next]
 			next++
 			if kept := a.keptCount(); kept < len(a.spans) {
@@ -497,10 +644,8 @@ func render(promptText string, lines []string, abs []abstract) string {
 				b.WriteString("\nAbstract: ")
 				for si, s := range a.spans {
 					if a.kept[si] {
-						for _, w := range a.words[s.lo:s.hi] {
-							b.WriteString(w)
-							b.WriteByte(' ')
-						}
+						d.Write(&b, a.ids[s.lo:s.hi])
+						b.WriteByte(' ')
 					}
 				}
 				continue

@@ -11,13 +11,15 @@ import (
 	"repro/internal/token"
 )
 
-// TestCompressMatchesReference pins the one-pass compressor to the
-// reference below — the earlier compressor, which re-split the prompt
-// for every stage and re-counted its tokens with token.Count — on
-// generated prompts of every calibration dataset: every node, 1–5
-// neighbors with abstracts (some labeled), every level, and token
-// budgets from none to below the structural floor. Output bytes and
-// both token totals must match.
+// TestCompressMatchesReference pins the compressor to the reference
+// below — the earlier compressor, which re-split the prompt for every
+// stage and re-counted its tokens with token.Count — on generated
+// prompts of every calibration dataset: every node, 1–5 neighbors with
+// abstracts (some labeled), every level, and token budgets from none
+// to below the structural floor. Output bytes and both token totals
+// must match, both for the prompt text (CompressStats) and for the
+// plan path's Query of the graph's word IDs (CompressQuery), whose
+// Render must be the prompt text.
 func TestCompressMatchesReference(t *testing.T) {
 	cases := 0
 	for _, name := range []string{"cora", "citeseer", "pubmed"} {
@@ -27,28 +29,47 @@ func TestCompressMatchesReference(t *testing.T) {
 		}
 		g := tag.Generate(spec, 5, tag.Options{})
 		for v := 0; v < g.NumNodes(); v++ {
+			id := tag.NodeID(v)
 			req := Request{
-				TargetTitle:    g.Nodes[v].Title,
-				TargetAbstract: g.Nodes[v].Abstract,
+				TargetTitle:    g.Title(id),
+				TargetAbstract: g.Abstract(id),
+				Categories:     g.Classes,
+				Ranked:         v%2 == 0,
+			}
+			q := Query{
+				Dict:           g.Dict(),
+				TargetTitle:    g.TitleIDs(id),
+				TargetAbstract: g.AbstractIDs(id),
 				Categories:     g.Classes,
 				Ranked:         v%2 == 0,
 			}
 			for k := 1; k <= 1+v%5; k++ {
-				u := (v + 7*k) % g.NumNodes()
-				nb := Neighbor{Title: g.Nodes[u].Title, Abstract: g.Nodes[u].Abstract}
-				if (u+k)%3 == 0 {
+				u := tag.NodeID((v + 7*k) % g.NumNodes())
+				nb := Neighbor{Title: g.Title(u), Abstract: g.Abstract(u)}
+				qn := QueryNeighbor{Title: g.TitleIDs(u), Abstract: g.AbstractIDs(u)}
+				if (int(u)+k)%3 == 0 {
 					nb.Label = g.Classes[g.Nodes[u].Label]
+					qn.Label = nb.Label
 				}
 				req.Neighbors = append(req.Neighbors, nb)
+				q.Neighbors = append(q.Neighbors, qn)
 			}
 			p := Build(req)
-			for level := 1; level <= MaxCompressLevel; level++ {
+			if r := q.Render(); r != p {
+				t.Fatalf("%s node %d: Render differs from Build\n--- render ---\n%s\n--- build ---\n%s", name, v, r, p)
+			}
+			for level := 0; level <= MaxCompressLevel; level++ {
 				for _, budget := range []int{0, 400, 150, 1} {
 					c := Compressor{Level: level, TargetTokens: budget}
-					got, gotSt := c.CompressStats(p)
 					want, wantSt := refCompressStats(c, p)
+					got, gotSt := c.CompressStats(p)
 					if got != want || gotSt != wantSt {
 						t.Fatalf("%s node %d, %+v: stats %+v, want %+v\n--- got ---\n%s\n--- want ---\n%s",
+							name, v, c, gotSt, wantSt, got, want)
+					}
+					got, gotSt = c.CompressQuery(&q)
+					if got != want || gotSt != wantSt {
+						t.Fatalf("%s node %d, %+v, query: stats %+v, want %+v\n--- got ---\n%s\n--- want ---\n%s",
 							name, v, c, gotSt, wantSt, got, want)
 					}
 					cases++

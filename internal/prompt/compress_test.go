@@ -75,11 +75,13 @@ func TestGoldenCompress(t *testing.T) {
 }
 
 // TestCompressDeterministicAcrossWorkers runs the same compressions
-// from 1 and 8 concurrent goroutines and requires bit-identical output:
-// the compressor is a pure function, so worker count — like everywhere
-// else in this repo — must never change bytes.
+// from 1 and 8 concurrent goroutines, as text and as one shared Query,
+// and requires bit-identical output: the compressor is a pure function,
+// so worker count — like everywhere else in this repo — must never
+// change bytes.
 func TestCompressDeterministicAcrossWorkers(t *testing.T) {
 	p := Build(compressSample())
+	q := queryOf(compressSample()) // one Query and dictionary, shared
 	c := Compressor{Level: 2, TargetTokens: 150}
 	want := c.Compress(p)
 	for _, workers := range []int{1, 8} {
@@ -90,7 +92,11 @@ func TestCompressDeterministicAcrossWorkers(t *testing.T) {
 			go func(w int) {
 				defer wg.Done()
 				for i := 0; i < 8; i++ {
-					results[w*8+i] = c.Compress(p)
+					if i%2 == 0 {
+						results[w*8+i] = c.Compress(p)
+					} else {
+						results[w*8+i], _ = c.CompressQuery(&q)
+					}
 				}
 			}(w)
 		}
@@ -224,5 +230,81 @@ func TestCompressStatsAccounting(t *testing.T) {
 	}
 	if r := st.Ratio(); r <= 0 || r >= 1 {
 		t.Fatalf("ratio %v outside (0,1)", r)
+	}
+}
+
+// queryOf interns a request's node text into a dictionary of its own:
+// the Query whose Render is Build(r) when every text is words joined
+// by single spaces.
+func queryOf(r Request) Query {
+	b := token.NewBuilder(0)
+	q := Query{
+		Dict:           b.Dict,
+		TargetTitle:    b.AppendFields(nil, r.TargetTitle),
+		TargetAbstract: b.AppendFields(nil, r.TargetAbstract),
+		Categories:     r.Categories,
+		Ranked:         r.Ranked,
+		NodeType:       r.NodeType,
+		EdgeRelation:   r.EdgeRelation,
+	}
+	for _, nb := range r.Neighbors {
+		q.Neighbors = append(q.Neighbors, QueryNeighbor{
+			Title:    b.AppendFields(nil, nb.Title),
+			Abstract: b.AppendFields(nil, nb.Abstract),
+			Label:    nb.Label,
+		})
+	}
+	return q
+}
+
+// TestCompressQueryMatchesText: the plan path's CompressQuery equals
+// CompressStats of the rendered prompt, including where node text
+// repeats template words, where a neighbor or the target has no
+// abstract, and where the template strings themselves could break the
+// prompt's lines or empty its category list (a newline in a label,
+// node type or category; a category list Parse reads as empty), which
+// CompressStats leaves as it is.
+func TestCompressQueryMatchesText(t *testing.T) {
+	variants := map[string]func(r *Request){
+		"sample":  func(*Request) {},
+		"ranked":  func(r *Request) { r.Ranked = true },
+		"product": func(r *Request) { r.NodeType, r.EdgeRelation = "Product", "co-purchase" },
+		"template words in text": func(r *Request) {
+			r.TargetAbstract = "the target paper: Abstract: Category: [Theory, belong to? " + r.TargetAbstract
+			r.Neighbors[0].Abstract += " Neighbor Paper0: {{ }} Task: the the the."
+		},
+		"no target abstract":      func(r *Request) { r.TargetAbstract = "" },
+		"one neighbor abstract":   func(r *Request) { r.Neighbors[1].Abstract = "" },
+		"newline in label":        func(r *Request) { r.Neighbors[0].Label = "Theory\nAbstract: injected words" },
+		"newline in node type":    func(r *Request) { r.NodeType = "pa\nper" },
+		"newline in category":     func(r *Request) { r.Categories = []string{"Theory", "Neural\nNetworks"} },
+		"no categories":           func(r *Request) { r.Categories = nil },
+		"blank categories":        func(r *Request) { r.Categories = []string{" ", ""} },
+		"comma category":          func(r *Request) { r.Categories = []string{", "} },
+		"comma in one category":   func(r *Request) { r.Categories = []string{"A, B", "Theory"} },
+		"label with spaces":       func(r *Request) { r.Neighbors[0].Label = "Case Based the" },
+		"spaced relation":         func(r *Request) { r.EdgeRelation = "shared  citation" },
+		"no neighbors":            func(r *Request) { r.Neighbors = nil },
+		"category is a text word": func(r *Request) { r.Categories = append(r.Categories, "gradient") },
+	}
+	for name, vary := range variants {
+		r := compressSample()
+		vary(&r)
+		q := queryOf(r)
+		p := Build(r)
+		if got := q.Render(); got != p {
+			t.Fatalf("%s: Render differs from Build\n--- render ---\n%s\n--- build ---\n%s", name, got, p)
+		}
+		for level := 0; level <= MaxCompressLevel; level++ {
+			for _, budget := range []int{0, 150, 1} {
+				c := Compressor{Level: level, TargetTokens: budget}
+				want, wantSt := c.CompressStats(p)
+				got, gotSt := c.CompressQuery(&q)
+				if got != want || gotSt != wantSt {
+					t.Fatalf("%s, %+v: stats %+v, want %+v\n--- got ---\n%s\n--- want ---\n%s",
+						name, c, gotSt, wantSt, got, want)
+				}
+			}
+		}
 	}
 }

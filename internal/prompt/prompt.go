@@ -13,7 +13,10 @@ package prompt
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
+
+	"repro/internal/token"
 )
 
 // TemplateVersion identifies the prompt-template generation. It is
@@ -43,18 +46,53 @@ type Request struct {
 	EdgeRelation string
 }
 
-func (r Request) nodeType() string {
-	if r.NodeType == "" {
-		return "paper"
-	}
-	return strings.ToLower(r.NodeType)
+// Query is a Request whose node text is word IDs into Dict: the plan
+// path's form of a prompt. Render and Compressor.CompressQuery write
+// its words straight from the dictionary, so node text is never joined
+// into a prompt only to be split out of it again. Render(q) equals
+// Build of the same request with each text rendered by Dict.Join.
+type Query struct {
+	Dict           *token.Dict
+	TargetTitle    []int32
+	TargetAbstract []int32
+	Neighbors      []QueryNeighbor
+	Categories     []string
+	Ranked         bool
+	NodeType       string
+	EdgeRelation   string
 }
 
-func (r Request) edgeRelation() string {
-	if r.EdgeRelation == "" {
-		return "citation"
+// QueryNeighbor is one neighbor entry of a Query.
+type QueryNeighbor struct {
+	Title    []int32
+	Abstract []int32 // included only when non-empty
+	Label    string  // category name; empty if unknown
+}
+
+// text returns node-text field f of the query (see writer).
+func (q *Query) text(f int) []int32 {
+	switch f {
+	case 0:
+		return q.TargetTitle
+	case 1:
+		return q.TargetAbstract
 	}
-	return strings.ToLower(r.EdgeRelation)
+	nb := &q.Neighbors[(f-2)/2]
+	if f%2 == 0 {
+		return nb.Title
+	}
+	return nb.Abstract
+}
+
+// fields returns the number of node-text fields of the query.
+func (q *Query) fields() int { return 2 + 2*len(q.Neighbors) }
+
+// lowerOr lower-cases s, or returns def when s is empty.
+func lowerOr(s, def string) string {
+	if s == "" {
+		return def
+	}
+	return strings.ToLower(s)
 }
 
 // asciiTitle upper-cases the first byte of an ASCII word ("paper" ->
@@ -70,35 +108,144 @@ func asciiTitle(s string) string {
 	return s
 }
 
-// Build renders the prompt following Table III of the paper.
-func Build(r Request) string {
-	var b strings.Builder
-	nt := r.nodeType()
-	fmt.Fprintf(&b, "Target %s: Title: %s \nAbstract: %s \n", nt, r.TargetTitle, r.TargetAbstract)
-	if len(r.Neighbors) > 0 {
-		ranked := ""
-		if r.Ranked {
-			ranked = ", from most related to least related"
+// writer receives a prompt in template order: template text through
+// lit and node text through text. Node-text field f is the target's
+// title (0) or abstract (1), or neighbor i's title (2+2i) or abstract
+// (3+2i). The template puts whitespace on both sides of every field,
+// so a field's words are always whole fields of the prompt.
+type writer interface {
+	lit(s string)
+	text(f int)
+	// has reports whether field f has words to write; a neighbor's
+	// Abstract line is left out when it has none.
+	has(f int) bool
+	// label returns neighbor i's category, or "" to leave the
+	// Category line out.
+	label(i int) string
+}
+
+// layout writes the Table III template for a prompt with the given
+// neighbor count to w. It is the one definition of the template: Build,
+// Render, and the compressor's token accounting and rendering all
+// write through it.
+func layout(w writer, nodeType, edgeRelation string, ranked bool, categories []string, neighbors int) {
+	nt := lowerOr(nodeType, "paper")
+	w.lit("Target ")
+	w.lit(nt)
+	w.lit(": Title: ")
+	w.text(0)
+	w.lit(" \nAbstract: ")
+	w.text(1)
+	w.lit(" \n")
+	if neighbors > 0 {
+		w.lit("\nTarget ")
+		w.lit(nt)
+		w.lit(" has the following important neighbors with ")
+		w.lit(lowerOr(edgeRelation, "citation"))
+		w.lit(" relationships")
+		if ranked {
+			w.lit(", from most related to least related")
 		}
-		fmt.Fprintf(&b, "\nTarget %s has the following important neighbors with %s relationships%s:\n",
-			nt, r.edgeRelation(), ranked)
+		w.lit(":\n")
 		title := asciiTitle(nt)
-		for i, nb := range r.Neighbors {
-			fmt.Fprintf(&b, "Neighbor %s%d: {{\nTitle: %s \n", title, i, nb.Title)
-			if nb.Abstract != "" {
-				fmt.Fprintf(&b, "Abstract: %s \n", nb.Abstract)
+		for i := 0; i < neighbors; i++ {
+			w.lit("Neighbor ")
+			w.lit(title)
+			w.lit(strconv.Itoa(i))
+			w.lit(": {{\nTitle: ")
+			w.text(2 + 2*i)
+			w.lit(" \n")
+			if w.has(3 + 2*i) {
+				w.lit("Abstract: ")
+				w.text(3 + 2*i)
+				w.lit(" \n")
 			}
-			if nb.Label != "" {
-				fmt.Fprintf(&b, "Category: %s \n", nb.Label)
+			if l := w.label(i); l != "" {
+				w.lit("Category: ")
+				w.lit(l)
+				w.lit(" \n")
 			}
-			b.WriteString("}}\n")
+			w.lit("}}\n")
 		}
 	}
-	fmt.Fprintf(&b, "Task: \nCategories: \n[%s]\n", strings.Join(r.Categories, ", "))
-	fmt.Fprintf(&b, "Which category does the target %s belong to?\n", nt)
-	b.WriteString("Please output the most likely category as a Python list: Category: ['XX'].")
-	return b.String()
+	w.lit("Task: \nCategories: \n[")
+	for i, c := range categories {
+		if i > 0 {
+			w.lit(", ")
+		}
+		w.lit(c)
+	}
+	w.lit("]\nWhich category does the target ")
+	w.lit(nt)
+	w.lit(" belong to?\nPlease output the most likely category as a Python list: Category: ['XX'].")
 }
+
+// Build renders the prompt following Table III of the paper.
+func Build(r Request) string {
+	w := requestWriter{r: &r}
+	layout(&w, r.NodeType, r.EdgeRelation, r.Ranked, r.Categories, len(r.Neighbors))
+	return w.b.String()
+}
+
+// requestWriter writes a Request's prompt.
+type requestWriter struct {
+	r *Request
+	b strings.Builder
+}
+
+func (w *requestWriter) lit(s string)       { w.b.WriteString(s) }
+func (w *requestWriter) text(f int)         { w.b.WriteString(w.field(f)) }
+func (w *requestWriter) has(f int) bool     { return w.field(f) != "" }
+func (w *requestWriter) label(i int) string { return w.r.Neighbors[i].Label }
+
+func (w *requestWriter) field(f int) string {
+	switch f {
+	case 0:
+		return w.r.TargetTitle
+	case 1:
+		return w.r.TargetAbstract
+	}
+	nb := &w.r.Neighbors[(f-2)/2]
+	if f%2 == 0 {
+		return nb.Title
+	}
+	return nb.Abstract
+}
+
+// Render renders the query's prompt: Build's bytes, written from the
+// dictionary.
+func (q *Query) Render() string {
+	w := queryWriter{q: q}
+	w.b.Grow(q.size())
+	layout(&w, q.NodeType, q.EdgeRelation, q.Ranked, q.Categories, len(q.Neighbors))
+	return w.b.String()
+}
+
+// size bounds the byte length of the query's prompt from above.
+func (q *Query) size() int {
+	n := 512 + len(q.NodeType) + len(q.EdgeRelation)
+	for _, c := range q.Categories {
+		n += len(c) + 2
+	}
+	for f := 0; f < q.fields(); f++ {
+		n += q.Dict.Size(q.text(f))
+	}
+	for _, nb := range q.Neighbors {
+		n += 64 + len(q.NodeType) + len(nb.Label)
+	}
+	return n
+}
+
+// queryWriter writes a Query's prompt.
+type queryWriter struct {
+	q *Query
+	b strings.Builder
+}
+
+func (w *queryWriter) lit(s string)       { w.b.WriteString(s) }
+func (w *queryWriter) text(f int)         { w.q.Dict.Write(&w.b, w.q.text(f)) }
+func (w *queryWriter) has(f int) bool     { return len(w.q.text(f)) > 0 }
+func (w *queryWriter) label(i int) string { return w.q.Neighbors[i].Label }
 
 // Parsed is the structured view a reader recovers from a prompt.
 type Parsed struct {

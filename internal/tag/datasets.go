@@ -2,9 +2,9 @@ package tag
 
 import (
 	"fmt"
-	"strings"
 
 	"repro/internal/textgen"
+	"repro/internal/token"
 	"repro/internal/xrand"
 )
 
@@ -211,6 +211,8 @@ func Generate(spec Spec, seed uint64, opts Options) *Graph {
 		Classes: spec.Classes,
 		Nodes:   make([]Node, n),
 		adj:     make([][]NodeID, n),
+		dict:    token.DictOf(vocab.Words()),
+		bounds:  make([]int32, 2*n+1),
 		Vocab:   vocab,
 	}
 
@@ -246,22 +248,24 @@ func Generate(spec Spec, seed uint64, opts Options) *Graph {
 		}
 	}
 
-	// Text synthesis.
+	// Text synthesis, straight into word IDs: the graph's dictionary is
+	// the vocabulary, so each word's ID is its vocabulary index.
 	trng := root.SplitString("text")
 	tcfg := textgen.TextConfig{
-		TitleWords:    spec.TitleWords,
-		AbstractWords: spec.AbstractWords,
+		TitleWords:    max(spec.TitleWords, 0),
+		AbstractWords: max(spec.AbstractWords, 0),
 		TitleSignal:   spec.TitleSignal,
 		AbstractSig:   spec.AbstractSignal,
 	}
+	g.words = make([]int32, 0, n*(tcfg.TitleWords+tcfg.AbstractWords))
 	for i := range g.Nodes {
 		class := g.Nodes[i].Label
 		if g.Nodes[i].Noisy {
 			class = vocab.Confuser[class]
 		}
-		title, abstract := vocab.Generate(trng, class, g.Nodes[i].Ambiguity, tcfg)
-		g.Nodes[i].Title = title
-		g.Nodes[i].Abstract = abstract
+		g.bounds[2*i+1] = int32(len(g.words) + tcfg.TitleWords)
+		g.words = vocab.AppendText(g.words, trng, class, g.Nodes[i].Ambiguity, tcfg)
+		g.bounds[2*i+2] = int32(len(g.words))
 	}
 
 	generateEdges(g, spec, root.SplitString("edges"))
@@ -276,17 +280,18 @@ func Generate(spec Spec, seed uint64, opts Options) *Graph {
 // product names); this pass reproduces that edge-level textual affinity
 // so that link prediction from text alone is learnable, exactly as in
 // the real benchmarks. Word counts are preserved (spans replace words
-// rather than extend the text).
+// rather than extend the text), so the spans are copied in place, word
+// IDs and all.
 func lexicalDiffusion(g *Graph, rng *xrand.RNG) {
 	const (
 		copyProb = 0.6 // per direction per edge
 		spanLen  = 3
 	)
-	abstracts := make([][]string, len(g.Nodes))
+	abstracts := make([][]int32, len(g.Nodes))
 	for i := range g.Nodes {
-		abstracts[i] = strings.Fields(g.Nodes[i].Abstract)
+		abstracts[i] = g.AbstractIDs(NodeID(i))
 	}
-	copySpan := func(src, dst []string) {
+	copySpan := func(src, dst []int32) {
 		if len(src) < spanLen || len(dst) < spanLen {
 			return
 		}
@@ -306,9 +311,6 @@ func lexicalDiffusion(g *Graph, rng *xrand.RNG) {
 				copySpan(abstracts[v], abstracts[u])
 			}
 		}
-	}
-	for i := range g.Nodes {
-		g.Nodes[i].Abstract = strings.Join(abstracts[i], " ")
 	}
 }
 

@@ -21,6 +21,10 @@ func FuzzLoad(f *testing.F) {
 	f.Add(buf.String())
 	f.Add(`{"format":1,"classes":["A"],"nodes":[{"ID":0,"Title":"t","Label":0}],"edges":[]}`)
 	f.Add(`{"format":1,"nodes":[],"edges":[[0,1]]}`)
+	// Text that is not words joined by single spaces breaks its
+	// node's prompt; Load must reject it.
+	f.Add(`{"format":1,"classes":["A"],"nodes":[{"ID":0,"Title":"alpha\nbeta","Abstract":"x","Label":0}],"edges":[]}`)
+	f.Add(`{"format":1,"classes":["A"],"nodes":[{"ID":0,"Title":"alpha  beta","Abstract":"x","Label":0}],"edges":[]}`)
 	f.Add(`{"format":2}`)
 	f.Add(`{`)
 	f.Add("")
@@ -32,6 +36,13 @@ func FuzzLoad(f *testing.F) {
 		}
 		if err := g.Validate(); err != nil {
 			t.Fatalf("Load accepted an invalid graph: %v", err)
+		}
+		for v := NodeID(0); int(v) < g.NumNodes(); v++ {
+			for _, s := range []string{g.Title(v), g.Abstract(v)} {
+				if s != strings.Join(strings.Fields(s), " ") {
+					t.Fatalf("Load accepted node %d text %q, which is not words joined by single spaces", v, s)
+				}
+			}
 		}
 		var out bytes.Buffer
 		if err := Save(&out, g); err != nil {

@@ -16,23 +16,24 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"strings"
 	"sync"
 
 	"repro/internal/textgen"
+	"repro/internal/token"
 	"repro/internal/xrand"
 )
 
 // NodeID identifies a node within one Graph.
 type NodeID int
 
-// Node is a single vertex with its text attribute and ground-truth
-// label. Ambiguity is the latent generation parameter that controls how
-// informative the node's own text is; algorithms must not read it (it
-// exists for analysis and tests only).
+// Node is a single vertex with its ground-truth label; its text lives
+// in the Graph (Title, Abstract, Text). Ambiguity is the latent
+// generation parameter that controls how informative the node's own
+// text is; algorithms must not read it (it exists for analysis and
+// tests only).
 type Node struct {
 	ID        NodeID
-	Title     string
-	Abstract  string
 	Label     int
 	Ambiguity float64
 	// Noisy marks label noise: the node's text reads as its confuser
@@ -50,6 +51,15 @@ type Graph struct {
 	Classes []string // class names, index = label
 	Nodes   []Node
 	adj     [][]NodeID
+
+	// Node text is stored once, as word IDs into dict: words holds each
+	// node's title words then its abstract words, node after node, and
+	// node v's title is words[bounds[2v]:bounds[2v+1]], its abstract
+	// words[bounds[2v+1]:bounds[2v+2]]. The dictionary and both slices
+	// are built with the graph and never written after.
+	dict   *token.Dict
+	words  []int32
+	bounds []int32
 
 	// Vocab is the generating vocabulary; the simulated LLM derives its
 	// (noisy) world knowledge from it.
@@ -82,13 +92,59 @@ func (g *Graph) HasEdge(u, v NodeID) bool {
 	return i < len(ns) && ns[i] == v
 }
 
-// Text returns the node's full text (title + abstract).
-func (g *Graph) Text(v NodeID) string {
-	n := &g.Nodes[v]
-	if n.Abstract == "" {
-		return n.Title
+// Dict returns the dictionary the graph's node text is written in:
+// every distinct word once, with its token count. It never changes.
+func (g *Graph) Dict() *token.Dict { return g.dict }
+
+// TitleIDs returns v's title as word IDs into Dict. The slice is
+// shared; callers must not modify it.
+func (g *Graph) TitleIDs(v NodeID) []int32 {
+	return g.words[g.bounds[2*v]:g.bounds[2*v+1]:g.bounds[2*v+1]]
+}
+
+// AbstractIDs returns v's abstract as word IDs into Dict. The slice is
+// shared; callers must not modify it.
+func (g *Graph) AbstractIDs(v NodeID) []int32 {
+	return g.words[g.bounds[2*v+1]:g.bounds[2*v+2]:g.bounds[2*v+2]]
+}
+
+// TextIDs returns v's title words then its abstract words as word IDs
+// into Dict: the fields of Text(v). The slice is shared; callers must
+// not modify it.
+func (g *Graph) TextIDs(v NodeID) []int32 {
+	return g.words[g.bounds[2*v]:g.bounds[2*v+2]:g.bounds[2*v+2]]
+}
+
+// Corpus returns every node's TextIDs, indexed by node: the corpus the
+// text encoders are built over. The slices are shared; callers must not
+// modify them.
+func (g *Graph) Corpus() [][]int32 {
+	docs := make([][]int32, len(g.Nodes))
+	for i := range docs {
+		docs[i] = g.TextIDs(NodeID(i))
 	}
-	return n.Title + " " + n.Abstract
+	return docs
+}
+
+// Title renders v's title: its words joined by single spaces.
+func (g *Graph) Title(v NodeID) string { return g.dict.Join(g.TitleIDs(v)) }
+
+// Abstract renders v's abstract: its words joined by single spaces.
+func (g *Graph) Abstract(v NodeID) string { return g.dict.Join(g.AbstractIDs(v)) }
+
+// Text renders the node's full text: the title, then, when the
+// abstract has words, a space and the abstract.
+func (g *Graph) Text(v NodeID) string {
+	title, abstract := g.TitleIDs(v), g.AbstractIDs(v)
+	if len(abstract) == 0 {
+		return g.dict.Join(title)
+	}
+	var b strings.Builder
+	b.Grow(g.dict.Size(title) + 1 + g.dict.Size(abstract))
+	g.dict.Write(&b, title)
+	b.WriteByte(' ')
+	g.dict.Write(&b, abstract)
+	return b.String()
 }
 
 // KHop returns all nodes within k hops of v (excluding v itself),

@@ -33,7 +33,7 @@ func TestGenerateDeterministic(t *testing.T) {
 		t.Fatalf("edge counts differ: %d vs %d", a.NumEdges(), b.NumEdges())
 	}
 	for i := range a.Nodes {
-		if a.Nodes[i].Title != b.Nodes[i].Title || a.Nodes[i].Label != b.Nodes[i].Label {
+		if a.Title(NodeID(i)) != b.Title(NodeID(i)) || a.Abstract(NodeID(i)) != b.Abstract(NodeID(i)) || a.Nodes[i].Label != b.Nodes[i].Label {
 			t.Fatalf("node %d differs across identical seeds", i)
 		}
 	}
@@ -44,7 +44,7 @@ func TestGenerateSeedsDiffer(t *testing.T) {
 	b, _ := smallGraph(t, 200, 2)
 	same := 0
 	for i := range a.Nodes {
-		if a.Nodes[i].Title == b.Nodes[i].Title {
+		if a.Title(NodeID(i)) == b.Title(NodeID(i)) {
 			same++
 		}
 	}
@@ -278,10 +278,10 @@ func TestTextNonEmptyAndDistinct(t *testing.T) {
 	g, _ := smallGraph(t, 200, 43)
 	seen := map[string]int{}
 	for _, n := range g.Nodes {
-		if n.Title == "" || n.Abstract == "" {
+		if g.Title(n.ID) == "" || g.Abstract(n.ID) == "" {
 			t.Fatalf("node %d has empty text", n.ID)
 		}
-		seen[n.Title]++
+		seen[g.Title(n.ID)]++
 	}
 	// Titles are random 10-word strings; duplicates should be rare.
 	for title, c := range seen {

@@ -6,6 +6,7 @@ import (
 	"io"
 
 	"repro/internal/textgen"
+	"repro/internal/token"
 )
 
 // Snapshot persistence: a Graph serializes to a single JSON document so
@@ -18,14 +19,25 @@ const snapshotFormat = 1
 
 // snapshot is the on-disk representation of a Graph.
 type snapshot struct {
-	Format  int      `json:"format"`
-	Name    string   `json:"name"`
-	Display string   `json:"display"`
-	Classes []string `json:"classes"`
-	Nodes   []Node   `json:"nodes"`
+	Format  int            `json:"format"`
+	Name    string         `json:"name"`
+	Display string         `json:"display"`
+	Classes []string       `json:"classes"`
+	Nodes   []snapshotNode `json:"nodes"`
 	// Edges lists each undirected edge once with u < v.
 	Edges [][2]NodeID `json:"edges"`
 	Vocab *vocabDoc   `json:"vocab,omitempty"`
+}
+
+// snapshotNode is one node on disk: its text as strings, its other
+// fields as in Node, in the order format 1 has always written them.
+type snapshotNode struct {
+	ID        NodeID
+	Title     string
+	Abstract  string
+	Label     int
+	Ambiguity float64
+	Noisy     bool
 }
 
 // vocabDoc persists the generating vocabulary (its lookup index is
@@ -46,7 +58,17 @@ func Save(w io.Writer, g *Graph) error {
 		Name:    g.Name,
 		Display: g.Display,
 		Classes: g.Classes,
-		Nodes:   g.Nodes,
+		Nodes:   make([]snapshotNode, len(g.Nodes)),
+	}
+	for i, n := range g.Nodes {
+		s.Nodes[i] = snapshotNode{
+			ID:        n.ID,
+			Title:     g.Title(NodeID(i)),
+			Abstract:  g.Abstract(NodeID(i)),
+			Label:     n.Label,
+			Ambiguity: n.Ambiguity,
+			Noisy:     n.Noisy,
+		}
 	}
 	for u, ns := range g.adj {
 		for _, v := range ns {
@@ -67,7 +89,11 @@ func Save(w io.Writer, g *Graph) error {
 }
 
 // Load reads a snapshot written by Save, rebuilds adjacency and the
-// vocabulary index, and validates the result.
+// vocabulary index, and validates the result. Every title and abstract
+// must be words joined by single spaces — no newline, tab, run of
+// spaces or leading or trailing space — because prompts are
+// line-oriented and node text is stored as words: Load interns each
+// text into the graph's dictionary and rejects any other text.
 func Load(r io.Reader) (*Graph, error) {
 	var s snapshot
 	dec := json.NewDecoder(r)
@@ -81,9 +107,25 @@ func Load(r io.Reader) (*Graph, error) {
 		Name:    s.Name,
 		Display: s.Display,
 		Classes: s.Classes,
-		Nodes:   s.Nodes,
+		Nodes:   make([]Node, len(s.Nodes)),
 		adj:     make([][]NodeID, len(s.Nodes)),
+		bounds:  make([]int32, 2*len(s.Nodes)+1),
 	}
+	dict := token.NewBuilder(0)
+	for i, sn := range s.Nodes {
+		if !token.InFieldForm(sn.Title) {
+			return nil, fmt.Errorf("tag: snapshot node %d: title %.40q is not words joined by single spaces", i, sn.Title)
+		}
+		if !token.InFieldForm(sn.Abstract) {
+			return nil, fmt.Errorf("tag: snapshot node %d: abstract %.40q is not words joined by single spaces", i, sn.Abstract)
+		}
+		g.words = dict.AppendFields(g.words, sn.Title)
+		g.bounds[2*i+1] = int32(len(g.words))
+		g.words = dict.AppendFields(g.words, sn.Abstract)
+		g.bounds[2*i+2] = int32(len(g.words))
+		g.Nodes[i] = Node{ID: sn.ID, Label: sn.Label, Ambiguity: sn.Ambiguity, Noisy: sn.Noisy}
+	}
+	g.dict = dict.Dict
 	n := NodeID(len(s.Nodes))
 	for _, e := range s.Edges {
 		if e[0] < 0 || e[0] >= n || e[1] < 0 || e[1] >= n {

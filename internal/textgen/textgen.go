@@ -33,9 +33,12 @@ type Vocabulary struct {
 	// Methods", not with a random class each time).
 	Confuser []int
 
-	// classOf maps a signal word to its class for O(1) scoring; built
-	// once at construction.
+	// classOf maps a signal word to its class for O(1) scoring; words
+	// lists every word in index order and start[k] is the index of
+	// Signal[k][0]. All three are built once at construction.
 	classOf map[string]int
+	words   []string
+	start   []int32
 }
 
 // syllable inventory for pseudo-English word synthesis.
@@ -84,7 +87,6 @@ func NewVocabulary(rng *xrand.RNG, cfg VocabularyConfig) *Vocabulary {
 	v := &Vocabulary{
 		Signal:     make([][]string, cfg.Classes),
 		Confuser:   make([]int, cfg.Classes),
-		classOf:    make(map[string]int),
 		Background: make([]string, 0, cfg.Background),
 	}
 	seen := map[string]bool{}
@@ -103,9 +105,6 @@ func NewVocabulary(rng *xrand.RNG, cfg VocabularyConfig) *Vocabulary {
 			words[i] = draw(2 + rng.Intn(2))
 		}
 		v.Signal[k] = words
-		for _, w := range words {
-			v.classOf[w] = k
-		}
 	}
 	for i := 0; i < cfg.Background; i++ {
 		v.Background = append(v.Background, draw(1+rng.Intn(3)))
@@ -127,19 +126,36 @@ func NewVocabulary(rng *xrand.RNG, cfg VocabularyConfig) *Vocabulary {
 	if cfg.Classes == 1 {
 		v.Confuser[0] = 0
 	}
+	v.RebuildIndex()
 	return v
 }
 
-// RebuildIndex reconstructs the word→class lookup from Signal. Call it
-// after deserializing a Vocabulary, whose index is not persisted.
+// RebuildIndex reconstructs the word→class lookup and the word indices
+// from Signal and Background. Call it after deserializing a
+// Vocabulary, whose index is not persisted.
 func (v *Vocabulary) RebuildIndex() {
-	v.classOf = make(map[string]int)
+	n := len(v.Background)
+	for _, words := range v.Signal {
+		n += len(words)
+	}
+	v.classOf = make(map[string]int, n-len(v.Background))
+	v.words = make([]string, 0, n)
+	v.start = make([]int32, len(v.Signal))
 	for k, words := range v.Signal {
+		v.start[k] = int32(len(v.words))
+		v.words = append(v.words, words...)
 		for _, w := range words {
 			v.classOf[w] = k
 		}
 	}
+	v.words = append(v.words, v.Background...)
 }
+
+// Words lists every word of the vocabulary once, in index order: each
+// class's signal words, class after class, then the background words.
+// AppendText emits indices into it. The slice is shared; callers must
+// not modify it.
+func (v *Vocabulary) Words() []string { return v.words }
 
 // ClassOf reports the class that owns word as a signal word, or -1 if
 // the word is background (or unknown).
@@ -161,13 +177,15 @@ type TextConfig struct {
 	AbstractSig   float64 // fraction of abstract words that are class evidence
 }
 
-// Generate produces a (title, abstract) pair for a node of class k with
-// the given ambiguity in [0, 1]. Each evidence slot borrows from the
-// confuser class with probability ambiguity/2, so maximal ambiguity is
-// a 50/50 word mixture — the point of genuine indistinguishability
-// (H(y|t) ≈ 1 bit between the pair), never a text that simply looks
-// like the other class. Remaining slots are background words.
-func (v *Vocabulary) Generate(rng *xrand.RNG, k int, ambiguity float64, cfg TextConfig) (title, abstract string) {
+// AppendText appends a (title, abstract) pair for a node of class k
+// with the given ambiguity in [0, 1] to dst, as indices into Words: the
+// title's cfg.TitleWords words, then the abstract's cfg.AbstractWords.
+// Each evidence slot borrows from the confuser class with probability
+// ambiguity/2, so maximal ambiguity is a 50/50 word mixture — the point
+// of genuine indistinguishability (H(y|t) ≈ 1 bit between the pair),
+// never a text that simply looks like the other class. Remaining slots
+// are background words.
+func (v *Vocabulary) AppendText(dst []int32, rng *xrand.RNG, k int, ambiguity float64, cfg TextConfig) []int32 {
 	if k < 0 || k >= len(v.Signal) {
 		panic("textgen: class out of range")
 	}
@@ -177,8 +195,8 @@ func (v *Vocabulary) Generate(rng *xrand.RNG, k int, ambiguity float64, cfg Text
 	if ambiguity > 1 {
 		ambiguity = 1
 	}
-	gen := func(words int, sigFrac float64) string {
-		parts := make([]string, 0, words)
+	background := int32(len(v.words) - len(v.Background))
+	gen := func(words int, sigFrac float64) {
 		for i := 0; i < words; i++ {
 			switch {
 			case rng.Float64() < sigFrac:
@@ -186,17 +204,30 @@ func (v *Vocabulary) Generate(rng *xrand.RNG, k int, ambiguity float64, cfg Text
 				if rng.Float64() < ambiguity/2 {
 					src = v.Confuser[k]
 				}
-				ws := v.Signal[src]
-				parts = append(parts, ws[rng.Intn(len(ws))])
+				dst = append(dst, v.start[src]+int32(rng.Intn(len(v.Signal[src]))))
 			default:
-				parts = append(parts, v.Background[rng.Intn(len(v.Background))])
+				dst = append(dst, background+int32(rng.Intn(len(v.Background))))
 			}
 		}
-		return strings.Join(parts, " ")
 	}
-	title = gen(cfg.TitleWords, cfg.TitleSignal)
-	abstract = gen(cfg.AbstractWords, cfg.AbstractSig)
-	return title, abstract
+	gen(cfg.TitleWords, cfg.TitleSignal)
+	gen(cfg.AbstractWords, cfg.AbstractSig)
+	return dst
+}
+
+// Generate is AppendText rendered as text: the title's and the
+// abstract's words, each joined by single spaces.
+func (v *Vocabulary) Generate(rng *xrand.RNG, k int, ambiguity float64, cfg TextConfig) (title, abstract string) {
+	ids := v.AppendText(nil, rng, k, ambiguity, cfg)
+	join := func(ids []int32) string {
+		words := make([]string, len(ids))
+		for i, id := range ids {
+			words[i] = v.words[id]
+		}
+		return strings.Join(words, " ")
+	}
+	n := max(cfg.TitleWords, 0)
+	return join(ids[:n]), join(ids[n:])
 }
 
 // Evidence tallies, per class, how many words of text are signal words

@@ -211,5 +211,76 @@ func FuzzCount(f *testing.F) {
 		if got, want := Count(s), len(Tokenize(s)); got != want {
 			t.Fatalf("Count(%q) = %d, Tokenize length = %d", s, got, want)
 		}
+		// Words interned into a dictionary split, count and render as
+		// the text's fields do.
+		b := NewBuilder(0)
+		ids := b.AppendFields(nil, s)
+		fields := strings.Fields(s)
+		if len(ids) != len(fields) {
+			t.Fatalf("%d IDs for %d fields of %q", len(ids), len(fields), s)
+		}
+		for i, id := range ids {
+			if b.Dict.Word(id) != fields[i] {
+				t.Fatalf("field %d of %q interned as %q", i, s, b.Dict.Word(id))
+			}
+		}
+		joined := strings.Join(fields, " ")
+		tokens := 0
+		for _, id := range ids {
+			tokens += b.Dict.Tokens(id)
+		}
+		if tokens != Count(s) {
+			t.Fatalf("words' tokens sum to %d, Count(%q) = %d", tokens, s, Count(s))
+		}
+		if got := b.Dict.Join(ids); got != joined || b.Dict.Size(ids) != len(joined) {
+			t.Fatalf("Join = %q (size %d), want %q", got, b.Dict.Size(ids), joined)
+		}
+		if InFieldForm(s) != (s == joined) {
+			t.Fatalf("InFieldForm(%q) = %v", s, InFieldForm(s))
+		}
 	})
+}
+
+func TestInFieldForm(t *testing.T) {
+	for s, want := range map[string]bool{
+		"":             true,
+		"one":          true,
+		"one two. ":    false,
+		"one two.":     true,
+		" one":         false,
+		"one  two":     false,
+		"one\ntwo":     false,
+		"one\ttwo":     false,
+		"one\u00a0two": false,
+		"caf\xc3 ok":   true,
+	} {
+		if got := InFieldForm(s); got != want {
+			t.Errorf("InFieldForm(%q) = %v, want %v", s, got, want)
+		}
+	}
+}
+
+func TestDictOfKeepsOrderAndMarksSentenceEnds(t *testing.T) {
+	words := []string{"alphabetic", "beta.", "gamma?", "categories"}
+	d := DictOf(words)
+	for id, w := range words {
+		ends := w != "alphabetic" && w != "categories"
+		if d.Word(int32(id)) != w || d.Tokens(int32(id)) != Count(w) || d.EndsSentence(int32(id)) != ends {
+			t.Errorf("word %d: %q, %d tokens, ends %v; want %q, %d, %v", id, d.Word(int32(id)),
+				d.Tokens(int32(id)), d.EndsSentence(int32(id)), w, Count(w), ends)
+		}
+	}
+	if id, ok := d.Lookup("gamma?"); !ok || id != 2 {
+		t.Errorf("Lookup(gamma?) = %d, %v", id, ok)
+	}
+	for _, words := range [][]string{{"a", "a"}, {"a b"}, {""}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("DictOf(%q) did not panic", words)
+				}
+			}()
+			DictOf(words)
+		}()
+	}
 }

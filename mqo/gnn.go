@@ -19,15 +19,7 @@ type GCNConfig = gnn.GCNConfig
 // TrainGCN trains a GCN semi-supervised on the labeled nodes over
 // TF-IDF features of maxFeatures dimensions encoded from node text.
 func TrainGCN(g *Graph, labeled []NodeID, maxFeatures int, cfg GCNConfig) (*GCN, error) {
-	corpus := make([]string, g.NumNodes())
-	for i := range corpus {
-		corpus[i] = g.Text(NodeID(i))
-	}
-	enc := encode.NewTFIDF(corpus, maxFeatures)
-	x := make([][]float64, len(corpus))
-	for i := range x {
-		x[i] = enc.Encode(corpus[i])
-	}
+	x := textFeatures(g, maxFeatures)
 	return gnn.TrainGCN(g, x, labeled, cfg)
 }
 
@@ -37,15 +29,7 @@ type SAGE = gnn.SAGE
 // TrainSAGE trains GraphSAGE-mean semi-supervised on the labeled nodes
 // over TF-IDF features of maxFeatures dimensions.
 func TrainSAGE(g *Graph, labeled []NodeID, maxFeatures int, cfg GCNConfig) (*SAGE, error) {
-	corpus := make([]string, g.NumNodes())
-	for i := range corpus {
-		corpus[i] = g.Text(NodeID(i))
-	}
-	enc := encode.NewTFIDF(corpus, maxFeatures)
-	x := make([][]float64, len(corpus))
-	for i := range x {
-		x[i] = enc.Encode(corpus[i])
-	}
+	x := textFeatures(g, maxFeatures)
 	return gnn.TrainSAGE(g, x, labeled, cfg)
 }
 
@@ -54,4 +38,16 @@ func TrainSAGE(g *Graph, labeled []NodeID, maxFeatures int, cfg GCNConfig) (*SAG
 // predicted label per node.
 func LabelProp(g *Graph, labeled []NodeID, iters int, alpha float64) ([]int, error) {
 	return gnn.LabelProp(g, labeled, iters, alpha)
+}
+
+// textFeatures encodes every node's text as TF-IDF features of at most
+// maxFeatures dimensions, straight from the graph's word IDs.
+func textFeatures(g *Graph, maxFeatures int) [][]float64 {
+	corpus := g.Corpus()
+	enc := encode.NewTFIDFIDs(g.Dict(), corpus, maxFeatures)
+	x := make([][]float64, len(corpus))
+	for i, doc := range corpus {
+		x[i] = enc.EncodeIDs(g.Dict(), doc)
+	}
+	return x
 }

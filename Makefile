@@ -149,17 +149,18 @@ benchcompress:
 		$(GO) test -bench BenchmarkCompressSweep -benchtime 1x -run '^$$' ./internal/experiments/
 	@tail -n 3 BENCH_compress.json
 
-# benchplan times the plan path's three passes over every node's text
-# on a full-size pubmed graph (generation, the SNS similarity index,
-# and ExecuteWith of 200 SNS queries with neighbor abstracts at
-# compression level 1) and appends one JSON line per benchmark (ns/op,
-# B/op, allocs/op) to the committed BENCH_plan.json trajectory. The
-# benchmarks use only long-standing APIs, so the same file measures an
-# older checkout for a before row.
+# benchplan times the plan path's stages on a full-size pubmed graph
+# (generation, the SNS similarity index, SNS selection of every tenth
+# node, level-1 compression of 200 SNS prompts, and ExecuteWith of 200
+# SNS queries with neighbor abstracts at compression level 1) and
+# appends one JSON line per benchmark (ns/op, B/op, allocs/op) to the
+# committed BENCH_plan.json trajectory, then shows every line the run
+# appended. The benchmarks use only long-standing APIs, so the same
+# file measures an older checkout for a before row.
 benchplan:
 	MQO_BENCH_JSON=$(CURDIR)/BENCH_plan.json \
 		$(GO) test -bench 'BenchmarkPlan' -benchtime 3x -run '^$$' ./internal/core/
-	@tail -n 3 BENCH_plan.json
+	@tail -n 5 BENCH_plan.json
 
 # servesmoke proves the online serving tier end to end across a real
 # process boundary: llmserve starts with -serve on the smoke scenario's

@@ -2,7 +2,9 @@ package core
 
 import (
 	"math"
+	"slices"
 	"testing"
+	"unsafe"
 
 	"repro/internal/llm"
 	"repro/internal/predictors"
@@ -136,6 +138,23 @@ func TestExecuteCompletes(t *testing.T) {
 	}
 	if acc := Accuracy(f.g, res.Pred); acc < 0.5 {
 		t.Fatalf("baseline accuracy %v implausibly low", acc)
+	}
+}
+
+// TestAnswersShareClassNames checks that recorded answers are the
+// graph's own class-name strings, not per-answer copies, so results a
+// caller keeps hold no string per answer.
+func TestAnswersShareClassNames(t *testing.T) {
+	f := newFixture(t, 300, 60, 6)
+	res, err := Execute(f.ctx, predictors.KHopRandom{K: 1}, f.sim, Plan{Queries: f.split.Query})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for v, c := range res.Pred {
+		i := slices.Index(f.g.Classes, c)
+		if i < 0 || unsafe.StringData(c) != unsafe.StringData(f.g.Classes[i]) {
+			t.Fatalf("node %d: answer %q is not the graph's class-name string", v, c)
+		}
 	}
 }
 

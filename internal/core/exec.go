@@ -302,13 +302,25 @@ func settle(g *tag.Graph, fb *Surrogate, q plannedQuery, o batch.Outcome) QueryO
 	}
 	switch {
 	case o.Err == nil:
-		out.Category = o.Response.Category
+		out.Category = className(g, o.Response.Category)
 	case fb != nil:
 		out.Category = fb.PredictNode(g, q.v)
 		out.Fallback = true
 		out.Err = nil
 	}
 	return out
+}
+
+// className returns the graph's own string for the class named c, or c
+// when it names none, so the answers a caller keeps share one string
+// per class instead of each holding the copy its response carried.
+func className(g *tag.Graph, c string) string {
+	for _, k := range g.Classes {
+		if k == c {
+			return k
+		}
+	}
+	return c
 }
 
 // CacheNamespace is the disk-cache namespace of a plan executed under

@@ -15,12 +15,13 @@ import (
 	"repro/internal/xrand"
 )
 
-// The plan-path benchmarks time the three stages that read every node's
-// text on a full-size pubmed graph (19,717 nodes): generating it,
-// building the SNS similarity index over it, and planning and asking
-// 200 SNS queries with neighbor abstracts at compression level 1. They
-// use only APIs that older releases also have, so the same file
-// measures a before and an after. With MQO_BENCH_JSON set (the Makefile
+// The plan-path benchmarks time the stages of the plan path on a
+// full-size pubmed graph (19,717 nodes): generating it, building the
+// SNS similarity index over it, SNS selection alone, level-1
+// compression alone, and planning and asking 200 SNS queries with
+// neighbor abstracts at compression level 1. They use only APIs that
+// older releases also have, so the same file measures a before and an
+// after. With MQO_BENCH_JSON set (the Makefile
 // benchplan target points it at BENCH_plan.json), each appends one JSON
 // line with its ns/op, B/op and allocs/op. The line is written for the
 // measured run (b.N > 1), not for the single warm-up iteration the
@@ -127,5 +128,64 @@ func BenchmarkPlanExecuteSNS(b *testing.B) {
 	})
 	if len(res.Pred) != len(split.Query) {
 		b.Fatalf("%d answers for %d queries", len(res.Pred), len(split.Query))
+	}
+}
+
+// snsContext is the benchmark's SNS context over g: the paper's 20
+// labeled nodes per class, drawn as bench/ draws them, M = 4, and the
+// similarity index built before any timer starts.
+func snsContext(g *tag.Graph, abstracts bool) *predictors.Context {
+	split := g.SplitPerClass(xrand.New(2), 20, 0)
+	ctx := &predictors.Context{
+		Graph:            g,
+		Known:            predictors.KnownFromSplit(g, split),
+		M:                4,
+		Seed:             1,
+		IncludeAbstracts: abstracts,
+	}
+	ctx.SetSimilarity(predictors.NewSimilarity(g))
+	return ctx
+}
+
+// BenchmarkPlanSelectSNS times serial SNS selection of every tenth
+// pubmed node (1,972 selections per op) over the 60-label split, where
+// most selections walk all five hops.
+func BenchmarkPlanSelectSNS(b *testing.B) {
+	g := pubmed(b)
+	ctx := snsContext(g, false)
+	labeled := 0
+	measure(b, "BenchmarkPlanSelectSNS", func() {
+		labeled = 0
+		for v := 0; v < g.NumNodes(); v += 10 {
+			labeled += predictors.CountLabeled(predictors.SNS{}.Select(ctx, tag.NodeID(v)))
+		}
+	})
+	if labeled == 0 {
+		b.Fatal("SNS selected no labeled neighbor")
+	}
+}
+
+// BenchmarkPlanCompress times level-1 compression of 200 SNS pubmed
+// prompts with neighbor abstracts, given as queries of the graph's
+// word IDs; selection and prompt assembly run before the timer.
+func BenchmarkPlanCompress(b *testing.B) {
+	g := pubmed(b)
+	ctx := snsContext(g, true)
+	split := g.SplitPerClass(xrand.New(1).SplitString("plan-bench"), 20, 200)
+	queries := make([]prompt.Query, len(split.Query))
+	for i, v := range split.Query {
+		queries[i] = predictors.PromptQuery(ctx, v, predictors.SNS{}.Select(ctx, v), true)
+	}
+	c := prompt.Compressor{Level: 1}
+	saved := 0
+	measure(b, "BenchmarkPlanCompress", func() {
+		saved = 0
+		for i := range queries {
+			_, st := c.CompressQuery(&queries[i])
+			saved += st.Saved()
+		}
+	})
+	if saved == 0 {
+		b.Fatal("compression saved no tokens")
 	}
 }

@@ -12,8 +12,10 @@ package encode
 import (
 	"cmp"
 	"math"
+	"math/bits"
 	"slices"
 	"strings"
+	"sync"
 
 	"repro/internal/token"
 )
@@ -209,26 +211,50 @@ func NewSparse(dims []int32, weights []float64) Sparse {
 	return Sparse{Dims: dims, Weights: weights, Norm: math.Sqrt(sq)}
 }
 
-// CountIDs sorts ids in place and returns each distinct ID once, in
-// increasing order, with the number of times it occurs.
-func CountIDs(ids []int32) (dims []int32, counts []float64) {
-	slices.Sort(ids)
-	n := 0
-	for i, d := range ids {
-		if i == 0 || d != ids[i-1] {
+// CountIDs returns each distinct ID of ids once, in increasing order,
+// with the number of times it occurs. Every ID must lie in [0, bound).
+// It counts in a pooled table and marks each ID's first occurrence in
+// a bitset of bound bits, whose set bits, read word by word, give the
+// IDs in order without a sort; reading a word clears it, which leaves
+// the table ready for the next call. ids is not changed.
+func CountIDs(ids []int32, bound int) (dims []int32, counts []float64) {
+	t := tallies.Get().(*tally)
+	defer tallies.Put(t)
+	if len(t.n) < bound {
+		t.n = make([]float64, bound)
+		t.bits = make([]uint64, (bound+63)/64)
+	}
+	n, lo, hi := 0, len(t.bits), -1
+	for _, id := range ids {
+		w, bit := int(id>>6), uint64(1)<<(id&63)
+		if t.bits[w]&bit == 0 {
+			t.bits[w] |= bit
+			t.n[id] = 0
 			n++
+			lo, hi = min(lo, w), max(hi, w)
 		}
+		t.n[id]++
 	}
 	dims, counts = make([]int32, 0, n), make([]float64, 0, n)
-	for i, d := range ids {
-		if i == 0 || d != ids[i-1] {
-			dims = append(dims, d)
-			counts = append(counts, 0)
+	for w := lo; w <= hi; w++ {
+		for b := t.bits[w]; b != 0; b &= b - 1 {
+			id := int32(w<<6 + bits.TrailingZeros64(b))
+			dims = append(dims, id)
+			counts = append(counts, t.n[id])
 		}
-		counts[len(counts)-1]++
+		t.bits[w] = 0
 	}
 	return dims, counts
 }
+
+// tally is CountIDs' reusable state: n[id] counts id where its bit in
+// bits is set, and bits is all clear between calls.
+type tally struct {
+	n    []float64
+	bits []uint64
+}
+
+var tallies = sync.Pool{New: func() any { return new(tally) }}
 
 // EncodeSparse embeds text as a sparse L2-normalized vector, suitable
 // for similarity over large vocabularies.
@@ -241,9 +267,9 @@ func (e *Encoder) EncodeSparseIDs(dict *token.Dict, ids []int32) Sparse {
 }
 
 // sparse is the sparse L2-normalized vector of a text whose words have
-// the feature dimensions dims; it sorts dims in place.
+// the feature dimensions dims.
 func (e *Encoder) sparse(dims []int32) Sparse {
-	dims, v := CountIDs(dims)
+	dims, v := CountIDs(dims, len(e.words))
 	if e.idf != nil {
 		for i, d := range dims {
 			v[i] *= e.idf[d]

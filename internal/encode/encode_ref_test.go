@@ -3,6 +3,7 @@ package encode
 import (
 	"fmt"
 	"math"
+	"math/rand/v2"
 	"slices"
 	"sort"
 	"strings"
@@ -174,7 +175,7 @@ func (e *refEncoder) EncodeSparse(text string) Sparse {
 			ids = append(ids, int32(d))
 		}
 	}
-	dims, v := CountIDs(ids)
+	dims, v := refCountIDs(ids)
 	if e.idf != nil {
 		for i, d := range dims {
 			v[i] *= e.idf[d]
@@ -182,4 +183,58 @@ func (e *refEncoder) EncodeSparse(text string) Sparse {
 	}
 	normalize(v)
 	return NewSparse(dims, v)
+}
+
+// refCountIDs is CountIDs as it was before it took a bound, verbatim
+// apart from its name: sort ids in place, then count each run.
+func refCountIDs(ids []int32) (dims []int32, counts []float64) {
+	slices.Sort(ids)
+	n := 0
+	for i, d := range ids {
+		if i == 0 || d != ids[i-1] {
+			n++
+		}
+	}
+	dims, counts = make([]int32, 0, n), make([]float64, 0, n)
+	for i, d := range ids {
+		if i == 0 || d != ids[i-1] {
+			dims = append(dims, d)
+			counts = append(counts, 0)
+		}
+		counts[len(counts)-1]++
+	}
+	return dims, counts
+}
+
+// TestCountIDsMatchesSort checks CountIDs against the sort-based count
+// on random ID lists: empty ones, ones with heavy repeats, IDs at 0 and
+// bound-1, bounds on and off 64-bit word edges, and one pooled table
+// reused across bounds that grow and shrink. CountIDs leaves ids as it
+// found them.
+func TestCountIDsMatchesSort(t *testing.T) {
+	rng := rand.New(rand.NewPCG(5, 6))
+	for trial := 0; trial < 3000; trial++ {
+		bound := []int{1, 2, 63, 64, 65, 128, 1000, 20000}[trial%8]
+		ids := make([]int32, rng.IntN(300))
+		pool := 1 + rng.IntN(bound)
+		for i := range ids {
+			switch rng.IntN(10) {
+			case 0:
+				ids[i] = 0
+			case 1:
+				ids[i] = int32(bound - 1)
+			default:
+				ids[i] = int32(rng.IntN(pool))
+			}
+		}
+		in := slices.Clone(ids)
+		dims, counts := CountIDs(ids, bound)
+		if !slices.Equal(ids, in) {
+			t.Fatalf("trial %d: CountIDs changed its input", trial)
+		}
+		wantDims, wantCounts := refCountIDs(slices.Clone(ids))
+		if !slices.Equal(dims, wantDims) || !slices.Equal(counts, wantCounts) {
+			t.Fatalf("trial %d (bound %d): CountIDs(%v) = %v %v, want %v %v", trial, bound, in, dims, counts, wantDims, wantCounts)
+		}
+	}
 }

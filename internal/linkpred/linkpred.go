@@ -263,6 +263,7 @@ type LinkPredictor interface {
 // so identical prompts give identical answers.
 type SimLink struct {
 	wordClass map[string]int
+	classes   int // wordClass's values lie below classes
 	seed      uint64
 	meter     token.Meter
 
@@ -281,6 +282,7 @@ func NewSimLink(g *tag.Graph, seed uint64) *SimLink {
 	rng := xrand.New(seed).SplitString("linkpred/sim")
 	s := &SimLink{
 		wordClass: make(map[string]int),
+		classes:   len(g.Vocab.Signal),
 		seed:      seed,
 		wAffinity: 1.4,
 		wBigram:   1.5,
@@ -313,7 +315,7 @@ func (s *SimLink) classEvidence(text string) encode.Sparse {
 			ids = append(ids, int32(k))
 		}
 	}
-	dims, weights := encode.CountIDs(ids)
+	dims, weights := encode.CountIDs(ids, s.classes)
 	total := float64(len(ids))
 	for i := range weights {
 		weights[i] /= total

@@ -186,10 +186,17 @@ type Sim struct {
 
 // NewSim builds a simulated model whose world knowledge derives from
 // the dataset vocabulary with profile-dependent corruption. classes
-// maps label index to class name (the names used in prompts).
+// maps label index to class name (the names used in prompts). With no
+// vocabulary (a snapshot saved without one) the model knows no signal
+// words, and its answers rest on its per-class bias and the
+// neighbors' labels.
 func NewSim(p Profile, vocab *textgen.Vocabulary, classes []string, seed uint64) *Sim {
-	if len(classes) != vocab.Classes() {
-		panic(fmt.Sprintf("llm: %d class names for %d vocabulary classes", len(classes), vocab.Classes()))
+	var signal [][]string
+	if vocab != nil {
+		if len(classes) != vocab.Classes() {
+			panic(fmt.Sprintf("llm: %d class names for %d vocabulary classes", len(classes), vocab.Classes()))
+		}
+		signal = vocab.Signal
 	}
 	root := xrand.New(seed).SplitString("llm/" + p.Name)
 	krng := root.SplitString("knowledge")
@@ -199,7 +206,7 @@ func NewSim(p Profile, vocab *textgen.Vocabulary, classes []string, seed uint64)
 		bias:      make(map[string]float64, len(classes)),
 		seed:      seed,
 	}
-	for k, words := range vocab.Signal {
+	for k, words := range signal {
 		for _, w := range words {
 			switch {
 			case krng.Float64() < p.VocabNoise/2:

@@ -1,6 +1,7 @@
 package predictors
 
 import (
+	"cmp"
 	"math"
 	"slices"
 	"sort"
@@ -11,11 +12,11 @@ import (
 	"repro/internal/xrand"
 )
 
-// refSNSSelect is the SNS selection Select replaced, kept as the
-// reference its single walk must reproduce: KHop(v, k) afresh for
-// k = 1..5 until M labeled nodes are in reach, then the top M by
-// (score, ID). KHop itself is pinned to the map-based search it
-// replaced in package tag.
+// refSNSSelect is the oldest SNS selection, kept as a reference that
+// shares no search code with Select: KHop(v, k) afresh for k = 1..5
+// until M labeled nodes are in reach, then the top M by (score, ID).
+// KHop itself is pinned to the map-based search it replaced in
+// package tag.
 func refSNSSelect(ctx *Context, v tag.NodeID) []Selected {
 	var labeled []tag.NodeID
 	for k := 1; k <= maxSNSHops; k++ {
@@ -84,6 +85,183 @@ func TestSNSSelectMatchesReference(t *testing.T) {
 			got, want := SNS{}.Select(ctx, v), refSNSSelect(ctx, v)
 			if !slices.Equal(got, want) {
 				t.Fatalf("M=%d node %d: Select = %v, reference %v", m, v, got, want)
+			}
+		}
+	}
+}
+
+// refWalkSelect is SNS.Select as it stood before tag.Graph.Nearest and
+// Similarity.Scores, kept verbatim apart from its name: one Walk that
+// stops at the hop bringing the labeled count to M, then Score for
+// each candidate.
+func refWalkSelect(ctx *Context, v tag.NodeID) []Selected {
+	type scored struct {
+		id tag.NodeID
+		s  float64
+	}
+	var ss []scored
+	ctx.Graph.Walk(v, maxSNSHops, func(_ int, level []tag.NodeID) bool {
+		for _, u := range level {
+			if ctx.label(u) != "" {
+				ss = append(ss, scored{id: u})
+			}
+		}
+		return len(ss) < ctx.M
+	})
+	if len(ss) == 0 {
+		return nil
+	}
+	sim := ctx.similarity()
+	for i := range ss {
+		ss[i].s = sim.Score(v, ss[i].id)
+	}
+	slices.SortFunc(ss, func(a, b scored) int {
+		switch {
+		case a.s > b.s:
+			return -1
+		case a.s < b.s:
+			return 1
+		}
+		return cmp.Compare(a.id, b.id)
+	})
+	n := ctx.M
+	if n > len(ss) {
+		n = len(ss)
+	}
+	out := make([]Selected, 0, n)
+	for _, sc := range ss[:n] {
+		out = append(out, Selected{ID: sc.id, Label: ctx.label(sc.id)})
+	}
+	return out
+}
+
+// snsKnownMaps returns the Known maps TestSNSMatchesReference selects
+// over on g: the paper's 20-per-class split; nothing; the split plus a
+// label on every other remaining node; and the split plus entries SNS
+// must ignore (a negative ID, IDs past the graph, empty labels).
+func snsKnownMaps(g *tag.Graph, seed uint64) map[string]map[tag.NodeID]string {
+	split := g.SplitPerClass(xrand.New(seed), 20, g.NumNodes()/2)
+	half := KnownFromSplit(g, split)
+	for v := 0; v < g.NumNodes(); v += 2 {
+		if half[tag.NodeID(v)] == "" {
+			half[tag.NodeID(v)] = g.Classes[g.Nodes[v].Label]
+		}
+	}
+	odd := KnownFromSplit(g, split)
+	odd[-5] = g.Classes[0]
+	odd[tag.NodeID(g.NumNodes())] = g.Classes[0]
+	odd[tag.NodeID(g.NumNodes()+9)] = g.Classes[0]
+	for v := 3; v < g.NumNodes(); v += 7 {
+		if odd[tag.NodeID(v)] == "" {
+			odd[tag.NodeID(v)] = ""
+		}
+	}
+	return map[string]map[tag.NodeID]string{
+		"split": KnownFromSplit(g, split),
+		"empty": {},
+		"half":  half,
+		"odd":   odd,
+	}
+}
+
+// TestSNSMatchesReference pins Select to refWalkSelect on every node
+// of cora, citeseer and pubmed, for M = 1, 4 and 10 and every Known
+// map of snsKnownMaps. Over the odd map every node is also asked once
+// while it holds a label of its own, which never counts. Then 8
+// goroutines repeat the split's selections over one shared Context
+// (run it with -race).
+func TestSNSMatchesReference(t *testing.T) {
+	for _, name := range []string{"cora", "citeseer", "pubmed"} {
+		spec, err := tag.SmallSpec(name, 800)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g := tag.Generate(spec, 3, tag.Options{})
+		sim := NewSimilarity(g)
+		for mapName, known := range snsKnownMaps(g, 4) {
+			for _, m := range []int{1, 4, 10} {
+				ctx := &Context{Graph: g, Known: known, M: m, Seed: 1}
+				ctx.SetSimilarity(sim)
+				for v := tag.NodeID(0); int(v) < g.NumNodes(); v++ {
+					own, had := known[v]
+					if mapName == "odd" && own == "" {
+						known[v] = g.Classes[g.Nodes[v].Label]
+					}
+					got, want := SNS{}.Select(ctx, v), refWalkSelect(ctx, v)
+					if mapName == "odd" && own == "" {
+						if had {
+							known[v] = own
+						} else {
+							delete(known, v)
+						}
+					}
+					if !slices.Equal(got, want) {
+						t.Fatalf("%s, %s Known, M=%d, node %d: Select = %v, reference %v", name, mapName, m, v, got, want)
+					}
+				}
+			}
+		}
+		known := snsKnownMaps(g, 4)["split"]
+		ctx := &Context{Graph: g, Known: known, M: 4, Seed: 1}
+		ctx.SetSimilarity(sim)
+		want := make([][]Selected, g.NumNodes())
+		for v := range want {
+			want[v] = refWalkSelect(ctx, tag.NodeID(v))
+		}
+		var wg sync.WaitGroup
+		for w := 0; w < 8; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for i := range want {
+					v := tag.NodeID((i + w*len(want)/8) % len(want))
+					if got := (SNS{}).Select(ctx, v); !slices.Equal(got, want[v]) {
+						t.Errorf("%s goroutine %d node %d: %v, reference %v", name, w, v, got, want[v])
+						return
+					}
+				}
+			}(w)
+		}
+		wg.Wait()
+	}
+}
+
+// TestScoresMatchScore pins the dense scorer to Score bit for bit on
+// every ordered pair among 300 nodes of each calibration dataset, over
+// the TF-IDF index and over a dense-vector index with negative
+// weights and zero rows.
+func TestScoresMatchScore(t *testing.T) {
+	for _, name := range []string{"cora", "citeseer", "pubmed"} {
+		spec, err := tag.SmallSpec(name, 300)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g := tag.Generate(spec, 8, tag.Options{})
+		rng := xrand.New(9)
+		vecs := make([][]float64, g.NumNodes())
+		for i := range vecs {
+			vecs[i] = make([]float64, 1+rng.Intn(24))
+			if i%11 == 0 {
+				continue // a zero row
+			}
+			for d := range vecs[i] {
+				if rng.Float64() < 0.4 {
+					vecs[i][d] = rng.NormFloat64()
+				}
+			}
+		}
+		all := make([]tag.NodeID, g.NumNodes())
+		for i := range all {
+			all[i] = tag.NodeID(i)
+		}
+		for idxName, s := range map[string]*Similarity{"tfidf": NewSimilarity(g), "dense": NewSimilarityDense(vecs)} {
+			for v := range all {
+				got := s.Scores(tag.NodeID(v), all, nil)
+				for u, x := range got {
+					if want := s.Score(tag.NodeID(v), tag.NodeID(u)); math.Float64bits(x) != math.Float64bits(want) {
+						t.Fatalf("%s %s: Scores(%d)[%d] = %v, Score = %v", name, idxName, v, u, x, want)
+					}
+				}
 			}
 		}
 	}

@@ -25,11 +25,11 @@ package prompt
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"slices"
 	"strings"
 	"sync"
 
-	"repro/internal/infotheory"
 	"repro/internal/token"
 )
 
@@ -215,6 +215,21 @@ func (c Compressor) CompressQuery(q *Query) (string, CompressStats) {
 	}
 	bg := backgrounds.Get().(*background)
 	defer backgrounds.Put(bg)
+	abs := q.tally(bg, c.Enabled())
+	st := CompressStats{TokensBefore: bg.sum, TokensAfter: bg.sum}
+	if len(abs) > 0 {
+		st.TokensAfter = c.compress(q.Dict, abs, bg)
+	}
+	w := compressedWriter{queryWriter: queryWriter{q: q}, abs: abs}
+	w.b.Grow(q.size())
+	layout(&w, q.NodeType, q.EdgeRelation, q.Ranked, q.Categories, len(q.Neighbors))
+	return w.b.String(), st
+}
+
+// tally starts bg on the query's prompt: the fields of its template
+// text and the IDs of its node text. With cut set it also returns the
+// abstracts, cut into spans.
+func (q *Query) tally(bg *background, cut bool) []abstract {
 	bg.begin(q.Dict.Len())
 	sk := skeleton{queryWriter{q: q}}
 	layout(&sk, q.NodeType, q.EdgeRelation, q.Ranked, q.Categories, len(q.Neighbors))
@@ -225,20 +240,13 @@ func (c Compressor) CompressQuery(q *Query) (string, CompressStats) {
 		for _, id := range ids {
 			bg.add(q.Dict, id)
 		}
-		if c.Enabled() && f%2 == 1 {
+		if cut && f%2 == 1 {
 			if a, ok := newAbstract(q.Dict, f, f == 1, ids); ok {
 				abs = append(abs, a)
 			}
 		}
 	}
-	st := CompressStats{TokensBefore: bg.sum, TokensAfter: bg.sum}
-	if len(abs) > 0 {
-		st.TokensAfter = c.compress(q.Dict, abs, bg)
-	}
-	w := compressedWriter{queryWriter: queryWriter{q: q}, abs: abs}
-	w.b.Grow(q.size())
-	layout(&w, q.NodeType, q.EdgeRelation, q.Ranked, q.Categories, len(q.Neighbors))
-	return w.b.String(), st
+	return abs
 }
 
 // plain reports whether the query's template text parses as Parse
@@ -504,6 +512,7 @@ type background struct {
 	mark  uint32
 	words int // fields of the prompt
 	sum   int // their tokens: token.Count of the prompt
+	memo  klMemo
 }
 
 var backgrounds = sync.Pool{New: func() any { return new(background) }}
@@ -563,38 +572,118 @@ func (b *background) addText(d *token.Dict, s string) {
 // signal and is dropped first; a span concentrating rare, distinctive
 // words survives. The background includes the span itself, so the
 // divergence is always finite.
+//
+// The score is infotheory.Entropy(p) + infotheory.KLDivergence(p, q)
+// for p the span's word counts and q the prompt's, over the span's
+// distinct words in first-appearance order plus one catch-all bucket
+// holding the rest of the prompt's mass, computed with the same
+// operations in the same order, so it equals that sum bit for bit. A
+// span of l words that holds a word c times puts c/l in p, so each
+// entropy term and each KL term's p side comes from spanRatio and
+// spanLog2. The catch-all bucket holds nothing of the span, so it adds
+// no term; it only makes q's sum the prompt's word total W. A KL term's
+// logarithm, log2((c/l) / (n/W)) for a word the prompt holds n times,
+// then depends only on (c, l, n) while W stays fixed, so the prompt's
+// klMemo computes each once. KL's guards stay: a negative divergence
+// reads 0, and q is never 0, since the background holds the span.
 func scoreSpans(d *token.Dict, abs []abstract, bg *background) {
-	// Score over the span's distinct words, in first-appearance order,
-	// plus one catch-all bucket holding the rest of the prompt's mass.
-	// KLDivergence normalizes q over its own sum, so this equals the
-	// full-vocabulary computation exactly, at O(span words) per span
-	// instead of O(vocabulary). A span has at most spanWords words, so
-	// a linear scan finds repeats; the buffers serve every span.
-	var distinct []int32
-	var p, q []float64
+	bg.memo.begin()
+	words := float64(bg.words)
+	var ids [spanWords]int32
+	var counts [spanWords]int
 	for ai := range abs {
 		a := &abs[ai]
 		for si := range a.spans {
 			s := &a.spans[si]
-			distinct, p, q = distinct[:0], p[:0], q[:0]
-			rest := float64(bg.words)
-			for _, id := range a.ids[s.lo:s.hi] {
+			span := a.ids[s.lo:s.hi]
+			distinct := 0
+			for _, id := range span {
 				s.tokens += d.Tokens(id)
-				k := slices.Index(distinct, id)
+				k := slices.Index(ids[:distinct], id)
 				if k < 0 {
-					k = len(distinct)
-					distinct = append(distinct, id)
-					p = append(p, 0)
-					q = append(q, bg.n[id])
-					rest -= bg.n[id]
+					k = distinct
+					ids[k], counts[k] = id, 0
+					distinct++
 				}
-				p[k]++
+				counts[k]++
 			}
-			p = append(p, 0)
-			q = append(q, rest)
-			s.score = infotheory.Entropy(p) + infotheory.KLDivergence(p, q)
+			l := len(span)
+			h := 0.0
+			for _, c := range counts[:distinct] {
+				h -= spanRatio[l][c] * spanLog2[l][c]
+			}
+			kl := 0.0
+			for k, c := range counts[:distinct] {
+				kl += spanRatio[l][c] * bg.memo.log2(c, l, bg.n[ids[k]], words)
+			}
+			if kl < 0 { // KLDivergence's cancellation guard
+				kl = 0
+			}
+			s.score = h + kl
 		}
 	}
+}
+
+// spanRatio[l][c] is c/l, the share c occurrences make of a span of l
+// words, and spanLog2[l][c] its base-2 logarithm.
+var spanRatio, spanLog2 = spanTables()
+
+func spanTables() (ratio, lg [spanWords + 1][spanWords + 1]float64) {
+	for l := 1; l <= spanWords; l++ {
+		for c := 1; c <= l; c++ {
+			ratio[l][c] = float64(c) / float64(l)
+			lg[l][c] = math.Log2(ratio[l][c])
+		}
+	}
+	return ratio, lg
+}
+
+// klMemo holds one prompt's KL logarithms by (c, l, n), in an
+// open-addressed table stamped per prompt like background's counts. It
+// keeps at most klMemoCap of them, which leaves free slots to end
+// every probe; a prompt with more distinct arguments computes the rest
+// directly. Prompts of pubmed with four neighbors have at most 32.
+type klMemo struct {
+	keys  [klSlots]uint64
+	vals  [klSlots]float64
+	stamp [klSlots]uint32
+	mark  uint32
+	used  int
+}
+
+const (
+	klBits    = 7
+	klSlots   = 1 << klBits
+	klMemoCap = klSlots / 2
+)
+
+// begin empties the memo for a new prompt.
+func (m *klMemo) begin() {
+	m.mark++
+	if m.mark == 0 { // wrapped: stamps of old prompts could collide
+		clear(m.stamp[:])
+		m.mark = 1
+	}
+	m.used = 0
+}
+
+// log2 returns log2((c/l) / (n/words)), KLDivergence's logarithm for
+// a word held c times in a span of l words and n times in a prompt of
+// words words, where words is the same for every call since begin.
+func (m *klMemo) log2(c, l int, n, words float64) float64 {
+	key := uint64(n)<<8 | uint64(l)<<4 | uint64(c)
+	i := key * 0x9E3779B97F4A7C15 >> (64 - klBits)
+	for ; m.stamp[i] == m.mark; i = (i + 1) % klSlots {
+		if m.keys[i] == key {
+			return m.vals[i]
+		}
+	}
+	lg := math.Log2(spanRatio[l][c] / (n / words))
+	if m.used < klMemoCap {
+		m.keys[i], m.vals[i], m.stamp[i] = key, lg, m.mark
+		m.used++
+	}
+	return lg
 }
 
 // render reconstructs a prompt given as text with the surviving spans,

@@ -1,6 +1,8 @@
 package prompt
 
 import (
+	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"strings"
@@ -9,6 +11,7 @@ import (
 	"repro/internal/infotheory"
 	"repro/internal/tag"
 	"repro/internal/token"
+	"repro/internal/xrand"
 )
 
 // TestCompressMatchesReference pins the compressor to the reference
@@ -22,6 +25,35 @@ import (
 // Render must be the prompt text.
 func TestCompressMatchesReference(t *testing.T) {
 	cases := 0
+	forEachCalibrationQuery(t, func(name string, v int, p string, q *Query) {
+		for level := 0; level <= MaxCompressLevel; level++ {
+			for _, budget := range []int{0, 400, 150, 1} {
+				c := Compressor{Level: level, TargetTokens: budget}
+				want, wantSt := refCompressStats(c, p)
+				got, gotSt := c.CompressStats(p)
+				if got != want || gotSt != wantSt {
+					t.Fatalf("%s node %d, %+v: stats %+v, want %+v\n--- got ---\n%s\n--- want ---\n%s",
+						name, v, c, gotSt, wantSt, got, want)
+				}
+				got, gotSt = c.CompressQuery(q)
+				if got != want || gotSt != wantSt {
+					t.Fatalf("%s node %d, %+v, query: stats %+v, want %+v\n--- got ---\n%s\n--- want ---\n%s",
+						name, v, c, gotSt, wantSt, got, want)
+				}
+				cases++
+			}
+		}
+	})
+	t.Logf("%d compressions match the reference", cases)
+}
+
+// forEachCalibrationQuery calls f with the prompts
+// TestCompressMatchesReference compresses: on a 100-node graph of every
+// calibration dataset, every node with 1–5 neighbors with abstracts
+// (some labeled), as prompt text p and as the Query q of the graph's
+// word IDs, whose Render it checks is p.
+func forEachCalibrationQuery(t *testing.T, f func(name string, v int, p string, q *Query)) {
+	t.Helper()
 	for _, name := range []string{"cora", "citeseer", "pubmed"} {
 		spec, err := tag.SmallSpec(name, 100)
 		if err != nil {
@@ -58,26 +90,114 @@ func TestCompressMatchesReference(t *testing.T) {
 			if r := q.Render(); r != p {
 				t.Fatalf("%s node %d: Render differs from Build\n--- render ---\n%s\n--- build ---\n%s", name, v, r, p)
 			}
-			for level := 0; level <= MaxCompressLevel; level++ {
-				for _, budget := range []int{0, 400, 150, 1} {
-					c := Compressor{Level: level, TargetTokens: budget}
-					want, wantSt := refCompressStats(c, p)
-					got, gotSt := c.CompressStats(p)
-					if got != want || gotSt != wantSt {
-						t.Fatalf("%s node %d, %+v: stats %+v, want %+v\n--- got ---\n%s\n--- want ---\n%s",
-							name, v, c, gotSt, wantSt, got, want)
-					}
-					got, gotSt = c.CompressQuery(&q)
-					if got != want || gotSt != wantSt {
-						t.Fatalf("%s node %d, %+v, query: stats %+v, want %+v\n--- got ---\n%s\n--- want ---\n%s",
-							name, v, c, gotSt, wantSt, got, want)
-					}
-					cases++
-				}
-			}
+			f(name, v, p, &q)
 		}
 	}
-	t.Logf("%d compressions match the reference", cases)
+}
+
+// refSpanScore is a span's score as scoreSpans computed it before its
+// tables and memo, verbatim apart from names: Entropy plus
+// KLDivergence over the span's distinct words in first-appearance
+// order and a catch-all bucket holding the rest of the prompt's mass.
+func refSpanScore(a *abstract, s span, bg *background) float64 {
+	var distinct []int32
+	var p, q []float64
+	rest := float64(bg.words)
+	for _, id := range a.ids[s.lo:s.hi] {
+		k := slices.Index(distinct, id)
+		if k < 0 {
+			k = len(distinct)
+			distinct = append(distinct, id)
+			p = append(p, 0)
+			q = append(q, bg.n[id])
+			rest -= bg.n[id]
+		}
+		p[k]++
+	}
+	p = append(p, 0)
+	q = append(q, rest)
+	return infotheory.Entropy(p) + infotheory.KLDivergence(p, q)
+}
+
+// checkSpanScores scores abs and fails unless every span's score is
+// refSpanScore's, bit for bit; it returns the spans checked and the
+// distinct KL arguments (c, l, n) they hold.
+func checkSpanScores(t *testing.T, label string, d *token.Dict, abs []abstract, bg *background) (spans int, args map[[3]int]bool) {
+	t.Helper()
+	scoreSpans(d, abs, bg)
+	args = map[[3]int]bool{}
+	for ai := range abs {
+		a := &abs[ai]
+		for si, s := range a.spans {
+			if want := refSpanScore(a, s, bg); math.Float64bits(s.score) != math.Float64bits(want) {
+				t.Fatalf("%s: abstract %d span %d scored %v, Entropy+KLDivergence %v", label, ai, si, s.score, want)
+			}
+			counts := map[int32]int{}
+			for _, id := range a.ids[s.lo:s.hi] {
+				counts[id]++
+			}
+			for id, c := range counts {
+				args[[3]int{c, s.hi - s.lo, int(bg.n[id])}] = true
+			}
+			spans++
+		}
+	}
+	return spans, args
+}
+
+// TestSpanScoresMatchReference pins scoreSpans' tables and memo to
+// Entropy + KLDivergence, bit for bit: on every span of
+// TestCompressMatchesReference's prompts, and on random prompts that
+// hold more distinct KL arguments than the memo keeps, so their last
+// terms are computed past a full memo.
+func TestSpanScoresMatchReference(t *testing.T) {
+	spans, most := 0, 0
+	forEachCalibrationQuery(t, func(name string, v int, _ string, q *Query) {
+		bg := new(background)
+		n, args := checkSpanScores(t, fmt.Sprintf("%s node %d", name, v), q.Dict, q.tally(bg, true), bg)
+		spans += n
+		most = max(most, len(args))
+	})
+	t.Logf("%d calibration spans match; at most %d distinct KL arguments in a prompt", spans, most)
+
+	rng := xrand.New(71)
+	b := token.NewBuilder(0)
+	var vocab []int32
+	for i := 0; i < 300; i++ {
+		w := fmt.Sprintf("w%d", i)
+		if i%9 == 0 {
+			w += "."
+		}
+		vocab = append(vocab, b.Intern(w))
+	}
+	bg := new(background)
+	for trial := 0; trial < 50; trial++ {
+		bg.begin(b.Dict.Len())
+		// Background counts from 1 to a few hundred, so n varies widely.
+		for _, id := range vocab {
+			for k := 1 + rng.Intn(1+rng.Intn(300)); k > 0; k-- {
+				bg.add(b.Dict, id)
+			}
+		}
+		var abs []abstract
+		for ai := 0; ai < 6; ai++ {
+			words := make([]int32, 1+rng.Intn(60))
+			for i := range words {
+				// A narrow pool repeats words within spans.
+				words[i] = vocab[rng.Intn(5+rng.Intn(len(vocab)-5))]
+			}
+			for _, id := range words {
+				bg.add(b.Dict, id)
+			}
+			if a, ok := newAbstract(b.Dict, 2*ai+1, ai == 0, words); ok {
+				abs = append(abs, a)
+			}
+		}
+		_, args := checkSpanScores(t, fmt.Sprintf("random prompt %d", trial), b.Dict, abs, bg)
+		if len(args) <= klMemoCap {
+			t.Fatalf("random prompt %d holds %d distinct KL arguments, no more than the memo's %d", trial, len(args), klMemoCap)
+		}
+	}
 }
 
 // refCompressStats is the reference compressor, kept verbatim apart

@@ -28,6 +28,10 @@ func FuzzLoad(f *testing.F) {
 	f.Add(`{"format":2}`)
 	f.Add(`{`)
 	f.Add("")
+	// Load must also reject class names a category list cannot carry
+	// back to Parse.
+	f.Add(`{"format":1,"classes":["Alpha\nBeta","Gamma"],"nodes":[{"ID":0,"Title":"t","Abstract":"x","Label":0}],"edges":[]}`)
+	f.Add(`{"format":1,"classes":["Alpha, Beta","Gamma"],"nodes":[{"ID":0,"Title":"t","Abstract":"x","Label":1}],"edges":[]}`)
 
 	f.Fuzz(func(t *testing.T, doc string) {
 		g, err := Load(strings.NewReader(doc))
@@ -36,6 +40,11 @@ func FuzzLoad(f *testing.F) {
 		}
 		if err := g.Validate(); err != nil {
 			t.Fatalf("Load accepted an invalid graph: %v", err)
+		}
+		for _, c := range g.Classes {
+			if c == "" || strings.TrimSpace(c) != c || strings.Contains(c, "\n") || strings.Contains(c, ", ") {
+				t.Fatalf("Load accepted class name %q, which a category list cannot carry", c)
+			}
 		}
 		for v := NodeID(0); int(v) < g.NumNodes(); v++ {
 			for _, s := range []string{g.Title(v), g.Abstract(v)} {

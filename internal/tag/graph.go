@@ -14,6 +14,7 @@ package tag
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"strings"
@@ -178,7 +179,7 @@ func (g *Graph) Walk(v NodeID, maxHops int, visit func(hop int, level []NodeID) 
 		return
 	}
 	w := walkers.Get().(*walker)
-	mark := w.begin(len(g.adj))
+	mark := w.begin(len(g.adj), 1)
 	seen := w.seen
 	seen[v] = mark
 	buf := append(w.buf[:0], v)
@@ -203,29 +204,177 @@ func (g *Graph) Walk(v NodeID, maxHops int, visit func(hop int, level []NodeID) 
 	walkers.Put(w)
 }
 
-// walker is the reusable state of one Walk: seen[u] == epoch marks u
-// as reached by the current walk, so starting a walk costs one
-// increment instead of clearing an array.
+// Targets is a set of nodes that Nearest looks for. It is given three
+// ways, so the search can read whichever side costs less: Len is how
+// many members Each yields (an upper bound will do, since it only
+// steers cost), Each calls f once with every member, and Has reports
+// whether a node is a member. Members outside [0, NumNodes) are
+// ignored.
+type Targets interface {
+	Len() int
+	Each(f func(NodeID))
+	Has(u NodeID) bool
+}
+
+// Nearest appends to dst the members of t that lie nearest v: every
+// member within h hops of v, for the fewest hops h in [1, maxHops]
+// that hold at least want of them, or every member within maxHops
+// hops when no h does. v itself never counts. The order is
+// unspecified. It finds exactly the members Walk(v, maxHops, ...)
+// meets in its levels when visit stops the walk once want members are
+// in hand.
+//
+// Each hop's members are found from whichever side reads less: the
+// new level, tested with Has, or the members not found yet, listed
+// through Each once the level outgrows Len and from then on checked
+// against the walk's visited stamps at every hop (the list only
+// shrinks, while levels tend to grow). At hop maxHops the frontier is
+// not expanded when the unreached members' adjacency is smaller than
+// the frontier's: the graph is undirected, so a node one hop past the
+// frontier is exactly an unreached node with a neighbor in it. Both
+// sides give the same set, so the choice, which uses only sizes the
+// walk already holds, moves cost and never the result.
+//
+// Nearest shares Walk's pooled visited stamps: it allocates nothing
+// once warm beyond dst and listing the members, and concurrent calls
+// never share state.
+func (g *Graph) Nearest(v NodeID, maxHops, want int, t Targets, dst []NodeID) []NodeID {
+	if maxHops <= 0 {
+		return dst
+	}
+	maxHops = min(maxHops, len(g.adj))
+	w := walkers.Get().(*walker)
+	// seen[x] == base+h marks x as first reached at hop h (v at hop 0),
+	// and seen[x] < base as not reached at all.
+	base := w.begin(len(g.adj), maxHops+1)
+	seen := w.seen
+	seen[v] = base
+	buf := append(w.buf[:0], v)
+	// Once listed is set, pend lists the members not reached so far and
+	// pendDeg is the adjacency they hold.
+	pend, listed, pendDeg := w.pend[:0], false, 0
+	found := len(dst)
+	// buf[lo:hi] is the frontier, and frontierDeg its adjacency once the
+	// walk stands one hop short of maxHops.
+	lo, hi, frontierDeg := 0, 1, len(g.adj[v])
+	for hop := 1; hop <= maxHops; hop++ {
+		mark := base + uint32(hop)
+		if hop == maxHops {
+			if !listed && t.Len() < frontierDeg {
+				pend, dst, pendDeg = listTargets(g.adj, seen, base, mark, t, pend, dst)
+				listed = true
+			}
+			if listed && pendDeg < frontierDeg {
+				for _, u := range pend {
+					for _, x := range g.adj[u] {
+						if seen[x] == mark-1 {
+							dst = append(dst, u)
+							break
+						}
+					}
+				}
+				break
+			}
+		}
+		deg, track := 0, hop+1 == maxHops
+		for _, u := range buf[lo:hi] {
+			for _, x := range g.adj[u] {
+				if seen[x] < base {
+					seen[x] = mark
+					buf = append(buf, x)
+					if track {
+						deg += len(g.adj[x])
+					}
+				}
+			}
+		}
+		lo, hi, frontierDeg = hi, len(buf), deg
+		if lo == hi {
+			break
+		}
+		switch {
+		case listed:
+			keep := pend[:0]
+			pendDeg = 0
+			for _, u := range pend {
+				if seen[u] == mark {
+					dst = append(dst, u)
+				} else {
+					keep = append(keep, u)
+					pendDeg += len(g.adj[u])
+				}
+			}
+			pend = keep
+		case t.Len() < hi-lo:
+			pend, dst, pendDeg = listTargets(g.adj, seen, base, mark, t, pend, dst)
+			listed = true
+		default:
+			for _, u := range buf[lo:hi] {
+				if t.Has(u) {
+					dst = append(dst, u)
+				}
+			}
+		}
+		if len(dst)-found >= want || listed && len(pend) == 0 {
+			break // enough members, or every member found
+		}
+	}
+	w.buf, w.pend = buf[:0], pend[:0]
+	walkers.Put(w)
+	return dst
+}
+
+// listTargets lists t's members through Each for Nearest: it appends
+// to pend those no stamp at or above base has reached, returning their
+// adjacency, and to dst those stamped mark. It is a function of its
+// own so that the closure Each receives captures this frame's
+// variables: captured by Nearest's, they would move to the heap on
+// every call, listed or not.
+func listTargets(adj [][]NodeID, seen []uint32, base, mark uint32, t Targets, pend, dst []NodeID) ([]NodeID, []NodeID, int) {
+	deg := 0
+	t.Each(func(u NodeID) {
+		if u < 0 || int(u) >= len(adj) {
+			return
+		}
+		switch s := seen[u]; {
+		case s < base:
+			pend = append(pend, u)
+			deg += len(adj[u])
+		case s == mark:
+			dst = append(dst, u)
+		}
+	})
+	return pend, dst, deg
+}
+
+// walker is the reusable state of one Walk or Nearest: seen[u] holds
+// the stamp of the last walk that reached u, and each walk takes
+// stamps above every earlier walk's, so starting a walk costs an
+// addition instead of clearing an array.
 type walker struct {
 	seen  []uint32
 	epoch uint32
 	buf   []NodeID
+	pend  []NodeID
 }
 
 var walkers = sync.Pool{New: func() any { return new(walker) }}
 
-// begin starts a walk over a graph of n nodes and returns its mark.
-func (w *walker) begin(n int) uint32 {
+// begin starts a walk over a graph of n nodes that uses k stamps and
+// returns the first; the walk's stamps are [first, first+k), and every
+// stamp in seen is below first.
+func (w *walker) begin(n, k int) uint32 {
 	if len(w.seen) < n {
 		w.seen = make([]uint32, n)
 		w.epoch = 0
 	}
-	w.epoch++
-	if w.epoch == 0 { // wrapped: stamps of old walks could collide
+	if uint64(w.epoch)+uint64(k) > math.MaxUint32 { // stamps of old walks could collide
 		clear(w.seen)
-		w.epoch = 1
+		w.epoch = 0
 	}
-	return w.epoch
+	first := w.epoch + 1
+	w.epoch += uint32(k)
+	return first
 }
 
 // EdgeHomophily returns the fraction of edges whose endpoints share a

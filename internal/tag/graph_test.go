@@ -407,10 +407,154 @@ func TestWalkStopsWhenVisitDeclines(t *testing.T) {
 
 func TestWalkerEpochWrapClearsStamps(t *testing.T) {
 	w := &walker{seen: []uint32{0, ^uint32(0), 7}, epoch: ^uint32(0)}
-	if mark := w.begin(3); mark != 1 {
+	if mark := w.begin(3, 1); mark != 1 {
 		t.Fatalf("mark after wrap = %d, want 1", mark)
 	}
 	if !slices.Equal(w.seen, []uint32{0, 0, 0}) {
 		t.Fatalf("stamps after wrap = %v, want cleared", w.seen)
 	}
+	// A walk that takes k stamps gets the k above every earlier stamp,
+	// and clears the array first when they would pass the top of
+	// uint32.
+	w = &walker{seen: []uint32{5, 9, 0}, epoch: 9}
+	if first := w.begin(3, 4); first != 10 || w.epoch != 13 {
+		t.Fatalf("begin(3, 4) = %d with epoch %d, want 10 and 13", first, w.epoch)
+	}
+	w.epoch = ^uint32(0) - 2
+	if first := w.begin(3, 4); first != 1 || w.epoch != 4 || !slices.Equal(w.seen, []uint32{0, 0, 0}) {
+		t.Fatalf("begin near the top = %d with epoch %d and stamps %v, want 1, 4 and cleared", first, w.epoch, w.seen)
+	}
+}
+
+// memberSet is a Targets over a listed set. It may list nodes outside
+// the graph and report a Len above its true size; Nearest must ignore
+// the one and only steer cost by the other.
+type memberSet struct {
+	list  []NodeID
+	has   map[NodeID]bool
+	slack int
+}
+
+func newMemberSet(list []NodeID, slack int) memberSet {
+	s := memberSet{list: list, has: map[NodeID]bool{}, slack: slack}
+	for _, u := range list {
+		s.has[u] = true
+	}
+	return s
+}
+
+func (s memberSet) Len() int { return len(s.list) + s.slack }
+
+func (s memberSet) Each(f func(NodeID)) {
+	for _, u := range s.list {
+		f(u)
+	}
+}
+
+func (s memberSet) Has(u NodeID) bool { return s.has[u] }
+
+// randomGraph builds an undirected graph of n nodes with m random
+// edges among its first three quarters, so the rest is isolated.
+func randomGraph(rng *xrand.RNG, n, m int) *Graph {
+	g := &Graph{Nodes: make([]Node, n), adj: make([][]NodeID, n)}
+	linked := max(1, 3*n/4)
+	seen := map[[2]NodeID]bool{}
+	for i := 0; i < m; i++ {
+		u, v := NodeID(rng.Intn(linked)), NodeID(rng.Intn(linked))
+		if u == v || seen[[2]NodeID{min(u, v), max(u, v)}] {
+			continue
+		}
+		seen[[2]NodeID{min(u, v), max(u, v)}] = true
+		g.addEdge(u, v)
+	}
+	g.sortAdj()
+	return g
+}
+
+// refNearest is Nearest by brute force: breadth-first distances from
+// v, then the members within h hops for the fewest h that hold want of
+// them, sorted.
+func refNearest(g *Graph, v NodeID, maxHops, want int, members []NodeID) []NodeID {
+	dist := make([]int, g.NumNodes())
+	for i := range dist {
+		dist[i] = -1
+	}
+	dist[v] = 0
+	for queue := []NodeID{v}; len(queue) > 0; queue = queue[1:] {
+		for _, x := range g.adj[queue[0]] {
+			if dist[x] < 0 {
+				dist[x] = dist[queue[0]] + 1
+				queue = append(queue, x)
+			}
+		}
+	}
+	var out []NodeID
+	for h := 1; h <= maxHops; h++ {
+		out = out[:0]
+		for _, u := range members {
+			if u >= 0 && int(u) < g.NumNodes() && dist[u] >= 1 && dist[u] <= h {
+				out = append(out, u)
+			}
+		}
+		if len(out) >= want {
+			break
+		}
+	}
+	slices.Sort(out)
+	return out
+}
+
+// TestNearestMatchesBruteForce checks Nearest against breadth-first
+// distances on random graphs with isolated nodes, for target sets of
+// no node, one, a few and every node (some also listing v and IDs
+// outside the graph, or reporting a Len above their size), maxHops 0–6
+// and want 0–10, from every node, appending after a prefix or not.
+func TestNearestMatchesBruteForce(t *testing.T) {
+	rng := xrand.New(61)
+	checks := 0
+	for trial := 0; trial < 40; trial++ {
+		n := 1 + rng.Intn(80)
+		g := randomGraph(rng, n, rng.Intn(3*n))
+		all := make([]NodeID, n)
+		for i := range all {
+			all[i] = NodeID(i)
+		}
+		var sets [][]NodeID
+		sets = append(sets, nil, []NodeID{NodeID(rng.Intn(n))})
+		for _, k := range []int{3, 8} {
+			if k <= n {
+				var few []NodeID
+				for _, i := range rng.Sample(n, k) {
+					few = append(few, NodeID(i))
+				}
+				sets = append(sets, few)
+			}
+		}
+		sets = append(sets, all, []NodeID{-3, NodeID(n), NodeID(n + 7), NodeID(rng.Intn(n))})
+		for si, members := range sets {
+			ts := newMemberSet(members, (si%2)*rng.Intn(40))
+			for v := NodeID(0); int(v) < n; v++ {
+				for maxHops := 0; maxHops <= 6; maxHops++ {
+					for want := 0; want <= 10; want++ {
+						var prefix []NodeID
+						if want%3 == 0 {
+							prefix = []NodeID{-1, -2}
+						}
+						got := g.Nearest(v, maxHops, want, ts, slices.Clone(prefix))
+						if !slices.Equal(got[:len(prefix)], prefix) {
+							t.Fatalf("trial %d: Nearest changed dst's prefix to %v", trial, got[:len(prefix)])
+						}
+						got = got[len(prefix):]
+						slices.Sort(got)
+						if want := refNearest(g, v, maxHops, want, members); !slices.Equal(got, want) {
+							t.Fatalf("trial %d (n=%d, set %d %v): Nearest(%d, %d, %d) = %v, want %v",
+								trial, n, si, members, v, maxHops, want, got, want)
+						}
+						checks++
+					}
+				}
+			}
+		}
+	}
+	t.Logf("%d searches match", checks)
 }

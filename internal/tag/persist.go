@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"strings"
 
 	"repro/internal/textgen"
 	"repro/internal/token"
@@ -93,7 +94,11 @@ func Save(w io.Writer, g *Graph) error {
 // must be words joined by single spaces — no newline, tab, run of
 // spaces or leading or trailing space — because prompts are
 // line-oriented and node text is stored as words: Load interns each
-// text into the graph's dictionary and rejects any other text.
+// text into the graph's dictionary and rejects any other text. Every
+// class name must survive a prompt's category list, one line of names
+// joined by ", " that prompt.Parse splits and trims: Load rejects an
+// empty name, one with leading or trailing space, and one holding a
+// newline or ", ".
 func Load(r io.Reader) (*Graph, error) {
 	var s snapshot
 	dec := json.NewDecoder(r)
@@ -102,6 +107,11 @@ func Load(r io.Reader) (*Graph, error) {
 	}
 	if s.Format != snapshotFormat {
 		return nil, fmt.Errorf("tag: snapshot format %d not supported (want %d)", s.Format, snapshotFormat)
+	}
+	for k, c := range s.Classes {
+		if c == "" || strings.TrimSpace(c) != c || strings.Contains(c, "\n") || strings.Contains(c, ", ") {
+			return nil, fmt.Errorf("tag: snapshot class %d: name %.40q cannot be listed in a prompt", k, c)
+		}
 	}
 	g := &Graph{
 		Name:    s.Name,

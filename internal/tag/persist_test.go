@@ -131,6 +131,36 @@ func TestLoadRejectsTextNotInFieldForm(t *testing.T) {
 	}
 }
 
+// TestLoadRejectsUnlistableClassNames loads snapshots whose class
+// names a prompt's category list cannot carry back to prompt.Parse
+// unchanged; each must be rejected, naming the class.
+func TestLoadRejectsUnlistableClassNames(t *testing.T) {
+	for _, tc := range []struct{ name, class string }{
+		{"empty", ""},
+		{"leading space", " Beta"},
+		{"trailing space", "Beta "},
+		{"trailing tab", `Beta\t`},
+		{"newline", `Alpha\nBeta`},
+		{"list separator", "Alpha, Beta"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			doc := fmt.Sprintf(`{"format":1,"classes":["Gamma","%s"],"nodes":[{"ID":0,"Title":"ok","Abstract":"fine","Label":1}],"edges":[]}`, tc.class)
+			_, err := Load(strings.NewReader(doc))
+			if err == nil {
+				t.Fatalf("accepted class name %q", tc.class)
+			}
+			if !strings.Contains(err.Error(), "class 1") {
+				t.Errorf("error %q does not name class 1", err)
+			}
+		})
+	}
+	// Commas without a following space, inner spaces and brackets list
+	// back unchanged.
+	if _, err := Load(strings.NewReader(`{"format":1,"classes":["Alpha,Beta","Theory of x","[y]"],"nodes":[],"edges":[]}`)); err != nil {
+		t.Fatalf("rejected listable class names: %v", err)
+	}
+}
+
 func TestSnapshotRejectsBadInput(t *testing.T) {
 	cases := []struct {
 		name string

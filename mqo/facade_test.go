@@ -189,6 +189,32 @@ func TestDatasetPersistenceFacade(t *testing.T) {
 	}
 }
 
+// TestNewSimWithoutVocabulary loads a two-node snapshot saved without
+// a "vocab" object and asks the simulator a built prompt: it must
+// answer one of the listed categories, resting on its class bias and
+// the neighbor's label, since it knows no signal words.
+func TestNewSimWithoutVocabulary(t *testing.T) {
+	doc := `{"format":1,"name":"tiny","classes":["Alpha","Beta"],` +
+		`"nodes":[{"ID":0,"Title":"graph methods","Abstract":"we study graphs.","Label":0},` +
+		`{"ID":1,"Title":"more graphs","Abstract":"","Label":1}],"edges":[[0,1]]}`
+	g, err := LoadDataset(strings.NewReader(doc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.Vocab != nil {
+		t.Fatal("snapshot without vocab loaded a vocabulary")
+	}
+	sim := NewSim(GPT35(), g, 1)
+	ctx := &Context{Graph: g, Known: map[NodeID]string{1: "Beta"}, M: 1}
+	resp, err := sim.Query(BuildPrompt(ctx, 0, []Selected{{ID: 1, Label: "Beta"}}, false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.Category != "Alpha" && resp.Category != "Beta" {
+		t.Fatalf("answered %q, not a listed category", resp.Category)
+	}
+}
+
 // TestInadequacyRankFacade checks scoring helpers exposed for plan
 // construction.
 func TestInadequacyRankFacade(t *testing.T) {

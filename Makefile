@@ -14,8 +14,8 @@ build:
 # build serve configs sets Window:, the deprecated serve.Config field
 # the tier ignores; and when Go code in the packages that build core
 # execution configs sets Cache:, the deprecated core.ExecConfig field
-# nothing reads (batch.Config.Cache stays live, so internal/batch, mqo
-# and examples are not searched).
+# nothing reads (batch.Config has no Cache field, so in mqo and
+# examples a Cache: can only be that one).
 vet:
 	$(GO) vet ./...
 	@unformatted=$$(gofmt -l $$(git ls-files '*.go')); \
@@ -24,7 +24,7 @@ vet:
 		if [ -n "$$asserts" ]; then echo "call llm.Ask instead of type-asserting llm.ContextPredictor:"; echo "$$asserts"; exit 1; fi
 	@windows=$$(git grep --untracked -nw 'Window:' -- 'internal/serve/*.go' 'internal/load/*.go' 'internal/cliflags/*.go' 'mqo/*.go' 'cmd/*.go' 'examples/*.go'); \
 		if [ -n "$$windows" ]; then echo "serve.Config.Window is deprecated and ignored; do not set it:"; echo "$$windows"; exit 1; fi
-	@caches=$$(git grep --untracked -nw 'Cache:' -- 'internal/core/*.go' 'internal/serve/*.go' 'internal/load/*.go' 'internal/cliflags/*.go' 'internal/experiments/*.go' 'cmd/*.go'); \
+	@caches=$$(git grep --untracked -nw 'Cache:' -- 'internal/core/*.go' 'internal/serve/*.go' 'internal/load/*.go' 'internal/cliflags/*.go' 'internal/experiments/*.go' 'cmd/*.go' 'mqo/*.go' 'examples/*.go'); \
 		if [ -n "$$caches" ]; then echo "core.ExecConfig.Cache is deprecated and ignored; do not set it:"; echo "$$caches"; exit 1; fi
 
 test:
@@ -70,9 +70,12 @@ fuzz:
 # cache + surrogate fallback under injected faults) and the serving-tier
 # soak (mixed-tenant coalescing + backpressure over /v1/query) with the
 # race detector. -short keeps CI at 2k query executions; drop it locally
-# for the full 10k.
+# for the full 10k. The second run repeats the affinity warm path with
+# more Ps than CPUs, where goroutines are parked mid-request: warm
+# prompts must still stay on their owners and pay nothing.
 soak:
 	$(GO) test -race -tags soak -short -run 'TestSoak' ./internal/core/ ./internal/serve/
+	GOMAXPROCS=8 $(GO) test -race -tags soak -short -run TestSoakAffinityWarmPath -count=4 ./internal/core/
 
 # chaos runs the fault-injection experiment at a fixed seed and asserts
 # that the surrogate fallback actually answered queries and that the

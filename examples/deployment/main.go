@@ -1,8 +1,8 @@
 // Deployment: the production shape of the pipeline. A simulated LLM is
 // served behind an OpenAI-compatible HTTP endpoint; a concurrent batch
-// executor with a rate limit, retries, a response cache and a hard
-// token budget drives the optimized query plan against it; and the
-// final bill is reported in dollars at the paper's price points.
+// executor with a rate limit and retries drives the optimized query
+// plan against it; and the final bill is reported in dollars at the
+// paper's price points.
 //
 //	go run ./examples/deployment
 package main
@@ -62,7 +62,6 @@ func main() {
 	exec, err := mqo.NewBatchExecutor(remote, mqo.BatchConfig{
 		Workers: 8,
 		QPS:     500,
-		Cache:   true,
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -1,10 +1,9 @@
 // Package batch executes large sets of LLM queries against real-world
 // API constraints: bounded concurrency, rate limits, transient
-// failures, a hard token budget, prompt deduplication, a persistent
-// answer cache and a JSONL audit log. It is the operational layer
-// under the paper's multi-query optimization: Algorithm 1/2 decide
-// *what* to ask; this package gets the batch asked reliably and within
-// budget.
+// failures, a hard token budget, a persistent answer cache and a JSONL
+// audit log. It is the operational layer under the paper's multi-query
+// optimization: Algorithm 1/2 decide *what* to ask; this package gets
+// the batch asked reliably and within budget.
 //
 // The executor preserves the black-box Predictor contract — it only
 // sees prompt strings — so it works identically over the simulator and
@@ -19,7 +18,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -92,18 +90,11 @@ type Config struct {
 	// requests fail fast with ErrCircuitOpen rather than queue behind a
 	// backend that is presumed down.
 	Breaker BreakerConfig
-	// Cache asks identical prompts once per Execute call: the first
-	// request with a prompt is its leader and the only one dispatched;
-	// every later one follows it, settling with the leader's outcome
-	// the moment the leader settles (Cached when the leader succeeded,
-	// zero Attempts). No answer is kept between calls — Disk is the
-	// store that outlives one — and Do, which runs one request, never
-	// groups.
-	Cache bool
 	// Disk, when non-nil, adds a persistent answer store: every
-	// dispatched prompt is looked up there before paying for a
-	// predictor call, and fresh answers are written through to it.
-	// Setting Disk implies Cache for Execute.
+	// request's prompt is looked up there before paying for a predictor
+	// call, and fresh answers are written through to it, so a prompt
+	// asked again — later in a call, in a later call or in a later
+	// run — is answered from disk.
 	Disk *promptcache.Cache
 	// CacheNamespace partitions the disk cache by answer function;
 	// empty derives it from the predictor (promptcache.Namespace), which
@@ -134,7 +125,7 @@ type Outcome struct {
 	Response llm.Response
 	Err      error
 	// Cached reports that no predictor call was paid for this request:
-	// the answer came from Disk, or from its leader (see Config.Cache).
+	// the answer came from Disk.
 	Cached bool
 	// Attempts counts predictor calls made for this request (0 when
 	// cached or skipped).
@@ -276,13 +267,15 @@ type logLine struct {
 	Error        string `json:"error,omitempty"`
 }
 
-// log writes one audit line; write errors are remembered and surfaced
-// by the next Execute call rather than dropped.
-func (e *Executor) log(l logLine) {
+// log writes one audit line for the request with prompt p, which it
+// digests; write errors are remembered and surfaced by the next
+// Execute call rather than dropped.
+func (e *Executor) log(p string, l logLine) {
 	if e.cfg.Log == nil {
 		return
 	}
 	l.Time = time.Now().UTC().Format(time.RFC3339Nano)
+	l.PromptSHA256 = promptDigest(p)
 	data, err := json.Marshal(l)
 	e.logMu.Lock()
 	defer e.logMu.Unlock()
@@ -309,41 +302,11 @@ func (e *Executor) underBudget() bool {
 	return e.cfg.BudgetTokens == 0 || e.spent.Load() < int64(e.cfg.BudgetTokens)
 }
 
-// groupByPrompt splits one call's requests into the ones to dispatch
-// and, keyed by prompt, the ones that follow them. Without Cache or
-// Disk every request is dispatched; with either, only the first
-// request carrying each prompt is (a prompt's presence as a key marks
-// its leader as taken).
-func (e *Executor) groupByPrompt(reqs []Request) ([]Request, map[string][]Request) {
-	if !e.cfg.Cache && e.cfg.Disk == nil {
-		return reqs, nil
-	}
-	leaders := make([]Request, 0, len(reqs))
-	followers := make(map[string][]Request, len(reqs))
-	for _, r := range reqs {
-		if fs, ok := followers[r.Prompt]; ok {
-			followers[r.Prompt] = append(fs, r)
-			continue
-		}
-		followers[r.Prompt] = nil
-		leaders = append(leaders, r)
-	}
-	return leaders, followers
-}
-
 // FanOut runs f(i) for every i < n on up to workers goroutines, which
 // take indices from one atomic counter in order, and returns when every
 // call has. It runs inline, in index order, when workers <= 1 or
 // n <= 1. Callers write f's results into pre-sized slices by index, so
 // the outcome does not depend on which goroutine ran which index.
-//
-// Each goroutine yields after every call. f is often CPU-bound with no
-// blocking point (planning plus a simulated predictor), and without a
-// yield a goroutine holds its P for a whole 10 ms preemption quantum:
-// one preempted inside a predictor call stays in flight that long, and
-// the replica pool's affinity guard reads the stalled requests as an
-// overloaded replica and spills its prompts to replicas whose caches
-// lack them.
 func FanOut(n, workers int, f func(i int)) {
 	workers = min(workers, n)
 	if workers <= 1 {
@@ -364,7 +327,6 @@ func FanOut(n, workers int, f func(i int)) {
 					return
 				}
 				f(i)
-				runtime.Gosched()
 			}
 		}()
 	}
@@ -374,25 +336,21 @@ func FanOut(n, workers int, f func(i int)) {
 // Do runs one request on the caller's goroutine — disk lookup, budget
 // guard, breaker, QPS pacing and retries, counted in the in-flight
 // gauge — and returns its outcome. Concurrent Do and Execute calls
-// share the executor's breaker, budget and pacing. Do never groups
-// prompts: a prompt asked by two calls is paid twice unless Disk
-// already holds the first call's answer.
+// share the executor's breaker, budget and pacing. A prompt asked
+// twice is paid twice unless Disk already holds the first answer.
 func (e *Executor) Do(ctx context.Context, r Request) Outcome {
-	o, _ := e.do(ctx, r, obs.Active(e.cfg.Obs))
-	return o
+	return e.do(ctx, r, obs.Active(e.cfg.Obs))
 }
 
 // Execute runs all requests and returns per-request outcomes. It only
 // returns a top-level error for setup problems (nil context, duplicate
 // IDs) or a failing audit log; per-query failures are reported in
 // Outcomes so one bad query cannot void a 10,000-query batch. Requests
-// run on up to Workers goroutines through Do's path; with Cache or
-// Disk, identical prompts are grouped first (Config.Cache).
+// run on up to Workers goroutines, each through Do's path.
 func (e *Executor) Execute(ctx context.Context, reqs []Request) (*Result, error) {
 	if ctx == nil {
 		return nil, errors.New("batch: nil context")
 	}
-	res := &Result{Outcomes: make(map[string]Outcome, len(reqs))}
 	seen := make(map[string]bool, len(reqs))
 	for _, r := range reqs {
 		if seen[r.ID] {
@@ -400,13 +358,25 @@ func (e *Executor) Execute(ctx context.Context, reqs []Request) (*Result, error)
 		}
 		seen[r.ID] = true
 	}
-	leaders, followers := e.groupByPrompt(reqs)
 
-	var outMu sync.Mutex
-	settle := func(r Request, o Outcome) {
-		outMu.Lock()
-		defer outMu.Unlock()
-		res.Outcomes[r.ID] = o
+	outs := make([]Outcome, len(reqs))
+	rec := obs.Active(e.cfg.Obs)
+	// Each request runs, or — once ctx has ended — settles undispatched
+	// with its own audit line.
+	FanOut(len(reqs), e.cfg.Workers, func(i int) {
+		r := reqs[i]
+		if err := ctx.Err(); err != nil {
+			outs[i] = Outcome{Err: err}
+			e.log(r.Prompt, logLine{ID: r.ID, Error: err.Error()})
+			rec.Add(metricBatchRequests, 1, "outcome", "undispatched")
+			return
+		}
+		outs[i] = e.do(ctx, r, rec)
+	})
+
+	res := &Result{Outcomes: make(map[string]Outcome, len(reqs))}
+	for i, o := range outs {
+		res.Outcomes[reqs[i].ID] = o
 		switch {
 		case errors.Is(o.Err, ErrBudgetExhausted):
 			res.Skipped++
@@ -418,32 +388,6 @@ func (e *Executor) Execute(ctx context.Context, reqs []Request) (*Result, error)
 			res.TokensUsed += o.Response.InputTokens + o.Response.OutputTokens
 		}
 	}
-	rec := obs.Active(e.cfg.Obs)
-	// Each leader runs, or — once ctx has ended — settles undispatched
-	// with its own audit line; its followers then settle with a copy of
-	// its outcome.
-	FanOut(len(leaders), e.cfg.Workers, func(i int) {
-		r := leaders[i]
-		var o Outcome
-		var label string
-		if err := ctx.Err(); err != nil {
-			o, label = Outcome{Err: err}, "undispatched"
-			e.log(logLine{ID: r.ID, PromptSHA256: promptDigest(r.Prompt), Error: err.Error()})
-			rec.Add(metricBatchRequests, 1, "outcome", label)
-		} else {
-			o, label = e.do(ctx, r, rec)
-		}
-		settle(r, o)
-		fo := Outcome{Response: o.Response, Err: o.Err, Cached: o.Err == nil, Finished: o.Finished}
-		if o.Err == nil {
-			label = "coalesced"
-		}
-		for _, f := range followers[r.Prompt] {
-			e.follow(f, fo, label, rec)
-			settle(f, fo)
-		}
-	})
-
 	e.logMu.Lock()
 	logErr := e.logErr
 	e.logMu.Unlock()
@@ -451,28 +395,6 @@ func (e *Executor) Execute(ctx context.Context, reqs []Request) (*Result, error)
 		return res, fmt.Errorf("batch: audit log failed: %w", logErr)
 	}
 	return res, nil
-}
-
-// follow books one follower's share of its leader's outcome o: an
-// audit line, the request counter under label and, when the request is
-// traced, a batch.cache span and a billed cache charge covering its
-// whole wait, from its root span's start to o.Finished. The charge
-// carries the response's tokens: the caller meters every answered
-// request, so the ledger must bill each one.
-func (e *Executor) follow(r Request, o Outcome, label string, rec obs.Recorder) {
-	l := logLine{ID: r.ID, PromptSHA256: promptDigest(r.Prompt), Category: o.Response.Category, Cached: o.Cached}
-	if o.Err != nil {
-		l.Error = o.Err.Error()
-	}
-	e.log(l)
-	rec.Add(metricBatchRequests, 1, "outcome", label)
-	root := obs.SpanFromContext(r.Ctx)
-	if root == nil || o.Finished.IsZero() || !obs.Enabled(rec) {
-		return
-	}
-	_, csp := obs.StartSpanCtxAt(r.Ctx, rec, "batch.cache", root.StartTime(), "tier", "coalesced")
-	csp.EndAt(o.Finished)
-	obs.Charge(r.Ctx, obs.StageCache, o.Finished.Sub(root.StartTime()), o.Response.InputTokens+o.Response.OutputTokens, true)
 }
 
 // abortReason labels context-ended outcomes for the abort counter.
@@ -503,12 +425,11 @@ func (c *charger) charge(stage string, wall time.Duration, tokens int, billed bo
 }
 
 // do executes a single dispatched request — disk lookup, budget
-// guard, rate-paced predictor calls with retry — counted in the
-// in-flight gauge, and returns its outcome and metric label.
-func (e *Executor) do(ctx context.Context, r Request, rec obs.Recorder) (Outcome, string) {
+// guard, rate-paced predictor calls with retry, write-through — counted
+// in the in-flight gauge, and returns its outcome.
+func (e *Executor) do(ctx context.Context, r Request, rec obs.Recorder) Outcome {
 	e.noteInflight(rec, 1)
 	defer e.noteInflight(rec, -1)
-	digest := promptDigest(r.Prompt)
 	live := obs.Enabled(rec)
 	var span *obs.Span
 	var ch *charger
@@ -540,7 +461,7 @@ func (e *Executor) do(ctx context.Context, r Request, rec obs.Recorder) (Outcome
 	// done stamps Finished at the instant the residual charge runs up
 	// to, so the request's billed stages tile its span up to Finished
 	// exactly — nothing the worker does afterwards goes unbilled.
-	done := func(o Outcome, outcome string) (Outcome, string) {
+	done := func(o Outcome, outcome string) Outcome {
 		rec.Add(metricBatchRequests, 1, "outcome", outcome)
 		o.Finished = time.Now()
 		if live {
@@ -551,22 +472,32 @@ func (e *Executor) do(ctx context.Context, r Request, rec obs.Recorder) (Outcome
 			span.SetAttr("attempts", fmt.Sprint(o.Attempts))
 			span.EndAt(o.Finished)
 		}
-		return o, outcome
+		return o
 	}
-	if resp, ok := e.diskGet(r.Prompt); ok {
-		// An earlier run (or an earlier round of this one) already paid
-		// for this prompt. The cache charge carries the response's token
-		// count: the caller's meter counts cached answers, so the ledger
-		// must bill them to a stage.
-		e.log(logLine{ID: r.ID, PromptSHA256: digest, Category: resp.Category, Cached: true})
-		if live {
-			_, csp := obs.StartSpanCtxAt(qctx, rec, "batch.cache", pickup, "tier", "disk")
-			csp.End()
-			ch.charge(obs.StageCache, time.Since(pickup), resp.InputTokens+resp.OutputTokens, true)
+	var key promptcache.Key
+	if e.cfg.Disk != nil {
+		key = promptcache.KeyOf(e.cfg.CacheNamespace, r.Prompt)
+		if resp, ok := e.cfg.Disk.Get(key); ok {
+			// An earlier request, call or run already paid for this
+			// prompt. The cache charge carries the response's token
+			// count: the caller's meter counts cached answers, so the
+			// ledger must bill them to a stage.
+			e.log(r.Prompt, logLine{ID: r.ID, Category: resp.Category, Cached: true})
+			if live {
+				_, csp := obs.StartSpanCtxAt(qctx, rec, "batch.cache", pickup, "tier", "disk")
+				csp.End()
+				ch.charge(obs.StageCache, time.Since(pickup), resp.InputTokens+resp.OutputTokens, true)
+			}
+			return done(Outcome{Response: resp, Cached: true}, "disk")
 		}
-		return done(Outcome{Response: resp, Cached: true}, "disk")
 	}
-	return done(e.attempt(qctx, r, rec, digest, live, ch))
+	o, outcome := e.attempt(qctx, r, rec, live, ch)
+	if o.Err == nil && e.cfg.Disk != nil {
+		// Write-through is best-effort: a full or failing disk loses
+		// persistence, not the (already correct) answer.
+		_ = e.cfg.Disk.Put(key, o.Response)
+	}
+	return done(o, outcome)
 }
 
 // attempt runs the budget guard and the rate-paced retry loop for one
@@ -574,9 +505,9 @@ func (e *Executor) do(ctx context.Context, r Request, rec obs.Recorder) (Outcome
 // query's span/ledger values (do grafted them), so spans opened
 // here — backoff, breaker verdict, attempt N — nest under the
 // batch.request span and charges land on the query's ledger.
-func (e *Executor) attempt(ctx context.Context, r Request, rec obs.Recorder, digest string, live bool, ch *charger) (Outcome, string) {
+func (e *Executor) attempt(ctx context.Context, r Request, rec obs.Recorder, live bool, ch *charger) (Outcome, string) {
 	if !e.underBudget() {
-		e.log(logLine{ID: r.ID, PromptSHA256: digest, Error: ErrBudgetExhausted.Error()})
+		e.log(r.Prompt, logLine{ID: r.ID, Error: ErrBudgetExhausted.Error()})
 		return Outcome{Err: ErrBudgetExhausted}, "skipped"
 	}
 
@@ -609,7 +540,7 @@ func (e *Executor) attempt(ctx context.Context, r Request, rec obs.Recorder, dig
 					vsp.End()
 					ch.charge(obs.StageBreaker, 0, 0, true)
 				}
-				e.log(logLine{ID: r.ID, PromptSHA256: digest, Attempts: attempt - 1, Error: err.Error()})
+				e.log(r.Prompt, logLine{ID: r.ID, Attempts: attempt - 1, Error: err.Error()})
 				return Outcome{Err: err, Attempts: attempt - 1}, "rejected"
 			}
 		}
@@ -655,14 +586,8 @@ func (e *Executor) attempt(ctx context.Context, r Request, rec obs.Recorder, dig
 			e.reportBreaker(true)
 			e.spent.Add(int64(resp.InputTokens + resp.OutputTokens))
 			rec.Add(metricBatchTokens, float64(resp.InputTokens+resp.OutputTokens))
-			if e.cfg.Disk != nil {
-				// Write-through is best-effort: a full or failing disk
-				// loses persistence, not the (already correct) answer.
-				_ = e.cfg.Disk.Put(promptcache.KeyOf(e.cfg.CacheNamespace, r.Prompt), resp)
-			}
-			e.log(logLine{
-				ID: r.ID, PromptSHA256: digest,
-				InputTokens: resp.InputTokens, OutputTokens: resp.OutputTokens,
+			e.log(r.Prompt, logLine{
+				ID: r.ID, InputTokens: resp.InputTokens, OutputTokens: resp.OutputTokens,
 				Category: resp.Category, Attempts: attempt,
 			})
 			return Outcome{Response: resp, Attempts: attempt}, "ok"
@@ -683,24 +608,16 @@ func (e *Executor) attempt(ctx context.Context, r Request, rec obs.Recorder, dig
 			// The request's fault, not the backend's: neither retried
 			// nor counted toward the breaker.
 			e.cancelBreaker()
-			e.log(logLine{ID: r.ID, PromptSHA256: digest, Attempts: attempt, Error: err.Error()})
+			e.log(r.Prompt, logLine{ID: r.ID, Attempts: attempt, Error: err.Error()})
 			return Outcome{Err: err, Attempts: attempt}, "error"
 		}
 		e.reportBreaker(false)
 	}
-	e.log(logLine{ID: r.ID, PromptSHA256: digest, Attempts: e.cfg.MaxRetries + 1, Error: lastErr.Error()})
+	e.log(r.Prompt, logLine{ID: r.ID, Attempts: e.cfg.MaxRetries + 1, Error: lastErr.Error()})
 	return Outcome{
 		Err:      fmt.Errorf("batch: request %q failed after %d attempts: %w", r.ID, e.cfg.MaxRetries+1, lastErr),
 		Attempts: e.cfg.MaxRetries + 1,
 	}, "error"
-}
-
-// diskGet consults the persistent tier, when configured.
-func (e *Executor) diskGet(prompt string) (llm.Response, bool) {
-	if e.cfg.Disk == nil {
-		return llm.Response{}, false
-	}
-	return e.cfg.Disk.Get(promptcache.KeyOf(e.cfg.CacheNamespace, prompt))
 }
 
 // reportBreaker feeds a call outcome to the breaker when one exists.

@@ -17,6 +17,7 @@ import (
 
 	"repro/internal/llm"
 	"repro/internal/obs"
+	"repro/internal/promptcache"
 	"repro/internal/token"
 )
 
@@ -223,9 +224,12 @@ func TestDoSharesGuardsWithExecute(t *testing.T) {
 	}
 }
 
+// TestExecuteCache: with Disk set, a prompt asked again — later in the
+// same call or in a later call — is answered from disk and pays no
+// predictor call.
 func TestExecuteCache(t *testing.T) {
 	p := newScripted()
-	e, err := New(p, Config{Workers: 1, Cache: true})
+	e, err := New(p, Config{Workers: 1, Disk: openCache(t, promptcache.Config{})})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,24 +249,22 @@ func TestExecuteCache(t *testing.T) {
 	if got := p.total.Load(); got != 2 {
 		t.Errorf("predictor called %d times, want 2", got)
 	}
-	// Grouping is per Execute call: no answer outlives it, so a second
-	// call on the same executor pays one fresh predictor call.
 	res2, err := e.Execute(context.Background(), []Request{{ID: "e", Prompt: "dup"}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res2.CacheHits != 0 {
-		t.Errorf("second batch cache hits=%d, want 0", res2.CacheHits)
+	if res2.CacheHits != 1 {
+		t.Errorf("second batch cache hits=%d, want 1", res2.CacheHits)
 	}
-	if got := p.total.Load(); got != 3 {
-		t.Errorf("predictor called %d times after the second batch, want 3", got)
+	if got := p.total.Load(); got != 2 {
+		t.Errorf("predictor called %d times after the second batch, want 2", got)
 	}
 }
 
 func TestExecuteJSONLLog(t *testing.T) {
 	var buf bytes.Buffer
 	p := newScripted()
-	e, err := New(p, Config{Workers: 1, Log: &buf, Cache: true})
+	e, err := New(p, Config{Workers: 1, Log: &buf, Disk: openCache(t, promptcache.Config{})})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,12 +306,13 @@ func TestExecuteJSONLLog(t *testing.T) {
 }
 
 // TestExecuteLogsUndispatched pins Config.Log's one line per outcome
-// when the context has already ended: the leader settled undispatched
-// gets its own line (ID, prompt digest, error), as its follower does.
+// when the context has already ended: every request settled
+// undispatched gets its own line (ID, prompt digest, error), those
+// sharing a prompt included.
 func TestExecuteLogsUndispatched(t *testing.T) {
 	var buf bytes.Buffer
 	p := newScripted()
-	e, err := New(p, Config{Workers: 1, Log: &buf, Cache: true})
+	e, err := New(p, Config{Workers: 1, Log: &buf})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -350,7 +353,7 @@ func TestExecuteLogsUndispatched(t *testing.T) {
 // absence of the data race.
 func TestExecuteLogConcurrentWorkers(t *testing.T) {
 	var buf bytes.Buffer
-	e, err := New(newScripted(), Config{Workers: 16, Log: &buf, Cache: true})
+	e, err := New(newScripted(), Config{Workers: 16, Log: &buf})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -559,9 +562,11 @@ func (s *slowScripted) Query(prompt string) (llm.Response, error) {
 	return s.scripted.Query(prompt)
 }
 
-func TestExecuteSingleFlightDeduplicatesConcurrentPrompts(t *testing.T) {
-	p := &slowScripted{scripted: scripted{calls: map[string]int{}}, delay: 50 * time.Millisecond}
-	e, err := New(p, Config{Workers: 8, Cache: true})
+// TestExecuteAsksEveryRequest: Execute groups nothing, so identical
+// prompts in flight together each pay their own predictor call.
+func TestExecuteAsksEveryRequest(t *testing.T) {
+	p := &slowScripted{scripted: scripted{calls: map[string]int{}}, delay: 20 * time.Millisecond}
+	e, err := New(p, Config{Workers: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -573,60 +578,28 @@ func TestExecuteSingleFlightDeduplicatesConcurrentPrompts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := p.total.Load(); got != 1 {
-		t.Fatalf("predictor called %d times for 8 identical in-flight prompts, want 1", got)
+	if got := p.total.Load(); got != 8 {
+		t.Fatalf("predictor called %d times for 8 identical in-flight prompts, want 8", got)
 	}
-	cached := 0
-	for _, o := range res.Outcomes {
-		if o.Err != nil {
-			t.Fatalf("unexpected outcome error: %v", o.Err)
-		}
-		if o.Cached {
-			cached++
+	for id, o := range res.Outcomes {
+		if o.Err != nil || o.Cached || o.Attempts != 1 {
+			t.Fatalf("%s: outcome %+v, want one fresh attempt", id, o)
 		}
 	}
-	if cached != 7 {
-		t.Fatalf("cached outcomes = %d, want 7 (one leader call, seven coalesced)", cached)
-	}
-	// Only the leader's call is billed.
-	if res.TokensUsed != 12 {
-		t.Fatalf("TokensUsed = %d, want 12", res.TokensUsed)
+	if res.CacheHits != 0 || res.TokensUsed != 8*12 {
+		t.Fatalf("CacheHits = %d, TokensUsed = %d, want 0 and %d", res.CacheHits, res.TokensUsed, 8*12)
 	}
 }
 
-func TestExecuteSingleFlightLeaderErrorPropagates(t *testing.T) {
-	p := &slowScripted{
-		scripted: scripted{calls: map[string]int{}, failFirst: 1000, failErr: errors.New("bad request")},
-		delay:    30 * time.Millisecond,
-	}
-	e, err := New(p, Config{Workers: 4, Cache: true, MaxRetries: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rs := make([]Request, 4)
-	for i := range rs {
-		rs[i] = Request{ID: fmt.Sprintf("q%d", i), Prompt: "same prompt"}
-	}
-	res, err := e.Execute(context.Background(), rs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Failed != 4 {
-		t.Fatalf("Failed = %d, want 4 (leader error reaches every waiter)", res.Failed)
-	}
-	if got := p.total.Load(); got != 1 {
-		t.Fatalf("predictor called %d times, want 1", got)
-	}
-}
-
-// TestFollowerLedgersBillTheirAnswers pins the books of grouped
-// requests: traced requests share prompts, and every follower's ledger
-// bills exactly its response's tokens and covers at least 90% of its
-// root span, as each leader's does.
+// TestFollowerLedgersBillTheirAnswers pins the books of requests that
+// follow an earlier one with the same prompt and are answered from
+// Disk: every follower's ledger bills exactly its response's tokens
+// and covers at least 90% of its root span, queue wait included, as
+// each leader's does.
 func TestFollowerLedgersBillTheirAnswers(t *testing.T) {
 	reg := obs.NewRegistry()
 	p := &slowScripted{scripted: scripted{calls: map[string]int{}}, delay: 20 * time.Millisecond}
-	e, err := New(p, Config{Workers: 2, Cache: true, Obs: reg})
+	e, err := New(p, Config{Workers: 1, Disk: openCache(t, promptcache.Config{}), Obs: reg})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,14 +1,11 @@
 package batch
 
 import (
-	"bytes"
 	"context"
 	"fmt"
-	"strings"
 	"sync"
 	"testing"
 
-	"repro/internal/llm"
 	"repro/internal/obs"
 	"repro/internal/promptcache"
 )
@@ -132,158 +129,6 @@ func TestDiskNamespaceSeparates(t *testing.T) {
 	}
 	if p.total.Load() != 10 {
 		t.Fatalf("total calls %d, want 10 (no cross-namespace sharing)", p.total.Load())
-	}
-}
-
-// TestReconcileCacheNewerWins covers one half of satellite order: the
-// audit log recorded a garbage-fault answer, a later retry wrote the
-// corrected answer to the disk cache. The cache entry is newer and must
-// win.
-func TestReconcileCacheNewerWins(t *testing.T) {
-	disk := openCache(t, promptcache.Config{})
-	const ns = "ns"
-	promptText := "who goes there"
-	key := promptcache.KeyOf(ns, promptText)
-	if err := disk.Put(key, llm.Response{Text: "Category: ['Good']", Category: "Good", InputTokens: 9, OutputTokens: 1}); err != nil {
-		t.Fatal(err)
-	}
-
-	// The log line predates the cache write by decades.
-	log := `{"time":"2001-01-01T00:00:00Z","id":"q1","prompt_sha256":"x","input_tokens":9,"output_tokens":1,"category":"Garbage","attempts":1}`
-	recs, err := ReplayLogRecords(strings.NewReader(log))
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := ReconcileWithCache(recs, map[string]string{"q1": promptText}, disk, ns)
-	if out["q1"].Category != "Good" {
-		t.Fatalf("stale log record won over newer cache: %+v", out["q1"])
-	}
-}
-
-// TestReconcileLogNewerWinsAndRepairsCache covers the mirror order: the
-// cache holds a stale answer (written before the log line), so the
-// resume record wins and the cache is repaired in place.
-func TestReconcileLogNewerWinsAndRepairsCache(t *testing.T) {
-	disk := openCache(t, promptcache.Config{})
-	const ns = "ns"
-	promptText := "who goes there"
-	key := promptcache.KeyOf(ns, promptText)
-	if err := disk.Put(key, llm.Response{Text: "Category: ['Stale']", Category: "Stale", InputTokens: 9, OutputTokens: 1}); err != nil {
-		t.Fatal(err)
-	}
-
-	// The log line postdates the cache write by decades.
-	log := `{"time":"2101-01-01T00:00:00Z","id":"q1","prompt_sha256":"x","input_tokens":9,"output_tokens":1,"category":"Fresh","attempts":2}`
-	recs, err := ReplayLogRecords(strings.NewReader(log))
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := ReconcileWithCache(recs, map[string]string{"q1": promptText}, disk, ns)
-	if out["q1"].Category != "Fresh" {
-		t.Fatalf("newer log record lost to stale cache: %+v", out["q1"])
-	}
-	if repaired, ok := disk.Get(key); !ok || repaired.Category != "Fresh" {
-		t.Fatalf("stale cache entry not repaired: %+v ok=%v", repaired, ok)
-	}
-}
-
-// TestReconcileBackfillsAndPassesThrough: a cache miss is backfilled
-// from the resume record; IDs without a prompt mapping (or a nil cache)
-// pass through untouched.
-func TestReconcileBackfillsAndPassesThrough(t *testing.T) {
-	disk := openCache(t, promptcache.Config{})
-	const ns = "ns"
-	log := strings.Join([]string{
-		`{"time":"2026-01-01T00:00:00Z","id":"q1","prompt_sha256":"x","input_tokens":5,"category":"K","attempts":1}`,
-		`{"time":"2026-01-01T00:00:00Z","id":"q2","prompt_sha256":"y","input_tokens":5,"category":"L","attempts":1}`,
-	}, "\n")
-	recs, err := ReplayLogRecords(strings.NewReader(log))
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := ReconcileWithCache(recs, map[string]string{"q1": "prompt one"}, disk, ns)
-	if out["q1"].Category != "K" || out["q2"].Category != "L" {
-		t.Fatalf("reconcile corrupted agreeing records: %+v", out)
-	}
-	if got, ok := disk.Get(promptcache.KeyOf(ns, "prompt one")); !ok || got.Category != "K" {
-		t.Fatalf("cache not backfilled from resume record: %+v ok=%v", got, ok)
-	}
-	if disk.Len() != 1 {
-		t.Fatalf("unmapped ID written to cache: %d entries", disk.Len())
-	}
-
-	nilOut := ReconcileWithCache(recs, map[string]string{"q1": "prompt one"}, nil, ns)
-	if nilOut["q1"].Category != "K" || nilOut["q2"].Category != "L" {
-		t.Fatalf("nil cache changed records: %+v", nilOut)
-	}
-}
-
-// TestResumeAgainstCacheEndToEnd drives the full crash story with a
-// disk tier: run one, crash (log kept, new process), reconcile, resume.
-// The resume run must bill only the unfinished queries, and queries
-// recovered from the log must also now be in the cache.
-func TestResumeAgainstCacheEndToEnd(t *testing.T) {
-	disk := openCache(t, promptcache.Config{})
-	const ns = "scripted|tmpl=test"
-	p := newScripted()
-	p.tokens = 100
-
-	var logBuf bytes.Buffer
-	all := reqs(10)
-	prompts := make(map[string]string, len(all))
-	for _, r := range all {
-		prompts[r.ID] = r.Prompt
-	}
-
-	e1, err := New(p, Config{Workers: 1, BudgetTokens: 400, Log: &logBuf, Disk: disk, CacheNamespace: ns})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e1.Execute(context.Background(), all); err != nil {
-		t.Fatal(err)
-	}
-
-	recs, err := ReplayLogRecords(bytes.NewReader(logBuf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	done := ReconcileWithCache(recs, prompts, disk, ns)
-	todo, recovered := FilterDone(all, done)
-	if len(todo)+len(recovered) != 10 || len(recovered) != 4 {
-		t.Fatalf("FilterDone: %d todo / %d recovered", len(todo), len(recovered))
-	}
-
-	callsBefore := p.total.Load()
-	e2, err := New(p, Config{Workers: 2, Disk: disk, CacheNamespace: ns})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res2, err := e2.Execute(context.Background(), todo)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res2.Failed != 0 {
-		t.Fatalf("resume run failed queries: %+v", res2)
-	}
-	if got := p.total.Load() - callsBefore; got != int64(len(todo)) {
-		t.Errorf("resume billed %d queries, want %d", got, len(todo))
-	}
-	// Every completed query — recovered or resumed — is now cached, so
-	// a third run costs nothing.
-	e3, err := New(p, Config{Disk: disk, CacheNamespace: ns})
-	if err != nil {
-		t.Fatal(err)
-	}
-	calls := p.total.Load()
-	res3, err := e3.Execute(context.Background(), all)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.total.Load() != calls {
-		t.Errorf("third run paid %d calls, want 0", p.total.Load()-calls)
-	}
-	if res3.CacheHits != 10 {
-		t.Errorf("third run: %+v", res3)
 	}
 }
 

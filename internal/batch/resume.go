@@ -5,11 +5,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"time"
 
 	"repro/internal/llm"
 	"repro/internal/prompt"
-	"repro/internal/promptcache"
 )
 
 // Checkpoint/resume: the JSONL audit log doubles as a durable record of
@@ -18,36 +16,13 @@ import (
 // FilterDone trims the request list so the re-run only bills the
 // remainder.
 
-// ResumeRecord is one recovered outcome plus the time it was logged,
-// which reconciliation against the persistent cache uses to decide
-// which of two conflicting records is newer.
-type ResumeRecord struct {
-	Response llm.Response
-	Time     time.Time
-}
-
 // ReplayLog parses a JSONL audit log produced by Executor and returns
 // the successful outcomes keyed by request ID. Lines recording errors
 // or budget skips are ignored (those queries must re-run); later lines
 // for an ID supersede earlier ones. Malformed lines abort with an
 // error rather than silently dropping paid work.
 func ReplayLog(r io.Reader) (map[string]llm.Response, error) {
-	recs, err := ReplayLogRecords(r)
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[string]llm.Response, len(recs))
-	for id, rec := range recs {
-		out[id] = rec.Response
-	}
-	return out, nil
-}
-
-// ReplayLogRecords is ReplayLog keeping each outcome's log timestamp.
-// A line with a missing or unparseable time gets the zero time, which
-// reconciliation treats as older than any cache entry.
-func ReplayLogRecords(r io.Reader) (map[string]ResumeRecord, error) {
-	out := make(map[string]ResumeRecord)
+	out := make(map[string]llm.Response)
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
 	lineNo := 0
@@ -71,63 +46,17 @@ func ReplayLogRecords(r io.Reader) (map[string]ResumeRecord, error) {
 		if l.InputTokens < 0 || l.OutputTokens < 0 {
 			return nil, fmt.Errorf("batch: log line %d has negative token counts", lineNo)
 		}
-		when, _ := time.Parse(time.RFC3339Nano, l.Time) // zero time when absent/invalid
-		out[l.ID] = ResumeRecord{
-			Response: llm.Response{
-				Text:         prompt.FormatResponse(l.Category),
-				Category:     l.Category,
-				InputTokens:  l.InputTokens,
-				OutputTokens: l.OutputTokens,
-			},
-			Time: when,
+		out[l.ID] = llm.Response{
+			Text:         prompt.FormatResponse(l.Category),
+			Category:     l.Category,
+			InputTokens:  l.InputTokens,
+			OutputTokens: l.OutputTokens,
 		}
 	}
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("batch: reading log: %w", err)
 	}
 	return out, nil
-}
-
-// ReconcileWithCache validates recovered resume records against the
-// persistent prompt cache and returns the agreed outcomes for
-// FilterDone. The two records for one prompt can disagree: a
-// garbage-fault answer logged before a retry succeeded, a cache filled
-// by a later corrected run, or the mirror image. The rule is
-// last-writer-wins — whichever side is newer supplies the response —
-// and the loser is repaired in place (the cache is overwritten with
-// the newer answer) so the two stores agree afterwards.
-//
-// prompts maps request IDs to the exact prompt text that produced
-// them; IDs without a prompt entry pass through unvalidated. A nil
-// cache returns the records unchanged.
-func ReconcileWithCache(records map[string]ResumeRecord, prompts map[string]string, c *promptcache.Cache, namespace string) map[string]llm.Response {
-	out := make(map[string]llm.Response, len(records))
-	for id, rec := range records {
-		out[id] = rec.Response
-		promptText, ok := prompts[id]
-		if !ok || c == nil {
-			continue
-		}
-		key := promptcache.KeyOf(namespace, promptText)
-		cached, cachedAt, ok := c.GetEntry(key)
-		switch {
-		case !ok:
-			// The cache never saw this prompt (it predates the disk
-			// tier, or was evicted): backfill so future runs hit.
-			_ = c.Put(key, rec.Response)
-		case cached.Category == rec.Response.Category:
-			// Agreement; nothing to repair.
-		case cachedAt.After(rec.Time):
-			// The cache is newer — e.g. the audit log recorded a garbage
-			// answer and a later retry wrote the corrected one to disk.
-			out[id] = cached
-		default:
-			// The resume record is newer: the log captured a corrected
-			// retry the cache missed. Overwrite the stale cache entry.
-			_ = c.Put(key, rec.Response)
-		}
-	}
-	return out
 }
 
 // FilterDone splits requests into the ones still to run and the

@@ -44,7 +44,7 @@ func (e *Exec) Register(fs *flag.FlagSet) {
 	fs.IntVar(&k.Replicas, "replicas", atLeastOne(k.Replicas), "replica slots in the predictor pool; > 1 enables health-aware routing with one breaker per replica")
 	fs.BoolVar(&k.Hedge, "hedge", k.Hedge, "race a second replica when the first outlives -hedge-after (needs -replicas > 1)")
 	fs.DurationVar(&k.HedgeAfter, "hedge-after", k.HedgeAfter, "hedge trigger delay (0 = 50ms default)")
-	fs.BoolVar(&k.Affinity, "affinity", k.Affinity, "route each prompt to its cache-affine replica (rendezvous over prompt-cache keys; falls back to P2C when the owner is ejected or overloaded; needs -replicas > 1)")
+	fs.BoolVar(&k.Affinity, "affinity", k.Affinity, "route each prompt to its cache-affine replica (rendezvous over prompt-cache keys; falls back to P2C only while the owner's breaker refuses; needs -replicas > 1)")
 	fs.IntVar(&k.Compress, "compress", k.Compress, "prompt-compression level 1..3: rank abstract spans by signal density and keep at most 4/2/1 per abstract (0 = off; versions the prompt-cache namespace)")
 	fs.IntVar(&k.TargetTokens, "target-tokens", k.TargetTokens, "per-query compressed token budget; sparsest spans keep dropping until each prompt fits (0 = level caps only; implies -compress 1)")
 	fs.StringVar(&e.CacheDir, "cache-dir", "", "persistent prompt-cache directory (empty = no disk cache)")

@@ -407,43 +407,6 @@ func TestPruneBeatsRandomAcrossBudgets(t *testing.T) {
 	}
 }
 
-func TestTokenPruningRunWithBudget(t *testing.T) {
-	f := newFixture(t, 600, 120, 43)
-	m := predictors.KHopRandom{K: 1}
-	perQ, _ := EstimateQueryTokens(f.ctx, m, f.split.Query, 0)
-	tp := TokenPruning{
-		Budget:        0.85 * perQ * float64(len(f.split.Query)),
-		PruneFraction: -1,
-		Config:        fastInadequacy(43),
-	}
-	res, plan, err := tp.Run(f.freshCtx(), m, f.sim, f.split.Query)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(plan.Prune) == 0 {
-		t.Fatal("budget below full cost but nothing pruned")
-	}
-	if len(res.Pred) != len(f.split.Query) {
-		t.Fatal("not all queries executed")
-	}
-}
-
-func TestTokenPruningRunWithFraction(t *testing.T) {
-	f := newFixture(t, 600, 100, 47)
-	m := predictors.KHopRandom{K: 2}
-	tp := TokenPruning{PruneFraction: 0.2, Config: fastInadequacy(47)}
-	res, plan, err := tp.Run(f.freshCtx(), m, f.sim, f.split.Query)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := len(f.split.Query) / 5; len(plan.Prune) != want {
-		t.Fatalf("pruned %d, want %d", len(plan.Prune), want)
-	}
-	if res.Equipped > len(f.split.Query)-len(plan.Prune) {
-		t.Fatalf("equipped %d with %d pruned", res.Equipped, len(plan.Prune))
-	}
-}
-
 func TestValidatePlan(t *testing.T) {
 	good := Plan{Queries: []tag.NodeID{1, 2, 3}, Prune: map[tag.NodeID]bool{2: true}}
 	if err := validatePlan(good); err != nil {

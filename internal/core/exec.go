@@ -253,8 +253,8 @@ type ExecConfig struct {
 	HedgeAfter time.Duration
 	// Affinity routes each prompt to its cache-affine replica
 	// (rendezvous hashing of the prompt-cache key over the replica
-	// set) instead of pure latency×load P2C, falling back to P2C when
-	// the affine replica is ejected or overloaded. With per-replica
+	// set) instead of pure latency×load P2C, falling back to P2C only
+	// while the affine replica's breaker refuses it. With per-replica
 	// disk caches (e.g. distinct llmserve upstreams) a warm prompt
 	// then never pays cold-replica tokens. Requires pooling (Replicas
 	// or ReplicaCount).

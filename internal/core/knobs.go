@@ -44,8 +44,8 @@ type Knobs struct {
 	Hedge      bool          `json:"hedge,omitempty"`
 	HedgeAfter time.Duration `json:"hedge_after,omitempty"`
 	// Affinity routes each prompt to its cache-affine replica
-	// (rendezvous over prompt-cache keys), falling back to P2C when the
-	// owner is ejected or overloaded. Needs Replicas >= 2.
+	// (rendezvous over prompt-cache keys), falling back to P2C only
+	// while the owner's breaker refuses it. Needs Replicas >= 2.
 	Affinity bool `json:"affinity,omitempty"`
 	// Compress (level 1..prompt.MaxCompressLevel) enables the prompt-
 	// compression stage; TargetTokens additionally caps each compressed

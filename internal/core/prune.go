@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/llm"
 	"repro/internal/predictors"
@@ -85,57 +84,6 @@ func OraclePrunePlan(ctx *predictors.Context, p llm.Predictor, queries []tag.Nod
 		plan.Prune[v] = true
 	}
 	return plan, nil
-}
-
-// TokenPruning is the end-to-end Algorithm 1: fit the inadequacy
-// measure, derive τ from the token budget (or use PruneFraction when
-// set), build the plan and execute it.
-type TokenPruning struct {
-	// Budget is the total input-token budget B; ignored when
-	// PruneFraction >= 0.
-	Budget float64
-	// PruneFraction, when in [0, 1], fixes τ directly (the paper's
-	// Table IV uses τ = 0.20).
-	PruneFraction float64
-	// Inadequacy configuration.
-	Config InadequacyConfig
-	// TokenSample caps how many queries are used to estimate per-query
-	// token averages for the budget→τ conversion (0 = all).
-	TokenSample int
-}
-
-// Run executes the strategy and returns the results plus the plan used.
-func (tp TokenPruning) Run(ctx *predictors.Context, m predictors.Method, p llm.Predictor, queries []tag.NodeID) (*Results, Plan, error) {
-	iq, err := FitInadequacy(ctx.Graph, labeledIDs(ctx), p, ctx.NodeType, tp.Config)
-	if err != nil {
-		return nil, Plan{}, err
-	}
-	tau := tp.PruneFraction
-	if tau < 0 || tau > 1 {
-		perQuery, perNeighbor := EstimateQueryTokens(ctx, m, queries, tp.TokenSample)
-		var ok bool
-		tau, ok = TauForBudget(tp.Budget, len(queries), perQuery, perNeighbor)
-		if !ok {
-			return nil, Plan{}, fmt.Errorf("core: budget %.0f tokens infeasible for %d queries even at full pruning (τ=%.2f)", tp.Budget, len(queries), tau)
-		}
-	}
-	plan := PrunePlan(iq, ctx.Graph, queries, tau)
-	res, err := Execute(ctx, m, p, plan)
-	if err != nil {
-		return nil, Plan{}, err
-	}
-	return res, plan, nil
-}
-
-// labeledIDs lists the nodes with visible labels in the context.
-func labeledIDs(ctx *predictors.Context) []tag.NodeID {
-	out := make([]tag.NodeID, 0, len(ctx.Known))
-	for v := range ctx.Known {
-		out = append(out, v)
-	}
-	// Deterministic order: map iteration is randomized.
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 // validatePlan checks a plan only prunes its own queries; used in tests

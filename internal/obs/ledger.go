@@ -16,7 +16,7 @@ const DefaultLedgerCapacity = 256
 // traceguard can rely on it.
 const (
 	StageQueue     = "queue"           // executor queue wait (submit → worker pickup)
-	StageCache     = "cache"           // answer shared in-batch (coalesced) or read from disk
+	StageCache     = "cache"           // answer read from the prompt cache
 	StagePredict   = "predict"         // winning predictor call
 	StageRetry     = "retry"           // failed attempts that were retried
 	StageBackoff   = "backoff"         // sleep between attempts

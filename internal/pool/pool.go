@@ -247,9 +247,6 @@ func (p *Pool) Len() int { return len(p.replicas) }
 // Score implements View: the replica's latency×load estimate.
 func (p *Pool) Score(i int) float64 { return p.replicas[i].score() }
 
-// Inflight implements View.
-func (p *Pool) Inflight(i int) int64 { return p.replicas[i].inflight.Load() }
-
 // ID implements View: the replica's stable rendezvous identity.
 func (p *Pool) ID(i int) string { return p.replicas[i].rid }
 

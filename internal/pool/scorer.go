@@ -47,8 +47,6 @@ type View interface {
 	// Score is the load estimate (EWMA latency × queue depth) — lower
 	// is better.
 	Score(i int) float64
-	// Inflight is the replica's current in-flight request count.
-	Inflight(i int) int64
 	// ID is the replica's stable rendezvous identity: derived from the
 	// backend's answer-function identity, so the key→replica placement
 	// survives pool reconstruction and (for distinct backends) replica
@@ -63,8 +61,8 @@ type View interface {
 // most-preferred first (the excluded index never appears), and Affine
 // names the replica that structurally *owns* the attempt's cache key,
 // or -1 for scorers with no affinity notion. Affine may legitimately
-// be absent from Order (ejected or overloaded owner) — the pool still
-// uses it to account the pick as an affinity hit or miss.
+// sit behind other replicas in Order (an ejected owner) — the pool
+// still uses it to account the pick as an affinity hit or miss.
 type Ranking struct {
 	Order  []int
 	Affine int
@@ -158,14 +156,6 @@ func p2cOrder(a Attempt, v View, skip int) []int {
 	return append(order, rest...)
 }
 
-// DefaultAffinityRatio is the overload guard for the Affinity scorer:
-// the affine replica is abandoned for this pick only when its score
-// exceeds Ratio× the best alternative's AND its queue is Ratio× deeper.
-// Both conditions are required because unobserved replicas score a
-// near-zero sentinel — a score-only guard would exile warm traffic to
-// any replica that simply hasn't served yet.
-const DefaultAffinityRatio = 4.0
-
 // Affinity routes each prompt to the replica that rendezvous hashing
 // (highest random weight over the prompt-cache key) assigns as the
 // owner of that key. Every replica whose disk cache saw the prompt
@@ -173,21 +163,22 @@ const DefaultAffinityRatio = 4.0
 // only ~1/n of the key space (no modulo reshuffle). The full ranking
 // is the rendezvous order, so:
 //
+//   - the owner keeps its prompts for as long as its breaker looks
+//     ready, however busy it is: a momentary in-flight count cannot
+//     tell a convoy from goroutines the scheduler merely parked, and
+//     every spill re-buys tokens the owner already holds. A slow owner
+//     is the hedge's job, a dead one the breakers';
 //   - a hedge attempt, which excludes the primary, lands on the key's
 //     *second* hash choice — the replica most likely to have the
 //     prompt warm from a previous degraded pick — instead of a random
 //     cold one;
-//   - when the owner is ejected, traffic for its shard degrades to
-//     P2C over the healthy remainder (the owner is kept last in the
-//     order so a half-open probe can still reach it when everything
-//     else is down too).
+//   - when the owner's breaker refuses, traffic for its shard degrades
+//     to P2C over the rest (the owner is kept last in the order so a
+//     half-open probe can still reach it when everything else is down
+//     too).
 //
-// The zero value is ready to use (Ratio defaults to
-// DefaultAffinityRatio).
-type Affinity struct {
-	// Ratio tunes the overload guard; <= 0 means DefaultAffinityRatio.
-	Ratio float64
-}
+// The zero value is ready to use.
+type Affinity struct{}
 
 // Name implements Scorer.
 func (s *Affinity) Name() string { return "affinity" }
@@ -199,42 +190,17 @@ func (s *Affinity) Rank(a Attempt, v View) Ranking {
 		return Ranking{Affine: -1}
 	}
 	affine := ord[0]
-	if v.Ready(affine) && !s.overloaded(affine, a.Exclude, v) {
+	if v.Ready(affine) {
 		return Ranking{Order: ord, Affine: affine}
 	}
-	// Degraded path: the key's owner is ejected or drowning. Spread its
-	// shard by P2C over the rest — concentrating a dead owner's load on
-	// the second hash choice would just knock replicas over in
-	// rendezvous order — but keep the owner last so a recovering
-	// breaker still sees probes. Affine stays set: these picks are the
-	// misses the mqo_pool_affinity_misses_total counter exists to show.
+	// Degraded path: the key's owner is ejected. Spread its shard by
+	// P2C over the rest — concentrating a dead owner's load on the
+	// second hash choice would just knock replicas over in rendezvous
+	// order — but keep the owner last so a recovering breaker still
+	// sees probes. Affine stays set: these picks are the misses the
+	// mqo_pool_affinity_misses_total counter exists to show.
 	rest := p2cOrder(a, v, affine)
 	return Ranking{Order: append(rest, affine), Affine: affine}
-}
-
-// overloaded is the guard that lets a hot shard spill: true only when
-// the owner is clearly worse than the best other ready replica on both
-// the score and the queue-depth axis (see DefaultAffinityRatio for why
-// both).
-func (s *Affinity) overloaded(affine, exclude int, v View) bool {
-	ratio := s.Ratio
-	if ratio <= 0 {
-		ratio = DefaultAffinityRatio
-	}
-	best := -1
-	for i := 0; i < v.Len(); i++ {
-		if i == affine || i == exclude || !v.Ready(i) {
-			continue
-		}
-		if best < 0 || v.Score(i) < v.Score(best) {
-			best = i
-		}
-	}
-	if best < 0 {
-		return false // nowhere better to go
-	}
-	return v.Score(affine) > ratio*v.Score(best) &&
-		float64(v.Inflight(affine)+1) > ratio*float64(v.Inflight(best)+1)
 }
 
 // rendezvousOrder returns every non-excluded replica index by

@@ -159,45 +159,44 @@ func TestAffinityFallsBackWhenAffineEjected(t *testing.T) {
 	}
 }
 
-// TestAffinityOverloadGuard: the owner is abandoned only when it is
-// worse than the best alternative on BOTH score and queue depth. A
-// score gap alone (e.g. against a never-observed replica scoring the
-// near-zero sentinel) must not exile warm traffic.
+// TestAffinityOverloadGuard: a busy owner keeps its prompts. An owner
+// whose breaker looks ready stays first however deep its queue and
+// however bad its score — ten requests in flight and a score 50x the
+// other replica's — and drops to last, its pick a miss, only when its
+// breaker opens.
 func TestAffinityOverloadGuard(t *testing.T) {
 	a := &fakePred{name: "a", id: "x"}
 	b := &fakePred{name: "b", id: "x"}
-	pl := mustPool(t, Config{Scorer: &Affinity{}}, a, b)
+	pl := mustPool(t, Config{Scorer: &Affinity{}, Breaker: batch.BreakerConfig{Threshold: 1, Cooldown: time.Hour}}, a, b)
 
 	att := pl.attempt("guard-probe", xrand.New(1))
 	affine := rendezvousOrder(att.Key, pl, -1)[0]
 	other := 1 - affine
 	sc := &Affinity{}
 
-	// Never-observed other replica: its sentinel score is ~1e-9, so the
-	// score ratio is astronomical — but the owner's queue is idle, so
-	// the guard must hold.
-	pl.replicas[affine].observe(0.5)
+	pl.replicas[affine].observe(0.05)
+	pl.replicas[affine].inflight.Add(10)
+	pl.replicas[other].observe(0.011)
+	if r := pl.Score(affine) / pl.Score(other); r < 50 {
+		t.Fatalf("owner scores %.1fx the other replica, want >= 50x", r)
+	}
 	if rk := sc.Rank(att, pl); rk.Order[0] != affine || rk.Affine != affine {
-		t.Fatalf("idle owner abandoned on score gap alone: order %v, affine %d", rk.Order, rk.Affine)
+		t.Fatalf("ready owner abandoned under load: order %v, affine %d", rk.Order, rk.Affine)
 	}
 
-	// Deep queue AND bad score: now the guard must trip, and the pick
-	// becomes a miss (Affine still names the owner).
-	pl.replicas[affine].inflight.Add(10)
-	pl.replicas[other].observe(0.01)
+	// One failure opens the owner's breaker: now it drops to last and
+	// Affine still names it, so the pick counts as a miss.
+	brk := pl.replicas[affine].brk
+	if err := brk.Allow(); err != nil {
+		t.Fatal(err)
+	}
+	brk.Report(false)
 	rk := sc.Rank(att, pl)
-	if rk.Order[0] != other {
-		t.Fatalf("drowning owner not abandoned: order %v", rk.Order)
+	if rk.Order[0] != other || rk.Order[len(rk.Order)-1] != affine {
+		t.Fatalf("owner with an open breaker not moved last: order %v", rk.Order)
 	}
 	if rk.Affine != affine {
-		t.Fatalf("Affine = %d after overload fallback, want owner %d", rk.Affine, affine)
-	}
-	if rk.Order[len(rk.Order)-1] != affine {
-		t.Fatalf("owner not kept last in degraded order %v", rk.Order)
-	}
-	pl.replicas[affine].inflight.Add(-10)
-	if rk := sc.Rank(att, pl); rk.Order[0] != affine {
-		t.Fatalf("owner with drained queue still abandoned: order %v", rk.Order)
+		t.Fatalf("Affine = %d after the owner's breaker opened, want owner %d", rk.Affine, affine)
 	}
 }
 

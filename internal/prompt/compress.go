@@ -415,18 +415,25 @@ func (a *abstract) keepTop(spanCap int) (dropped int) {
 	if len(a.spans) <= spanCap {
 		return 0
 	}
-	idx := make([]int, len(a.spans))
-	for i := range idx {
-		idx[i] = i
-	}
-	// Deterministic selection order: density descending, position
-	// ascending on ties (the stable sort preserves index order).
-	slices.SortStableFunc(idx, func(i, j int) int {
-		return cmp.Compare(a.spans[j].score, a.spans[i].score)
-	})
-	for _, i := range idx[spanCap:] {
+	// Clear every mark, then keep the first maximum of the spans not
+	// yet kept, cap times: density descending, position ascending on
+	// ties.
+	for i := range a.kept {
 		a.kept[i] = false
-		dropped += a.spans[i].tokens
+	}
+	for range spanCap {
+		best := -1
+		for i, sp := range a.spans {
+			if !a.kept[i] && (best < 0 || cmp.Compare(sp.score, a.spans[best].score) > 0) {
+				best = i
+			}
+		}
+		a.kept[best] = true
+	}
+	for i, sp := range a.spans {
+		if !a.kept[i] {
+			dropped += sp.tokens
+		}
 	}
 	return dropped
 }

@@ -206,16 +206,8 @@ func (c *Cache) addBytes(delta int64) {
 // Get returns the cached response for k, if present and unexpired.
 // A hit refreshes the entry's LRU position.
 func (c *Cache) Get(k Key) (llm.Response, bool) {
-	resp, _, ok := c.GetEntry(k)
-	return resp, ok
-}
-
-// GetEntry is Get plus the entry's write time, which resume
-// reconciliation uses to decide which of two conflicting records —
-// audit log vs cache — is newer.
-func (c *Cache) GetEntry(k Key) (llm.Response, time.Time, bool) {
 	s := c.shardFor(k)
-	resp, written, evictedBytes, expired, ok := s.get(k)
+	resp, evictedBytes, expired, ok := s.get(k)
 	c.addBytes(-evictedBytes)
 	if expired {
 		c.bumpEvictions(1, "expired")
@@ -225,13 +217,13 @@ func (c *Cache) GetEntry(k Key) (llm.Response, time.Time, bool) {
 		c.stats.s.Misses++
 		c.stats.Unlock()
 		c.rec.Add(metricCacheMisses, 1)
-		return llm.Response{}, time.Time{}, false
+		return llm.Response{}, false
 	}
 	c.stats.Lock()
 	c.stats.s.Hits++
 	c.stats.Unlock()
 	c.rec.Add(metricCacheHits, 1)
-	return resp, written, true
+	return resp, true
 }
 
 // Contains reports whether k is cached and unexpired, without touching

@@ -224,25 +224,24 @@ func (s *shard) dropLocked(k Key) {
 	delete(s.index, k)
 }
 
-// get looks up k. It reports the entry, its write time, the bytes
-// released by a TTL expiry (0 otherwise), whether an expiry happened,
+// get looks up k. It reports the entry, the bytes released by a TTL expiry (0 otherwise), whether an expiry happened,
 // and whether the lookup hit.
-func (s *shard) get(k Key) (resp llm.Response, written time.Time, evictedBytes int64, expired, ok bool) {
+func (s *shard) get(k Key) (resp llm.Response, evictedBytes int64, expired, ok bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	e, found := s.index[k]
 	if !found {
-		return llm.Response{}, time.Time{}, 0, false, false
+		return llm.Response{}, 0, false, false
 	}
 	if s.ttl > 0 && s.now().Sub(e.written) > s.ttl {
 		// Expired: drop it from the index only. Replay re-applies the
 		// same TTL check, so the stale record cannot resurrect.
 		size := e.size
 		s.dropLocked(k)
-		return llm.Response{}, time.Time{}, size, true, false
+		return llm.Response{}, size, true, false
 	}
 	s.lru.MoveToFront(e.elem)
-	return e.resp, e.written, 0, false, true
+	return e.resp, 0, false, true
 }
 
 // contains reports presence without touching LRU order.

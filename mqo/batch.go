@@ -11,7 +11,7 @@ import (
 type BatchRequest = batch.Request
 
 // BatchConfig tunes concurrent batch execution: workers, QPS, retries,
-// token budget, caching, JSONL audit log.
+// token budget, disk answer cache, JSONL audit log.
 type BatchConfig = batch.Config
 
 // BatchOutcome is one request's result (response or error, cache flag,

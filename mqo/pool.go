@@ -26,8 +26,8 @@ type P2CScorer = pool.P2C
 
 // AffinityScorer pins each prompt-cache key to its rendezvous owner in
 // the replica set, so warm per-replica caches never pay cold-replica
-// tokens; routing degrades to P2C when the owner is ejected or
-// overloaded. The zero value is ready to use.
+// tokens; routing degrades to P2C only while the owner's breaker
+// refuses it. The zero value is ready to use.
 type AffinityScorer = pool.Affinity
 
 // NewPool builds a replica pool over the given backends. The same

@@ -56,7 +56,8 @@ benchpool:
 	@tail -n 2 BENCH_pool.json
 
 # fuzz smokes every fuzz target for a bounded interval (go test -fuzz
-# accepts one target per package invocation).
+# accepts one target per package invocation, so each pattern is
+# anchored).
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test -fuzz FuzzPoolPick -fuzztime $(FUZZTIME) -run '^$$' ./internal/pool/
@@ -65,6 +66,9 @@ fuzz:
 	$(GO) test -fuzz FuzzScenarioConfig -fuzztime $(FUZZTIME) -run '^$$' ./internal/load/
 	$(GO) test -fuzz FuzzCompress -fuzzminimizetime 10x -fuzztime $(FUZZTIME) -run '^$$' ./internal/prompt/
 	$(GO) test -fuzz FuzzCount -fuzztime $(FUZZTIME) -run '^$$' ./internal/token/
+	$(GO) test -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/prompt/
+	$(GO) test -fuzz FuzzBuildParseRoundTrip -fuzztime $(FUZZTIME) -run '^$$' ./internal/prompt/
+	$(GO) test -fuzz FuzzLoad -fuzztime $(FUZZTIME) -run '^$$' ./internal/tag/
 
 # soak runs the chaos soak (replica pool + hedging + breakers + disk
 # cache + surrogate fallback under injected faults) and the serving-tier
@@ -154,16 +158,17 @@ benchcompress:
 
 # benchplan times the plan path's stages on a full-size pubmed graph
 # (generation, the SNS similarity index, SNS selection of every tenth
-# node, level-1 compression of 200 SNS prompts, and ExecuteWith of 200
-# SNS queries with neighbor abstracts at compression level 1) and
-# appends one JSON line per benchmark (ns/op, B/op, allocs/op) to the
+# node, level-1 compression of 200 SNS prompts, the simulator
+# answering those 200 compressed prompts, and ExecuteWith of 200 SNS
+# queries with neighbor abstracts at compression level 1) and appends
+# one JSON line per benchmark (ns/op, B/op, allocs/op) to the
 # committed BENCH_plan.json trajectory, then shows every line the run
 # appended. The benchmarks use only long-standing APIs, so the same
 # file measures an older checkout for a before row.
 benchplan:
 	MQO_BENCH_JSON=$(CURDIR)/BENCH_plan.json \
 		$(GO) test -bench 'BenchmarkPlan' -benchtime 3x -run '^$$' ./internal/core/
-	@tail -n 5 BENCH_plan.json
+	@tail -n 6 BENCH_plan.json
 
 # servesmoke proves the online serving tier end to end across a real
 # process boundary: llmserve starts with -serve on the smoke scenario's

@@ -18,8 +18,9 @@ import (
 // The plan-path benchmarks time the stages of the plan path on a
 // full-size pubmed graph (19,717 nodes): generating it, building the
 // SNS similarity index over it, SNS selection alone, level-1
-// compression alone, and planning and asking 200 SNS queries with
-// neighbor abstracts at compression level 1. They use only APIs that
+// compression alone, the simulator answering the compressed prompts
+// alone, and planning and asking 200 SNS queries with neighbor
+// abstracts at compression level 1. They use only APIs that
 // older releases also have, so the same file measures a before and an
 // after. With MQO_BENCH_JSON set (the Makefile
 // benchplan target points it at BENCH_plan.json), each appends one JSON
@@ -165,17 +166,24 @@ func BenchmarkPlanSelectSNS(b *testing.B) {
 	}
 }
 
-// BenchmarkPlanCompress times level-1 compression of 200 SNS pubmed
-// prompts with neighbor abstracts, given as queries of the graph's
-// word IDs; selection and prompt assembly run before the timer.
-func BenchmarkPlanCompress(b *testing.B) {
-	g := pubmed(b)
+// compressQueries returns the 200 SNS pubmed queries with neighbor
+// abstracts that BenchmarkPlanCompress and BenchmarkPlanSimQuery read,
+// selected and assembled before any timer starts.
+func compressQueries(g *tag.Graph) []prompt.Query {
 	ctx := snsContext(g, true)
 	split := g.SplitPerClass(xrand.New(1).SplitString("plan-bench"), 20, 200)
 	queries := make([]prompt.Query, len(split.Query))
 	for i, v := range split.Query {
 		queries[i] = predictors.PromptQuery(ctx, v, predictors.SNS{}.Select(ctx, v), true)
 	}
+	return queries
+}
+
+// BenchmarkPlanCompress times level-1 compression of 200 SNS pubmed
+// prompts with neighbor abstracts, given as queries of the graph's
+// word IDs; selection and prompt assembly run before the timer.
+func BenchmarkPlanCompress(b *testing.B) {
+	queries := compressQueries(pubmed(b))
 	c := prompt.Compressor{Level: 1}
 	saved := 0
 	measure(b, "BenchmarkPlanCompress", func() {
@@ -187,5 +195,33 @@ func BenchmarkPlanCompress(b *testing.B) {
 	})
 	if saved == 0 {
 		b.Fatal("compression saved no tokens")
+	}
+}
+
+// BenchmarkPlanSimQuery times the GPT-3.5 simulator answering the 200
+// prompts BenchmarkPlanCompress compresses, compressed before the
+// timer: reading each prompt, scoring its evidence and counting its
+// tokens.
+func BenchmarkPlanSimQuery(b *testing.B) {
+	g := pubmed(b)
+	queries := compressQueries(g)
+	prompts := make([]string, len(queries))
+	for i := range queries {
+		prompts[i], _ = prompt.Compressor{Level: 1}.CompressQuery(&queries[i])
+	}
+	sim := llm.NewSim(llm.GPT35(), g.Vocab, g.Classes, 2)
+	tokens := 0
+	measure(b, "BenchmarkPlanSimQuery", func() {
+		tokens = 0
+		for _, p := range prompts {
+			resp, err := sim.Query(p)
+			if err != nil {
+				b.Fatal(err)
+			}
+			tokens += resp.InputTokens
+		}
+	})
+	if tokens == 0 {
+		b.Fatal("the simulator counted no tokens")
 	}
 }

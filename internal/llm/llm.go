@@ -28,6 +28,7 @@ package llm
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
@@ -176,9 +177,15 @@ func GPT4oMini() Profile {
 // answer no matter how many workers issue the batch or in what order —
 // the property the concurrent plan executor's determinism rests on.
 type Sim struct {
-	profile   Profile
-	wordClass map[string]string // word -> class name (noisy knowledge)
-	bias      map[string]float64
+	profile Profile
+	// names are the distinct class names, in first-appearance order;
+	// class maps each to its index, wordClass maps each signal word the
+	// model knows to the index of its class (noisy knowledge), and
+	// bias[k] is class k's miscalibration.
+	names     []string
+	class     map[string]int
+	wordClass map[string]int32
+	bias      []float64
 	seed      uint64
 	meter     token.Meter
 	rec       obs.Recorder
@@ -202,9 +209,21 @@ func NewSim(p Profile, vocab *textgen.Vocabulary, classes []string, seed uint64)
 	krng := root.SplitString("knowledge")
 	s := &Sim{
 		profile:   p,
-		wordClass: make(map[string]string),
-		bias:      make(map[string]float64, len(classes)),
+		class:     make(map[string]int, len(classes)),
+		wordClass: make(map[string]int32),
 		seed:      seed,
+	}
+	// A class name listed twice is one class, as a prompt's category
+	// list reads it.
+	index := make([]int32, len(classes))
+	for k, c := range classes {
+		i, ok := s.class[c]
+		if !ok {
+			i = len(s.names)
+			s.class[c] = i
+			s.names = append(s.names, c)
+		}
+		index[k] = int32(i)
 	}
 	for k, words := range signal {
 		for _, w := range words {
@@ -213,15 +232,16 @@ func NewSim(p Profile, vocab *textgen.Vocabulary, classes []string, seed uint64)
 				// Forgotten: the model treats the word as background.
 			case krng.Float64() < p.VocabNoise/2:
 				// Confused: attributed to a random other class.
-				s.wordClass[w] = classes[krng.Intn(len(classes))]
+				s.wordClass[w] = index[krng.Intn(len(classes))]
 			default:
-				s.wordClass[w] = classes[k]
+				s.wordClass[w] = index[k]
 			}
 		}
 	}
 	brng := root.SplitString("bias")
-	for _, c := range classes {
-		s.bias[c] = p.BiasStd * brng.NormFloat64()
+	s.bias = make([]float64, len(s.names))
+	for k := range classes {
+		s.bias[index[k]] = p.BiasStd * brng.NormFloat64()
 	}
 	return s
 }
@@ -243,33 +263,47 @@ func (s *Sim) Meter() *token.Meter { return &s.meter }
 // it before serving; it must not race with Query.
 func (s *Sim) SetObserver(r obs.Recorder) { s.rec = r }
 
-// evidence accumulates, per class name, the normalized fraction of
-// known signal words in text, and reports the raw signal-word count.
-// Normalizing by total signal hits keeps datasets with different text
-// lengths on one evidence scale; callers use the hit count to weigh
-// down sparse-signal snippets (a single keyword in a neighbor title is
-// weak evidence, not total conviction).
-func (s *Sim) evidence(text string) (map[string]float64, float64) {
-	counts := make(map[string]float64)
-	var total float64
-	for _, w := range strings.Fields(text) {
-		if c, ok := s.wordClass[w]; ok {
-			counts[c]++
-			total++
-		}
+// evidence counts the known signal words among the fields of texts
+// into counts, by class index, and returns how many there were.
+// Callers normalize each class's count by that total, which keeps
+// datasets with different text lengths on one evidence scale, and use
+// the total to weigh down sparse-signal snippets (a single keyword in a
+// neighbor title is weak evidence, not total conviction).
+func (s *Sim) evidence(counts []int32, texts ...string) (total int32) {
+	clear(counts)
+	for _, text := range texts {
+		token.ForFields(text, func(w string) {
+			if k, ok := s.wordClass[w]; ok {
+				counts[k]++
+				total++
+			}
+		})
 	}
-	if total == 0 {
-		return counts, 0
-	}
-	out := make(map[string]float64, len(counts))
-	for c, n := range counts {
-		out[c] = n / total
-	}
-	return out, total
+	return total
 }
+
+// Buffers a query's reading keeps on the stack; a prompt with more of
+// anything spills that buffer to the heap, with the same answer. 64
+// classes hold the largest class list of the shipped datasets
+// (ogbn-products, 47), and 16 entries hold four times the neighbors
+// the plan path lists by default (M = 4), each with a Title and an
+// Abstract line.
+const (
+	stackClasses   = 64 // classes the simulator knows, and names in the category list
+	stackNeighbors = 16 // neighbor entries
+	stackTexts     = 2 * stackNeighbors
+)
 
 // Query implements Predictor. It fails only on prompts that do not
 // follow the Table III templates.
+//
+// It reads the prompt once, with a prompt.Scanner, holding every part
+// it needs as a substring in a stack buffer, and counts signal words
+// by class in arrays, so scoring a prompt allocates nothing. Each
+// category's score is summed in a fixed order, exact integer counts
+// turned into the same float64 terms: its bias, the target's
+// evidence, each neighbor's text evidence in prompt order, then each
+// neighbor label's vote.
 func (s *Sim) Query(promptText string) (Response, error) {
 	rec := obs.Active(s.rec)
 	live := obs.Enabled(rec)
@@ -277,26 +311,79 @@ func (s *Sim) Query(promptText string) (Response, error) {
 	if live {
 		start = time.Now()
 	}
-	parsed, err := prompt.Parse(promptText)
-	if err != nil {
+
+	var catBuf [stackClasses]string
+	var textBuf [stackTexts]string
+	var endBuf [stackNeighbors]int
+	var labelBuf [stackNeighbors]string
+	var title, abstract string
+	cats, texts, ends, labels := catBuf[:0], textBuf[:0], endBuf[:0], labelBuf[:0]
+	sc := prompt.NewScanner(promptText)
+	for sc.Scan() {
+		switch sc.Part() {
+		case prompt.TargetTitle:
+			title = sc.Text()
+		case prompt.TargetAbstract:
+			abstract = sc.Text()
+		case prompt.NeighborText:
+			texts = append(texts, sc.Text())
+		case prompt.NeighborEnd:
+			ends = append(ends, len(texts))
+			labels = append(labels, sc.Text())
+		case prompt.Category:
+			cats = append(cats, sc.Text())
+		}
+	}
+	if err := sc.Err(); err != nil {
 		rec.Add("mqo_sim_errors_total", 1)
 		return Response{}, fmt.Errorf("llm: unreadable prompt: %w", err)
 	}
-	scores := make(map[string]float64, len(parsed.Categories))
-	for _, c := range parsed.Categories {
-		scores[c] = s.bias[c]
+
+	// Each category scores into the slot of its name's first listing;
+	// slotOf[k] is the slot of known class k, or -1 when unlisted.
+	var slotBuf [stackClasses]int
+	var scoreBuf [stackClasses]float64
+	var slotOfBuf [stackClasses]int
+	var countBuf [stackClasses]int32
+	slot, scores, slotOf, counts := slotBuf[:0], scoreBuf[:0], slotOfBuf[:0], countBuf[:0]
+	for range s.names {
+		slotOf, counts = append(slotOf, -1), append(counts, 0)
+	}
+	for i, c := range cats {
+		j, score := i, 0.0
+		if k, ok := s.class[c]; !ok {
+			// A name the simulator does not know scores 0 wherever it
+			// is listed.
+			j = slices.Index(cats[:i], c)
+			if j < 0 {
+				j = i
+			}
+		} else if slotOf[k] >= 0 {
+			j = slotOf[k]
+		} else {
+			slotOf[k], score = i, s.bias[k]
+		}
+		slot = append(slot, j)
+		scores = append(scores, score)
+	}
+	slotFor := func(c string) int {
+		if i := slices.Index(cats, c); i >= 0 {
+			return slot[i]
+		}
+		return -1
 	}
 
 	// Target text evidence.
-	targetEv, _ := s.evidence(parsed.TargetText)
-	for c, v := range targetEv {
-		if _, ok := scores[c]; ok {
-			scores[c] += s.profile.TargetWeight * v
+	if hits := s.evidence(counts, title, abstract); hits > 0 {
+		for k, n := range counts {
+			if j := slotOf[k]; n > 0 && j >= 0 {
+				scores[j] += s.profile.TargetWeight * (float64(n) / float64(hits))
+			}
 		}
 	}
 	// Attention saturation: long neighbor lists contribute at a scaled
 	// aggregate weight rather than growing without bound.
-	nNeighbors := len(parsed.NeighborTexts)
+	nNeighbors := len(ends)
 	neighborScale := 1.0
 	if span := s.profile.AttentionSpan; span > 0 && nNeighbors > span {
 		neighborScale = float64(span) / float64(nNeighbors)
@@ -304,37 +391,40 @@ func (s *Sim) Query(promptText string) (Response, error) {
 	// Neighbor text evidence, weighted by signal density: a snippet
 	// with few recognizable keywords carries proportionally weaker
 	// conviction.
-	for _, nb := range parsed.NeighborTexts {
-		ev, hits := s.evidence(nb)
+	from := 0
+	for _, end := range ends {
+		hits := float64(s.evidence(counts, texts[from:end]...))
+		from = end
+		if hits == 0 {
+			continue
+		}
 		density := hits / (hits + 2)
-		for c, v := range ev {
-			if _, ok := scores[c]; ok {
-				scores[c] += s.profile.NeighborWeight * neighborScale * density * v
+		for k, n := range counts {
+			if j := slotOf[k]; n > 0 && j >= 0 {
+				scores[j] += s.profile.NeighborWeight * neighborScale * density * (float64(n) / hits)
 			}
 		}
 	}
-	// Neighbor label votes.
-	for _, label := range parsed.NeighborLabels {
+	// Neighbor label votes, and how many distinct labels conflict.
+	distinct := 0
+	for i, label := range labels {
 		if label == "" {
 			continue
 		}
-		if _, ok := scores[label]; ok {
-			scores[label] += s.profile.LabelWeight * neighborScale
+		if j := slotFor(label); j >= 0 {
+			scores[j] += s.profile.LabelWeight * neighborScale
+		}
+		if !slices.Contains(labels[:i], label) {
+			distinct++
 		}
 	}
 
 	// Deterministic decision noise keyed by the prompt content. Longer
 	// neighbor context distracts, and conflicting neighbor labels
 	// confuse more than they inform.
-	distinct := map[string]bool{}
-	for _, label := range parsed.NeighborLabels {
-		if label != "" {
-			distinct[label] = true
-		}
-	}
 	conflicts := 0
-	if len(distinct) > 1 {
-		conflicts = len(distinct) - 1
+	if distinct > 1 {
+		conflicts = distinct - 1
 	}
 	// Entries past the attention span are skimmed, not read: they
 	// neither contribute evidence at full weight nor distract.
@@ -345,21 +435,27 @@ func (s *Sim) Query(promptText string) (Response, error) {
 	temperature := s.profile.Temperature *
 		(1 + s.profile.Distraction*float64(attended) + s.profile.ConflictNoise*float64(conflicts))
 	nrng := xrand.New(s.seed ^ hash(promptText)).SplitString("decision")
-	best, bestScore := "", 0.0
-	for _, c := range parsed.Categories { // iterate in prompt order: deterministic
-		sc := scores[c] + temperature*nrng.Gumbel()
-		if best == "" || sc > bestScore {
-			best, bestScore = c, sc
+	best, bestScore := -1, 0.0
+	for i := range cats { // iterate in prompt order: deterministic
+		sc := scores[slot[i]] + temperature*nrng.Gumbel()
+		if best < 0 || sc > bestScore {
+			best, bestScore = i, sc
 		}
 	}
 
-	out := prompt.FormatResponse(best)
-	// best is a substring of promptText (Parse slices the category list
-	// out of it); the answer carries a copy, so whoever keeps the answer
-	// does not pin the whole prompt.
+	// The category is a substring of promptText; the answer carries the
+	// simulator's own copy of the name, or a clone of one it does not
+	// know, so whoever keeps the answer does not pin the whole prompt.
+	var category string
+	if k, ok := s.class[cats[best]]; ok {
+		category = s.names[k]
+	} else {
+		category = strings.Clone(cats[best])
+	}
+	out := prompt.FormatResponse(category)
 	resp := Response{
 		Text:         out,
-		Category:     strings.Clone(best),
+		Category:     category,
 		InputTokens:  token.Count(promptText),
 		OutputTokens: token.Count(out),
 	}

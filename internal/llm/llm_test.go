@@ -341,7 +341,7 @@ func TestBiasVectorStable(t *testing.T) {
 	a := NewSim(GPT35(), g.Vocab, g.Classes, 41)
 	b := NewSim(GPT35(), g.Vocab, g.Classes, 41)
 	for _, c := range g.Classes {
-		if a.bias[c] != b.bias[c] {
+		if a.bias[a.class[c]] != b.bias[b.class[c]] {
 			t.Fatal("bias vector not deterministic")
 		}
 	}

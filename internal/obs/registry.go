@@ -123,24 +123,37 @@ func validName(name string) bool {
 
 // renderLabels turns alternating key/value pairs into the canonical
 // `{k1="v1",k2="v2"}` form, sorted by key, with label values escaped.
-// ok is false on odd pair counts or invalid keys.
+// ok is false on odd pair counts or invalid keys. The pairs are sorted
+// by insertion in a stack array (label lists are a few pairs long) and
+// the key is written into a buffer of its exact size, so a key whose
+// values need no escaping costs one allocation.
 func renderLabels(labels []string) (string, bool) {
-	if len(labels) == 0 {
-		return "", true
-	}
 	if len(labels)%2 != 0 {
 		return "", false
 	}
+	if len(labels) == 0 {
+		return "", true
+	}
 	type pair struct{ k, v string }
-	pairs := make([]pair, 0, len(labels)/2)
+	var buf [4]pair
+	pairs := buf[:0]
+	size := 1 // '{', then per pair k="v" and ',' or '}'
 	for i := 0; i < len(labels); i += 2 {
-		if !validName(labels[i]) || strings.Contains(labels[i], ":") {
+		k := labels[i]
+		if !validName(k) || strings.Contains(k, ":") {
 			return "", false
 		}
-		pairs = append(pairs, pair{labels[i], labels[i+1]})
+		p := pair{k, escapeLabelValue(labels[i+1])}
+		size += len(p.k) + len(p.v) + 4
+		pairs = append(pairs, p)
+		j := len(pairs) - 1
+		for ; j > 0 && pairs[j-1].k > k; j-- {
+			pairs[j] = pairs[j-1]
+		}
+		pairs[j] = p
 	}
-	sort.Slice(pairs, func(i, j int) bool { return pairs[i].k < pairs[j].k })
 	var b strings.Builder
+	b.Grow(size)
 	b.WriteByte('{')
 	for i, p := range pairs {
 		if i > 0 {
@@ -148,8 +161,8 @@ func renderLabels(labels []string) (string, bool) {
 		}
 		b.WriteString(p.k)
 		b.WriteString(`="`)
-		b.WriteString(escapeLabelValue(p.v))
-		b.WriteString(`"`)
+		b.WriteString(p.v)
+		b.WriteByte('"')
 	}
 	b.WriteByte('}')
 	return b.String(), true

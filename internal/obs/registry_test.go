@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -219,5 +220,103 @@ func TestDefaultRecorderRouting(t *testing.T) {
 	Active(r2).Add("explicit_total", 1)
 	if r.CounterValue("explicit_total") != 0 || r2.CounterValue("explicit_total") != 1 {
 		t.Fatal("explicit recorder did not win over default")
+	}
+}
+
+// refRenderLabels is renderLabels as it was with a pair slice and
+// sort.Slice, verbatim apart from its name.
+func refRenderLabels(labels []string) (string, bool) {
+	if len(labels) == 0 {
+		return "", true
+	}
+	if len(labels)%2 != 0 {
+		return "", false
+	}
+	type pair struct{ k, v string }
+	pairs := make([]pair, 0, len(labels)/2)
+	for i := 0; i < len(labels); i += 2 {
+		if !validName(labels[i]) || strings.Contains(labels[i], ":") {
+			return "", false
+		}
+		pairs = append(pairs, pair{labels[i], labels[i+1]})
+	}
+	sort.Slice(pairs, func(i, j int) bool { return pairs[i].k < pairs[j].k })
+	var b strings.Builder
+	b.WriteByte('{')
+	for i, p := range pairs {
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		b.WriteString(p.k)
+		b.WriteString(`="`)
+		b.WriteString(escapeLabelValue(p.v))
+		b.WriteString(`"`)
+	}
+	b.WriteByte('}')
+	return b.String(), true
+}
+
+// TestRenderLabelsMatchesReference: keys stay byte-identical for 0–3
+// pairs, escaped values included, and every malformed list (odd
+// length, an invalid or ':' key in any position) is still refused.
+func TestRenderLabelsMatchesReference(t *testing.T) {
+	keys := []string{"mode", "a", "z_9", "node", "bad key", "x:y", "", "9lead"}
+	values := []string{"", "plain", `back\slash`, `quo"te`, "new\nline", "ünïcode", `a"b\c` + "\n"}
+	var lists [][]string
+	lists = append(lists, nil, []string{"mode"}, []string{"mode", "boost", "round"})
+	for _, k1 := range keys {
+		for _, v1 := range values {
+			lists = append(lists, []string{k1, v1})
+			for _, k2 := range keys[:4] {
+				lists = append(lists, []string{k1, v1, k2, "v"}, []string{k2, "v", k1, v1})
+				lists = append(lists, []string{k2, v1, "round", "2", k1, "w"})
+			}
+		}
+	}
+	for _, l := range lists {
+		got, gotOK := renderLabels(l)
+		want, wantOK := refRenderLabels(l)
+		if got != want || gotOK != wantOK {
+			t.Fatalf("renderLabels(%q) = %q, %v; want %q, %v", l, got, gotOK, want, wantOK)
+		}
+	}
+}
+
+// TestOneLabelPairMisuseAndAllocs: a malformed one-pair label still
+// counts as misuse, and adding to an existing series of one or three
+// label pairs allocates at most its key.
+func TestOneLabelPairMisuseAndAllocs(t *testing.T) {
+	r := NewRegistry()
+	r.Add("ok_total", 1, "bad key", "v")
+	r.Add("ok_total", 1, "a:b", "v")
+	r.Observe("ok_seconds", 1, "", "v")
+	r.Add("ok_total", 1, "mode", "boost", "round")
+	if got := r.misuse.Load(); got != 4 {
+		t.Fatalf("misuse = %d, want 4", got)
+	}
+	r.Add("ok_total", 1, "mode", "boost")
+	r.Observe("ok_seconds", 0.5, "mode", "boost")
+	if allocs := testing.AllocsPerRun(100, func() { r.Add("ok_total", 1, "mode", "boost") }); allocs > 1 {
+		t.Fatalf("one-pair Add allocates %.1f times, want at most 1", allocs)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { r.Observe("ok_seconds", 0.5, "mode", "boost") }); allocs > 1 {
+		t.Fatalf("one-pair Observe allocates %.1f times, want at most 1", allocs)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { r.Add("ok_total", 1, "round", "2", "mode", "boost", "a", "x") }); allocs > 1 {
+		t.Fatalf("three-pair Add allocates %.1f times, want at most 1", allocs)
+	}
+	// A key one byte past an allocation size class (16, 32, 48 bytes)
+	// costs one allocation only when its buffer is sized exactly.
+	for _, labels := range [][]string{{"mode", "boostzzz"}, {"mode", "boostzzz", "a", "0123456789a"}, {"z", "", "b", "", "c", "0123456789abcdef0123456789abcdef0"}} {
+		if key, _ := renderLabels(labels); len(key)%16 != 1 {
+			t.Fatalf("key %q is %d bytes, want one past a multiple of 16", key, len(key))
+		}
+		if allocs := testing.AllocsPerRun(100, func() { renderLabels(labels) }); allocs > 1 {
+			t.Fatalf("renderLabels(%q) allocates %.1f times, want 1", labels, allocs)
+		}
+	}
+	// AllocsPerRun adds one warm-up run to its 100.
+	if got := r.CounterValue("ok_total", "mode", "boost"); got != 102 {
+		t.Fatalf("counter = %v, want 102", got)
 	}
 }

@@ -237,95 +237,175 @@ func (k labeled) Each(f func(tag.NodeID)) {
 // so a pair scores bit-identically on every call, in either order, and
 // in every index built from the same graph.
 type Similarity struct {
-	vecs []encode.Sparse
+	vecs vectors
 	dims int // every vector's dimensions lie below dims
 }
 
 // NewSimilarity precomputes embeddings for every node of g, straight
-// from the graph's word IDs. The vectors are then packed into one
-// array of dimensions and one of weights, node after node, which
-// holds them in about 5% less heap than an allocation per vector.
+// from the graph's word IDs, and packs them (see packed).
 func NewSimilarity(g *tag.Graph) *Similarity {
 	docs := g.Corpus()
 	enc := encode.NewTFIDFIDs(g.Dict(), docs, 0)
-	s := &Similarity{vecs: make([]encode.Sparse, len(docs)), dims: enc.Dims()}
-	total := 0
+	vecs := make([]encode.Sparse, len(docs))
 	for i, doc := range docs {
-		s.vecs[i] = enc.EncodeSparseIDs(g.Dict(), doc)
-		total += len(s.vecs[i].Dims)
+		vecs[i] = enc.EncodeSparseIDs(g.Dict(), doc)
 	}
-	dims, weights := make([]int32, 0, total), make([]float64, 0, total)
-	for i, v := range s.vecs {
-		lo, hi := len(dims), len(dims)+len(v.Dims)
-		dims, weights = append(dims, v.Dims...), append(weights, v.Weights...)
-		s.vecs[i].Dims, s.vecs[i].Weights = dims[lo:hi:hi], weights[lo:hi:hi]
-	}
-	return s
+	return newSimilarity(vecs, enc.Dims())
 }
 
 // NewSimilarityDense builds an index from precomputed dense embeddings,
 // one per node — the hook for alternative text encoders (skip-gram,
 // hashing) to back SNS instead of the TF-IDF default.
 func NewSimilarityDense(vecs [][]float64) *Similarity {
-	s := &Similarity{vecs: make([]encode.Sparse, len(vecs))}
+	sparse := make([]encode.Sparse, len(vecs))
+	dims := 0
 	for i, v := range vecs {
-		s.dims = max(s.dims, len(v))
+		dims = max(dims, len(v))
 		n := 0
 		for _, x := range v {
 			if x != 0 {
 				n++
 			}
 		}
-		dims, weights := make([]int32, 0, n), make([]float64, 0, n)
+		ds, weights := make([]int32, 0, n), make([]float64, 0, n)
 		for d, x := range v {
 			if x != 0 {
-				dims = append(dims, int32(d))
+				ds = append(ds, int32(d))
 				weights = append(weights, x)
 			}
 		}
-		s.vecs[i] = encode.NewSparse(dims, weights)
+		sparse[i] = encode.NewSparse(ds, weights)
 	}
-	return s
+	return newSimilarity(sparse, dims)
+}
+
+// newSimilarity packs vecs, whose dimensions lie below dims, with
+// 16-bit dimensions when they all fit.
+func newSimilarity(vecs []encode.Sparse, dims int) *Similarity {
+	if dims <= 1<<16 {
+		return &Similarity{vecs: pack[uint16](vecs), dims: dims}
+	}
+	return &Similarity{vecs: pack[int32](vecs), dims: dims}
 }
 
 // Score returns the similarity of nodes a and b.
-func (s *Similarity) Score(a, b tag.NodeID) float64 {
-	return encode.CosineSparse(s.vecs[a], s.vecs[b])
-}
+func (s *Similarity) Score(a, b tag.NodeID) float64 { return s.vecs.score(a, b) }
 
 // Scores appends to dst the similarity of v to each node of us, in
-// order: Score(v, u), bit for bit. It scatters v's vector into a
-// pooled dense table once, then sums each node's products with it in
-// dimension order, the order CosineSparse merges them in, skipping the
-// dimensions v lacks, where the merge adds nothing.
+// order: Score(v, u), bit for bit.
 func (s *Similarity) Scores(v tag.NodeID, us []tag.NodeID, dst []float64) []float64 {
-	a := s.vecs[v]
 	tp := denseTables.Get().(*[]float64)
 	if len(*tp) < s.dims {
 		*tp = make([]float64, s.dims)
 	}
-	table := *tp
-	for i, d := range a.Dims {
-		table[d] = a.Weights[i]
+	dst = s.vecs.scores(*tp, v, us, dst)
+	denseTables.Put(tp)
+	return dst
+}
+
+// vectors is the packed vectors of an index (a *packed).
+type vectors interface {
+	score(a, b tag.NodeID) float64
+	scores(table []float64, v tag.NodeID, us []tag.NodeID, dst []float64) []float64
+}
+
+// packed holds every node's vector in one array of dimensions and one
+// of weights, node after node, and its norm; node i's entries are
+// [start[i], start[i+1]). Dimensions are stored as D: 16 bits when
+// they fit, as they do for every shipped dataset's vocabulary, which
+// holds pubmed's index in about a sixth less heap than 32 bits. The
+// weights are the encoder's float64s, so scores are the same bits
+// with either D.
+type packed[D uint16 | int32] struct {
+	start   []int
+	dims    []D
+	weights []float64
+	norms   []float64
+}
+
+// pack packs vecs, whose dimensions all fit in D.
+func pack[D uint16 | int32](vecs []encode.Sparse) *packed[D] {
+	total := 0
+	for _, v := range vecs {
+		total += len(v.Dims)
 	}
+	p := &packed[D]{
+		start:   make([]int, 1, len(vecs)+1),
+		dims:    make([]D, 0, total),
+		weights: make([]float64, 0, total),
+		norms:   make([]float64, len(vecs)),
+	}
+	for i, v := range vecs {
+		for _, d := range v.Dims {
+			p.dims = append(p.dims, D(d))
+		}
+		p.weights = append(p.weights, v.Weights...)
+		p.start = append(p.start, len(p.dims))
+		p.norms[i] = v.Norm
+	}
+	return p
+}
+
+// vector returns node v's dimensions and weights.
+func (p *packed[D]) vector(v tag.NodeID) ([]D, []float64) {
+	lo, hi := p.start[v], p.start[v+1]
+	return p.dims[lo:hi], p.weights[lo:hi]
+}
+
+// score is encode.CosineSparse of nodes a and b: the products of their
+// shared dimensions summed in dimension order, over their norms.
+func (p *packed[D]) score(a, b tag.NodeID) float64 {
+	na, nb := p.norms[a], p.norms[b]
+	if na == 0 || nb == 0 {
+		return 0
+	}
+	ad, aw := p.vector(a)
+	bd, bw := p.vector(b)
+	var dot float64
+	for i, j := 0, 0; i < len(ad) && j < len(bd); {
+		switch {
+		case ad[i] < bd[j]:
+			i++
+		case ad[i] > bd[j]:
+			j++
+		default:
+			dot += aw[i] * bw[j]
+			i++
+			j++
+		}
+	}
+	return dot / (na * nb)
+}
+
+// scores is Similarity.Scores with a zeroed dense table of the index's
+// dimensions, which it leaves zeroed. It scatters v's vector into the
+// table once, then sums each node's products with it in dimension
+// order, the order score merges them in, skipping the dimensions v
+// lacks, where the merge adds nothing.
+func (p *packed[D]) scores(table []float64, v tag.NodeID, us []tag.NodeID, dst []float64) []float64 {
+	ad, aw := p.vector(v)
+	for i, d := range ad {
+		table[d] = aw[i]
+	}
+	na := p.norms[v]
 	for _, u := range us {
-		b := s.vecs[u]
-		if a.Norm == 0 || b.Norm == 0 {
+		nb := p.norms[u]
+		if na == 0 || nb == 0 {
 			dst = append(dst, 0)
 			continue
 		}
+		bd, bw := p.vector(u)
 		var dot float64
-		for j, d := range b.Dims {
+		for j, d := range bd {
 			if x := table[d]; x != 0 {
-				dot += x * b.Weights[j]
+				dot += x * bw[j]
 			}
 		}
-		dst = append(dst, dot/(a.Norm*b.Norm))
+		dst = append(dst, dot/(na*nb))
 	}
-	for _, d := range a.Dims {
+	for _, d := range ad {
 		table[d] = 0
 	}
-	denseTables.Put(tp)
 	return dst
 }
 

@@ -57,6 +57,18 @@ func BenchmarkCompressQuery(b *testing.B) {
 	}
 }
 
+// BenchmarkNewTemplate measures compiling a run's template, which the
+// first query over a new dictionary, node type, edge relation or
+// category list pays.
+func BenchmarkNewTemplate(b *testing.B) {
+	q := benchQuery(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		newTemplate(q.Dict, q.NodeType, q.EdgeRelation, q.Categories, len(q.Neighbors))
+	}
+}
+
 // BenchmarkRender measures rendering the prompt from word IDs.
 func BenchmarkRender(b *testing.B) {
 	q := benchQuery(b)

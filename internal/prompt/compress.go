@@ -153,10 +153,10 @@ func (c Compressor) CompressStats(promptText string) (string, CompressStats) {
 	if !c.Enabled() {
 		return promptText, uncompressed(promptText)
 	}
-	lines := strings.Split(promptText, "\n")
-	if _, err := parseLines(lines); err != nil {
+	if !parses(promptText) {
 		return promptText, uncompressed(promptText)
 	}
+	lines := strings.Split(promptText, "\n")
 	build := token.NewBuilder(len(promptText) / 16)
 	d := build.Dict
 	bg := backgrounds.Get().(*background)
@@ -164,7 +164,6 @@ func (c Compressor) CompressStats(promptText string) (string, CompressStats) {
 	bg.begin(0)
 	// The compressible Abstract lines are the target's (line 1,
 	// guaranteed by Parse) and each neighbor entry's.
-	var abs []abstract
 	inNeighbor := false
 	for i, line := range lines {
 		if i >= 2 {
@@ -179,16 +178,14 @@ func (c Compressor) CompressStats(promptText string) (string, CompressStats) {
 			token.ForFields(line, func(w string) { bg.add(d, build.Intern(w)) })
 			continue
 		}
-		target := i == 1
 		bg.add(d, build.Intern("Abstract:"))
 		ids := build.AppendFields(nil, strings.TrimPrefix(line, "Abstract: "))
 		for _, id := range ids {
 			bg.add(d, id)
 		}
-		if a, ok := newAbstract(d, i, target, ids); ok {
-			abs = append(abs, a)
-		}
+		bg.cut(d, i, i == 1, ids)
 	}
+	abs := bg.abstracts()
 	if len(abs) == 0 {
 		return promptText, CompressStats{TokensBefore: bg.sum, TokensAfter: bg.sum}
 	}
@@ -198,16 +195,17 @@ func (c Compressor) CompressStats(promptText string) (string, CompressStats) {
 
 // CompressQuery is CompressStats for a prompt given as a Query: it
 // returns exactly CompressStats(q.Render()), with no prompt to split.
-// The abstracts' spans are cut and scored straight from their word
-// IDs, the background counts the node text's IDs and the fields of
-// the template text around them, and the compressed prompt is rendered
-// once. With compression disabled it renders the prompt and counts its
-// tokens from the dictionary.
+// The background adds up the pieces of the query's template (see
+// templateOf) and the IDs of its node text, the abstracts' spans are cut
+// and scored straight from their word IDs, and the compressed prompt is
+// rendered once, into a buffer of its exact size. With compression
+// disabled it renders the prompt and counts its tokens the same way.
 func (c Compressor) CompressQuery(q *Query) (string, CompressStats) {
-	if !q.plain() {
+	t := templateOf(q)
+	if !q.plain(t) {
 		// A category list or line that could break the prompt's lines
 		// is left to the text path, which reads what Parse reads.
-		p := q.Render()
+		p := q.render(t)
 		if !c.Enabled() {
 			return p, uncompressed(p)
 		}
@@ -215,72 +213,66 @@ func (c Compressor) CompressQuery(q *Query) (string, CompressStats) {
 	}
 	bg := backgrounds.Get().(*background)
 	defer backgrounds.Put(bg)
-	abs := q.tally(bg, c.Enabled())
+	abs := q.tally(bg, t, c.Enabled())
 	st := CompressStats{TokensBefore: bg.sum, TokensAfter: bg.sum}
 	if len(abs) > 0 {
 		st.TokensAfter = c.compress(q.Dict, abs, bg)
 	}
 	w := compressedWriter{queryWriter: queryWriter{q: q}, abs: abs}
-	w.b.Grow(q.size())
+	w.b.Grow(q.size(t, abs))
 	layout(&w, q.NodeType, q.EdgeRelation, q.Ranked, q.Categories, len(q.Neighbors))
 	return w.b.String(), st
 }
 
-// tally starts bg on the query's prompt: the fields of its template
-// text and the IDs of its node text. With cut set it also returns the
-// abstracts, cut into spans.
-func (q *Query) tally(bg *background, cut bool) []abstract {
-	bg.begin(q.Dict.Len())
-	sk := skeleton{queryWriter{q: q}}
-	layout(&sk, q.NodeType, q.EdgeRelation, q.Ranked, q.Categories, len(q.Neighbors))
-	bg.addText(q.Dict, sk.b.String())
-	var abs []abstract
+// tally starts bg on the query's prompt: the pieces of its template
+// text, from t, and the IDs of its node text. With cut set it also
+// cuts the abstracts into spans and returns them.
+func (q *Query) tally(bg *background, t *template, cut bool) []abstract {
+	d := q.Dict
+	bg.begin(d.Len())
+	bg.addPiece(d, &t.bare)
+	if len(q.Neighbors) > 0 {
+		bg.addPiece(d, t.first(q.Ranked))
+		for i := 1; i < len(q.Neighbors); i++ {
+			bg.addPiece(d, &t.next[i-1])
+		}
+	}
+	for i := range q.Neighbors {
+		nb := &q.Neighbors[i]
+		if len(nb.Abstract) > 0 {
+			bg.addPiece(d, &t.abstract)
+		}
+		if nb.Label != "" {
+			bg.addPiece(d, t.label(nb.Label))
+		}
+	}
 	for f := 0; f < q.fields(); f++ {
 		ids := q.text(f)
 		for _, id := range ids {
-			bg.add(q.Dict, id)
+			bg.add(d, id)
 		}
 		if cut && f%2 == 1 {
-			if a, ok := newAbstract(q.Dict, f, f == 1, ids); ok {
-				abs = append(abs, a)
-			}
+			bg.cut(d, f, f == 1, ids)
 		}
 	}
-	return abs
+	return bg.abstracts()
 }
 
 // plain reports whether the query's template text parses as Parse
-// expects without a second look: no newline in the node type, edge
-// relation, a label or a category, and a category list that is not
-// empty (some category has a non-space character and no comma, so
-// Parse's split on ", " keeps it). Node text is words, so it never
-// breaks a line.
-func (q *Query) plain() bool {
-	if strings.Contains(q.NodeType, "\n") || strings.Contains(q.EdgeRelation, "\n") {
+// expects without a second look: t's verdict on the node type, edge
+// relation and category list (see plainTemplate), and no newline in a
+// label. Node text is words, so it never breaks a line.
+func (q *Query) plain(t *template) bool {
+	if !t.plain {
 		return false
 	}
-	for _, nb := range q.Neighbors {
-		if strings.Contains(nb.Label, "\n") {
+	for i := range q.Neighbors {
+		if strings.Contains(q.Neighbors[i].Label, "\n") {
 			return false
 		}
 	}
-	listed := false
-	for _, c := range q.Categories {
-		if strings.Contains(c, "\n") {
-			return false
-		}
-		if strings.TrimSpace(c) != "" && !strings.Contains(c, ",") {
-			listed = true
-		}
-	}
-	return listed
+	return true
 }
-
-// skeleton collects a query's template text: the prompt with its node
-// text left out.
-type skeleton struct{ queryWriter }
-
-func (w *skeleton) text(int) {}
 
 // compressedWriter writes a query's prompt with only the surviving
 // spans of its abstracts, in the Build format: a changed abstract is
@@ -288,15 +280,17 @@ func (w *skeleton) text(int) {}
 // lost every span loses its line, as Build leaves out an empty one.
 type compressedWriter struct {
 	queryWriter
-	abs []abstract // by field, in field order
+	abs []abstract // by field, in field order, from the field last asked for
 }
 
 // abstract returns the compressible abstract of field f, or nil.
+// layout asks for fields in ascending order.
 func (w *compressedWriter) abstract(f int) *abstract {
-	for i := range w.abs {
-		if w.abs[i].at == f {
-			return &w.abs[i]
-		}
+	for len(w.abs) > 0 && w.abs[0].at < f {
+		w.abs = w.abs[1:]
+	}
+	if len(w.abs) > 0 && w.abs[0].at == f {
+		return &w.abs[0]
 	}
 	return nil
 }
@@ -345,27 +339,30 @@ type span struct {
 }
 
 // abstract is one compressible abstract of a prompt: its words as IDs
-// into the prompt's dictionary, cut into spans.
+// into the prompt's dictionary, cut into spans. Its spans and kept
+// marks are the range [lo, hi) of its background's buffers.
 type abstract struct {
 	at     int // the prompt line (CompressStats) or the Query field (CompressQuery)
 	target bool
 	ids    []int32
+	lo, hi int
 	spans  []span
 	kept   []bool
 }
 
-// newAbstract cuts ids into spans, all kept; ok is false when there
-// are no words to compress.
-func newAbstract(d *token.Dict, at int, target bool, ids []int32) (a abstract, ok bool) {
-	spans := splitSpans(d, ids)
-	if len(spans) == 0 {
-		return abstract{}, false
+// size returns the byte length of the abstract's kept spans joined by
+// single spaces, and whether any span is kept.
+func (a *abstract) size(d *token.Dict) (n int, kept bool) {
+	for si, s := range a.spans {
+		if a.kept[si] {
+			if kept {
+				n++
+			}
+			n += d.Size(a.ids[s.lo:s.hi])
+			kept = true
+		}
 	}
-	a = abstract{at: at, target: target, ids: ids, spans: spans, kept: make([]bool, len(spans))}
-	for i := range a.kept {
-		a.kept[i] = true
-	}
-	return a, true
+	return n, kept
 }
 
 // compress scores the spans of abs against the prompt's background,
@@ -484,14 +481,13 @@ func droppable(abs []abstract) []dropRef {
 	return out
 }
 
-// splitSpans cuts an abstract's words into spans: sentence boundaries
-// first (a word ending in ./!/? terminates a sentence), then fixed
-// windows of spanWords within each sentence. Chunking restarts at
+// splitSpans appends the spans of an abstract's words to out: sentence
+// boundaries first (a word ending in ./!/? terminates a sentence), then
+// fixed windows of spanWords within each sentence. Chunking restarts at
 // every sentence boundary, so re-splitting the canonical join of any
 // kept subset never yields more spans than were kept — the invariant
 // behind idempotence.
-func splitSpans(d *token.Dict, ids []int32) []span {
-	var out []span
+func splitSpans(out []span, d *token.Dict, ids []int32) []span {
 	start := 0
 	flush := func(end int) {
 		for s := start; s < end; s += spanWords {
@@ -513,60 +509,97 @@ func splitSpans(d *token.Dict, ids []int32) []span {
 // word ID. Entries are stamped per prompt, like tag.Walk's visited
 // array, so starting a prompt costs one increment instead of clearing
 // the table; tables are pooled, so concurrent prompts never share one.
+//
+// The prompt's abstracts, their spans and kept marks live in the
+// background's buffers too, reused from prompt to prompt.
 type background struct {
-	n     []float64 // occurrences by word ID; valid where seen == mark
-	seen  []uint32
-	mark  uint32
-	words int // fields of the prompt
-	sum   int // their tokens: token.Count of the prompt
-	memo  klMemo
+	counts []wordCount // by word ID
+	mark   uint32
+	words  int // fields of the prompt
+	sum    int // their tokens: token.Count of the prompt
+	memo   klMemo
+	abs    []abstract
+	spans  []span
+	kept   []bool
 }
+
+// wordCount is how often a word occurs in the prompt stamped mark. The
+// count and its stamp share a word, so counting an occurrence touches
+// one place in the table.
+type wordCount struct{ n, mark uint32 }
 
 var backgrounds = sync.Pool{New: func() any { return new(background) }}
 
 // begin starts a prompt over a dictionary of size words (add grows the
 // table for a dictionary still being interned).
 func (b *background) begin(size int) {
-	if len(b.n) < size {
-		b.n = make([]float64, size)
-		b.seen = make([]uint32, size)
+	if len(b.counts) < size {
+		b.counts = make([]wordCount, size)
 		b.mark = 0
 	}
 	b.mark++
 	if b.mark == 0 { // wrapped: stamps of old prompts could collide
-		clear(b.seen)
+		clear(b.counts)
 		b.mark = 1
 	}
 	b.words, b.sum = 0, 0
+	clear(b.abs) // drop the last prompt's IDs
+	b.abs, b.spans = b.abs[:0], b.spans[:0]
 }
 
 // add records one occurrence of word id.
 func (b *background) add(d *token.Dict, id int32) {
-	if int(id) >= len(b.n) {
-		b.n = append(b.n, make([]float64, d.Len()-len(b.n))...)
-		b.seen = append(b.seen, make([]uint32, d.Len()-len(b.seen))...)
+	if int(id) >= len(b.counts) {
+		b.counts = append(b.counts, make([]wordCount, d.Len()-len(b.counts))...)
 	}
-	if b.seen[id] != b.mark {
-		b.seen[id] = b.mark
-		b.n[id] = 0
+	c := &b.counts[id]
+	if c.mark != b.mark {
+		*c = wordCount{mark: b.mark}
 	}
-	b.n[id]++
+	c.n++
 	b.words++
 	b.sum += d.Tokens(id)
 }
 
-// addText records every field of template text s: a field that is a
-// dictionary word counts as that word (a generated word such as "the"
-// can equal a template word); any other field only adds to the totals.
-func (b *background) addText(d *token.Dict, s string) {
-	token.ForFields(s, func(w string) {
-		if id, ok := d.Lookup(w); ok {
-			b.add(d, id)
-			return
-		}
-		b.words++
-		b.sum += token.Count(w)
-	})
+// count returns how often word id occurs in the prompt; id must have
+// been added since begin.
+func (b *background) count(id int32) float64 { return float64(b.counts[id].n) }
+
+// addPiece records the fields of a piece of template text: a field
+// that is a dictionary word counts as that word (a generated word such
+// as "the" can equal a template word); any other field only adds to
+// the totals.
+func (b *background) addPiece(d *token.Dict, p *piece) {
+	for _, id := range p.ids {
+		b.add(d, id)
+	}
+	b.words += p.words
+	b.sum += p.tokens
+}
+
+// cut appends the abstract of field or line at, words ids, to the
+// prompt's abstracts, its spans to the span buffer, unless it has no
+// words to compress.
+func (b *background) cut(d *token.Dict, at int, target bool, ids []int32) {
+	lo := len(b.spans)
+	b.spans = splitSpans(b.spans, d, ids)
+	if len(b.spans) > lo {
+		b.abs = append(b.abs, abstract{at: at, target: target, ids: ids, lo: lo, hi: len(b.spans)})
+	}
+}
+
+// abstracts returns the prompt's abstracts, each given its spans and
+// kept marks, all kept, from the background's buffers.
+func (b *background) abstracts() []abstract {
+	b.kept = slices.Grow(b.kept[:0], len(b.spans))[:len(b.spans)]
+	for i := range b.kept {
+		b.kept[i] = true
+	}
+	for i := range b.abs {
+		a := &b.abs[i]
+		a.spans, a.kept = b.spans[a.lo:a.hi:a.hi], b.kept[a.lo:a.hi:a.hi]
+	}
+	return b.abs
 }
 
 // scoreSpans assigns each span its token count and its signal density
@@ -621,7 +654,7 @@ func scoreSpans(d *token.Dict, abs []abstract, bg *background) {
 			}
 			kl := 0.0
 			for k, c := range counts[:distinct] {
-				kl += spanRatio[l][c] * bg.memo.log2(c, l, bg.n[ids[k]], words)
+				kl += spanRatio[l][c] * bg.memo.log2(c, l, bg.count(ids[k]), words)
 			}
 			if kl < 0 { // KLDivergence's cancellation guard
 				kl = 0

@@ -109,8 +109,8 @@ func refSpanScore(a *abstract, s span, bg *background) float64 {
 			k = len(distinct)
 			distinct = append(distinct, id)
 			p = append(p, 0)
-			q = append(q, bg.n[id])
-			rest -= bg.n[id]
+			q = append(q, bg.count(id))
+			rest -= bg.count(id)
 		}
 		p[k]++
 	}
@@ -137,7 +137,7 @@ func checkSpanScores(t *testing.T, label string, d *token.Dict, abs []abstract, 
 				counts[id]++
 			}
 			for id, c := range counts {
-				args[[3]int{c, s.hi - s.lo, int(bg.n[id])}] = true
+				args[[3]int{c, s.hi - s.lo, int(bg.count(id))}] = true
 			}
 			spans++
 		}
@@ -154,7 +154,7 @@ func TestSpanScoresMatchReference(t *testing.T) {
 	spans, most := 0, 0
 	forEachCalibrationQuery(t, func(name string, v int, _ string, q *Query) {
 		bg := new(background)
-		n, args := checkSpanScores(t, fmt.Sprintf("%s node %d", name, v), q.Dict, q.tally(bg, true), bg)
+		n, args := checkSpanScores(t, fmt.Sprintf("%s node %d", name, v), q.Dict, q.tally(bg, templateOf(q), true), bg)
 		spans += n
 		most = max(most, len(args))
 	})
@@ -179,7 +179,6 @@ func TestSpanScoresMatchReference(t *testing.T) {
 				bg.add(b.Dict, id)
 			}
 		}
-		var abs []abstract
 		for ai := 0; ai < 6; ai++ {
 			words := make([]int32, 1+rng.Intn(60))
 			for i := range words {
@@ -189,11 +188,9 @@ func TestSpanScoresMatchReference(t *testing.T) {
 			for _, id := range words {
 				bg.add(b.Dict, id)
 			}
-			if a, ok := newAbstract(b.Dict, 2*ai+1, ai == 0, words); ok {
-				abs = append(abs, a)
-			}
+			bg.cut(b.Dict, 2*ai+1, ai == 0, words)
 		}
-		_, args := checkSpanScores(t, fmt.Sprintf("random prompt %d", trial), b.Dict, abs, bg)
+		_, args := checkSpanScores(t, fmt.Sprintf("random prompt %d", trial), b.Dict, bg.abstracts(), bg)
 		if len(args) <= klMemoCap {
 			t.Fatalf("random prompt %d holds %d distinct KL arguments, no more than the memo's %d", trial, len(args), klMemoCap)
 		}

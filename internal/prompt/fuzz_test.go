@@ -1,6 +1,8 @@
 package prompt
 
 import (
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 	"unicode/utf8"
@@ -9,8 +11,9 @@ import (
 )
 
 // FuzzParse hardens the prompt parser against adversarial or corrupted
-// prompt text: it must never panic, and on success its output must be
-// internally consistent.
+// prompt text: it must never panic, it must read every input exactly
+// as refParse (the parser before the Scanner) does, error text
+// included, and on success its output must be internally consistent.
 func FuzzParse(f *testing.F) {
 	f.Add(Build(Request{
 		TargetTitle:    "a title",
@@ -31,11 +34,29 @@ func FuzzParse(f *testing.F) {
 	f.Add("Target paper: Title: x \nAbstract:  \nTask: \nCategories: \n[A]\n")
 	f.Add("")
 	f.Add("Neighbor Paper0: {{\nTitle: orphan \n}}")
+	f.Add("Target x: Title: t \nAbstract: a \n\nTarget x has neighbors, from most related to least related\n" +
+		"Neighbor X0: {{\nCategory: A \nTitle: u \nCategory: B \nAbstract: v \n}}\nTarget has neighbors\n" +
+		"Task: \nCategories: \n[, A, , B,  , A]\ntail")
+	f.Add("Target x: Title: t \nAbstract: a \nTask:\nCategories: \n[ ]")
+	f.Add("Target x: Title: t \nAbstract: a \nTask:\nCategories:")
+	f.Add("Target x: Title: t \nAbstract: a \nTask:\nCategories:\n[A")
+	f.Add("Target x: Title: t \nAbstract: a \nNeighbor X0: {{\nTitle: u")
+	f.Add("Target x: Title: t \nAbstract: a \nstray")
+	f.Add("Target x: Title: t \nAbstract: a ")
+	f.Add("Target x: Title: t ")
+	f.Add("Target x: no title")
 
 	f.Fuzz(func(t *testing.T, s string) {
 		parsed, err := Parse(s)
+		want, wantErr := refParse(s)
+		if (err == nil) != (wantErr == nil) || err != nil && err.Error() != wantErr.Error() {
+			t.Fatalf("Parse(%q) error %v, refParse %v", s, err, wantErr)
+		}
 		if err != nil {
 			return
+		}
+		if !reflect.DeepEqual(parsed, want) {
+			t.Fatalf("Parse(%q) = %#v, refParse %#v", s, parsed, want)
 		}
 		for _, c := range parsed.Categories {
 			if strings.ContainsAny(c, "\n") {
@@ -164,6 +185,7 @@ func FuzzCompress(f *testing.F) {
 func FuzzBuildParseRoundTrip(f *testing.F) {
 	f.Add("title words", "abstract words here", "Alpha", "n title", "Beta", true)
 	f.Add("", "", "X", "", "", false)
+	f.Add("t", "a", ", 0", "n", "", false)
 
 	f.Fuzz(func(t *testing.T, title, abstract, cat, nbTitle, nbLabel string, ranked bool) {
 		// Newlines inside fields would break the line-oriented template
@@ -176,6 +198,11 @@ func FuzzBuildParseRoundTrip(f *testing.F) {
 		nbTitle, nbLabel = clean(nbTitle), clean(nbLabel)
 		if cat == "" {
 			cat = "Fallback"
+		}
+		if strings.Contains(cat, ", ") {
+			// The category list's separator: Parse splits the name
+			// there, and tag.Load rejects such a class name.
+			return
 		}
 		req := Request{
 			TargetTitle:    title,
@@ -197,4 +224,91 @@ func FuzzBuildParseRoundTrip(f *testing.F) {
 			t.Fatalf("neighbor lost: %v", parsed.NeighborTexts)
 		}
 	})
+}
+
+// refParse is Parse as it was before the Scanner, kept verbatim apart
+// from names: it split the prompt into lines and walked them by index.
+func refParse(p string) (Parsed, error) {
+	lines := strings.Split(p, "\n")
+	var out Parsed
+	i := 0
+
+	// Target line: "Target <type>: Title: ... "
+	if i >= len(lines) || !strings.HasPrefix(lines[i], "Target ") {
+		return out, fmt.Errorf("prompt: missing target line")
+	}
+	first := lines[i]
+	ti := strings.Index(first, "Title: ")
+	if ti < 0 {
+		return out, fmt.Errorf("prompt: target line missing title")
+	}
+	targetTitle := strings.TrimSpace(first[ti+len("Title: "):])
+	i++
+	if i >= len(lines) || !strings.HasPrefix(lines[i], "Abstract: ") {
+		return out, fmt.Errorf("prompt: missing target abstract")
+	}
+	targetAbstract := strings.TrimSpace(strings.TrimPrefix(lines[i], "Abstract: "))
+	out.TargetText = strings.TrimSpace(targetTitle + " " + targetAbstract)
+	i++
+
+	// Optional neighbor block.
+	for i < len(lines) {
+		line := lines[i]
+		switch {
+		case line == "":
+			i++
+		case strings.HasPrefix(line, "Target ") && strings.Contains(line, "neighbors"):
+			out.Ranked = strings.Contains(line, "from most related to least related")
+			i++
+		case strings.HasPrefix(line, "Neighbor "):
+			// Entry spans until the closing "}}".
+			i++
+			var text []string
+			label := ""
+			for i < len(lines) && lines[i] != "}}" {
+				l := lines[i]
+				switch {
+				case strings.HasPrefix(l, "Title: "):
+					text = append(text, strings.TrimSpace(strings.TrimPrefix(l, "Title: ")))
+				case strings.HasPrefix(l, "Abstract: "):
+					text = append(text, strings.TrimSpace(strings.TrimPrefix(l, "Abstract: ")))
+				case strings.HasPrefix(l, "Category: "):
+					label = strings.TrimSpace(strings.TrimPrefix(l, "Category: "))
+				}
+				i++
+			}
+			if i >= len(lines) {
+				return out, fmt.Errorf("prompt: unterminated neighbor entry")
+			}
+			i++ // consume "}}"
+			out.NeighborTexts = append(out.NeighborTexts, strings.Join(text, " "))
+			out.NeighborLabels = append(out.NeighborLabels, label)
+		case strings.HasPrefix(line, "Task:"):
+			i++
+			goto task
+		default:
+			return out, fmt.Errorf("prompt: unexpected line %q", line)
+		}
+	}
+	return out, fmt.Errorf("prompt: missing task section")
+
+task:
+	if i >= len(lines) || !strings.HasPrefix(lines[i], "Categories:") {
+		return out, fmt.Errorf("prompt: missing categories header")
+	}
+	i++
+	if i >= len(lines) || !strings.HasPrefix(lines[i], "[") || !strings.HasSuffix(lines[i], "]") {
+		return out, fmt.Errorf("prompt: missing category list")
+	}
+	inner := strings.TrimSuffix(strings.TrimPrefix(lines[i], "["), "]")
+	for _, c := range strings.Split(inner, ", ") {
+		c = strings.TrimSpace(c)
+		if c != "" {
+			out.Categories = append(out.Categories, c)
+		}
+	}
+	if len(out.Categories) == 0 {
+		return out, fmt.Errorf("prompt: empty category list")
+	}
+	return out, nil
 }

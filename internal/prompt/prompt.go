@@ -12,6 +12,7 @@
 package prompt
 
 import (
+	"errors"
 	"fmt"
 	"strconv"
 	"strings"
@@ -144,7 +145,7 @@ func layout(w writer, nodeType, edgeRelation string, ranked bool, categories []s
 		w.lit(lowerOr(edgeRelation, "citation"))
 		w.lit(" relationships")
 		if ranked {
-			w.lit(", from most related to least related")
+			w.lit(", " + rankedPhrase)
 		}
 		w.lit(":\n")
 		title := asciiTitle(nt)
@@ -213,27 +214,15 @@ func (w *requestWriter) field(f int) string {
 }
 
 // Render renders the query's prompt: Build's bytes, written from the
-// dictionary.
-func (q *Query) Render() string {
+// dictionary into a buffer of their exact size.
+func (q *Query) Render() string { return q.render(templateOf(q)) }
+
+// render is Render with the query's template t.
+func (q *Query) render(t *template) string {
 	w := queryWriter{q: q}
-	w.b.Grow(q.size())
+	w.b.Grow(q.size(t, nil))
 	layout(&w, q.NodeType, q.EdgeRelation, q.Ranked, q.Categories, len(q.Neighbors))
 	return w.b.String()
-}
-
-// size bounds the byte length of the query's prompt from above.
-func (q *Query) size() int {
-	n := 512 + len(q.NodeType) + len(q.EdgeRelation)
-	for _, c := range q.Categories {
-		n += len(c) + 2
-	}
-	for f := 0; f < q.fields(); f++ {
-		n += q.Dict.Size(q.text(f))
-	}
-	for _, nb := range q.Neighbors {
-		n += 64 + len(q.NodeType) + len(nb.Label)
-	}
-	return n
 }
 
 // queryWriter writes a Query's prompt.
@@ -259,99 +248,222 @@ type Parsed struct {
 
 // Parse recovers the structured query from a prompt built by Build.
 func Parse(p string) (Parsed, error) {
-	return parseLines(strings.Split(p, "\n"))
-}
-
-// parseLines is Parse over a prompt already split into lines, so the
-// compressor validates, locates abstracts and renders from one split.
-func parseLines(lines []string) (Parsed, error) {
 	var out Parsed
-	i := 0
-
-	// Target line: "Target <type>: Title: ... "
-	if i >= len(lines) || !strings.HasPrefix(lines[i], "Target ") {
-		return out, fmt.Errorf("prompt: missing target line")
-	}
-	first := lines[i]
-	ti := strings.Index(first, "Title: ")
-	if ti < 0 {
-		return out, fmt.Errorf("prompt: target line missing title")
-	}
-	targetTitle := strings.TrimSpace(first[ti+len("Title: "):])
-	i++
-	if i >= len(lines) || !strings.HasPrefix(lines[i], "Abstract: ") {
-		return out, fmt.Errorf("prompt: missing target abstract")
-	}
-	targetAbstract := strings.TrimSpace(strings.TrimPrefix(lines[i], "Abstract: "))
-	out.TargetText = strings.TrimSpace(targetTitle + " " + targetAbstract)
-	i++
-
-	// Optional neighbor block.
-	for i < len(lines) {
-		line := lines[i]
-		switch {
-		case line == "":
-			i++
-		case strings.HasPrefix(line, "Target ") && strings.Contains(line, "neighbors"):
-			out.Ranked = strings.Contains(line, "from most related to least related")
-			i++
-		case strings.HasPrefix(line, "Neighbor "):
-			// Entry spans until the closing "}}".
-			i++
-			var text []string
-			label := ""
-			for i < len(lines) && lines[i] != "}}" {
-				l := lines[i]
-				switch {
-				case strings.HasPrefix(l, "Title: "):
-					text = append(text, strings.TrimSpace(strings.TrimPrefix(l, "Title: ")))
-				case strings.HasPrefix(l, "Abstract: "):
-					text = append(text, strings.TrimSpace(strings.TrimPrefix(l, "Abstract: ")))
-				case strings.HasPrefix(l, "Category: "):
-					label = strings.TrimSpace(strings.TrimPrefix(l, "Category: "))
-				}
-				i++
-			}
-			if i >= len(lines) {
-				return out, fmt.Errorf("prompt: unterminated neighbor entry")
-			}
-			i++ // consume "}}"
+	var title string
+	var text []string
+	sc := NewScanner(p)
+	for sc.Scan() {
+		switch sc.Part() {
+		case TargetTitle:
+			title = sc.Text()
+		case TargetAbstract:
+			out.TargetText = strings.TrimSpace(title + " " + sc.Text())
+		case Header:
+			out.Ranked = strings.Contains(sc.Text(), rankedPhrase)
+		case NeighborText:
+			text = append(text, sc.Text())
+		case NeighborEnd:
 			out.NeighborTexts = append(out.NeighborTexts, strings.Join(text, " "))
-			out.NeighborLabels = append(out.NeighborLabels, label)
-		case strings.HasPrefix(line, "Task:"):
-			i++
-			goto task
-		default:
-			return out, fmt.Errorf("prompt: unexpected line %q", line)
+			out.NeighborLabels = append(out.NeighborLabels, sc.Text())
+			text = text[:0]
+		case Category:
+			out.Categories = append(out.Categories, sc.Text())
 		}
 	}
-	return out, fmt.Errorf("prompt: missing task section")
-
-task:
-	if i >= len(lines) || !strings.HasPrefix(lines[i], "Categories:") {
-		return out, fmt.Errorf("prompt: missing categories header")
-	}
-	i++
-	if i >= len(lines) || !strings.HasPrefix(lines[i], "[") || !strings.HasSuffix(lines[i], "]") {
-		return out, fmt.Errorf("prompt: missing category list")
-	}
-	inner := strings.TrimSuffix(strings.TrimPrefix(lines[i], "["), "]")
-	for _, c := range strings.Split(inner, ", ") {
-		c = strings.TrimSpace(c)
-		if c != "" {
-			out.Categories = append(out.Categories, c)
-		}
-	}
-	if len(out.Categories) == 0 {
-		return out, fmt.Errorf("prompt: empty category list")
-	}
-	return out, nil
+	return out, sc.Err()
 }
+
+// parses reports whether Parse reads p without an error.
+func parses(p string) bool {
+	sc := NewScanner(p)
+	for sc.Scan() {
+	}
+	return sc.Err() == nil
+}
+
+// rankedPhrase is what SNS's neighbor header adds.
+const rankedPhrase = "from most related to least related"
+
+// Part is the kind of one part of a prompt, as a Scanner reads it.
+type Part uint8
+
+const (
+	// TargetTitle is the target's title, and TargetAbstract its
+	// abstract.
+	TargetTitle Part = iota
+	TargetAbstract
+	// Header is a neighbor header line, whole.
+	Header
+	// NeighborText is the text of one Title or Abstract line of the
+	// current neighbor entry.
+	NeighborText
+	// NeighborEnd closes a neighbor entry; its text is the entry's
+	// label: its last Category line's, or "" when it has none.
+	NeighborEnd
+	// Category is one name of the category list.
+	Category
+)
+
+// Scanner reads a prompt built by Build part by part, in prompt order,
+// and accepts exactly what Parse accepts, failing with Parse's error.
+// Each part's text is a substring of the prompt, trimmed as Parse
+// trims it, so a scan copies and allocates nothing; Parse itself is a
+// Scanner's loop. A prompt that fails may have yielded parts before
+// the line that fails.
+type Scanner struct {
+	rest    string // the prompt after the lines read
+	done    bool   // every line is read
+	state   scanState
+	label   string // the current entry's label
+	list    string // the category list not yet read
+	listEnd bool   // list is empty or holds the list's last name
+	n       int    // categories read
+	part    Part
+	text    string
+	err     error
+}
+
+// scanState is what a Scanner reads next.
+type scanState uint8
+
+const (
+	scanTitle scanState = iota
+	scanAbstract
+	scanBlock
+	scanEntry
+	scanTask
+	scanList
+	scanDone
+)
+
+// NewScanner returns a Scanner of prompt p.
+func NewScanner(p string) Scanner { return Scanner{rest: p} }
+
+// line returns the next line of the prompt, as strings.Split(p, "\n")
+// yields them; ok is false past the last.
+func (s *Scanner) line() (line string, ok bool) {
+	if s.done {
+		return "", false
+	}
+	if i := strings.IndexByte(s.rest, '\n'); i >= 0 {
+		line, s.rest = s.rest[:i], s.rest[i+1:]
+		return line, true
+	}
+	s.done = true
+	return s.rest, true
+}
+
+// emit makes (p, text) the current part.
+func (s *Scanner) emit(p Part, text string) bool {
+	s.part, s.text = p, text
+	return true
+}
+
+// fail ends the scan with err.
+func (s *Scanner) fail(err error) bool {
+	s.state, s.err = scanDone, err
+	return false
+}
+
+// Scan advances to the next part, reporting false at the end of the
+// prompt or on an error.
+func (s *Scanner) Scan() bool {
+	for {
+		switch s.state {
+		case scanTitle:
+			// Target line: "Target <type>: Title: ... "
+			line, _ := s.line()
+			if !strings.HasPrefix(line, "Target ") {
+				return s.fail(errors.New("prompt: missing target line"))
+			}
+			ti := strings.Index(line, "Title: ")
+			if ti < 0 {
+				return s.fail(errors.New("prompt: target line missing title"))
+			}
+			s.state = scanAbstract
+			return s.emit(TargetTitle, strings.TrimSpace(line[ti+len("Title: "):]))
+		case scanAbstract:
+			line, ok := s.line()
+			if !ok || !strings.HasPrefix(line, "Abstract: ") {
+				return s.fail(errors.New("prompt: missing target abstract"))
+			}
+			s.state = scanBlock
+			return s.emit(TargetAbstract, strings.TrimSpace(strings.TrimPrefix(line, "Abstract: ")))
+		case scanBlock:
+			// Optional neighbor block.
+			line, ok := s.line()
+			switch {
+			case !ok:
+				return s.fail(errors.New("prompt: missing task section"))
+			case line == "":
+			case strings.HasPrefix(line, "Target ") && strings.Contains(line, "neighbors"):
+				return s.emit(Header, line)
+			case strings.HasPrefix(line, "Neighbor "):
+				// Entry spans until the closing "}}".
+				s.state, s.label = scanEntry, ""
+			case strings.HasPrefix(line, "Task:"):
+				s.state = scanTask
+			default:
+				return s.fail(fmt.Errorf("prompt: unexpected line %q", line))
+			}
+		case scanEntry:
+			line, ok := s.line()
+			switch {
+			case !ok:
+				return s.fail(errors.New("prompt: unterminated neighbor entry"))
+			case line == "}}":
+				s.state = scanBlock
+				return s.emit(NeighborEnd, s.label)
+			case strings.HasPrefix(line, "Title: "):
+				return s.emit(NeighborText, strings.TrimSpace(strings.TrimPrefix(line, "Title: ")))
+			case strings.HasPrefix(line, "Abstract: "):
+				return s.emit(NeighborText, strings.TrimSpace(strings.TrimPrefix(line, "Abstract: ")))
+			case strings.HasPrefix(line, "Category: "):
+				s.label = strings.TrimSpace(strings.TrimPrefix(line, "Category: "))
+			}
+		case scanTask:
+			if line, ok := s.line(); !ok || !strings.HasPrefix(line, "Categories:") {
+				return s.fail(errors.New("prompt: missing categories header"))
+			}
+			line, ok := s.line()
+			if !ok || !strings.HasPrefix(line, "[") || !strings.HasSuffix(line, "]") {
+				return s.fail(errors.New("prompt: missing category list"))
+			}
+			s.state, s.list = scanList, strings.TrimSuffix(strings.TrimPrefix(line, "["), "]")
+		case scanList:
+			// The names are the list split on ", " and trimmed, empty
+			// ones left out.
+			for !s.listEnd {
+				c, rest, found := strings.Cut(s.list, ", ")
+				s.list, s.listEnd = rest, !found
+				if c = strings.TrimSpace(c); c != "" {
+					s.n++
+					return s.emit(Category, c)
+				}
+			}
+			if s.n == 0 {
+				return s.fail(errors.New("prompt: empty category list"))
+			}
+			s.state = scanDone
+		default:
+			return false
+		}
+	}
+}
+
+// Part returns the kind of the current part.
+func (s *Scanner) Part() Part { return s.part }
+
+// Text returns the current part's text.
+func (s *Scanner) Text() string { return s.text }
+
+// Err returns the error that ended the scan, or nil.
+func (s *Scanner) Err() error { return s.err }
 
 // FormatResponse renders an LLM answer in the format the templates
 // request: Category: ['XX'].
 func FormatResponse(category string) string {
-	return fmt.Sprintf("Category: ['%s']", category)
+	return "Category: ['" + category + "']"
 }
 
 // ParseResponse extracts the category from a response in the requested

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"repro/internal/prompt"
 )
 
 // FuzzLoad hardens snapshot loading against corrupted or adversarial
@@ -32,6 +34,8 @@ func FuzzLoad(f *testing.F) {
 	// back to Parse.
 	f.Add(`{"format":1,"classes":["Alpha\nBeta","Gamma"],"nodes":[{"ID":0,"Title":"t","Abstract":"x","Label":0}],"edges":[]}`)
 	f.Add(`{"format":1,"classes":["Alpha, Beta","Gamma"],"nodes":[{"ID":0,"Title":"t","Abstract":"x","Label":1}],"edges":[]}`)
+	// ... and class names an answer cannot carry back to ParseResponse.
+	f.Add(`{"format":1,"classes":["A']B","Gamma"],"nodes":[{"ID":0,"Title":"t","Abstract":"x","Label":0}],"edges":[]}`)
 
 	f.Fuzz(func(t *testing.T, doc string) {
 		g, err := Load(strings.NewReader(doc))
@@ -44,6 +48,9 @@ func FuzzLoad(f *testing.F) {
 		for _, c := range g.Classes {
 			if c == "" || strings.TrimSpace(c) != c || strings.Contains(c, "\n") || strings.Contains(c, ", ") {
 				t.Fatalf("Load accepted class name %q, which a category list cannot carry", c)
+			}
+			if got, err := prompt.ParseResponse(prompt.FormatResponse(c)); err != nil || got != c {
+				t.Fatalf("Load accepted class name %q, which an answer carries back as %q (%v)", c, got, err)
 			}
 		}
 		for v := NodeID(0); int(v) < g.NumNodes(); v++ {

@@ -98,7 +98,9 @@ func Save(w io.Writer, g *Graph) error {
 // class name must survive a prompt's category list, one line of names
 // joined by ", " that prompt.Parse splits and trims: Load rejects an
 // empty name, one with leading or trailing space, and one holding a
-// newline or ", ".
+// newline or ", ". It must also survive an answer, Category: ['name'],
+// which prompt.ParseResponse ends at the first "']": Load rejects a
+// name holding "']".
 func Load(r io.Reader) (*Graph, error) {
 	var s snapshot
 	dec := json.NewDecoder(r)
@@ -111,6 +113,9 @@ func Load(r io.Reader) (*Graph, error) {
 	for k, c := range s.Classes {
 		if c == "" || strings.TrimSpace(c) != c || strings.Contains(c, "\n") || strings.Contains(c, ", ") {
 			return nil, fmt.Errorf("tag: snapshot class %d: name %.40q cannot be listed in a prompt", k, c)
+		}
+		if strings.Contains(c, "']") {
+			return nil, fmt.Errorf("tag: snapshot class %d: name %.40q cannot be read back from an answer", k, c)
 		}
 	}
 	g := &Graph{

@@ -161,6 +161,22 @@ func TestLoadRejectsUnlistableClassNames(t *testing.T) {
 	}
 }
 
+// TestLoadRejectsClassNamesAnswersCannotCarry: a class name holding
+// "']" would come back from Category: ['name'] cut short, so Load
+// rejects it, naming the class; a lone quote or bracket is fine.
+func TestLoadRejectsClassNamesAnswersCannotCarry(t *testing.T) {
+	_, err := Load(strings.NewReader(`{"format":1,"classes":["Gamma","A']B"],"nodes":[],"edges":[]}`))
+	if err == nil {
+		t.Fatal(`accepted class name "A']B"`)
+	}
+	if !strings.Contains(err.Error(), "class 1") || !strings.Contains(err.Error(), "answer") {
+		t.Errorf("error %q does not name class 1 and the answer", err)
+	}
+	if _, err := Load(strings.NewReader(`{"format":1,"classes":["A'","['B","C]","'"],"nodes":[],"edges":[]}`)); err != nil {
+		t.Fatalf("rejected class names an answer carries: %v", err)
+	}
+}
+
 func TestSnapshotRejectsBadInput(t *testing.T) {
 	cases := []struct {
 		name string

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 	"unicode"
-	"unicode/utf8"
 )
 
 // Dict is a dictionary of distinct words, each stored once with its
@@ -149,16 +148,8 @@ func (d *Dict) Join(ids []int32) string {
 func ForFields(s string, f func(field string)) {
 	start := -1
 	for i := 0; i < len(s); {
-		var space bool
-		size := 1
-		if c := s[i]; c < utf8.RuneSelf {
-			space = asciiSpace[c] == 1
-		} else {
-			var r rune
-			r, size = utf8.DecodeRuneInString(s[i:])
-			space = unicode.IsSpace(r)
-		}
-		if space {
+		class, size := classAt(s, i)
+		if class == space {
 			if start >= 0 {
 				f(s[start:i])
 				start = -1
@@ -173,18 +164,15 @@ func ForFields(s string, f func(field string)) {
 	}
 }
 
-// asciiSpace marks the ASCII bytes unicode.IsSpace reports as space.
-var asciiSpace = [utf8.RuneSelf]uint8{'\t': 1, '\n': 1, '\v': 1, '\f': 1, '\r': 1, ' ': 1}
-
 // InFieldForm reports whether s is words joined by single spaces:
 // exactly strings.Join(strings.Fields(s), " "), with no other space,
 // none leading and none trailing.
 func InFieldForm(s string) bool {
 	prevSpace := true // at the start, a space would be leading
 	for i := 0; i < len(s); {
-		r, size := decodeRune(s, i)
-		if unicode.IsSpace(r) {
-			if r != ' ' || prevSpace {
+		class, size := classAt(s, i)
+		if class == space {
+			if s[i] != ' ' || prevSpace {
 				return false
 			}
 			prevSpace = true

@@ -110,34 +110,38 @@ func Tokenize(text string) []string {
 func Count(text string) int {
 	// Counting walks the string in place, without materializing runes,
 	// words or the token slice: the hot path (per-prompt metering)
-	// allocates nothing. An invalid byte decodes as utf8.RuneError of
-	// width 1, a symbol, so it counts one token, as in Tokenize.
+	// allocates nothing. An ASCII byte is classified through byteClass,
+	// which holds what runeClass reports for it; any other byte starts a
+	// rune that runeClass classifies. An invalid byte decodes as
+	// utf8.RuneError of width 1, a symbol, so it counts one token, as in
+	// Tokenize.
 	n := 0
 	for i := 0; i < len(text); {
-		r, size := decodeRune(text, i)
-		switch {
-		case unicode.IsSpace(r):
+		class, size := uint8(0), 1
+		if c := text[i]; c < utf8.RuneSelf {
+			class = byteClass[c]
+		} else {
+			class, size = runeClassAt(text[i:])
+		}
+		switch class {
+		case space:
 			i += size
-		case unicode.IsLetter(r):
-			j := i + size
-			for j < len(text) {
-				r, size := decodeRune(text, j)
-				if !unicode.IsLetter(r) {
-					break
-				}
-				j += size
+		case letter:
+			j := asciiRunEnd(text, i+size, letter)
+			ascii := size == 1
+			if j < len(text) && text[j] >= utf8.RuneSelf {
+				var rest bool
+				j, rest = runEnd(text, j, letter)
+				ascii = ascii && rest
 			}
-			n += wordTokens(text[i:j])
+			if j-i <= maxPiece {
+				n++
+			} else {
+				n += longWordTokens(text[i:j], ascii)
+			}
 			i = j
-		case unicode.IsDigit(r):
-			j := i + size
-			for j < len(text) {
-				r, size := decodeRune(text, j)
-				if !unicode.IsDigit(r) {
-					break
-				}
-				j += size
-			}
+		case digit:
+			j, _ := runEnd(text, i+size, digit)
 			n += (j - i + 2) / 3
 			i = j
 		default:
@@ -148,17 +152,80 @@ func Count(text string) int {
 	return n
 }
 
-// decodeRune returns the rune starting at text[i] and its width in
-// bytes, with a fast path for ASCII.
-func decodeRune(text string, i int) (rune, int) {
-	if c := text[i]; c < utf8.RuneSelf {
-		return rune(c), 1
+// The classes Count sorts characters into, tested in Tokenize's order.
+const (
+	symbol uint8 = iota
+	space
+	letter
+	digit
+)
+
+// runeClass returns the class of r.
+func runeClass(r rune) uint8 {
+	switch {
+	case unicode.IsSpace(r):
+		return space
+	case unicode.IsLetter(r):
+		return letter
+	case unicode.IsDigit(r):
+		return digit
 	}
-	return utf8.DecodeRuneInString(text[i:])
+	return symbol
 }
 
-func wordTokens(w string) int {
-	if len(w) <= maxPiece || isCommon(w) {
+// byteClass is runeClass of each ASCII byte.
+var byteClass = func() (t [utf8.RuneSelf]uint8) {
+	for c := range t {
+		t[c] = runeClass(rune(c))
+	}
+	return t
+}()
+
+// classAt returns the class of the character starting at text[i] and
+// its width in bytes.
+func classAt(text string, i int) (uint8, int) {
+	if c := text[i]; c < utf8.RuneSelf {
+		return byteClass[c], 1
+	}
+	return runeClassAt(text[i:])
+}
+
+// runeClassAt returns the class of the rune s starts with and its
+// width in bytes.
+func runeClassAt(s string) (uint8, int) {
+	r, size := utf8.DecodeRuneInString(s)
+	return runeClass(r), size
+}
+
+// asciiRunEnd returns the end of the run of ASCII class characters
+// starting at text[j].
+func asciiRunEnd(text string, j int, class uint8) int {
+	for j < len(text) && text[j] < utf8.RuneSelf && byteClass[text[j]] == class {
+		j++
+	}
+	return j
+}
+
+// runEnd returns the end of the run of class characters starting at
+// text[j], and whether the run is ASCII.
+func runEnd(text string, j int, class uint8) (end int, ascii bool) {
+	j = asciiRunEnd(text, j, class)
+	ascii = true
+	for j < len(text) {
+		c, size := classAt(text, j)
+		if c != class {
+			break
+		}
+		ascii = ascii && size == 1
+		j += size
+	}
+	return j, ascii
+}
+
+// longWordTokens counts the tokens of a letter run w longer than
+// maxPiece, which is ASCII when ascii is set.
+func longWordTokens(w string, ascii bool) int {
+	if isCommon(w, ascii) {
 		return 1
 	}
 	n := len(w) / maxPiece
@@ -173,26 +240,37 @@ func wordTokens(w string) int {
 // maxCommonLen is the byte length of the longest common word.
 const maxCommonLen = len("categories")
 
-// isCommon reports whether w, lowercased, is a common word. ASCII
-// words are lowercased into a stack buffer, so the check allocates
-// nothing; other words go through strings.ToLower, which may change
+// commonEnds[l][f] has bit e set when a common word of l letters
+// begins with the letter 'a'+f and ends with 'a'+e. Every common word
+// is lowercase ASCII letters.
+var commonEnds = func() (t [maxCommonLen + 1][26]uint32) {
+	for w := range common {
+		t[len(w)][w[0]-'a'] |= 1 << (w[len(w)-1] - 'a')
+	}
+	return t
+}()
+
+// isCommon reports whether letter run w, lowercased, is a common word.
+// An ASCII run is one no common word can be unless its length and its
+// lowercased end letters are a common word's, so most skip the map; the
+// rest are lowercased into a stack buffer, so the check allocates
+// nothing. Other runs go through strings.ToLower, which may change
 // their length (the Kelvin sign U+212A lowercases to ASCII 'k').
-func isCommon(w string) bool {
+func isCommon(w string, ascii bool) bool {
+	if !ascii {
+		return common[strings.ToLower(w)]
+	}
+	if len(w) > maxCommonLen {
+		return false
+	}
+	// An ASCII letter's lowercase sets bit 0x20.
+	f, e := w[0]|0x20-'a', w[len(w)-1]|0x20-'a'
+	if commonEnds[len(w)][f]&(1<<e) == 0 {
+		return false
+	}
 	var buf [maxCommonLen]byte
 	for i := 0; i < len(w); i++ {
-		c := w[i]
-		if c >= utf8.RuneSelf {
-			return common[strings.ToLower(w)]
-		}
-		if i == len(buf) {
-			// Its lowercase keeps these len(buf) ASCII bytes and
-			// adds at least one: longer than every common word.
-			return false
-		}
-		if 'A' <= c && c <= 'Z' {
-			c += 'a' - 'A'
-		}
-		buf[i] = c
+		buf[i] = w[i] | 0x20
 	}
 	return common[string(buf[:len(w)])]
 }

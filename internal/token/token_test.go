@@ -207,6 +207,26 @@ func FuzzCount(f *testing.F) {
 	} {
 		f.Add(s)
 	}
+	// Byte-class boundaries: every ASCII byte between letters and
+	// between digits, the bytes on each side of each class's ranges
+	// inside words and digit runs, ASCII runs that go on into
+	// non-ASCII letters, digits and spaces (U+0085 and U+00A0 are
+	// spaces, U+0663 a digit), and words of every common length with
+	// and without a common word's first and last letters.
+	var all []byte
+	for c := 0; c < 0x80; c++ {
+		all = append(all, 'a', byte(c), 'b', '1', byte(c), '2')
+	}
+	f.Add(string(all))
+	for _, s := range []string{
+		"@A Z[ `a z{ /0 9: \x7f\x80 \x1f \x20 \x0d\x0e",
+		"x@y Z[z `az{ a/b 0/9 9:0 tab\tnl\nvt\vff\fcr\r",
+		"ab\u00e9cd 12\u0663\u0664 ab\u0085cd ab\u00a0cd 1\u00a02 e\u0301",
+		"theX xthe Categoriez categorie paperz Likelyy neighbors nodesx titlee outputs",
+		"the THE Target TARGET likely LIKELY categories CATEGORIES belong Belong class classs",
+	} {
+		f.Add(s)
+	}
 	f.Fuzz(func(t *testing.T, s string) {
 		if got, want := Count(s), len(Tokenize(s)); got != want {
 			t.Fatalf("Count(%q) = %d, Tokenize length = %d", s, got, want)

@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race bench benchcheck benchpool benchcompress benchplan fuzz soak chaos warmcache traceguard servesmoke loadsmoke benchload check
+.PHONY: all build vet test race bench benchcheck benchpool benchcompress benchplan fuzz soak chaos warmcache traceguard servesmoke loadsmoke benchload examples check
 
 all: check
 
@@ -67,6 +67,7 @@ fuzz:
 	$(GO) test -fuzz FuzzCompress -fuzzminimizetime 10x -fuzztime $(FUZZTIME) -run '^$$' ./internal/prompt/
 	$(GO) test -fuzz FuzzCount -fuzztime $(FUZZTIME) -run '^$$' ./internal/token/
 	$(GO) test -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/prompt/
+	$(GO) test -fuzz '^FuzzParseResponse$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/prompt/
 	$(GO) test -fuzz FuzzBuildParseRoundTrip -fuzztime $(FUZZTIME) -run '^$$' ./internal/prompt/
 	$(GO) test -fuzz FuzzLoad -fuzztime $(FUZZTIME) -run '^$$' ./internal/tag/
 
@@ -195,5 +196,20 @@ servesmoke:
 	grep -q 'drained' servesmoke-llmserve.log || { echo "servesmoke: FAIL - no clean drain"; status=1; }; \
 	rm -f servesmoke-*.bin servesmoke-*.log; \
 	if [ $$status -eq 0 ]; then echo "servesmoke: PASS"; fi; exit $$status
+
+# examples builds every program under examples/ into a temporary
+# directory and runs each once, failing on the first build error or
+# nonzero exit and then showing that program's output. The examples
+# drive the public mqo API end to end (the batch executor, audit-log
+# resume, boosting, budgets), which no test runs as a program.
+examples:
+	@dir=$$(mktemp -d); status=0; \
+	for ex in examples/*/; do \
+		name=$$(basename $$ex); \
+		$(GO) build -o $$dir/$$name ./$$ex || { status=1; break; }; \
+		if $$dir/$$name > $$dir/$$name.log 2>&1; then echo "examples/$$name: ok"; \
+		else cat $$dir/$$name.log; echo "examples: FAIL - $$name exited nonzero"; status=1; break; fi; \
+	done; \
+	rm -rf $$dir; exit $$status
 
 check: build vet test race

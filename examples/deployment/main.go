@@ -1,7 +1,7 @@
 // Deployment: the production shape of the pipeline. A simulated LLM is
 // served behind an OpenAI-compatible HTTP endpoint; a concurrent batch
-// executor with a rate limit and retries drives the optimized query
-// plan against it; and the final bill is reported in dollars at the
+// executor with a rate limit drives the optimized query plan against
+// it, over an HTTP client that retries transient failures; and the final bill is reported in dollars at the
 // paper's price points.
 //
 //	go run ./examples/deployment

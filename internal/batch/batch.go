@@ -1,7 +1,7 @@
 // Package batch executes large sets of LLM queries against real-world
-// API constraints: bounded concurrency, rate limits, transient
-// failures, a hard token budget, a persistent answer cache and a JSONL
-// audit log. It is the operational layer under the paper's multi-query
+// API constraints: bounded concurrency, rate limits, failing backends,
+// a hard token budget, a persistent answer cache and a JSONL audit
+// log. It is the operational layer under the paper's multi-query
 // optimization: Algorithm 1/2 decide *what* to ask; this package gets
 // the batch asked reliably and within budget.
 //
@@ -31,7 +31,6 @@ import (
 // README.md ("Observability").
 const (
 	metricBatchRequests  = "mqo_batch_requests_total"
-	metricBatchRetries   = "mqo_batch_retries_total"
 	metricBatchThrottled = "mqo_batch_throttle_waits_total"
 	metricBatchAborts    = "mqo_batch_aborts_total"
 	metricBatchInflight  = "mqo_batch_inflight"
@@ -62,28 +61,18 @@ type Config struct {
 	// QPS caps the dispatch rate across every Execute and Do call on
 	// this executor; 0 means unlimited.
 	QPS float64
-	// MaxRetries bounds per-query retries on transient failures
-	// (default 2; -1 disables retries entirely). Non-retryable API
-	// errors (4xx) fail immediately.
-	MaxRetries int
-	// RetryDelay is the initial backoff, doubled per retry
-	// (default 100ms).
-	RetryDelay time.Duration
-	// MaxRetryDelay caps the exponential backoff (default 30s), so long
-	// retry schedules neither overflow time.Duration nor grow into
-	// hour-long sleeps.
-	MaxRetryDelay time.Duration
 	// BudgetTokens, when > 0, is a hard cap on total tokens
 	// (input + output) spent by this executor, across every Execute
 	// and Do call — all rounds of a boosted run, not each round.
 	// Queries that would start after the cap is reached fail with
 	// ErrBudgetExhausted instead of spending money.
 	BudgetTokens int
-	// QueryTimeout, when > 0, bounds each predictor attempt. A call
-	// that outlives the deadline fails with ErrQueryTimeout (retryable)
-	// instead of stalling its worker: predictors implementing
-	// llm.ContextPredictor are canceled mid-flight, and a Query-only
-	// call is left to finish — or park — in the background.
+	// QueryTimeout, when > 0, bounds the one predictor call each
+	// request makes, including any retries or failover the predictor
+	// runs inside it. A call that outlives the deadline fails with
+	// ErrQueryTimeout instead of stalling its worker: predictors
+	// implementing llm.ContextPredictor are canceled mid-flight, and a
+	// Query-only call is left to finish — or park — in the background.
 	QueryTimeout time.Duration
 	// Breaker guards the predictor with a circuit breaker; the zero
 	// value (Threshold 0) disables it. While the circuit is open,
@@ -105,9 +94,9 @@ type Config struct {
 	// Log, when non-nil, receives one JSON line per query outcome.
 	// Prompts are logged as SHA-256 digests, never as raw text.
 	Log io.Writer
-	// Obs receives executor metrics (request outcomes, retries,
-	// throttle waits, in-flight gauge, per-attempt latency); nil routes
-	// to the process-default recorder.
+	// Obs receives executor metrics (request outcomes, throttle waits,
+	// in-flight gauge, per-call latency); nil routes to the
+	// process-default recorder.
 	Obs obs.Recorder
 }
 
@@ -115,9 +104,10 @@ type Config struct {
 // already spent.
 var ErrBudgetExhausted = errors.New("batch: token budget exhausted")
 
-// ErrQueryTimeout marks predictor attempts that outlived
-// Config.QueryTimeout. It is transient: retries (if configured) get a
-// fresh deadline, and it counts toward opening the circuit breaker.
+// ErrQueryTimeout marks predictor calls that outlived
+// Config.QueryTimeout. Like any failed call it is final at the
+// executor: it counts toward opening the circuit breaker, and a
+// caller's fallback answers it.
 var ErrQueryTimeout = errors.New("batch: query timed out")
 
 // Outcome is the result of one request.
@@ -127,8 +117,8 @@ type Outcome struct {
 	// Cached reports that no predictor call was paid for this request:
 	// the answer came from Disk.
 	Cached bool
-	// Attempts counts predictor calls made for this request (0 when
-	// cached or skipped).
+	// Attempts counts predictor calls made for this request: 1, or 0
+	// when cached, skipped or refused before the call.
 	Attempts int
 	// Finished is when the worker completed the request (zero for
 	// requests never dispatched). Callers that opened a span per
@@ -167,8 +157,8 @@ type Executor struct {
 	logErr error
 
 	// interval is the pacing gap QPS asks for (0 when unpaced), and
-	// nextSlot, under paceMu, the earliest instant the next attempt of
-	// any call may start.
+	// nextSlot, under paceMu, the earliest instant the next predictor
+	// call may start.
 	interval time.Duration
 	paceMu   sync.Mutex
 	nextSlot time.Time
@@ -191,24 +181,12 @@ func New(p llm.Predictor, cfg Config) (*Executor, error) {
 	if p == nil {
 		return nil, errors.New("batch: nil predictor")
 	}
-	if cfg.Workers < 0 || cfg.QPS < 0 || cfg.MaxRetries < -1 || cfg.BudgetTokens < 0 ||
+	if cfg.Workers < 0 || cfg.QPS < 0 || cfg.BudgetTokens < 0 ||
 		cfg.QueryTimeout < 0 || cfg.Breaker.Threshold < 0 {
 		return nil, fmt.Errorf("batch: negative config value: %+v", cfg)
 	}
 	if cfg.Workers == 0 {
 		cfg.Workers = 4
-	}
-	switch cfg.MaxRetries {
-	case 0:
-		cfg.MaxRetries = 2
-	case -1:
-		cfg.MaxRetries = 0
-	}
-	if cfg.RetryDelay <= 0 {
-		cfg.RetryDelay = 100 * time.Millisecond
-	}
-	if cfg.MaxRetryDelay <= 0 {
-		cfg.MaxRetryDelay = llm.DefaultMaxRetryDelay
 	}
 	if cfg.Disk != nil && cfg.CacheNamespace == "" {
 		cfg.CacheNamespace = promptcache.Namespace(p)
@@ -220,9 +198,9 @@ func New(p llm.Predictor, cfg Config) (*Executor, error) {
 	return e, nil
 }
 
-// pace blocks until the caller's turn under QPS: each attempt reserves
-// the next free slot, interval after the one before it, whichever
-// call it belongs to. It returns ctx's error if ctx ends first.
+// pace blocks until the caller's turn under QPS: each predictor call
+// reserves the next free slot, interval after the one before it,
+// whichever Execute or Do call it belongs to. It returns ctx's error if ctx ends first.
 func (e *Executor) pace(ctx context.Context) error {
 	e.paceMu.Lock()
 	slot := time.Now()
@@ -334,10 +312,11 @@ func FanOut(n, workers int, f func(i int)) {
 }
 
 // Do runs one request on the caller's goroutine — disk lookup, budget
-// guard, breaker, QPS pacing and retries, counted in the in-flight
-// gauge — and returns its outcome. Concurrent Do and Execute calls
-// share the executor's breaker, budget and pacing. A prompt asked
-// twice is paid twice unless Disk already holds the first answer.
+// guard, breaker, QPS pacing and one predictor call, counted in the
+// in-flight gauge — and returns its outcome. Concurrent Do and Execute
+// calls share the executor's breaker, budget and pacing. A prompt
+// asked twice is paid twice unless Disk already holds the first
+// answer.
 func (e *Executor) Do(ctx context.Context, r Request) Outcome {
 	return e.do(ctx, r, obs.Active(e.cfg.Obs))
 }
@@ -425,8 +404,8 @@ func (c *charger) charge(stage string, wall time.Duration, tokens int, billed bo
 }
 
 // do executes a single dispatched request — disk lookup, budget
-// guard, rate-paced predictor calls with retry, write-through — counted
-// in the in-flight gauge, and returns its outcome.
+// guard, one rate-paced predictor call, write-through — counted in the
+// in-flight gauge, and returns its outcome.
 func (e *Executor) do(ctx context.Context, r Request, rec obs.Recorder) Outcome {
 	e.noteInflight(rec, 1)
 	defer e.noteInflight(rec, -1)
@@ -500,124 +479,95 @@ func (e *Executor) do(ctx context.Context, r Request, rec obs.Recorder) Outcome 
 	return done(o, outcome)
 }
 
-// attempt runs the budget guard and the rate-paced retry loop for one
-// request, returning the outcome and its metric label. ctx carries the
-// query's span/ledger values (do grafted them), so spans opened
-// here — backoff, breaker verdict, attempt N — nest under the
-// batch.request span and charges land on the query's ledger.
+// attempt runs the budget guard, the breaker, QPS pacing and the one
+// predictor call for a request, returning the outcome and its metric
+// label. ctx carries the query's span/ledger values (do grafted them),
+// so spans opened here nest under the batch.request span and charges
+// land on the query's ledger. A failed call is final here: the HTTP
+// client retries a transient wire failure, a replica pool fails over
+// to its next replica, and the caller's fallback answers what is left.
 func (e *Executor) attempt(ctx context.Context, r Request, rec obs.Recorder, live bool, ch *charger) (Outcome, string) {
 	if !e.underBudget() {
 		e.log(r.Prompt, logLine{ID: r.ID, Error: ErrBudgetExhausted.Error()})
 		return Outcome{Err: ErrBudgetExhausted}, "skipped"
 	}
-
-	var lastErr error
-	for attempt := 1; attempt <= e.cfg.MaxRetries+1; attempt++ {
-		if attempt > 1 {
-			rec.Add(metricBatchRetries, 1)
-			delay := llm.RetryBackoff(e.cfg.RetryDelay, e.cfg.MaxRetryDelay, attempt-1)
-			var bsp *obs.Span
+	// Breaker guard: while the circuit is open the request fails fast,
+	// leaving graceful degradation (surrogate fallback) to the caller
+	// instead of queuing behind a backend presumed down.
+	if e.brk != nil {
+		if err := e.brk.Allow(); err != nil {
 			if live {
-				_, bsp = obs.StartSpanCtx(ctx, rec, "batch.backoff", "attempt", fmt.Sprint(attempt))
+				_, vsp := obs.StartSpanCtx(ctx, rec, "batch.breaker", "verdict", "open")
+				vsp.End()
+				ch.charge(obs.StageBreaker, 0, 0, true)
 			}
-			select {
-			case <-time.After(delay):
-				bsp.End()
-				ch.charge(obs.StageBackoff, delay, 0, true)
-			case <-ctx.Done():
-				bsp.End()
-				rec.Add(metricBatchAborts, 1, "reason", abortReason(ctx.Err()))
-				return Outcome{Err: ctx.Err(), Attempts: attempt - 1}, "aborted"
-			}
+			e.log(r.Prompt, logLine{ID: r.ID, Error: err.Error()})
+			return Outcome{Err: err}, "rejected"
 		}
-		// Breaker guard: while the circuit is open the request fails
-		// fast, leaving graceful degradation (surrogate fallback) to the
-		// caller instead of queuing behind a backend presumed down.
-		if e.brk != nil {
-			if err := e.brk.Allow(); err != nil {
-				if live {
-					_, vsp := obs.StartSpanCtx(ctx, rec, "batch.breaker", "verdict", "open")
-					vsp.End()
-					ch.charge(obs.StageBreaker, 0, 0, true)
-				}
-				e.log(r.Prompt, logLine{ID: r.ID, Attempts: attempt - 1, Error: err.Error()})
-				return Outcome{Err: err, Attempts: attempt - 1}, "rejected"
-			}
-		}
-		if e.cfg.QPS > 0 {
-			var tstart time.Time
-			if live {
-				tstart = time.Now()
-			}
-			if err := e.pace(ctx); err != nil {
-				e.cancelBreaker() // pacing abort says nothing about the backend
-				rec.Add(metricBatchAborts, 1, "reason", abortReason(err))
-				return Outcome{Err: err, Attempts: attempt - 1}, "aborted"
-			}
-			rec.Add(metricBatchThrottled, 1)
-			if live {
-				ch.charge(obs.StageThrottle, time.Since(tstart), 0, true)
-			}
-		}
-		var start time.Time
-		actx := ctx
-		var asp *obs.Span
+	}
+	if e.cfg.QPS > 0 {
+		var tstart time.Time
 		if live {
-			start = time.Now()
-			actx, asp = obs.StartSpanCtx(ctx, rec, "batch.attempt", "n", fmt.Sprint(attempt))
+			tstart = time.Now()
 		}
-		resp, err := e.query(actx, r.Prompt)
+		if err := e.pace(ctx); err != nil {
+			e.cancelBreaker() // pacing abort says nothing about the backend
+			rec.Add(metricBatchAborts, 1, "reason", abortReason(err))
+			return Outcome{Err: err}, "aborted"
+		}
+		rec.Add(metricBatchThrottled, 1)
 		if live {
-			wall := time.Since(start)
-			rec.Observe(metricBatchAttempt, wall.Seconds())
-			if err == nil {
-				asp.SetAttr("outcome", "ok")
-				ch.charge(obs.StagePredict, wall, resp.InputTokens+resp.OutputTokens, true)
-			} else {
-				asp.SetAttr("outcome", "error")
-				// Failed attempts are serial wall-clock on this query's
-				// path, but they bought nothing: billed time, zero
-				// tokens, under the retry stage.
-				ch.charge(obs.StageRetry, wall, 0, true)
-			}
-			asp.End()
+			ch.charge(obs.StageThrottle, time.Since(tstart), 0, true)
 		}
-		if err == nil {
-			e.reportBreaker(true)
-			e.spent.Add(int64(resp.InputTokens + resp.OutputTokens))
-			rec.Add(metricBatchTokens, float64(resp.InputTokens+resp.OutputTokens))
-			e.log(r.Prompt, logLine{
-				ID: r.ID, InputTokens: resp.InputTokens, OutputTokens: resp.OutputTokens,
-				Category: resp.Category, Attempts: attempt,
-			})
-			return Outcome{Response: resp, Attempts: attempt}, "ok"
+	}
+	var start time.Time
+	actx := ctx
+	var asp *obs.Span
+	if live {
+		start = time.Now()
+		actx, asp = obs.StartSpanCtx(ctx, rec, "batch.attempt")
+	}
+	resp, err := e.query(actx, r.Prompt)
+	if live {
+		wall := time.Since(start)
+		rec.Observe(metricBatchAttempt, wall.Seconds())
+		outcome, tokens := "ok", resp.InputTokens+resp.OutputTokens
+		if err != nil {
+			// A failed call is serial wall-clock on this query's path
+			// that bought nothing: billed time, zero tokens.
+			outcome, tokens = "error", 0
 		}
-		lastErr = err
-		if ctx.Err() != nil {
-			// The batch was canceled mid-call; not the backend's fault.
-			e.cancelBreaker()
-			rec.Add(metricBatchAborts, 1, "reason", abortReason(ctx.Err()))
-			return Outcome{Err: ctx.Err(), Attempts: attempt}, "aborted"
-		}
+		asp.SetAttr("outcome", outcome)
+		ch.charge(obs.StagePredict, wall, tokens, true)
+		asp.End()
+	}
+	switch {
+	case err == nil:
+		e.reportBreaker(true)
+		e.spent.Add(int64(resp.InputTokens + resp.OutputTokens))
+		rec.Add(metricBatchTokens, float64(resp.InputTokens+resp.OutputTokens))
+		e.log(r.Prompt, logLine{
+			ID: r.ID, InputTokens: resp.InputTokens, OutputTokens: resp.OutputTokens,
+			Category: resp.Category, Attempts: 1,
+		})
+		return Outcome{Response: resp, Attempts: 1}, "ok"
+	case ctx.Err() != nil:
+		// The batch was canceled mid-call; not the backend's fault.
+		e.cancelBreaker()
+		rec.Add(metricBatchAborts, 1, "reason", abortReason(ctx.Err()))
+		return Outcome{Err: ctx.Err(), Attempts: 1}, "aborted"
+	case llm.ClientFault(err):
+		// The request's fault, not the backend's: it does not count
+		// toward the breaker.
+		e.cancelBreaker()
+	default:
 		if errors.Is(err, ErrQueryTimeout) {
 			rec.Add(metricBatchTimeouts, 1)
-			e.reportBreaker(false)
-			continue
-		}
-		if llm.ClientFault(err) {
-			// The request's fault, not the backend's: neither retried
-			// nor counted toward the breaker.
-			e.cancelBreaker()
-			e.log(r.Prompt, logLine{ID: r.ID, Attempts: attempt, Error: err.Error()})
-			return Outcome{Err: err, Attempts: attempt}, "error"
 		}
 		e.reportBreaker(false)
 	}
-	e.log(r.Prompt, logLine{ID: r.ID, Attempts: e.cfg.MaxRetries + 1, Error: lastErr.Error()})
-	return Outcome{
-		Err:      fmt.Errorf("batch: request %q failed after %d attempts: %w", r.ID, e.cfg.MaxRetries+1, lastErr),
-		Attempts: e.cfg.MaxRetries + 1,
-	}, "error"
+	e.log(r.Prompt, logLine{ID: r.ID, Attempts: 1, Error: err.Error()})
+	return Outcome{Err: err, Attempts: 1}, "error"
 }
 
 // reportBreaker feeds a call outcome to the breaker when one exists.
@@ -643,12 +593,13 @@ func (e *Executor) BreakerState() BreakerState {
 	return e.brk.State()
 }
 
-// query runs one predictor attempt (llm.Ask) under the per-query
-// deadline, the only deadline in the stack. The call runs under a
-// watchdog that gives up on it when QueryTimeout passes: a
-// ContextPredictor is canceled through the deadline's context and
-// returns, while a Query-only call finishes, or parks, in the
-// background.
+// query runs the request's predictor call (llm.Ask) under the
+// per-query deadline. The call runs under a watchdog that gives up on
+// it when QueryTimeout passes: a ContextPredictor is canceled through
+// the deadline's context and returns, while a Query-only call
+// finishes, or parks, in the background. The deadline covers the whole
+// call, retries and failover below it included; an HTTPPredictor also
+// bounds each of its round trips with HTTPConfig.Timeout.
 func (e *Executor) query(ctx context.Context, promptText string) (llm.Response, error) {
 	if e.cfg.QueryTimeout <= 0 {
 		return llm.Ask(ctx, e.p, promptText)

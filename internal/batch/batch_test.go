@@ -8,6 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"strconv"
 	"strings"
 	"sync"
@@ -88,33 +89,11 @@ func TestExecuteAllSucceed(t *testing.T) {
 	}
 }
 
-func TestExecuteRetriesTransientFailures(t *testing.T) {
-	p := newScripted()
-	p.failFirst = 2
-	p.failErr = &llm.APIError{StatusCode: http.StatusServiceUnavailable, Message: "down"}
-	e, err := New(p, Config{Workers: 2, MaxRetries: 2, RetryDelay: time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := e.Execute(context.Background(), reqs(5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Failed != 0 {
-		t.Fatalf("failed=%d after retries, want 0", res.Failed)
-	}
-	for id, o := range res.Outcomes {
-		if o.Attempts != 3 {
-			t.Errorf("%s: attempts=%d, want 3", id, o.Attempts)
-		}
-	}
-}
-
 func TestExecuteDoesNotRetryClientErrors(t *testing.T) {
 	p := newScripted()
 	p.failFirst = 1000
 	p.failErr = &llm.APIError{StatusCode: http.StatusBadRequest, Message: "bad"}
-	e, err := New(p, Config{Workers: 1, MaxRetries: 5, RetryDelay: time.Millisecond})
+	e, err := New(p, Config{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,24 +109,40 @@ func TestExecuteDoesNotRetryClientErrors(t *testing.T) {
 	}
 }
 
-func TestExecuteRetryExhaustion(t *testing.T) {
-	p := newScripted()
-	p.failFirst = 1000
-	p.failErr = errors.New("network down")
-	e, err := New(p, Config{Workers: 1, MaxRetries: 2, RetryDelay: time.Millisecond})
+// TestExecuteOverHTTPAsksOnce: over an HTTPPredictor whose server
+// always answers 503, a default executor asks each request once, so a
+// request costs the client's own 1 + MaxRetries round trips and no
+// more — the client keeps the only retry schedule.
+func TestExecuteOverHTTPAsksOnce(t *testing.T) {
+	var trips atomic.Int64
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		trips.Add(1)
+		http.Error(w, "down", http.StatusServiceUnavailable)
+	}))
+	defer srv.Close()
+	// The client's default MaxRetries (3); only its backoff is shortened.
+	c, err := llm.NewHTTPPredictor(llm.HTTPConfig{BaseURL: srv.URL, Model: "m", RetryBaseDelay: time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := e.Execute(context.Background(), reqs(1))
+	e, err := New(c, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	o := res.Outcomes["q000"]
-	if o.Err == nil || o.Attempts != 3 {
-		t.Fatalf("outcome %+v, want error after 3 attempts", o)
+	res, err := e.Execute(context.Background(), reqs(2))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !strings.Contains(o.Err.Error(), "network down") {
-		t.Errorf("error %q lost the cause", o.Err)
+	if res.Failed != 2 {
+		t.Fatalf("failed=%d against a server that always answers 503, want 2", res.Failed)
+	}
+	for id, o := range res.Outcomes {
+		if o.Attempts != 1 {
+			t.Errorf("%s: %d executor attempts, want 1", id, o.Attempts)
+		}
+	}
+	if got := trips.Load(); got != 2*4 {
+		t.Fatalf("%d round trips for 2 requests, want %d (1 + the client's 3 retries each)", got, 2*4)
 	}
 }
 
@@ -208,7 +203,7 @@ func TestDoSharesGuardsWithExecute(t *testing.T) {
 
 	p = newScripted()
 	p.failFirst, p.failErr = 1000, errors.New("backend down")
-	e, err = New(p, Config{Workers: 1, MaxRetries: -1, Breaker: BreakerConfig{Threshold: 3, Cooldown: time.Hour}})
+	e, err = New(p, Config{Workers: 1, Breaker: BreakerConfig{Threshold: 3, Cooldown: time.Hour}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -370,17 +365,36 @@ func TestExecuteLogConcurrentWorkers(t *testing.T) {
 	}
 }
 
+// blocking is a context-aware predictor whose every call waits for its
+// context to end, closing started when the first call arrives.
+type blocking struct {
+	once    sync.Once
+	started chan struct{}
+}
+
+func (b *blocking) Name() string { return "blocking" }
+
+func (b *blocking) Query(prompt string) (llm.Response, error) {
+	return b.QueryContext(context.Background(), prompt)
+}
+
+func (b *blocking) QueryContext(ctx context.Context, prompt string) (llm.Response, error) {
+	b.once.Do(func() { close(b.started) })
+	<-ctx.Done()
+	return llm.Response{}, ctx.Err()
+}
+
+// TestExecuteContextCancel: canceling an Execute call reaches the
+// predictor call in flight, and every request is still accounted for.
 func TestExecuteContextCancel(t *testing.T) {
-	p := newScripted()
-	p.failFirst = 1000
-	p.failErr = errors.New("always failing") // forces retry waits
+	p := &blocking{started: make(chan struct{})}
 	ctx, cancel := context.WithCancel(context.Background())
-	e, err := New(p, Config{Workers: 1, MaxRetries: 5, RetryDelay: 50 * time.Millisecond})
+	e, err := New(p, Config{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	go func() {
-		time.Sleep(20 * time.Millisecond)
+		<-p.started
 		cancel()
 	}()
 	res, err := e.Execute(ctx, reqs(20))
@@ -398,6 +412,9 @@ func TestExecuteContextCancel(t *testing.T) {
 	}
 	if cancelled == 0 {
 		t.Error("no request reported context cancellation")
+	}
+	if o := res.Outcomes["q000"]; !errors.Is(o.Err, context.Canceled) || o.Attempts != 1 {
+		t.Errorf("in-flight request outcome %+v, want its one call canceled", o)
 	}
 }
 
@@ -649,7 +666,7 @@ func TestExecuteDisableRetriesSentinel(t *testing.T) {
 	p := newScripted()
 	p.failFirst = 1
 	p.failErr = errors.New("transient: 503")
-	e, err := New(p, Config{Workers: 1, MaxRetries: -1})
+	e, err := New(p, Config{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -658,7 +675,7 @@ func TestExecuteDisableRetriesSentinel(t *testing.T) {
 		t.Fatal(err)
 	}
 	if res.Failed != 3 {
-		t.Fatalf("Failed = %d, want 3 (MaxRetries: -1 must disable retries)", res.Failed)
+		t.Fatalf("Failed = %d, want 3 (a failed call is final at the executor)", res.Failed)
 	}
 	if got := p.total.Load(); got != 3 {
 		t.Fatalf("predictor called %d times, want 3 (no retry attempts)", got)

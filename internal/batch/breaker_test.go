@@ -143,7 +143,7 @@ func TestExecutorBreakerFailsFast(t *testing.T) {
 	p.failFirst = 1000 // every call fails
 	p.failErr = &llm.APIError{StatusCode: http.StatusServiceUnavailable, Message: "down"}
 	e, err := New(p, Config{
-		Workers: 1, MaxRetries: -1,
+		Workers: 1,
 		Breaker: BreakerConfig{Threshold: 3, Cooldown: time.Hour},
 	})
 	if err != nil {
@@ -175,23 +175,37 @@ func TestExecutorBreakerFailsFast(t *testing.T) {
 	}
 }
 
+// TestExecutorBreakerRecovers: a success resets the breaker's failure
+// streak. Each prompt is asked twice in a row and fails the first time,
+// so the executor sees ten failures, never two in a row; with a
+// threshold of 2 the circuit stays closed and every second ask is
+// answered.
 func TestExecutorBreakerRecovers(t *testing.T) {
 	p := newScripted()
 	p.failFirst = 1 // first call per prompt fails, then succeeds
 	p.failErr = &llm.APIError{StatusCode: http.StatusServiceUnavailable, Message: "blip"}
 	e, err := New(p, Config{
-		Workers: 1, MaxRetries: 2, RetryDelay: time.Millisecond,
-		Breaker: BreakerConfig{Threshold: 5, Cooldown: time.Hour},
+		Workers: 1,
+		Breaker: BreakerConfig{Threshold: 2, Cooldown: time.Hour},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := e.Execute(context.Background(), reqs(10))
+	var rs []Request
+	for i, r := range reqs(10) {
+		rs = append(rs, r, Request{ID: fmt.Sprintf("again%03d", i), Prompt: r.Prompt})
+	}
+	res, err := e.Execute(context.Background(), rs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Failed != 0 {
-		t.Fatalf("failed=%d with retries available, want 0", res.Failed)
+	if res.Failed != 10 {
+		t.Fatalf("failed=%d, want 10 (each prompt's first ask)", res.Failed)
+	}
+	for i := 0; i < 10; i++ {
+		if o := res.Outcomes[fmt.Sprintf("again%03d", i)]; o.Err != nil {
+			t.Fatalf("second ask of prompt %d: %v", i, o.Err)
+		}
 	}
 	if e.BreakerState() != BreakerClosed {
 		t.Fatalf("breaker %v, want closed (successes reset the streak)", e.BreakerState())
@@ -230,7 +244,7 @@ func TestQueryTimeoutWatchdog(t *testing.T) {
 	// the call at the deadline and the batch completes.
 	h := &hang{match: "prompt 3", release: make(chan struct{}), inner: newScripted()}
 	defer close(h.release)
-	e, err := New(h, Config{Workers: 2, MaxRetries: -1, QueryTimeout: 30 * time.Millisecond})
+	e, err := New(h, Config{Workers: 2, QueryTimeout: 30 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,7 +293,7 @@ func (h *ctxHang) QueryContext(ctx context.Context, prompt string) (llm.Response
 
 func TestQueryTimeoutContextPath(t *testing.T) {
 	h := &ctxHang{match: "prompt 5", inner: newScripted()}
-	e, err := New(h, Config{Workers: 4, MaxRetries: -1, QueryTimeout: 20 * time.Millisecond})
+	e, err := New(h, Config{Workers: 4, QueryTimeout: 20 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,7 +315,7 @@ func TestQueryTimeoutTripsBreaker(t *testing.T) {
 	// breaker opens and the tail of the batch fails fast.
 	h := &ctxHang{match: "prompt", inner: newScripted()}
 	e, err := New(h, Config{
-		Workers: 1, MaxRetries: -1, QueryTimeout: 10 * time.Millisecond,
+		Workers: 1, QueryTimeout: 10 * time.Millisecond,
 		Breaker: BreakerConfig{Threshold: 2, Cooldown: time.Hour},
 	})
 	if err != nil {

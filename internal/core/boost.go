@@ -21,9 +21,6 @@ type BoostConfig struct {
 	// Gamma2 is the conflicting-label threshold LC_i <= γ2; the paper
 	// uses 2.
 	Gamma2 int
-	// RelaxGamma2First flips the relaxation order from the default
-	// (γ1 first, then γ2, alternating) — an ablation knob.
-	RelaxGamma2First bool
 }
 
 // DefaultBoostConfig returns the paper's setting γ1 = 3, γ2 = 2.
@@ -101,7 +98,7 @@ func BoostWith(ctx *predictors.Context, m predictors.Method, p llm.Predictor, pl
 	var trace []RoundTrace
 
 	g1, g2 := cfg.Gamma1, cfg.Gamma2
-	relaxG1Next := !cfg.RelaxGamma2First
+	relaxG1Next := true
 	for round := 1; len(pending) > 0; round++ {
 		if round > maxRounds {
 			return nil, nil, fmt.Errorf("core: boosting exceeded %d rounds with %d queries pending", maxRounds, len(pending))

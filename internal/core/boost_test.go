@@ -117,23 +117,6 @@ func TestBoostRelaxationTerminatesWithImpossibleGammas(t *testing.T) {
 	}
 }
 
-func TestBoostRelaxationOrderAblation(t *testing.T) {
-	f := newFixture(t, 500, 120, 71)
-	a, _, err := Boost(f.freshCtx(), predictors.KHopRandom{K: 1}, f.sim, Plan{Queries: f.split.Query},
-		BoostConfig{Gamma1: 3, Gamma2: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, _, err := Boost(f.freshCtx(), predictors.KHopRandom{K: 1}, f.sim, Plan{Queries: f.split.Query},
-		BoostConfig{Gamma1: 3, Gamma2: 2, RelaxGamma2First: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(a.Pred) != len(b.Pred) {
-		t.Fatal("relaxation order changed completion")
-	}
-}
-
 func TestBoostRejectsNegativeGammas(t *testing.T) {
 	f := newFixture(t, 200, 40, 73)
 	if _, _, err := Boost(f.freshCtx(), predictors.KHopRandom{K: 1}, f.sim, Plan{Queries: f.split.Query},

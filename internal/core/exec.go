@@ -94,9 +94,8 @@ type Results struct {
 	// pseudo-label from an earlier query (boosting only).
 	PseudoLabelUses int
 	// Fallback marks queries answered by the surrogate classifier
-	// because the LLM path failed permanently (timeout, open circuit
-	// breaker, exhausted budget or retries). Nil when no query fell
-	// back.
+	// because the LLM path failed (a failed call, timeout, open circuit
+	// breaker or exhausted budget). Nil when no query fell back.
 	Fallback map[tag.NodeID]bool
 }
 
@@ -171,7 +170,8 @@ func PlanAccuracy(g *tag.Graph, queries []tag.NodeID, pred map[tag.NodeID]string
 
 // ExecConfig tunes how a plan's queries are dispatched to the
 // predictor. The zero value reproduces the historical serial behaviour:
-// one in-flight query, no retries, no rate limit, no budget cap.
+// one in-flight query, no rate limit, no budget cap. Each query is
+// asked once; a failed call is final here (see Fallback).
 //
 // With Workers > 1 the queries of a plan (or of one boosting round,
 // whose selections are fixed before the round executes) run on up to
@@ -190,13 +190,6 @@ type ExecConfig struct {
 	Workers int
 	// QPS caps the dispatch rate across workers; 0 means unlimited.
 	QPS float64
-	// MaxRetries bounds per-query retries on transient failures; 0
-	// keeps the serial path's fail-without-retry semantics.
-	MaxRetries int
-	// RetryDelay is the initial backoff between retries (default 100ms).
-	RetryDelay time.Duration
-	// MaxRetryDelay caps the exponential backoff (default 30s).
-	MaxRetryDelay time.Duration
 	// BudgetTokens, when > 0, hard-caps total tokens spent by one
 	// ExecuteWith or BoostWith call — every boosting round together,
 	// not each round; queries starting past the cap fail with
@@ -221,9 +214,10 @@ type ExecConfig struct {
 	// CacheNamespace) — a cached answer never crosses compression
 	// configurations.
 	Compress prompt.Compressor
-	// QueryTimeout bounds each predictor call (per attempt); 0 means no
-	// deadline. A hung call is abandoned with batch.ErrQueryTimeout, so
-	// one stuck prompt cannot stall the whole plan.
+	// QueryTimeout bounds each query's predictor call, replica
+	// failover included; 0 means no deadline. A hung call is abandoned
+	// with batch.ErrQueryTimeout, so one stuck prompt cannot stall the
+	// whole plan.
 	QueryTimeout time.Duration
 	// Breaker configures a circuit breaker in front of the predictor;
 	// the zero value disables it. Like BudgetTokens, a tripped breaker
@@ -360,21 +354,14 @@ func (cfg ExecConfig) batchConfig(rec obs.Recorder) batch.Config {
 	if workers < 1 {
 		workers = 1
 	}
-	retries := cfg.MaxRetries
-	if retries == 0 {
-		retries = -1 // core's default is no retries; -1 expresses that to batch
-	}
 	return batch.Config{
-		Workers:       workers,
-		QPS:           cfg.QPS,
-		MaxRetries:    retries,
-		RetryDelay:    cfg.RetryDelay,
-		MaxRetryDelay: cfg.MaxRetryDelay,
-		BudgetTokens:  cfg.BudgetTokens,
-		Disk:          cfg.Disk,
-		QueryTimeout:  cfg.QueryTimeout,
-		Breaker:       cfg.Breaker,
-		Obs:           rec,
+		Workers:      workers,
+		QPS:          cfg.QPS,
+		BudgetTokens: cfg.BudgetTokens,
+		Disk:         cfg.Disk,
+		QueryTimeout: cfg.QueryTimeout,
+		Breaker:      cfg.Breaker,
+		Obs:          rec,
 	}
 }
 

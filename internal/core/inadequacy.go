@@ -33,7 +33,7 @@ type InadequacyConfig struct {
 	// Seed drives fold assignment and calibration sampling.
 	Seed uint64
 	// Exec tunes how the calibration queries are dispatched (workers,
-	// QPS, retries, budget, disk cache, pool); the zero value is serial.
+	// QPS, budget, disk cache, pool); the zero value is serial.
 	// Calibration prompts are independent zero-shot queries, so their
 	// statistics are identical for any worker count. Compress, Fallback
 	// and OnResult do not apply: the calibration measures the LLM on

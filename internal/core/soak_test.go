@@ -374,12 +374,10 @@ func TestSoakAffinityEjectedOwnerDegrades(t *testing.T) {
 		Workers:  8,
 		Replicas: replicas,
 		Affinity: true,
-		// Retries re-enter the pool: the shard query that eats the
-		// ejection (two failures open the breaker) succeeds on its next
-		// attempt via the P2C fallback.
-		MaxRetries: 2,
-		RetryDelay: time.Millisecond,
-		Breaker:    batch.BreakerConfig{Threshold: 2, Cooldown: time.Hour},
+		// A prompt the dead owner fails goes to its next replica in
+		// the pool, so the queries that eat the ejection (two failures
+		// open the breaker) are still answered.
+		Breaker: batch.BreakerConfig{Threshold: 2, Cooldown: time.Hour},
 	}
 
 	ctx := f.freshCtx()

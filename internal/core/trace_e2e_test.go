@@ -13,13 +13,11 @@ import (
 )
 
 // tracedConfig is the chaos execution shape of the acceptance run: a
-// 3-slot replica pool with hedging, a persistent disk cache and
-// retries, all feeding one batch executor.
+// 3-slot replica pool with hedging and failover and a persistent disk
+// cache, feeding one batch executor.
 func tracedConfig(pc *promptcache.Cache) ExecConfig {
 	return ExecConfig{
 		Workers:      4,
-		MaxRetries:   2,
-		RetryDelay:   time.Millisecond,
 		ReplicaCount: 3,
 		Hedge:        true,
 		HedgeAfter:   5 * time.Millisecond,

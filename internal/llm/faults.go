@@ -29,9 +29,10 @@ func newFaultRNG(seed uint64, promptText string) *xrand.RNG {
 // FaultConfig parameterizes a FaultInjector. The three rates partition
 // the unit interval; their sum must not exceed 1. A prompt's fate is
 // decided once from hash(Seed, prompt): every attempt at that prompt
-// repeats the same fault, so retries against an injected error are
-// futile by design (a permanently-failing prompt models a poisoned
-// request, the case graceful degradation exists for).
+// repeats the same fault, so retries against an injected error — or
+// failover to another replica of the same injector — are futile by
+// design (a permanently-failing prompt models a poisoned request, the
+// case graceful degradation exists for).
 type FaultConfig struct {
 	// Seed keys the per-prompt fault schedule. Two injectors with the
 	// same seed and config inject identical faults.

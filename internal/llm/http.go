@@ -169,8 +169,9 @@ func ClientFault(err error) bool {
 		apiErr.StatusCode != http.StatusTooManyRequests
 }
 
-// DefaultMaxRetryDelay is the default backoff ceiling shared by this
-// client and the batch executor.
+// DefaultMaxRetryDelay is the default HTTPConfig.MaxRetryDelay, the
+// ceiling of the client's backoff — the only retry schedule in the
+// stack.
 const DefaultMaxRetryDelay = 30 * time.Second
 
 // parseRetryAfter reads a Retry-After header value in either RFC 9110
@@ -195,12 +196,12 @@ func parseRetryAfter(v string, now time.Time) time.Duration {
 	return 0
 }
 
-// RetryBackoff returns the exponential backoff before retry attempt
+// retryBackoff returns the exponential backoff before retry attempt
 // (attempt ≥ 1 is the first retry): base doubled attempt−1 times,
 // capped at max. The cap is what keeps very long retry schedules sane —
 // unchecked doubling overflows time.Duration into a negative value,
 // which time.After treats as "fire now".
-func RetryBackoff(base, max time.Duration, attempt int) time.Duration {
+func retryBackoff(base, max time.Duration, attempt int) time.Duration {
 	if base <= 0 {
 		return 0
 	}
@@ -241,7 +242,7 @@ func (c *HTTPPredictor) QueryContext(ctx context.Context, promptText string) (Re
 	var lastErr error
 	for attempt := 0; attempt <= c.cfg.MaxRetries; attempt++ {
 		if attempt > 0 {
-			delay := RetryBackoff(c.cfg.RetryBaseDelay, c.cfg.MaxRetryDelay, attempt)
+			delay := retryBackoff(c.cfg.RetryBaseDelay, c.cfg.MaxRetryDelay, attempt)
 			// The server's Retry-After (typically on 429) overrides the
 			// local exponential schedule: it knows when capacity returns,
 			// and retrying earlier just fights its backpressure. Still

@@ -293,40 +293,6 @@ func TestHandlerRequestValidation(t *testing.T) {
 	}
 }
 
-func TestRetryBackoffCapped(t *testing.T) {
-	base := 100 * time.Millisecond
-	max := 30 * time.Second
-	cases := []struct {
-		attempt int
-		want    time.Duration
-	}{
-		{1, 100 * time.Millisecond},
-		{2, 200 * time.Millisecond},
-		{5, 1600 * time.Millisecond},
-		{10, 30 * time.Second},
-		// Regression: shifting/doubling by the raw attempt count used to
-		// overflow int64 into negative delays past attempt ~64.
-		{64, 30 * time.Second},
-		{100, 30 * time.Second},
-		{1 << 20, 30 * time.Second},
-	}
-	for _, c := range cases {
-		got := llm.RetryBackoff(base, max, c.attempt)
-		if got != c.want {
-			t.Errorf("RetryBackoff(%v, %v, %d) = %v, want %v", base, max, c.attempt, got, c.want)
-		}
-		if got < 0 {
-			t.Fatalf("RetryBackoff(%v, %v, %d) went negative: %v", base, max, c.attempt, got)
-		}
-	}
-	if d := llm.RetryBackoff(0, max, 50); d != 0 {
-		t.Errorf("zero base must yield zero delay, got %v", d)
-	}
-	if d := llm.RetryBackoff(time.Second, 0, 80); d != llm.DefaultMaxRetryDelay {
-		t.Errorf("zero max must default to %v, got %v", llm.DefaultMaxRetryDelay, d)
-	}
-}
-
 func TestHTTPConcurrentQueriesMeterRace(t *testing.T) {
 	// Regression for a data race on HTTPPredictor.meter: one client
 	// shared by many workers must meter all queries without racing (run

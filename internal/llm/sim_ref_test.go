@@ -367,9 +367,9 @@ func TestSimMatchesReferenceOnEdgePrompts(t *testing.T) {
 	}
 }
 
-// TestSimScoresWithoutAllocating: beyond its answer's text and its
-// decision RNG, a query allocates nothing, on the shipped dataset with
-// the most classes (ogbn-products, 47) as on cora.
+// TestSimScoresWithoutAllocating: beyond its answer's text, a query
+// allocates nothing — its decision RNG stays on the stack — on the
+// shipped dataset with the most classes (ogbn-products, 47) as on cora.
 func TestSimScoresWithoutAllocating(t *testing.T) {
 	for _, name := range []string{"cora", "ogbn-products"} {
 		spec, err := tag.SmallSpec(name, 200)
@@ -387,8 +387,8 @@ func TestSimScoresWithoutAllocating(t *testing.T) {
 			if _, err := s.Query(p); err != nil {
 				t.Fatal(err)
 			}
-		}); allocs > 3 {
-			t.Fatalf("%s: a query allocates %.1f times, want at most 3", name, allocs)
+		}); allocs > 1 {
+			t.Fatalf("%s: a query allocates %.1f times, want at most 1", name, allocs)
 		}
 	}
 }

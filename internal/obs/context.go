@@ -97,10 +97,10 @@ func LedgerFromContext(ctx context.Context) *Ledger {
 
 // Charge adds one entry to the ledger carried by ctx (no-op without
 // one): wall-clock and tokens attributed to stage. billed marks the
-// winning/serial path — billed walls must tile the query span (the
-// traceguard checks they cover ≥90% of it) and billed tokens must sum
-// to the query's metered spend; retries and hedge losers charge with
-// billed=false so they are visible but never double-counted.
+// serial path — billed walls must tile the query span (the traceguard
+// checks they cover ≥90% of it) and billed tokens must sum to the
+// query's metered spend; hedge losers charge with billed=false so
+// they are visible but never double-counted.
 func Charge(ctx context.Context, stage string, wall time.Duration, tokens int, billed bool) {
 	if ctx == nil {
 		return

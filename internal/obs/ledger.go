@@ -17,9 +17,7 @@ const DefaultLedgerCapacity = 256
 const (
 	StageQueue     = "queue"           // executor queue wait (submit → worker pickup)
 	StageCache     = "cache"           // answer read from the prompt cache
-	StagePredict   = "predict"         // winning predictor call
-	StageRetry     = "retry"           // failed attempts that were retried
-	StageBackoff   = "backoff"         // sleep between attempts
+	StagePredict   = "predict"         // the predictor call, failed ones with zero tokens
 	StageBreaker   = "breaker"         // time lost to circuit-breaker rejections
 	StageThrottle  = "throttle"        // QPS pacing wait
 	StageExec      = "exec"            // executor overhead not in any stage above
@@ -28,12 +26,11 @@ const (
 )
 
 // LedgerEntry is one charge against a query's ledger: wall-clock and
-// tokens attributed to a stage. Billed marks the winning/serial path —
-// the charges that tile the query's span and sum to its metered token
-// spend. Retries and hedge losers are recorded with Billed=false: real
-// work, visible in the ledger, but outside the query's critical path
-// (retry wall-clock *is* serial, so retries bill wall but zero
-// tokens; hedge losers bill neither).
+// tokens attributed to a stage. Billed marks the serial path — the
+// charges that tile the query's span and sum to its metered token
+// spend. A failed predictor call is serial, so it bills its wall-clock
+// with zero tokens; hedge losers are recorded with Billed=false: real
+// work, visible in the ledger, but outside the query's critical path.
 type LedgerEntry struct {
 	Stage  string        `json:"stage"`
 	Wall   time.Duration `json:"wall_ns"`

@@ -18,7 +18,7 @@ func TestLedgerChargeAndClose(t *testing.T) {
 	}
 	l.Charge(StageQueue, 10*time.Millisecond, 0, true)
 	l.Charge(StagePredict, 80*time.Millisecond, 120, true)
-	l.Charge(StageRetry, 5*time.Millisecond, 0, true)
+	l.Charge(StageThrottle, 5*time.Millisecond, 0, true)
 	l.Charge(StageHedgeLoss, 70*time.Millisecond, 90, false)
 
 	snap := l.Close(100 * time.Millisecond)
@@ -98,7 +98,7 @@ func TestLedgerConcurrentCharges(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			l.Charge(StageRetry, time.Microsecond, 1, true)
+			l.Charge(StagePredict, time.Microsecond, 1, true)
 		}()
 	}
 	wg.Wait()
@@ -107,7 +107,7 @@ func TestLedgerConcurrentCharges(t *testing.T) {
 		t.Fatalf("billed tokens = %d, want 32", snap.BilledTokens)
 	}
 	totals := snap.StageTotals()
-	if len(totals) != 1 || totals[0].Stage != StageRetry || totals[0].Wall != 32*time.Microsecond {
+	if len(totals) != 1 || totals[0].Stage != StagePredict || totals[0].Wall != 32*time.Microsecond {
 		t.Fatalf("stage totals = %+v", totals)
 	}
 }

@@ -15,8 +15,10 @@
 // (the exact state machine the batch executor uses), so a dead backend
 // is ejected from rotation without tripping a global breaker; when
 // every replica is ejected the pool fails fast with
-// batch.ErrCircuitOpen, which the executor's retry/fallback machinery
-// already understands.
+// batch.ErrCircuitOpen, which the caller's fallback answers. A prompt
+// whose replica fails transiently goes once to the scorer's next
+// choice (see failsOver): the batch executor above asks each request
+// once, and an HTTP replica retries only its own wire failures.
 //
 // Optionally the pool hedges: if the first replica has not answered
 // within HedgeAfter, the same prompt is sent to a second replica and
@@ -26,9 +28,9 @@
 // Determinism contract: the pool routes, it never rewrites. With
 // llm.Sim-backed replicas sharing a seed, answers are keyed on
 // hash(seed, prompt), so plan outputs are bit-identical for any
-// replica count, hedging on or off — routing changes who answers,
-// never what is answered. DESIGN.md ("Hedging and determinism")
-// discusses why this holds.
+// replica count, hedging on or off — routing and failover change who
+// answers, never what is answered. DESIGN.md ("Hedging and
+// determinism") discusses why this holds.
 package pool
 
 import (
@@ -148,9 +150,9 @@ type Pool struct {
 	identity string
 	scorer   Scorer
 	// keyed marks that the configured scorer wants prompt-cache keys;
-	// ns is the pool's promptcache namespace those keys are derived in
-	// (identical to the namespace the disk-cache layers derive, so the
-	// scorer places exactly the keys the caches store).
+	// ns is the namespace they are derived in. It need not match a disk
+	// cache's (a compressed plan files answers under its compression
+	// version): placement only needs a pure function of the prompt.
 	keyed bool
 	ns    string
 }
@@ -295,14 +297,36 @@ func (p *Pool) pick(a Attempt) (*replica, int, string, error) {
 }
 
 // attempt builds the routing Attempt for one query, deriving the
-// prompt's cache key once when the scorer is key-aware (the hedge
-// re-pick reuses it).
+// prompt's cache key once when the scorer is key-aware (the second
+// leg's re-pick reuses it).
 func (p *Pool) attempt(promptText string, rng *xrand.RNG) Attempt {
 	a := Attempt{Prompt: promptText, Exclude: -1, RNG: rng}
 	if p.keyed {
 		a.Key = promptcache.KeyOf(p.ns, promptText)
 	}
 	return a
+}
+
+// route picks a replica for one leg of a query under a pool.pick span
+// labeled kind: "primary", "hedge" or "failover".
+func (p *Pool) route(ctx context.Context, a Attempt, kind string) (*replica, int, error) {
+	_, sp := obs.StartSpanCtx(ctx, p.rec, "pool.pick", "kind", kind, "scorer", p.scorer.Name())
+	defer sp.End()
+	r, i, verdict, err := p.pick(a)
+	if err != nil {
+		sp.SetAttr("verdict", "all_ejected")
+		return nil, -1, err
+	}
+	sp.SetAttr("replica", r.label)
+	sp.SetAttr("affinity", verdict)
+	return r, i, nil
+}
+
+// failsOver reports whether a failed first leg goes to a second
+// replica: the pool has one, the error is not the request's own fault
+// (another replica would refuse it too), and the caller still waits.
+func (p *Pool) failsOver(ctx context.Context, err error) bool {
+	return len(p.replicas) > 1 && !llm.ClientFault(err) && ctx.Err() == nil
 }
 
 // do runs one attempt on r, updating health state and feeding the
@@ -425,27 +449,39 @@ func (rc *hedgeRace) settle(err error, wall time.Duration, tokens int) (won bool
 	return false
 }
 
-// QueryContext implements llm.ContextPredictor: pick a replica, run the
-// query, and — when hedging is on and the first attempt outlives
-// HedgeAfter — race a second replica against it. The first success
-// wins and the loser's context is canceled; the response is returned
-// exactly once, so callers (token meters, caches) never see duplicate
-// answers. When both attempts fail, the primary's error is returned.
+// QueryContext implements llm.ContextPredictor: pick a replica and run
+// the query. A transient failure goes once to the scorer's next choice
+// (see failsOver). With hedging on, a first attempt that outlives
+// HedgeAfter races a second replica, and one that fails sooner starts
+// that race's second leg at once. The first success wins and the
+// loser's context is canceled; the response is returned exactly once,
+// so callers (token meters, caches) never see duplicate answers. When
+// every leg fails, the first error is returned.
 func (p *Pool) QueryContext(ctx context.Context, promptText string) (llm.Response, error) {
 	rng := xrand.New(p.cfg.Seed ^ p.seq.Add(1))
 	att := p.attempt(promptText, rng)
-	_, psp := obs.StartSpanCtx(ctx, p.rec, "pool.pick", "kind", "primary", "scorer", p.scorer.Name())
-	first, firstIdx, verdict, err := p.pick(att)
+	first, firstIdx, err := p.route(ctx, att, "primary")
 	if err != nil {
-		psp.SetAttr("verdict", "all_ejected")
-		psp.End()
 		return llm.Response{}, err
 	}
-	psp.SetAttr("replica", first.label)
-	psp.SetAttr("affinity", verdict)
-	psp.End()
+	// The second leg, failover or hedge, excludes the primary's
+	// replica; under Affinity its ranking then starts at the key's
+	// second hash choice, a replica that may have the prompt warm.
+	next := att
+	next.Hedge, next.Exclude = true, firstIdx
 	if !p.cfg.Hedge || len(p.replicas) < 2 {
-		return p.do(ctx, first, promptText, false)
+		// The failover leg runs after the first on the caller's
+		// goroutine, so the unhedged path starts no goroutine.
+		resp, err := p.do(ctx, first, promptText, false)
+		if err == nil || !p.failsOver(ctx, err) {
+			return resp, err
+		}
+		if rep, _, perr := p.route(ctx, next, "failover"); perr == nil {
+			if resp, err2 := p.do(ctx, rep, promptText, false); err2 == nil {
+				return resp, nil
+			}
+		}
+		return llm.Response{}, err
 	}
 
 	// Buffered to the maximum number of attempts: a losing goroutine
@@ -474,36 +510,31 @@ func (p *Pool) QueryContext(ctx context.Context, promptText string) (llm.Respons
 	timerC := timer.C
 
 	var cancel2 context.CancelFunc
+	defer func() {
+		if cancel2 != nil {
+			cancel2()
+		}
+	}()
 	pending := 1
+	// hedge starts the second leg, at most once; with no healthy
+	// second replica it leaves the first to finish alone.
+	hedge := func() {
+		timerC = nil
+		rep, _, perr := p.route(ctx, next, "hedge")
+		if perr != nil {
+			return
+		}
+		p.rec.Add(metricHedges, 1)
+		var ctx2 context.Context
+		ctx2, cancel2 = context.WithCancel(ctx)
+		pending++
+		launch(ctx2, rep, true)
+	}
 	var firstErr error
 	for {
 		select {
 		case <-timerC:
-			timerC = nil
-			// The hedge excludes the primary's replica; under the
-			// Affinity scorer the ranking then starts at the key's
-			// second hash choice, so hedges stay on a replica that may
-			// have the prompt warm instead of a random cold one.
-			hatt := att
-			hatt.Hedge = true
-			hatt.Exclude = firstIdx
-			_, hsp := obs.StartSpanCtx(ctx, p.rec, "pool.pick", "kind", "hedge", "scorer", p.scorer.Name())
-			second, _, hverdict, perr := p.pick(hatt)
-			if perr != nil {
-				// No healthy second replica; keep waiting on the first.
-				hsp.SetAttr("verdict", "all_ejected")
-				hsp.End()
-				continue
-			}
-			hsp.SetAttr("replica", second.label)
-			hsp.SetAttr("affinity", hverdict)
-			hsp.End()
-			p.rec.Add(metricHedges, 1)
-			var ctx2 context.Context
-			ctx2, cancel2 = context.WithCancel(ctx)
-			defer cancel2()
-			pending++
-			launch(ctx2, second, true)
+			hedge()
 		case r := <-ch:
 			pending--
 			if r.err == nil {
@@ -518,9 +549,12 @@ func (p *Pool) QueryContext(ctx context.Context, promptText string) (llm.Respons
 			if firstErr == nil {
 				firstErr = r.err
 			}
+			if timerC != nil && p.failsOver(ctx, r.err) {
+				// The primary failed before HedgeAfter: its failover is
+				// the hedge, started now.
+				hedge()
+			}
 			if pending == 0 {
-				// Every launched attempt failed. Retries belong to the
-				// batch executor above, not the pool.
 				return llm.Response{}, firstErr
 			}
 		}

@@ -299,9 +299,8 @@ func TestPerReplicaBreakerEjectsDeadReplica(t *testing.T) {
 		Seed:    3, Obs: reg,
 	}, dead, ok)
 
-	// Drive queries until the dead replica's breaker opens; individual
-	// errors are expected while it is still in rotation (retries are the
-	// batch executor's job, not the pool's).
+	// Drive queries until the dead replica's breaker opens; each query
+	// it fails meanwhile goes on to the healthy replica.
 	for i := 0; i < 100 && pl.States()[0] != batch.BreakerOpen; i++ {
 		_, _ = pl.QueryContext(context.Background(), fmt.Sprintf("q%d", i))
 	}
@@ -384,6 +383,131 @@ func TestClientErrorsDoNotTripBreaker(t *testing.T) {
 	}
 	if got := pl.States()[0]; got != batch.BreakerClosed {
 		t.Errorf("breaker state after 4xx storm = %v, want closed", got)
+	}
+}
+
+// inOrder is a Scorer that ranks replicas by index, so a test knows
+// which replica takes each leg.
+type inOrder struct{}
+
+func (inOrder) Name() string { return "in-order" }
+
+func (inOrder) Rank(a Attempt, v View) Ranking {
+	var order []int
+	for i := 0; i < v.Len(); i++ {
+		if i != a.Exclude {
+			order = append(order, i)
+		}
+	}
+	return Ranking{Order: order, Affine: -1}
+}
+
+// TestFailoverToNextReplica: without hedging, a prompt whose replica
+// fails transiently is asked once more, of the scorer's next choice,
+// under a pool.pick span of kind failover.
+func TestFailoverToNextReplica(t *testing.T) {
+	reg := obs.NewRegistry()
+	dead := &fakePred{name: "dead", id: "x", err: &llm.APIError{StatusCode: 503, Message: "down"}}
+	also := &fakePred{name: "also-dead", id: "x", err: errors.New("boom")}
+	ok := &fakePred{name: "ok", id: "x"}
+	pl := mustPool(t, Config{Scorer: inOrder{}, Obs: reg}, dead, ok)
+	resp, err := pl.QueryContext(context.Background(), "p")
+	if err != nil {
+		t.Fatalf("QueryContext with a healthy second replica: %v", err)
+	}
+	if resp.Text != "ok:p" || dead.calls.Load() != 1 || ok.calls.Load() != 1 {
+		t.Fatalf("answer %q after %d/%d calls, want ok:p after one call each", resp.Text, dead.calls.Load(), ok.calls.Load())
+	}
+	var kinds []string
+	for _, tr := range reg.Traces() {
+		if tr.Name == "pool.pick" {
+			kinds = append(kinds, tr.Attrs["kind"]+"@"+tr.Attrs["replica"])
+		}
+	}
+	if strings.Join(kinds, ",") != "primary@0,failover@1" {
+		t.Errorf("pool.pick spans %v, want primary@0 then failover@1", kinds)
+	}
+	if got := reg.CounterValue("mqo_pool_hedges_total"); got != 0 {
+		t.Errorf("an unhedged failover counted %v hedges", got)
+	}
+
+	// Only once: when the failover leg fails too, the query fails with
+	// the first leg's error.
+	pl = mustPool(t, Config{Scorer: inOrder{}}, dead, also, ok)
+	if _, err := pl.QueryContext(context.Background(), "q"); err != dead.err {
+		t.Fatalf("error %v, want the first leg's %v", err, dead.err)
+	}
+	if also.calls.Load() != 1 {
+		t.Errorf("second replica asked %d times, want 1", also.calls.Load())
+	}
+	if ok.calls.Load() != 1 {
+		t.Errorf("third replica asked after two failures (%d calls)", ok.calls.Load()-1)
+	}
+}
+
+// TestNoFailover: a client fault, an ended context or a pool of one
+// replica returns the first error without asking another replica,
+// hedged or not.
+func TestNoFailover(t *testing.T) {
+	canceled, cancel := context.WithCancel(context.Background())
+	cancel()
+	cases := []struct {
+		name     string
+		ctx      context.Context
+		err      error
+		replicas int
+	}{
+		{"client fault", context.Background(), &llm.APIError{StatusCode: 400, Message: "bad prompt"}, 2},
+		{"ended context", canceled, errors.New("boom"), 2},
+		{"one replica", context.Background(), errors.New("boom"), 1},
+	}
+	for _, tc := range cases {
+		for _, hedge := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/hedge=%v", tc.name, hedge), func(t *testing.T) {
+				reg := obs.NewRegistry()
+				first := &fakePred{name: "first", id: "x", err: tc.err}
+				other := &fakePred{name: "other", id: "x"}
+				reps := []llm.Predictor{first, other}[:tc.replicas]
+				pl := mustPool(t, Config{Scorer: inOrder{}, Hedge: hedge, HedgeAfter: time.Hour, Obs: reg}, reps...)
+				start := time.Now()
+				if _, err := pl.QueryContext(tc.ctx, "p"); err != tc.err {
+					t.Fatalf("error %v, want the first replica's %v", err, tc.err)
+				}
+				if other.calls.Load() != 0 || first.calls.Load() != 1 {
+					t.Fatalf("calls first=%d other=%d, want 1 and 0", first.calls.Load(), other.calls.Load())
+				}
+				if got := reg.CounterValue("mqo_pool_hedges_total"); got != 0 {
+					t.Errorf("hedges = %v, want 0", got)
+				}
+				if d := time.Since(start); d > 10*time.Second {
+					t.Errorf("query took %v; it waited for HedgeAfter", d)
+				}
+			})
+		}
+	}
+}
+
+// TestHedgeStartsOnEarlyFailure: with hedging, a primary that fails
+// before HedgeAfter starts the hedge leg at once, which answers and
+// counts as a hedge and its win.
+func TestHedgeStartsOnEarlyFailure(t *testing.T) {
+	reg := obs.NewRegistry()
+	dead := &fakePred{name: "dead", id: "x", err: &llm.APIError{StatusCode: 503, Message: "down"}}
+	ok := &fakePred{name: "ok", id: "x"}
+	pl := mustPool(t, Config{Scorer: inOrder{}, Hedge: true, HedgeAfter: time.Hour, Obs: reg}, dead, ok)
+	start := time.Now()
+	resp, err := pl.QueryContext(context.Background(), "p")
+	if err != nil {
+		t.Fatalf("QueryContext with a healthy hedge replica: %v", err)
+	}
+	if d := time.Since(start); d > 10*time.Second {
+		t.Fatalf("query took %v; the hedge waited for HedgeAfter", d)
+	}
+	if resp.Text != "ok:p" || dead.calls.Load() != 1 || ok.calls.Load() != 1 {
+		t.Fatalf("answer %q after %d/%d calls, want ok:p after one call each", resp.Text, dead.calls.Load(), ok.calls.Load())
+	}
+	if h, w := reg.CounterValue("mqo_pool_hedges_total"), reg.CounterValue("mqo_pool_hedge_wins_total"); h != 1 || w != 1 {
+		t.Errorf("hedges=%v wins=%v, want 1 and 1", h, w)
 	}
 }
 

@@ -18,20 +18,20 @@ import (
 // repeated prompt never pays cold-replica tokens).
 
 // Attempt describes one routing decision: which prompt is being
-// placed, whether this is the hedge leg of a race, and which replica
-// index (if any) must be avoided because it is already running the
-// same prompt.
+// placed, whether this is a query's second leg, and which replica
+// index (if any) must be avoided because it already ran the prompt.
 type Attempt struct {
 	// Prompt is the full prompt text being routed.
 	Prompt string
 	// Key is the prompt's cache key (promptcache.KeyOf over the pool's
-	// namespace), precomputed once per query so a hedge re-pick does
-	// not re-hash. Zero when the configured scorer is key-blind.
+	// namespace), precomputed once per query so a second-leg re-pick
+	// does not re-hash. Zero when the configured scorer is key-blind.
 	Key promptcache.Key
-	// Hedge marks the second leg of a hedge race.
+	// Hedge marks a query's second leg: the hedge, or the failover
+	// after the primary failed.
 	Hedge bool
 	// Exclude is a replica index that must not be returned (the primary
-	// attempt's replica, during a hedge pick); -1 excludes nothing.
+	// attempt's replica, during a second-leg pick); -1 excludes nothing.
 	Exclude int
 	// RNG is the per-query deterministic stream scorers draw candidate
 	// picks from. Scorers must consume it identically for identical
@@ -167,11 +167,11 @@ func p2cOrder(a Attempt, v View, skip int) []int {
 //     ready, however busy it is: a momentary in-flight count cannot
 //     tell a convoy from goroutines the scheduler merely parked, and
 //     every spill re-buys tokens the owner already holds. A slow owner
-//     is the hedge's job, a dead one the breakers';
-//   - a hedge attempt, which excludes the primary, lands on the key's
-//     *second* hash choice — the replica most likely to have the
-//     prompt warm from a previous degraded pick — instead of a random
-//     cold one;
+//     is the hedge's job, a dead one the failover's and the breakers';
+//   - a hedge or failover attempt, which excludes the primary, lands
+//     on the key's *second* hash choice — the replica most likely to
+//     have the prompt warm from a previous degraded pick — instead of
+//     a random cold one;
 //   - when the owner's breaker refuses, traffic for its shard degrades
 //     to P2C over the rest (the owner is kept last in the order so a
 //     half-open probe can still reach it when everything else is down

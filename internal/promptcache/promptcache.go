@@ -1,11 +1,12 @@
 // Package promptcache is a persistent, content-addressed prompt →
 // response cache. The paper's whole premise is that multi-query
 // workloads share token-level work: common neighbor text, identical
-// prompts, repeated plans across runs. batch.Executor asks identical
-// prompts once per Execute call — one plan or one boosting round — and
-// keeps nothing after it; this package is the store that outlives the
-// call and the process, so a repeated `mqorun` pays only for tokens it
-// has never bought before.
+// prompts, repeated plans across runs. batch.Executor keeps no answers
+// of its own: it looks every request up in this store before paying
+// for a call and writes each fresh answer through, so a prompt asked
+// again — later in a run or in a later process — is answered from disk,
+// and a repeated `mqorun` pays only for tokens it has never bought
+// before.
 //
 // Design:
 //

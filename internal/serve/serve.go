@@ -94,8 +94,8 @@ type Config struct {
 	// in mqo_serve_coalesced_total instead.
 	TenantBudget int
 	// Exec configures the one core.Executor every admitted node runs
-	// through: Workers execution slots, and the retries, disk cache,
-	// replica pool, fallback, QPS pacing, breakers and BudgetTokens
+	// through: Workers execution slots, and the disk cache, replica
+	// pool, fallback, QPS pacing, breakers and BudgetTokens
 	// shared by every query for the server's lifetime. Exec.OnResult
 	// must be nil: Submit returns each answer.
 	Exec core.ExecConfig

@@ -18,8 +18,19 @@ type RNG struct {
 }
 
 // New returns a generator seeded from seed via splitmix64 expansion.
+// New and SplitString are small enough to inline, so a stream the
+// caller does not keep stays on the caller's stack.
 func New(seed uint64) *RNG {
-	r := &RNG{}
+	r := new(RNG)
+	r.seed(seed)
+	return r
+}
+
+// seed sets r's state from seed via splitmix64 expansion. It is kept
+// out of line so that New, which wraps it, stays inlinable.
+//
+//go:noinline
+func (r *RNG) seed(seed uint64) {
 	sm := seed
 	next := func() uint64 {
 		sm += 0x9e3779b97f4a7c15
@@ -33,7 +44,6 @@ func New(seed uint64) *RNG {
 	if r.s0|r.s1|r.s2|r.s3 == 0 {
 		r.s0 = 0x9e3779b97f4a7c15
 	}
-	return r
 }
 
 // Split derives an independent child stream identified by id. Two
@@ -47,12 +57,22 @@ func (r *RNG) Split(id uint64) *RNG {
 // streams (rather than numbering them) keeps derivations stable when
 // code paths are reordered.
 func (r *RNG) SplitString(s string) *RNG {
+	c := new(RNG)
+	c.seedString(r, s)
+	return c
+}
+
+// seedString seeds c as parent.Split(FNV-1a of s) would. Like seed,
+// it is kept out of line so that SplitString stays inlinable.
+//
+//go:noinline
+func (c *RNG) seedString(parent *RNG, s string) {
 	var h uint64 = 14695981039346656037 // FNV-1a offset basis
 	for i := 0; i < len(s); i++ {
 		h ^= uint64(s[i])
 		h *= 1099511628211
 	}
-	return r.Split(h)
+	c.seed(parent.Uint64() ^ (h * 0xd1342543de82ef95) ^ 0x632be59bd9b4e019)
 }
 
 func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }

@@ -98,8 +98,8 @@ type BoostConfig = core.BoostConfig
 type RoundTrace = core.RoundTrace
 
 // ExecConfig bounds how a plan's queries are dispatched: worker count,
-// QPS, retries, token budget and response caching. The zero value runs
-// serially with no retries — the historical Execute/Boost behavior.
+// QPS, token budget and response caching. The zero value runs serially
+// — the historical Execute/Boost behavior.
 type ExecConfig = core.ExecConfig
 
 // Knobs is the one declaration of the execution knobs (workers, QPS,

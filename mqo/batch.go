@@ -10,8 +10,10 @@ import (
 // BatchRequest is one prompt to execute with an opaque caller ID.
 type BatchRequest = batch.Request
 
-// BatchConfig tunes concurrent batch execution: workers, QPS, retries,
-// token budget, disk answer cache, JSONL audit log.
+// BatchConfig tunes concurrent batch execution: workers, QPS, token
+// budget, per-call timeout, breaker, disk answer cache, JSONL audit
+// log. The executor asks each request once; an HTTPPredictor retries
+// its own transient failures.
 type BatchConfig = batch.Config
 
 // BatchOutcome is one request's result (response or error, cache flag,

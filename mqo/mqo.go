@@ -170,10 +170,10 @@ type Options struct {
 	// written; 0 means they never expire.
 	CacheTTL time.Duration
 	// Fallback degrades instead of failing: queries whose LLM path
-	// failed permanently (timeout, open breaker, exhausted budget or
-	// retries) are answered by the paper's surrogate classifier f_θ1,
-	// trained on the labeled set with zero LLM queries. Fallback
-	// answers are marked in Results.Fallback and counted in
+	// failed (a failed call, timeout, open breaker or exhausted budget)
+	// are answered by the paper's surrogate classifier f_θ1, trained
+	// on the labeled set with zero LLM queries. Fallback answers are
+	// marked in Results.Fallback and counted in
 	// Report.SurrogateAnswered; they do not appear in QueryErrors.
 	Fallback bool
 

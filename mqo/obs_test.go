@@ -83,8 +83,8 @@ func TestOptimizeBoostEmitsRoundMetrics(t *testing.T) {
 	}
 }
 
-// flakyPredictor fails the first attempt for every distinct prompt
-// with a retryable 500, then delegates to the wrapped predictor.
+// flakyPredictor fails the first call for every distinct prompt with
+// a transient 500, then delegates to the wrapped predictor.
 type flakyPredictor struct {
 	mu    sync.Mutex
 	seen  map[string]bool
@@ -117,9 +117,19 @@ func TestBatchExecutorEmitsRetryMetrics(t *testing.T) {
 
 	reg := NewRegistry()
 	flaky := &flakyPredictor{seen: map[string]bool{}, inner: NewSim(GPT35(), g, 33)}
-	exec, err := NewBatchExecutor(flaky, BatchConfig{Workers: 3, MaxRetries: 2, Obs: reg})
+	exec, err := NewBatchExecutor(flaky, BatchConfig{Workers: 3, Obs: reg})
 	if err != nil {
 		t.Fatal(err)
+	}
+	// The executor asks each request once, so the first batch fails
+	// every request and the second, asking the same prompts, answers
+	// them all.
+	first, err := exec.Execute(context.Background(), reqs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first.Failed != len(reqs) {
+		t.Fatalf("first batch failed %d of %d requests, want all", first.Failed, len(reqs))
 	}
 	res, err := exec.Execute(context.Background(), reqs)
 	if err != nil {
@@ -132,14 +142,13 @@ func TestBatchExecutorEmitsRetryMetrics(t *testing.T) {
 	if got := reg.CounterValue("mqo_batch_requests_total", "outcome", "ok"); got != float64(len(reqs)) {
 		t.Errorf("requests{ok} = %v, want %d", got, len(reqs))
 	}
-	// Every prompt failed exactly once before succeeding.
-	if got := reg.CounterValue("mqo_batch_retries_total"); got != float64(len(reqs)) {
-		t.Errorf("retries = %v, want %d", got, len(reqs))
+	if got := reg.CounterValue("mqo_batch_requests_total", "outcome", "error"); got != float64(len(reqs)) {
+		t.Errorf("requests{error} = %v, want %d", got, len(reqs))
 	}
 	if got := reg.CounterValue("mqo_batch_tokens_total"); got != float64(res.TokensUsed) {
 		t.Errorf("tokens = %v, want %d", got, res.TokensUsed)
 	}
-	// Two attempts per request: one failing, one succeeding.
+	// One call per request per batch: one failing, one succeeding.
 	if got := reg.HistogramCount("mqo_batch_attempt_duration_seconds"); got != uint64(2*len(reqs)) {
 		t.Errorf("attempt observations = %d, want %d", got, 2*len(reqs))
 	}

@@ -30,8 +30,13 @@ vet:
 test:
 	$(GO) test ./...
 
+# race also repeats the prompt cache's concurrency tests ten times: one
+# mutex guards the whole cache, so these are where a lost update or an
+# unreconciled counter would show.
 race:
 	$(GO) test -race ./...
+	$(GO) test -race -count=10 -run 'TestConcurrentPutGet|TestStatsReconcileWithMetrics' ./internal/promptcache/
+	$(GO) test -race -count=10 -run TestEvictionUnderConcurrentExecute ./internal/batch/
 
 bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' .
@@ -61,7 +66,6 @@ benchpool:
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test -fuzz FuzzPoolPick -fuzztime $(FUZZTIME) -run '^$$' ./internal/pool/
-	$(GO) test -fuzz FuzzReplayLog -fuzztime $(FUZZTIME) -run '^$$' ./internal/batch/
 	$(GO) test -fuzz FuzzSegmentReplay -fuzztime $(FUZZTIME) -run '^$$' ./internal/promptcache/
 	$(GO) test -fuzz FuzzScenarioConfig -fuzztime $(FUZZTIME) -run '^$$' ./internal/load/
 	$(GO) test -fuzz FuzzCompress -fuzzminimizetime 10x -fuzztime $(FUZZTIME) -run '^$$' ./internal/prompt/
@@ -177,7 +181,8 @@ benchplan:
 # smoke scenario against it over HTTP with the SLO gate armed and zero
 # decode errors allowed, the printed coalesce rate must be nonzero
 # (cross-tenant coalescing happened), and SIGTERM must drain cleanly:
-# exit 0 and the "drained" line.
+# exit 0 and a "drained" line that counts a nonzero number of /v1/query
+# answers.
 SERVESMOKE_ADDR ?= 127.0.0.1:18089
 servesmoke:
 	$(GO) build -o servesmoke-llmserve.bin ./cmd/llmserve
@@ -194,14 +199,18 @@ servesmoke:
 	kill -TERM $$pid; wait $$pid || { echo "servesmoke: FAIL - llmserve exited nonzero after SIGTERM"; status=1; }; \
 	cat servesmoke-llmserve.log; \
 	grep -q 'drained' servesmoke-llmserve.log || { echo "servesmoke: FAIL - no clean drain"; status=1; }; \
+	grep -Eq 'drained, .* [1-9][0-9]* on /v1/query\)' servesmoke-llmserve.log || \
+		{ echo "servesmoke: FAIL - drain line counts no /v1/query answers"; status=1; }; \
 	rm -f servesmoke-*.bin servesmoke-*.log; \
 	if [ $$status -eq 0 ]; then echo "servesmoke: PASS"; fi; exit $$status
 
 # examples builds every program under examples/ into a temporary
 # directory and runs each once, failing on the first build error or
 # nonzero exit and then showing that program's output. The examples
-# drive the public mqo API end to end (the batch executor, audit-log
-# resume, boosting, budgets), which no test runs as a program.
+# drive the public mqo API end to end (the batch executor, resuming a
+# stopped batch from the prompt cache, boosting, budgets), which no
+# test runs as a program; examples/resume fails if its second run pays
+# again for a prompt its first run bought.
 examples:
 	@dir=$$(mktemp -d); status=0; \
 	for ex in examples/*/; do \

@@ -12,7 +12,8 @@
 // Operational endpoints:
 //
 //	GET /metrics           Prometheus text-format metrics
-//	GET /healthz           JSON liveness (uptime, served requests)
+//	GET /healthz           JSON liveness (uptime, requests served:
+//	                       chat completions plus /v1/query answers)
 //	GET /debug/traces      last N request spans from the trace ring
 //	GET /debug/querytrace  per-request span tree + stage ledger (?id=<trace>)
 //	GET /debug/slo         SLO pass/fail + error-budget burn (503 on fail)
@@ -194,6 +195,10 @@ func main() {
 			serve.QueryPath, method.Name(), max(1, ecfg.Workers), scfg.MaxQueue)
 	}
 
+	// answered counts the /v1/query answers the serving tier delivered
+	// (0 without -serve); /healthz and the drain line add them to the
+	// chat completions the handler served.
+	answered := func() int { return int(reg.CounterValue("mqo_serve_queries_total", "outcome", "ok")) }
 	var draining atomic.Bool
 	start := time.Now()
 	mux := http.NewServeMux()
@@ -209,7 +214,7 @@ func main() {
 		model:    p.Name,
 		dataset:  g.Display,
 		start:    start,
-		requests: h.Requests,
+		requests: func() int { return h.Requests() + answered() },
 		draining: &draining,
 	})
 	if *pprofOn {
@@ -265,6 +270,8 @@ func main() {
 		if err := <-errCh; err != nil && !errors.Is(err, http.ErrServerClosed) {
 			log.Fatalf("llmserve: %v", err)
 		}
-		fmt.Printf("llmserve: drained, %d requests served\n", h.Requests())
+		chat, queries := h.Requests(), answered()
+		fmt.Printf("llmserve: drained, %d requests served (%d chat completions, %d on %s)\n",
+			chat+queries, chat, queries, serve.QueryPath)
 	}
 }

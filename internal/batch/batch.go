@@ -83,7 +83,9 @@ type Config struct {
 	// request's prompt is looked up there before paying for a predictor
 	// call, and fresh answers are written through to it, so a prompt
 	// asked again — later in a call, in a later call or in a later
-	// run — is answered from disk.
+	// run — is answered from disk. It is what a stopped batch resumes
+	// from: asked again over the same Disk, every request already paid
+	// for comes back Cached, with the tokens it cost.
 	Disk *promptcache.Cache
 	// CacheNamespace partitions the disk cache by answer function;
 	// empty derives it from the predictor (promptcache.Namespace), which
@@ -91,8 +93,9 @@ type Config struct {
 	// version. Plan execution sets it to core.ExecConfig.CacheNamespace,
 	// which adds the compression version.
 	CacheNamespace string
-	// Log, when non-nil, receives one JSON line per query outcome.
-	// Prompts are logged as SHA-256 digests, never as raw text.
+	// Log, when non-nil, receives one JSON line per query outcome: an
+	// audit trail, written and never read back. Prompts are logged as
+	// SHA-256 digests, never as raw text.
 	Log io.Writer
 	// Obs receives executor metrics (request outcomes, throttle waits,
 	// in-flight gauge, per-call latency); nil routes to the

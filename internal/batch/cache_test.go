@@ -133,13 +133,13 @@ func TestDiskNamespaceSeparates(t *testing.T) {
 }
 
 // TestEvictionUnderConcurrentExecute is the satellite -race test: many
-// Execute calls hammer one 1-shard cache with a byte budget a fraction
+// Execute calls hammer one cache with a byte budget a fraction
 // of the working set. No update may be lost (every outcome correct),
 // and the cache's Stats must reconcile exactly with its mqo_cache_*
 // metrics when the dust settles.
 func TestEvictionUnderConcurrentExecute(t *testing.T) {
 	reg := obs.NewRegistry()
-	disk, err := promptcache.Open(t.TempDir(), promptcache.Config{Shards: 1, MaxBytes: 512, Obs: reg})
+	disk, err := promptcache.Open(t.TempDir(), promptcache.Config{MaxBytes: 512, Obs: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,5 +207,57 @@ func TestEvictionUnderConcurrentExecute(t *testing.T) {
 	}
 	if got := reg.GaugeValue("mqo_cache_bytes"); got != float64(st.Bytes) {
 		t.Fatalf("bytes gauge %v != stats %d", got, st.Bytes)
+	}
+}
+
+// TestCrashAndResume: a batch stops when its token budget runs out,
+// and the re-run asks the whole list again over the same disk cache.
+// Every answer the first run paid for comes back Cached, at the tokens
+// it cost; only the unfinished requests are billed.
+func TestCrashAndResume(t *testing.T) {
+	disk := openCache(t, promptcache.Config{})
+	p := newScripted()
+	p.tokens = 100
+	all := reqs(10)
+
+	// First run: the budget covers only 4 of 10 queries.
+	e1, err := New(p, Config{Workers: 1, BudgetTokens: 400, Disk: disk})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res1, err := e1.Execute(context.Background(), all)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res1.Skipped != 6 {
+		t.Fatalf("first run skipped %d, want 6", res1.Skipped)
+	}
+
+	e2, err := New(p, Config{Workers: 2, Disk: disk})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res2, err := e2.Execute(context.Background(), all)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res2.Failed != 0 || res2.Skipped != 0 || res2.CacheHits != 4 || len(res2.Outcomes) != 10 {
+		t.Fatalf("resume run: %+v", res2)
+	}
+	if got := p.total.Load(); got != 10 {
+		t.Errorf("the two runs billed %d queries, want 10 (4 + 6)", got)
+	}
+	if res2.TokensUsed != 600 {
+		t.Errorf("resume spent %d fresh tokens, want 600", res2.TokensUsed)
+	}
+	for id, o := range res2.Outcomes {
+		first := res1.Outcomes[id]
+		if first.Err == nil {
+			if !o.Cached || o.Response != first.Response || o.Response.InputTokens != 100 {
+				t.Errorf("recovered outcome %s: %+v, want the first run's answer at its tokens, cached", id, o)
+			}
+		} else if o.Cached || o.Attempts != 1 || o.Err != nil {
+			t.Errorf("unfinished request %s: %+v, want one fresh call", id, o)
+		}
 	}
 }

@@ -48,7 +48,7 @@ func (e *Exec) Register(fs *flag.FlagSet) {
 	fs.IntVar(&k.Compress, "compress", k.Compress, "prompt-compression level 1..3: rank abstract spans by signal density and keep at most 4/2/1 per abstract (0 = off; versions the prompt-cache namespace)")
 	fs.IntVar(&k.TargetTokens, "target-tokens", k.TargetTokens, "per-query compressed token budget; sparsest spans keep dropping until each prompt fits (0 = level caps only; implies -compress 1)")
 	fs.StringVar(&e.CacheDir, "cache-dir", "", "persistent prompt-cache directory (empty = no disk cache)")
-	fs.Int64Var(&e.CacheMaxBytes, "cache-max-bytes", 0, "prompt-cache byte budget across shards (0 = unbounded)")
+	fs.Int64Var(&e.CacheMaxBytes, "cache-max-bytes", 0, "prompt-cache byte budget on live records, LRU-evicted past it (0 = unbounded)")
 	fs.DurationVar(&e.CacheTTL, "cache-ttl", 0, "prompt-cache entry lifetime (0 = never expires)")
 	fs.Float64Var(&e.TraceSample, "trace-sample", 1, "fraction of query traces recorded with span trees and ledgers (0 = none, 1 = all)")
 	fs.DurationVar(&e.SLOLatencyP99, "slo-latency-p99", 0, "per-query p99 latency objective for the SLO engine (0 = disabled)")

@@ -27,6 +27,7 @@ package llm
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"slices"
 	"strings"
@@ -294,8 +295,13 @@ const (
 	stackTexts     = 2 * stackNeighbors
 )
 
+// ErrUnreadablePrompt marks a prompt that does not follow the Table III
+// templates: the caller's fault, so a server answers it 400 and no
+// client retries it.
+var ErrUnreadablePrompt = errors.New("llm: unreadable prompt")
+
 // Query implements Predictor. It fails only on prompts that do not
-// follow the Table III templates.
+// follow the Table III templates, with ErrUnreadablePrompt.
 //
 // It reads the prompt once, with a prompt.Scanner, holding every part
 // it needs as a substring in a stack buffer, and counts signal words
@@ -336,7 +342,7 @@ func (s *Sim) Query(promptText string) (Response, error) {
 	}
 	if err := sc.Err(); err != nil {
 		rec.Add("mqo_sim_errors_total", 1)
-		return Response{}, fmt.Errorf("llm: unreadable prompt: %w", err)
+		return Response{}, fmt.Errorf("%w: %w", ErrUnreadablePrompt, err)
 	}
 
 	// Each category scores into the slot of its name's first listing;

@@ -141,10 +141,17 @@ func (h *Handler) serve(ctx context.Context, w http.ResponseWriter, r *http.Requ
 	// underneath charge themselves unbilled, see promptcache.Wrap).
 	obs.Charge(ctx, obs.StagePredict, time.Since(qstart), resp.InputTokens+resp.OutputTokens, true)
 	if err != nil {
-		// An unreadable prompt is the caller's fault, not a server
-		// failure: report 400 so clients do not retry it.
-		writeAPIError(w, http.StatusBadRequest, err.Error())
-		return http.StatusBadRequest, 0, 0
+		// An unreadable prompt, or an upstream's own 4xx, is the
+		// caller's fault: 400, so clients do not retry it. Anything
+		// else failed behind this server (an upstream down, its
+		// breaker open): 502, which clients retry, fail over and
+		// count toward their breakers.
+		status := http.StatusBadGateway
+		if errors.Is(err, ErrUnreadablePrompt) || ClientFault(err) {
+			status = http.StatusBadRequest
+		}
+		writeAPIError(w, status, err.Error())
+		return status, 0, 0
 	}
 	h.requests.Add(1)
 

@@ -331,23 +331,25 @@ func (p *Pool) failsOver(ctx context.Context, err error) bool {
 
 // do runs one attempt on r, updating health state and feeding the
 // breaker. Cancellations (the caller gave up, or a hedge race was lost)
-// and client-side API errors do not count against the backend. The
-// attempt gets its own child span, which llm.Ask hands to
-// context-aware replicas so a remote hop (llm.HTTPPredictor) can
-// continue the trace; a Query-only replica finishes even when its
-// hedge race is lost, so it still warms its cache.
+// and client-side API errors do not count against the backend; an
+// attempt that ran out its deadline does (see canceled). The attempt
+// gets its own child span, which llm.Ask hands to context-aware
+// replicas so a remote hop (llm.HTTPPredictor) can continue the trace;
+// a Query-only replica finishes even when its hedge race is lost, so
+// it still warms its cache. The attempt counts as in flight until its
+// verdict is recorded.
 func (p *Pool) do(ctx context.Context, r *replica, promptText string, hedge bool) (llm.Response, error) {
 	actx, sp := obs.StartSpanCtx(ctx, p.rec, "pool.attempt", "replica", r.label, "hedge", fmt.Sprint(hedge))
 	r.inflight.Add(1)
+	defer r.inflight.Add(-1)
 	start := time.Now()
 	resp, err := llm.Ask(actx, r.p, promptText)
-	r.inflight.Add(-1)
-	if ctx.Err() == nil {
-		// Only completed attempts teach the EWMA. A canceled attempt —
-		// hedge loser, caller gave up — measures the cancellation
-		// moment, not the backend: folding it in would score a
-		// slow-but-healthy replica by how fast its races get called
-		// off, poisoning routing against it.
+	if !canceled(ctx) {
+		// A canceled attempt measures the cancellation moment, not
+		// the backend: folding it in would score a slow-but-healthy
+		// replica by how fast its races get called off, poisoning
+		// routing against it. An attempt that ran out its deadline
+		// did measure the backend: it took at least that long.
 		r.observe(time.Since(start).Seconds())
 	}
 	if err != nil {
@@ -360,6 +362,15 @@ func (p *Pool) do(ctx context.Context, r *replica, promptText string, hedge bool
 	return resp, err
 }
 
+// canceled reports whether ctx was canceled rather than run out: a
+// hedge loser or a caller that gave up, which says nothing about the
+// replica. A context that ended at its deadline (the executor's
+// QueryTimeout) is the replica's failure to answer in time.
+func canceled(ctx context.Context) bool {
+	err := ctx.Err()
+	return err != nil && !errors.Is(err, context.DeadlineExceeded)
+}
+
 // judge translates one attempt outcome into a breaker verdict,
 // emitting the ejection metric when the verdict opens the circuit.
 func (p *Pool) judge(ctx context.Context, r *replica, err error) {
@@ -369,8 +380,8 @@ func (p *Pool) judge(ctx context.Context, r *replica, err error) {
 	switch {
 	case err == nil:
 		r.brk.Report(true)
-	case ctx.Err() != nil:
-		// Canceled or past its deadline: not the backend's fault.
+	case canceled(ctx):
+		// Not the backend's fault.
 		r.brk.Cancel()
 	case llm.ClientFault(err):
 		// The request's fault, not the replica's.

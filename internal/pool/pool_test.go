@@ -529,3 +529,59 @@ func TestPicksSpreadAcrossReplicas(t *testing.T) {
 		}
 	}
 }
+
+// TestDeadlineEjectsHungReplica: a replica that never answers runs out
+// the executor's QueryTimeout on every attempt it gets. An attempt that
+// ends at its deadline is the replica's failure, so its breaker and its
+// EWMA learn it and the pool stops sending it prompts: of 60 distinct
+// prompts asked one at a time, at most the breaker's threshold fail,
+// under either scorer.
+func TestDeadlineEjectsHungReplica(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		scorer Scorer
+	}{{"p2c", nil}, {"affinity", &Affinity{}}} {
+		t.Run(tc.name, func(t *testing.T) {
+			hung := &fakePred{name: "hung", id: "x", delay: time.Hour}
+			pl := mustPool(t, Config{Breaker: batch.BreakerConfig{Threshold: 2}, Scorer: tc.scorer, Seed: 1},
+				&fakePred{name: "a", id: "x"}, &fakePred{name: "b", id: "x"}, hung)
+			e, err := batch.New(pl, batch.Config{QueryTimeout: 20 * time.Millisecond})
+			if err != nil {
+				t.Fatal(err)
+			}
+			failed := 0
+			for i := 0; i < 60; i++ {
+				o := e.Do(context.Background(), batch.Request{ID: fmt.Sprint(i), Prompt: fmt.Sprintf("prompt %d", i)})
+				if o.Err != nil {
+					if !errors.Is(o.Err, batch.ErrQueryTimeout) {
+						t.Fatalf("request %d: %v, want a timeout", i, o.Err)
+					}
+					failed++
+				}
+				// The executor stops waiting at the deadline; let the
+				// pool record the attempt's verdict before the next pick.
+				waitSettled(t, pl)
+			}
+			if failed > 2 {
+				t.Errorf("%d of 60 requests failed, want at most 2 (the hung replica's breaker threshold)", failed)
+			}
+			if n := hung.calls.Load(); n != int64(failed) {
+				t.Errorf("hung replica got %d calls for %d failures", n, failed)
+			}
+		})
+	}
+}
+
+// waitSettled waits until no replica of pl has an attempt in flight.
+func waitSettled(t *testing.T, pl *Pool) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for _, r := range pl.replicas {
+		for r.inflight.Load() != 0 {
+			if time.Now().After(deadline) {
+				t.Fatalf("replica %s still has %d attempts in flight", r.label, r.inflight.Load())
+			}
+			time.Sleep(100 * time.Microsecond)
+		}
+	}
+}

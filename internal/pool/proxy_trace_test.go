@@ -3,11 +3,15 @@ package pool
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
+	"repro/internal/batch"
 	"repro/internal/llm"
 	"repro/internal/obs"
 	"repro/internal/prompt"
@@ -157,6 +161,49 @@ func TestProxyErrorBodyCarriesTraceID(t *testing.T) {
 	}
 	if body.Error.TraceID != remoteTrace {
 		t.Fatalf("error body trace_id = %q, want %q", body.Error.TraceID, remoteTrace)
+	}
+}
+
+// TestProxyUpstreamFailureIs5xx reproduces llmserve -upstreams over
+// two replicas that fail: a transport failure behind the proxy is the
+// server's failure, so the client gets a 5xx after 1 + MaxRetries
+// round trips (retrying, failing over and counting it toward a breaker
+// as it would any 5xx). An upstream's own 4xx stays the caller's
+// fault: 400, asked once.
+func TestProxyUpstreamFailureIs5xx(t *testing.T) {
+	for _, tc := range []struct {
+		name       string
+		upstream   error
+		wantStatus int
+		wantTrips  int64
+	}{
+		{"transport", errors.New("llm: transport: connection refused"), http.StatusBadGateway, 4},
+		{"upstream 4xx", &llm.APIError{StatusCode: http.StatusNotFound, Message: "no such model"}, http.StatusBadRequest, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			pl := mustPool(t, Config{Breaker: batch.BreakerConfig{Threshold: 2}},
+				&fakePred{name: "u0", id: "x", err: tc.upstream}, &fakePred{name: "u1", id: "x", err: tc.upstream})
+			h := llm.NewHandler(pl)
+			h.Obs = obs.NewRegistry()
+			var trips atomic.Int64
+			srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				trips.Add(1)
+				h.ServeHTTP(w, r)
+			}))
+			defer srv.Close()
+			client, err := llm.NewHTTPPredictor(llm.HTTPConfig{BaseURL: srv.URL, Model: "sim", MaxRetries: 3, RetryBaseDelay: time.Millisecond})
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = client.Query("any prompt")
+			var apiErr *llm.APIError
+			if !errors.As(err, &apiErr) || apiErr.StatusCode != tc.wantStatus {
+				t.Fatalf("client error %v, want API error %d", err, tc.wantStatus)
+			}
+			if got := trips.Load(); got != tc.wantTrips {
+				t.Errorf("client made %d round trips, want %d", got, tc.wantTrips)
+			}
+		})
 	}
 }
 

@@ -14,7 +14,7 @@ import (
 // contents: any byte string — valid segments, truncations thereof,
 // bit-flipped records, pure garbage — must replay without panicking,
 // must recover exactly the records whose framing and checksum validate,
-// and must leave the reopened shard appendable. This is the kill -9
+// and must leave the reopened cache appendable. This is the kill -9
 // contract: whatever state a crash leaves on disk, Open never corrupts
 // or loses checksum-valid data.
 func FuzzSegmentReplay(f *testing.F) {
@@ -57,7 +57,7 @@ func FuzzSegmentReplay(f *testing.F) {
 		if err := os.WriteFile(filepath.Join(dir, "seg-00.log"), data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		c, err := Open(dir, Config{Shards: 1})
+		c, err := Open(dir, Config{})
 		if err != nil {
 			t.Fatalf("Open on fuzzed segment: %v", err)
 		}
@@ -84,14 +84,14 @@ func FuzzSegmentReplay(f *testing.F) {
 			}
 		}
 
-		// The shard must accept appends after recovery, and the append
+		// The cache must accept appends after recovery, and the append
 		// must survive another reopen together with the recovered set.
 		extra := KeyOf("fuzz", "post-recovery")
 		if err := c.Put(extra, llm.Response{Text: "x", Category: "X", InputTokens: 1, OutputTokens: 1}); err != nil {
 			t.Fatalf("append after recovery: %v", err)
 		}
 		c.Close()
-		c2, err := Open(dir, Config{Shards: 1})
+		c2, err := Open(dir, Config{})
 		if err != nil {
 			t.Fatalf("reopen after append: %v", err)
 		}

@@ -15,30 +15,36 @@
 //     and the prompt-template version) and the full prompt text. Any
 //     change to the model, its seed, or the prompt template changes the
 //     key, so stale answers can never be served across an upgrade.
-//   - Sharding with lock striping. Keys are spread across N segment
-//     files by their first key byte; each shard has its own mutex, file
-//     handle, index and LRU list, so concurrent workers rarely contend.
-//   - Crash-safe append-only segments. A record is
+//   - One segment under one lock. The cache is one append-only file,
+//     seg-00.log, and one mutex guards it together with the in-memory
+//     index, LRU list and counters, so every paid answer has one home
+//     and the byte budget is exact.
+//   - Crash-safe append-only segment. A record is
 //     [4B payload length][4B CRC32][payload]; replay on reopen stops at
 //     the first record whose length or checksum does not validate and
 //     truncates the tail, so a kill -9 mid-append loses at most the
 //     record being written, never the cache.
-//   - Bounded by bytes, not entries. Each shard holds MaxBytes/shards
-//     of live records; eviction is LRU (tombstones make it durable) and
-//     TTL expiry is applied at read and replay time. When dead bytes
-//     dominate a segment it is compacted by atomic rename.
+//   - Bounded by bytes, not entries. The live records never exceed
+//     MaxBytes; eviction is LRU (tombstones make it durable) and TTL
+//     expiry is applied at read and replay time. When dead bytes make
+//     up more than half the segment it is compacted by atomic rename,
+//     which rewrites the whole cache under the lock.
 //
 // Live entries are kept in memory (the byte budget bounds that too), so
-// Get never touches the disk; the segment files are the durability
-// layer, not the read path.
+// Get never touches the disk; the segment file is the durability
+// layer, not the read path. It is also the record a stopped batch
+// resumes from: re-running a request list over the same cache answers
+// every prompt already bought from disk, with the tokens it cost.
 package promptcache
 
 import (
+	"container/list"
 	"crypto/sha256"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"time"
 
@@ -96,12 +102,11 @@ func NamespaceVersion(identity, version string) string {
 
 // Config tunes a Cache.
 type Config struct {
-	// Shards is the number of segment files and lock stripes
-	// (default 8, max 256). More shards mean less lock contention and
-	// smaller per-file replay/compaction units.
-	Shards int
-	// MaxBytes bounds the live bytes across all shards; 0 means
-	// unbounded. Each shard enforces MaxBytes/Shards with LRU eviction.
+	// MaxBytes bounds the live record bytes (header + payload); 0
+	// means unbounded. A Put that takes the cache past it evicts least
+	// recently used entries until the live set fits again, so the
+	// bound is exact: room for k records holds k. The entry just
+	// written always stays, even when it alone is larger.
 	MaxBytes int64
 	// TTL expires entries this long after they were written; 0 means
 	// entries never expire. Expired entries count as misses and are
@@ -124,35 +129,33 @@ type Stats struct {
 	Bytes     int64 // live record bytes (header + payload)
 }
 
-// Cache is a persistent prompt→response cache. All methods are safe
-// for concurrent use.
+// Cache is a persistent prompt→response cache: one segment file, and
+// the in-memory index, LRU list and counters that mirror it, all under
+// one mutex. All methods are safe for concurrent use.
 type Cache struct {
-	dir    string
-	cfg    Config
-	rec    obs.Recorder
-	shards []*shard
+	path string // the segment file, <dir>/seg-00.log
+	cfg  Config
+	rec  obs.Recorder
 
-	mu     sync.Mutex // guards closed
-	closed bool
-
-	stats struct {
-		sync.Mutex
-		s Stats
-	}
+	mu        sync.Mutex
+	f         *os.File // nil once closed
+	index     map[Key]*entry
+	lru       *list.List // front = most recently used; values are Keys
+	live      int64      // live record bytes
+	fileBytes int64      // segment file bytes, live and dead
+	stats     Stats      // Hits, Misses and Evictions; Stats fills the rest
 }
 
-// Open creates or reopens the cache rooted at dir. Existing segment
-// files are replayed; a torn tail (crash mid-append) is truncated and
-// the rest of the cache is kept.
+// Open creates or reopens the cache rooted at dir. The segment file
+// is replayed; a torn tail (crash mid-append) is truncated and the
+// rest of the cache is kept. A directory written by an earlier,
+// striped version of this package holds seg-00.log through seg-07.log:
+// Open replays them all, writes the live set into seg-00.log through
+// compaction and only then removes the others, so a crash before the
+// rename leaves the old files as they were.
 func Open(dir string, cfg Config) (*Cache, error) {
 	if dir == "" {
 		return nil, errors.New("promptcache: empty directory")
-	}
-	if cfg.Shards == 0 {
-		cfg.Shards = 8
-	}
-	if cfg.Shards < 1 || cfg.Shards > 256 {
-		return nil, fmt.Errorf("promptcache: shards %d outside [1,256]", cfg.Shards)
 	}
 	if cfg.MaxBytes < 0 || cfg.TTL < 0 {
 		return nil, fmt.Errorf("promptcache: negative MaxBytes or TTL")
@@ -163,146 +166,126 @@ func Open(dir string, cfg Config) (*Cache, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("promptcache: %w", err)
 	}
-	c := &Cache{dir: dir, cfg: cfg, rec: obs.Active(cfg.Obs)}
-	perShard := int64(0)
-	if cfg.MaxBytes > 0 {
-		perShard = cfg.MaxBytes / int64(cfg.Shards)
-		if perShard == 0 {
-			perShard = 1 // degenerate budgets still evict rather than divide to "unbounded"
+	c := &Cache{
+		path: filepath.Join(dir, segmentName), cfg: cfg, rec: obs.Active(cfg.Obs),
+		index: make(map[Key]*entry), lru: list.New(),
+	}
+	// Other segments hold the keys an earlier version striped away
+	// from seg-00.log; each key lives in exactly one file.
+	files, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, fmt.Errorf("promptcache: %w", err)
+	}
+	var others []string
+	for _, de := range files {
+		if n := de.Name(); n != segmentName && strings.HasPrefix(n, "seg-") && strings.HasSuffix(n, ".log") {
+			others = append(others, filepath.Join(dir, n))
 		}
 	}
-	c.shards = make([]*shard, cfg.Shards)
-	for i := range c.shards {
-		s, recovered, err := openShard(filepath.Join(dir, fmt.Sprintf("seg-%02x.log", i)), perShard, cfg.TTL, cfg.now)
-		if err != nil {
-			for _, prev := range c.shards[:i] {
-				prev.close()
-			}
-			return nil, err
-		}
-		c.shards[i] = s
-		c.addBytes(recovered)
+	if err := c.load(others); err != nil {
+		return nil, err
+	}
+	if c.live > 0 {
+		c.rec.Set(metricCacheBytes, float64(c.live))
 	}
 	return c, nil
-}
-
-// shardFor maps a key to its lock stripe.
-func (c *Cache) shardFor(k Key) *shard {
-	return c.shards[int(k[0])%len(c.shards)]
-}
-
-// addBytes updates the live-byte accounting and gauge.
-func (c *Cache) addBytes(delta int64) {
-	if delta == 0 {
-		return
-	}
-	c.stats.Lock()
-	c.stats.s.Bytes += delta
-	// Gauge update stays under the lock so concurrent deltas cannot
-	// publish out of order and leave the gauge stale.
-	c.rec.Set(metricCacheBytes, float64(c.stats.s.Bytes))
-	c.stats.Unlock()
 }
 
 // Get returns the cached response for k, if present and unexpired.
 // A hit refreshes the entry's LRU position.
 func (c *Cache) Get(k Key) (llm.Response, bool) {
-	s := c.shardFor(k)
-	resp, evictedBytes, expired, ok := s.get(k)
-	c.addBytes(-evictedBytes)
+	c.mu.Lock()
+	e, hit := c.index[k]
+	expired := hit && c.expired(e)
 	if expired {
-		c.bumpEvictions(1, "expired")
+		// Drop it from the index only: replay applies the same TTL
+		// check, so the stale record cannot resurrect.
+		c.drop(k)
+		c.rec.Set(metricCacheBytes, float64(c.live))
+		c.stats.Evictions++
+		hit = false
 	}
-	if !ok {
-		c.stats.Lock()
-		c.stats.s.Misses++
-		c.stats.Unlock()
+	if hit {
+		c.lru.MoveToFront(e.elem)
+		c.stats.Hits++
+	} else {
+		c.stats.Misses++
+	}
+	c.mu.Unlock()
+	if expired {
+		c.rec.Add(metricCacheEvictions, 1, "reason", "expired")
+	}
+	if !hit {
 		c.rec.Add(metricCacheMisses, 1)
 		return llm.Response{}, false
 	}
-	c.stats.Lock()
-	c.stats.s.Hits++
-	c.stats.Unlock()
 	c.rec.Add(metricCacheHits, 1)
-	return resp, true
+	return e.resp, true // an entry is never modified, only replaced
 }
 
 // Contains reports whether k is cached and unexpired, without touching
 // LRU order or the hit/miss counters — the planner's lookup for
 // cache-aware budgeting must not skew the operational stats.
 func (c *Cache) Contains(k Key) bool {
-	return c.shardFor(k).contains(k)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	e, ok := c.index[k]
+	return ok && !c.expired(e)
 }
 
-// Put stores (or replaces) the response for k. The write is appended
-// to the shard's segment before the index is updated; LRU eviction and
-// compaction run under the same shard lock.
+// Put stores (or replaces) the response for k. The record is appended
+// to the segment before the index is updated; LRU eviction and
+// compaction run under the same lock.
 func (c *Cache) Put(k Key, resp llm.Response) error {
-	s := c.shardFor(k)
-	delta, evicted, err := s.put(k, resp)
-	c.addBytes(delta)
-	c.bumpEvictions(evicted, "lru")
+	written := c.cfg.now()
+	rec := encodeRecord(k, written, kindPut, resp)
+	c.mu.Lock()
+	evicted, err := c.put(k, resp, written, rec)
+	c.mu.Unlock()
+	if evicted > 0 {
+		c.rec.Add(metricCacheEvictions, float64(evicted), "reason", "lru")
+	}
 	return err
 }
 
-// bumpEvictions updates eviction accounting.
-func (c *Cache) bumpEvictions(n int64, reason string) {
-	if n == 0 {
-		return
-	}
-	c.stats.Lock()
-	c.stats.s.Evictions += n
-	c.stats.Unlock()
-	c.rec.Add(metricCacheEvictions, float64(n), "reason", reason)
-}
-
-// Stats snapshots the cache counters. Entries and Bytes are recomputed
-// from the shards so they reconcile exactly with the index state.
+// Stats snapshots the cache counters. Entries and Bytes are read from
+// the index, so they reconcile exactly with its state.
 func (c *Cache) Stats() Stats {
-	c.stats.Lock()
-	out := c.stats.s
-	c.stats.Unlock()
-	out.Entries, out.Bytes = 0, 0
-	for _, s := range c.shards {
-		n, b := s.size()
-		out.Entries += n
-		out.Bytes += b
-	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	out := c.stats
+	out.Entries, out.Bytes = int64(len(c.index)), c.live
 	return out
 }
 
 // Len returns the number of live entries.
 func (c *Cache) Len() int64 { return c.Stats().Entries }
 
-// Compact rewrites every shard's segment to contain only live records,
-// reclaiming tombstone and overwrite garbage. Each shard compacts
-// atomically (temp file + rename) under its own lock; a crash during
-// compaction leaves either the old or the new segment, never a mix.
+// Compact rewrites the segment to contain only live records,
+// reclaiming tombstone and overwrite garbage, through a temp file and
+// an atomic rename: a crash during compaction leaves either the old or
+// the new segment, never a mix.
 func (c *Cache) Compact() error {
-	var firstErr error
-	for _, s := range c.shards {
-		if err := s.compactNow(); err != nil && firstErr == nil {
-			firstErr = err
-		}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.f == nil {
+		return c.errClosed()
 	}
-	return firstErr
+	return c.compact()
 }
 
-// Close flushes and closes every segment file. The cache must not be
-// used afterwards.
+// Close syncs and closes the segment file. The cache must not be used
+// afterwards; closing twice is a no-op.
 func (c *Cache) Close() error {
 	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
+	defer c.mu.Unlock()
+	if c.f == nil {
 		return nil
 	}
-	c.closed = true
-	c.mu.Unlock()
-	var firstErr error
-	for _, s := range c.shards {
-		if err := s.close(); err != nil && firstErr == nil {
-			firstErr = err
-		}
+	err := c.f.Sync()
+	if cerr := c.f.Close(); err == nil {
+		err = cerr
 	}
-	return firstErr
+	c.f = nil
+	return err
 }

@@ -30,7 +30,7 @@ func mustOpen(t *testing.T, dir string, cfg Config) *Cache {
 
 func TestPutGetAcrossReopen(t *testing.T) {
 	dir := t.TempDir()
-	c := mustOpen(t, dir, Config{Shards: 4})
+	c := mustOpen(t, dir, Config{})
 	keys := make([]Key, 50)
 	for i := range keys {
 		keys[i] = KeyOf("ns", fmt.Sprintf("prompt %d", i))
@@ -45,7 +45,7 @@ func TestPutGetAcrossReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	c2 := mustOpen(t, dir, Config{Shards: 4})
+	c2 := mustOpen(t, dir, Config{})
 	for i, k := range keys {
 		got, ok := c2.Get(k)
 		if !ok {
@@ -63,7 +63,7 @@ func TestPutGetAcrossReopen(t *testing.T) {
 
 func TestOverwriteReplaces(t *testing.T) {
 	dir := t.TempDir()
-	c := mustOpen(t, dir, Config{Shards: 1})
+	c := mustOpen(t, dir, Config{})
 	k := KeyOf("ns", "p")
 	if err := c.Put(k, resp("old", 1, 1)); err != nil {
 		t.Fatal(err)
@@ -75,7 +75,7 @@ func TestOverwriteReplaces(t *testing.T) {
 		t.Fatalf("got %q want new", got.Category)
 	}
 	c.Close()
-	c2 := mustOpen(t, dir, Config{Shards: 1})
+	c2 := mustOpen(t, dir, Config{})
 	if got, ok := c2.Get(k); !ok || got.Category != "new" {
 		t.Fatalf("reopen: got %+v ok=%v, want the overwrite", got, ok)
 	}
@@ -89,7 +89,7 @@ func TestOverwriteReplaces(t *testing.T) {
 // stay appendable.
 func TestTornTailRecovery(t *testing.T) {
 	dir := t.TempDir()
-	c := mustOpen(t, dir, Config{Shards: 1})
+	c := mustOpen(t, dir, Config{})
 	for i := 0; i < 10; i++ {
 		if err := c.Put(KeyOf("ns", fmt.Sprintf("p%d", i)), resp("c", 10+i, 2)); err != nil {
 			t.Fatal(err)
@@ -112,7 +112,7 @@ func TestTornTailRecovery(t *testing.T) {
 			t.Fatal(err)
 		}
 		wantRecs, _ := replay(full[:cut])
-		c2, err := Open(dir, Config{Shards: 1})
+		c2, err := Open(dir, Config{})
 		if err != nil {
 			t.Fatalf("cut %d: %v", cut, err)
 		}
@@ -125,7 +125,7 @@ func TestTornTailRecovery(t *testing.T) {
 			t.Fatalf("cut %d: append after recovery: %v", cut, err)
 		}
 		c2.Close()
-		c3, err := Open(dir, Config{Shards: 1})
+		c3, err := Open(dir, Config{})
 		if err != nil {
 			t.Fatalf("cut %d: reopen after append: %v", cut, err)
 		}
@@ -146,7 +146,7 @@ func TestTornTailRecovery(t *testing.T) {
 // be trusted), while keeping the records before it.
 func TestCorruptMiddleStopsAtPrefix(t *testing.T) {
 	dir := t.TempDir()
-	c := mustOpen(t, dir, Config{Shards: 1})
+	c := mustOpen(t, dir, Config{})
 	k0, k1, k2 := KeyOf("ns", "a"), KeyOf("ns", "b"), KeyOf("ns", "c")
 	for _, k := range []Key{k0, k1, k2} {
 		if err := c.Put(k, resp("c", 3, 1)); err != nil {
@@ -166,7 +166,7 @@ func TestCorruptMiddleStopsAtPrefix(t *testing.T) {
 	if err := os.WriteFile(seg, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	c2 := mustOpen(t, dir, Config{Shards: 1})
+	c2 := mustOpen(t, dir, Config{})
 	if _, ok := c2.Get(k0); !ok {
 		t.Fatal("record before the corruption lost")
 	}
@@ -181,7 +181,7 @@ func TestCorruptMiddleStopsAtPrefix(t *testing.T) {
 func TestLRUEvictionUnderByteBudget(t *testing.T) {
 	dir := t.TempDir()
 	reg := obs.NewRegistry()
-	c := mustOpen(t, dir, Config{Shards: 1, MaxBytes: 400, Obs: reg})
+	c := mustOpen(t, dir, Config{MaxBytes: 400, Obs: reg})
 	var keys []Key
 	for i := 0; i < 20; i++ {
 		k := KeyOf("ns", fmt.Sprintf("p%02d", i))
@@ -209,7 +209,7 @@ func TestLRUEvictionUnderByteBudget(t *testing.T) {
 
 	// Eviction is durable: a reopen must not resurrect evicted keys.
 	c.Close()
-	c2 := mustOpen(t, dir, Config{Shards: 1, MaxBytes: 400})
+	c2 := mustOpen(t, dir, Config{MaxBytes: 400})
 	if _, ok := c2.Get(keys[0]); ok {
 		t.Fatal("evicted entry resurrected by reopen")
 	}
@@ -222,7 +222,7 @@ func TestTTLExpiry(t *testing.T) {
 	dir := t.TempDir()
 	now := time.Unix(1000, 0)
 	clock := func() time.Time { return now }
-	c := mustOpen(t, dir, Config{Shards: 1, TTL: time.Minute, now: clock})
+	c := mustOpen(t, dir, Config{TTL: time.Minute, now: clock})
 	k := KeyOf("ns", "p")
 	if err := c.Put(k, resp("c", 1, 1)); err != nil {
 		t.Fatal(err)
@@ -243,7 +243,7 @@ func TestTTLExpiry(t *testing.T) {
 	}
 	// Expiry also applies at replay: reopening must drop it.
 	c.Close()
-	c2 := mustOpen(t, dir, Config{Shards: 1, TTL: time.Minute, now: clock})
+	c2 := mustOpen(t, dir, Config{TTL: time.Minute, now: clock})
 	if c2.Len() != 0 {
 		t.Fatal("expired entry survived reopen")
 	}
@@ -251,7 +251,7 @@ func TestTTLExpiry(t *testing.T) {
 
 func TestCompactionShrinksSegment(t *testing.T) {
 	dir := t.TempDir()
-	c := mustOpen(t, dir, Config{Shards: 1})
+	c := mustOpen(t, dir, Config{})
 	k := KeyOf("ns", "hot")
 	long := strings.Repeat("x", 512)
 	for i := 0; i < 100; i++ {
@@ -274,7 +274,7 @@ func TestCompactionShrinksSegment(t *testing.T) {
 		t.Fatalf("latest value lost by compaction: %+v ok=%v", got, ok)
 	}
 	c.Close()
-	c2 := mustOpen(t, dir, Config{Shards: 1})
+	c2 := mustOpen(t, dir, Config{})
 	if got, ok := c2.Get(k); !ok || got.InputTokens != 99 {
 		t.Fatalf("latest value lost across reopen after compaction: %+v ok=%v", got, ok)
 	}
@@ -284,7 +284,7 @@ func TestCompactionShrinksSegment(t *testing.T) {
 // order must still be least-recently-used, not insertion order.
 func TestCompactionPreservesLRUOrder(t *testing.T) {
 	dir := t.TempDir()
-	c := mustOpen(t, dir, Config{Shards: 1})
+	c := mustOpen(t, dir, Config{})
 	old := KeyOf("ns", "old")
 	hot := KeyOf("ns", "hot")
 	if err := c.Put(old, resp("c", 1, 1)); err != nil {
@@ -304,7 +304,7 @@ func TestCompactionPreservesLRUOrder(t *testing.T) {
 	// Reopen with a budget that fits exactly one entry: the LRU victim
 	// must be `hot` (least recently used), proving compaction wrote
 	// oldest-first.
-	c2 := mustOpen(t, dir, Config{Shards: 1, MaxBytes: 1})
+	c2 := mustOpen(t, dir, Config{MaxBytes: 1})
 	if _, ok := c2.Get(old); !ok {
 		t.Fatal("most-recently-used entry evicted at reopen")
 	}
@@ -315,7 +315,7 @@ func TestCompactionPreservesLRUOrder(t *testing.T) {
 
 func TestStatsReconcileWithMetrics(t *testing.T) {
 	reg := obs.NewRegistry()
-	c := mustOpen(t, t.TempDir(), Config{Shards: 2, Obs: reg})
+	c := mustOpen(t, t.TempDir(), Config{Obs: reg})
 	k1, k2 := KeyOf("ns", "a"), KeyOf("ns", "b")
 	c.Put(k1, resp("c", 1, 1))
 	c.Get(k1)
@@ -352,7 +352,7 @@ func TestNamespaceIsolation(t *testing.T) {
 }
 
 func TestConcurrentPutGet(t *testing.T) {
-	c := mustOpen(t, t.TempDir(), Config{Shards: 4, MaxBytes: 4096})
+	c := mustOpen(t, t.TempDir(), Config{MaxBytes: 4096})
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
@@ -441,16 +441,13 @@ func TestOpenRejectsBadConfig(t *testing.T) {
 	if _, err := Open("", Config{}); err == nil {
 		t.Fatal("empty dir accepted")
 	}
-	if _, err := Open(t.TempDir(), Config{Shards: 1000}); err == nil {
-		t.Fatal("1000 shards accepted")
-	}
 	if _, err := Open(t.TempDir(), Config{MaxBytes: -1}); err == nil {
 		t.Fatal("negative budget accepted")
 	}
 }
 
 func TestPutAfterCloseFails(t *testing.T) {
-	c := mustOpen(t, t.TempDir(), Config{Shards: 1})
+	c := mustOpen(t, t.TempDir(), Config{})
 	c.Close()
 	if err := c.Put(KeyOf("ns", "p"), resp("c", 1, 1)); err == nil {
 		t.Fatal("Put after Close succeeded")
@@ -472,5 +469,166 @@ func TestRecordRoundTrip(t *testing.T) {
 	}
 	if !bytes.Equal(rec, encodeRecord(k, when, kindPut, want)) {
 		t.Fatal("encodeRecord not deterministic")
+	}
+}
+
+// recordSize is the on-disk size of one record holding r.
+func recordSize(r llm.Response) int64 {
+	return int64(len(encodeRecord(Key{}, time.Unix(0, 0), kindPut, r)))
+}
+
+// TestByteBoundIsExact: a budget with room for exactly k records holds
+// k distinct prompts without evicting any, and the (k+1)-th evicts
+// exactly the least recently used entry.
+func TestByteBoundIsExact(t *testing.T) {
+	const k = 64
+	r := resp("c", 1, 1)
+	size := recordSize(r)
+	reg := obs.NewRegistry()
+	c := mustOpen(t, t.TempDir(), Config{MaxBytes: k * size, Obs: reg})
+	keys := make([]Key, k+1)
+	for i := range keys {
+		keys[i] = KeyOf("ns", fmt.Sprintf("prompt %d", i))
+	}
+	for _, key := range keys[:k] {
+		if err := c.Put(key, r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := c.Stats(); st.Evictions != 0 || st.Entries != k || st.Bytes != k*size {
+		t.Fatalf("%d records into room for %d: %+v, want all kept", k, k, st)
+	}
+	// Touch the oldest entry, so the least recently used is keys[1].
+	if _, ok := c.Get(keys[0]); !ok {
+		t.Fatal("oldest entry missing before the budget was reached")
+	}
+	if err := c.Put(keys[k], r); err != nil {
+		t.Fatal(err)
+	}
+	if st := c.Stats(); st.Evictions != 1 || st.Entries != k || st.Bytes != k*size {
+		t.Fatalf("after record %d: %+v, want exactly one eviction", k+1, st)
+	}
+	for i, key := range keys {
+		if got, want := c.Contains(key), i != 1; got != want {
+			t.Fatalf("key %d cached = %v, want %v (only the least recently used goes)", i, got, want)
+		}
+	}
+	if got := reg.CounterValue("mqo_cache_evictions_total", "reason", "lru"); got != 1 {
+		t.Fatalf("eviction counter %v, want 1", got)
+	}
+}
+
+// TestContainsLeavesLRUAndStats: the budget estimator's lookup neither
+// saves the least recently used entry from the next eviction nor moves
+// the hit and miss counters.
+func TestContainsLeavesLRUAndStats(t *testing.T) {
+	r := resp("c", 1, 1)
+	c := mustOpen(t, t.TempDir(), Config{MaxBytes: 2 * recordSize(r)})
+	oldest, newer, next := KeyOf("ns", "oldest"), KeyOf("ns", "newer"), KeyOf("ns", "next")
+	for _, k := range []Key{oldest, newer} {
+		if err := c.Put(k, r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := c.Stats()
+	if !c.Contains(oldest) || c.Contains(next) {
+		t.Fatal("Contains misreports presence")
+	}
+	if after := c.Stats(); after.Hits != before.Hits || after.Misses != before.Misses {
+		t.Fatalf("Contains moved the counters: %+v -> %+v", before, after)
+	}
+	if err := c.Put(next, r); err != nil {
+		t.Fatal(err)
+	}
+	if c.Contains(oldest) {
+		t.Fatal("Contains saved the least recently used entry from eviction")
+	}
+	if !c.Contains(newer) || !c.Contains(next) {
+		t.Fatal("eviction took an entry other than the least recently used")
+	}
+}
+
+// TestReopenMergesStripedSegments: a directory in the striped layout an
+// earlier version wrote — eight segments, each key in the one its first
+// byte picks — reopens with every live entry and keeps only seg-00.log,
+// and reopens the same way a second time. A merge that fails before its
+// rename leaves the eight files as they were.
+func TestReopenMergesStripedSegments(t *testing.T) {
+	dir := t.TempDir()
+	const stripes = 8
+	segs := make([][]byte, stripes)
+	want := map[Key]llm.Response{}
+	written := time.Unix(1000, 0)
+	for i := 0; i < 60; i++ {
+		k := KeyOf("ns", fmt.Sprintf("p%d", i))
+		s := int(k[0]) % stripes
+		r := resp(fmt.Sprintf("c%d", i), i, 1)
+		segs[s] = append(segs[s], encodeRecord(k, written, kindPut, r)...)
+		want[k] = r
+		switch i % 5 {
+		case 1: // overwritten
+			r = resp("new", i, 2)
+			segs[s] = append(segs[s], encodeRecord(k, written, kindPut, r)...)
+			want[k] = r
+		case 2: // evicted
+			segs[s] = append(segs[s], encodeRecord(k, written, kindTombstone, llm.Response{})...)
+			delete(want, k)
+		}
+	}
+	// A torn tail in a stripe other than seg-00.log is dropped by the
+	// merge.
+	segs[3] = append(segs[3], encodeRecord(KeyOf("ns", "torn"), written, kindPut, resp("t", 1, 1))[:20]...)
+	for s, data := range segs {
+		if len(data) == 0 {
+			t.Fatalf("stripe %d holds no record; pick more keys", s)
+		}
+		if err := os.WriteFile(filepath.Join(dir, fmt.Sprintf("seg-%02x.log", s)), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// A directory where the compaction's temp file must go makes the
+	// merge fail before its rename.
+	blocker := filepath.Join(dir, "seg-00.log.tmp")
+	if err := os.Mkdir(blocker, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if c, err := Open(dir, Config{}); err == nil {
+		c.Close()
+		t.Fatal("Open succeeded although the merge could not write its temp file")
+	}
+	for s, data := range segs {
+		got, err := os.ReadFile(filepath.Join(dir, fmt.Sprintf("seg-%02x.log", s)))
+		if err != nil || !bytes.Equal(got, data) {
+			t.Fatalf("failed merge changed stripe %d (err %v)", s, err)
+		}
+	}
+	if err := os.Remove(blocker); err != nil {
+		t.Fatal(err)
+	}
+
+	for pass := 1; pass <= 2; pass++ {
+		c, err := Open(dir, Config{})
+		if err != nil {
+			t.Fatalf("open %d: %v", pass, err)
+		}
+		if got := c.Len(); got != int64(len(want)) {
+			t.Fatalf("open %d: %d entries, want %d", pass, got, len(want))
+		}
+		for k, r := range want {
+			if got, ok := c.Get(k); !ok || got != r {
+				t.Fatalf("open %d: entry %x = %+v (ok=%v), want %+v", pass, k[:4], got, ok, r)
+			}
+		}
+		if err := c.Close(); err != nil {
+			t.Fatal(err)
+		}
+		names, err := filepath.Glob(filepath.Join(dir, "*"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(names) != 1 || filepath.Base(names[0]) != "seg-00.log" {
+			t.Fatalf("open %d left %v, want only seg-00.log", pass, names)
+		}
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
-	"sync"
 	"time"
 
 	"repro/internal/llm"
@@ -125,6 +124,9 @@ func replay(data []byte) (recs []record, goodOffset int64) {
 	}
 }
 
+// segmentName is the one segment file in a cache directory.
+const segmentName = "seg-00.log"
+
 // entry is one live cache entry, held in memory; the segment file is
 // its durable copy.
 type entry struct {
@@ -134,264 +136,205 @@ type entry struct {
 	elem    *list.Element // list value is the Key
 }
 
-// shard is one lock stripe: a segment file plus its in-memory index.
-type shard struct {
-	mu        sync.Mutex
-	path      string
-	f         *os.File
-	budget    int64 // live-byte budget; 0 = unbounded
-	ttl       time.Duration
-	now       func() time.Time
-	index     map[Key]*entry
-	lru       *list.List // front = most recently used
-	live      int64      // live record bytes
-	fileBytes int64      // total segment file bytes
-}
-
-// openShard opens (or creates) one segment, replays it, truncates any
-// torn tail, drops expired entries, and enforces the byte budget.
-func openShard(path string, budget int64, ttl time.Duration, now func() time.Time) (*shard, int64, error) {
-	data, err := os.ReadFile(path)
+// load opens (or creates) the segment, replays it and then the legacy
+// segments in others, truncates the segment's torn tail, drops
+// expired entries and enforces the byte budget. When others is not
+// empty, or eviction or dead bytes call for it, the live set is
+// compacted into the segment; the legacy files are removed only after
+// that rename.
+func (c *Cache) load(others []string) (err error) {
+	data, err := os.ReadFile(c.path)
 	if err != nil && !os.IsNotExist(err) {
-		return nil, 0, fmt.Errorf("promptcache: reading %s: %w", path, err)
+		return fmt.Errorf("promptcache: reading %s: %w", c.path, err)
 	}
 	recs, good := replay(data)
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
+	f, err := os.OpenFile(c.path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
-		return nil, 0, fmt.Errorf("promptcache: opening %s: %w", path, err)
+		return fmt.Errorf("promptcache: opening %s: %w", c.path, err)
 	}
+	c.f, c.fileBytes = f, good
+	defer func() {
+		if err != nil {
+			c.f.Close()
+		}
+	}()
 	if int64(len(data)) > good {
 		// Torn tail from a crash mid-append: cut it so the next append
 		// starts a clean frame.
 		if err := f.Truncate(good); err != nil {
-			f.Close()
-			return nil, 0, fmt.Errorf("promptcache: truncating torn tail of %s: %w", path, err)
+			return fmt.Errorf("promptcache: truncating torn tail of %s: %w", c.path, err)
 		}
 	}
 	if _, err := f.Seek(good, io.SeekStart); err != nil {
-		f.Close()
-		return nil, 0, fmt.Errorf("promptcache: seeking %s: %w", path, err)
+		return fmt.Errorf("promptcache: seeking %s: %w", c.path, err)
 	}
-	s := &shard{
-		path: path, f: f, budget: budget, ttl: ttl, now: now,
-		index: make(map[Key]*entry), lru: list.New(), fileBytes: good,
+	c.apply(recs)
+	for _, path := range others {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return fmt.Errorf("promptcache: reading %s: %w", path, err)
+		}
+		recs, _ := replay(data)
+		c.apply(recs)
 	}
-	t := now()
-	for _, r := range recs {
-		if old, ok := s.index[r.key]; ok {
-			s.lru.Remove(old.elem)
-			s.live -= old.size
-			delete(s.index, r.key)
-		}
-		if r.kind == kindTombstone {
-			continue
-		}
-		if ttl > 0 && t.Sub(r.written) > ttl {
-			continue
-		}
-		e := &entry{resp: r.resp, written: r.written, size: r.size}
-		e.elem = s.lru.PushFront(r.key)
-		s.index[r.key] = e
-		s.live += r.size
-	}
-	// Over-budget after replay (the budget shrank, or expiries changed
+	// Over budget after replay (the budget shrank, or expiries changed
 	// the balance): evict oldest-first, then compact away the garbage
-	// instead of appending tombstones for entries we are about to drop.
+	// instead of appending tombstones for entries about to be dropped.
 	evicted := false
-	for s.budget > 0 && s.live > s.budget && s.lru.Len() > 1 {
-		back := s.lru.Back()
-		s.dropLocked(back.Value.(Key))
+	for c.overBudget() {
+		c.drop(c.lru.Back().Value.(Key))
 		evicted = true
 	}
-	if evicted || s.garbageHeavy() {
-		if err := s.compactLocked(); err != nil {
-			f.Close()
-			return nil, 0, err
+	if len(others) > 0 || evicted || c.garbageHeavy() {
+		if err := c.compact(); err != nil {
+			return err
 		}
 	}
-	return s, s.live, nil
+	for _, path := range others {
+		if err := os.Remove(path); err != nil {
+			return fmt.Errorf("promptcache: removing merged segment %s: %w", path, err)
+		}
+	}
+	return nil
 }
 
-// dropLocked removes a key from the in-memory index only. Callers must
-// make the removal durable (tombstone or compaction).
-func (s *shard) dropLocked(k Key) {
-	e, ok := s.index[k]
+// apply replays decoded records into the index in file order: a later
+// record for a key supersedes an earlier one, a tombstone deletes it,
+// and a record past its TTL is not loaded.
+func (c *Cache) apply(recs []record) {
+	t := c.cfg.now()
+	for _, r := range recs {
+		if r.kind == kindTombstone || (c.cfg.TTL > 0 && t.Sub(r.written) > c.cfg.TTL) {
+			c.drop(r.key)
+			continue
+		}
+		c.insert(r.key, &entry{resp: r.resp, written: r.written, size: r.size})
+	}
+}
+
+// insert makes e the most recently used entry for k, replacing any
+// entry k had.
+func (c *Cache) insert(k Key, e *entry) {
+	c.drop(k)
+	e.elem = c.lru.PushFront(k)
+	c.index[k] = e
+	c.live += e.size
+}
+
+// expired reports whether e has outlived the TTL.
+func (c *Cache) expired(e *entry) bool {
+	return c.cfg.TTL > 0 && c.cfg.now().Sub(e.written) > c.cfg.TTL
+}
+
+// overBudget reports whether the live set exceeds MaxBytes and holds
+// more than one entry: the last one standing is never evicted.
+func (c *Cache) overBudget() bool {
+	return c.cfg.MaxBytes > 0 && c.live > c.cfg.MaxBytes && c.lru.Len() > 1
+}
+
+// drop removes a key from the in-memory index only. Callers make the
+// removal durable (tombstone or compaction) or rely on replay's TTL
+// check.
+func (c *Cache) drop(k Key) {
+	e, ok := c.index[k]
 	if !ok {
 		return
 	}
-	s.lru.Remove(e.elem)
-	s.live -= e.size
-	delete(s.index, k)
+	c.lru.Remove(e.elem)
+	c.live -= e.size
+	delete(c.index, k)
 }
 
-// get looks up k. It reports the entry, the bytes released by a TTL expiry (0 otherwise), whether an expiry happened,
-// and whether the lookup hit.
-func (s *shard) get(k Key) (resp llm.Response, evictedBytes int64, expired, ok bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	e, found := s.index[k]
-	if !found {
-		return llm.Response{}, 0, false, false
+// put appends rec, the framed record for (k, resp) written at
+// written, updates the index and evicts least recently used entries
+// past the byte budget, each with a tombstone. It returns the number
+// of evictions. The entry just written always survives: a record
+// larger than the whole budget must still be usable, or a degenerate
+// budget turns the cache into a black hole.
+func (c *Cache) put(k Key, resp llm.Response, written time.Time, rec []byte) (evicted int64, err error) {
+	if c.f == nil {
+		return 0, c.errClosed()
 	}
-	if s.ttl > 0 && s.now().Sub(e.written) > s.ttl {
-		// Expired: drop it from the index only. Replay re-applies the
-		// same TTL check, so the stale record cannot resurrect.
-		size := e.size
-		s.dropLocked(k)
-		return llm.Response{}, size, true, false
+	if err := c.append(rec); err != nil {
+		return 0, err
 	}
-	s.lru.MoveToFront(e.elem)
-	return e.resp, 0, false, true
-}
-
-// contains reports presence without touching LRU order.
-func (s *shard) contains(k Key) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	e, ok := s.index[k]
-	if !ok {
-		return false
-	}
-	if s.ttl > 0 && s.now().Sub(e.written) > s.ttl {
-		return false
-	}
-	return true
-}
-
-// size reports live entries and bytes.
-func (s *shard) size() (entries, bytes int64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return int64(len(s.index)), s.live
-}
-
-// put appends a record for k, updates the index, and evicts LRU
-// entries past the byte budget. It returns the net change in live
-// bytes and the number of evictions.
-func (s *shard) put(k Key, resp llm.Response) (deltaLive int64, evicted int64, err error) {
-	written := s.now()
-	rec := encodeRecord(k, written, kindPut, resp)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.f == nil {
-		return 0, 0, fmt.Errorf("promptcache: %s: cache is closed", s.path)
-	}
-	if err := s.append(rec); err != nil {
-		return 0, 0, err
-	}
-	before := s.live
-	if old, ok := s.index[k]; ok {
-		s.lru.Remove(old.elem)
-		s.live -= old.size
-	}
-	e := &entry{resp: resp, written: written, size: int64(len(rec))}
-	e.elem = s.lru.PushFront(k)
-	s.index[k] = e
-	s.live += e.size
-	// LRU eviction: shed oldest entries until the live set fits the
-	// budget. The entry just written always survives — a single record
-	// larger than the whole budget must still be usable, otherwise a
-	// degenerate budget turns the cache into a black hole.
-	for s.budget > 0 && s.live > s.budget && s.lru.Len() > 1 {
-		back := s.lru.Back()
-		victim := back.Value.(Key)
-		ts := encodeRecord(victim, s.now(), kindTombstone, llm.Response{})
-		if err := s.append(ts); err != nil {
-			return s.live - before, evicted, err
-		}
-		s.dropLocked(victim)
-		evicted++
-	}
-	if s.garbageHeavy() {
-		if err := s.compactLocked(); err != nil {
-			return s.live - before, evicted, err
+	c.insert(k, &entry{resp: resp, written: written, size: int64(len(rec))})
+	for err == nil && c.overBudget() {
+		victim := c.lru.Back().Value.(Key)
+		if err = c.append(encodeRecord(victim, c.cfg.now(), kindTombstone, llm.Response{})); err == nil {
+			c.drop(victim)
+			evicted++
 		}
 	}
-	return s.live - before, evicted, nil
+	c.stats.Evictions += evicted
+	c.rec.Set(metricCacheBytes, float64(c.live))
+	if err == nil && c.garbageHeavy() {
+		err = c.compact()
+	}
+	return evicted, err
 }
 
 // append writes one framed record to the segment file.
-func (s *shard) append(rec []byte) error {
-	if _, err := s.f.Write(rec); err != nil {
-		return fmt.Errorf("promptcache: appending to %s: %w", s.path, err)
+func (c *Cache) append(rec []byte) error {
+	if _, err := c.f.Write(rec); err != nil {
+		return fmt.Errorf("promptcache: appending to %s: %w", c.path, err)
 	}
-	s.fileBytes += int64(len(rec))
+	c.fileBytes += int64(len(rec))
 	return nil
 }
 
 // garbageHeavy reports whether dead bytes (overwrites + tombstones)
-// dominate the segment enough to be worth rewriting.
-func (s *shard) garbageHeavy() bool {
-	return s.fileBytes > 4096 && s.fileBytes > 2*s.live
+// make up more than half the segment, which is when rewriting it pays.
+func (c *Cache) garbageHeavy() bool {
+	return c.fileBytes > 4096 && c.fileBytes > 2*c.live
 }
 
-// compactNow compacts under the shard lock.
-func (s *shard) compactNow() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.f == nil {
-		return fmt.Errorf("promptcache: %s: cache is closed", s.path)
-	}
-	return s.compactLocked()
+// errClosed is the error of a write to a closed cache.
+func (c *Cache) errClosed() error {
+	return fmt.Errorf("promptcache: %s: cache is closed", c.path)
 }
 
-// compactLocked rewrites the segment to contain exactly the live
-// entries, oldest first (so replay rebuilds the same LRU order), and
-// atomically renames it into place. A crash mid-compaction leaves the
-// old segment untouched.
-func (s *shard) compactLocked() error {
-	tmpPath := s.path + ".tmp"
+// compact rewrites the segment to contain exactly the live entries,
+// oldest first (so replay rebuilds the same LRU order), and atomically
+// renames it into place. A crash mid-compaction leaves the old segment
+// untouched.
+func (c *Cache) compact() error {
+	tmpPath := c.path + ".tmp"
 	tmp, err := os.OpenFile(tmpPath, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
-		return fmt.Errorf("promptcache: compacting %s: %w", s.path, err)
+		return fmt.Errorf("promptcache: compacting %s: %w", c.path, err)
+	}
+	// fail discards the temp file; closing it twice is harmless.
+	fail := func(err error) error {
+		tmp.Close()
+		os.Remove(tmpPath)
+		return fmt.Errorf("promptcache: compacting %s: %w", c.path, err)
 	}
 	var written int64
-	for el := s.lru.Back(); el != nil; el = el.Prev() {
+	for el := c.lru.Back(); el != nil; el = el.Prev() {
 		k := el.Value.(Key)
-		e := s.index[k]
+		e := c.index[k]
 		rec := encodeRecord(k, e.written, kindPut, e.resp)
 		if _, err := tmp.Write(rec); err != nil {
-			tmp.Close()
-			os.Remove(tmpPath)
-			return fmt.Errorf("promptcache: compacting %s: %w", s.path, err)
+			return fail(err)
 		}
 		written += int64(len(rec))
 	}
 	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(tmpPath)
-		return fmt.Errorf("promptcache: compacting %s: %w", s.path, err)
+		return fail(err)
 	}
 	if err := tmp.Close(); err != nil {
-		os.Remove(tmpPath)
-		return fmt.Errorf("promptcache: compacting %s: %w", s.path, err)
+		return fail(err)
 	}
-	if err := os.Rename(tmpPath, s.path); err != nil {
-		os.Remove(tmpPath)
-		return fmt.Errorf("promptcache: compacting %s: %w", s.path, err)
+	if err := os.Rename(tmpPath, c.path); err != nil {
+		return fail(err)
 	}
-	old := s.f
-	f, err := os.OpenFile(s.path, os.O_RDWR|os.O_APPEND, 0o644)
+	f, err := os.OpenFile(c.path, os.O_RDWR|os.O_APPEND, 0o644)
 	if err != nil {
-		return fmt.Errorf("promptcache: reopening %s after compaction: %w", s.path, err)
+		return fmt.Errorf("promptcache: reopening %s after compaction: %w", c.path, err)
 	}
-	old.Close()
-	s.f = f
-	s.fileBytes = written
+	c.f.Close()
+	c.f = f
+	c.fileBytes = written
 	return nil
-}
-
-// close syncs and closes the segment file.
-func (s *shard) close() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.f == nil {
-		return nil
-	}
-	err := s.f.Sync()
-	if cerr := s.f.Close(); err == nil {
-		err = cerr
-	}
-	s.f = nil
-	return err
 }

@@ -1,8 +1,6 @@
 package mqo
 
 import (
-	"io"
-
 	"repro/internal/batch"
 	"repro/internal/llm"
 )
@@ -70,17 +68,6 @@ func NewFaultInjector(p Predictor, cfg FaultConfig) (*FaultInjector, error) {
 // workers call concurrently (see Predictor).
 func NewBatchExecutor(p Predictor, cfg BatchConfig) (*BatchExecutor, error) {
 	return batch.New(p, cfg)
-}
-
-// ReplayBatchLog recovers the successful outcomes recorded in a JSONL
-// audit log, keyed by request ID — the checkpoint for resuming a
-// crashed or budget-stopped batch without re-billing finished queries.
-func ReplayBatchLog(r io.Reader) (map[string]Response, error) { return batch.ReplayLog(r) }
-
-// FilterDoneRequests splits a request list into still-to-run requests
-// and outcomes already recovered from a log replay.
-func FilterDoneRequests(reqs []BatchRequest, done map[string]Response) ([]BatchRequest, map[string]BatchOutcome) {
-	return batch.FilterDone(reqs, done)
 }
 
 var _ llm.Predictor = (*llm.Sim)(nil) // facade sanity: Sim satisfies Predictor

@@ -7,14 +7,16 @@ import (
 )
 
 // PromptCache is the persistent, content-addressed prompt→response
-// cache: sharded append-only segment files with checksummed records
+// cache: one append-only segment file with checksummed records
 // (crash-safe — a kill -9 mid-append loses at most the record being
-// written), LRU/TTL eviction under a byte budget, and atomic
-// compaction. Wire one into ExecConfig.Disk, or set Options.CacheDir
-// and let Optimize manage it.
+// written), LRU/TTL eviction under an exact byte budget, and atomic
+// compaction. Wire one into ExecConfig.Disk or BatchConfig.Disk, or
+// set Options.CacheDir and let Optimize manage it. It is also what a
+// stopped batch resumes from: a re-run over the same cache answers
+// every prompt already bought from disk, at the tokens it cost.
 type PromptCache = promptcache.Cache
 
-// PromptCacheConfig tunes OpenPromptCache (shards, byte budget, TTL).
+// PromptCacheConfig tunes OpenPromptCache (byte budget, TTL).
 type PromptCacheConfig = promptcache.Config
 
 // PromptCacheStats snapshots cache activity: hits, misses, evictions,

@@ -80,8 +80,9 @@ func TestLinkPredictionFacade(t *testing.T) {
 	}
 }
 
-// TestBatchFacade drives the executor, log replay and resume filters
-// through the public wrappers.
+// TestBatchFacade drives the executor through the public wrappers and
+// resumes a batch through a prompt cache: a second executor over the
+// same cache answers every request from disk and pays no fresh tokens.
 func TestBatchFacade(t *testing.T) {
 	g, err := GenerateDatasetScaled("citeseer", 15, 0.1)
 	if err != nil {
@@ -97,9 +98,14 @@ func TestBatchFacade(t *testing.T) {
 			Prompt: BuildPrompt(ctx, v, nil, false),
 		})
 	}
+	cache, err := OpenPromptCache(t.TempDir(), PromptCacheConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cache.Close()
 	var logBuf bytes.Buffer
-	exec, err := NewBatchExecutor(NewSim(GPT35(), g, 15),
-		BatchConfig{Workers: 4, Log: &logBuf})
+	sim := NewSim(GPT35(), g, 15)
+	exec, err := NewBatchExecutor(sim, BatchConfig{Workers: 4, Disk: cache, Log: &logBuf})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,16 +113,29 @@ func TestBatchFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Failed != 0 || len(res.Outcomes) != len(reqs) {
+	if res.Failed != 0 || len(res.Outcomes) != len(reqs) || res.TokensUsed == 0 {
 		t.Fatalf("batch result %+v", res)
 	}
-	done, err := ReplayBatchLog(&logBuf)
+	if lines := strings.Count(logBuf.String(), "\n"); lines != len(reqs) {
+		t.Errorf("audit log has %d lines, want %d", lines, len(reqs))
+	}
+
+	resumed, err := NewBatchExecutor(sim, BatchConfig{Workers: 4, Disk: cache})
 	if err != nil {
 		t.Fatal(err)
 	}
-	todo, recovered := FilterDoneRequests(reqs, done)
-	if len(todo) != 0 || len(recovered) != len(reqs) {
-		t.Errorf("resume split %d todo / %d recovered, want 0/%d", len(todo), len(recovered), len(reqs))
+	res2, err := resumed.Execute(context.Background(), reqs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res2.CacheHits != len(reqs) || res2.TokensUsed != 0 || res2.Failed != 0 {
+		t.Errorf("resumed batch: %d cached of %d, %d fresh tokens, %d failed; want all cached, 0 tokens",
+			res2.CacheHits, len(reqs), res2.TokensUsed, res2.Failed)
+	}
+	for id, o := range res2.Outcomes {
+		if !o.Cached || o.Response != res.Outcomes[id].Response {
+			t.Errorf("request %s: %+v, want the first run's answer, cached", id, o)
+		}
 	}
 	if ErrBudgetExhausted == nil {
 		t.Error("ErrBudgetExhausted unexported")

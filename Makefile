@@ -32,11 +32,15 @@ test:
 
 # race also repeats the prompt cache's concurrency tests ten times: one
 # mutex guards the whole cache, so these are where a lost update or an
-# unreconciled counter would show.
+# unreconciled counter would show. It repeats the SNS label index's
+# reference and concurrency tests too: one index is built lazily by
+# whichever selection comes first and then read by every worker.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=10 -run 'TestConcurrentPutGet|TestStatsReconcileWithMetrics' ./internal/promptcache/
 	$(GO) test -race -count=10 -run TestEvictionUnderConcurrentExecute ./internal/batch/
+	$(GO) test -race -count=10 -run 'TestReachMatchesWalk$$|TestReachConcurrent' ./internal/tag/
+	$(GO) test -race -count=10 -run 'TestFixedLabelsConcurrentFirstUse' ./internal/predictors/
 
 bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' .
@@ -164,8 +168,9 @@ benchcompress:
 # benchplan times the plan path's stages on a full-size pubmed graph
 # (generation, the SNS similarity index, SNS selection of every tenth
 # node, level-1 compression of 200 SNS prompts, the simulator
-# answering those 200 compressed prompts, and ExecuteWith of 200 SNS
-# queries with neighbor abstracts at compression level 1) and appends
+# answering those 200 compressed prompts, ExecuteWith of 200 SNS
+# queries with neighbor abstracts at compression level 1, and BoostWith
+# of batch-boost's pruned 2,000-query SNS plan) and appends
 # one JSON line per benchmark (ns/op, B/op, allocs/op) to the
 # committed BENCH_plan.json trajectory, then shows every line the run
 # appended. The benchmarks use only long-standing APIs, so the same
@@ -173,7 +178,7 @@ benchcompress:
 benchplan:
 	MQO_BENCH_JSON=$(CURDIR)/BENCH_plan.json \
 		$(GO) test -bench 'BenchmarkPlan' -benchtime 3x -run '^$$' ./internal/core/
-	@tail -n 6 BENCH_plan.json
+	@tail -n 7 BENCH_plan.json
 
 # servesmoke proves the online serving tier end to end across a real
 # process boundary: llmserve starts with -serve on the smoke scenario's

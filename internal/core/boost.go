@@ -114,15 +114,25 @@ func BoostWith(ctx *predictors.Context, m predictors.Method, p llm.Predictor, pl
 			labeled, conflicts int
 		}
 		all := make([]cand, len(pending))
-		batch.FanOut(len(pending), ecfg.Workers, func(i int) {
-			c := cand{v: pending[i]}
-			if !plan.Prune[c.v] {
-				c.sel = m.Select(ctx, c.v)
-			}
-			c.labeled = predictors.CountLabeled(c.sel)
-			c.conflicts = predictors.LabelConflicts(c.sel)
-			all[i] = c
-		})
+		selectAll := func() {
+			batch.FanOut(len(pending), ecfg.Workers, func(i int) {
+				c := cand{v: pending[i]}
+				if !plan.Prune[c.v] {
+					c.sel = m.Select(ctx, c.v)
+				}
+				c.labeled = predictors.CountLabeled(c.sel)
+				c.conflicts = predictors.LabelConflicts(c.sel)
+				all[i] = c
+			})
+		}
+		if round == 1 {
+			// Every pending query selects over the starting labels, so
+			// SNS may index them once for the round: the scope ends
+			// before Step 3 first writes Known.
+			ctx.WithFixedLabels(selectAll)
+		} else {
+			selectAll()
+		}
 		var cands []cand
 		for {
 			for _, c := range all {
@@ -279,11 +289,20 @@ func SimulateScheduling(ctx *predictors.Context, m predictors.Method, queries []
 		rng.Shuffle(len(pending), func(i, j int) { pending[i], pending[j] = pending[j], pending[i] })
 	}
 
-	for len(pending) > 0 {
-		// Refresh selections for all unexecuted queries.
+	for first := true; len(pending) > 0; first = false {
+		// Refresh selections for all unexecuted queries. The first
+		// round selects over the starting labels, which SNS may index
+		// once for it.
 		sels := make(map[tag.NodeID][]predictors.Selected, len(pending))
-		for _, v := range pending {
-			sels[v] = m.Select(ctx, v)
+		selectAll := func() {
+			for _, v := range pending {
+				sels[v] = m.Select(ctx, v)
+			}
+		}
+		if first {
+			ctx.WithFixedLabels(selectAll)
+		} else {
+			selectAll()
 		}
 		if policy == ScheduleGreedy {
 			sort.SliceStable(pending, func(i, j int) bool {

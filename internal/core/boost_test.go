@@ -1,11 +1,15 @@
 package core
 
 import (
+	"fmt"
+	"slices"
+	"sort"
 	"sync/atomic"
 	"testing"
 
 	"repro/internal/predictors"
 	"repro/internal/tag"
+	"repro/internal/xrand"
 )
 
 func TestBoostCompletesAllQueries(t *testing.T) {
@@ -239,6 +243,79 @@ func TestBoostSelectsOncePerRound(t *testing.T) {
 		}
 		if got := calls.Load(); got != want {
 			t.Fatalf("workers %d: Select called %d times over %d rounds, want %d (once per pending query per round)", workers, got, len(trace), want)
+		}
+	}
+}
+
+// walkSNS is SNS as it stood before the label index: one Walk of at
+// most five hops that stops at the hop bringing the labeled count to
+// M, then the top M by (Score, ID). It reads no index, inside
+// WithFixedLabels or not, so it is the reference for boosting's first
+// round.
+type walkSNS struct{ sim *predictors.Similarity }
+
+func (walkSNS) Name() string { return "SNS" }
+func (walkSNS) Ranked() bool { return true }
+
+func (m walkSNS) Select(ctx *predictors.Context, v tag.NodeID) []predictors.Selected {
+	var ids []tag.NodeID
+	ctx.Graph.Walk(v, 5, func(_ int, level []tag.NodeID) bool {
+		for _, u := range level {
+			if ctx.Known[u] != "" {
+				ids = append(ids, u)
+			}
+		}
+		return len(ids) < ctx.M
+	})
+	sort.Slice(ids, func(i, j int) bool {
+		si, sj := m.sim.Score(v, ids[i]), m.sim.Score(v, ids[j])
+		if si != sj {
+			return si > sj
+		}
+		return ids[i] < ids[j]
+	})
+	var out []predictors.Selected
+	for _, u := range ids[:min(ctx.M, len(ids))] {
+		out = append(out, predictors.Selected{ID: u, Label: ctx.Known[u]})
+	}
+	return out
+}
+
+// TestBoostFirstRoundIndexMatchesWalk: BoostWith and SimulateScheduling
+// select their first round inside WithFixedLabels, where SNS reads an
+// index of the starting labels. Every prediction, round, pseudo-label
+// use, token and compressed token must be what the walk gives, at 1 and
+// 8 workers, on cora, citeseer and pubmed, with a fifth of the plan
+// pruned; and so must Fig. 8's utilization under both policies. The
+// plan also asks a quarter of the labeled nodes, whose own label must
+// never count as their neighbor's.
+func TestBoostFirstRoundIndexMatchesWalk(t *testing.T) {
+	for _, name := range []string{"cora", "citeseer", "pubmed"} {
+		spec, err := tag.SmallSpec(name, 800)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g := tag.Generate(spec, 71, tag.Options{})
+		split := g.SplitPerClass(xrand.New(72), 20, 300)
+		f := &fixture{g: g, spec: spec, split: split, ctx: &predictors.Context{M: 4, Seed: 73}}
+		queries := slices.Clone(split.Query)
+		for i := 0; i < len(split.Labeled); i += 4 {
+			queries = append(queries, split.Labeled[i])
+		}
+		plan := RandomPrunePlan(queries, 0.2, 74)
+		sns := planShapes(1)[1]
+		walk := sns
+		walk.m = walkSNS{sim: predictors.NewSimilarity(g)}
+		ref := runShaped(t, f, walk, plan, 75, true, 1)
+		for _, workers := range []int{1, 8} {
+			got := runShaped(t, f, sns, plan, 75, true, workers)
+			assertSameRuns(t, fmt.Sprintf("%s boost, %d workers", name, workers), sns, ref, got)
+		}
+		for _, policy := range []SchedulePolicy{ScheduleRandom, ScheduleGreedy} {
+			want := SimulateScheduling(f.freshCtx(), walk.m, queries, 20, policy, 76)
+			if got := SimulateScheduling(f.freshCtx(), sns.m, queries, 20, policy, 76); got != want {
+				t.Fatalf("%s %v: utilization %d, walk %d", name, policy, got, want)
+			}
 		}
 	}
 }

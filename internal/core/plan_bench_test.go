@@ -19,8 +19,9 @@ import (
 // full-size pubmed graph (19,717 nodes): generating it, building the
 // SNS similarity index over it, SNS selection alone, level-1
 // compression alone, the simulator answering the compressed prompts
-// alone, and planning and asking 200 SNS queries with neighbor
-// abstracts at compression level 1. They use only APIs that
+// alone, planning and asking 200 SNS queries with neighbor
+// abstracts at compression level 1, and boosting batch-boost's
+// pruned 2,000-query SNS plan. They use only APIs that
 // older releases also have, so the same file measures a before and an
 // after. With MQO_BENCH_JSON set (the Makefile
 // benchplan target points it at BENCH_plan.json), each appends one JSON
@@ -223,5 +224,38 @@ func BenchmarkPlanSimQuery(b *testing.B) {
 	})
 	if tokens == 0 {
 		b.Fatal("the simulator counted no tokens")
+	}
+}
+
+// BenchmarkPlanBoostSNS times BoostWith over batch-boost's shape: full
+// pubmed, the 60-label split, 2,000 unlabeled queries pruned at τ 0.2
+// by a fitted inadequacy measure, SNS with neighbor abstracts, level-1
+// compression and the simulator, at 2 workers. Fitting, pruning and
+// the similarity index run before the timer; each op boosts from the
+// starting labels.
+func BenchmarkPlanBoostSNS(b *testing.B) {
+	g := pubmed(b)
+	split := g.SplitPerClass(xrand.New(2), 20, 2000)
+	ctx := snsContext(g, true)
+	start := ctx.Known
+	sim := llm.NewSim(llm.GPT35(), g.Vocab, g.Classes, 1)
+	iq, err := core.FitInadequacy(g, split.Labeled, sim, "", core.DefaultInadequacyConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	plan := core.PrunePlan(iq, g, split.Query, 0.2)
+	cfg := core.ExecConfig{Workers: 2, Compress: prompt.Compressor{Level: 1}}
+	var res *core.Results
+	measure(b, "BenchmarkPlanBoostSNS", func() {
+		ctx.Known = make(map[tag.NodeID]string, len(start)+len(plan.Queries))
+		for v, l := range start {
+			ctx.Known[v] = l
+		}
+		if res, _, err = core.BoostWith(ctx, predictors.SNS{}, sim, plan, core.DefaultBoostConfig(), cfg); err != nil {
+			b.Fatal(err)
+		}
+	})
+	if len(res.Pred) != len(plan.Queries) {
+		b.Fatalf("%d answers for %d queries", len(res.Pred), len(plan.Queries))
 	}
 }

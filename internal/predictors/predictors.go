@@ -60,7 +60,10 @@ func LabelConflicts(sel []Selected) int {
 type Context struct {
 	Graph *tag.Graph
 	// Known maps nodes to their visible labels: the true labels of the
-	// labeled set plus pseudo-labels appended by query boosting.
+	// labeled set plus pseudo-labels appended by query boosting. It
+	// must not change while selections run, nor at all inside
+	// WithFixedLabels, whose SNS selections read an index built from
+	// it.
 	Known map[tag.NodeID]string
 	// M caps the neighbors per prompt.
 	M int
@@ -85,6 +88,42 @@ type Context struct {
 	// read without a lock after that.
 	simOnce sync.Once
 	sim     *Similarity
+
+	// fixed is set only inside WithFixedLabels.
+	fixed *fixedLabels
+}
+
+// fixedLabels is one WithFixedLabels scope: the index of Known's
+// labels, built on the scope's first SNS selection, once under once,
+// and read without a lock after that.
+type fixedLabels struct {
+	once  sync.Once
+	reach *tag.Reach
+}
+
+// WithFixedLabels runs f under the promise that Known does not change
+// until f returns: the promise Method asks of each selection, held for
+// the whole call. SNS selections inside f then read a two-hop index of
+// Known's labels (tag.Reach) and walk at most three hops of their
+// five, with the same results. The index is built on the first SNS
+// selection inside f, from Known as it stands, so a method that never
+// asks for it pays nothing, and it is dropped when f returns. f may fan
+// selections out over goroutines that all return before it does.
+func (ctx *Context) WithFixedLabels(f func()) {
+	ctx.fixed = new(fixedLabels)
+	defer func() { ctx.fixed = nil }()
+	f()
+}
+
+// labelReach returns the index of Known's labels inside
+// WithFixedLabels, building it on first use, and nil outside.
+func (ctx *Context) labelReach() *tag.Reach {
+	fl := ctx.fixed
+	if fl == nil {
+		return nil
+	}
+	fl.once.Do(func() { fl.reach = tag.NewReach(ctx.Graph, labeled(ctx.Known)) })
+	return fl.reach
 }
 
 // nodeRNG returns the deterministic stream for sampling around node v.
@@ -97,9 +136,11 @@ func (ctx *Context) nodeRNG(v tag.NodeID) *xrand.RNG {
 // Select may be called from several goroutines at once on one
 // *Context: plan building fans selections out over the execution
 // workers. It must only read the Context; Known changes only between
-// plan rounds, never while selections run. Vanilla, KHopRandom and SNS
-// are safe: the walks take pooled visited stamps, sampling draws from
-// a per-node stream, and SNS builds its similarity index once.
+// plan rounds, never while selections run, and inside
+// Context.WithFixedLabels not until the scope ends. Vanilla,
+// KHopRandom and SNS are safe: the walks take pooled visited stamps,
+// sampling draws from a per-node stream, and SNS builds its similarity
+// index, and inside the scope its label index, once.
 type Method interface {
 	Name() string
 	// Ranked reports whether the method orders neighbors most-related
@@ -180,41 +221,61 @@ const maxSNSHops = 5
 
 // Select implements Method. It gathers the labeled nodes of the
 // fewest hops (at most five) that hold M of them, from whichever side
-// reads less (tag.Graph.Nearest), and scores them all against one
-// dense copy of v's vector. Candidate order does not matter: the
-// ranking is a total order on (score, ID).
+// reads less (tag.Graph.Nearest), or inside Context.WithFixedLabels
+// from the scope's two-hop index of the labels (tag.Reach.Nearest),
+// and scores them all against one dense copy of v's vector. Candidate
+// order does not matter: the ranking is a total order on (score, ID).
+// Its working memory is pooled, so it allocates only its result.
 func (SNS) Select(ctx *Context, v tag.NodeID) []Selected {
-	ids := ctx.Graph.Nearest(v, maxSNSHops, ctx.M, labeled(ctx.Known), nil)
-	if len(ids) == 0 {
+	sc := snsScratches.Get().(*snsScratch)
+	defer snsScratches.Put(sc)
+	if r := ctx.labelReach(); r != nil {
+		sc.ids = r.Nearest(v, maxSNSHops, ctx.M, sc.ids[:0])
+	} else {
+		sc.ids = ctx.Graph.Nearest(v, maxSNSHops, ctx.M, labeled(ctx.Known), sc.ids[:0])
+	}
+	if len(sc.ids) == 0 {
 		return nil
 	}
-	scores := ctx.similarity().Scores(v, ids, make([]float64, 0, len(ids)))
-	type scored struct {
-		id tag.NodeID
-		s  float64
+	sc.scores = ctx.similarity().Scores(v, sc.ids, sc.scores[:0])
+	ranked := sc.ranked[:0]
+	for i, u := range sc.ids {
+		ranked = append(ranked, candidate{id: u, score: sc.scores[i]})
 	}
-	ss := make([]scored, len(ids))
-	for i, u := range ids {
-		ss[i] = scored{id: u, s: scores[i]}
-	}
-	slices.SortFunc(ss, func(a, b scored) int {
-		switch {
-		case a.s > b.s:
-			return -1
-		case a.s < b.s:
-			return 1
-		}
-		return cmp.Compare(a.id, b.id)
-	})
-	n := ctx.M
-	if n > len(ss) {
-		n = len(ss)
-	}
-	out := make([]Selected, 0, n)
-	for _, sc := range ss[:n] {
-		out = append(out, Selected{ID: sc.id, Label: ctx.label(sc.id)})
+	sc.ranked = ranked
+	slices.SortFunc(ranked, byScore)
+	out := make([]Selected, min(ctx.M, len(ranked)))
+	for i := range out {
+		out[i] = Selected{ID: ranked[i].id, Label: ctx.label(ranked[i].id)}
 	}
 	return out
+}
+
+// snsScratch is one SNS selection's working memory: the candidates,
+// their scores and their ranking.
+type snsScratch struct {
+	ids    []tag.NodeID
+	scores []float64
+	ranked []candidate
+}
+
+var snsScratches = sync.Pool{New: func() any { return new(snsScratch) }}
+
+// candidate is a labeled node SNS ranks, with its similarity score.
+type candidate struct {
+	id    tag.NodeID
+	score float64
+}
+
+// byScore orders candidates most similar first, then by ID.
+func byScore(a, b candidate) int {
+	switch {
+	case a.score > b.score:
+		return -1
+	case a.score < b.score:
+		return 1
+	}
+	return cmp.Compare(a.id, b.id)
 }
 
 // labeled is a Known map seen as the nodes with a visible label: the
@@ -223,12 +284,13 @@ type labeled map[tag.NodeID]string
 
 func (k labeled) Len() int              { return len(k) }
 func (k labeled) Has(u tag.NodeID) bool { return k[u] != "" }
-func (k labeled) Each(f func(tag.NodeID)) {
+func (k labeled) Append(dst []tag.NodeID) []tag.NodeID {
 	for u, l := range k {
 		if l != "" {
-			f(u)
+			dst = append(dst, u)
 		}
 	}
+	return dst
 }
 
 // Similarity caches TF-IDF sparse embeddings of all node texts and

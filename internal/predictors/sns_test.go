@@ -400,3 +400,94 @@ func BenchmarkSNSSelect(b *testing.B) {
 }
 
 var benchSel []Selected
+
+// TestSNSFixedLabelsMatchesReference pins Select inside
+// WithFixedLabels, which reads the scope's index of the labels, to
+// refWalkSelect on every node of cora, citeseer and pubmed, for M = 1,
+// 4 and 10 and every Known map of snsKnownMaps. After the scope ends
+// a label is added, and Select must see it.
+func TestSNSFixedLabelsMatchesReference(t *testing.T) {
+	for _, name := range []string{"cora", "citeseer", "pubmed"} {
+		spec, err := tag.SmallSpec(name, 800)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g := tag.Generate(spec, 3, tag.Options{})
+		sim := NewSimilarity(g)
+		for mapName, known := range snsKnownMaps(g, 4) {
+			for _, m := range []int{1, 4, 10} {
+				ctx := &Context{Graph: g, Known: known, M: m, Seed: 1}
+				ctx.SetSimilarity(sim)
+				ctx.WithFixedLabels(func() {
+					for v := tag.NodeID(0); int(v) < g.NumNodes(); v++ {
+						if got, want := (SNS{}).Select(ctx, v), refWalkSelect(ctx, v); !slices.Equal(got, want) {
+							t.Fatalf("%s, %s Known, M=%d, node %d: Select = %v, reference %v", name, mapName, m, v, got, want)
+						}
+					}
+				})
+			}
+		}
+		// The index lives only as long as the scope: a label added
+		// after it must be found.
+		ctx := &Context{Graph: g, Known: snsKnownMaps(g, 4)["empty"], M: 1, Seed: 1}
+		ctx.SetSimilarity(sim)
+		v := tag.NodeID(0)
+		for g.Degree(v) == 0 {
+			v++
+		}
+		ctx.WithFixedLabels(func() {
+			if sel := (SNS{}).Select(ctx, v); sel != nil {
+				t.Fatalf("%s: selection over no labels = %v", name, sel)
+			}
+		})
+		u := g.Neighbors(v)[0]
+		ctx.Known[u] = g.Classes[0]
+		if sel := (SNS{}).Select(ctx, v); len(sel) != 1 || sel[0].ID != u {
+			t.Fatalf("%s: after the scope, selection = %v, want the new label on %d", name, sel, u)
+		}
+	}
+}
+
+// TestFixedLabelsConcurrentFirstUse starts 8 goroutines at once inside
+// one WithFixedLabels scope whose index is not built yet, as BoostWith's
+// first round does; each must get refWalkSelect's results, and all
+// must share one index. Run it with -race -count=10.
+func TestFixedLabelsConcurrentFirstUse(t *testing.T) {
+	ctx := pseudoLabeled(t, 400, 53)
+	n := ctx.Graph.NumNodes()
+	want := make([][]Selected, n)
+	for v := range want {
+		want[v] = refWalkSelect(ctx, tag.NodeID(v))
+	}
+	const workers = 8
+	indexes := make([]*tag.Reach, workers)
+	ctx.WithFixedLabels(func() {
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				<-start
+				for i := 0; i < n; i++ {
+					v := tag.NodeID((i + w*n/workers) % n)
+					if got := (SNS{}).Select(ctx, v); !slices.Equal(got, want[v]) {
+						t.Errorf("goroutine %d node %d: %v, reference %v", w, v, got, want[v])
+						return
+					}
+				}
+				indexes[w] = ctx.labelReach()
+			}(w)
+		}
+		close(start)
+		wg.Wait()
+	})
+	for w, idx := range indexes {
+		if idx == nil || idx != indexes[0] {
+			t.Fatalf("goroutine %d got index %p, goroutine 0 got %p: the index was built more than once", w, idx, indexes[0])
+		}
+	}
+	if ctx.labelReach() != nil {
+		t.Fatal("the index outlived its scope")
+	}
+}

@@ -206,13 +206,13 @@ func (g *Graph) Walk(v NodeID, maxHops int, visit func(hop int, level []NodeID) 
 
 // Targets is a set of nodes that Nearest looks for. It is given three
 // ways, so the search can read whichever side costs less: Len is how
-// many members Each yields (an upper bound will do, since it only
-// steers cost), Each calls f once with every member, and Has reports
-// whether a node is a member. Members outside [0, NumNodes) are
-// ignored.
+// many members Append lists (an upper bound will do, since it only
+// steers cost), Append appends every member to dst and returns the
+// extended slice, and Has reports whether a node is a member. Members
+// outside [0, NumNodes) are ignored.
 type Targets interface {
 	Len() int
-	Each(f func(NodeID))
+	Append(dst []NodeID) []NodeID
 	Has(u NodeID) bool
 }
 
@@ -226,7 +226,7 @@ type Targets interface {
 //
 // Each hop's members are found from whichever side reads less: the
 // new level, tested with Has, or the members not found yet, listed
-// through Each once the level outgrows Len and from then on checked
+// through Append once the level outgrows Len and from then on checked
 // against the walk's visited stamps at every hop (the list only
 // shrinks, while levels tend to grow). At hop maxHops the frontier is
 // not expanded when the unreached members' adjacency is smaller than
@@ -235,9 +235,9 @@ type Targets interface {
 // sides give the same set, so the choice, which uses only sizes the
 // walk already holds, moves cost and never the result.
 //
-// Nearest shares Walk's pooled visited stamps: it allocates nothing
-// once warm beyond dst and listing the members, and concurrent calls
-// never share state.
+// Nearest shares Walk's pooled visited stamps and lists the members
+// into pooled scratch: it allocates nothing once warm beyond dst, and
+// concurrent calls never share state.
 func (g *Graph) Nearest(v NodeID, maxHops, want int, t Targets, dst []NodeID) []NodeID {
 	if maxHops <= 0 {
 		return dst
@@ -324,17 +324,16 @@ func (g *Graph) Nearest(v NodeID, maxHops, want int, t Targets, dst []NodeID) []
 	return dst
 }
 
-// listTargets lists t's members through Each for Nearest: it appends
-// to pend those no stamp at or above base has reached, returning their
-// adjacency, and to dst those stamped mark. It is a function of its
-// own so that the closure Each receives captures this frame's
-// variables: captured by Nearest's, they would move to the heap on
-// every call, listed or not.
+// listTargets lists t's members for Nearest into pend, whose contents
+// it discards: it keeps in pend those no stamp at or above base has
+// reached, returning their adjacency, and appends to dst those stamped
+// mark.
 func listTargets(adj [][]NodeID, seen []uint32, base, mark uint32, t Targets, pend, dst []NodeID) ([]NodeID, []NodeID, int) {
-	deg := 0
-	t.Each(func(u NodeID) {
+	all := t.Append(pend[:0])
+	pend, deg := all[:0], 0
+	for _, u := range all {
 		if u < 0 || int(u) >= len(adj) {
-			return
+			continue
 		}
 		switch s := seen[u]; {
 		case s < base:
@@ -343,19 +342,23 @@ func listTargets(adj [][]NodeID, seen []uint32, base, mark uint32, t Targets, pe
 		case s == mark:
 			dst = append(dst, u)
 		}
-	})
+	}
 	return pend, dst, deg
 }
 
 // walker is the reusable state of one Walk or Nearest: seen[u] holds
 // the stamp of the last walk that reached u, and each walk takes
 // stamps above every earlier walk's, so starting a walk costs an
-// addition instead of clearing an array.
+// addition instead of clearing an array. dist and hits are
+// Reach.Nearest's per-member distances, all zero between uses, and the
+// members it met.
 type walker struct {
 	seen  []uint32
 	epoch uint32
 	buf   []NodeID
 	pend  []NodeID
+	dist  []int32
+	hits  []int32
 }
 
 var walkers = sync.Pool{New: func() any { return new(walker) }}

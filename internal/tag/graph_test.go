@@ -445,11 +445,7 @@ func newMemberSet(list []NodeID, slack int) memberSet {
 
 func (s memberSet) Len() int { return len(s.list) + s.slack }
 
-func (s memberSet) Each(f func(NodeID)) {
-	for _, u := range s.list {
-		f(u)
-	}
-}
+func (s memberSet) Append(dst []NodeID) []NodeID { return append(dst, s.list...) }
 
 func (s memberSet) Has(u NodeID) bool { return s.has[u] }
 
@@ -504,8 +500,9 @@ func refNearest(g *Graph, v NodeID, maxHops, want int, members []NodeID) []NodeI
 	return out
 }
 
-// TestNearestMatchesBruteForce checks Nearest against breadth-first
-// distances on random graphs with isolated nodes, for target sets of
+// TestNearestMatchesBruteForce checks Nearest, and Reach.Nearest over
+// an index of the same set, against breadth-first distances on random
+// graphs with isolated nodes, for target sets of
 // no node, one, a few and every node (some also listing v and IDs
 // outside the graph, or reporting a Len above their size), maxHops 0–6
 // and want 0–10, from every node, appending after a prefix or not.
@@ -533,6 +530,7 @@ func TestNearestMatchesBruteForce(t *testing.T) {
 		sets = append(sets, all, []NodeID{-3, NodeID(n), NodeID(n + 7), NodeID(rng.Intn(n))})
 		for si, members := range sets {
 			ts := newMemberSet(members, (si%2)*rng.Intn(40))
+			r := NewReach(g, ts)
 			for v := NodeID(0); int(v) < n; v++ {
 				for maxHops := 0; maxHops <= 6; maxHops++ {
 					for want := 0; want <= 10; want++ {
@@ -546,9 +544,16 @@ func TestNearestMatchesBruteForce(t *testing.T) {
 						}
 						got = got[len(prefix):]
 						slices.Sort(got)
-						if want := refNearest(g, v, maxHops, want, members); !slices.Equal(got, want) {
+						ref := refNearest(g, v, maxHops, want, members)
+						if !slices.Equal(got, ref) {
 							t.Fatalf("trial %d (n=%d, set %d %v): Nearest(%d, %d, %d) = %v, want %v",
-								trial, n, si, members, v, maxHops, want, got, want)
+								trial, n, si, members, v, maxHops, want, got, ref)
+						}
+						got = r.Nearest(v, maxHops, want, nil)
+						slices.Sort(got)
+						if !slices.Equal(got, ref) {
+							t.Fatalf("trial %d (n=%d, set %d %v): Reach.Nearest(%d, %d, %d) = %v, want %v",
+								trial, n, si, members, v, maxHops, want, got, ref)
 						}
 						checks++
 					}

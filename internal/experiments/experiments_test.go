@@ -2,10 +2,29 @@ package experiments
 
 import (
 	"strings"
+	"sync"
 	"testing"
 )
 
 func fastCfg() Config { return Config{Seed: 5, Fast: true} }
+
+// table6Run holds one run of table6 under fastCfg. TestTable6 checks its
+// content and TestDeterministicOutput compares it with a second run, so
+// table6 runs twice, not three times, in one test binary.
+var table6Run struct {
+	once sync.Once
+	out  string
+	err  error
+}
+
+func fastTable6(t *testing.T) string {
+	t.Helper()
+	table6Run.once.Do(func() { table6Run.out, table6Run.err = runTable6(fastCfg()) })
+	if table6Run.err != nil {
+		t.Fatal(table6Run.err)
+	}
+	return table6Run.out
+}
 
 func TestRegistryComplete(t *testing.T) {
 	want := []string{
@@ -99,6 +118,13 @@ func TestTable5(t *testing.T) {
 	}
 }
 
+func TestTable6(t *testing.T) {
+	out := fastTable6(t)
+	if !strings.Contains(out, "Saturated") || !strings.Contains(out, "Non-saturated") {
+		t.Fatalf("table6 output wrong:\n%s", out)
+	}
+}
+
 func TestFig8(t *testing.T) {
 	out, err := runFig8(fastCfg())
 	if err != nil {
@@ -176,16 +202,10 @@ func TestAblations(t *testing.T) {
 	}
 }
 
-// TestDeterministicOutput runs table6 twice with one config: the
-// first run's content is checked, and the second must print the same.
+// TestDeterministicOutput runs table6 a second time with the config of
+// the shared run: both must print the same.
 func TestDeterministicOutput(t *testing.T) {
-	a, err := runTable6(fastCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(a, "Saturated") || !strings.Contains(a, "Non-saturated") {
-		t.Fatalf("table6 output wrong:\n%s", a)
-	}
+	a := fastTable6(t)
 	b, err := runTable6(fastCfg())
 	if err != nil {
 		t.Fatal(err)

@@ -42,7 +42,6 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/batch"
 	"repro/internal/cliflags"
 	"repro/internal/core"
 	"repro/internal/llm"
@@ -53,6 +52,7 @@ import (
 	"repro/internal/serve"
 	"repro/internal/tag"
 	"repro/internal/xrand"
+	"repro/mqo"
 )
 
 func main() {
@@ -98,7 +98,6 @@ func main() {
 	if err := knobs.Validate(); err != nil {
 		log.Fatalf("llmserve: %v", err)
 	}
-	ecfg := knobs.ExecConfig()
 
 	spec, err := tag.SpecByName(*dataset)
 	if err != nil {
@@ -106,14 +105,9 @@ func main() {
 	}
 	g := tag.Generate(spec, *seed, tag.Options{Scale: *scale})
 
-	var p llm.Profile
-	switch *profile {
-	case "gpt-3.5":
-		p = llm.GPT35()
-	case "gpt-4o-mini":
-		p = llm.GPT4oMini()
-	default:
-		log.Fatalf("llmserve: unknown profile %q (want gpt-3.5 or gpt-4o-mini)", *profile)
+	p, err := llm.ProfileByName(*profile)
+	if err != nil {
+		log.Fatalf("llmserve: -profile: %v", err)
 	}
 
 	reg := obs.NewRegistry()
@@ -141,7 +135,7 @@ func main() {
 			}
 			backends[i] = hp
 		}
-		pl, err := pool.New(backends, ecfg.PoolConfig(reg))
+		pl, err := pool.New(backends, knobs.ExecConfig().PoolConfig(reg))
 		if err != nil {
 			log.Fatalf("llmserve: building upstream pool: %v", err)
 		}
@@ -149,8 +143,8 @@ func main() {
 		fmt.Printf("llmserve: pooling %d upstreams (hedge=%v affinity=%v)\n", pl.Size(), knobs.Hedge, knobs.Affinity)
 		// The pool knobs configured the proxy pool; the tier's executor
 		// runs unpooled over it, with no global breaker.
-		ecfg.ReplicaCount, ecfg.Hedge, ecfg.Affinity = 0, false, false
-		ecfg.Breaker = batch.BreakerConfig{}
+		knobs.Replicas, knobs.Hedge, knobs.Affinity = 0, false, false
+		knobs.Breaker, knobs.BreakerCooldown = 0, 0
 	}
 	if ex.CacheDir != "" {
 		// Server-side persistent cache: repeated prompts answer from disk
@@ -170,29 +164,20 @@ func main() {
 
 	// The online serving tier fronts the same predictor stack, asking
 	// each node once however many tenants ask; nil unless -serve is set.
-	var tier *serve.Server
+	var tier *mqo.Server
 	if sv.Enabled {
 		method, err := predictors.ByName(sv.Method)
 		if err != nil {
 			log.Fatalf("llmserve: -serve-method: %v", err)
 		}
 		split := g.SplitPerClass(xrand.New(*seed+1), sv.Labeled, 0)
-		pctx := &predictors.Context{
-			Graph: g,
-			Known: predictors.KnownFromSplit(g, split),
-			M:     sv.M,
-			Seed:  *seed,
-			Obs:   reg,
-		}
-		scfg := sv.Config()
-		scfg.Exec = ecfg
-		scfg.Obs = reg
-		tier, err = serve.New(pctx, method, served, scfg)
+		w := &mqo.Workload{Graph: g, Labeled: split.Labeled, M: sv.M, Seed: *seed}
+		tier, err = mqo.NewServer(w, method, served, mqo.Options{Knobs: knobs, Obs: reg}, sv.Config())
 		if err != nil {
 			log.Fatalf("llmserve: serving tier: %v", err)
 		}
 		fmt.Printf("llmserve: online query tier on %s (method=%s slots=%d queue=%d)\n",
-			serve.QueryPath, method.Name(), max(1, ecfg.Workers), scfg.MaxQueue)
+			serve.QueryPath, method.Name(), max(1, knobs.Workers), sv.MaxQueue)
 	}
 
 	// answered counts the /v1/query answers the serving tier delivered

@@ -4,7 +4,6 @@
 // Usage:
 //
 //	mqoload -preset smoke                      # in-process CI gate
-//	mqoload -preset flood -out BENCH_load.json # append a trajectory row
 //	mqoload -scenario s.json -target http://host:8080
 //	mqoload -list                              # show built-in scenarios
 //
@@ -72,12 +71,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 	fmt.Fprintf(stdout, "scenario:\n%s\n\nreport: %s\n", enc, rep.Summary())
-	if lf.Out != "" {
-		if err := rep.AppendJSONL(lf.Out); err != nil {
-			return fmt.Errorf("appending report to %s: %w", lf.Out, err)
-		}
-		fmt.Fprintf(stdout, "appended row to %s\n", lf.Out)
-	}
 
 	// Gates: turn the observation into an exit code for CI.
 	if share := float64(rep.DecodeErrors) / float64(rep.Requests); share > lf.MaxDecodeErrors {

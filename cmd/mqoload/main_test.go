@@ -2,7 +2,6 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"flag"
 	"os"
@@ -59,36 +58,20 @@ func TestListAndErrors(t *testing.T) {
 }
 
 // TestRunSmokeEndToEnd drives the trimmed smoke preset through the
-// whole command — in-process tier, SLO gate armed, report appended —
-// and checks the appended row parses with the fields the acceptance
-// gate greps for.
+// whole command, in-process tier and SLO gate armed, and checks it
+// prints the scenario and the report summary.
 func TestRunSmokeEndToEnd(t *testing.T) {
-	out := filepath.Join(t.TempDir(), "bench.json")
 	var stdout, stderr bytes.Buffer
 	err := run([]string{
 		"-preset", "smoke", "-requests", "100",
-		"-out", out, "-require-slo", "-max-decode-errors", "0",
+		"-require-slo", "-max-decode-errors", "0",
 	}, &stdout, &stderr)
 	if err != nil {
 		t.Fatalf("run: %v\nstderr:\n%s", err, stderr.String())
 	}
-	if !strings.Contains(stdout.String(), "report:") {
-		t.Errorf("stdout missing report summary:\n%s", stdout.String())
-	}
-	data, err := os.ReadFile(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var row map[string]any
-	if err := json.Unmarshal(bytes.TrimSpace(data), &row); err != nil {
-		t.Fatalf("appended row is not one JSON object: %v\n%s", err, data)
-	}
-	for _, key := range []string{"scenario", "p50_ms", "p95_ms", "p99_ms", "tokens_per_query", "slo", "slo_pass", "slo_agree"} {
-		if _, ok := row[key]; !ok {
-			t.Errorf("appended row missing %q:\n%s", key, data)
+	for _, want := range []string{`"name": "smoke"`, "report:"} {
+		if !strings.Contains(stdout.String(), want) {
+			t.Errorf("stdout missing %q:\n%s", want, stdout.String())
 		}
-	}
-	if row["scenario"] != "smoke" {
-		t.Errorf("row scenario = %v, want smoke", row["scenario"])
 	}
 }

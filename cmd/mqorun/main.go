@@ -1,13 +1,14 @@
 // Command mqorun executes an optimized multi-query node-classification
-// plan end-to-end on one dataset: it fits the text-inadequacy measure,
-// prunes to the requested token budget (or fraction), optionally boosts
-// with pseudo-label scheduling, and reports accuracy and token usage
-// against the unoptimized baseline.
+// plan end-to-end on one dataset and reports accuracy and token usage
+// against the unoptimized baseline. Both runs are mqo.Optimize: the
+// baseline with no strategy, then the optimized run, which fits the
+// text-inadequacy measure, prunes to the requested fraction (or token
+// budget) and optionally boosts with pseudo-label scheduling.
 //
 // Usage:
 //
 //	mqorun -dataset cora -method 2-hop -prune 0.2 -boost
-//	mqorun -dataset pubmed -method sns -budget 1200000
+//	mqorun -dataset pubmed -method sns -budget 700000
 //	mqorun -dataset cora -cache-dir /var/cache/mqo   # second run is free
 package main
 
@@ -21,19 +22,14 @@ import (
 	"strings"
 
 	"repro/internal/cliflags"
-	"repro/internal/core"
 	"repro/internal/llm"
 	"repro/internal/obs"
 	"repro/internal/predictors"
-	"repro/internal/promptcache"
 	"repro/internal/tablefmt"
 	"repro/internal/tag"
 	"repro/internal/xrand"
+	"repro/mqo"
 )
-
-func methodByName(name string) (predictors.Method, error) {
-	return predictors.ByName(name)
-}
 
 func main() {
 	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
@@ -55,7 +51,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		seed        = fs.Uint64("seed", 1, "deterministic seed")
 		scale       = fs.Float64("scale", 1.0, "dataset scale factor")
 		queries     = fs.Int("queries", 0, "query count (0 = dataset default)")
-		prune       = fs.Float64("prune", -1, "prune fraction tau in [0,1] (overrides -budget)")
+		prune       = fs.Float64("prune", 0, "prune fraction tau in [0,1]; pruning runs only when this flag is given (overrides -budget)")
 		budget      = fs.Float64("budget", 0, "input-token budget B (0 = unlimited)")
 		boost       = fs.Bool("boost", false, "apply query boosting")
 		m           = fs.Int("m", 4, "max neighbors per prompt")
@@ -73,8 +69,14 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	pruneSet := false
+	fs.Visit(func(f *flag.Flag) { pruneSet = pruneSet || f.Name == "prune" })
 	if err := ex.Validate(); err != nil {
 		return err
+	}
+	if pruneSet && (*prune < 0 || *prune > 1) {
+		// mqo.Optimize rejects it too, but only after the baseline ran.
+		return fmt.Errorf("-prune %v outside [0, 1]", *prune)
 	}
 
 	// The registry is installed as the process default, so every layer
@@ -128,18 +130,13 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	method, err := methodByName(*mName)
+	method, err := predictors.ByName(*mName)
 	if err != nil {
 		return err
 	}
-	var profile llm.Profile
-	switch *model {
-	case "gpt-3.5":
-		profile = llm.GPT35()
-	case "gpt-4o-mini":
-		profile = llm.GPT4oMini()
-	default:
-		return fmt.Errorf("unknown model %q", *model)
+	profile, err := llm.ProfileByName(*model)
+	if err != nil {
+		return fmt.Errorf("-model: %w", err)
 	}
 
 	fmt.Fprintf(stdout, "generating %s (scale %.2f)...\n", spec.Display, *scale)
@@ -155,15 +152,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 	} else {
 		split = g.SplitFraction(srng, spec.LabeledFrac, q)
 	}
+	w := &mqo.Workload{Graph: g, Labeled: split.Labeled, Queries: split.Query, M: *m, Seed: *seed}
 
-	newCtx := func() *predictors.Context {
-		return &predictors.Context{
-			Graph: g,
-			Known: predictors.KnownFromSplit(g, split),
-			M:     *m,
-			Seed:  *seed,
-		}
-	}
 	sim := llm.NewSim(profile, g.Vocab, g.Classes, *seed+7)
 	var pred llm.Predictor = sim
 	var injector *llm.FaultInjector
@@ -182,29 +172,16 @@ func run(args []string, stdout, stderr io.Writer) error {
 		}
 		pred = injector
 	}
-	ecfg := ex.ExecConfig()
-	// Persistent prompt cache: every stage below — baseline, inadequacy
-	// fitting, optimized run, boosting — shares the disk tier, and a
+	// Both runs go through mqo.Optimize with the same knobs, fallback
+	// and persistent prompt cache: every stage (baseline, inadequacy
+	// fitting, the optimized run, boosting) shares the disk tier, and a
 	// repeated invocation with the same flags answers entirely from it.
-	var pcache *promptcache.Cache
-	if ex.CacheDir != "" {
-		ccfg := promptcache.Config{MaxBytes: ex.CacheMaxBytes, TTL: ex.CacheTTL}
-		if reg != nil {
-			ccfg.Obs = reg
-		}
-		pcache, err = promptcache.Open(ex.CacheDir, ccfg)
-		if err != nil {
-			return fmt.Errorf("opening prompt cache: %w", err)
-		}
-		defer pcache.Close()
-		ecfg.Disk = pcache
-	}
-	if *fallback {
-		sur, err := core.FitSurrogate(g, split.Labeled, core.SurrogateConfig{Seed: *seed})
-		if err != nil {
-			return fmt.Errorf("fitting fallback surrogate: %w", err)
-		}
-		ecfg.Fallback = sur
+	opt := mqo.Options{
+		Knobs:         ex.Knobs,
+		Fallback:      *fallback,
+		CacheDir:      ex.CacheDir,
+		CacheMaxBytes: ex.CacheMaxBytes,
+		CacheTTL:      ex.CacheTTL,
 	}
 
 	// Per-query failures come back as a *QueryErrors alongside partial
@@ -213,7 +190,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		if err == nil {
 			return nil
 		}
-		var qe *core.QueryErrors
+		var qe *mqo.QueryErrors
 		if errors.As(err, &qe) {
 			fmt.Fprintf(stderr, "mqorun: %s: %v (continuing with partial results)\n", stage, qe)
 			return nil
@@ -221,57 +198,50 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 
-	// Baseline.
+	// Baseline: no strategy.
 	// The worker count goes to stderr: results are identical for any
 	// -workers value, and stdout stays byte-comparable across runs.
 	fmt.Fprintf(stderr, "concurrency: %d workers\n", ex.Workers)
 	fmt.Fprintf(stdout, "running baseline %s over %d queries...\n", method.Name(), len(split.Query))
-	base, err := core.ExecuteWith(newCtx(), method, pred, core.Plan{Queries: split.Query}, ecfg)
+	baseRep, err := mqo.Optimize(w, method, pred, opt)
 	if err := tolerate("baseline", err); err != nil {
 		return err
 	}
 
-	// Optimized plan.
-	plan := core.Plan{Queries: split.Query}
-	tau := 0.0
-	if *prune >= 0 || *budget > 0 {
-		fmt.Fprintln(stdout, "fitting text-inadequacy measure...")
-		iqCfg := core.DefaultInadequacyConfig()
-		iqCfg.Seed = *seed
-		iqCfg.Exec = ecfg
-		iq, err := core.FitInadequacy(g, split.Labeled, pred, "paper", iqCfg)
-		if err != nil {
-			return err
-		}
-		tau = *prune
-		if tau < 0 {
-			// Cache-aware budgeting: prompts already answered on disk cost
-			// zero marginal tokens, so a warm cache admits more queries
-			// under the same budget.
-			var cached func(string) bool
-			if pcache != nil {
-				ns := ecfg.CacheNamespace(pred)
-				cached = func(promptText string) bool {
-					return pcache.Contains(promptcache.KeyOf(ns, promptText))
-				}
-			}
-			perQ, perN := core.EstimateQueryTokensCompressed(newCtx(), method, split.Query, 200, ecfg.Compress, cached)
-			var ok bool
-			tau, ok = core.TauForBudget(*budget, len(split.Query), perQ, perN)
-			if !ok {
-				return fmt.Errorf("budget %.0f tokens is infeasible for %d queries: even pruning every prompt needs %.0f tokens",
-					*budget, len(split.Query), float64(len(split.Query))*(perQ-perN))
-			}
-			fmt.Fprintf(stdout, "budget %.0f tokens -> tau = %.2f (perQuery %.0f, perNeighborText %.0f)\n", *budget, tau, perQ, perN)
-		}
-		plan = core.PrunePlan(iq, g, split.Query, tau)
+	// Optimized run: -prune fixes tau, -budget derives it.
+	opt.Prune = pruneSet || *budget > 0
+	if pruneSet {
+		opt.Tau = *prune
+	} else {
+		opt.Budget = *budget
 	}
+	if opt.Prune {
+		iqCfg := mqo.DefaultInadequacyConfig()
+		iqCfg.Seed = *seed
+		opt.Inadequacy = &iqCfg
+		fmt.Fprintln(stdout, "fitting text-inadequacy measure...")
+	}
+	opt.Boost = *boost
+	if *boost {
+		fmt.Fprintln(stdout, "executing with query boosting...")
+	} else {
+		fmt.Fprintln(stdout, "executing plan...")
+	}
+	optRep, err := mqo.Optimize(w, method, pred, opt)
+	if err := tolerate("optimized run", err); err != nil {
+		return err
+	}
+	if opt.Budget > 0 {
+		fmt.Fprintf(stdout, "budget %.0f tokens -> tau = %.2f (perQuery %.0f, perNeighborText %.0f)\n",
+			opt.Budget, optRep.Tau, optRep.TokensPerQuery, optRep.TokensPerNeighborText)
+	}
+	plan := optRep.Plan
 	if *savePlan != "" {
 		f, err := os.Create(*savePlan)
 		if err != nil {
 			return err
 		}
-		err = core.SavePlan(f, plan)
+		err = mqo.SavePlan(f, plan)
 		if cerr := f.Close(); err == nil {
 			err = cerr
 		}
@@ -281,30 +251,17 @@ func run(args []string, stdout, stderr io.Writer) error {
 		fmt.Fprintf(stdout, "plan written to %s (%d queries, %d pruned)\n", *savePlan, len(plan.Queries), len(plan.Prune))
 	}
 
-	var optimized *core.Results
-	if *boost {
-		fmt.Fprintln(stdout, "executing with query boosting...")
-		optimized, _, err = core.BoostWith(newCtx(), method, pred, plan, core.DefaultBoostConfig(), ecfg)
-	} else {
-		fmt.Fprintln(stdout, "executing plan...")
-		optimized, err = core.ExecuteWith(newCtx(), method, pred, plan, ecfg)
-	}
-	if err := tolerate("optimized run", err); err != nil {
-		return err
-	}
-
 	// Accuracy is scored against the full plan (an unanswered query
 	// counts as wrong) with coverage alongside, so partial results after
 	// failures cannot silently inflate the numbers.
-	baseAcc, baseCov := core.PlanAccuracy(g, split.Query, base.Pred)
-	optAcc, optCov := core.PlanAccuracy(g, plan.Queries, optimized.Pred)
+	base, optimized := baseRep.Results, optRep.Results
 	t := tablefmt.New("\nresults", "run", "accuracy (%)", "coverage (%)", "input tokens", "equipped", "rounds")
 	t.AddRow("baseline",
-		tablefmt.Pct(baseAcc), tablefmt.Pct(baseCov),
+		tablefmt.Pct(baseRep.PlanAccuracy), tablefmt.Pct(baseRep.Coverage),
 		tablefmt.Int(int64(base.Meter.InputTokens())),
 		fmt.Sprint(base.Equipped), fmt.Sprint(base.Rounds))
 	name := "optimized"
-	if tau > 0 {
+	if tau := optRep.Tau; tau > 0 {
 		name += fmt.Sprintf(" (prune %.0f%%", 100*tau)
 		if *boost {
 			name += " + boost"
@@ -314,14 +271,14 @@ func run(args []string, stdout, stderr io.Writer) error {
 		name += " (boost)"
 	}
 	t.AddRow(name,
-		tablefmt.Pct(optAcc), tablefmt.Pct(optCov),
+		tablefmt.Pct(optRep.PlanAccuracy), tablefmt.Pct(optRep.Coverage),
 		tablefmt.Int(int64(optimized.Meter.InputTokens())),
 		fmt.Sprint(optimized.Equipped), fmt.Sprint(optimized.Rounds))
 	fmt.Fprint(stdout, t.String())
 
-	if n := base.SurrogateAnswered() + optimized.SurrogateAnswered(); n > 0 {
+	if n := baseRep.SurrogateAnswered + optRep.SurrogateAnswered; n > 0 {
 		fmt.Fprintf(stdout, "\nsurrogate-answered queries (LLM path failed): baseline %d, optimized %d\n",
-			base.SurrogateAnswered(), optimized.SurrogateAnswered())
+			baseRep.SurrogateAnswered, optRep.SurrogateAnswered)
 	}
 	if injector != nil {
 		st := injector.Stats()
@@ -336,11 +293,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 	if optimized.PseudoLabelUses > 0 {
 		fmt.Fprintf(stdout, "pseudo-label enrichments during boosting: %d\n", optimized.PseudoLabelUses)
-	}
-	if pcache != nil {
-		st := pcache.Stats()
-		fmt.Fprintf(stderr, "prompt cache: %d hits, %d misses, %d evictions, %d entries (%s)\n",
-			st.Hits, st.Misses, st.Evictions, st.Entries, tablefmt.Int(st.Bytes))
 	}
 	return dumpMetrics()
 }

@@ -16,7 +16,6 @@ type Load struct {
 	ScenarioPath    string
 	Preset          string
 	Target          string
-	Out             string
 	Seed            uint64
 	Requests        int
 	Rate            float64
@@ -30,7 +29,6 @@ func (l *Load) Register(fs *flag.FlagSet) {
 	fs.StringVar(&l.ScenarioPath, "scenario", "", "scenario JSON file to run (mutually exclusive with -preset)")
 	fs.StringVar(&l.Preset, "preset", "", "built-in scenario to run ("+strings.Join(load.PresetNames(), ", ")+")")
 	fs.StringVar(&l.Target, "target", "", "base URL of a running llmserve to drive; empty runs an in-process serving tier")
-	fs.StringVar(&l.Out, "out", "", "append the report as one JSON line to this file (the BENCH_load.json trajectory)")
 	fs.Uint64Var(&l.Seed, "seed", 0, "override the scenario's seed (0 = keep)")
 	fs.IntVar(&l.Requests, "requests", 0, "override the scenario's request count (0 = keep)")
 	fs.Float64Var(&l.Rate, "rate", 0, "override the scenario's arrival rate per second (0 = keep)")
@@ -42,7 +40,7 @@ func (l *Load) Register(fs *flag.FlagSet) {
 // usage-parity test.
 func LoadNames() []string {
 	return []string{
-		"scenario", "preset", "target", "out", "seed",
+		"scenario", "preset", "target", "seed",
 		"requests", "rate", "require-slo", "max-decode-errors",
 	}
 }

@@ -204,6 +204,33 @@ func TestFitInadequacy(t *testing.T) {
 	}
 }
 
+// TestInadequacySurrogateMatchesFitSurrogate: step 1 of FitInadequacy
+// is FitSurrogate's fit, so the surrogate the measure hands out answers
+// every node exactly as FitSurrogate with the same MLP, folds, feature
+// cap and seed does.
+func TestInadequacySurrogateMatchesFitSurrogate(t *testing.T) {
+	f := newFixture(t, 400, 60, 7)
+	cfg := fastInadequacy(7)
+	cfg.Folds = 2
+	iq, err := FitInadequacy(f.g, f.split.Labeled, f.sim, "paper", cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sur, err := FitSurrogate(f.g, f.split.Labeled, SurrogateConfig{
+		MLP: cfg.MLP, Folds: cfg.Folds, MaxFeatures: cfg.MaxFeatures, Seed: cfg.Seed,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fitted := iq.Surrogate(f.g)
+	for v := range f.g.Nodes {
+		id := tag.NodeID(v)
+		if got, want := fitted.PredictNode(f.g, id), sur.PredictNode(f.g, id); got != want {
+			t.Fatalf("node %d: inadequacy surrogate predicts %q, FitSurrogate %q", v, got, want)
+		}
+	}
+}
+
 func TestFitInadequacyErrors(t *testing.T) {
 	f := newFixture(t, 200, 30, 13)
 	if _, err := FitInadequacy(f.g, nil, f.sim, "paper", fastInadequacy(1)); err == nil {

@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"repro/internal/batch"
-	"repro/internal/encode"
 	"repro/internal/llm"
 	"repro/internal/nn"
 	"repro/internal/obs"
@@ -61,10 +60,9 @@ func DefaultInadequacyConfig() InadequacyConfig {
 // Smaller scores indicate saturated nodes. Obtain one via
 // FitInadequacy.
 type Inadequacy struct {
-	enc      *encode.Encoder
-	ensemble *nn.Ensemble
-	w        []float64 // per-class LLM misclassification ratios
-	reg      *nn.LinReg
+	sur *Surrogate // f_θ1
+	w   []float64  // per-class LLM misclassification ratios
+	reg *nn.LinReg
 	// CalibrationQueries counts the LLM queries spent estimating w —
 	// the strategy's (small) fixed overhead.
 	CalibrationQueries int
@@ -90,16 +88,7 @@ func FitInadequacy(g *tag.Graph, labeled []tag.NodeID, p llm.Predictor, nodeType
 	k := len(g.Classes)
 
 	// Step 1: surrogate classifier on text features.
-	enc := encode.NewTFIDFIDs(g.Dict(), g.Corpus(), cfg.MaxFeatures)
-	X := make([][]float64, len(labeled))
-	y := make([]int, len(labeled))
-	for i, v := range labeled {
-		X[i] = enc.EncodeIDs(g.Dict(), g.TextIDs(v))
-		y[i] = g.Nodes[v].Label
-	}
-	mlpCfg := cfg.MLP
-	mlpCfg.Seed = cfg.Seed
-	ensemble := nn.TrainKFold(X, y, k, cfg.Folds, mlpCfg)
+	sur := fitSurrogate(g, labeled, SurrogateConfig{MLP: cfg.MLP, Folds: cfg.Folds, MaxFeatures: cfg.MaxFeatures, Seed: cfg.Seed})
 
 	// Step 2: LLM category-bias calibration on V_L^c.
 	rng := xrand.New(cfg.Seed).SplitString("core/calibration")
@@ -173,7 +162,7 @@ func FitInadequacy(g *tag.Graph, labeled []tag.NodeID, p llm.Predictor, nodeType
 		}
 	}
 
-	iq := &Inadequacy{enc: enc, ensemble: ensemble, w: w, CalibrationQueries: len(calib)}
+	iq := &Inadequacy{sur: sur, w: w, CalibrationQueries: len(calib)}
 
 	// Step 3: fit the channel-merging regression on the calibration
 	// nodes that actually got an answer.
@@ -195,7 +184,7 @@ func FitInadequacy(g *tag.Graph, labeled []tag.NodeID, p llm.Predictor, nodeType
 // x: the surrogate's predictive entropy H(p_i) (Eq. 8) and the bias
 // channel b_i = p_i · wᵀ (Eq. 9).
 func (iq *Inadequacy) channels(x []float64) (entropy, bias float64) {
-	probs := iq.ensemble.Probs(x)
+	probs := iq.sur.ensemble.Probs(x)
 	h := nn.Entropy(probs)
 	var b float64
 	for c, pc := range probs {
@@ -206,7 +195,7 @@ func (iq *Inadequacy) channels(x []float64) (entropy, bias float64) {
 
 // Score returns D(t) for one text (Eq. 10). Lower means more saturated.
 func (iq *Inadequacy) Score(text string) float64 {
-	h, b := iq.channels(iq.enc.Encode(text))
+	h, b := iq.channels(iq.sur.enc.Encode(text))
 	return iq.reg.Predict([]float64{h, b})
 }
 
@@ -219,7 +208,7 @@ func (iq *Inadequacy) ScoreNode(g *tag.Graph, v tag.NodeID) float64 {
 // ChannelsNode exposes the raw (entropy, bias) channels of node v, used
 // by the ablation benchmarks.
 func (iq *Inadequacy) ChannelsNode(g *tag.Graph, v tag.NodeID) (entropy, bias float64) {
-	return iq.channels(iq.enc.EncodeIDs(g.Dict(), g.TextIDs(v)))
+	return iq.channels(iq.sur.enc.EncodeIDs(g.Dict(), g.TextIDs(v)))
 }
 
 // Weights returns the misclassification-ratio vector w.

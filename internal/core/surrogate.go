@@ -54,7 +54,8 @@ type Surrogate struct {
 
 // FitSurrogate trains the paper's surrogate classifier f_θ1 on the
 // labeled set: TF-IDF features over the whole corpus, k-fold ensemble
-// over the labeled nodes. No LLM queries are spent.
+// over the labeled nodes. No LLM queries are spent. Zero fields of cfg
+// take DefaultSurrogateConfig's values.
 func FitSurrogate(g *tag.Graph, labeled []tag.NodeID, cfg SurrogateConfig) (*Surrogate, error) {
 	if len(labeled) == 0 {
 		return nil, fmt.Errorf("core: surrogate needs a labeled set")
@@ -69,6 +70,13 @@ func FitSurrogate(g *tag.Graph, labeled []tag.NodeID, cfg SurrogateConfig) (*Sur
 	if cfg.MLP.Epochs == 0 {
 		cfg.MLP = def.MLP
 	}
+	return fitSurrogate(g, labeled, cfg), nil
+}
+
+// fitSurrogate is the one fit of f_θ1, with cfg taken as given: a zero
+// MaxFeatures keeps every word. FitSurrogate and step 1 of
+// FitInadequacy both train through it.
+func fitSurrogate(g *tag.Graph, labeled []tag.NodeID, cfg SurrogateConfig) *Surrogate {
 	enc := encode.NewTFIDFIDs(g.Dict(), g.Corpus(), cfg.MaxFeatures)
 	X := make([][]float64, len(labeled))
 	y := make([]int, len(labeled))
@@ -79,14 +87,14 @@ func FitSurrogate(g *tag.Graph, labeled []tag.NodeID, cfg SurrogateConfig) (*Sur
 	mlpCfg := cfg.MLP
 	mlpCfg.Seed = cfg.Seed
 	ensemble := nn.TrainKFold(X, y, len(g.Classes), cfg.Folds, mlpCfg)
-	return &Surrogate{enc: enc, ensemble: ensemble, classes: append([]string(nil), g.Classes...)}, nil
+	return &Surrogate{enc: enc, ensemble: ensemble, classes: append([]string(nil), g.Classes...)}
 }
 
-// Surrogate exposes the classifier already trained while fitting the
-// inadequacy measure, so pipelines that prune do not train f_θ1 twice.
-func (iq *Inadequacy) Surrogate(g *tag.Graph) *Surrogate {
-	return &Surrogate{enc: iq.enc, ensemble: iq.ensemble, classes: append([]string(nil), g.Classes...)}
-}
+// Surrogate returns the classifier FitInadequacy trained in its step 1,
+// so pipelines that prune do not train f_θ1 twice. It predicts over
+// the classes of the graph the measure was fitted on; the argument is
+// ignored.
+func (iq *Inadequacy) Surrogate(*tag.Graph) *Surrogate { return iq.sur }
 
 // Predict returns the class name the surrogate assigns to a text.
 func (s *Surrogate) Predict(text string) string {

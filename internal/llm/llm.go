@@ -171,6 +171,20 @@ func GPT4oMini() Profile {
 	}
 }
 
+// ProfileByName resolves a simulated profile from its CLI spelling
+// ("gpt-3.5", "gpt-4o-mini"), the single source of truth shared by
+// mqorun's -model and llmserve's -profile.
+func ProfileByName(name string) (Profile, error) {
+	switch name {
+	case "gpt-3.5":
+		return GPT35(), nil
+	case "gpt-4o-mini":
+		return GPT4oMini(), nil
+	default:
+		return Profile{}, fmt.Errorf("unknown profile %q (gpt-3.5, gpt-4o-mini)", name)
+	}
+}
+
 // Sim is the simulated black-box LLM. It is safe for concurrent use:
 // queries read immutable state built by NewSim and mutate only the
 // synchronized usage meter. Decisions are keyed by hash(seed, prompt)

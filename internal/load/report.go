@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"os"
 	"sort"
 	"strconv"
 	"strings"
@@ -14,56 +13,56 @@ import (
 	"repro/internal/obs"
 )
 
-// Report is one scenario run's machine-readable outcome — the row
-// appended to BENCH_load.json. Latency percentiles are nearest-rank
+// Report is one scenario run's outcome, which mqoload prints with
+// Summary and gates on. Latency percentiles are nearest-rank
 // over completed (HTTP 200) requests, measured client-side, so they
 // include admission queueing, not just execution.
 type Report struct {
-	Scenario string `json:"scenario"`
-	Target   string `json:"target"`
-	Seed     uint64 `json:"seed"`
-	Requests int    `json:"requests"`
+	Scenario string
+	Target   string
+	Seed     uint64
+	Requests int
 
 	// Offered vs achieved: OfferedRate is what the schedule asked for,
 	// Throughput is completions per wall second.
-	OfferedRate float64 `json:"offered_rate_per_sec"`
-	WallMS      float64 `json:"wall_ms"`
-	Throughput  float64 `json:"throughput_per_sec"`
+	OfferedRate float64
+	WallMS      float64
+	Throughput  float64
 
-	OK           int `json:"ok"`
-	Rejected     int `json:"rejected"`
-	Errors       int `json:"errors"`
-	DecodeErrors int `json:"decode_errors"`
+	OK           int
+	Rejected     int
+	Errors       int
+	DecodeErrors int
 	// RejectShare is the 429/503 share of all driven requests.
-	RejectShare float64 `json:"reject_share"`
+	RejectShare float64
 
-	P50MS  float64 `json:"p50_ms"`
-	P95MS  float64 `json:"p95_ms"`
-	P99MS  float64 `json:"p99_ms"`
-	MeanMS float64 `json:"mean_ms"`
-	MaxMS  float64 `json:"max_ms"`
+	P50MS  float64
+	P95MS  float64
+	P99MS  float64
+	MeanMS float64
+	MaxMS  float64
 
 	// TokensPerQuery is total delivered tokens over completed requests —
 	// coalescing pushes it below the single-query cost.
-	TokensPerQuery float64 `json:"tokens_per_query"`
+	TokensPerQuery float64
 	// CoalesceRate is the share of completed requests answered without
 	// dispatching their own node (memory and inflight tiers).
-	CoalesceRate float64 `json:"coalesce_rate"`
+	CoalesceRate float64
 	// AffinityHitRate is pool affinity hits/(hits+misses); -1 when the
 	// scenario ran without affinity routing.
-	AffinityHitRate float64 `json:"affinity_hit_rate"`
+	AffinityHitRate float64
 	// QueuePeak is the high-water mark of admitted nodes awaiting an
 	// answer, as reported by mqo_serve_queue_depth_peak.
-	QueuePeak int `json:"queue_peak"`
+	QueuePeak int
 
 	// SLO is the server's own /debug/slo verdict, decoded strictly from
 	// the same run. SLOPass is the harness verdict (client-side p99 vs
 	// the scenario objective); SLOAgree records whether the two verdicts
 	// matched — a false here means the server's ledger and the client's
 	// stopwatch disagree about the tail and is itself a finding.
-	SLO      obs.SLOReport `json:"slo"`
-	SLOPass  bool          `json:"slo_pass"`
-	SLOAgree bool          `json:"slo_agree"`
+	SLO      obs.SLOReport
+	SLOPass  bool
+	SLOAgree bool
 }
 
 // Summary renders the one-line human digest Logf and mqoload print.
@@ -82,24 +81,6 @@ func (r *Report) Summary() string {
 			verdict, r.SLO.ObservedMS, r.SLO.ObjectiveMS, r.SLOAgree)
 	}
 	return b.String()
-}
-
-// AppendJSONL appends the report as one JSON line to path (the
-// committed BENCH_load.json trajectory), creating the file on first
-// use. Keys are emitted sorted (encoding/json marshals struct fields
-// in declaration order; that order is the file's schema).
-func (r *Report) AppendJSONL(path string) error {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	enc, err := json.Marshal(r)
-	if err != nil {
-		return err
-	}
-	_, err = fmt.Fprintf(f, "%s\n", enc)
-	return err
 }
 
 // buildReport assembles the report from the client-side samples plus a

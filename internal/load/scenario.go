@@ -42,7 +42,7 @@ const (
 // scenarios compare with ==, which is what lets the fuzz harness assert
 // exact encode→decode round-trips.
 type Scenario struct {
-	// Name labels the scenario in reports and BENCH_load.json rows.
+	// Name labels the scenario in reports.
 	Name string `json:"name"`
 	// Seed makes the whole run deterministic: the arrival schedule,
 	// tenant assignment, node choice and any injected faults all derive

@@ -209,6 +209,12 @@ type Report struct {
 	Plan Plan
 	// Tau is the pruned fraction actually applied.
 	Tau float64
+	// TokensPerQuery and TokensPerNeighborText are the mean tokens of a
+	// full prompt and of its neighbor text, estimated over every query,
+	// that a Budget's Tau was derived from (TauForBudget's T_v and T_N);
+	// both are 0 unless Options.Budget was set.
+	TokensPerQuery        float64
+	TokensPerNeighborText float64
 	// Accuracy is the fraction of *answered* queries predicted
 	// correctly. After a degraded run (failed queries, no fallback)
 	// this overstates quality; PlanAccuracy and Coverage give the
@@ -297,8 +303,10 @@ func Optimize(w *Workload, m Method, p Predictor, opt Options) (*Report, error) 
 			var ok bool
 			tau, ok = core.TauForBudget(opt.Budget, len(w.Queries), perQuery, perNeighbor)
 			if !ok {
-				return nil, fmt.Errorf("mqo: budget %.0f tokens infeasible for %d queries: even pruning every prompt (τ=%.2f) exceeds it", opt.Budget, len(w.Queries), tau)
+				return nil, fmt.Errorf("mqo: budget %.0f tokens is infeasible for %d queries: even pruning every prompt needs %.0f tokens",
+					opt.Budget, len(w.Queries), float64(len(w.Queries))*(perQuery-perNeighbor))
 			}
+			rep.TokensPerQuery, rep.TokensPerNeighborText = perQuery, perNeighbor
 		}
 		if tau < 0 || tau > 1 {
 			return nil, fmt.Errorf("mqo: pruned fraction τ=%.3f outside [0,1]", tau)

@@ -82,6 +82,36 @@ func TestOptimizeBudgetDerivesTau(t *testing.T) {
 	}
 }
 
+// TestOptimizeBudgetReportsEstimates pins what a Budget run reports:
+// the two per-query token estimates, taken over every query, and a Tau
+// that is exactly TauForBudget of them. A Tau run reports neither.
+func TestOptimizeBudgetReportsEstimates(t *testing.T) {
+	w, p := smallWorkload(t, 3)
+	m := KHopRandom{K: 1}
+	perQuery, perNeighbor := EstimateQueryTokens(w.Context(), m, w.Queries, 0)
+	budget := float64(len(w.Queries)) * (perQuery - 0.45*perNeighbor)
+	rep, err := Optimize(w, m, p, Options{Prune: true, Budget: budget})
+	if err != nil {
+		t.Fatalf("Optimize: %v", err)
+	}
+	if rep.TokensPerQuery != perQuery || rep.TokensPerNeighborText != perNeighbor {
+		t.Errorf("reported estimates (%v, %v), want (%v, %v) over every query",
+			rep.TokensPerQuery, rep.TokensPerNeighborText, perQuery, perNeighbor)
+	}
+	tau, ok := TauForBudget(budget, len(w.Queries), rep.TokensPerQuery, rep.TokensPerNeighborText)
+	if !ok || rep.Tau != tau {
+		t.Errorf("Tau = %v, want TauForBudget of the reported estimates = %v (ok=%v)", rep.Tau, tau, ok)
+	}
+
+	fixed, err := Optimize(w, m, p, Options{Prune: true, Tau: 0.2})
+	if err != nil {
+		t.Fatalf("Optimize: %v", err)
+	}
+	if fixed.TokensPerQuery != 0 || fixed.TokensPerNeighborText != 0 {
+		t.Errorf("a Tau run reported estimates (%v, %v), want zeros", fixed.TokensPerQuery, fixed.TokensPerNeighborText)
+	}
+}
+
 func TestOptimizeBoostTracksRounds(t *testing.T) {
 	w, p := smallWorkload(t, 4)
 	rep, err := Optimize(w, KHopRandom{K: 2}, p, Options{Boost: true})

@@ -34,13 +34,16 @@ test:
 # mutex guards the whole cache, so these are where a lost update or an
 # unreconciled counter would show. It repeats the SNS label index's
 # reference and concurrency tests too: one index is built lazily by
-# whichever selection comes first and then read by every worker.
+# whichever selection comes first and then read by every worker. The
+# SNS similarity index is built the same way, by whichever selection
+# runs first, through the term-count build (encode.Tally straight into
+# the index's arrays), so its first-use test is repeated as well.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=10 -run 'TestConcurrentPutGet|TestStatsReconcileWithMetrics' ./internal/promptcache/
 	$(GO) test -race -count=10 -run TestEvictionUnderConcurrentExecute ./internal/batch/
 	$(GO) test -race -count=10 -run 'TestReachMatchesWalk$$|TestReachConcurrent' ./internal/tag/
-	$(GO) test -race -count=10 -run 'TestFixedLabelsConcurrentFirstUse' ./internal/predictors/
+	$(GO) test -race -count=10 -run 'TestFixedLabelsConcurrentFirstUse|TestSNSConcurrentFirstUse' ./internal/predictors/
 
 bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' .
@@ -161,7 +164,8 @@ benchcompress:
 # answering those 200 compressed prompts, ExecuteWith of 200 SNS
 # queries with neighbor abstracts at compression level 1, and BoostWith
 # of batch-boost's pruned 2,000-query SNS plan) five times each and
-# appends one JSON line per run (ns/op, B/op, allocs/op) to the
+# appends one JSON line per run (ns/op, B/op, allocs/op, and for the
+# SNS index the live heap it keeps) to the
 # committed BENCH_plan.json trajectory, then shows every line the run
 # appended. One run cannot show a change smaller than the host's drift
 # between back-to-back runs, so a before/after claim compares the

@@ -28,6 +28,8 @@ import (
 // line with its ns/op, B/op and allocs/op. The line is written for the
 // measured run (b.N > 1), not for the single warm-up iteration the
 // testing package runs first, so run them with -benchtime 3x or more.
+// BenchmarkPlanSimilarity's rows also carry retained_bytes, the live
+// heap the built index keeps, read from runtime.MemStats alone.
 
 // pubmed generates the full-size pubmed graph at dataset seed 1.
 func pubmed(b *testing.B) *tag.Graph {
@@ -39,9 +41,11 @@ func pubmed(b *testing.B) *tag.Graph {
 	return tag.Generate(spec, 1, tag.Options{})
 }
 
-// measure runs op b.N times under the timer and, when MQO_BENCH_JSON
-// names a file and this is the measured run, appends its row.
-func measure(b *testing.B, name string, op func()) {
+// measure runs op b.N times under the timer, then has more (when not
+// nil) check the result and add fields to the run's row. When
+// MQO_BENCH_JSON names a file and this is the measured run, it appends
+// the row.
+func measure(b *testing.B, name string, op func(), more func(row map[string]any)) {
 	b.Helper()
 	b.ReportAllocs()
 	runtime.GC()
@@ -55,12 +59,8 @@ func measure(b *testing.B, name string, op func()) {
 	elapsed := time.Since(start)
 	b.StopTimer()
 	runtime.ReadMemStats(&after)
-	path := os.Getenv("MQO_BENCH_JSON")
-	if path == "" || b.N <= 1 {
-		return
-	}
 	n := uint64(b.N)
-	line, err := json.Marshal(map[string]any{
+	row := map[string]any{
 		"bench":         name,
 		"n":             b.N,
 		"ns_per_op":     elapsed.Nanoseconds() / int64(b.N),
@@ -68,7 +68,15 @@ func measure(b *testing.B, name string, op func()) {
 		"allocs_per_op": (after.Mallocs - before.Mallocs) / n,
 		"gomaxprocs":    runtime.GOMAXPROCS(0),
 		"time":          time.Now().UTC().Format(time.RFC3339),
-	})
+	}
+	if more != nil {
+		more(row)
+	}
+	path := os.Getenv("MQO_BENCH_JSON")
+	if path == "" || b.N <= 1 {
+		return
+	}
+	line, err := json.Marshal(row)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -86,21 +94,37 @@ func measure(b *testing.B, name string, op func()) {
 // all.
 func BenchmarkPlanGenerate(b *testing.B) {
 	var g *tag.Graph
-	measure(b, "BenchmarkPlanGenerate", func() { g = pubmed(b) })
+	measure(b, "BenchmarkPlanGenerate", func() { g = pubmed(b) }, nil)
 	if g.NumNodes() != 19717 {
 		b.Fatalf("pubmed has %d nodes", g.NumNodes())
 	}
 }
 
 // BenchmarkPlanSimilarity times building the SNS TF-IDF similarity
-// index over every pubmed node's text.
+// index over every pubmed node's text, and records the live heap the
+// last index built keeps.
 func BenchmarkPlanSimilarity(b *testing.B) {
 	g := pubmed(b)
 	var s *predictors.Similarity
-	measure(b, "BenchmarkPlanSimilarity", func() { s = predictors.NewSimilarity(g) })
-	if s.Score(0, 0) <= 0 {
-		b.Fatal("node 0 has no similarity to itself")
-	}
+	measure(b, "BenchmarkPlanSimilarity", func() { s = predictors.NewSimilarity(g) }, func(row map[string]any) {
+		if s.Score(0, 0) <= 0 {
+			b.Fatal("node 0 has no similarity to itself")
+		}
+		row["retained_bytes"] = retained(func() { s = nil })
+	})
+}
+
+// retained returns the live heap drop lets go of: the live heap after a
+// GC, minus the live heap after drop and a second GC.
+func retained(drop func()) int64 {
+	var m runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&m)
+	live := int64(m.HeapAlloc)
+	drop()
+	runtime.GC()
+	runtime.ReadMemStats(&m)
+	return live - int64(m.HeapAlloc)
 }
 
 // BenchmarkPlanExecuteSNS times ExecuteWith over 200 pubmed query
@@ -127,7 +151,7 @@ func BenchmarkPlanExecuteSNS(b *testing.B) {
 		if res, err = core.ExecuteWith(ctx, predictors.SNS{}, sim, plan, cfg); err != nil {
 			b.Fatal(err)
 		}
-	})
+	}, nil)
 	if len(res.Pred) != len(split.Query) {
 		b.Fatalf("%d answers for %d queries", len(res.Pred), len(split.Query))
 	}
@@ -161,7 +185,7 @@ func BenchmarkPlanSelectSNS(b *testing.B) {
 		for v := 0; v < g.NumNodes(); v += 10 {
 			labeled += predictors.CountLabeled(predictors.SNS{}.Select(ctx, tag.NodeID(v)))
 		}
-	})
+	}, nil)
 	if labeled == 0 {
 		b.Fatal("SNS selected no labeled neighbor")
 	}
@@ -193,7 +217,7 @@ func BenchmarkPlanCompress(b *testing.B) {
 			_, st := c.CompressQuery(&queries[i])
 			saved += st.Saved()
 		}
-	})
+	}, nil)
 	if saved == 0 {
 		b.Fatal("compression saved no tokens")
 	}
@@ -221,7 +245,7 @@ func BenchmarkPlanSimQuery(b *testing.B) {
 			}
 			tokens += resp.InputTokens
 		}
-	})
+	}, nil)
 	if tokens == 0 {
 		b.Fatal("the simulator counted no tokens")
 	}
@@ -254,7 +278,7 @@ func BenchmarkPlanBoostSNS(b *testing.B) {
 		if res, _, err = core.BoostWith(ctx, predictors.SNS{}, sim, plan, core.DefaultBoostConfig(), cfg); err != nil {
 			b.Fatal(err)
 		}
-	})
+	}, nil)
 	if len(res.Pred) != len(plan.Queries) {
 		b.Fatalf("%d answers for %d queries", len(res.Pred), len(plan.Queries))
 	}

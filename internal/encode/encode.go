@@ -27,6 +27,7 @@ import (
 type Encoder struct {
 	index map[string]int // word -> feature dimension
 	words []string       // dimension -> word
+	df    []int          // dimension -> documents of the corpus holding it
 	idf   []float64      // nil for plain BoW
 	// dict is the dictionary the corpus was written in, and dimOf[id]
 	// the feature dimension of its word id, or -1.
@@ -40,13 +41,16 @@ func (e *Encoder) Dims() int { return len(e.words) }
 // Word returns the vocabulary word mapped to dimension d.
 func (e *Encoder) Word(d int) string { return e.words[d] }
 
+// DocFreq returns how many documents of the corpus the encoder was
+// fitted on hold dimension d's word.
+func (e *Encoder) DocFreq(d int) int { return e.df[d] }
+
 // newEncoder selects the maxFeatures most document-frequent words of a
 // corpus of word IDs into dict, breaking ties by the words' strings
-// for determinism, and returns the encoder over them with each
-// dimension's document frequency. Document frequency counts through a
-// per-word stamp of the last document that held the word, so no
-// document needs a set of its own.
-func newEncoder(dict *token.Dict, docs [][]int32, maxFeatures int) (*Encoder, []int) {
+// for determinism, and returns the encoder over them. Document
+// frequency counts through a per-word stamp of the last document that
+// held the word, so no document needs a set of its own.
+func newEncoder(dict *token.Dict, docs [][]int32, maxFeatures int) *Encoder {
 	df := make([]int32, dict.Len())
 	last := make([]int32, dict.Len()) // 1 + the last document holding the word
 	for i, doc := range docs {
@@ -75,21 +79,21 @@ func newEncoder(dict *token.Dict, docs [][]int32, maxFeatures int) (*Encoder, []
 	e := &Encoder{
 		index: make(map[string]int, len(ids)),
 		words: make([]string, len(ids)),
+		df:    make([]int, len(ids)),
 		dict:  dict,
 		dimOf: make([]int32, dict.Len()),
 	}
 	for id := range e.dimOf {
 		e.dimOf[id] = -1
 	}
-	freqs := make([]int, len(ids))
 	for d, id := range ids {
 		w := dict.Word(id)
 		e.index[w] = d
 		e.words[d] = w
 		e.dimOf[id] = int32(d)
-		freqs[d] = int(df[id])
+		e.df[d] = int(df[id])
 	}
-	return e, freqs
+	return e
 }
 
 // internCorpus writes a corpus of strings as word IDs into a new
@@ -112,8 +116,7 @@ func NewBoW(corpus []string, maxFeatures int) *Encoder {
 
 // NewBoWIDs is NewBoW over a corpus of word IDs into dict.
 func NewBoWIDs(dict *token.Dict, docs [][]int32, maxFeatures int) *Encoder {
-	e, _ := newEncoder(dict, docs, maxFeatures)
-	return e
+	return newEncoder(dict, docs, maxFeatures)
 }
 
 // NewTFIDF builds a TF-IDF encoder over the corpus, keeping at most
@@ -126,10 +129,10 @@ func NewTFIDF(corpus []string, maxFeatures int) *Encoder {
 
 // NewTFIDFIDs is NewTFIDF over a corpus of word IDs into dict.
 func NewTFIDFIDs(dict *token.Dict, docs [][]int32, maxFeatures int) *Encoder {
-	e, freqs := newEncoder(dict, docs, maxFeatures)
+	e := newEncoder(dict, docs, maxFeatures)
 	n := float64(len(docs))
-	e.idf = make([]float64, len(freqs))
-	for i, df := range freqs {
+	e.idf = make([]float64, len(e.df))
+	for i, df := range e.df {
 		e.idf[i] = math.Log((1+n)/(1+float64(df))) + 1
 	}
 	return e
@@ -146,10 +149,15 @@ func (e *Encoder) textDims(dst []int32, text string) []int32 {
 	return dst
 }
 
-// idDims appends the feature dimension of each word of ids (word IDs
-// into dict) that has one, in text order. Words of the encoder's own
-// dictionary map through a table; others through their strings.
-func (e *Encoder) idDims(dst []int32, dict *token.Dict, ids []int32) []int32 {
+// IDF returns each feature dimension's inverse document frequency, or
+// nil for a bag-of-words encoder. The slice is the encoder's own: do
+// not change it.
+func (e *Encoder) IDF() []float64 { return e.idf }
+
+// AppendDims appends the feature dimension of each word of ids (word
+// IDs into dict) that has one, in text order. Words of the encoder's
+// own dictionary map through a table; others through their strings.
+func (e *Encoder) AppendDims(dst []int32, dict *token.Dict, ids []int32) []int32 {
 	if dict != e.dict {
 		for _, id := range ids {
 			if d, ok := e.index[dict.Word(id)]; ok {
@@ -172,7 +180,7 @@ func (e *Encoder) Encode(text string) []float64 { return e.dense(e.textDims(nil,
 
 // EncodeIDs is Encode for a text given as word IDs into dict.
 func (e *Encoder) EncodeIDs(dict *token.Dict, ids []int32) []float64 {
-	return e.dense(e.idDims(make([]int32, 0, len(ids)), dict, ids))
+	return e.dense(e.AppendDims(make([]int32, 0, len(ids)), dict, ids))
 }
 
 // dense is the L2-normalized dense vector of a text whose words have
@@ -213,48 +221,62 @@ func NewSparse(dims []int32, weights []float64) Sparse {
 
 // CountIDs returns each distinct ID of ids once, in increasing order,
 // with the number of times it occurs. Every ID must lie in [0, bound).
-// It counts in a pooled table and marks each ID's first occurrence in
-// a bitset of bound bits, whose set bits, read word by word, give the
-// IDs in order without a sort; reading a word clears it, which leaves
-// the table ready for the next call. ids is not changed.
+// It counts with a pooled Tally. ids is not changed.
 func CountIDs(ids []int32, bound int) (dims []int32, counts []float64) {
-	t := tallies.Get().(*tally)
+	t := tallies.Get().(*Tally)
 	defer tallies.Put(t)
 	if len(t.n) < bound {
-		t.n = make([]float64, bound)
-		t.bits = make([]uint64, (bound+63)/64)
+		*t = *NewTally(bound)
 	}
-	n, lo, hi := 0, len(t.bits), -1
+	return t.Count(ids, nil, nil)
+}
+
+var tallies = sync.Pool{New: func() any { return new(Tally) }}
+
+// Tally counts IDs below a bound, one list after another, in tables it
+// reuses: bits marks the IDs of the list being counted and n counts
+// them; both are all zero between calls.
+type Tally struct {
+	n    []uint32
+	bits []uint64
+}
+
+// NewTally returns a tally of IDs in [0, bound).
+func NewTally(bound int) *Tally {
+	return &Tally{n: make([]uint32, bound), bits: make([]uint64, (bound+63)/64)}
+}
+
+// Count appends each distinct ID of ids once, in increasing order, to
+// dims, and the number of times it occurs to counts; when they lack
+// room, each grows by what it needs. Every ID must lie below the
+// tally's bound. It counts every ID and marks it in a bitset without a
+// branch; the set bits, read word by word, give the IDs in order
+// without a sort, and reading a word and its counts clears them, which
+// leaves the tally ready for the next list. ids is not changed.
+func (t *Tally) Count(ids, dims []int32, counts []float64) ([]int32, []float64) {
+	lo, hi := len(t.bits), -1
 	for _, id := range ids {
-		w, bit := int(id>>6), uint64(1)<<(id&63)
-		if t.bits[w]&bit == 0 {
-			t.bits[w] |= bit
-			t.n[id] = 0
-			n++
-			lo, hi = min(lo, w), max(hi, w)
-		}
+		w := int(id >> 6)
+		t.bits[w] |= 1 << (id & 63)
 		t.n[id]++
+		lo, hi = min(lo, w), max(hi, w)
 	}
-	dims, counts = make([]int32, 0, n), make([]float64, 0, n)
+	n := 0
+	for w := lo; w <= hi; w++ {
+		n += bits.OnesCount64(t.bits[w])
+	}
+	dims, counts = slices.Grow(dims, n), slices.Grow(counts, n)
 	for w := lo; w <= hi; w++ {
 		for b := t.bits[w]; b != 0; b &= b - 1 {
 			id := int32(w<<6 + bits.TrailingZeros64(b))
 			dims = append(dims, id)
-			counts = append(counts, t.n[id])
+			counts = append(counts, float64(t.n[id]))
+			t.n[id] = 0
 		}
 		t.bits[w] = 0
 	}
 	return dims, counts
 }
-
-// tally is CountIDs' reusable state: n[id] counts id where its bit in
-// bits is set, and bits is all clear between calls.
-type tally struct {
-	n    []float64
-	bits []uint64
-}
-
-var tallies = sync.Pool{New: func() any { return new(tally) }}
 
 // EncodeSparse embeds text as a sparse L2-normalized vector, suitable
 // for similarity over large vocabularies.
@@ -263,7 +285,7 @@ func (e *Encoder) EncodeSparse(text string) Sparse { return e.sparse(e.textDims(
 // EncodeSparseIDs is EncodeSparse for a text given as word IDs into
 // dict.
 func (e *Encoder) EncodeSparseIDs(dict *token.Dict, ids []int32) Sparse {
-	return e.sparse(e.idDims(make([]int32, 0, len(ids)), dict, ids))
+	return e.sparse(e.AppendDims(make([]int32, 0, len(ids)), dict, ids))
 }
 
 // sparse is the sparse L2-normalized vector of a text whose words have
@@ -271,13 +293,39 @@ func (e *Encoder) EncodeSparseIDs(dict *token.Dict, ids []int32) Sparse {
 func (e *Encoder) sparse(dims []int32) Sparse {
 	dims, v := CountIDs(dims, len(e.words))
 	if e.idf != nil {
-		for i, d := range dims {
-			v[i] *= e.idf[d]
-		}
+		TFIDF(e.idf, dims, v)
+	} else {
+		normalize(v)
 	}
-	normalize(v)
 	return NewSparse(dims, v)
 }
+
+// TFIDF turns v, how often a text holds each of its distinct feature
+// dimensions dims, into the text's L2-normalized TF-IDF weights under
+// idf, in place, and returns the normalizer pre it divided them by:
+// the L2 norm of the products v[i]·idf[dims[i]], summed in dimension
+// order (0 when dims is empty). Counts and idf must be positive, as an
+// encoder's are. Each weight is Weight(count, idf[d], pre), so an index
+// that keeps only the counts, idf and pre rebuilds the same bits.
+func TFIDF(idf []float64, dims []int32, v []float64) (pre float64) {
+	var sq float64
+	for i, d := range dims {
+		x := float64(v[i] * idf[d])
+		sq += x * x
+	}
+	pre = math.Sqrt(sq)
+	for i, d := range dims {
+		v[i] = Weight(v[i], idf[d], pre)
+	}
+	return pre
+}
+
+// Weight is the TF-IDF weight of a dimension a text holds count times,
+// under inverse document frequency idf, in a text whose normalizer is
+// pre (see TFIDF). The conversion rounds the product to a float64
+// before the division, as the Go spec requires of it, so no compiler
+// may fuse the two and every caller gets the same bits.
+func Weight(count, idf, pre float64) float64 { return float64(count*idf) / pre }
 
 func normalize(v []float64) {
 	var norm float64

@@ -14,6 +14,7 @@ package predictors
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"slices"
 	"strings"
 	"sync"
@@ -22,6 +23,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/prompt"
 	"repro/internal/tag"
+	"repro/internal/token"
 	"repro/internal/xrand"
 )
 
@@ -293,61 +295,89 @@ func (k labeled) Append(dst []tag.NodeID) []tag.NodeID {
 	return dst
 }
 
-// Similarity caches TF-IDF sparse embeddings of all node texts and
-// scores node pairs by cosine — the offline SimCSE substitute. Scores
-// are sums in dimension order over sorted vectors with stored norms,
-// so a pair scores bit-identically on every call, in either order, and
-// in every index built from the same graph.
+// Similarity scores node pairs by the cosine of their text vectors:
+// TF-IDF vectors of the node texts, the offline SimCSE substitute, or
+// precomputed embeddings. Scores are sums in dimension order over
+// sorted vectors with stored norms, so a pair scores bit-identically on
+// every call, in either order, and in every index built from the same
+// input.
 type Similarity struct {
 	vecs vectors
 	dims int // every vector's dimensions lie below dims
 }
 
-// NewSimilarity precomputes embeddings for every node of g, straight
-// from the graph's word IDs, and packs them (see packed).
-func NewSimilarity(g *tag.Graph) *Similarity {
-	docs := g.Corpus()
-	enc := encode.NewTFIDFIDs(g.Dict(), docs, 0)
-	vecs := make([]encode.Sparse, len(docs))
-	for i, doc := range docs {
-		vecs[i] = enc.EncodeSparseIDs(g.Dict(), doc)
+// NewSimilarity indexes the TF-IDF vector of every node of g, counted
+// straight from the graph's word IDs. It holds them as term counts (see
+// countVectors) when they fit, as every shipped dataset's do, and as
+// float64 weights otherwise (see weightVectors); the scores are the
+// same bits either way.
+func NewSimilarity(g *tag.Graph) *Similarity { return newTFIDF(g.Dict(), g.Corpus()) }
+
+// newTFIDF indexes the TF-IDF vectors of docs, texts of word IDs into
+// dict, under an encoder fitted on docs. One reused tally counts each
+// text's dimensions. A text holds each of its distinct dimensions once,
+// so the texts hold as many entries as the dimensions' document
+// frequencies add up to, and the arrays are sized exactly up front.
+func newTFIDF(dict *token.Dict, docs [][]int32) *Similarity {
+	enc := encode.NewTFIDFIDs(dict, docs, 0)
+	dims, idf := enc.Dims(), enc.IDF()
+	entries := 0
+	for d := 0; d < dims; d++ {
+		entries += enc.DocFreq(d)
 	}
-	return newSimilarity(vecs, enc.Dims())
+	tally := encode.NewTally(dims)
+	var ids, ds []int32
+	var ns []float64
+	// count returns docs[i]'s distinct dimensions, increasing, and how
+	// often it holds each.
+	count := func(i int) ([]int32, []float64) {
+		ids = enc.AppendDims(ids[:0], dict, docs[i])
+		ds, ns = tally.Count(ids, ds[:0], ns[:0])
+		return ds, ns
+	}
+	if dims <= 1<<16 {
+		p, ok := newCountVectors(len(docs), entries, idf), true
+		for i := 0; ok && i < len(docs); i++ {
+			ok = p.add(count(i))
+		}
+		if ok {
+			return &Similarity{vecs: p, dims: dims}
+		}
+	}
+	p := newWeightVectors(len(docs), entries)
+	for i := range docs {
+		d, c := count(i)
+		encode.TFIDF(idf, d, c)
+		p.add(d, c)
+	}
+	return &Similarity{vecs: p, dims: dims}
 }
 
 // NewSimilarityDense builds an index from precomputed dense embeddings,
 // one per node — the hook for alternative text encoders (skip-gram,
-// hashing) to back SNS instead of the TF-IDF default.
+// hashing) to back SNS instead of the TF-IDF default. It holds each
+// vector's nonzero entries as float64 weights.
 func NewSimilarityDense(vecs [][]float64) *Similarity {
-	sparse := make([]encode.Sparse, len(vecs))
-	dims := 0
-	for i, v := range vecs {
+	dims, entries := 0, 0
+	for _, v := range vecs {
 		dims = max(dims, len(v))
-		n := 0
 		for _, x := range v {
 			if x != 0 {
-				n++
+				entries++
 			}
 		}
-		ds, weights := make([]int32, 0, n), make([]float64, 0, n)
+	}
+	p := newWeightVectors(len(vecs), entries)
+	for _, v := range vecs {
 		for d, x := range v {
 			if x != 0 {
-				ds = append(ds, int32(d))
-				weights = append(weights, x)
+				p.dims = append(p.dims, int32(d))
+				p.weights = append(p.weights, x)
 			}
 		}
-		sparse[i] = encode.NewSparse(ds, weights)
+		p.end()
 	}
-	return newSimilarity(sparse, dims)
-}
-
-// newSimilarity packs vecs, whose dimensions lie below dims, with
-// 16-bit dimensions when they all fit.
-func newSimilarity(vecs []encode.Sparse, dims int) *Similarity {
-	if dims <= 1<<16 {
-		return &Similarity{vecs: pack[uint16](vecs), dims: dims}
-	}
-	return &Similarity{vecs: pack[int32](vecs), dims: dims}
+	return &Similarity{vecs: p, dims: dims}
 }
 
 // Score returns the similarity of nodes a and b.
@@ -365,58 +395,176 @@ func (s *Similarity) Scores(v tag.NodeID, us []tag.NodeID, dst []float64) []floa
 	return dst
 }
 
-// vectors is the packed vectors of an index (a *packed).
+// vectors is an index's vectors in one of its two layouts.
 type vectors interface {
+	// score is encode.CosineSparse of nodes a and b: the products of
+	// their shared dimensions summed in dimension order, over their
+	// norms.
 	score(a, b tag.NodeID) float64
+	// scores is Similarity.Scores with a zeroed dense table of the
+	// index's dimensions, which it leaves zeroed. It scatters v's
+	// weights into the table once, then sums each node's products with
+	// it in dimension order, the order score merges them in, skipping
+	// the dimensions v lacks, where the merge adds nothing.
 	scores(table []float64, v tag.NodeID, us []tag.NodeID, dst []float64) []float64
 }
 
-// packed holds every node's vector in one array of dimensions and one
-// of weights, node after node, and its norm; node i's entries are
-// [start[i], start[i+1]). Dimensions are stored as D: 16 bits when
-// they fit, as they do for every shipped dataset's vocabulary, which
-// holds pubmed's index in about a sixth less heap than 32 bits. The
-// weights are the encoder's float64s, so scores are the same bits
-// with either D.
-type packed[D uint16 | int32] struct {
+// countVectors holds TF-IDF vectors as term counts, node after node:
+// node v's distinct dimensions, increasing, are
+// dims[start[v]:start[v+1]], and counts[i] says how often its text
+// holds dims[i]. Its weight there is encode.Weight(counts[i],
+// idf[dims[i]], pre[v]), the operations encode.TFIDF weighs it with,
+// so the rebuilt weight is the encoder's, bit for bit; norms[v] is the
+// norm of v's weights. An entry takes 3 bytes, against 10 as a 16-bit
+// dimension and a float64 weight. Offsets fit in 32 bits because a
+// graph's word offsets do.
+type countVectors struct {
+	start  []int32
+	dims   []uint16
+	counts []uint8
+	idf    []float64 // per dimension: the encoder's own table
+	pre    []float64 // per node: the normalizer of its weights
+	norms  []float64
+}
+
+// newCountVectors returns an empty index with room for nodes vectors
+// of entries entries in all, weighed under idf.
+func newCountVectors(nodes, entries int, idf []float64) *countVectors {
+	return &countVectors{
+		start:  make([]int32, 1, nodes+1),
+		dims:   make([]uint16, 0, entries),
+		counts: make([]uint8, 0, entries),
+		idf:    idf,
+		pre:    make([]float64, 0, nodes),
+		norms:  make([]float64, 0, nodes),
+	}
+}
+
+// add appends the vector of a text that holds each of the distinct
+// dimensions dims, increasing, counts[i] times, and turns counts into
+// the text's weights. It reports false, leaving p unusable, when a
+// count does not fit in 8 bits.
+func (p *countVectors) add(dims []int32, counts []float64) bool {
+	for i, d := range dims {
+		if counts[i] > math.MaxUint8 {
+			return false
+		}
+		p.dims = append(p.dims, uint16(d))
+		p.counts = append(p.counts, uint8(counts[i]))
+	}
+	p.start = append(p.start, int32(len(p.dims)))
+	p.pre = append(p.pre, encode.TFIDF(p.idf, dims, counts))
+	p.norms = append(p.norms, encode.NewSparse(dims, counts).Norm)
+	return true
+}
+
+// vector returns node v's dimensions and counts.
+func (p *countVectors) vector(v tag.NodeID) ([]uint16, []uint8) {
+	lo, hi := p.start[v], p.start[v+1]
+	return p.dims[lo:hi], p.counts[lo:hi]
+}
+
+func (p *countVectors) score(a, b tag.NodeID) float64 {
+	na, nb := p.norms[a], p.norms[b]
+	if na == 0 || nb == 0 {
+		return 0
+	}
+	ad, ac := p.vector(a)
+	bd, bc := p.vector(b)
+	pa, pb := p.pre[a], p.pre[b]
+	var dot float64
+	for i, j := 0, 0; i < len(ad) && j < len(bd); {
+		switch da, db := ad[i], bd[j]; {
+		case da < db:
+			i++
+		case da > db:
+			j++
+		default:
+			idf := p.idf[da]
+			dot += encode.Weight(float64(ac[i]), idf, pa) * encode.Weight(float64(bc[j]), idf, pb)
+			i++
+			j++
+		}
+	}
+	return dot / (na * nb)
+}
+
+func (p *countVectors) scores(table []float64, v tag.NodeID, us []tag.NodeID, dst []float64) []float64 {
+	ad, ac := p.vector(v)
+	pv := p.pre[v]
+	for i, d := range ad {
+		table[d] = encode.Weight(float64(ac[i]), p.idf[d], pv)
+	}
+	na := p.norms[v]
+	for _, u := range us {
+		nb := p.norms[u]
+		if na == 0 || nb == 0 {
+			dst = append(dst, 0)
+			continue
+		}
+		bd, bc := p.vector(u)
+		bc = bc[:len(bd)] // so the loop indexes bc without a bounds check
+		pu := p.pre[u]
+		var dot float64
+		for j, d := range bd {
+			if x := table[d]; x != 0 {
+				dot += x * encode.Weight(float64(bc[j]), p.idf[d], pu)
+			}
+		}
+		dst = append(dst, dot/(na*nb))
+	}
+	for _, d := range ad {
+		table[d] = 0
+	}
+	return dst
+}
+
+// weightVectors holds vectors as float64 weights, node after node:
+// node v's nonzero dimensions, increasing, are
+// dims[start[v]:start[v+1]], with the weights at the same positions,
+// and norms[v] is their norm. It holds what countVectors cannot:
+// dense embeddings, dimensions past 16 bits and counts past 8.
+type weightVectors struct {
 	start   []int
-	dims    []D
+	dims    []int32
 	weights []float64
 	norms   []float64
 }
 
-// pack packs vecs, whose dimensions all fit in D.
-func pack[D uint16 | int32](vecs []encode.Sparse) *packed[D] {
-	total := 0
-	for _, v := range vecs {
-		total += len(v.Dims)
+// newWeightVectors returns an empty index with room for nodes vectors
+// of entries entries in all.
+func newWeightVectors(nodes, entries int) *weightVectors {
+	return &weightVectors{
+		start:   make([]int, 1, nodes+1),
+		dims:    make([]int32, 0, entries),
+		weights: make([]float64, 0, entries),
+		norms:   make([]float64, 0, nodes),
 	}
-	p := &packed[D]{
-		start:   make([]int, 1, len(vecs)+1),
-		dims:    make([]D, 0, total),
-		weights: make([]float64, 0, total),
-		norms:   make([]float64, len(vecs)),
-	}
-	for i, v := range vecs {
-		for _, d := range v.Dims {
-			p.dims = append(p.dims, D(d))
-		}
-		p.weights = append(p.weights, v.Weights...)
-		p.start = append(p.start, len(p.dims))
-		p.norms[i] = v.Norm
-	}
-	return p
+}
+
+// add appends the vector with the given dimensions, increasing, and
+// weights.
+func (p *weightVectors) add(dims []int32, weights []float64) {
+	p.dims = append(p.dims, dims...)
+	p.weights = append(p.weights, weights...)
+	p.end()
+}
+
+// end closes the vector whose entries were appended since the last
+// one: it records where the next begins, and the vector's norm.
+func (p *weightVectors) end() {
+	lo := p.start[len(p.start)-1]
+	p.start = append(p.start, len(p.dims))
+	p.norms = append(p.norms, encode.NewSparse(p.dims[lo:], p.weights[lo:]).Norm)
 }
 
 // vector returns node v's dimensions and weights.
-func (p *packed[D]) vector(v tag.NodeID) ([]D, []float64) {
+func (p *weightVectors) vector(v tag.NodeID) ([]int32, []float64) {
 	lo, hi := p.start[v], p.start[v+1]
 	return p.dims[lo:hi], p.weights[lo:hi]
 }
 
-// score is encode.CosineSparse of nodes a and b: the products of their
-// shared dimensions summed in dimension order, over their norms.
-func (p *packed[D]) score(a, b tag.NodeID) float64 {
+func (p *weightVectors) score(a, b tag.NodeID) float64 {
 	na, nb := p.norms[a], p.norms[b]
 	if na == 0 || nb == 0 {
 		return 0
@@ -439,12 +587,7 @@ func (p *packed[D]) score(a, b tag.NodeID) float64 {
 	return dot / (na * nb)
 }
 
-// scores is Similarity.Scores with a zeroed dense table of the index's
-// dimensions, which it leaves zeroed. It scatters v's vector into the
-// table once, then sums each node's products with it in dimension
-// order, the order score merges them in, skipping the dimensions v
-// lacks, where the merge adds nothing.
-func (p *packed[D]) scores(table []float64, v tag.NodeID, us []tag.NodeID, dst []float64) []float64 {
+func (p *weightVectors) scores(table []float64, v tag.NodeID, us []tag.NodeID, dst []float64) []float64 {
 	ad, aw := p.vector(v)
 	for i, d := range ad {
 		table[d] = aw[i]

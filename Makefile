@@ -37,13 +37,17 @@ test:
 # whichever selection comes first and then read by every worker. The
 # SNS similarity index is built the same way, by whichever selection
 # runs first, through the term-count build (encode.Tally straight into
-# the index's arrays), so its first-use test is repeated as well.
+# the index's arrays), so its first-use test is repeated as well. The
+# observability layer's span ring, ledger ring and SLO window share one
+# ring type with no lock of its own, each guarded by its owner's mutex,
+# so its concurrency test is repeated too: a missing lock shows there.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=10 -run 'TestConcurrentPutGet|TestStatsReconcileWithMetrics' ./internal/promptcache/
 	$(GO) test -race -count=10 -run TestEvictionUnderConcurrentExecute ./internal/batch/
 	$(GO) test -race -count=10 -run 'TestReachMatchesWalk$$|TestReachConcurrent' ./internal/tag/
 	$(GO) test -race -count=10 -run 'TestFixedLabelsConcurrentFirstUse|TestSNSConcurrentFirstUse' ./internal/predictors/
+	$(GO) test -race -count=10 -run TestRingOwnersConcurrent ./internal/obs/
 
 bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' .

@@ -172,7 +172,7 @@ func BoostWith(ctx *predictors.Context, m predictors.Method, p llm.Predictor, pl
 		outs := make([]QueryOutcome, len(cands))
 		batch.FanOut(len(cands), ecfg.Workers, func(i int) {
 			c := cands[i]
-			outs[i] = e.ask(ctx.Graph, planQuery(ctx, m, c.v, c.sel, plan.Prune[c.v], ecfg.Compress, rec, "boost"), "boost", link)
+			outs[i] = e.ask(ctx.Graph, planQuery(ctx, m, c.v, c.sel, plan.Prune[c.v], ecfg.Compress, rec, "boost"), "boost", link, true)
 		})
 		executedSet := make(map[tag.NodeID]bool, len(outs))
 		answered := outs[:0]

@@ -469,9 +469,10 @@ func NewExecutor(p llm.Predictor, cfg ExecConfig, rec obs.Recorder) (*Executor, 
 // Query answers node v as ExecuteWith answers a one-query plan: it
 // selects v's neighbors with m, builds and compresses the prompt and
 // asks it. Concurrent calls are safe and share the executor's breaker,
-// budget, pacing and pool.
+// budget, pacing and pool. Query records no SLO sample: the caller
+// owns the request (the serve tier records one per answer).
 func (e *Executor) Query(ctx *predictors.Context, m predictors.Method, v tag.NodeID) QueryOutcome {
-	return e.ask(ctx.Graph, planQuery(ctx, m, v, m.Select(ctx, v), false, e.cfg.Compress, e.rec, "plain"), "plain", nil)
+	return e.ask(ctx.Graph, planQuery(ctx, m, v, m.Select(ctx, v), false, e.cfg.Compress, e.rec, "plain"), "plain", nil, false)
 }
 
 // ask asks one planned query through the executor on the calling
@@ -482,10 +483,13 @@ func (e *Executor) Query(ctx *predictors.Context, m predictors.Method, v tag.Nod
 // hop) nests spans and charges stages into them. When the config has a
 // Fallback, the surrogate answers a permanent failure. ask records the
 // per-query metrics under mode and hands the outcome to OnResult before
-// returning it.
-func (e *Executor) ask(g *tag.Graph, q plannedQuery, mode string, link []string) QueryOutcome {
+// returning it. A plan query is a whole request, so ask records its
+// latency as one SLO sample when plan is set; Query's request belongs
+// to its caller, which records it.
+func (e *Executor) ask(g *tag.Graph, q plannedQuery, mode string, link []string, plan bool) QueryOutcome {
 	id := strconv.Itoa(int(q.v))
-	qctx, root := obs.StartSpanCtx(context.Background(), e.rec, "core.query",
+	start := time.Now()
+	qctx, root := obs.StartSpanCtxAt(context.Background(), e.rec, "core.query", start,
 		append([]string{"mode", mode, "node", id}, link...)...)
 	var led *obs.Ledger
 	if root.Sampled() {
@@ -511,7 +515,10 @@ func (e *Executor) ask(g *tag.Graph, q plannedQuery, mode string, link []string)
 			root.SetAttr("outcome", "cached")
 		}
 		root.EndAt(o.Finished)
-		led.Close(o.Finished.Sub(root.StartTime()))
+		led.Close(o.Finished.Sub(start))
+	}
+	if plan {
+		obs.RecordSLO(e.rec, o.Finished.Sub(start))
 	}
 	out := settle(g, e.cfg.Fallback, q, o)
 	recordOutcome(e.rec, mode, out)
@@ -565,7 +572,7 @@ func ExecuteWith(ctx *predictors.Context, m predictors.Method, p llm.Predictor, 
 		if !pruned {
 			sel = m.Select(ctx, v)
 		}
-		outs[i] = e.ask(ctx.Graph, planQuery(ctx, m, v, sel, pruned, cfg.Compress, rec, "plain"), "plain", link)
+		outs[i] = e.ask(ctx.Graph, planQuery(ctx, m, v, sel, pruned, cfg.Compress, rec, "plain"), "plain", link, true)
 	})
 	res := &Results{Pred: make(map[tag.NodeID]string, len(plan.Queries)), Rounds: 1}
 	var qerrs QueryErrors

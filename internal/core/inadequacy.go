@@ -122,7 +122,7 @@ func FitInadequacy(g *tag.Graph, labeled []tag.NodeID, p llm.Predictor, nodeType
 			Categories:     g.Classes,
 			NodeType:       nodeType,
 		}
-		outs[i] = ex.ask(g, plannedQuery{v: v, prompt: q.Render()}, "calibration", nil)
+		outs[i] = ex.ask(g, plannedQuery{v: v, prompt: q.Render()}, "calibration", nil, true)
 	})
 	// Failed calibration queries are dropped rather than voiding the
 	// whole fit: the bias ratios and the channel regression are sample

@@ -200,6 +200,27 @@ func TestSLOVerdictEndToEnd(t *testing.T) {
 	}
 }
 
+// TestSLOSamplesUntracedQueries: every plan query is one SLO sample
+// even when tracing samples none of them.
+func TestSLOSamplesUntracedQueries(t *testing.T) {
+	f := newFixture(t, 300, 25, 9)
+	plan := Plan{Queries: f.split.Query}
+	reg := obs.NewRegistry()
+	reg.SetTraceSample(0)
+	reg.SetSLO(obs.SLO{Objective: time.Hour})
+	ctx := f.freshCtx()
+	ctx.Obs = reg
+	if _, err := ExecuteWith(ctx, predictors.KHopRandom{K: 1}, f.sim, plan, ExecConfig{Workers: 2}); err != nil {
+		t.Fatal(err)
+	}
+	if rep := reg.SLOReport(); rep.Samples != len(plan.Queries) || !rep.Pass {
+		t.Fatalf("SLO report after %d untraced queries: %+v", len(plan.Queries), rep)
+	}
+	if got := len(reg.Ledgers()); got != 0 {
+		t.Fatalf("%d ledgers closed at trace sample 0", got)
+	}
+}
+
 // TestBoostRunLinksQueryTracesToRounds checks the boost path's trace
 // shape: a core.plan trace containing one core.round span per round,
 // and every query root carrying plan_trace/round attributes that link

@@ -156,23 +156,9 @@ func (d *dataset) ctx(cfg Config) *predictors.Context {
 		Known:        predictors.KnownFromSplit(d.g, d.split),
 		M:            m,
 		Seed:         cfg.Seed,
-		NodeType:     nodeTypeOf(d.spec),
-		EdgeRelation: edgeRelationOf(d.spec),
+		NodeType:     d.g.NodeType,
+		EdgeRelation: d.g.EdgeRelation,
 	}
-}
-
-func nodeTypeOf(spec tag.Spec) string {
-	if spec.NodeType == "Product" {
-		return "product"
-	}
-	return "paper"
-}
-
-func edgeRelationOf(spec tag.Spec) string {
-	if spec.EdgeType == "Co-purchase" {
-		return "co-purchase"
-	}
-	return "citation"
 }
 
 // sim instantiates a simulated LLM for the dataset.
@@ -207,7 +193,7 @@ func (d *dataset) inadequacyConfig(cfg Config) core.InadequacyConfig {
 
 // fitInadequacy fits the measure once per (dataset, predictor).
 func (d *dataset) fitInadequacy(p llm.Predictor, cfg Config) (*core.Inadequacy, error) {
-	return core.FitInadequacy(d.g, d.split.Labeled, p, nodeTypeOf(d.spec), d.inadequacyConfig(cfg))
+	return core.FitInadequacy(d.g, d.split.Labeled, p, d.g.NodeType, d.inadequacyConfig(cfg))
 }
 
 // datasetNames returns the evaluation datasets under the config's size

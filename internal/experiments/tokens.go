@@ -83,7 +83,7 @@ func runTable5(cfg Config) (string, error) {
 				TargetTitle:    d.g.TitleIDs(v),
 				TargetAbstract: d.g.AbstractIDs(v),
 				Categories:     d.g.Classes,
-				NodeType:       nodeTypeOf(d.spec),
+				NodeType:       d.g.NodeType,
 			}
 			resp, err := sim.Query(q.Render())
 			if err != nil {

@@ -50,7 +50,8 @@ func (h *Handler) Requests() int { return int(h.requests.Load()) }
 // Requests carrying a W3C traceparent header join the caller's trace
 // (the request span's parent is the caller's span, across the process
 // boundary); every traced request gets the X-Trace-Id response header
-// and a per-request ledger billing the predictor call.
+// and a per-request ledger billing the predictor call. Every request,
+// traced or not, is one SLO sample.
 func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	rec := obs.Active(h.Obs)
@@ -75,6 +76,7 @@ func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 	total := time.Since(start)
 	rec.Observe("mqo_http_request_duration_seconds", total.Seconds())
+	obs.RecordSLO(rec, total)
 	span.SetAttr("code", code)
 	if inTokens > 0 {
 		span.SetAttr("input_tokens", strconv.Itoa(inTokens))

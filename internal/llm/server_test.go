@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/tag"
 )
 
 // blockingPredictor parks Query for the prompt "slow" until released
@@ -184,5 +185,30 @@ func TestHandlerRecordsMetricsAndUsageHeaders(t *testing.T) {
 	}
 	if got := reg.HistogramCount("mqo_sim_predict_duration_seconds"); got != 1 {
 		t.Fatalf("sim latency observations = %d, want 1", got)
+	}
+}
+
+// TestHandlerSLOSampleEveryRequest: every chat request the handler
+// serves is one SLO sample, whether or not tracing sampled it.
+func TestHandlerSLOSampleEveryRequest(t *testing.T) {
+	g, _ := testGraph(t, 200)
+	reg := obs.NewRegistry()
+	reg.SetTraceSample(0)
+	reg.SetSLO(obs.SLO{Objective: time.Hour})
+	h := NewHandler(NewSim(GPT35(), g.Vocab, g.Classes, 1))
+	h.Obs = reg
+	const requests = 5
+	for i := 0; i < requests; i++ {
+		rw := httptest.NewRecorder()
+		h.ServeHTTP(rw, httptest.NewRequest("POST", ChatCompletionsPath, chatBody(buildVanilla(g, tag.NodeID(i)))))
+		if rw.Code != http.StatusOK {
+			t.Fatalf("code = %d: %s", rw.Code, rw.Body.String())
+		}
+	}
+	if rep := reg.SLOReport(); rep.Samples != requests || !rep.Pass {
+		t.Fatalf("SLO report after %d untraced requests: %+v", requests, rep)
+	}
+	if got := len(reg.Ledgers()); got != 0 {
+		t.Fatalf("%d ledgers closed at trace sample 0", got)
 	}
 }

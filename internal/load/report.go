@@ -124,9 +124,9 @@ func buildReport(sc Scenario, target string, samples []sample, sched []time.Dura
 	}
 	if rep.OK > 0 {
 		sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-		rep.P50MS = roundMS(quantile(lats, 0.50))
-		rep.P95MS = roundMS(quantile(lats, 0.95))
-		rep.P99MS = roundMS(quantile(lats, 0.99))
+		rep.P50MS = roundMS(obs.Quantile(lats, 0.50))
+		rep.P95MS = roundMS(obs.Quantile(lats, 0.95))
+		rep.P99MS = roundMS(obs.Quantile(lats, 0.99))
 		rep.MaxMS = roundMS(lats[len(lats)-1])
 		var sum time.Duration
 		for _, l := range lats {
@@ -152,20 +152,6 @@ func buildReport(sc Scenario, target string, samples []sample, sched []time.Dura
 	}
 	rep.SLOAgree = !rep.SLO.Configured || rep.SLO.Pass == rep.SLOPass
 	return rep, nil
-}
-
-// quantile is the nearest-rank quantile over sorted samples — the same
-// formula obs's SLO engine uses, so the client- and server-side tails
-// are comparable definitionally, not just numerically.
-func quantile(sorted []time.Duration, p float64) time.Duration {
-	idx := int(float64(len(sorted))*p+0.9999999) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(sorted) {
-		idx = len(sorted) - 1
-	}
-	return sorted[idx]
 }
 
 func roundMS(d time.Duration) float64 {

@@ -179,11 +179,13 @@ func startInProcess(sc Scenario, g *tag.Graph) (*httptest.Server, *serve.Server,
 	}
 	split := g.SplitPerClass(xrand.New(sc.Seed+1), sc.Topology.Labeled, 0)
 	pctx := &predictors.Context{
-		Graph: g,
-		Known: predictors.KnownFromSplit(g, split),
-		M:     sc.Topology.M,
-		Seed:  sc.Seed,
-		Obs:   reg,
+		Graph:        g,
+		Known:        predictors.KnownFromSplit(g, split),
+		M:            sc.Topology.M,
+		Seed:         sc.Seed,
+		NodeType:     g.NodeType,
+		EdgeRelation: g.EdgeRelation,
+		Obs:          reg,
 	}
 	var pred llm.Predictor = llm.NewSim(llm.GPT35(), g.Vocab, g.Classes, sc.Seed)
 	if sc.Faults.enabled() {

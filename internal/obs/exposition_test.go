@@ -36,17 +36,6 @@ func TestExpositionEscapesLabelValues(t *testing.T) {
 	}
 }
 
-func TestExpositionEscapesHelp(t *testing.T) {
-	r := NewRegistry()
-	r.DeclareCounter("helpful_total", "line one\nline \\two")
-	r.Add("helpful_total", 1)
-	var buf bytes.Buffer
-	_ = r.WritePrometheus(&buf)
-	if !strings.Contains(buf.String(), `# HELP helpful_total line one\nline \\two`) {
-		t.Fatalf("HELP not escaped:\n%s", buf.String())
-	}
-}
-
 func TestSnapshotRoundTripsEscapedLabels(t *testing.T) {
 	r := NewRegistry()
 	val := "a\"b\\c\nd"
@@ -59,38 +48,41 @@ func TestSnapshotRoundTripsEscapedLabels(t *testing.T) {
 
 func TestHistogramInfBucketMatchesCount(t *testing.T) {
 	r := NewRegistry()
-	r.DeclareHistogram("h_seconds", "", []float64{0.1, 1})
-	// One sample per region: under first bucket, between, over all.
+	// One sample per region: under the 0.1 bound, between 0.1 and 1,
+	// over every bound.
 	r.Observe("h_seconds", 0.05)
 	r.Observe("h_seconds", 0.5)
 	r.Observe("h_seconds", 99) // lands only in +Inf
 	var buf bytes.Buffer
 	_ = r.WritePrometheus(&buf)
 
-	var infCum, count uint64
+	var count uint64
 	var sum float64
-	var buckets []uint64
+	cum := map[string]uint64{} // le -> cumulative count
+	var les []string
 	sc := bufio.NewScanner(&buf)
 	for sc.Scan() {
 		line := sc.Text()
 		fields := strings.Fields(line)
 		switch {
-		case strings.HasPrefix(line, `h_seconds_bucket{le="+Inf"}`):
-			infCum, _ = strconv.ParseUint(fields[1], 10, 64)
-		case strings.HasPrefix(line, "h_seconds_bucket"):
-			v, _ := strconv.ParseUint(fields[1], 10, 64)
-			buckets = append(buckets, v)
+		case strings.HasPrefix(line, `h_seconds_bucket{le="`):
+			le := strings.TrimSuffix(strings.TrimPrefix(fields[0], `h_seconds_bucket{le="`), `"}`)
+			cum[le], _ = strconv.ParseUint(fields[1], 10, 64)
+			les = append(les, le)
 		case strings.HasPrefix(line, "h_seconds_sum"):
 			sum, _ = strconv.ParseFloat(fields[1], 64)
 		case strings.HasPrefix(line, "h_seconds_count"):
 			count, _ = strconv.ParseUint(fields[1], 10, 64)
 		}
 	}
-	if count != 3 || infCum != count {
-		t.Fatalf("+Inf bucket %d vs count %d (want both 3)", infCum, count)
+	if count != 3 || cum["+Inf"] != count {
+		t.Fatalf("+Inf bucket %d vs count %d (want both 3)", cum["+Inf"], count)
 	}
-	if len(buckets) != 2 || buckets[0] != 1 || buckets[1] != 2 {
-		t.Fatalf("cumulative buckets = %v, want [1 2]", buckets)
+	if len(les) != len(bounds)+1 {
+		t.Fatalf("%d bucket lines, want %d", len(les), len(bounds)+1)
+	}
+	if cum["0.025"] != 0 || cum["0.1"] != 1 || cum["0.25"] != 1 || cum["1"] != 2 || cum["10"] != 2 {
+		t.Fatalf("cumulative buckets = %v, want 0.1:1 1:2 10:2", cum)
 	}
 	if sum < 99.54 || sum > 99.56 {
 		t.Fatalf("sum = %v, want 99.55", sum)
@@ -99,13 +91,12 @@ func TestHistogramInfBucketMatchesCount(t *testing.T) {
 
 func TestHistogramInfOnlySample(t *testing.T) {
 	r := NewRegistry()
-	r.DeclareHistogram("inf_seconds", "", []float64{0.001})
 	r.Observe("inf_seconds", 1e9)
 	var buf bytes.Buffer
 	_ = r.WritePrometheus(&buf)
 	out := buf.String()
-	if !strings.Contains(out, `inf_seconds_bucket{le="0.001"} 0`) {
-		t.Fatalf("finite bucket should be 0:\n%s", out)
+	if !strings.Contains(out, `inf_seconds_bucket{le="10"} 0`) {
+		t.Fatalf("largest finite bucket should be 0:\n%s", out)
 	}
 	if !strings.Contains(out, `inf_seconds_bucket{le="+Inf"} 1`) {
 		t.Fatalf("+Inf bucket should be 1:\n%s", out)

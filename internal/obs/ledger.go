@@ -172,10 +172,12 @@ func (l *Ledger) BilledWall() time.Duration {
 }
 
 // Close publishes the ledger: aggregates into the mqo_trace_* metric
-// families, feeds the SLO engine and slow-query log, and retains the
-// snapshot for /debug/querytrace. total is the query's end-to-end
-// duration (the root span's). Closing twice publishes once; the first
-// close wins. Returns the published snapshot (zero for nil ledgers).
+// families, feeds the slow-query log, and retains the snapshot for
+// /debug/querytrace. It does not feed the SLO engine: the request's
+// owner records one sample, traced or not (RecordSLO). total is the
+// query's end-to-end duration (the root span's). Closing twice
+// publishes once; the first close wins. Returns the published snapshot
+// (zero for nil ledgers).
 func (l *Ledger) Close(total time.Duration) LedgerSnapshot {
 	if l == nil {
 		return LedgerSnapshot{}
@@ -219,7 +221,6 @@ func (l *Ledger) Close(total time.Duration) LedgerSnapshot {
 			r.Add(metricTraceStageTokens, float64(t.Tokens), "stage", t.Stage, "billed", billed)
 		}
 	}
-	r.recordSLOSample(total)
 	r.ledgers.push(snap)
 	return snap
 }
@@ -232,14 +233,11 @@ const (
 	metricTraceStageTokens  = "mqo_trace_stage_tokens_total"
 )
 
-// ledgerStore is a fixed-capacity overwrite-oldest ring of closed
-// ledgers plus the slow-query log wiring.
+// ledgerStore is the ring of recently closed ledgers plus the
+// slow-query log wiring, all under one mutex.
 type ledgerStore struct {
-	mu       sync.Mutex
-	capacity int
-	buf      []LedgerSnapshot
-	next     int
-	full     bool
+	mu   sync.Mutex
+	ring ring[LedgerSnapshot]
 
 	slowThresh time.Duration
 	slowLog    *Logger
@@ -247,18 +245,7 @@ type ledgerStore struct {
 
 func (ls *ledgerStore) push(snap LedgerSnapshot) {
 	ls.mu.Lock()
-	if ls.capacity <= 0 {
-		ls.capacity = DefaultLedgerCapacity
-	}
-	if ls.buf == nil {
-		ls.buf = make([]LedgerSnapshot, ls.capacity)
-	}
-	ls.buf[ls.next] = snap
-	ls.next++
-	if ls.next == len(ls.buf) {
-		ls.next = 0
-		ls.full = true
-	}
+	ls.ring.push(snap)
 	thresh, log := ls.slowThresh, ls.slowLog
 	ls.mu.Unlock()
 
@@ -282,30 +269,19 @@ func (ls *ledgerStore) push(snap LedgerSnapshot) {
 	}
 }
 
-func (ls *ledgerStore) snapshot() []LedgerSnapshot {
-	ls.mu.Lock()
-	defer ls.mu.Unlock()
-	if ls.buf == nil {
-		return nil
-	}
-	if !ls.full {
-		return append([]LedgerSnapshot(nil), ls.buf[:ls.next]...)
-	}
-	out := make([]LedgerSnapshot, 0, len(ls.buf))
-	out = append(out, ls.buf[ls.next:]...)
-	out = append(out, ls.buf[:ls.next]...)
-	return out
-}
-
 // Ledgers returns the retained closed ledgers, oldest first.
-func (r *Registry) Ledgers() []LedgerSnapshot { return r.ledgers.snapshot() }
+func (r *Registry) Ledgers() []LedgerSnapshot {
+	r.ledgers.mu.Lock()
+	defer r.ledgers.mu.Unlock()
+	return r.ledgers.ring.items()
+}
 
 // LedgerByTrace returns the retained ledger for one trace ID.
 func (r *Registry) LedgerByTrace(traceID string) (LedgerSnapshot, bool) {
 	if traceID == "" {
 		return LedgerSnapshot{}, false
 	}
-	for _, s := range r.ledgers.snapshot() {
+	for _, s := range r.Ledgers() {
 		if s.TraceID == traceID {
 			return s, true
 		}
@@ -313,17 +289,11 @@ func (r *Registry) LedgerByTrace(traceID string) (LedgerSnapshot, bool) {
 	return LedgerSnapshot{}, false
 }
 
-// SetLedgerCapacity resizes the ledger ring, discarding current
-// contents.
+// SetLedgerCapacity resizes the ledger ring to retain the last n
+// ledgers (at least one), discarding current contents.
 func (r *Registry) SetLedgerCapacity(n int) {
-	if n <= 0 {
-		n = 1
-	}
 	r.ledgers.mu.Lock()
-	r.ledgers.capacity = n
-	r.ledgers.buf = nil
-	r.ledgers.next = 0
-	r.ledgers.full = false
+	r.ledgers.ring.reset(n)
 	r.ledgers.mu.Unlock()
 }
 

@@ -3,6 +3,7 @@ package obs
 import (
 	"fmt"
 	"io"
+	"maps"
 	"math"
 	"sort"
 	"strconv"
@@ -33,20 +34,18 @@ func (k kind) String() string {
 	}
 }
 
-// DefaultBuckets are the histogram upper bounds used when a histogram
-// is created implicitly by Observe. They span sub-millisecond simulator
-// predictions up to multi-second remote API calls (values in seconds).
-var DefaultBuckets = []float64{
+// bounds are every histogram's bucket upper bounds, ascending (+Inf
+// is implicit). They span sub-millisecond simulator predictions up to
+// multi-second remote API calls (values in seconds).
+var bounds = [...]float64{
 	0.000025, 0.0001, 0.00025, 0.001, 0.0025, 0.01,
 	0.025, 0.1, 0.25, 1, 2.5, 10,
 }
 
 // family is one named metric with its series (one per label set).
 type family struct {
-	name    string
-	help    string
-	kind    kind
-	buckets []float64 // histogram upper bounds, ascending; +Inf implicit
+	name string
+	kind kind
 
 	mu     sync.Mutex
 	series map[string]*series
@@ -54,11 +53,12 @@ type family struct {
 
 // series is one (family, label set) time series.
 type series struct {
-	labels string // pre-rendered {k="v",...} or ""
+	labels string            // pre-rendered {k="v",...} or ""
+	pairs  map[string]string // the label pairs labels was rendered from
 
 	mu     sync.Mutex
-	value  float64  // counter / gauge
-	counts []uint64 // histogram: per-bucket counts, last is +Inf
+	value  float64                 // counter / gauge
+	counts [len(bounds) + 1]uint64 // histogram: per-bucket counts, last is +Inf
 	sum    float64
 	count  uint64
 }
@@ -69,7 +69,9 @@ type Registry struct {
 	mu       sync.RWMutex
 	families map[string]*family
 
-	traces *traceRing
+	// spans holds the last completed spans, under spansMu.
+	spansMu sync.Mutex
+	spans   ring[Trace]
 
 	// sampleRate holds the float64 bits of the root-span sampling rate
 	// (1.0 on new registries); sampleSeq is the position in the
@@ -79,7 +81,7 @@ type Registry struct {
 
 	// ledgers retains recently closed query ledgers for
 	// /debug/querytrace and carries the slow-query log wiring; slo is
-	// the latency-objective engine they feed.
+	// the latency-objective engine RecordSLO feeds.
 	ledgers ledgerStore
 	slo     sloState
 
@@ -93,12 +95,11 @@ type Registry struct {
 // NewRegistry builds an empty registry with a trace ring of
 // DefaultTraceCapacity spans.
 func NewRegistry() *Registry {
-	r := &Registry{
-		families: make(map[string]*family),
-		traces:   newTraceRing(DefaultTraceCapacity),
-	}
+	r := &Registry{families: make(map[string]*family)}
+	r.spans.reset(DefaultTraceCapacity)
+	r.ledgers.ring.reset(DefaultLedgerCapacity)
+	r.slo.window.reset(maxSLOSamples)
 	r.sampleRate.Store(math.Float64bits(1))
-	r.ledgers.capacity = DefaultLedgerCapacity
 	return r
 }
 
@@ -190,15 +191,9 @@ func escapeLabelValue(v string) string {
 	return b.String()
 }
 
-// escapeHelp applies the HELP-line escapes: backslash and newline.
-func escapeHelp(v string) string {
-	v = strings.ReplaceAll(v, `\`, `\\`)
-	return strings.ReplaceAll(v, "\n", `\n`)
-}
-
 // getFamily returns the family for name, creating it with kind k when
 // absent. It returns nil (and counts misuse) on name/kind conflicts.
-func (r *Registry) getFamily(name string, k kind, buckets []float64) *family {
+func (r *Registry) getFamily(name string, k kind) *family {
 	if !validName(name) {
 		r.misuse.Add(1)
 		return nil
@@ -211,12 +206,6 @@ func (r *Registry) getFamily(name string, k kind, buckets []float64) *family {
 		f = r.families[name]
 		if f == nil {
 			f = &family{name: name, kind: k, series: make(map[string]*series)}
-			if k == histogramKind {
-				if len(buckets) == 0 {
-					buckets = DefaultBuckets
-				}
-				f.buckets = normalizeBuckets(buckets)
-			}
 			r.families[name] = f
 		}
 		r.mu.Unlock()
@@ -226,25 +215,6 @@ func (r *Registry) getFamily(name string, k kind, buckets []float64) *family {
 		return nil
 	}
 	return f
-}
-
-// normalizeBuckets sorts, deduplicates and strips non-finite bounds
-// (+Inf is always implicit).
-func normalizeBuckets(in []float64) []float64 {
-	out := make([]float64, 0, len(in))
-	for _, b := range in {
-		if !math.IsNaN(b) && !math.IsInf(b, 1) {
-			out = append(out, b)
-		}
-	}
-	sort.Float64s(out)
-	dedup := out[:0]
-	for i, b := range out {
-		if i == 0 || b != out[i-1] {
-			dedup = append(dedup, b)
-		}
-	}
-	return dedup
 }
 
 // seriesFor returns the series of f identified by labels, creating it
@@ -259,37 +229,16 @@ func (r *Registry) seriesFor(f *family, labels []string) *series {
 	s := f.series[key]
 	if s == nil {
 		s = &series{labels: key}
-		if f.kind == histogramKind {
-			s.counts = make([]uint64, len(f.buckets)+1)
+		if len(labels) > 0 {
+			s.pairs = make(map[string]string, len(labels)/2)
+			for i := 0; i < len(labels); i += 2 {
+				s.pairs[labels[i]] = labels[i+1]
+			}
 		}
 		f.series[key] = s
 	}
 	f.mu.Unlock()
 	return s
-}
-
-// DeclareCounter registers a counter family with help text ahead of
-// use, so the exposition carries a HELP line.
-func (r *Registry) DeclareCounter(name, help string) {
-	if f := r.getFamily(name, counterKind, nil); f != nil {
-		f.help = help
-	}
-}
-
-// DeclareGauge registers a gauge family with help text.
-func (r *Registry) DeclareGauge(name, help string) {
-	if f := r.getFamily(name, gaugeKind, nil); f != nil {
-		f.help = help
-	}
-}
-
-// DeclareHistogram registers a histogram family with explicit upper
-// bounds (+Inf implicit). Histograms created implicitly by Observe use
-// DefaultBuckets; bounds are fixed at creation.
-func (r *Registry) DeclareHistogram(name, help string, buckets []float64) {
-	if f := r.getFamily(name, histogramKind, buckets); f != nil {
-		f.help = help
-	}
 }
 
 // Add implements Recorder: increment a counter.
@@ -298,7 +247,7 @@ func (r *Registry) Add(name string, delta float64, labels ...string) {
 		r.misuse.Add(1)
 		return
 	}
-	f := r.getFamily(name, counterKind, nil)
+	f := r.getFamily(name, counterKind)
 	if f == nil {
 		return
 	}
@@ -311,7 +260,7 @@ func (r *Registry) Add(name string, delta float64, labels ...string) {
 
 // Set implements Recorder: set a gauge.
 func (r *Registry) Set(name string, value float64, labels ...string) {
-	f := r.getFamily(name, gaugeKind, nil)
+	f := r.getFamily(name, gaugeKind)
 	if f == nil {
 		return
 	}
@@ -324,7 +273,7 @@ func (r *Registry) Set(name string, value float64, labels ...string) {
 
 // Observe implements Recorder: record a histogram sample.
 func (r *Registry) Observe(name string, value float64, labels ...string) {
-	f := r.getFamily(name, histogramKind, nil)
+	f := r.getFamily(name, histogramKind)
 	if f == nil {
 		return
 	}
@@ -332,9 +281,9 @@ func (r *Registry) Observe(name string, value float64, labels ...string) {
 	if s == nil {
 		return
 	}
-	// Bucket i holds samples with value <= buckets[i]; the final slot
+	// Bucket i holds samples with value <= bounds[i]; the final slot
 	// is +Inf. Exposition renders them cumulatively.
-	idx := sort.SearchFloat64s(f.buckets, value)
+	idx := sort.SearchFloat64s(bounds[:], value)
 	s.mu.Lock()
 	s.counts[idx]++
 	s.sum += value
@@ -375,11 +324,6 @@ func formatValue(v float64) string {
 // exposition format (version 0.0.4), deterministically ordered.
 func (r *Registry) WritePrometheus(w io.Writer) error {
 	for _, f := range r.sortedFamilies() {
-		if f.help != "" {
-			if _, err := fmt.Fprintf(w, "# HELP %s %s\n", f.name, escapeHelp(f.help)); err != nil {
-				return err
-			}
-		}
 		if _, err := fmt.Fprintf(w, "# TYPE %s %s\n", f.name, f.kind); err != nil {
 			return err
 		}
@@ -403,7 +347,7 @@ func writeSeries(w io.Writer, f *family, s *series) error {
 	s.mu.Lock()
 	value := s.value
 	sum, count := s.sum, s.count
-	counts := append([]uint64(nil), s.counts...)
+	counts := s.counts
 	s.mu.Unlock()
 
 	if f.kind != histogramKind {
@@ -411,13 +355,13 @@ func writeSeries(w io.Writer, f *family, s *series) error {
 		return err
 	}
 	var cum uint64
-	for i, b := range f.buckets {
+	for i, b := range bounds {
 		cum += counts[i]
 		if err := writeBucket(w, f.name, s.labels, strconv.FormatFloat(b, 'g', -1, 64), cum); err != nil {
 			return err
 		}
 	}
-	cum += counts[len(f.buckets)]
+	cum += counts[len(bounds)]
 	if err := writeBucket(w, f.name, s.labels, "+Inf", cum); err != nil {
 		return err
 	}
@@ -467,12 +411,12 @@ func (r *Registry) Snapshot() []MetricSnapshot {
 	var out []MetricSnapshot
 	for _, f := range r.sortedFamilies() {
 		for _, s := range f.sortedSeries() {
-			m := MetricSnapshot{Name: f.name, Kind: f.kind.String(), Labels: parseLabelKey(s.labels)}
+			m := MetricSnapshot{Name: f.name, Kind: f.kind.String(), Labels: maps.Clone(s.pairs)}
 			s.mu.Lock()
 			if f.kind == histogramKind {
 				m.Sum, m.Count = s.sum, s.count
 				var cum uint64
-				for i, b := range f.buckets {
+				for i, b := range bounds {
 					cum += s.counts[i]
 					m.Buckets = append(m.Buckets, BucketCount{UpperBound: b, Count: cum})
 				}
@@ -492,98 +436,43 @@ func (r *Registry) Snapshot() []MetricSnapshot {
 // CounterValue returns the current value of one counter series (0 when
 // absent) — a convenience for tests and exit summaries.
 func (r *Registry) CounterValue(name string, labels ...string) float64 {
-	return r.scalarValue(name, counterKind, labels)
+	value, _ := r.read(name, counterKind, labels)
+	return value
 }
 
 // GaugeValue returns the current value of one gauge series.
 func (r *Registry) GaugeValue(name string, labels ...string) float64 {
-	return r.scalarValue(name, gaugeKind, labels)
-}
-
-func (r *Registry) scalarValue(name string, k kind, labels []string) float64 {
-	r.mu.RLock()
-	f := r.families[name]
-	r.mu.RUnlock()
-	if f == nil || f.kind != k {
-		return 0
-	}
-	key, ok := renderLabels(labels)
-	if !ok {
-		return 0
-	}
-	f.mu.Lock()
-	s := f.series[key]
-	f.mu.Unlock()
-	if s == nil {
-		return 0
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.value
+	value, _ := r.read(name, gaugeKind, labels)
+	return value
 }
 
 // HistogramCount returns the sample count of one histogram series.
 func (r *Registry) HistogramCount(name string, labels ...string) uint64 {
+	_, count := r.read(name, histogramKind, labels)
+	return count
+}
+
+// read looks up one existing series and returns its value and sample
+// count: zeros when the family is absent or of another kind, or has no
+// series under labels.
+func (r *Registry) read(name string, k kind, labels []string) (value float64, count uint64) {
 	r.mu.RLock()
 	f := r.families[name]
 	r.mu.RUnlock()
-	if f == nil || f.kind != histogramKind {
-		return 0
+	if f == nil || f.kind != k {
+		return 0, 0
 	}
 	key, ok := renderLabels(labels)
 	if !ok {
-		return 0
+		return 0, 0
 	}
 	f.mu.Lock()
 	s := f.series[key]
 	f.mu.Unlock()
 	if s == nil {
-		return 0
+		return 0, 0
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.count
-}
-
-// parseLabelKey inverts renderLabels for snapshots. The rendered form
-// is canonical, so a simple scan suffices.
-func parseLabelKey(key string) map[string]string {
-	if key == "" {
-		return nil
-	}
-	out := map[string]string{}
-	body := strings.TrimSuffix(strings.TrimPrefix(key, "{"), "}")
-	for len(body) > 0 {
-		eq := strings.Index(body, `="`)
-		if eq < 0 {
-			break
-		}
-		k := body[:eq]
-		rest := body[eq+2:]
-		var b strings.Builder
-		i := 0
-		for i < len(rest) {
-			c := rest[i]
-			if c == '\\' && i+1 < len(rest) {
-				switch rest[i+1] {
-				case 'n':
-					b.WriteByte('\n')
-				default:
-					b.WriteByte(rest[i+1])
-				}
-				i += 2
-				continue
-			}
-			if c == '"' {
-				break
-			}
-			b.WriteByte(c)
-			i++
-		}
-		out[k] = b.String()
-		body = rest[i:]
-		body = strings.TrimPrefix(body, `"`)
-		body = strings.TrimPrefix(body, ",")
-	}
-	return out
+	return s.value, s.count
 }

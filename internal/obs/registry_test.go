@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"math"
 	"sort"
 	"strings"
 	"sync"
@@ -37,11 +38,10 @@ func TestGaugeSet(t *testing.T) {
 
 func TestHistogramBucketBoundaries(t *testing.T) {
 	r := NewRegistry()
-	r.DeclareHistogram("latency", "test", []float64{1, 2, 5})
 
 	// A sample exactly on an upper bound belongs to that bucket
 	// (le is inclusive), one just above spills into the next.
-	for _, v := range []float64{0.5, 1, 1.0000001, 2, 5, 100} {
+	for _, v := range []float64{0.5, 1, 1.0000001, 2.5, 10, 100} {
 		r.Observe("latency", v)
 	}
 
@@ -51,9 +51,10 @@ func TestHistogramBucketBoundaries(t *testing.T) {
 	}
 	out := b.String()
 	for _, want := range []string{
+		`latency_bucket{le="0.25"} 0`,
 		`latency_bucket{le="1"} 2`,    // 0.5, 1
-		`latency_bucket{le="2"} 4`,    // + 1.0000001, 2
-		`latency_bucket{le="5"} 5`,    // + 5
+		`latency_bucket{le="2.5"} 4`,  // + 1.0000001, 2.5
+		`latency_bucket{le="10"} 5`,   // + 10
 		`latency_bucket{le="+Inf"} 6`, // + 100
 		`latency_count 6`,
 	} {
@@ -66,6 +67,8 @@ func TestHistogramBucketBoundaries(t *testing.T) {
 	}
 }
 
+// TestHistogramDefaultBuckets: every histogram uses the fixed bounds,
+// which ascend strictly and are finite (+Inf stays implicit).
 func TestHistogramDefaultBuckets(t *testing.T) {
 	r := NewRegistry()
 	r.Observe("auto_seconds", 0.0005)
@@ -73,14 +76,24 @@ func TestHistogramDefaultBuckets(t *testing.T) {
 	if len(snap) != 1 || snap[0].Kind != "histogram" {
 		t.Fatalf("snapshot = %+v, want one histogram", snap)
 	}
-	if len(snap[0].Buckets) != len(DefaultBuckets) {
-		t.Fatalf("got %d buckets, want %d", len(snap[0].Buckets), len(DefaultBuckets))
+	if len(snap[0].Buckets) != len(bounds) {
+		t.Fatalf("got %d buckets, want %d", len(snap[0].Buckets), len(bounds))
+	}
+	for i, b := range bounds {
+		if math.IsNaN(b) || math.IsInf(b, 0) {
+			t.Fatalf("bound %d = %v, want finite", i, b)
+		}
+		if i > 0 && b <= bounds[i-1] {
+			t.Fatalf("bounds not strictly ascending at %d: %v", i, bounds)
+		}
+		if snap[0].Buckets[i].UpperBound != b {
+			t.Fatalf("snapshot bucket %d le = %v, want %v", i, snap[0].Buckets[i].UpperBound, b)
+		}
 	}
 }
 
 func TestPrometheusEscaping(t *testing.T) {
 	r := NewRegistry()
-	r.DeclareCounter("weird_total", "line one\nline two \\ backslash")
 	r.Add("weird_total", 1, "msg", "say \"hi\"\nwith \\ escapes")
 
 	var b strings.Builder
@@ -88,9 +101,6 @@ func TestPrometheusEscaping(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := b.String()
-	if !strings.Contains(out, `# HELP weird_total line one\nline two \\ backslash`) {
-		t.Errorf("help not escaped:\n%s", out)
-	}
 	if !strings.Contains(out, `weird_total{msg="say \"hi\"\nwith \\ escapes"} 1`) {
 		t.Errorf("label value not escaped:\n%s", out)
 	}

@@ -3,19 +3,20 @@ package obs
 import (
 	"encoding/json"
 	"net/http"
-	"sort"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
-// metricSLOViolations counts queries whose total latency exceeded the
+// metricSLOViolations counts requests whose latency exceeded the
 // configured objective (catalog in README.md).
 const metricSLOViolations = "mqo_slo_violations_total"
 
 // maxSLOSamples bounds the retained latency samples the quantile is
 // computed over. Violation counting stays exact past the cap (every
 // sample is still compared to the objective); only the reported
-// quantile degrades to "over the most recent maxSLOSamples queries".
+// quantile degrades to "over the most recent maxSLOSamples requests".
 const maxSLOSamples = 16384
 
 // SLO is a latency objective: "the Percentile-th quantile of query
@@ -40,7 +41,7 @@ type SLOReport struct {
 	Name        string  `json:"name,omitempty"`
 	Percentile  float64 `json:"percentile,omitempty"`
 	ObjectiveMS float64 `json:"objective_ms,omitempty"`
-	// Samples is the total number of queries observed; Retained is how
+	// Samples is the total number of requests observed; Retained is how
 	// many back the quantile (== Samples until maxSLOSamples).
 	Samples  int `json:"samples"`
 	Retained int `json:"retained"`
@@ -58,13 +59,14 @@ type SLOReport struct {
 	Pass bool `json:"pass"`
 }
 
-// sloState is the engine behind one registry's SLO.
+// sloState is the engine behind one registry's SLO. on mirrors
+// whether an objective is configured; it is written under mu and read
+// without it, so recording takes no lock while no objective is set.
 type sloState struct {
 	mu         sync.Mutex
+	on         atomic.Bool
 	cfg        SLO
-	configured bool
-	samples    []time.Duration // most recent maxSLOSamples, insertion order
-	next       int             // ring cursor once len == maxSLOSamples
+	window     ring[time.Duration] // the most recent maxSLOSamples
 	total      uint64
 	violations uint64
 }
@@ -83,29 +85,31 @@ func (r *Registry) SetSLO(s SLO) {
 	}
 	r.slo.mu.Lock()
 	r.slo.cfg = s
-	r.slo.configured = s.Objective > 0
+	r.slo.on.Store(s.Objective > 0)
 	r.slo.violations = 0
 	r.slo.mu.Unlock()
 }
 
-// recordSLOSample feeds one query's total latency to the engine
-// (called by Ledger.Close). No-op until SetSLO configures an
-// objective.
-func (r *Registry) recordSLOSample(total time.Duration) {
+// RecordSLO feeds one request's end-to-end latency to the SLO engine
+// of Active(rec). Each front end calls it once where a request ends,
+// whether or not tracing sampled the request: core for every plan
+// query, the serve tier for every /v1/query answer (memory hits
+// included), llm.Handler for every chat request. A no-op, taking no
+// lock, until SetSLO configures an objective.
+func RecordSLO(rec Recorder, latency time.Duration) {
+	r, ok := Active(rec).(*Registry)
+	if !ok || !r.slo.on.Load() {
+		return
+	}
 	st := &r.slo
 	st.mu.Lock()
-	if !st.configured {
+	if !st.on.Load() {
 		st.mu.Unlock()
 		return
 	}
 	st.total++
-	if len(st.samples) < maxSLOSamples {
-		st.samples = append(st.samples, total)
-	} else {
-		st.samples[st.next] = total
-		st.next = (st.next + 1) % maxSLOSamples
-	}
-	violated := total > st.cfg.Objective
+	st.window.push(latency)
+	violated := latency > st.cfg.Objective
 	if violated {
 		st.violations++
 	}
@@ -116,25 +120,23 @@ func (r *Registry) recordSLOSample(total time.Duration) {
 	}
 }
 
-// SLOReport computes the current verdict. The quantile is exact over
-// the retained samples: sort a copy, index ⌈p·n⌉−1 (the nearest-rank
-// method), no interpolation — two runs over the same workload produce
-// byte-identical reports.
+// SLOReport computes the current verdict: the Quantile of a sorted
+// copy of the retained samples, so two runs over the same workload
+// produce byte-identical reports.
 func (r *Registry) SLOReport() SLOReport {
 	st := &r.slo
 	st.mu.Lock()
 	rep := SLOReport{
-		Configured: st.configured,
+		Configured: st.on.Load(),
 		Samples:    int(st.total),
-		Retained:   len(st.samples),
+		Retained:   st.window.len(),
 		Violations: st.violations,
 		Pass:       true,
 	}
-	var cfg SLO
+	cfg := st.cfg
 	var samples []time.Duration
-	if st.configured {
-		cfg = st.cfg
-		samples = append([]time.Duration(nil), st.samples...)
+	if rep.Configured {
+		samples = st.window.items()
 	}
 	st.mu.Unlock()
 	if !rep.Configured {
@@ -143,16 +145,9 @@ func (r *Registry) SLOReport() SLOReport {
 	rep.Name = cfg.Name
 	rep.Percentile = cfg.Percentile
 	rep.ObjectiveMS = durMS(cfg.Objective)
-	if n := len(samples); n > 0 {
-		sort.Slice(samples, func(i, j int) bool { return samples[i] < samples[j] })
-		idx := int(float64(n)*cfg.Percentile+0.9999999) - 1
-		if idx < 0 {
-			idx = 0
-		}
-		if idx >= n {
-			idx = n - 1
-		}
-		observed := samples[idx]
+	if len(samples) > 0 {
+		slices.Sort(samples)
+		observed := Quantile(samples, cfg.Percentile)
 		rep.ObservedMS = durMS(observed)
 		rep.Pass = observed <= cfg.Objective
 	}
@@ -161,6 +156,16 @@ func (r *Registry) SLOReport() SLOReport {
 		rep.BurnRate = violFrac / (1 - cfg.Percentile)
 	}
 	return rep
+}
+
+// Quantile is the nearest-rank p-quantile of ascending samples: the
+// element at index ⌈p·n⌉−1, clamped to the slice, with no
+// interpolation. /debug/slo and the load harness's report both use
+// it, so client- and server-side tails are comparable by definition.
+// sorted must not be empty.
+func Quantile(sorted []time.Duration, p float64) time.Duration {
+	idx := int(float64(len(sorted))*p+0.9999999) - 1
+	return sorted[min(max(idx, 0), len(sorted)-1)]
 }
 
 func durMS(d time.Duration) float64 {

@@ -10,7 +10,7 @@ import (
 
 func feedSLO(r *Registry, durs ...time.Duration) {
 	for _, d := range durs {
-		NewLedger(r, "t", "q").Close(d)
+		RecordSLO(r, d)
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"math"
-	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -161,10 +160,13 @@ func (s *Span) EndAt(at time.Time) time.Duration {
 			attrs[s.attrs[i]] = s.attrs[i+1]
 		}
 	}
-	s.rec.traces.push(Trace{
+	tr := Trace{
 		Name: s.name, TraceID: s.traceID, SpanID: s.spanID, ParentID: s.parentID,
 		Start: s.start, Duration: d, Attrs: attrs,
-	})
+	}
+	s.rec.spansMu.Lock()
+	s.rec.spans.push(tr)
+	s.rec.spansMu.Unlock()
 	return d
 }
 
@@ -234,48 +236,13 @@ func (r *Registry) sampleRoot() bool {
 	return point < rate
 }
 
-// traceRing is a fixed-capacity overwrite-oldest buffer of traces.
-type traceRing struct {
-	mu   sync.Mutex
-	buf  []Trace
-	next int
-	full bool
-}
-
-func newTraceRing(capacity int) *traceRing {
-	if capacity <= 0 {
-		capacity = 1
-	}
-	return &traceRing{buf: make([]Trace, capacity)}
-}
-
-func (t *traceRing) push(tr Trace) {
-	t.mu.Lock()
-	t.buf[t.next] = tr
-	t.next++
-	if t.next == len(t.buf) {
-		t.next = 0
-		t.full = true
-	}
-	t.mu.Unlock()
-}
-
-// snapshot returns the retained traces, oldest first.
-func (t *traceRing) snapshot() []Trace {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if !t.full {
-		return append([]Trace(nil), t.buf[:t.next]...)
-	}
-	out := make([]Trace, 0, len(t.buf))
-	out = append(out, t.buf[t.next:]...)
-	out = append(out, t.buf[:t.next]...)
-	return out
-}
-
 // Traces returns the completed spans currently retained by the ring,
 // oldest first.
-func (r *Registry) Traces() []Trace { return r.traces.snapshot() }
+func (r *Registry) Traces() []Trace {
+	r.spansMu.Lock()
+	defer r.spansMu.Unlock()
+	return r.spans.items()
+}
 
 // TraceByID returns the retained spans belonging to one trace, oldest
 // first.
@@ -284,7 +251,7 @@ func (r *Registry) TraceByID(traceID string) []Trace {
 		return nil
 	}
 	var out []Trace
-	for _, tr := range r.traces.snapshot() {
+	for _, tr := range r.Traces() {
 		if tr.TraceID == traceID {
 			out = append(out, tr)
 		}
@@ -292,15 +259,10 @@ func (r *Registry) TraceByID(traceID string) []Trace {
 	return out
 }
 
-// SetTraceCapacity resizes the ring to retain the last n spans,
-// discarding anything currently held.
+// SetTraceCapacity resizes the ring to retain the last n spans (at
+// least one), discarding anything currently held.
 func (r *Registry) SetTraceCapacity(n int) {
-	r.traces.mu.Lock()
-	defer r.traces.mu.Unlock()
-	if n <= 0 {
-		n = 1
-	}
-	r.traces.buf = make([]Trace, n)
-	r.traces.next = 0
-	r.traces.full = false
+	r.spansMu.Lock()
+	r.spans.reset(n)
+	r.spansMu.Unlock()
 }

@@ -315,6 +315,7 @@ func (s *Server) Submit(ctx context.Context, tenant string, node tag.NodeID) (Re
 		r.Coalesced = true
 		s.rec.Add(metricCoalesced, 1, "tier", "memory")
 		s.rec.Add(metricQueries, 1, "outcome", "ok")
+		obs.RecordSLO(s.rec, time.Since(enq))
 		return r, nil
 	}
 	p := &pending{tenant: tenant, node: node, ch: make(chan delivery, 1), enq: enq}
@@ -484,33 +485,33 @@ func (s *Server) complete(e *entry, q core.QueryOutcome) {
 	}
 }
 
-// deliver settles one admitted request: it closes the request's trace
-// and counts its outcome, then hands the waiting Submit its answer. The
-// send comes last, so a caller returning from Submit already finds its
-// own answer in the metrics.
+// deliver settles one admitted request: it closes the request's trace,
+// counts its outcome and records its latency as one SLO sample, then
+// hands the waiting Submit its answer. The send comes last, so a caller
+// returning from Submit already finds its own answer in the metrics.
 func (s *Server) deliver(p *pending, start time.Time, d delivery) {
 	outcome := "ok"
 	if d.err != nil {
 		outcome = "error"
 	}
-	s.finishTrace(p, start, outcome)
+	end := time.Now()
+	s.finishTrace(p, start, end, outcome)
 	s.rec.Add(metricQueries, 1, "outcome", outcome)
+	obs.RecordSLO(s.rec, end.Sub(p.enq))
 	p.ch <- d
 }
 
 // finishTrace closes one request's span and ledger: queue wait until
-// its node started executing, execution after, total feeding the SLO
-// engine. A request that attached after its node started was never
-// queued, so its execution time runs from its own arrival, and the two
-// stages tile its span exactly. Tokens are not billed here — the
-// core.query ledger under this request already bills the metered
-// spend, and double-billing would break the billed-tokens == meter
-// invariant.
-func (s *Server) finishTrace(p *pending, start time.Time, outcome string) {
+// its node started executing, execution after. A request that attached
+// after its node started was never queued, so its execution time runs
+// from its own arrival, and the two stages tile its span exactly.
+// Tokens are not billed here — the core.query ledger under this
+// request already bills the metered spend, and double-billing would
+// break the billed-tokens == meter invariant.
+func (s *Server) finishTrace(p *pending, start, end time.Time, outcome string) {
 	if p.span == nil {
 		return
 	}
-	end := time.Now()
 	p.span.SetAttr("outcome", outcome)
 	if p.attached {
 		p.span.SetAttr("coalesced", "inflight")

@@ -608,6 +608,41 @@ func TestCoalescedLedgerTilesSpan(t *testing.T) {
 	}
 }
 
+// TestSLOSampleEveryAnsweredRequest: the SLO engine takes one sample
+// per answered request, dispatched or a memory hit, traced or not. The
+// core.query under a dispatched request adds none, though the
+// executor records into the same registry.
+func TestSLOSampleEveryAnsweredRequest(t *testing.T) {
+	f := newFixture(t, 300, 40, 61)
+	nodes := f.split.Query[:20]
+	for _, rate := range []float64{1, 0} {
+		reg := obs.NewRegistry()
+		reg.SetTraceSample(rate)
+		reg.SetSLO(obs.SLO{Objective: time.Hour})
+		ctx := f.freshCtx()
+		ctx.Obs = reg
+		s, err := New(ctx, predictors.KHopRandom{K: 1}, f.freshSim(), Config{Obs: reg, Exec: core.ExecConfig{Workers: 4}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for round, tenant := range []string{"alice", "bob"} {
+			for _, v := range nodes {
+				r, err := s.Submit(context.Background(), tenant, v)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if r.Coalesced != (round == 1) {
+					t.Fatalf("trace sample %v, %s: node %d coalesced = %v", rate, tenant, v, r.Coalesced)
+				}
+			}
+			if got, want := reg.SLOReport().Samples, (round+1)*len(nodes); got != want {
+				t.Fatalf("trace sample %v: %d SLO samples after %s's requests, want %d", rate, got, tenant, want)
+			}
+		}
+		s.Close()
+	}
+}
+
 // TestUnknownNodeRejected bounds-checks node IDs at admission.
 func TestUnknownNodeRejected(t *testing.T) {
 	f := newFixture(t, 300, 40, 29)

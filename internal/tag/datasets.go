@@ -2,6 +2,7 @@ package tag
 
 import (
 	"fmt"
+	"strings"
 
 	"repro/internal/textgen"
 	"repro/internal/token"
@@ -175,6 +176,20 @@ func SpecByName(name string) (Spec, error) {
 	return Spec{}, fmt.Errorf("tag: unknown dataset %q", name)
 }
 
+// promptWords returns the words a prompt names the spec's nodes and
+// edges with, its NodeType and EdgeType in lower case; a spec that
+// names neither (an unknown dataset) gets "paper" and "citation".
+func (s Spec) promptWords() (nodeType, edgeRelation string) {
+	nodeType, edgeRelation = "paper", "citation"
+	if s.NodeType != "" {
+		nodeType = strings.ToLower(s.NodeType)
+	}
+	if s.EdgeType != "" {
+		edgeRelation = strings.ToLower(s.EdgeType)
+	}
+	return nodeType, edgeRelation
+}
+
 // Options tunes dataset generation.
 type Options struct {
 	// Scale multiplies the generated node count (0 means 1.0). Edges
@@ -215,6 +230,7 @@ func Generate(spec Spec, seed uint64, opts Options) *Graph {
 		bounds:  make([]int32, 2*n+1),
 		Vocab:   vocab,
 	}
+	g.NodeType, g.EdgeRelation = spec.promptWords()
 
 	// Class assignment: mildly uneven class proportions, as in the real
 	// benchmarks.

@@ -53,6 +53,11 @@ type Graph struct {
 	Nodes   []Node
 	adj     [][]NodeID
 
+	// NodeType and EdgeRelation are the words a prompt names the
+	// graph's nodes and edges with ("paper" and "citation", "product"
+	// and "co-purchase"), decided once from the dataset's Spec.
+	NodeType, EdgeRelation string
+
 	// Node text is stored once, as word IDs into dict: words holds each
 	// node's title words then its abstract words, node after node, and
 	// node v's title is words[bounds[2v]:bounds[2v+1]], its abstract

@@ -126,6 +126,8 @@ func Load(r io.Reader) (*Graph, error) {
 		adj:     make([][]NodeID, len(s.Nodes)),
 		bounds:  make([]int32, 2*len(s.Nodes)+1),
 	}
+	spec, _ := SpecByName(s.Name) // the zero Spec for an unknown name
+	g.NodeType, g.EdgeRelation = spec.promptWords()
 	dict := token.NewBuilder(0)
 	for i, sn := range s.Nodes {
 		if !token.InFieldForm(sn.Title) {

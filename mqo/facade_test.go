@@ -208,6 +208,50 @@ func TestDatasetPersistenceFacade(t *testing.T) {
 	}
 }
 
+// TestWorkloadPromptWordsFollowDataset: a workload over ogbn-products
+// names its nodes "product" and its edges "co-purchase", as the
+// experiments do, and so does the same graph after a snapshot round
+// trip; a citation graph keeps "paper" and "citation".
+func TestWorkloadPromptWordsFollowDataset(t *testing.T) {
+	products, err := GenerateDatasetScaled("ogbn-products", 3, 0.02)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := SaveDataset(&buf, products); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := LoadDataset(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cora, err := GenerateDatasetScaled("cora", 3, 0.1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name               string
+		g                  *Graph
+		nodeType, relation string
+	}{
+		{"generated ogbn-products", products, "product", "co-purchase"},
+		{"loaded ogbn-products", loaded, "product", "co-purchase"},
+		{"cora", cora, "paper", "citation"},
+	} {
+		w := NewWorkload(c.g, 1, 10, 4, 1)
+		ctx := w.Context()
+		if ctx.NodeType != c.nodeType || ctx.EdgeRelation != c.relation {
+			t.Fatalf("%s: workload names nodes %q and edges %q, want %q and %q",
+				c.name, ctx.NodeType, ctx.EdgeRelation, c.nodeType, c.relation)
+		}
+		v := w.Queries[0]
+		want := "Target " + c.nodeType + " has the following important neighbors with " + c.relation + " relationships"
+		if p := BuildPrompt(ctx, v, []Selected{{ID: w.Labeled[0]}}, false); !strings.Contains(p, want) {
+			t.Fatalf("%s: prompt lacks %q:\n%s", c.name, want, p)
+		}
+	}
+}
+
 // TestNewSimWithoutVocabulary loads a two-node snapshot saved without
 // a "vocab" object and asks the simulator a built prompt: it must
 // answer one of the listed categories, resting on its class bias and

@@ -66,7 +66,9 @@ type Workload struct {
 	// paper's default) to title+abstract.
 	IncludeAbstracts bool
 	// NodeType and EdgeRelation label the prompt text; empty values
-	// default to "paper" and "citation".
+	// take the graph's words (Graph.NodeType, Graph.EdgeRelation:
+	// "product" and "co-purchase" for ogbn-products, "paper" and
+	// "citation" otherwise).
 	NodeType     string
 	EdgeRelation string
 }
@@ -96,10 +98,10 @@ func (w *Workload) Context() *Context {
 	}
 	nodeType, edgeRelation := w.NodeType, w.EdgeRelation
 	if nodeType == "" {
-		nodeType = "paper"
+		nodeType = w.Graph.NodeType
 	}
 	if edgeRelation == "" {
-		edgeRelation = "citation"
+		edgeRelation = w.Graph.EdgeRelation
 	}
 	return &Context{
 		Graph:            w.Graph,
